@@ -1,28 +1,52 @@
-"""2x2 complex operator algebra on the virtual qubit span{|A>, P|A>}.
+"""Real SU(2) kernel for the generalized-reflection circuits.
 
-Every operator that appears in the generalized-reflection circuits leaves the
-two-dimensional subspace spanned by the ansatz state and its image under the
-target observable invariant, so the whole calculation can be done with 2x2
-complex matrices in the {|0>, |1>} basis of that subspace.
+Every operator of the circuits leaves the plane span{|A>, P|A>} invariant and
+acts on it, in the {|0>, |1>} basis of that plane, as cos(x) I - i sin(x) G
+with G = Z (reflection about the ansatz state) or G = P(theta) =
+cos(theta) Z + sin(theta) X (reflection about the observable).  Products of
+such factors stay in SU(2), so every operator is a real unit quaternion,
+held as a 4-tuple:
 
-Conventions:
-  * matrices are numpy arrays of shape (..., 2, 2), complex128;
-  * functions broadcast over ``theta`` and ``x`` (scalar or array inputs);
-  * products are written in operator order, i.e. the rightmost factor in
-    ``circuit_q`` is applied first.
+    q = (a, b, c, d)   <->   a I - i (b X + c Y + d Z)
+
+    U(theta, x) = (cos x, sin x sin theta, 0, sin x cos theta)
+    V(x)        = (cos x, 0, 0, sin x)
+
+Products are written in operator order (the right factor acts first); with
+v = (b, c, d) the product is
+
+    p q = (a_p a_q - v_p . v_q,  a_p v_q + a_q v_p + v_p x v_q).
+
+The circuit Q(theta; x) = V(x_2L) U(x_2L-1) ... V(x_2) U(x_1) has two
+readouts, both real by construction:
+
+    ancilla-based   Re <0|Q|0>          = a
+    ancilla-free    <0|Q^dag P Q|0>     = sin(theta) 2(bd + ac)
+                                          + cos(theta) (a^2 - b^2 - c^2 + d^2)
+
+The theta-derivative is carried as a pair (q, dq) with dq = dq/dtheta, which
+multiplies by the product rule (p, dp)(q, dq) = (p q, dp q + p dq); only the
+U factors depend on theta, dU/dtheta = (0, sin x cos theta, 0, -sin x sin theta).
+
+Components are Python floats or numpy arrays.  The arithmetic is the same for
+both and broadcasts, so one code path serves a single theta (pure-Python
+floats, selected by input shape in ``trig``), a vector of thetas, and per-run
+angle matrices.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-IDENTITY = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+ONE = (1.0, 0.0, 0.0, 0.0)
+ZERO = (0.0, 0.0, 0.0, 0.0)
 
-# Angles closer than this to a multiple of pi collapse the subspace to one
-# dimension (the estimand would be +-1), so they are rejected.
+# An estimand angle closer than this to a multiple of pi collapses the
+# subspace to one dimension (the estimand would be +-1), so it is rejected
+# where the estimand enters (``tuner.TuneSpec``).  The kernel itself is
+# smooth there and evaluates any finite theta.
 DEGENERATE_TOL = 1e-12
 
 
@@ -30,124 +54,123 @@ class DegenerateSubspaceError(ValueError):
     """The estimand angle is (numerically) 0 or pi, so span{|A>, P|A>} is 1-D."""
 
 
-def canonical_angles(values) -> np.ndarray:
-    """Validate a vector of 2L reflection angles and map each into (-pi, pi]."""
+def angle_vectors(values) -> np.ndarray:
+    """Validate angle vectors of even length 2L >= 2 along the last axis."""
     x = np.atleast_1d(np.asarray(values, dtype=float))
-    if x.ndim != 1:
-        raise ValueError("angle vector must be one-dimensional")
-    if x.size < 2 or x.size % 2 != 0:
-        raise ValueError(f"angle vector must have even length 2L >= 2, got {x.size}")
-    if not np.all(np.isfinite(x)):
+    n = x.shape[-1]
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"angle vector must have even length 2L >= 2, got {n}")
+    if not np.isfinite(x).all():
         raise ValueError("angles must be finite")
-    return np.pi - np.remainder(np.pi - x, 2.0 * np.pi)
+    return x
 
 
-def layer_count(x: np.ndarray) -> int:
-    """Number of circuit layers L encoded by a 2L-angle vector."""
-    return x.size // 2
+def canonical_angles(values) -> np.ndarray:
+    """Validate angle vectors (see ``angle_vectors``) and map each angle into (-pi, pi]."""
+    return np.pi - np.remainder(np.pi - angle_vectors(values), 2.0 * np.pi)
 
 
-def _check_theta(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
+def trig(theta, x):
+    """(cos theta, sin theta, cos x_j, sin x_j): the kernel's inputs, indexed by j.
+
+    ``x`` holds angle vectors along its last axis (validated by
+    ``angle_vectors``); its leading axes broadcast against ``theta``.  A 0-d
+    theta with a single angle vector yields Python floats, whose arithmetic
+    is several times faster than numpy's on scalars.
+    """
+    x = angle_vectors(x)
+    if np.ndim(theta) == 0 and x.ndim == 1:
+        t = float(theta)
+        if not math.isfinite(t):
+            raise ValueError("theta must be finite")
+        return math.cos(t), math.sin(t), np.cos(x).tolist(), np.sin(x).tolist()
+    t = np.asarray(theta, dtype=float)
+    if not np.isfinite(t).all():
         raise ValueError("theta must be finite")
-    if np.any(np.abs(np.sin(theta)) < DEGENERATE_TOL):
-        raise DegenerateSubspaceError("theta equal to a multiple of pi is degenerate")
-    return theta
+    # Angle index first, rows contiguous: the factor loop then reads whole rows.
+    xt = np.moveaxis(x, -1, 0)
+    return np.cos(t), np.sin(t), list(np.cos(xt, order="C")), list(np.sin(xt, order="C"))
 
 
-def _stack22(a00, a01, a10, a11) -> np.ndarray:
-    """Assemble broadcastable scalars/arrays into a (..., 2, 2) matrix."""
-    a00, a01, a10, a11 = np.broadcast_arrays(a00, a01, a10, a11)
-    out = np.empty(a00.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = a00
-    out[..., 0, 1] = a01
-    out[..., 1, 0] = a10
-    out[..., 1, 1] = a11
-    return out
+def qmul(p, q):
+    """Quaternion product p q in operator order (q acts first)."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 + c1 * a2 + d1 * b2 - b1 * d2,
+        a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
+    )
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a (..., 2, 2) matrix stack."""
-    return np.conj(np.swapaxes(m, -1, -2))
+def u_pair(ct, st, cx, sx):
+    """(U, dU/dtheta) for the reflection about the observable, from cos/sin values."""
+    return (cx, sx * st, 0.0, sx * ct), (0.0, sx * ct, 0.0, -sx * st)
 
 
-def observable(theta) -> np.ndarray:
-    """Target observable on the virtual qubit: cos(theta) Z + sin(theta) X.
+def v_pair(cx, sx):
+    """(V, dV/dtheta = 0) for the reflection about the ansatz state."""
+    return (cx, 0.0, 0.0, sx), ZERO
 
-    Hermitian with eigenvalues +-1 for every valid theta.
+
+def circuit(ct, st, cx, sx):
+    """Q(theta; x) from the output of ``trig``.
+
+    Each step is ``qmul(U, q)`` or ``qmul(V, q)`` with the factors' zero
+    components folded out.
     """
-    theta = _check_theta(theta)
-    c, s = np.cos(theta), np.sin(theta)
-    return _stack22(c, s, s, -c)
+    a, b, c, d = ONE
+    for j in range(0, len(cx), 2):
+        cu, pb, pd = cx[j], sx[j] * st, sx[j] * ct
+        a, b, c, d = (
+            cu * a - pb * b - pd * d,
+            cu * b + pb * a - pd * c,
+            cu * c + pd * b - pb * d,
+            cu * d + pd * a + pb * c,
+        )
+        cv, sv = cx[j + 1], sx[j + 1]
+        a, b, c, d = cv * a - sv * d, cv * b - sv * c, cv * c + sv * b, cv * d + sv * a
+    return a, b, c, d
 
 
-def observable_derivative(theta) -> np.ndarray:
-    """d/dtheta of ``observable``: -sin(theta) Z + cos(theta) X."""
-    theta = _check_theta(theta)
-    c, s = np.cos(theta), np.sin(theta)
-    return _stack22(-s, c, c, s)
+def circuit_pair(ct, st, cx, sx):
+    """(Q, dQ/dtheta) from the output of ``trig``, by the product rule."""
+    a, b, c, d = ONE
+    da, db, dc, dd = ZERO
+    for j in range(0, len(cx), 2):
+        cu, pb, pd = cx[j], sx[j] * st, sx[j] * ct
+        # d(U q) = U dq + dU q with dU = (0, pd, 0, -pb).
+        da, db, dc, dd = (
+            cu * da - pb * db - pd * dd - pd * b + pb * d,
+            cu * db + pb * da - pd * dc + pd * a + pb * c,
+            cu * dc + pd * db - pb * dd - pb * b - pd * d,
+            cu * dd + pd * da + pb * dc - pb * a + pd * c,
+        )
+        a, b, c, d = (
+            cu * a - pb * b - pd * d,
+            cu * b + pb * a - pd * c,
+            cu * c + pd * b - pb * d,
+            cu * d + pd * a + pb * c,
+        )
+        cv, sv = cx[j + 1], sx[j + 1]
+        a, b, c, d = cv * a - sv * d, cv * b - sv * c, cv * c + sv * b, cv * d + sv * a
+        da, db, dc, dd = cv * da - sv * dd, cv * db - sv * dc, cv * dc + sv * db, cv * dd + sv * da
+    return (a, b, c, d), (da, db, dc, dd)
 
 
-def reflection_u(theta, x) -> np.ndarray:
-    """Generalized reflection about the observable: cos(x) I - i sin(x) P(theta)."""
-    theta = _check_theta(theta)
-    x = np.asarray(x, dtype=float)
-    cx, sx = np.cos(x), np.sin(x)
-    ct, st = np.cos(theta), np.sin(theta)
-    return _stack22(cx - 1j * sx * ct, -1j * sx * st, -1j * sx * st, cx + 1j * sx * ct)
+def af_readout(q, ct, st):
+    """<0| Q^dag P(theta) Q |0> of a quaternion Q."""
+    a, b, c, d = q
+    return st * 2.0 * (b * d + a * c) + ct * (a * a - b * b - c * c + d * d)
 
 
-def reflection_u_derivative(theta, x) -> np.ndarray:
-    """d/dtheta of ``reflection_u``: i sin(x) (sin(theta) Z - cos(theta) X)."""
-    theta = _check_theta(theta)
-    x = np.asarray(x, dtype=float)
-    sx = np.sin(x)
-    ct, st = np.cos(theta), np.sin(theta)
-    return _stack22(1j * sx * st, -1j * sx * ct, -1j * sx * ct, -1j * sx * st)
-
-
-def reflection_v(x) -> np.ndarray:
-    """Generalized reflection about the ansatz state: cos(x) I - i sin(x) Z."""
-    x = np.asarray(x, dtype=float)
-    cx, sx = np.cos(x), np.sin(x)
-    zero = np.zeros_like(cx)
-    return _stack22(cx - 1j * sx, zero, zero, cx + 1j * sx)
-
-
-def circuit_q(theta, x) -> np.ndarray:
-    """Product of the 2L tunable reflections, rightmost factor applied first.
-
-    The j-th factor (1-based, from the right) is ``reflection_u(theta, x_j)``
-    for odd j and ``reflection_v(x_j)`` for even j.  ``theta`` may be an array;
-    the result has shape ``theta.shape + (2, 2)``.
-    """
-    theta = _check_theta(theta)
-    x = canonical_angles(x)
-    q = np.broadcast_to(IDENTITY, np.shape(theta) + (2, 2)).copy()
-    for idx, xj in enumerate(x):
-        factor = reflection_u(theta, xj) if idx % 2 == 0 else reflection_v(xj)
-        q = factor @ q
-    return q
-
-
-def circuit_q_derivative(theta, x) -> np.ndarray:
-    """d/dtheta of ``circuit_q`` via the product rule over the U factors.
-
-    Only the odd-position reflections depend on theta; the derivative is the
-    sum of the L products with one U factor replaced by its theta-derivative.
-    """
-    theta = _check_theta(theta)
-    x = canonical_angles(x)
-    shape = np.shape(theta) + (2, 2)
-    q = np.broadcast_to(IDENTITY, shape).copy()
-    dq = np.zeros(shape, dtype=complex)
-    for idx, xj in enumerate(x):
-        if idx % 2 == 0:
-            factor = reflection_u(theta, xj)
-            dq = factor @ dq + reflection_u_derivative(theta, xj) @ q
-        else:
-            factor = reflection_v(xj)
-            dq = factor @ dq
-        q = factor @ q
-    return dq
+def af_readout_derivative(q, dq, ct, st):
+    """d/dtheta of ``af_readout``, from the pair (Q, dQ/dtheta)."""
+    a, b, c, d = q
+    da, db, dc, dd = dq
+    x = 2.0 * (b * d + a * c)
+    z = a * a - b * b - c * c + d * d
+    dx = 2.0 * (db * d + b * dd + da * c + a * dc)
+    dz = 2.0 * (a * da - b * db - c * dc + d * dd)
+    return ct * x - st * z + st * dx + ct * dz

@@ -4,7 +4,8 @@ The two-outcome likelihood is (1 + (-1)^d f * bias)/2 where the bias is
   * ancilla-free (AF):  <0| Q^dag(theta; x) P(theta) Q(theta; x) |0>,
   * ancilla-based (AB): Re <0| Q(theta; x) |0>.
 Both are exact real functions of theta and the 2L reflection angles x and
-reduce to Chebyshev-type cosines at x = (pi/2, ..., pi/2).
+reduce to Chebyshev-type cosines at x = (pi/2, ..., pi/2).  Both are readouts
+of the quaternion kernel in ``algebra``.
 """
 
 from __future__ import annotations
@@ -13,19 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (
-    canonical_angles,
-    circuit_q,
-    circuit_q_derivative,
-    dagger,
-    layer_count,
-    observable,
-    observable_derivative,
-)
-
-# Imaginary residue above this level in a quantity that must be real signals
-# an operator-ordering bug rather than roundoff.
-IMAG_RESIDUE_TOL = 1e-10
+from .algebra import af_readout, af_readout_derivative, circuit, circuit_pair, trig
 
 
 class Scheme(Enum):
@@ -42,52 +31,23 @@ def clf_angles(layers: int) -> np.ndarray:
     return np.full(2 * layers, np.pi / 2)
 
 
-def _require_real(values: np.ndarray, what: str) -> np.ndarray:
-    residue = np.max(np.abs(values.imag)) if values.size else 0.0
-    if residue > IMAG_RESIDUE_TOL:
-        raise ArithmeticError(f"{what} has imaginary residue {residue:.3e}")
-    return values.real
-
-
-def bias_af(theta, x):
-    """Ancilla-free bias; equals cos((2L+1) theta) at the Chebyshev angles."""
-    q = circuit_q(theta, x)
-    m = dagger(q) @ observable(theta) @ q
-    out = _require_real(m[..., 0, 0], "ancilla-free bias")
-    return out if out.ndim else float(out)
-
-
-def bias_ab(theta, x):
-    """Ancilla-based bias; equals (-1)^L cos(L theta) at the Chebyshev angles."""
-    q = circuit_q(theta, x)
-    out = q[..., 0, 0].real
-    return out if out.ndim else float(out)
-
-
 def bias(scheme: Scheme, theta, x):
-    """Bias of the chosen scheme's likelihood at (theta, x)."""
-    return bias_af(theta, x) if scheme is Scheme.AF else bias_ab(theta, x)
+    """Bias of the chosen scheme's likelihood at (theta, x).
+
+    At the Chebyshev angles it equals cos((2L+1) theta) for AF and
+    (-1)^L cos(L theta) for AB.
+
+    ``x`` is one 2L-angle vector, or angle vectors along its last axis whose
+    leading axes broadcast against ``theta`` (one vector per run).  A scalar
+    theta with one vector gives a float.
+    """
+    ct, st, cx, sx = trig(theta, x)
+    q = circuit(ct, st, cx, sx)
+    return q[0] if scheme is Scheme.AB else af_readout(q, ct, st)
 
 
 def bias_derivative(scheme: Scheme, theta, x):
-    """d/dtheta of the bias of the chosen scheme."""
-    x = canonical_angles(x)
-    if scheme is Scheme.AB:
-        dq = circuit_q_derivative(theta, x)
-        out = dq[..., 0, 0].real
-        return out if out.ndim else float(out)
-    q = circuit_q(theta, x)
-    dq = circuit_q_derivative(theta, x)
-    p = observable(theta)
-    term1 = 2.0 * (dagger(q) @ p @ dq)[..., 0, 0].real
-    term2 = _require_real(
-        (dagger(q) @ observable_derivative(theta) @ q)[..., 0, 0],
-        "ancilla-free bias derivative",
-    )
-    out = term1 + term2
-    return out if out.ndim else float(out)
-
-
-def scheme_layers(scheme: Scheme, x) -> int:
-    """Layer count L implied by an angle vector (schemes share the layout)."""
-    return layer_count(canonical_angles(x))
+    """d/dtheta of the bias of the chosen scheme; broadcasts like ``bias``."""
+    ct, st, cx, sx = trig(theta, x)
+    q, dq = circuit_pair(ct, st, cx, sx)
+    return dq[0] if scheme is Scheme.AB else af_readout_derivative(q, dq, ct, st)

@@ -7,31 +7,46 @@ For fixed theta and all other angles, the ancilla-free bias is a sinusoid of
     AB:  bias(x_j) = c cos(x_j)   + s sin(x_j)
 
 with companion primed coefficients giving the theta-derivative of the bias in
-the same form.  Both coefficient sets are obtained from prefix/suffix products
-of the operator chain (plus their theta-derivatives, accumulated left-to-right
-by the product rule), so a table built once per (scheme, theta, x) in O(L)
-time serves all 2L coordinates in O(1) each.
+the same form.
+
+The coefficients are read off the exact sinusoid at a few values of x_j.  With
+P the product of the factors acting before x_j's factor F(x_j) = cos x_j I -
+i sin x_j G and S the product of those acting after it, Q(x_j) = S F(x_j) P.
+Since F(0) = I, F(pi/2) = -iG and F(pi/4) = (I - iG)/sqrt(2), two products
+Q(0) = S P and Q(pi/2) = S (-iG) P give Q(pi/4) = (Q(0) + Q(pi/2))/sqrt(2).
+The biases v0, v1, v2 at x_j = 0, pi/4, pi/2 give
+
+    AF:  c = (v0 - v2)/2,  b = (v0 + v2)/2,  s = v1 - b
+    AB:  c = v0,           s = v2            (AB needs only x_j = 0, pi/2)
+
+and the theta-derivatives of the same biases give the primed coefficients.
+Every product carries its theta-derivative as a quaternion pair (see
+``algebra``), so a table of prefix and suffix pairs built once per
+(scheme, theta, x) in O(L) time serves all 2L coordinates in O(1) each.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
-    IDENTITY,
-    PAULI_Z,
+    ONE,
+    ZERO,
+    af_readout,
+    af_readout_derivative,
     canonical_angles,
-    observable,
-    observable_derivative,
-    reflection_u,
-    reflection_u_derivative,
-    reflection_v,
+    qmul,
+    trig,
+    u_pair,
+    v_pair,
 )
-from .bias import IMAG_RESIDUE_TOL, Scheme
+from .bias import Scheme
 
-_ZERO = np.zeros((2, 2), dtype=complex)
+_IDENTITY_PAIR = (ONE, ZERO)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -78,23 +93,11 @@ class CsbdCoefficients:
         return k * (-self.c_prime * np.sin(a) + self.s_prime * np.cos(a))
 
 
-def _elem(m: np.ndarray) -> complex:
-    return complex(m[0, 0])
-
-
-def _sandwich_triple(a, b, c, k):
-    """(cos 2x, sin 2x, const) coefficients of <0| A W(-x) B W(x) C |0>.
-
-    ``k`` is the Hermitian generator of the conjugating reflection pair
-    (Z for V-type coordinates, P(theta) for U-type ones).
-    """
-    kb = k @ b
-    bk = b @ k
-    kbk = kb @ k
-    cc = 0.5 * _elem(a @ (b - kbk) @ c)
-    ss = -0.5j * _elem(a @ (bk - kb) @ c)
-    bb = 0.5 * _elem(a @ (b + kbk) @ c)
-    return cc, ss, bb
+def _pair_mul(p, q):
+    """(p q, dp q + p dq) for quaternion pairs."""
+    (x, dx), (y, dy) = p, q
+    e, f = qmul(dx, y), qmul(x, dy)
+    return qmul(x, y), (e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3])
 
 
 class CoefficientTable:
@@ -107,149 +110,36 @@ class CoefficientTable:
         self.scheme = scheme
         self.theta = float(theta)
         self.x = canonical_angles(x)
+        if self.x.ndim != 1:
+            raise ValueError("angle vector must be one-dimensional")
         self.layers = self.x.size // 2
-        self._p = observable(self.theta)
-        self._p_prime = observable_derivative(self.theta)
-        w, wp = self._build_chain()
-        self._n = len(w)
-        self._build_products(w, wp)
-        if scheme is Scheme.AF:
-            self._build_middles(w, wp)
-
-    # -- chain construction ------------------------------------------------
-
-    def _build_chain(self):
-        theta, x, L = self.theta, self.x, self.layers
-        x_odd, x_even = x[0::2], x[1::2]
-        if self.scheme is Scheme.AF:
-            # Chain of 4L+1 factors realizing Q^dag P Q; position of x_j
-            # (1-based j) is a = j-1 on the left and b = 4L-j+1 on the right.
-            n = 4 * L + 1
-            w = np.empty((n, 2, 2), dtype=complex)
-            wp = np.zeros((n, 2, 2), dtype=complex)
-            w[0 : 2 * L : 2] = reflection_u(theta, -x_odd)
-            wp[0 : 2 * L : 2] = reflection_u_derivative(theta, -x_odd)
-            w[1 : 2 * L : 2] = reflection_v(-x_even)
-            w[2 * L] = self._p
-            wp[2 * L] = self._p_prime
-            w[2 * L + 2 :: 2] = reflection_u(theta, x_odd)[::-1]
-            wp[2 * L + 2 :: 2] = reflection_u_derivative(theta, x_odd)[::-1]
-            w[2 * L + 1 : 4 * L : 2] = reflection_v(x_even)[::-1]
-            return w, wp
-        # AB: the chain is Q itself (2L factors); x_j sits at position 2L-j.
-        n = 2 * L
-        w = np.empty((n, 2, 2), dtype=complex)
-        wp = np.zeros((n, 2, 2), dtype=complex)
-        w[0::2] = reflection_v(x_even[::-1])
-        w[1::2] = reflection_u(theta, x_odd[::-1])
-        wp[1::2] = reflection_u_derivative(theta, x_odd[::-1])
-        return w, wp
-
-    def _build_products(self, w, wp) -> None:
-        n = self._n
-        pre = [None] * n
-        dpre = [None] * n
-        acc, dacc = IDENTITY, _ZERO
-        for i in range(n):
-            dacc = dacc @ w[i] + acc @ wp[i]
-            acc = acc @ w[i]
-            pre[i], dpre[i] = acc, dacc
-        suf = [None] * n
-        dsuf = [None] * n
-        acc, dacc = IDENTITY, _ZERO
-        for i in range(n - 1, -1, -1):
-            dacc = w[i] @ dacc + wp[i] @ acc
-            acc = w[i] @ acc
-            suf[i], dsuf[i] = acc, dacc
-        self._pre, self._dpre = pre, dpre
-        self._suf, self._dsuf = suf, dsuf
-
-    def _build_middles(self, w, wp) -> None:
-        # mid[a] is the product of chain positions [a+1, 4L-a-1], the segment
-        # strictly between the two occurrences of the coordinate at slot a;
-        # dmid[a] is its full theta-derivative.
-        L = self.layers
-        mid = [None] * (2 * L)
-        dmid = [None] * (2 * L)
-        mid[2 * L - 1] = self._p
-        dmid[2 * L - 1] = self._p_prime
-        for a in range(2 * L - 1, 0, -1):
-            left, right = w[a], w[4 * L - a]
-            dleft, dright = wp[a], wp[4 * L - a]
-            mid[a - 1] = left @ mid[a] @ right
-            dmid[a - 1] = (
-                dleft @ mid[a] @ right
-                + left @ dmid[a] @ right
-                + left @ mid[a] @ dright
-            )
-        self._mid, self._dmid = mid, dmid
-
-    # -- table lookups with identity/zero sentinels --------------------------
-
-    def _prefix(self, i):
-        return (IDENTITY, _ZERO) if i < 0 else (self._pre[i], self._dpre[i])
-
-    def _suffix(self, i):
-        return (IDENTITY, _ZERO) if i >= self._n else (self._suf[i], self._dsuf[i])
-
-    # -- coefficient queries -------------------------------------------------
+        ct, st, cx, sx = trig(self.theta, self.x)
+        self._trig = ct, st
+        # Generators -iG of the U and V factors, i.e. the factors at x_j = pi/2.
+        self._generators = u_pair(ct, st, 0.0, 1.0), v_pair(0.0, 1.0)
+        factors = [u_pair(ct, st, c, s) if j % 2 == 0 else v_pair(c, s) for j, (c, s) in enumerate(zip(cx, sx))]
+        # pre[j]: factors 0..j-1 (acting before coordinate j, 0-based);
+        # suf[j]: factors j+1..2L-1 (acting after it).
+        n = len(factors)
+        pre = [_IDENTITY_PAIR] * n
+        suf = [_IDENTITY_PAIR] * n
+        for j in range(1, n):
+            pre[j] = _pair_mul(factors[j - 1], pre[j - 1])
+            suf[n - 1 - j] = _pair_mul(suf[n - j], factors[n - j])
+        self._pre, self._suf = pre, suf
 
     def coefficients(self, j: int) -> CsbdCoefficients:
         """CSBD coefficients of the bias with respect to x_j (1-based)."""
         if not 1 <= j <= 2 * self.layers:
             raise IndexError(f"coordinate index {j} out of range 1..{2 * self.layers}")
-        raw = self._coefficients_af(j) if self.scheme is Scheme.AF else self._coefficients_ab(j)
-        residue = max(abs(v.imag) for v in raw)
-        if residue > IMAG_RESIDUE_TOL:
-            raise ArithmeticError(f"CSBD coefficients have imaginary residue {residue:.3e}")
-        c, s, b, cp, sp, bp = (v.real for v in raw)
-        return CsbdCoefficients(self.scheme, c, s, b, cp, sp, bp)
-
-    def _coefficients_af(self, j: int):
-        L = self.layers
-        a = j - 1
-        b = 4 * L - a
-        left, dleft = self._prefix(a - 1)
-        right, dright = self._suffix(b + 1)
-        midm, dmid = self._mid[a], self._dmid[a]
-        k = PAULI_Z if j % 2 == 0 else self._p
-        cc, ss, bb = _sandwich_triple(left, midm, right, k)
-        cp = sp = bp = 0.0 + 0.0j
-        for aa, mm, rr in ((dleft, midm, right), (left, dmid, right), (left, midm, dright)):
-            t = _sandwich_triple(aa, mm, rr, k)
-            cp, sp, bp = cp + t[0], sp + t[1], bp + t[2]
-        if j % 2 == 1:
-            # The U factors carrying x_j are theta-dependent themselves.
-            p, pp = self._p, self._p_prime
-            m1 = _elem(left @ pp @ midm @ p @ right)
-            m2 = _elem(left @ pp @ midm @ right)
-            m3 = _elem(left @ p @ midm @ pp @ right)
-            m4 = _elem(left @ midm @ pp @ right)
-            cp += -0.5 * m1 - 0.5 * m3
-            sp += 0.5j * m2 - 0.5j * m4
-            bp += 0.5 * m1 + 0.5 * m3
-        return cc, ss, bb, cp, sp, bp
-
-    def _coefficients_ab(self, j: int):
-        L = self.layers
-        m = 2 * L - j
-        left, dleft = self._prefix(m - 1)
-        right, dright = self._suffix(m + 1)
-        k = PAULI_Z if j % 2 == 0 else self._p
-        cc = _elem(left @ right).real + 0.0j
-        ss = _elem(left @ k @ right).imag + 0.0j
-        cp = (_elem(dleft @ right) + _elem(left @ dright)).real + 0.0j
-        sp = (_elem(dleft @ k @ right) + _elem(left @ k @ dright)).imag + 0.0j
-        if j % 2 == 1:
-            sp += _elem(left @ self._p_prime @ right).imag
-        return cc, ss, 0.0j, cp, sp, 0.0j
-
-
-def coefficients_af(theta: float, x, j: int) -> CsbdCoefficients:
-    """Ancilla-free CSBD coefficients of the bias with respect to x_j."""
-    return CoefficientTable(Scheme.AF, theta, x).coefficients(j)
-
-
-def coefficients_ab(theta: float, x, j: int) -> CsbdCoefficients:
-    """Ancilla-based CSD coefficients of the bias with respect to x_j."""
-    return CoefficientTable(Scheme.AB, theta, x).coefficients(j)
+        ct, st = self._trig
+        pre, suf = self._pre[j - 1], self._suf[j - 1]
+        q0 = _pair_mul(suf, pre)
+        q2 = _pair_mul(suf, _pair_mul(self._generators[(j - 1) % 2], pre))
+        if self.scheme is Scheme.AB:
+            return CsbdCoefficients(self.scheme, q0[0][0], q2[0][0], 0.0, q0[1][0], q2[1][0], 0.0)
+        q1 = tuple(tuple(_SQRT_HALF * (u + v) for u, v in zip(p0, p2)) for p0, p2 in zip(q0, q2))
+        v0, v1, v2 = (af_readout(q, ct, st) for q, _ in (q0, q1, q2))
+        d0, d1, d2 = (af_readout_derivative(q, dq, ct, st) for q, dq in (q0, q1, q2))
+        b, bp = (v0 + v2) / 2.0, (d0 + d2) / 2.0
+        return CsbdCoefficients(self.scheme, (v0 - v2) / 2.0, v1 - b, b, (d0 - d2) / 2.0, d1 - bp, bp)

@@ -19,8 +19,7 @@ import csv
 
 import numpy as np
 
-from .algebra import IDENTITY, dagger, observable, reflection_u, reflection_v
-from .bias import Scheme, clf_angles
+from .bias import Scheme, bias, clf_angles
 from .inference import (
     ARCSIN_CLAMP,
     _cos_moments,
@@ -125,31 +124,6 @@ def standard_sampling_run(true_pi: float, noise: NoiseModel, horizon: int, rng) 
     return np.cumsum(signs) / np.arange(1, horizon + 1)
 
 
-# -- vectorized bias over per-run angle matrices --------------------------------
-
-
-def _bias_batch(scheme: Scheme, thetas: np.ndarray, xmat: np.ndarray) -> np.ndarray:
-    """Bias at thetas (runs, points) under per-run angle vectors (runs, 2L)."""
-    th = np.asarray(thetas, dtype=float)
-    squeeze = th.ndim == 1
-    if squeeze:
-        th = th[:, None]
-    q = np.broadcast_to(IDENTITY, th.shape + (2, 2)).copy()
-    for idx in range(xmat.shape[1]):
-        xj = xmat[:, idx][:, None]
-        factor = reflection_u(th, xj) if idx % 2 == 0 else reflection_v(xj)
-        q = factor @ q
-    if scheme is Scheme.AF:
-        m = dagger(q) @ observable(th) @ q
-        values = m[..., 0, 0]
-        if np.max(np.abs(values.imag)) > 1e-8:
-            raise ArithmeticError("batched bias lost reality")
-        out = values.real
-    else:
-        out = q[..., 0, 0].real
-    return out[:, 0] if squeeze else out
-
-
 # -- the lockstep engine ---------------------------------------------------------
 
 
@@ -167,7 +141,6 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
     scheme = config.bias_scheme
     layers = config.layers
     f = config.noise.process_fidelity(layers)
-    theta_star = math.acos(config.true_pi)
     n_rounds = config.horizon // (2 * layers + 1)
     r = run_indices.size
 
@@ -175,6 +148,7 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
     mu = np.full(r, prior_theta.mean)
     var = np.full(r, prior_theta.variance)
     alive = np.ones(r, dtype=bool)
+    star = np.full((1, r), math.acos(config.true_pi))  # theta*
 
     uniforms = np.stack(
         [
@@ -195,13 +169,13 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
         else:
             pi_est, _ = _cos_moments(mu, var)
             xmat = config.table.batch_angles(np.clip(pi_est, -1.0, 1.0))
-        sd = np.sqrt(var)
-        thetas = fit_points_grid(mu, sd, config.fit_points)
-        values = _bias_batch(scheme, thetas, xmat)
-        z = np.arcsin(np.clip(values, -1.0 + ARCSIN_CLAMP, 1.0 - ARCSIN_CLAMP))
+        thetas = fit_points_grid(mu, np.sqrt(var), config.fit_points)
+        # One kernel call per round, runs along the last axis (the fast
+        # broadcasting layout): the fit abscissae, then theta* as one more row.
+        values = bias(scheme, np.vstack([thetas.T, star]), xmat)
+        z = np.arcsin(np.clip(values[:-1].T, -1.0 + ARCSIN_CLAMP, 1.0 - ARCSIN_CLAMP))
         rfit, bfit = _fit_line(thetas, z)
-        delta_star = _bias_batch(scheme, np.full(r, theta_star), xmat)
-        p0 = (1.0 + f * delta_star) / 2.0
+        p0 = (1.0 + f * values[-1]) / 2.0
         d = (uniforms[:, k - 1] >= p0).astype(int)
         mu_next, var_next = _posterior_moments(mu, var, rfit, bfit, f, d)
         good = np.isfinite(mu_next) & np.isfinite(var_next) & (var_next > 0.0)

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import canonical_angles
+from .algebra import DEGENERATE_TOL, DegenerateSubspaceError, canonical_angles
 from .bias import Scheme, bias, bias_derivative, clf_angles
 from .csbd import CoefficientTable, CsbdCoefficients
 from .metrics import SINGULAR_TOL, NoiseModel
@@ -70,6 +70,8 @@ class TuneSpec:
             raise ValueError("layers must be >= 1")
         if not 0.0 < self.mu < math.pi:
             raise ValueError("mu must lie in (0, pi)")
+        if abs(math.sin(self.mu)) < DEGENERATE_TOL:
+            raise DegenerateSubspaceError(f"mu={self.mu!r} is within {DEGENERATE_TOL} of a multiple of pi")
         if not 0.0 <= self.fidelity <= 1.0:
             raise ValueError("fidelity must be in [0, 1]")
         if self.restarts < 1:

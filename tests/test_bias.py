@@ -3,61 +3,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elfkit.algebra import observable, reflection_u, reflection_v
-from elfkit.bias import Scheme, bias, bias_af, bias_ab, bias_derivative, clf_angles
+import complex_oracle
+from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
 
 THETAS = st.floats(min_value=0.05, max_value=np.pi - 0.05)
-
-
-def product_oracle_af(theta, x):
-    """Explicit matrix-element evaluation, independent of circuit_q."""
-    q = np.eye(2, dtype=complex)
-    for idx, xj in enumerate(x):
-        factor = reflection_u(theta, xj) if idx % 2 == 0 else reflection_v(xj)
-        q = factor @ q
-    m = q.conj().T @ observable(theta) @ q
-    return m[0, 0].real
-
-
-def product_oracle_ab(theta, x):
-    q = np.eye(2, dtype=complex)
-    for idx, xj in enumerate(x):
-        factor = reflection_u(theta, xj) if idx % 2 == 0 else reflection_v(xj)
-        q = factor @ q
-    return q[0, 0].real
 
 
 class TestClosedForms:
     @pytest.mark.parametrize("layers", range(1, 9))
     def test_chebyshev_af(self, layers):
         thetas = np.linspace(0.01, np.pi - 0.01, 200)
-        values = bias_af(thetas, clf_angles(layers))
+        values = bias(Scheme.AF, thetas, clf_angles(layers))
         assert np.max(np.abs(values - np.cos((2 * layers + 1) * thetas))) < 1e-10
 
     @pytest.mark.parametrize("layers", range(1, 9))
     def test_chebyshev_ab(self, layers):
         thetas = np.linspace(0.01, np.pi - 0.01, 200)
-        values = bias_ab(thetas, clf_angles(layers))
+        values = bias(Scheme.AB, thetas, clf_angles(layers))
         assert np.max(np.abs(values - (-1) ** layers * np.cos(layers * thetas))) < 1e-10
 
     def test_af_l1_zero_crossing(self):
-        assert bias_af(np.pi / 6, clf_angles(1)) == pytest.approx(0.0, abs=1e-12)
+        assert bias(Scheme.AF, np.pi / 6, clf_angles(1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_angles(self):
         theta = 0.8
-        assert bias_af(theta, np.zeros(6)) == pytest.approx(np.cos(theta))
-        assert bias_ab(theta, np.zeros(6)) == pytest.approx(1.0)
+        assert bias(Scheme.AF, theta, np.zeros(6)) == pytest.approx(np.cos(theta))
+        assert bias(Scheme.AB, theta, np.zeros(6)) == pytest.approx(1.0)
 
 
 class TestAgainstProductOracle:
     def test_af_l2_fixed_instance(self):
         x = np.array([0.3, 0.7, -0.2, 1.1])
-        assert bias_af(1.0, x) == pytest.approx(product_oracle_af(1.0, x), abs=1e-14)
+        assert bias(Scheme.AF, 1.0, x) == pytest.approx(complex_oracle.bias(True, 1.0, x)[0], abs=1e-14)
 
     def test_ab_l2_random(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-np.pi, np.pi, 4)
-        assert bias_ab(0.8, x) == pytest.approx(product_oracle_ab(0.8, x), abs=1e-14)
+        assert bias(Scheme.AB, 0.8, x) == pytest.approx(complex_oracle.bias(False, 0.8, x)[0], abs=1e-14)
 
 
 class TestBiasProperties:
@@ -66,8 +48,8 @@ class TestBiasProperties:
     def test_bounded(self, theta, layers, seed):
         rng = np.random.default_rng(seed % 2**32)
         x = rng.uniform(-np.pi, np.pi, 2 * layers)
-        assert abs(bias_af(theta, x)) <= 1 + 1e-12
-        assert abs(bias_ab(theta, x)) <= 1 + 1e-12
+        assert abs(bias(Scheme.AF, theta, x)) <= 1 + 1e-12
+        assert abs(bias(Scheme.AB, theta, x)) <= 1 + 1e-12
 
     @pytest.mark.parametrize("scheme,period", [(Scheme.AF, np.pi), (Scheme.AB, 2 * np.pi)])
     def test_periodicity_in_each_angle(self, scheme, period):
@@ -90,7 +72,7 @@ class TestBiasProperties:
             for xj in (0.0, np.pi / 4, np.pi / 2):
                 probe = x.copy()
                 probe[j] = xj
-                samples[xj] = bias_af(theta, probe)
+                samples[xj] = bias(Scheme.AF, theta, probe)
             c = (samples[0.0] - samples[np.pi / 2]) / 2
             b = (samples[0.0] + samples[np.pi / 2]) / 2
             s = samples[np.pi / 4] - b
@@ -98,7 +80,7 @@ class TestBiasProperties:
                 probe = x.copy()
                 probe[j] = xj
                 predicted = c * np.cos(2 * xj) + s * np.sin(2 * xj) + b
-                assert bias_af(theta, probe) == pytest.approx(predicted, abs=1e-10)
+                assert bias(Scheme.AF, theta, probe) == pytest.approx(predicted, abs=1e-10)
 
     def test_trigono_multilinear_ab(self):
         rng = np.random.default_rng(3)
@@ -109,12 +91,12 @@ class TestBiasProperties:
             for xj in (0.0, np.pi / 2):
                 probe = x.copy()
                 probe[j] = xj
-                samples[xj] = bias_ab(theta, probe)
+                samples[xj] = bias(Scheme.AB, theta, probe)
             c, s = samples[0.0], samples[np.pi / 2]
             for xj in rng.uniform(-np.pi, np.pi, 10):
                 probe = x.copy()
                 probe[j] = xj
-                assert bias_ab(theta, probe) == pytest.approx(
+                assert bias(Scheme.AB, theta, probe) == pytest.approx(
                     c * np.cos(xj) + s * np.sin(xj), abs=1e-10
                 )
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
-from elfkit.csbd import CoefficientTable, coefficients_ab, coefficients_af
+from elfkit.csbd import CoefficientTable
 
 THETAS = st.floats(min_value=0.05, max_value=np.pi - 0.05)
 
@@ -32,26 +32,26 @@ class TestReconstruction:
                 )
 
     def test_ab_schemes_have_no_constant_term(self):
-        co = coefficients_ab(1.1, [0.4, -0.8, 1.7, 0.2], 3)
+        co = CoefficientTable(Scheme.AB, 1.1, [0.4, -0.8, 1.7, 0.2]).coefficients(3)
         assert co.b == 0.0 and co.b_prime == 0.0
 
     def test_ab_zero_angles_slice(self):
         x = np.zeros(4)
         for j in range(1, 5):
-            co = coefficients_ab(0.8, x, j)
+            co = CoefficientTable(Scheme.AB, 0.8, x).coefficients(j)
             assert co.bias_at(0.0) == pytest.approx(bias(Scheme.AB, 0.8, x))
 
     def test_clf_first_coordinate_slice(self):
         # With every other angle at pi/2, the free-coordinate slice through
         # pi/2 must hit the Chebyshev value.
         layers, theta = 3, 0.6
-        co = coefficients_af(theta, clf_angles(layers), 1)
+        co = CoefficientTable(Scheme.AF, theta, clf_angles(layers)).coefficients(1)
         m = 2 * layers + 1
         assert co.bias_at(np.pi / 2) == pytest.approx(np.cos(m * theta), abs=1e-12)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            coefficients_af(1.0, [0.1, 0.2], 3)
+            CoefficientTable(Scheme.AF, 1.0, [0.1, 0.2]).coefficients(3)
 
 
 class TestCoefficientIndependence:

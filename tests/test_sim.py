@@ -184,6 +184,25 @@ class TestRunExperiment:
         )
         assert run_experiment(cfg).excluded_runs == []
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_edge_config_completes(self, seed):
+        # True Pi near -1: posterior means reach theta = pi, where the sinusoid
+        # fit grid contains a multiple of pi.  Every run must still complete.
+        cfg = ExperimentConfig(
+            scheme="af-clf",
+            true_pi=-0.995,
+            prior_pi=GaussianBelief(-0.9, 0.1**2),
+            layers=3,
+            noise=NoiseModel(0.95, 0.99),
+            runs=64,
+            horizon=3000,
+            master_seed=seed,
+        )
+        traces = run_experiment(cfg)
+        assert traces.excluded_runs == []
+        assert np.all(np.isfinite(traces.estimates)) and np.all(np.abs(traces.estimates) <= 1.0)
+        assert traces.rmse[-1] < 0.01
+
     def test_rejects_bad_scheme(self):
         with pytest.raises(ValueError):
             ExperimentConfig(
