@@ -12,6 +12,7 @@ with an inverse-MSE growth-rate fit over the late-time window.
 from __future__ import annotations
 
 import math
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ import csv
 
 import numpy as np
 
+from .algebra import DEGENERATE_TOL, DegenerateSubspaceError
 from .bias import Scheme, bias, clf_angles
 from .inference import (
     ARCSIN_CLAMP,
@@ -170,6 +172,8 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
             pi_est, _ = _cos_moments(mu, var)
             xmat = config.table.batch_angles(np.clip(pi_est, -1.0, 1.0))
         thetas = fit_points_grid(mu, np.sqrt(var), config.fit_points)
+        if np.any(np.abs(np.sin(thetas)) < DEGENERATE_TOL):
+            raise DegenerateSubspaceError("a sinusoid-fit abscissa reached a multiple of pi")
         # One kernel call per round, runs along the last axis (the fast
         # broadcasting layout): the fit abscissae, then theta* as one more row.
         values = bias(scheme, np.vstack([thetas.T, star]), xmat)
@@ -217,7 +221,9 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
 
     Output is a pure function of the config including the master seed: runs
     use substreams keyed by run index and are aggregated in run order, so the
-    result is independent of chunking and worker count.
+    result is independent of chunking and worker count.  Raises
+    ``DegenerateSubspaceError`` when a run's sinusoid-fit abscissa reaches a
+    multiple of pi.
     """
     standard = config.scheme == "standard"
     round_cost = 1 if standard else 2 * config.layers + 1
@@ -230,11 +236,17 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
         np.arange(lo, min(lo + CHUNK_SIZE, config.runs))
         for lo in range(0, config.runs, CHUNK_SIZE)
     ]
-    if config.threads > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(chunk_fn, [config] * len(chunks), chunks, [checkpoints] * len(chunks)))
-    else:
-        results = [chunk_fn(config, idx, checkpoints) for idx in chunks]
+    try:
+        if config.threads > 1 and len(chunks) > 1:
+            with ProcessPoolExecutor(max_workers=config.threads) as pool:
+                results = list(pool.map(chunk_fn, [config] * len(chunks), chunks, [checkpoints] * len(chunks)))
+        else:
+            results = [chunk_fn(config, idx, checkpoints) for idx in chunks]
+    except DegenerateSubspaceError as exc:
+        # Free the engine's run arrays now: a caller that keeps the exception
+        # would otherwise keep them alive through the traceback's frames.
+        traceback.clear_frames(exc.__traceback__)
+        raise
 
     estimates = np.vstack([res[0] for res in results])
     if standard:

