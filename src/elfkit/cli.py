@@ -188,8 +188,6 @@ def _effective_config(args, command: str) -> dict:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except OSError as exc:
-            raise exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}")
         if not isinstance(file_cfg, dict):

@@ -23,6 +23,10 @@ and the theta-derivatives of the same biases give the primed coefficients.
 Every product carries its theta-derivative as a quaternion pair (see
 ``algebra``), so a table of prefix and suffix pairs built once per
 (scheme, theta, x) in O(L) time serves all 2L coordinates in O(1) each.
+
+A coordinate sweep (``sweep``) updates x_1, ..., x_2L in turn.  The suffix of
+x_j holds only coordinates not yet updated and its prefix only updated ones,
+so one suffix table and a growing prefix serve the whole sweep in O(L).
 """
 
 from __future__ import annotations
@@ -100,6 +104,31 @@ def _pair_mul(p, q):
     return qmul(x, y), (e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3])
 
 
+def _coefficients(scheme: Scheme, ct, st, pre, suf, gen) -> CsbdCoefficients:
+    """Coefficients of the coordinate with generator pair ``gen`` between the ``pre`` and ``suf`` pairs."""
+    q0 = _pair_mul(suf, pre)
+    q2 = _pair_mul(suf, _pair_mul(gen, pre))
+    if scheme is Scheme.AB:
+        return CsbdCoefficients(scheme, q0[0][0], q2[0][0], 0.0, q0[1][0], q2[1][0], 0.0)
+    q1 = tuple(tuple(_SQRT_HALF * (u + v) for u, v in zip(p0, p2)) for p0, p2 in zip(q0, q2))
+    v0, v1, v2 = (af_readout(q, ct, st) for q, _ in (q0, q1, q2))
+    d0, d1, d2 = (af_readout_derivative(q, dq, ct, st) for q, dq in (q0, q1, q2))
+    b, bp = (v0 + v2) / 2.0, (d0 + d2) / 2.0
+    return CsbdCoefficients(scheme, (v0 - v2) / 2.0, v1 - b, b, (d0 - d2) / 2.0, d1 - bp, bp)
+
+
+def _tables(theta, x):
+    """cos/sin theta, the generator pairs, and the factor and suffix pairs of one (theta, x)."""
+    ct, st, cx, sx = trig(theta, x)
+    factors = [u_pair(ct, st, c, s) if j % 2 == 0 else v_pair(c, s) for j, (c, s) in enumerate(zip(cx, sx))]
+    # suf[j]: factors j+1..2L-1 (acting after coordinate j, 0-based).
+    suf = [_IDENTITY_PAIR] * len(factors)
+    for j in range(len(factors) - 2, -1, -1):
+        suf[j] = _pair_mul(suf[j + 1], factors[j + 1])
+    # Generators -iG of the U and V factors, i.e. the factors at x_j = pi/2.
+    return ct, st, (u_pair(ct, st, 0.0, 1.0), v_pair(0.0, 1.0)), factors, suf
+
+
 class CoefficientTable:
     """Prefix/suffix product tables for one (scheme, theta, x).
 
@@ -113,33 +142,31 @@ class CoefficientTable:
         if self.x.ndim != 1:
             raise ValueError("angle vector must be one-dimensional")
         self.layers = self.x.size // 2
-        ct, st, cx, sx = trig(self.theta, self.x)
+        ct, st, self._generators, factors, self._suf = _tables(self.theta, self.x)
         self._trig = ct, st
-        # Generators -iG of the U and V factors, i.e. the factors at x_j = pi/2.
-        self._generators = u_pair(ct, st, 0.0, 1.0), v_pair(0.0, 1.0)
-        factors = [u_pair(ct, st, c, s) if j % 2 == 0 else v_pair(c, s) for j, (c, s) in enumerate(zip(cx, sx))]
-        # pre[j]: factors 0..j-1 (acting before coordinate j, 0-based);
-        # suf[j]: factors j+1..2L-1 (acting after it).
-        n = len(factors)
-        pre = [_IDENTITY_PAIR] * n
-        suf = [_IDENTITY_PAIR] * n
-        for j in range(1, n):
+        # pre[j]: factors 0..j-1 (acting before coordinate j, 0-based).
+        self._pre = pre = [_IDENTITY_PAIR] * len(factors)
+        for j in range(1, len(factors)):
             pre[j] = _pair_mul(factors[j - 1], pre[j - 1])
-            suf[n - 1 - j] = _pair_mul(suf[n - j], factors[n - j])
-        self._pre, self._suf = pre, suf
 
     def coefficients(self, j: int) -> CsbdCoefficients:
         """CSBD coefficients of the bias with respect to x_j (1-based)."""
         if not 1 <= j <= 2 * self.layers:
             raise IndexError(f"coordinate index {j} out of range 1..{2 * self.layers}")
         ct, st = self._trig
-        pre, suf = self._pre[j - 1], self._suf[j - 1]
-        q0 = _pair_mul(suf, pre)
-        q2 = _pair_mul(suf, _pair_mul(self._generators[(j - 1) % 2], pre))
-        if self.scheme is Scheme.AB:
-            return CsbdCoefficients(self.scheme, q0[0][0], q2[0][0], 0.0, q0[1][0], q2[1][0], 0.0)
-        q1 = tuple(tuple(_SQRT_HALF * (u + v) for u, v in zip(p0, p2)) for p0, p2 in zip(q0, q2))
-        v0, v1, v2 = (af_readout(q, ct, st) for q, _ in (q0, q1, q2))
-        d0, d1, d2 = (af_readout_derivative(q, dq, ct, st) for q, dq in (q0, q1, q2))
-        b, bp = (v0 + v2) / 2.0, (d0 + d2) / 2.0
-        return CsbdCoefficients(self.scheme, (v0 - v2) / 2.0, v1 - b, b, (d0 - d2) / 2.0, d1 - bp, bp)
+        return _coefficients(self.scheme, ct, st, self._pre[j - 1], self._suf[j - 1], self._generators[(j - 1) % 2])
+
+
+def sweep(scheme: Scheme, theta: float, x: np.ndarray, choose) -> None:
+    """One coordinate sweep, updating the float vector ``x`` in place.
+
+    For j = 1..2L, ``choose(j, coefficients)`` gets x_j's coefficients at the
+    current x, whose x_1..x_j-1 are already updated, and returns the new x_j.
+    """
+    ct, st, generators, _, suf = _tables(theta, x)
+    pre = _IDENTITY_PAIR
+    for j in range(len(suf)):
+        z = choose(j + 1, _coefficients(scheme, ct, st, pre, suf[j], generators[j % 2]))
+        x[j] = z
+        c, s = math.cos(z), math.sin(z)
+        pre = _pair_mul(u_pair(ct, st, c, s) if j % 2 == 0 else v_pair(c, s), pre)

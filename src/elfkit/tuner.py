@@ -1,10 +1,12 @@
 """Circuit-parameter tuning by Fisher-information or slope maximization.
 
 Four ascent variants per scheme: {gradient, coordinate} x {Fisher, slope},
-all driven by the O(L)-time coefficient tables.  Coordinate ascent for the
-slope objective has a closed-form per-coordinate update; for the Fisher
-objective the one-dimensional subproblem is solved by a uniform scan over the
-period followed by golden-section refinement (robust to multimodality).
+all driven by the CSBD coefficients; coordinate ascent makes one O(L)
+``csbd.sweep`` per round.  The slope objective has a closed-form coordinate
+update.  The Fisher one is solved in the sinusoid's argument a = k x_j: a
+uniform scan of [-pi, pi) (robust to multimodality), then Newton steps on
+d/da log F within one grid step of the best scan point.  A step keeps the
+current angle unless the scan or Newton point beats it.
 
 A multi-start driver wraps every variant.  The first start is always the
 Chebyshev point (pi/2, ..., pi/2), so a tuned objective is never worse than
@@ -24,12 +26,11 @@ import numpy as np
 
 from .algebra import DEGENERATE_TOL, DegenerateSubspaceError, canonical_angles
 from .bias import Scheme, bias, bias_derivative, clf_angles
-from .csbd import CoefficientTable, CsbdCoefficients
+from .csbd import CoefficientTable, CsbdCoefficients, sweep
 from .metrics import SINGULAR_TOL, NoiseModel
 
 TABLE_FORMAT_VERSION = "elf-table/1"
 DEGENERATE_FLAG = "degenerate_theta"
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class Objective(Enum):
@@ -48,6 +49,8 @@ class TuneSpec:
 
     ``step_size``/``step_decay`` parameterize the gradient schedule
     delta(t) = step_size / (1 + t/step_decay); coordinate ascent ignores them.
+    ``scan_points`` and ``refine_iters`` are the coordinate Fisher step's scan
+    grid size and its cap on Newton iterations; gradient ascent ignores them.
     """
 
     scheme: Scheme
@@ -100,58 +103,68 @@ def objective_value(spec: TuneSpec, x) -> float:
     return (spec.fidelity * ddelta) ** 2 / denom
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns best evaluated point."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
+@lru_cache(maxsize=8)
+def _scan_basis(points: int) -> np.ndarray:
+    """Rows cos a, sin a, 1 on the scan grid a_i = -pi + i h, h = 2 pi / points, of a = k x_j."""
+    a = np.linspace(-math.pi, math.pi, points, endpoint=False)
+    basis = np.vstack([np.cos(a), np.sin(a), np.ones(points)])
+    basis.setflags(write=False)  # one array serves every caller
+    return basis
+
+
+def _fisher_1d(co: CsbdCoefficients, f: float, a: float) -> float:
+    """Fisher information as a function of the sinusoid argument a = k x_j."""
+    ca, sa = math.cos(a), math.sin(a)
+    num = co.c_prime * ca + co.s_prime * sa + co.b_prime
+    den = 1.0 - (f * (co.c * ca + co.s * sa + co.b)) ** 2
+    return -math.inf if den < SINGULAR_TOL else (f * num) ** 2 / den
+
+
+def _newton_log_fisher(co: CsbdCoefficients, f: float, a: float, lo: float, hi: float, iters: int) -> float:
+    """Newton ascent of log F = log (f N)^2 - log(1 - f^2 M^2) from a, kept in [lo, hi].
+
+    N and M are the derivative and bias sinusoids, so N'' = b' - N and M'' = b - M.
+    """
+    f2 = f * f
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-        x, f = (c, fc) if fc >= fd else (d, fd)
-        if f > best_f:
-            best_x, best_f = x, f
-    return best_x, best_f
-
-
-def _fisher_1d(co: CsbdCoefficients, f: float):
-    k = co.angle_scale
-
-    def g(z: float) -> float:
-        a = k * z
         ca, sa = math.cos(a), math.sin(a)
-        num = co.c_prime * ca + co.s_prime * sa + co.b_prime
-        den = 1.0 - (f * (co.c * ca + co.s * sa + co.b)) ** 2
-        if den < SINGULAR_TOL:
-            return -math.inf
-        return (f * num) ** 2 / den
-
-    return g
+        n = co.c_prime * ca + co.s_prime * sa + co.b_prime
+        dn = co.s_prime * ca - co.c_prime * sa
+        m = co.c * ca + co.s * sa + co.b
+        dm = co.s * ca - co.c * sa
+        den = 1.0 - f2 * m * m
+        if n == 0.0 or den < SINGULAR_TOL:
+            break
+        r = f2 * m * dm / den
+        grad = 2.0 * dn / n + 2.0 * r
+        curv = 2.0 * (n * (co.b_prime - n) - dn * dn) / (n * n)
+        curv += 2.0 * f2 * (dm * dm + m * (co.b - m)) / den + 4.0 * r * r
+        if curv >= 0.0:
+            break
+        step = min(max(a - grad / curv, lo), hi) - a
+        a += step
+        if abs(step) < 1e-15:
+            break
+    return a
 
 
 def _coordinate_step_fisher(co: CsbdCoefficients, f: float, current: float, spec: TuneSpec) -> float:
-    g = _fisher_1d(co, f)
-    period = 2.0 * math.pi / co.angle_scale
-    grid = np.linspace(-period / 2.0, period / 2.0, spec.scan_points, endpoint=False)
-    a = co.angle_scale * grid
-    ca, sa = np.cos(a), np.sin(a)
-    num = co.c_prime * ca + co.s_prime * sa + co.b_prime
-    den = 1.0 - (f * (co.c * ca + co.s * sa + co.b)) ** 2
-    values = np.where(den < SINGULAR_TOL, -np.inf, (f * num) ** 2 / np.maximum(den, SINGULAR_TOL))
-    i = int(np.argmax(values))
-    h = period / spec.scan_points
-    z, gz = _golden_max(g, grid[i] - h, grid[i] + h, spec.refine_iters)
-    if g(current) >= gz:
+    # F / f^2 on the grid: the derivative and f-scaled bias sinusoids in one product.
+    coefficients = np.array(((co.c_prime, co.s_prime, co.b_prime), (f * co.c, f * co.s, f * co.b)))
+    num, fbias = coefficients @ _scan_basis(spec.scan_points)
+    den = 1.0 - fbias * fbias
+    values = num * num / np.maximum(den, SINGULAR_TOL)
+    values[den < SINGULAR_TOL] = -np.inf
+    h = 2.0 * math.pi / spec.scan_points
+    a0 = int(values.argmax()) * h - math.pi
+    best_a, best = a0, _fisher_1d(co, f, a0)
+    a = _newton_log_fisher(co, f, a0, a0 - h, a0 + h, spec.refine_iters)
+    if (value := _fisher_1d(co, f, a)) > best:
+        best_a, best = a, value
+    k = co.angle_scale
+    if _fisher_1d(co, f, k * current) >= best:
         return current
-    return z
+    return best_a / k
 
 
 def _coordinate_step_slope(co: CsbdCoefficients, current: float) -> float:
@@ -169,15 +182,17 @@ def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, floa
     prev = objective_value(spec, x)
     best_x, best_val = x.copy(), prev
     iters = 0
+
+    def choose(j: int, co: CsbdCoefficients) -> float:
+        if spec.objective is Objective.SLOPE:
+            z = _coordinate_step_slope(co, x[j - 1])
+        else:
+            z = _coordinate_step_fisher(co, spec.fidelity, x[j - 1], spec)
+        # Into (-pi, pi], bit for bit as ``canonical_angles``.
+        return math.pi - (math.pi - z) % (2.0 * math.pi)
+
     for t in range(1, spec.max_rounds + 1):
-        for j in range(1, 2 * spec.layers + 1):
-            table = CoefficientTable(spec.scheme, spec.mu, x)
-            co = table.coefficients(j)
-            if spec.objective is Objective.SLOPE:
-                z = _coordinate_step_slope(co, x[j - 1])
-            else:
-                z = _coordinate_step_fisher(co, spec.fidelity, x[j - 1], spec)
-            x[j - 1] = math.pi - math.remainder(math.pi - z, 2.0 * math.pi)
+        sweep(spec.scheme, spec.mu, x, choose)
         val = objective_value(spec, x)
         iters = t
         if val > best_val:

@@ -1,0 +1,18 @@
+"""Exit codes of the command-line entry point for unreadable config files."""
+
+import pytest
+
+from elfkit.cli import main
+
+
+@pytest.mark.parametrize("command", ["tune", "runtime"])
+def test_missing_config_file_exits_4(command, tmp_path, capsys):
+    assert main([command, "--config", str(tmp_path / "absent.json")]) == 4
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_invalid_json_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    assert main(["runtime", "--config", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err

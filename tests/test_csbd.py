@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
-from elfkit.csbd import CoefficientTable
+from elfkit.csbd import CoefficientTable, sweep
 
 THETAS = st.floats(min_value=0.05, max_value=np.pi - 0.05)
 
@@ -120,3 +120,30 @@ class TestPrimedAgainstFiniteDifference:
                 assert ref.c_prime == pytest.approx((up.c - down.c) / (2 * h), abs=1e-6)
                 assert ref.s_prime == pytest.approx((up.s - down.s) / (2 * h), abs=1e-6)
                 assert ref.b_prime == pytest.approx((up.b - down.b) / (2 * h), abs=1e-6)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("layers", [1, 2, 3, 8, 16])
+    def test_matches_fresh_table_on_updated_vector(self, scheme, layers):
+        # Each coordinate's coefficients must be those of a table built
+        # afresh on the partly updated vector.
+        rng = np.random.default_rng(100 + layers)
+        theta = rng.uniform(0.1, np.pi - 0.1)
+        x = rng.uniform(-np.pi, np.pi, 2 * layers)
+        visited, written = [], []
+
+        def choose(j, co):
+            ref = CoefficientTable(scheme, theta, x).coefficients(j)
+            for name in ("c", "s", "b", "c_prime", "s_prime", "b_prime"):
+                assert getattr(co, name) == pytest.approx(getattr(ref, name), abs=1e-13)
+            visited.append(j)
+            z = rng.uniform(-2 * np.pi, 2 * np.pi) if rng.random() < 0.7 else x[j - 1]
+            written.append(z)
+            return z
+
+        for _ in range(3):
+            start = len(written)
+            sweep(scheme, theta, x, choose)
+            assert np.array_equal(x, written[start:])
+        assert visited == list(range(1, 2 * layers + 1)) * 3

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from elfkit.bias import Scheme, bias_derivative, clf_angles
-from elfkit.csbd import CoefficientTable
+from elfkit.algebra import canonical_angles
+from elfkit.csbd import CoefficientTable, sweep
 from elfkit.metrics import NoiseModel, fisher_information
 from elfkit.tuner import (
     LookupTable,
@@ -17,8 +18,30 @@ from elfkit.tuner import (
     l1_slope_breakpoints,
     objective_value,
     tune,
+    _coordinate_step_fisher,
     _gradient,
 )
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_reference(fn, lo, hi, iters=90):
+    """Golden-section maximization on [lo, hi], run until the bracket is below rounding.
+
+    Returns the best value and its point.
+    """
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _GOLDEN * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _GOLDEN * (hi - lo)
+            fd = fn(d)
+    return (fc, c) if fc >= fd else (fd, d)
 
 
 class TestAnalyticOracle:
@@ -119,6 +142,16 @@ class TestTune:
         info = fisher_information(Scheme.AF, 1.1, 0.85, res.x_opt)
         assert res.objective_value == pytest.approx(info, abs=1e-10)
 
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("method", [Method.COORDINATE, Method.GRADIENT])
+    @pytest.mark.parametrize("objective", [Objective.FISHER, Objective.SLOPE])
+    def test_angles_are_canonical(self, scheme, method, objective):
+        # Tuned angles are stored in (-pi, pi], as ``canonical_angles`` maps them.
+        for mu in (0.4, 1.3, 2.6):
+            spec = TuneSpec(scheme, 2, mu, 0.9, objective, method, restarts=3, seed=11, max_rounds=30)
+            x = tune(spec).x_opt
+            assert np.array_equal(canonical_angles(x), x)
+
     def test_rejects_boundary_mu(self):
         with pytest.raises(ValueError):
             TuneSpec(Scheme.AF, 1, 0.0)
@@ -126,21 +159,57 @@ class TestTune:
 
 class TestCoordinateMonotonicity:
     def test_objective_never_decreases_between_rounds(self):
-        # Instrumented rerun of the ascent: evaluate after each full sweep.
+        # Drive the O(L) sweep with the Fisher step and evaluate the
+        # objective after every coordinate update.
         spec = TuneSpec(Scheme.AF, 3, 1.1, 0.73, restarts=1, seed=5, max_rounds=60)
-        from elfkit.tuner import _coordinate_step_fisher
-
         rng = np.random.default_rng(5)
         x = rng.uniform(-np.pi, np.pi, 6)
-        prev = objective_value(spec, x)
+        history = [objective_value(spec, x)]
+
+        def choose(j, co):
+            if j > 1:
+                history.append(objective_value(spec, x))
+            return _coordinate_step_fisher(co, spec.fidelity, x[j - 1], spec)
+
         for _ in range(12):
-            for j in range(1, 7):
-                table = CoefficientTable(spec.scheme, spec.mu, x)
-                co = table.coefficients(j)
-                x[j - 1] = _coordinate_step_fisher(co, spec.fidelity, x[j - 1], spec)
-            val = objective_value(spec, x)
-            assert val >= prev - 1e-12
-            prev = val
+            sweep(spec.scheme, spec.mu, x, choose)
+            history.append(objective_value(spec, x))
+        assert len(history) == 1 + 12 * 6
+        assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
+
+
+class TestFisherStepOracle:
+    def test_matches_golden_section_reference(self):
+        # Random one-coordinate subproblems: the step must reach a fully
+        # converged golden-section maximum on the bracket around the best
+        # scan point, and never return an angle worse than the current one.
+        rng = np.random.default_rng(2006)
+        spec = TuneSpec(Scheme.AF, 1, 1.0)  # the step reads scan_points and refine_iters
+        h = 2.0 * math.pi / spec.scan_points
+        grid = np.linspace(-math.pi, math.pi, spec.scan_points, endpoint=False)
+        for _ in range(2000):
+            scheme = (Scheme.AF, Scheme.AB)[rng.integers(2)]
+            layers = int(rng.integers(1, 4))
+            theta, f = rng.uniform(0.05, math.pi - 0.05), rng.uniform(0.5, 1.0)
+            x = rng.uniform(-math.pi, math.pi, 2 * layers)
+            j = int(rng.integers(1, 2 * layers + 1))
+            co = CoefficientTable(scheme, theta, x).coefficients(j)
+            k = co.angle_scale
+
+            def fisher(a):
+                ca, sa = math.cos(a), math.sin(a)
+                den = 1.0 - (f * (co.c * ca + co.s * sa + co.b)) ** 2
+                if den < 1e-14:
+                    return -math.inf
+                return (f * (co.c_prime * ca + co.s_prime * sa + co.b_prime)) ** 2 / den
+
+            a0 = grid[int(np.argmax([fisher(a) for a in grid]))]
+            ref, a_ref = max((fisher(a0), a0), _golden_reference(fisher, a0 - h, a0 + h))
+            # From a random angle, and from the reference maximizer itself.
+            for current in (x[j - 1], a_ref / k):
+                got = fisher(k * _coordinate_step_fisher(co, f, current, spec))
+                assert got >= ref - 1e-12 * abs(ref)
+                assert got >= fisher(k * current)
 
 
 class TestGradientCorrectness:
@@ -206,6 +275,10 @@ class TestLookupTable:
     def test_version_check(self):
         with pytest.raises(ValueError):
             LookupTable.from_json_dict({"version": "other", "entries": []})
+
+    def test_angles_are_canonical(self, small_table):
+        for e in small_table.entries:
+            assert np.array_equal(canonical_angles(e.angles), e.angles)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
