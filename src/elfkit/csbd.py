@@ -157,11 +157,12 @@ class CoefficientTable:
         return _coefficients(self.scheme, ct, st, self._pre[j - 1], self._suf[j - 1], self._generators[(j - 1) % 2])
 
 
-def sweep(scheme: Scheme, theta: float, x: np.ndarray, choose) -> None:
+def sweep(scheme: Scheme, theta: float, x: np.ndarray, choose):
     """One coordinate sweep, updating the float vector ``x`` in place.
 
     For j = 1..2L, ``choose(j, coefficients)`` gets x_j's coefficients at the
     current x, whose x_1..x_j-1 are already updated, and returns the new x_j.
+    Returns the final prefix, the pair (Q, dQ/dtheta) of the updated x.
     """
     ct, st, generators, _, suf = _tables(theta, x)
     pre = _IDENTITY_PAIR
@@ -170,3 +171,4 @@ def sweep(scheme: Scheme, theta: float, x: np.ndarray, choose) -> None:
         x[j] = z
         c, s = math.cos(z), math.sin(z)
         pre = _pair_mul(u_pair(ct, st, c, s) if j % 2 == 0 else v_pair(c, s), pre)
+    return pre

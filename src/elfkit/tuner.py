@@ -1,12 +1,18 @@
 """Circuit-parameter tuning by Fisher-information or slope maximization.
 
-Four ascent variants per scheme: {gradient, coordinate} x {Fisher, slope},
-all driven by the CSBD coefficients; coordinate ascent makes one O(L)
-``csbd.sweep`` per round.  The slope objective has a closed-form coordinate
-update.  The Fisher one is solved in the sinusoid's argument a = k x_j: a
-uniform scan of [-pi, pi) (robust to multimodality), then Newton steps on
-d/da log F within one grid step of the best scan point.  A step keeps the
-current angle unless the scan or Newton point beats it.
+Four ascent variants per scheme: {gradient, coordinate} x {Fisher, slope}.
+Coordinate ascent makes one O(L) ``csbd.sweep`` per round.  The slope
+objective has a closed-form coordinate update.  The Fisher one is solved in
+the sinusoid's argument a = k x_j: a uniform scan of [-pi, pi) (robust to
+multimodality), then Newton steps on d/da log F within one grid step of the
+best scan point.  A step keeps the current angle unless the scan or Newton
+point beats it.
+
+Once a sweep moves no angle by more than one scan-grid step, the scan has
+found the basin and further sweeps only zig-zag along coupled ridges, so
+coordinate ascent switches to a BFGS finish with Armijo backtracking.  The
+finish and gradient ascent both run on one O(L) value-and-gradient pass
+(``_value_and_gradient``).
 
 A multi-start driver wraps every variant.  The first start is always the
 Chebyshev point (pi/2, ..., pi/2), so a tuned objective is never worse than
@@ -24,9 +30,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DEGENERATE_TOL, DegenerateSubspaceError, canonical_angles
-from .bias import Scheme, bias, bias_derivative, clf_angles
-from .csbd import CoefficientTable, CsbdCoefficients, sweep
+from .algebra import (
+    DEGENERATE_TOL,
+    DegenerateSubspaceError,
+    af_readout,
+    af_readout_derivative,
+    canonical_angles,
+    circuit_pair,
+    trig,
+)
+from .bias import Scheme, clf_angles
+from .csbd import _IDENTITY_PAIR, CsbdCoefficients, _pair_mul, _tables, sweep
 from .metrics import SINGULAR_TOL, NoiseModel
 
 TABLE_FORMAT_VERSION = "elf-table/1"
@@ -49,8 +63,16 @@ class TuneSpec:
 
     ``step_size``/``step_decay`` parameterize the gradient schedule
     delta(t) = step_size / (1 + t/step_decay); coordinate ascent ignores them.
-    ``scan_points`` and ``refine_iters`` are the coordinate Fisher step's scan
-    grid size and its cap on Newton iterations; gradient ascent ignores them.
+    Gradient ascent stops once a round changes the objective by less than
+    ``tolerance``, or after ``max_rounds`` rounds.
+
+    Coordinate ascent sweeps until a sweep changes the objective by less than
+    ``tolerance``, moves no angle by more than one scan-grid step
+    2 pi / (k ``scan_points``) (k = 2 for AF, 1 for AB), or reaches
+    ``max_rounds`` sweeps.  Its quasi-Newton finish then stops when a step
+    gains less than ``tolerance`` or after ``max_rounds`` steps.
+    ``scan_points`` and ``refine_iters`` are also the Fisher step's scan grid
+    size and its cap on Newton iterations; gradient ascent ignores them.
     """
 
     scheme: Scheme
@@ -81,26 +103,93 @@ class TuneSpec:
             raise ValueError("restarts must be >= 1")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
+        if self.max_rounds < 1:
+            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if self.scan_points < 1:
+            raise ValueError(f"scan_points must be >= 1, got {self.scan_points}")
+        if self.refine_iters < 0:
+            raise ValueError(f"refine_iters must be >= 0, got {self.refine_iters}")
 
 
 @dataclass(frozen=True)
 class TuneResult:
+    """The winning start's angles and objective.
+
+    ``iterations`` counts that start's rounds: gradient steps, or coordinate
+    sweeps plus quasi-Newton steps.
+    """
+
     x_opt: np.ndarray
     objective_value: float
     iterations: int
     restart_index: int
 
 
-def objective_value(spec: TuneSpec, x) -> float:
-    """Objective evaluated from the bias: Fisher information or |d(bias)/dtheta|."""
+def _readout(scheme: Scheme, ct: float, st: float, q, dq) -> tuple[float, float]:
+    """The bias and d(bias)/dtheta of the circuit pair (Q, dQ/dtheta), as in ``bias``."""
+    if scheme is Scheme.AB:
+        return q[0], dq[0]
+    return af_readout(q, ct, st), af_readout_derivative(q, dq, ct, st)
+
+
+def _objective(spec: TuneSpec, delta: float, ddelta: float) -> float:
+    """The objective from the bias and d(bias)/dtheta; -inf where F is singular."""
     if spec.objective is Objective.SLOPE:
-        return abs(bias_derivative(spec.scheme, spec.mu, x))
-    delta = bias(spec.scheme, spec.mu, x)
-    ddelta = bias_derivative(spec.scheme, spec.mu, x)
+        return abs(ddelta)
     denom = 1.0 - (spec.fidelity * delta) ** 2
     if denom < SINGULAR_TOL:
         return -math.inf
     return (spec.fidelity * ddelta) ** 2 / denom
+
+
+def objective_value(spec: TuneSpec, x) -> float:
+    """Objective evaluated from the bias: Fisher information or |d(bias)/dtheta|."""
+    ct, st, cx, sx = trig(spec.mu, x)
+    return _objective(spec, *_readout(spec.scheme, ct, st, *circuit_pair(ct, st, cx, sx)))
+
+
+def _af_form(p, q, ct: float, st: float) -> float:
+    """The symmetric bilinear form B of ``af_readout``: B(q, q) = af_readout(q, ct, st)."""
+    a, b, c, d = p
+    e, f, g, h = q
+    return st * (b * h + d * f + a * g + c * e) + ct * (a * e - b * f - c * g + d * h)
+
+
+def _value_and_gradient(spec: TuneSpec, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """The climbed value and its gradient in x, from one O(L) prefix/suffix pass.
+
+    The value is F for the Fisher objective and (d(bias)/dtheta)^2 for the
+    slope, whose gradient is smooth where |d(bias)/dtheta| is not.  Since
+    F(x + pi/2) = G F(x) for a factor with generator pair G, the x_j-slope of
+    the circuit is S_j F(x_j + pi/2) P_j = S_j G (F(x_j) P_j): two pair
+    products per coordinate on the prefix P and suffix S of ``csbd._tables``.
+    The AF readouts are quadratic forms, so their slopes are 2 B(Q, Q') and,
+    for d(bias)/dtheta, the product rule on its three terms.  Returns
+    (-inf, None) where the Fisher information is singular.
+    """
+    ct, st, generators, factors, suf = _tables(spec.mu, x)
+    pre = _IDENTITY_PAIR
+    slopes = []
+    for j, factor in enumerate(factors):
+        pre = _pair_mul(factor, pre)
+        slopes.append(_pair_mul(suf[j], _pair_mul(generators[j % 2], pre)))
+    q, dq = pre
+    delta, ddelta = _readout(spec.scheme, ct, st, q, dq)
+    if spec.scheme is Scheme.AB:
+        chi = np.array([v[0] for v, _ in slopes])
+        chi_p = np.array([dv[0] for _, dv in slopes])
+    else:
+        chi = np.array([2.0 * _af_form(q, v, ct, st) for v, _ in slopes])
+        chi_p = np.array(
+            [2.0 * (_af_form(q, v, -st, ct) + _af_form(v, dq, ct, st) + _af_form(q, dv, ct, st)) for v, dv in slopes]
+        )
+    if spec.objective is Objective.SLOPE:
+        return ddelta * ddelta, 2.0 * ddelta * chi_p
+    f2 = spec.fidelity**2
+    den = 1.0 - f2 * delta * delta
+    if den < SINGULAR_TOL:
+        return -math.inf, None
+    return f2 * ddelta * ddelta / den, 2.0 * f2 * ddelta * (den * chi_p + f2 * delta * ddelta * chi) / (den * den)
 
 
 @lru_cache(maxsize=8)
@@ -177,11 +266,72 @@ def _coordinate_step_slope(co: CsbdCoefficients, current: float) -> float:
     return z
 
 
+# Armijo sufficient-increase constant and the cap on step halvings of the
+# quasi-Newton finish.
+_ARMIJO = 1e-4
+_BACKTRACKS = 40
+
+
+def _quasi_newton(spec: TuneSpec, x: np.ndarray, first_step: float) -> tuple[np.ndarray, int]:
+    """BFGS ascent of the climbed value (see ``_value_and_gradient``) from x.
+
+    Each step backtracks from the quasi-Newton step until it passes the
+    Armijo test.  Until the first curvature update the step is the gradient,
+    shortened where needed so that no angle moves by more than
+    ``first_step``.  Stops when a step gains less than ``tolerance``, when no
+    step length passes, or after ``max_rounds`` steps.  Returns the last
+    point and the number of steps taken.
+    """
+    val, grad = _value_and_gradient(spec, x)
+    h_inv = None  # inverse Hessian estimate of -value, set at the first update
+    steps = 0
+    while grad is not None and steps < spec.max_rounds:
+        if h_inv is None:
+            p = grad * (first_step / max(np.abs(grad).max(), first_step))
+        else:
+            p = h_inv @ grad
+        slope = float(grad @ p)
+        if not slope > 0.0:
+            break
+        alpha = 1.0
+        for _ in range(_BACKTRACKS):
+            x_new = x + alpha * p
+            val_new, grad_new = _value_and_gradient(spec, x_new)
+            if val_new >= val + _ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            break
+        steps += 1
+        s, y = x_new - x, grad - grad_new
+        gain = val_new - val
+        x, val, grad = x_new, val_new, grad_new
+        if gain < spec.tolerance:
+            break
+        sy = float(s @ y)
+        if sy <= 0.0:
+            continue  # no curvature information: keep the estimate
+        if h_inv is None:
+            h_inv = np.eye(x.size) * (sy / float(y @ y))
+        hy = h_inv @ y
+        rho = 1.0 / sy
+        h_inv += (rho * rho * float(y @ hy) + rho) * np.outer(s, s) - rho * (np.outer(hy, s) + np.outer(s, hy))
+    return x, steps
+
+
 def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """Coordinate sweeps until the scan has found the basin, then a quasi-Newton finish.
+
+    Sweeps stop at ``tolerance`` or ``max_rounds``, or once no angle moves by
+    more than one scan-grid step (in x_j, up to the period 2 pi / k), from
+    where coordinate steps only zig-zag along coupled ridges.
+    """
     x = canonical_angles(x0).copy()
+    ct, st = math.cos(spec.mu), math.sin(spec.mu)
     prev = objective_value(spec, x)
     best_x, best_val = x.copy(), prev
-    iters = 0
+    period = math.pi if spec.scheme is Scheme.AF else 2.0 * math.pi
+    grid_step = period / spec.scan_points
 
     def choose(j: int, co: CsbdCoefficients) -> float:
         if spec.objective is Objective.SLOPE:
@@ -191,39 +341,24 @@ def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, floa
         # Into (-pi, pi], bit for bit as ``canonical_angles``.
         return math.pi - (math.pi - z) % (2.0 * math.pi)
 
-    for t in range(1, spec.max_rounds + 1):
-        sweep(spec.scheme, spec.mu, x, choose)
-        val = objective_value(spec, x)
-        iters = t
+    for sweeps in range(1, spec.max_rounds + 1):
+        before = x.copy()
+        val = _objective(spec, *_readout(spec.scheme, ct, st, *sweep(spec.scheme, spec.mu, x, choose)))
         if val > best_val:
             best_x, best_val = x.copy(), val
-        if abs(val - prev) < spec.tolerance:
+        moved = np.abs((x - before + period / 2.0) % period - period / 2.0).max()
+        if abs(val - prev) < spec.tolerance or moved <= grid_step:
             break
         prev = val
-    return best_x, best_val, iters
 
-
-def _gradient(spec: TuneSpec, table: CoefficientTable, x: np.ndarray) -> np.ndarray | None:
-    f = spec.fidelity
-    delta = bias(spec.scheme, spec.mu, x)
-    ddelta = bias_derivative(spec.scheme, spec.mu, x)
-    grad = np.empty_like(x)
-    if spec.objective is Objective.FISHER:
-        den = 1.0 - (f * delta) ** 2
-        if den < SINGULAR_TOL:
-            return None
-        for j in range(1, x.size + 1):
-            co = table.coefficients(j)
-            chi = co.bias_slope_in_xj(x[j - 1])
-            chi_p = co.bias_derivative_slope_in_xj(x[j - 1])
-            grad[j - 1] = (
-                2.0 * f**2 * (den * ddelta * chi_p + f**2 * delta * chi * ddelta**2) / den**2
-            )
-    else:
-        for j in range(1, x.size + 1):
-            co = table.coefficients(j)
-            grad[j - 1] = 2.0 * ddelta * co.bias_derivative_slope_in_xj(x[j - 1])
-    return grad
+    # The result reports objective_value's reading, which the sweep's
+    # matches only to rounding.
+    best_val = objective_value(spec, best_x)
+    x_fin, steps = _quasi_newton(spec, best_x, grid_step)
+    x_fin = canonical_angles(x_fin)
+    if (val := objective_value(spec, x_fin)) > best_val:
+        best_x, best_val = x_fin, val
+    return best_x, best_val, sweeps + steps
 
 
 def _gradient_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, float, int]:
@@ -232,8 +367,7 @@ def _gradient_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, float,
     best_x, best_val = x.copy(), prev
     iters = 0
     for t in range(spec.max_rounds):
-        table = CoefficientTable(spec.scheme, spec.mu, x)
-        grad = _gradient(spec, table, x)
+        grad = _value_and_gradient(spec, x)[1]
         if grad is None:
             break
         delta_t = spec.step_size / (1.0 + t / spec.step_decay)

@@ -16,3 +16,9 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["runtime", "--config", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_tune_rejects_zero_max_rounds(capsys):
+    # A zero round budget used to return the untuned starts with exit 0.
+    assert main(["tune", "--mu", "1.0", "--max-rounds", "0"]) == 2
+    assert "max_rounds" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from elfkit.inference import (
     EstimationConfig,
     RoundRecord,
     SinusoidFit,
+    _posterior_moments,
     bayes_update,
     fit_sinusoid,
     pi_to_theta,
@@ -153,6 +154,32 @@ class TestBayesUpdate:
             evidence = (1 + sign * f * decay * math.sin(fit.r * prior.mean + fit.b)) / 2
             expected += evidence * bayes_update(prior, fit, f, d).variance
         assert expected < prior.variance
+
+
+class TestPosteriorMoments:
+    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("f", [0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-3, 1e-2, 0.1, 0.5])
+    def test_matches_exact_quadrature(self, d, f, sigma):
+        # Exact moments of prior x likelihood, (1 + (-1)^d f sin(r theta + b))/2,
+        # integrated in the prior's standard units t = (theta - mu)/sigma so
+        # that narrow priors keep full relative precision.
+        rng = np.random.default_rng(int(1e4 * sigma) + 10 * d + int(10 * f))
+        sign = 1.0 - 2.0 * d
+        for _ in range(6):
+            mu, r, b = rng.uniform(0.3, 2.8), rng.uniform(-20.0, 20.0), rng.uniform(-np.pi, np.pi)
+            mean, var = _posterior_moments(mu, sigma**2, r, b, f, d)
+
+            def moment(k):
+                def weighted(t):
+                    return t**k * math.exp(-t * t / 2.0) * (1.0 + sign * f * math.sin(r * (mu + sigma * t) + b))
+
+                return quad(weighted, -12.0, 12.0, epsabs=1e-13, epsrel=1e-12, limit=400)[0]
+
+            z, m1, m2 = moment(0), moment(1), moment(2)
+            shift = m1 / z
+            assert abs(mean - (mu + sigma * shift)) <= 1e-9 * sigma
+            assert abs(var - sigma**2 * (m2 / z - shift**2)) <= 1e-9 * sigma**2
 
 
 class TestRunEstimation:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from elfkit.bias import Scheme, bias_derivative, clf_angles
+from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
 from elfkit.algebra import canonical_angles
 from elfkit.csbd import CoefficientTable, sweep
 from elfkit.metrics import NoiseModel, fisher_information
@@ -19,7 +19,9 @@ from elfkit.tuner import (
     objective_value,
     tune,
     _coordinate_step_fisher,
-    _gradient,
+    _objective,
+    _readout,
+    _value_and_gradient,
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -156,6 +158,33 @@ class TestTune:
         with pytest.raises(ValueError):
             TuneSpec(Scheme.AF, 1, 0.0)
 
+    @pytest.mark.parametrize("mu", [math.pi / 8, 7 * math.pi / 8])
+    def test_capped_runs_converge(self, mu):
+        # Coordinate sweeps alone stop at the 100-round cap here, at 18.796
+        # and 18.801 with a gradient norm near 0.2; the quasi-Newton finish
+        # reaches the maximum.
+        spec = TuneSpec(Scheme.AF, 3, mu, 0.83, restarts=3, seed=0, max_rounds=100)
+        res = tune(spec)
+        assert res.objective_value >= 18.817
+        assert np.linalg.norm(_value_and_gradient(spec, res.x_opt)[1]) <= 1e-3
+
+
+class TestTuneSpecValidation:
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejects_max_rounds_below_one(self, value):
+        with pytest.raises(ValueError, match="max_rounds"):
+            TuneSpec(Scheme.AF, 1, 1.0, max_rounds=value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_rejects_scan_points_below_one(self, value):
+        with pytest.raises(ValueError, match="scan_points"):
+            TuneSpec(Scheme.AF, 1, 1.0, scan_points=value)
+
+    def test_rejects_negative_refine_iters(self):
+        with pytest.raises(ValueError, match="refine_iters"):
+            TuneSpec(Scheme.AF, 1, 1.0, refine_iters=-1)
+        assert TuneSpec(Scheme.AF, 1, 1.0, refine_iters=0).refine_iters == 0
+
 
 class TestCoordinateMonotonicity:
     def test_objective_never_decreases_between_rounds(self):
@@ -212,14 +241,36 @@ class TestFisherStepOracle:
                 assert got >= fisher(k * current)
 
 
+def _table_gradient(spec, x):
+    """Climbed value and gradient from a CoefficientTable's per-coordinate slopes.
+
+    The tuner's gradient before the fused pass, kept as a reference: each
+    coordinate's bias and d(bias)/dtheta slopes come from its CSBD sinusoids.
+    """
+    table = CoefficientTable(spec.scheme, spec.mu, x)
+    delta, ddelta = bias(spec.scheme, spec.mu, x), bias_derivative(spec.scheme, spec.mu, x)
+    chi = np.array([table.coefficients(j).bias_slope_in_xj(x[j - 1]) for j in range(1, x.size + 1)])
+    chi_p = np.array([table.coefficients(j).bias_derivative_slope_in_xj(x[j - 1]) for j in range(1, x.size + 1)])
+    if spec.objective is Objective.SLOPE:
+        return ddelta**2, 2.0 * ddelta * chi_p
+    f2 = spec.fidelity**2
+    den = 1.0 - f2 * delta**2
+    return f2 * ddelta**2 / den, 2.0 * f2 * (den * ddelta * chi_p + f2 * delta * chi * ddelta**2) / den**2
+
+
+def _climbed(spec, x):
+    """The value the finish climbs, from ``objective_value``: F, or the squared slope."""
+    value = objective_value(spec, x)
+    return value**2 if spec.objective is Objective.SLOPE else value
+
+
 class TestGradientCorrectness:
     @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
     def test_fisher_gradient_matches_finite_difference(self, scheme):
         rng = np.random.default_rng(6)
         spec = TuneSpec(scheme, 2, 1.2, 0.8, objective=Objective.FISHER)
         x = rng.uniform(-np.pi, np.pi, 4)
-        table = CoefficientTable(scheme, spec.mu, x)
-        grad = _gradient(spec, table, x)
+        grad = _value_and_gradient(spec, x)[1]
         h = 1e-6
         for j in range(4):
             up, down = x.copy(), x.copy()
@@ -227,6 +278,57 @@ class TestGradientCorrectness:
             down[j] -= h
             fd = (objective_value(spec, up) - objective_value(spec, down)) / (2 * h)
             assert grad[j] == pytest.approx(fd, abs=1e-5)
+
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("objective", [Objective.FISHER, Objective.SLOPE])
+    @pytest.mark.parametrize("layers", [1, 2, 3, 8])
+    def test_fused_pass_matches_table_gradient(self, scheme, objective, layers):
+        # Against the CoefficientTable gradient and a Richardson-extrapolated
+        # five-point central difference (truncation O(h^6)), in units of
+        # max(1, value).
+        rng = np.random.default_rng(layers)
+        h = 5e-4
+        for _ in range(5):
+            spec = TuneSpec(scheme, layers, rng.uniform(0.1, 3.0), rng.uniform(0.5, 0.9), objective)
+            x = rng.uniform(-np.pi, np.pi, 2 * layers)
+            value, grad = _value_and_gradient(spec, x)
+            ref_value, ref_grad = _table_gradient(spec, x)
+            scale = max(1.0, abs(value))
+            assert abs(value - ref_value) <= 1e-10 * scale
+            assert abs(value - _climbed(spec, x)) <= 1e-10 * scale
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * scale
+            for j, e in enumerate(np.eye(x.size)):
+
+                def central(step):
+                    at = [_climbed(spec, x + m * step * e) for m in (-2, -1, 1, 2)]
+                    return (at[0] - 8.0 * at[1] + 8.0 * at[2] - at[3]) / (12.0 * step)
+
+                fd = (16.0 * central(h / 2.0) - central(h)) / 15.0
+                assert abs(grad[j] - fd) <= 1e-10 * scale
+
+    def test_singular_point_has_no_gradient(self):
+        # All angles zero make Q = I, so the AB bias is 1 and with f = 1 the
+        # Fisher information diverges.
+        spec = TuneSpec(Scheme.AB, 1, 1.0, 1.0)
+        x = np.array([0.0, 0.0])
+        assert _value_and_gradient(spec, x) == (-math.inf, None)
+
+
+class TestSweepObjective:
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("objective", [Objective.FISHER, Objective.SLOPE])
+    def test_matches_objective_value(self, scheme, objective):
+        # The ascent reads each round's objective off the sweep's final
+        # prefix pair in place of two more kernel passes.
+        rng = np.random.default_rng(17)
+        for layers in (1, 2, 3, 8):
+            spec = TuneSpec(scheme, layers, rng.uniform(0.1, 3.0), rng.uniform(0.5, 1.0), objective)
+            ct, st = math.cos(spec.mu), math.sin(spec.mu)
+            x = rng.uniform(-np.pi, np.pi, 2 * layers)
+            for _ in range(3):
+                pair = sweep(spec.scheme, spec.mu, x, lambda j, co: rng.uniform(-np.pi, np.pi))
+                got = _objective(spec, *_readout(spec.scheme, ct, st, *pair))
+                assert got == pytest.approx(objective_value(spec, x), rel=1e-12)
 
 
 class TestLookupTable:
