@@ -118,10 +118,13 @@ def circuit(ct, st, cx, sx):
     """Q(theta; x) from the output of ``trig``.
 
     Each step is ``qmul(U, q)`` or ``qmul(V, q)`` with the factors' zero
-    components folded out.
+    components folded out; the chain starts from the first V U product
+    rather than from ``ONE``.
     """
-    a, b, c, d = ONE
-    for j in range(0, len(cx), 2):
+    cu, pb, pd = cx[0], sx[0] * st, sx[0] * ct
+    cv, sv = cx[1], sx[1]
+    a, b, c, d = cv * cu - sv * pd, cv * pb, sv * pb, cv * pd + sv * cu
+    for j in range(2, len(cx), 2):
         cu, pb, pd = cx[j], sx[j] * st, sx[j] * ct
         a, b, c, d = (
             cu * a - pb * b - pd * d,
@@ -135,10 +138,12 @@ def circuit(ct, st, cx, sx):
 
 
 def circuit_pair(ct, st, cx, sx):
-    """(Q, dQ/dtheta) from the output of ``trig``, by the product rule."""
-    a, b, c, d = ONE
-    da, db, dc, dd = ZERO
-    for j in range(0, len(cx), 2):
+    """(Q, dQ/dtheta) from the output of ``trig``, by the product rule, peeled like ``circuit``."""
+    cu, pb, pd = cx[0], sx[0] * st, sx[0] * ct
+    cv, sv = cx[1], sx[1]
+    a, b, c, d = cv * cu - sv * pd, cv * pb, sv * pb, cv * pd + sv * cu
+    da, db, dc, dd = sv * pb, cv * pd, sv * pd, -(cv * pb)
+    for j in range(2, len(cx), 2):
         cu, pb, pd = cx[j], sx[j] * st, sx[j] * ct
         # d(U q) = U dq + dU q with dU = (0, pd, 0, -pb).
         da, db, dc, dd = (

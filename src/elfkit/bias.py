@@ -41,7 +41,11 @@ def bias(scheme: Scheme, theta, x):
     leading axes broadcast against ``theta`` (one vector per run).  A scalar
     theta with one vector gives a float.
     """
-    ct, st, cx, sx = trig(theta, x)
+    return _bias_trig(scheme, *trig(theta, x))
+
+
+def _bias_trig(scheme: Scheme, ct, st, cx, sx):
+    """``bias`` from the output of ``trig``."""
     q = circuit(ct, st, cx, sx)
     return q[0] if scheme is Scheme.AB else af_readout(q, ct, st)
 

@@ -67,7 +67,6 @@ class Opt:
 _COMMON = (
     Opt("config", str, help="JSON file with flag values (flags override)"),
     Opt("seed", int, help="master seed; drawn and printed if absent"),
-    Opt("threads", int, 1, help="worker count (outputs are independent of it)"),
 )
 
 _NOISE = (
@@ -133,6 +132,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("table-grid", int, 41, help="grid size when building a table on the fly"),
         Opt("restarts", int, 10, help="restarts for on-the-fly table tuning"),
         Opt("fit-points", int, 11),
+        Opt("threads", int, 1, help="worker count (outputs are independent of it)"),
         Opt("out", str, "experiment", help="output prefix (.csv and .json)"),
     ),
     "runtime": _COMMON

@@ -1,12 +1,15 @@
-"""Adaptive Bayesian estimation loop with Gaussian beliefs.
+"""Adaptive Bayesian estimation with Gaussian beliefs: the one estimation engine.
 
-The belief over theta = arccos(Pi) stays Gaussian throughout: each round
-selects circuit angles for the current belief, fits the local bias with a
-sinusoid arcsin-linear in theta, samples an outcome from the noisy
-likelihood at the true theta, and applies the closed-form posterior-moment
-update of the fitted model.  Conversions between theta- and Pi-beliefs are
-analytic one way (moments of cos of a Gaussian) and numeric the other
-(moments of arccos of a clipped Gaussian).
+The belief over theta = arccos(Pi) stays Gaussian throughout.  Each round
+(``_lockstep``) selects circuit angles for the current belief, fits the
+local bias with a sinusoid arcsin-linear in theta (a closed-form line over a
+fixed window of abscissae), samples an outcome from the noisy likelihood at
+the true theta, and applies the closed-form posterior-moment update of the
+fitted model.  The round advances a batch of runs in lockstep; it has two
+callers: ``run_estimation`` (a batch of one, with a per-round trace) and
+``sim.run_experiment`` (Monte Carlo chunks).  Conversions between theta- and
+Pi-beliefs are analytic one way (moments of cos of a Gaussian) and numeric
+the other (moments of arccos of a clipped Gaussian).
 """
 
 from __future__ import annotations
@@ -19,13 +22,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr
 
-from .algebra import canonical_angles
-from .bias import Scheme, bias, clf_angles
+from .algebra import DEGENERATE_TOL, DegenerateSubspaceError
+from .bias import Scheme, _bias_trig, bias, clf_angles
 from .metrics import GaussianBelief, NoiseModel
 
 ARCSIN_CLAMP = 1e-12
 PI_TO_THETA_NODES = 101
 PI_TO_THETA_TAIL_Z = 12.0
+TINY = np.finfo(float).tiny  # floor of a reported variance
 
 TRACE_CSV_COLUMNS = (
     "round",
@@ -77,7 +81,7 @@ def _cos_moments(mu, var):
 def theta_to_pi(belief: GaussianBelief) -> GaussianBelief:
     """Moment-matched Gaussian belief over Pi = cos(theta)."""
     mean, var = _cos_moments(belief.mean, belief.variance)
-    return GaussianBelief(float(mean), max(float(var), np.finfo(float).tiny))
+    return GaussianBelief(float(mean), max(float(var), TINY))
 
 
 @lru_cache(maxsize=4)
@@ -114,62 +118,59 @@ def pi_to_theta(
         m1 += half * float(np.sum(w * pdf * g))
         m2 += half * float(np.sum(w * pdf * g * g))
     var = m2 - m1 * m1
-    return GaussianBelief(center + m1, max(var, np.finfo(float).tiny))
+    return GaussianBelief(center + m1, max(var, TINY))
 
 
 # -- sinusoid fit and posterior update ----------------------------------------
 
 
-def _fit_line(thetas: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares line z ~ r*theta + b along the last axis, centered form."""
-    t_mean = thetas.mean(axis=-1, keepdims=True)
-    z_mean = z.mean(axis=-1, keepdims=True)
-    tc = thetas - t_mean
-    denom = np.sum(tc * tc, axis=-1)
-    if np.any(denom <= 0.0) or not np.all(np.isfinite(denom)):
-        raise DegenerateFitError("singular normal equations in sinusoid fit")
-    r = np.sum(tc * (z - z_mean), axis=-1) / denom
-    b = z_mean[..., 0] - r * t_mean[..., 0]
-    return r, b
+@lru_cache(maxsize=4)
+def _fit_offsets(fit_points: int) -> tuple[np.ndarray, float]:
+    """Grid o of the fit abscissae mu + sd * o, exactly antisymmetric in [-1, 1], and |o|^2."""
+    if fit_points < 2:
+        raise DegenerateFitError("sinusoid fit needs at least two points")
+    o = np.arange(1 - fit_points, fit_points, 2) / (fit_points - 1.0)
+    o.flags.writeable = False
+    return o, float(np.sum(o * o))
 
 
-def fit_points_grid(mean, std, fit_points: int) -> np.ndarray:
-    """Fit abscissae: uniformly spaced theta values covering mean +- std."""
-    offsets = np.linspace(-1.0, 1.0, fit_points)
-    return np.asarray(mean)[..., None] + np.asarray(std)[..., None] * offsets
+def _window_fit(mu, sd, z):
+    """Least-squares line z ~ r*theta + b over the abscissae mu + sd * o.
+
+    ``z`` holds the values along its last axis.  With sum(o) = 0 the normal
+    equations are diagonal: r = (o . z) / (sd |o|^2) and b = mean(z) - r mu.
+    """
+    o, norm = _fit_offsets(z.shape[-1])
+    if not np.logical_and(0.0 < sd, sd < np.inf).all():
+        raise DegenerateFitError("sinusoid-fit width must be positive and finite")
+    r = (z * o).sum(axis=-1) / (sd * norm)
+    return r, z.sum(axis=-1) / o.size - r * mu
 
 
-def fit_sinusoid(
-    scheme: Scheme,
-    x,
-    f: float,
-    belief: GaussianBelief,
-    fit_points: int = 11,
-) -> SinusoidFit:
+def fit_sinusoid(scheme: Scheme, x, f: float, belief: GaussianBelief, fit_points: int = 11) -> SinusoidFit:
     """Fit arcsin(bias) with a line in theta over the +-1 sigma prior window.
 
     The fidelity ``f`` identifies the model (1 + (-1)^d f sin(r theta + b))/2
     the fitted parameters belong to; the fit itself uses the noiseless bias.
     """
-    if fit_points < 2:
-        raise DegenerateFitError("sinusoid fit needs at least two points")
-    x = canonical_angles(x)
-    thetas = fit_points_grid(belief.mean, belief.std, fit_points)
-    values = np.asarray(bias(scheme, thetas, x))
+    o, _ = _fit_offsets(fit_points)
+    values = bias(scheme, belief.mean + belief.std * o, x)
     z = np.arcsin(np.clip(values, -1.0 + ARCSIN_CLAMP, 1.0 - ARCSIN_CLAMP))
-    r, b = _fit_line(thetas, z)
+    r, b = _window_fit(belief.mean, belief.std, z)
     return SinusoidFit(float(r), float(b))
 
 
 def _posterior_moments(mu, var, r, b, f, d):
     """Closed-form posterior mean/variance for the sinusoidal likelihood."""
-    sign = 1.0 - 2.0 * np.asarray(d, dtype=float)
-    decay = np.exp(-(r**2) * var / 2.0)
+    sign = np.where(d, -1.0, 1.0)
+    r2 = r * r
+    decay = np.exp(-r2 * var / 2.0)
     phase = r * mu + b
     s_, c_ = np.sin(phase), np.cos(phase)
-    den = 1.0 + sign * f * decay * s_
-    mu_next = mu + sign * f * decay * r * var * c_ / den
-    var_next = var * (1.0 - f * r**2 * var * decay * (f * decay + sign * s_) / den**2)
+    signed = sign * f * decay
+    den = 1.0 + signed * s_
+    mu_next = mu + signed * r * var * c_ / den
+    var_next = var * (1.0 - f * r2 * var * decay * (f * decay + sign * s_) / (den * den))
     return mu_next, var_next
 
 
@@ -221,69 +222,105 @@ class EstimationConfig:
         return 2 * self.layers + 1
 
     def round_budget(self) -> int:
-        if self.horizon is not None:
-            budget = self.horizon // self.round_cost
-        else:
-            budget = self.max_rounds if self.max_rounds is not None else 10**6
-        if self.max_rounds is not None:
-            budget = min(budget, self.max_rounds)
-        return int(budget)
+        if self.horizon is None:
+            return int(self.max_rounds if self.max_rounds is not None else 10**6)
+        budget = self.horizon // self.round_cost
+        return int(budget if self.max_rounds is None else min(budget, self.max_rounds))
 
 
-def _select_angles(config: EstimationConfig, belief: GaussianBelief) -> np.ndarray:
-    if config.angle_source == "clf":
-        return clf_angles(config.layers)
-    if config.angle_source == "table":
-        pi_estimate = theta_to_pi(belief).mean
-        return config.table.angles_for(pi_estimate)
+def _angle_policy(scheme: Scheme, layers: int, f: float, source: str, table=None, restarts=10, seed=0):
+    """(cos x_j, sin x_j) of a round's angles as a function of the theta beliefs (mu, var).
+
+    Each entry is a float or one value per run.  "table" looks up each run's
+    Pi mean; "tune" tunes at the theta mean every round, for one run only.
+    """
+    if source == "clf":
+        x = clf_angles(layers)
+        rows = np.cos(x).tolist(), np.sin(x).tolist()
+        return lambda mu, var: rows
+    if source == "table":
+        return lambda mu, var: table.trig_rows(np.exp(-var / 2.0) * np.cos(mu))
     from .tuner import TuneSpec, tune  # local import to avoid a cycle
 
-    spec = TuneSpec(
-        scheme=config.scheme,
-        layers=config.layers,
-        mu=belief.mean,
-        fidelity=config.noise.process_fidelity(config.layers),
-        restarts=config.tune_restarts,
-        seed=config.seed,
-    )
-    return tune(spec).x_opt
+    def tuned(mu, var):
+        spec = TuneSpec(scheme=scheme, layers=layers, mu=mu.item(), fidelity=f, restarts=restarts, seed=seed)
+        x = tune(spec).x_opt
+        return np.cos(x).tolist(), np.sin(x).tolist()
+
+    return tuned
+
+
+def _lockstep(scheme, f, theta_star, mu, var, angles, uniforms, fit_points, abort=False):
+    """Advance runs with theta beliefs N(mu, var) one round per row of ``uniforms``.
+
+    One kernel call per round covers every run's fit abscissae and
+    ``theta_star``; each run is fitted over a contiguous row, so its numbers
+    do not depend on the batch width.  Outcome 1 is drawn where the uniform
+    is at least P(0).  A run whose update is not a finite Gaussian freezes
+    and stops being alive.  With ``abort`` an abscissa within
+    ``DEGENERATE_TOL`` of a multiple of pi raises ``DegenerateSubspaceError``.
+    Yields ``(r, b, d, mu, var, alive)`` after each round.
+    """
+    o = _fit_offsets(fit_points)[0]
+    n, column = o.size, o[:, None]
+    alive = np.ones(mu.shape, dtype=bool)
+    block = np.empty((n + 1, mu.size))
+    block[n] = theta_star
+    for u in uniforms:
+        sd = np.sqrt(var)
+        np.add(mu, column * sd, out=block[:n])
+        ct, st = np.cos(block), np.sin(block)
+        if abort and (np.abs(st[:n]) < DEGENERATE_TOL).any():
+            raise DegenerateSubspaceError("a sinusoid-fit abscissa reached a multiple of pi")
+        values = _bias_trig(scheme, ct, st, *angles(mu, var))
+        z = np.ascontiguousarray(values[:n].T)
+        np.arcsin(np.maximum(np.minimum(z, 1.0 - ARCSIN_CLAMP, out=z), -1.0 + ARCSIN_CLAMP, out=z), out=z)
+        r, b = _window_fit(mu, sd, z)
+        d = u >= (1.0 + f * values[n]) / 2.0
+        mu_next, var_next = _posterior_moments(mu, var, r, b, f, d)
+        alive &= np.isfinite(mu_next) & (0.0 < var_next) & (var_next < np.inf)
+        mu, var = np.where(alive, mu_next, mu), np.where(alive, var_next, var)
+        yield r, b, d, mu, var, alive
 
 
 def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
-    """Run the adaptive loop and return the per-round trace.
+    """Run the adaptive loop, as a lockstep batch of one, and return the per-round trace.
 
     The belief is maintained over theta; the recorded Pi belief is its
     analytic cosine transform.  Outcomes are synthesized from the noisy
     likelihood at the true theta using the run's private random stream.
+    Raises the ``ValueError`` of ``GaussianBelief`` when an update is not a
+    valid Gaussian.
     """
     f = config.noise.process_fidelity(config.layers)
-    theta_star = math.acos(config.true_pi)
-    belief = pi_to_theta(config.prior_pi)
+    prior = pi_to_theta(config.prior_pi)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    records: list[RoundRecord] = []
     budget = config.round_budget()
-    uniforms = rng.random(budget) if budget < 10**6 else None
-    for k in range(1, budget + 1):
-        x = _select_angles(config, belief)
-        fit = fit_sinusoid(config.scheme, x, f, belief, config.fit_points)
-        p0 = (1.0 + f * bias(config.scheme, theta_star, x)) / 2.0
-        u = uniforms[k - 1] if uniforms is not None else rng.random()
-        d = 0 if u < p0 else 1
-        belief = bayes_update(belief, fit, f, d)
-        pi_belief = theta_to_pi(belief)
-        records.append(
-            RoundRecord(
-                round_index=k,
-                cumulative_time=k * config.round_cost,
-                outcome=d,
-                fit=fit,
-                theta_belief=belief,
-                pi_belief=pi_belief,
-            )
-        )
-        if config.target_pi_std is not None and pi_belief.std <= config.target_pi_std:
+    # Block draws equal the same number of single draws.
+    uniforms = (u for lo in range(0, budget, 1024) for u in rng.random((min(1024, budget - lo), 1)))
+    angles = _angle_policy(
+        config.scheme, config.layers, f, config.angle_source, config.table, config.tune_restarts, config.seed
+    )
+    rounds = _lockstep(
+        config.scheme, f, math.acos(config.true_pi), np.array([prior.mean]), np.array([prior.variance]),
+        angles, uniforms, config.fit_points,
+    )
+    trace, target = [], config.target_pi_std
+    for r, b, d, mu, var, alive in rounds:
+        if not alive.all():
+            # mu, var still hold the last valid belief: redoing its update
+            # makes GaussianBelief raise on the moment that failed.
+            GaussianBelief(*(v.item() for v in _posterior_moments(mu, var, r, b, f, d)))
+        trace.append((r[0], b[0], d[0], mu[0], var[0]))
+        if target is not None and np.all(np.sqrt(np.maximum(_cos_moments(mu, var)[1], TINY)) <= target):
             break
-    return records
+    r, b, d, mu, var = np.array(trace, dtype=float).reshape(-1, 5).T
+    pi_mu, pi_var = _cos_moments(mu, var)
+    columns = (r, b, d, mu, var, pi_mu, np.maximum(pi_var, TINY))
+    return [
+        RoundRecord(k, k * config.round_cost, int(dk), SinusoidFit(rk, bk), GaussianBelief(m, v), GaussianBelief(pm, pv))
+        for k, (rk, bk, dk, m, v, pm, pv) in enumerate(zip(*(c.tolist() for c in columns)), start=1)
+    ]
 
 
 def write_trace_csv(records: list[RoundRecord], fh) -> None:

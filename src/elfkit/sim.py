@@ -3,8 +3,9 @@
 Outcomes are drawn classically from the noisy likelihood at the true
 estimand, so no state-vector simulation is involved.  ``run_experiment``
 repeats the adaptive estimation loop over many independent runs with
-per-run random substreams derived from one master seed, advances all runs
-of a chunk in lockstep (vectorized over runs), and aggregates the
+per-run random substreams derived from one master seed, advances each chunk
+of runs in lockstep with the estimation round of ``inference`` (the round
+``run_estimation`` drives as a batch of one), and aggregates the
 root-mean-squared error of the estimator on a geometric time grid together
 with an inverse-MSE growth-rate fit over the late-time window.
 """
@@ -20,17 +21,10 @@ import csv
 
 import numpy as np
 
-from .algebra import DEGENERATE_TOL, DegenerateSubspaceError
-from .bias import Scheme, bias, clf_angles
-from .inference import (
-    ARCSIN_CLAMP,
-    _cos_moments,
-    _fit_line,
-    _posterior_moments,
-    fit_points_grid,
-    pi_to_theta,
-)
-from .metrics import GaussianBelief, NoiseModel, likelihood
+from .algebra import DegenerateSubspaceError
+from .bias import Scheme
+from .inference import TINY, _angle_policy, _cos_moments, _lockstep, pi_to_theta
+from .metrics import GaussianBelief, NoiseModel
 
 EXPERIMENT_SCHEMES = ("af-elf", "af-clf", "ab-elf", "ab-clf", "standard")
 CHUNK_SIZE = 64
@@ -107,25 +101,6 @@ class DiagnosticsReport:
     mean_perceived_var: np.ndarray
 
 
-def sample_outcome(scheme: Scheme, theta_star: float, f: float, x, rng) -> int:
-    """One Bernoulli outcome from the noisy likelihood at the true angle."""
-    p0 = likelihood(scheme, 0, theta_star, f, x)
-    return 0 if rng.random() < p0 else 1
-
-
-def standard_sampling_run(true_pi: float, noise: NoiseModel, horizon: int, rng) -> np.ndarray:
-    """Sample-mean estimator trace of one standard-sampling run.
-
-    Each sample costs one time unit; entry t-1 is the estimate after t
-    samples, in {-1, ..., +1}, so a single sample gives exactly +-1.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    p0 = (1.0 + noise.process_fidelity(0) * true_pi) / 2.0
-    signs = np.where(rng.random(horizon) < p0, 1.0, -1.0)
-    return np.cumsum(signs) / np.arange(1, horizon + 1)
-
-
 # -- the lockstep engine ---------------------------------------------------------
 
 
@@ -134,63 +109,30 @@ def _checkpoint_rounds(n_rounds: int, per_decade: int) -> np.ndarray:
         return np.array([n_rounds])
     decades = math.log10(n_rounds)
     count = max(2, math.ceil(decades * per_decade))
-    ks = np.unique(np.rint(np.geomspace(1, n_rounds, count)).astype(int))
-    return ks
+    return np.unique(np.rint(np.geomspace(1, n_rounds, count)).astype(int))
 
 
 def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: np.ndarray):
     """Advance one chunk of runs in lockstep; returns per-checkpoint state."""
-    scheme = config.bias_scheme
     layers = config.layers
     f = config.noise.process_fidelity(layers)
     n_rounds = config.horizon // (2 * layers + 1)
+    prior = pi_to_theta(config.prior_pi)
     r = run_indices.size
-
-    prior_theta = pi_to_theta(config.prior_pi)
-    mu = np.full(r, prior_theta.mean)
-    var = np.full(r, prior_theta.variance)
-    alive = np.ones(r, dtype=bool)
-    star = np.full((1, r), math.acos(config.true_pi))  # theta*
-
-    uniforms = np.stack(
-        [
-            np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(int(i),))).random(n_rounds)
-            for i in run_indices
-        ]
+    seeds = [np.random.SeedSequence(config.master_seed, spawn_key=(int(i),)) for i in run_indices]
+    uniforms = np.stack([np.random.default_rng(s).random(n_rounds) for s in seeds], axis=1)
+    source = "clf" if config.scheme.endswith("clf") else "table"
+    rounds = _lockstep(
+        config.bias_scheme, f, math.acos(config.true_pi), np.full(r, prior.mean), np.full(r, prior.variance),
+        _angle_policy(config.bias_scheme, layers, f, source, config.table), uniforms, config.fit_points, abort=True,
     )
-    fixed_angles = None
-    if config.scheme.endswith("clf"):
-        fixed_angles = np.broadcast_to(clf_angles(layers), (r, 2 * layers))
-
     est = np.empty((r, checkpoints.size))
     per_var = np.empty((r, checkpoints.size))
     cp_pos = 0
-    for k in range(1, n_rounds + 1):
-        if fixed_angles is not None:
-            xmat = fixed_angles
-        else:
-            pi_est, _ = _cos_moments(mu, var)
-            xmat = config.table.batch_angles(np.clip(pi_est, -1.0, 1.0))
-        thetas = fit_points_grid(mu, np.sqrt(var), config.fit_points)
-        if np.any(np.abs(np.sin(thetas)) < DEGENERATE_TOL):
-            raise DegenerateSubspaceError("a sinusoid-fit abscissa reached a multiple of pi")
-        # One kernel call per round, runs along the last axis (the fast
-        # broadcasting layout): the fit abscissae, then theta* as one more row.
-        values = bias(scheme, np.vstack([thetas.T, star]), xmat)
-        z = np.arcsin(np.clip(values[:-1].T, -1.0 + ARCSIN_CLAMP, 1.0 - ARCSIN_CLAMP))
-        rfit, bfit = _fit_line(thetas, z)
-        p0 = (1.0 + f * values[-1]) / 2.0
-        d = (uniforms[:, k - 1] >= p0).astype(int)
-        mu_next, var_next = _posterior_moments(mu, var, rfit, bfit, f, d)
-        good = np.isfinite(mu_next) & np.isfinite(var_next) & (var_next > 0.0)
-        step = alive & good
-        mu = np.where(step, mu_next, mu)
-        var = np.where(step, var_next, var)
-        alive &= good
+    for k, (_, _, _, mu, var, alive) in enumerate(rounds, start=1):
         if cp_pos < checkpoints.size and k == checkpoints[cp_pos]:
-            pi_mu, pi_var = _cos_moments(mu, var)
-            est[:, cp_pos] = pi_mu
-            per_var[:, cp_pos] = np.maximum(pi_var, np.finfo(float).tiny)
+            est[:, cp_pos], pi_var = _cos_moments(mu, var)
+            per_var[:, cp_pos] = np.maximum(pi_var, TINY)
             cp_pos += 1
     return est, per_var, run_indices[~alive]
 
@@ -219,11 +161,13 @@ def _standard_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoin
 def run_experiment(config: ExperimentConfig) -> TraceSeries:
     """Monte Carlo evaluation of one estimation scheme.
 
-    Output is a pure function of the config including the master seed: runs
-    use substreams keyed by run index and are aggregated in run order, so the
-    result is independent of chunking and worker count.  Raises
-    ``DegenerateSubspaceError`` when a run's sinusoid-fit abscissa reaches a
-    multiple of pi.
+    Each chunk of runs is one lockstep batch of ``inference``'s estimation
+    round, the same round ``run_estimation`` runs for a single run.  Output
+    is a pure function of the config including the master seed: runs use
+    substreams keyed by run index and are aggregated in run order, so the
+    result is independent of chunking and worker count.  A run whose update
+    is invalid is excluded, not fatal.  Raises ``DegenerateSubspaceError``
+    when a run's sinusoid-fit abscissa reaches a multiple of pi.
     """
     standard = config.scheme == "standard"
     round_cost = 1 if standard else 2 * config.layers + 1
@@ -232,10 +176,7 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
     times = checkpoints * round_cost
 
     chunk_fn = _standard_chunk if standard else _run_chunk
-    chunks = [
-        np.arange(lo, min(lo + CHUNK_SIZE, config.runs))
-        for lo in range(0, config.runs, CHUNK_SIZE)
-    ]
+    chunks = [np.arange(lo, min(lo + CHUNK_SIZE, config.runs)) for lo in range(0, config.runs, CHUNK_SIZE)]
     try:
         if config.threads > 1 and len(chunks) > 1:
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
@@ -249,10 +190,7 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
         raise
 
     estimates = np.vstack([res[0] for res in results])
-    if standard:
-        perceived = None
-    else:
-        perceived = np.vstack([res[1] for res in results])
+    perceived = None if standard else np.vstack([res[1] for res in results])
     excluded = sorted(int(i) for res in results for i in res[2])
     included = np.setdiff1d(np.arange(config.runs), np.asarray(excluded, dtype=int))
     est_ok = estimates[included]

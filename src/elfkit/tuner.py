@@ -35,6 +35,7 @@ from .algebra import (
     DegenerateSubspaceError,
     af_readout,
     af_readout_derivative,
+    angle_vectors,
     canonical_angles,
     circuit_pair,
     trig,
@@ -488,29 +489,29 @@ class LookupTable:
         valid = [e for e in entries if e.flag is None]
         if not valid:
             raise ValueError("lookup table has no valid entries")
-        self._valid_grid = np.array([e.pi for e in valid])
-        self._valid_angles = np.vstack([e.angles for e in valid])
+        valid_grid = np.array([e.pi for e in valid])
+        self._midpoints = (valid_grid[1:] + valid_grid[:-1]) / 2.0
+        self._valid_angles = angle_vectors(np.vstack([e.angles for e in valid]))
         self._valid_entries = valid
+        # Angle index first: row j holds cos (sin) of x_j at every valid point.
+        self._cos_rows = np.cos(self._valid_angles.T).copy()
+        self._sin_rows = np.sin(self._valid_angles.T).copy()
 
     def lookup(self, pi: float) -> TableEntry:
-        """Entry at the valid grid point closest to the query value."""
-        return self._valid_entries[self._nearest_index(np.asarray([pi]))[0]]
+        """Entry at the valid grid point closest to the query value (the right one on a midpoint)."""
+        return self._valid_entries[np.searchsorted(self._midpoints, pi, side="right")]
 
     def angles_for(self, pi: float) -> np.ndarray:
         return self.lookup(pi).angles
 
-    def _nearest_index(self, pis: np.ndarray) -> np.ndarray:
-        g = self._valid_grid
-        idx = np.searchsorted(g, pis)
-        idx = np.clip(idx, 1, g.size - 1)
-        left = g[idx - 1]
-        right = g[idx]
-        idx -= (pis - left) < (right - pis)
-        return np.clip(idx, 0, g.size - 1)
-
     def batch_angles(self, pis: np.ndarray) -> np.ndarray:
         """Nearest-grid-point angle vectors for an array of query values."""
-        return self._valid_angles[self._nearest_index(np.asarray(pis, dtype=float))]
+        return self._valid_angles[np.searchsorted(self._midpoints, pis, side="right")]
+
+    def trig_rows(self, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cos x_j, sin x_j) of ``batch_angles(pis)``, indexed by j, one column per query."""
+        idx = np.searchsorted(self._midpoints, pis, side="right")
+        return self._cos_rows[:, idx], self._sin_rows[:, idx]
 
     def to_json_dict(self) -> dict:
         return {
@@ -606,6 +607,19 @@ def build_lookup_table(
             prev_x = result.x_opt
         if progress is not None:
             progress(i + 1, grid.size)
+    # Mirror pass, after tuning so the warm-start chain is unaffected: the
+    # objective obeys F(pi - theta; x') = F(theta; x), where x' negates the V
+    # angles x_2, x_4, ..., so an entry takes the mirrored angles of the entry
+    # at -Pi where they score higher.
+    tuned = list(entries)
+    for i, entry in enumerate(tuned):
+        j = int(np.searchsorted(grid, -entry.pi - 1e-12))
+        if j == grid.size or grid[j] > -entry.pi + 1e-12 or entry.angles is None or tuned[j].angles is None:
+            continue
+        x = canonical_angles(tuned[j].angles * np.tile([1.0, -1.0], layers))
+        value = objective_value(TuneSpec(scheme, layers, math.acos(entry.pi), f, objective), x)
+        if value > entry.objective:
+            entries[i] = TableEntry(entry.pi, x, value)
     metadata = {
         "scheme": scheme.value,
         "layers": layers,

@@ -19,7 +19,7 @@ from elfkit.algebra import (
     v_pair,
 )
 from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
-from elfkit.csbd import CoefficientTable
+from elfkit.csbd import CoefficientTable, _pair_mul
 from elfkit.tuner import TuneSpec
 
 ANGLES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -185,3 +185,57 @@ class TestCircuitDerivative:
         q, dq = pair_of(theta, x)
         assert q == q_of(theta, x)
         assert np.max(np.abs(np.array(dq) - fd)) < 1e-6
+
+
+def unpeeled_pair(ct, st, cx, sx):
+    """The product-rule chain of ``circuit_pair`` started from (ONE, ZERO)."""
+    (a, b, c, d), (da, db, dc, dd) = ONE, ZERO
+    for j in range(0, len(cx), 2):
+        cu, pb, pd = cx[j], sx[j] * st, sx[j] * ct
+        da, db, dc, dd = (
+            cu * da - pb * db - pd * dd - pd * b + pb * d,
+            cu * db + pb * da - pd * dc + pd * a + pb * c,
+            cu * dc + pd * db - pb * dd - pb * b - pd * d,
+            cu * dd + pd * da + pb * dc - pb * a + pd * c,
+        )
+        a, b, c, d = qmul((cu, pb, 0.0, pd), (a, b, c, d))
+        cv, sv = cx[j + 1], sx[j + 1]
+        a, b, c, d = qmul((cv, 0.0, 0.0, sv), (a, b, c, d))
+        da, db, dc, dd = qmul((cv, 0.0, 0.0, sv), (da, db, dc, dd))
+    return (a, b, c, d), (da, db, dc, dd)
+
+
+class TestPeeledKernel:
+    """The kernel starts from the first V U product; 1 x = x and x - 0 = x keep every bit."""
+
+    @staticmethod
+    def inputs(layers):
+        rng = np.random.default_rng(layers)
+        x = rng.uniform(-np.pi, np.pi, (3, 2 * layers))
+        yield trig(0.7, x[0])  # Python floats
+        yield trig(rng.uniform(0.1, 3.0, (4, 3)), x)  # per-run angle rows
+
+    @staticmethod
+    def same(p, q):
+        return all(np.array_equal(u, v) for u, v in zip(p, q))
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 8])
+    def test_circuit_equals_qmul_chain(self, layers):
+        for ct, st, cx, sx in self.inputs(layers):
+            q = ONE
+            for j in range(0, 2 * layers, 2):
+                q = qmul(v_pair(cx[j + 1], sx[j + 1])[0], qmul(u_pair(ct, st, cx[j], sx[j])[0], q))
+            assert self.same(circuit(ct, st, cx, sx), q)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 8])
+    def test_circuit_pair_equals_chains(self, layers):
+        for ct, st, cx, sx in self.inputs(layers):
+            q, dq = circuit_pair(ct, st, cx, sx)
+            ref_q, ref_dq = unpeeled_pair(ct, st, cx, sx)
+            assert self.same(q, ref_q) and self.same(dq, ref_dq)
+            # _pair_mul sums dU q and U dq separately, so only Q keeps every bit.
+            pair = (ONE, ZERO)
+            for j in range(0, 2 * layers, 2):
+                pair = _pair_mul(v_pair(cx[j + 1], sx[j + 1]), _pair_mul(u_pair(ct, st, cx[j], sx[j]), pair))
+            assert self.same(q, pair[0])
+            assert np.allclose(np.array(dq), np.array(pair[1]), rtol=0.0, atol=1e-13)

@@ -1,17 +1,22 @@
 import io
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from elfkit import inference
 from elfkit.bias import Scheme, bias, clf_angles
 from elfkit.inference import (
     DegenerateFitError,
     EstimationConfig,
     RoundRecord,
     SinusoidFit,
+    _angle_policy,
+    _lockstep,
     _posterior_moments,
+    _window_fit,
     bayes_update,
     fit_sinusoid,
     pi_to_theta,
@@ -77,11 +82,9 @@ class TestFitSinusoid:
         # is not needed: feed the model through a synthetic bias via AB CLF
         # interpolation instead.  Use the exact-model path: bias values from a
         # pure sinusoid are reproduced by construction.
-        thetas = np.linspace(0.8 - 0.03, 0.8 + 0.03, 11)
+        thetas = 0.8 + 0.03 * np.linspace(-1.0, 1.0, 11)
         z = 2.0 * thetas + 0.3
-        from elfkit.inference import _fit_line
-
-        r, b = _fit_line(thetas, z)
+        r, b = _window_fit(0.8, 0.03, z)
         assert r == pytest.approx(2.0, abs=1e-10)
         assert b == pytest.approx(0.3, abs=1e-10)
 
@@ -100,6 +103,40 @@ class TestFitSinusoid:
     def test_rejects_single_point(self):
         with pytest.raises(DegenerateFitError):
             fit_sinusoid(Scheme.AF, clf_angles(1), 1.0, GaussianBelief(1.0, 1e-4), fit_points=1)
+
+
+class TestWindowFit:
+    @pytest.mark.parametrize("points", [2, 3, 11, 24])
+    def test_matches_polyfit(self, points):
+        rng = np.random.default_rng(points)
+        grid = np.linspace(-1.0, 1.0, points)
+        for _ in range(50):
+            mu, sd = rng.uniform(0.1, 3.0), 10.0 ** rng.uniform(-6.0, 0.0)
+            z = rng.uniform(-1.5, 1.5, points)
+            r, b = _window_fit(mu, sd, z)
+            ref_r, ref_b = np.polyfit(mu + sd * grid, z, 1)
+            # polyfit's own conditioning, about mu/sd, sets the tolerance.
+            assert r == pytest.approx(ref_r, rel=1e-14 * mu / sd, abs=1e-12)
+            assert b == pytest.approx(ref_b, rel=1e-14 * mu / sd, abs=1e-12)
+
+    def test_exact_line_in_a_window_of_few_ulps(self):
+        # At sd = 1e-12 the window spans a few thousand ulps of mu; a line
+        # sampled at the ideal abscissae (z = r (theta - mu) exactly) is still
+        # recovered to rounding, and so is a batch of them, row by row.
+        mu, sd, rate = 1.3, 1e-12, -7.0
+        z = rate * sd * np.linspace(-1.0, 1.0, 11)
+        r, b = _window_fit(mu, sd, z)
+        assert r == pytest.approx(rate, rel=1e-12)
+        assert b == pytest.approx(-rate * mu, rel=1e-12)
+        rows = _window_fit(np.full(3, mu), np.full(3, sd), np.tile(z, (3, 1)))
+        assert np.array_equal(rows[0], np.full(3, r)) and np.array_equal(rows[1], np.full(3, b))
+
+    @pytest.mark.parametrize("sd", [0.0, -1e-3, np.inf, np.nan])
+    def test_rejects_degenerate_width(self, sd):
+        with pytest.raises(DegenerateFitError):
+            _window_fit(1.0, sd, np.linspace(-0.1, 0.1, 11))
+        with pytest.raises(DegenerateFitError):
+            _window_fit(np.ones(2), np.array([0.1, sd]), np.zeros((2, 11)))
 
 
 def posterior_oracle(belief, fit, f, d):
@@ -300,6 +337,31 @@ class TestRunEstimation:
         assert len(records) == 300 // (2 * layers + 1)
         assert all(-1.0 <= rec.pi_belief.mean <= 1.0 for rec in records)
 
+    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (-1e-9, "positive")])
+    def test_invalid_update_raises_like_gaussian_belief(self, monkeypatch, bad, message):
+        # The batch of one excludes its run on an invalid update; that raises
+        # the ValueError GaussianBelief gives for the failing moment.
+        calls = []
+
+        def spoiled(mu, var, r, b, f, d):
+            calls.append(1)
+            mu_next, var_next = _posterior_moments(mu, var, r, b, f, d)
+            return (mu_next + bad, var_next) if message == "finite" else (mu_next, np.full_like(var, bad))
+
+        monkeypatch.setattr(inference, "_posterior_moments", spoiled)
+        cfg = EstimationConfig(
+            scheme=Scheme.AF,
+            layers=1,
+            noise=NoiseModel(),
+            prior_pi=GaussianBelief(0.05, 0.01),
+            true_pi=0.0,
+            horizon=30,
+            angle_source="clf",
+        )
+        with pytest.raises(ValueError, match=message):
+            run_estimation(cfg)
+        assert len(calls) == 2  # the update, then its replay for the error
+
     def test_requires_table_when_requested(self):
         with pytest.raises(ValueError):
             EstimationConfig(
@@ -311,6 +373,52 @@ class TestRunEstimation:
                 horizon=100,
                 angle_source="table",
             )
+
+
+@lru_cache(maxsize=None)
+def small_table(scheme, layers):
+    noise = NoiseModel(0.95, 0.99)
+    return build_lookup_table(scheme, layers, noise, np.linspace(-0.9, 0.9, 13), restarts=1, seed=3, max_rounds=20)
+
+
+class TestEngineEquivalence:
+    """``run_estimation`` is one column of a 64-run lockstep batch, bit for bit."""
+
+    @pytest.mark.parametrize("source", ["clf", "table"])
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_single_run_is_a_batch_column(self, source, scheme, layers):
+        noise = NoiseModel(0.95, 0.99)
+        cfg = EstimationConfig(
+            scheme=scheme,
+            layers=layers,
+            noise=noise,
+            prior_pi=GaussianBelief(0.35, 0.05**2),
+            true_pi=0.3,
+            seed=17 + layers,
+            horizon=60 * (2 * layers + 1),
+            angle_source=source,
+            table=small_table(scheme, layers) if source == "table" else None,
+        )
+        records = run_estimation(cfg)
+        single = np.array([(rec.fit.r, rec.fit.b, rec.outcome, rec.theta_belief.mean, rec.theta_belief.variance)
+                           for rec in records])
+
+        # The same run as column 23 among other runs with their own priors and draws.
+        rng = np.random.default_rng(layers)
+        col, width, n = 23, 64, len(records)
+        uniforms = rng.random((n, width))
+        uniforms[:, col] = np.random.default_rng(np.random.SeedSequence(cfg.seed)).random(n)
+        prior = pi_to_theta(cfg.prior_pi)
+        mu = prior.mean + 0.05 * rng.standard_normal(width)
+        var = prior.variance * rng.uniform(0.5, 2.0, width)
+        mu[col], var[col] = prior.mean, prior.variance
+        f = noise.process_fidelity(layers)
+        angles = _angle_policy(scheme, layers, f, source, cfg.table)
+        rounds = _lockstep(scheme, f, math.acos(cfg.true_pi), mu, var, angles, uniforms, cfg.fit_points)
+        batch = np.array([[a[col] for a in state[:5]] for state in rounds])
+        assert np.array_equal(single, batch)
+        assert 0 < single[:, 2].sum() < n  # both outcomes occur
 
 
 class TestTraceCsv:

@@ -8,15 +8,10 @@ from scipy.stats import chi2
 
 from elfkit.algebra import DegenerateSubspaceError
 from elfkit.bias import Scheme, clf_angles
+from elfkit import inference
+from elfkit.inference import _angle_policy, _lockstep
 from elfkit.metrics import GaussianBelief, NoiseModel, likelihood
-from elfkit.sim import (
-    ExperimentConfig,
-    diagnostics,
-    run_experiment,
-    sample_outcome,
-    standard_sampling_run,
-    write_experiment_csv,
-)
+from elfkit.sim import ExperimentConfig, diagnostics, run_experiment, write_experiment_csv
 from elfkit.tuner import build_lookup_table
 
 
@@ -33,71 +28,76 @@ def tiny_table():
     )
 
 
+def round_outcomes(scheme, theta_star, f, layers, rng, n=100_000):
+    """Outcomes of one lockstep round of n runs at the Chebyshev angles.
+
+    The draw does not depend on the fit, so two fit points keep the batch small.
+    """
+    angles = _angle_policy(scheme, layers, f, "clf")
+    rounds = _lockstep(scheme, f, theta_star, np.full(n, 1.0), np.full(n, 0.01), angles, rng.random((1, n)), 2)
+    return next(rounds)[2].astype(int)
+
+
 class TestSampleOutcome:
     def test_depolarized_is_fair(self):
-        rng = np.random.default_rng(0)
-        x = clf_angles(1)
-        draws = [sample_outcome(Scheme.AF, 1.0, 0.0, x, rng) for _ in range(100_000)]
-        freq = np.mean(np.array(draws) == 0)
+        draws = round_outcomes(Scheme.AF, 1.0, 0.0, 1, np.random.default_rng(0))
+        freq = np.mean(draws == 0)
         assert abs(freq - 0.5) <= 0.005
 
     def test_frequency_matches_likelihood(self):
-        rng = np.random.default_rng(1)
         theta_star = 0.5 * np.pi / 3
-        x = clf_angles(1)
-        p0 = likelihood(Scheme.AF, 0, theta_star, 1.0, x)
-        n = 100_000
-        draws = np.array([sample_outcome(Scheme.AF, theta_star, 1.0, x, rng) for _ in range(n)])
+        p0 = likelihood(Scheme.AF, 0, theta_star, 1.0, clf_angles(1))
+        draws = round_outcomes(Scheme.AF, theta_star, 1.0, 1, np.random.default_rng(1))
+        n = draws.size
         k = np.sum(draws == 0)
         se = math.sqrt(n * p0 * (1 - p0))
         assert abs(k - n * p0) < 3 * se
 
     def test_chi_square_consistency(self):
-        rng = np.random.default_rng(2)
-        x = clf_angles(2)
         theta_star, f = 1.1, 0.7
-        p0 = likelihood(Scheme.AB, 0, theta_star, f, x)
-        n = 100_000
-        draws = np.array([sample_outcome(Scheme.AB, theta_star, f, x, rng) for _ in range(n)])
+        p0 = likelihood(Scheme.AB, 0, theta_star, f, clf_angles(2))
+        draws = round_outcomes(Scheme.AB, theta_star, f, 2, np.random.default_rng(2))
+        n = draws.size
         k = np.sum(draws == 0)
         stat = (k - n * p0) ** 2 / (n * p0) + ((n - k) - n * (1 - p0)) ** 2 / (n * (1 - p0))
         assert stat < chi2.ppf(1 - 0.001, df=1)
 
     def test_deterministic_given_seed(self):
-        x = clf_angles(1)
-        seqs = []
-        for _ in range(2):
-            rng = np.random.default_rng(77)
-            seqs.append([sample_outcome(Scheme.AF, 0.8, 0.9, x, rng) for _ in range(200)])
-        assert seqs[0] == seqs[1]
+        seqs = [round_outcomes(Scheme.AF, 0.8, 0.9, 1, np.random.default_rng(77), n=200) for _ in range(2)]
+        assert np.array_equal(seqs[0], seqs[1])
+
+
+def standard_finals(true_pi, horizon, runs, seed):
+    """Final sample-mean estimates of the standard scheme, one per run."""
+    cfg = ExperimentConfig(
+        scheme="standard",
+        true_pi=true_pi,
+        prior_pi=GaussianBelief(0.0, 0.0009),
+        layers=1,
+        noise=NoiseModel(),
+        runs=runs,
+        horizon=horizon,
+        master_seed=seed,
+    )
+    return run_experiment(cfg).estimates[:, -1]
 
 
 class TestStandardSampling:
     def test_single_sample_is_extreme(self):
-        rng = np.random.default_rng(3)
-        trace = standard_sampling_run(0.4, NoiseModel(), 1, rng)
-        assert trace[0] in (-1.0, 1.0)
+        assert standard_finals(0.4, 1, 1, 3)[0] in (-1.0, 1.0)
 
     def test_variance_at_zero(self):
         # Var of the mean after M samples is (1 - Pi^2)/M = 1/M at Pi = 0.
         m = 400
-        finals = []
-        for seed in range(300):
-            rng = np.random.default_rng(seed)
-            finals.append(standard_sampling_run(0.0, NoiseModel(), m, rng)[-1])
-        var = np.var(finals, ddof=1)
+        var = np.var(standard_finals(0.0, m, 300, 0), ddof=1)
         se = (1 / m) * math.sqrt(2 / 299)
         assert abs(var - 1 / m) < 3 * se
 
     def test_variance_near_boundary(self):
         m = 400
         pi_star = 0.999
-        finals = []
-        for seed in range(300):
-            rng = np.random.default_rng(seed)
-            finals.append(standard_sampling_run(pi_star, NoiseModel(), m, rng)[-1])
         ref = (1 - pi_star**2) / m
-        assert np.var(finals, ddof=1) < 4 * ref + 1e-9
+        assert np.var(standard_finals(pi_star, m, 300, 0), ddof=1) < 4 * ref + 1e-9
 
 
 class TestRunExperiment:
@@ -185,6 +185,29 @@ class TestRunExperiment:
             master_seed=1,
         )
         assert run_experiment(cfg).excluded_runs == []
+
+    def test_invalid_update_excludes_only_its_run(self, monkeypatch):
+        def spoiled(mu, var, r, b, f, d):
+            mu_next, var_next = posterior_moments(mu, var, r, b, f, d)
+            var_next[5] = -1.0
+            return mu_next, var_next
+
+        posterior_moments = inference._posterior_moments
+        monkeypatch.setattr(inference, "_posterior_moments", spoiled)
+        cfg = ExperimentConfig(
+            scheme="af-clf",
+            true_pi=0.05,
+            prior_pi=GaussianBelief(0.08, 0.0009),
+            layers=1,
+            noise=NoiseModel(0.9, 1.0),
+            runs=10,
+            horizon=30,
+            master_seed=1,
+        )
+        traces = run_experiment(cfg)
+        assert traces.excluded_runs == [5]
+        assert np.all(traces.estimates[5] == traces.estimates[5, 0])  # frozen at the prior
+        assert np.isfinite(traces.rmse).all()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_degenerate_fit_abscissa_aborts(self, seed):

@@ -385,3 +385,31 @@ class TestLookupTable:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             build_lookup_table(Scheme.AF, 1, NoiseModel(), [0.2, 0.1], restarts=1, seed=0)
+
+
+class TestMirrorSymmetry:
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_mirrored_angles_mirror_the_fisher_information(self, scheme, layers):
+        # F(pi - theta; x') = F(theta; x), x' = x with x_2, x_4, ... negated;
+        # scored by metrics.fisher_information, independently of the tuner.
+        rng = np.random.default_rng(layers)
+        for _ in range(10):
+            theta, f = rng.uniform(0.05, np.pi - 0.05), rng.uniform(0.5, 1.0)
+            x = rng.uniform(-np.pi, np.pi, 2 * layers)
+            mirrored = x.copy()
+            mirrored[1::2] *= -1.0
+            expected = fisher_information(scheme, theta, f, x)
+            assert fisher_information(scheme, np.pi - theta, f, mirrored) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    def test_symmetric_grid_gives_symmetric_objectives(self, scheme):
+        noise = NoiseModel(0.95, 0.99)
+        grid = np.linspace(-0.875, 0.875, 15)
+        table = build_lookup_table(scheme, 2, noise, grid, restarts=2, seed=2020, max_rounds=50)
+        f = noise.process_fidelity(2)
+        objectives = [e.objective for e in table.entries]
+        for e, partner in zip(table.entries, reversed(objectives)):
+            assert e.objective == pytest.approx(partner, rel=1e-12)
+            assert e.objective == pytest.approx(fisher_information(scheme, math.acos(e.pi), f, e.angles), rel=1e-9)
+            assert np.array_equal(canonical_angles(e.angles), e.angles)
