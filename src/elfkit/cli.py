@@ -37,7 +37,6 @@ from .runtime_model import HardwareParams, RateDomainError, hardware_runtime_cur
 from .sim import ExperimentConfig, run_experiment, write_experiment_csv
 from .tuner import (
     LookupTable,
-    Method,
     Objective,
     TuneSpec,
     build_lookup_table,
@@ -80,7 +79,6 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     + (
         Opt("scheme", str, "af", choices=("af", "ab")),
         Opt("objective", str, "fisher", choices=("fisher", "slope")),
-        Opt("method", str, "coord", choices=("grad", "coord")),
         Opt("mu", float, required=True, help="tuning point theta in (0, pi)"),
         Opt("layers", int, 1),
         Opt("restarts", int, 10),
@@ -250,7 +248,6 @@ def cmd_tune(cfg: dict) -> int:
             cfg["layers"]
         ),
         objective=Objective(cfg["objective"]),
-        method=Method(cfg["method"]),
         restarts=cfg["restarts"],
         seed=cfg["seed"],
         tolerance=cfg["tolerance"],
@@ -409,7 +406,6 @@ def cmd_runtime(cfg: dict) -> int:
     hw = HardwareParams(
         qubits=cfg["qubits"],
         depth=cfg["depth"],
-        gate_fidelity=0.999,  # placeholder; the curve sweeps the grid below
         gate_time=cfg["gate-time"],
         spam_fidelity=cfg["spam-fidelity"],
     )

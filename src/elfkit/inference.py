@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr
 
 from .algebra import DEGENERATE_TOL, DegenerateSubspaceError
 from .bias import Scheme, _bias_trig, bias, clf_angles
@@ -89,11 +88,7 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def pi_to_theta(
-    belief: GaussianBelief,
-    nodes: int = PI_TO_THETA_NODES,
-    tail_z: float = PI_TO_THETA_TAIL_Z,
-) -> GaussianBelief:
+def pi_to_theta(belief: GaussianBelief) -> GaussianBelief:
     """Moment-matched Gaussian belief over theta = arccos(clip(Pi, -1, 1)).
 
     Gauss-Legendre quadrature over the in-range part of the Gaussian plus
@@ -102,15 +97,15 @@ def pi_to_theta(
     that tiny variances survive the subtraction.
     """
     mu, sd = belief.mean, belief.std
-    w_lo = float(ndtr((-1.0 - mu) / sd))  # mass clipped to Pi = -1
-    w_hi = float(ndtr((mu - 1.0) / sd))  # mass clipped to Pi = +1
+    w_lo = 0.5 * math.erfc((1.0 + mu) / (sd * math.sqrt(2.0)))  # mass clipped to Pi = -1
+    w_hi = 0.5 * math.erfc((1.0 - mu) / (sd * math.sqrt(2.0)))  # mass clipped to Pi = +1
     center = math.acos(min(1.0, max(-1.0, mu)))
     m1 = w_lo * (math.pi - center) + w_hi * (0.0 - center)
     m2 = w_lo * (math.pi - center) ** 2 + w_hi * center**2
-    lo = max(-1.0, mu - tail_z * sd)
-    hi = min(1.0, mu + tail_z * sd)
+    lo = max(-1.0, mu - PI_TO_THETA_TAIL_Z * sd)
+    hi = min(1.0, mu + PI_TO_THETA_TAIL_Z * sd)
     if hi > lo:
-        t, w = _leggauss(nodes)
+        t, w = _leggauss(PI_TO_THETA_NODES)
         half = 0.5 * (hi - lo)
         pts = 0.5 * (hi + lo) + half * t
         pdf = np.exp(-((pts - mu) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi))
@@ -199,19 +194,19 @@ class EstimationConfig:
     seed: int = 0
     horizon: int | None = None  # total time budget, units of the ansatz duration
     target_pi_std: float | None = None
-    angle_source: str = "table"  # "table" | "clf" | "tune"
+    angle_source: str = "table"  # "table" | "clf"
     table: "object | None" = None  # tuner.LookupTable when angle_source == "table"
     fit_points: int = 11
-    tune_restarts: int = 10
-    max_rounds: int | None = None
 
     def __post_init__(self) -> None:
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
         if not -1.0 < self.true_pi < 1.0:
             raise ValueError("true_pi must lie in (-1, 1)")
-        if self.angle_source not in ("table", "clf", "tune"):
-            raise ValueError("angle_source must be 'table', 'clf' or 'tune'")
+        if self.angle_source not in ("table", "clf"):
+            raise ValueError("angle_source must be 'table' or 'clf'")
+        if self.fit_points < 2:
+            raise ValueError(f"fit_points must be >= 2, got {self.fit_points}")
         if self.horizon is None and self.target_pi_std is None:
             raise ValueError("either a time budget or a target precision is required")
         if self.angle_source == "table" and self.table is None:
@@ -222,32 +217,20 @@ class EstimationConfig:
         return 2 * self.layers + 1
 
     def round_budget(self) -> int:
-        if self.horizon is None:
-            return int(self.max_rounds if self.max_rounds is not None else 10**6)
-        budget = self.horizon // self.round_cost
-        return int(budget if self.max_rounds is None else min(budget, self.max_rounds))
+        return 10**6 if self.horizon is None else self.horizon // self.round_cost
 
 
-def _angle_policy(scheme: Scheme, layers: int, f: float, source: str, table=None, restarts=10, seed=0):
+def _angle_policy(layers: int, source: str, table=None):
     """(cos x_j, sin x_j) of a round's angles as a function of the theta beliefs (mu, var).
 
-    Each entry is a float or one value per run.  "table" looks up each run's
-    Pi mean; "tune" tunes at the theta mean every round, for one run only.
+    "clf" gives the Chebyshev angles as floats; "table" gives, for each run,
+    the angles of the table entry nearest its Pi mean, one value per run.
     """
     if source == "clf":
         x = clf_angles(layers)
         rows = np.cos(x).tolist(), np.sin(x).tolist()
         return lambda mu, var: rows
-    if source == "table":
-        return lambda mu, var: table.trig_rows(np.exp(-var / 2.0) * np.cos(mu))
-    from .tuner import TuneSpec, tune  # local import to avoid a cycle
-
-    def tuned(mu, var):
-        spec = TuneSpec(scheme=scheme, layers=layers, mu=mu.item(), fidelity=f, restarts=restarts, seed=seed)
-        x = tune(spec).x_opt
-        return np.cos(x).tolist(), np.sin(x).tolist()
-
-    return tuned
+    return lambda mu, var: table.trig_rows(np.exp(-var / 2.0) * np.cos(mu))
 
 
 def _lockstep(scheme, f, theta_star, mu, var, angles, uniforms, fit_points, abort=False):
@@ -298,12 +281,9 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     budget = config.round_budget()
     # Block draws equal the same number of single draws.
     uniforms = (u for lo in range(0, budget, 1024) for u in rng.random((min(1024, budget - lo), 1)))
-    angles = _angle_policy(
-        config.scheme, config.layers, f, config.angle_source, config.table, config.tune_restarts, config.seed
-    )
     rounds = _lockstep(
         config.scheme, f, math.acos(config.true_pi), np.array([prior.mean]), np.array([prior.variance]),
-        angles, uniforms, config.fit_points,
+        _angle_policy(config.layers, config.angle_source, config.table), uniforms, config.fit_points,
     )
     trace, target = [], config.target_pi_std
     for r, b, d, mu, var, alive in rounds:

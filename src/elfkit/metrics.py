@@ -111,12 +111,7 @@ def _hermgauss(n: int):
     return np.polynomial.hermite.hermgauss(n)
 
 
-def expected_bias(
-    scheme: Scheme,
-    belief: GaussianBelief,
-    x,
-    nodes: int = QUADRATURE_NODES,
-) -> tuple[float, float]:
+def expected_bias(scheme: Scheme, belief: GaussianBelief, x) -> tuple[float, float]:
     """Gaussian-prior average of the bias and its derivative in the prior mean.
 
     Gauss-Hermite quadrature with a fixed node count; the bias is a degree
@@ -130,7 +125,7 @@ def expected_bias(
         raise QuadratureDomainError(
             f"prior sigma {sigma:.3g} outside quadrature envelope <= {QUADRATURE_SIGMA_MAX}"
         )
-    t, w = _hermgauss(nodes)
+    t, w = _hermgauss(QUADRATURE_NODES)
     thetas = belief.mean + math.sqrt(2.0) * sigma * t
     norm = 1.0 / math.sqrt(math.pi)
     b = norm * float(w @ np.asarray(bias(scheme, thetas, x)))

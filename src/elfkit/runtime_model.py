@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 E = math.e
 RATE_LOWER_FACTOR = (E - 1.0) / E
@@ -55,32 +54,31 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class HardwareParams:
-    """Device-level inputs of the runtime-in-seconds mapping."""
+    """Device-level inputs of the runtime-in-seconds mapping.
+
+    The runtime curve sweeps the two-qubit gate fidelity f2Q, so the
+    exponents take it as an argument.
+    """
 
     qubits: int
     depth: int  # two-qubit gate depth of one circuit layer
-    gate_fidelity: float  # two-qubit gate fidelity
     gate_time: float  # seconds per two-qubit gate layer
     spam_fidelity: float = 1.0
-    target_error: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.qubits < 1 or self.depth < 1:
             raise ValueError("qubits and depth must be positive")
-        if not 0.0 < self.gate_fidelity < 1.0:
-            raise ValueError("gate_fidelity must be in (0, 1)")
-        if self.gate_time <= 0.0 or self.target_error <= 0.0:
-            raise ValueError("gate_time and target_error must be positive")
+        if self.gate_time <= 0.0:
+            raise ValueError("gate_time must be positive")
         if not 0.0 < self.spam_fidelity <= 1.0:
             raise ValueError("spam_fidelity must be in (0, 1]")
 
-    def decay_exponent(self, gate_fidelity: float | None = None) -> float:
+    def decay_exponent(self, f2q: float) -> float:
         """lam = (nD/2) ln(1/f2Q); the layer fidelity is f2Q^(nD/2)."""
-        f2q = self.gate_fidelity if gate_fidelity is None else gate_fidelity
         return 0.5 * self.qubits * self.depth * math.log(1.0 / f2q)
 
-    def spam_exponent(self, gate_fidelity: float | None = None) -> float:
-        return 2.0 * math.log(1.0 / self.spam_fidelity) - self.decay_exponent(gate_fidelity)
+    def spam_exponent(self, f2q: float) -> float:
+        return 2.0 * math.log(1.0 / self.spam_fidelity) - self.decay_exponent(f2q)
 
     @property
     def seconds_per_time_unit(self) -> float:
@@ -160,6 +158,7 @@ def integrate_inverse_variance(
     """
     if f0 <= 0.0:
         raise ValueError("initial inverse variance must be positive")
+    from scipy.integrate import solve_ivp  # here, so that importing the package does not load SciPy
 
     def rhs(_t, y):
         return [rbar(1.0 / math.sqrt(y[0]), noise)]

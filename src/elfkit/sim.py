@@ -28,6 +28,10 @@ from .metrics import GaussianBelief, NoiseModel
 
 EXPERIMENT_SCHEMES = ("af-elf", "af-clf", "ab-elf", "ab-clf", "standard")
 CHUNK_SIZE = 64
+# Density of the geometric checkpoint grid, and the late share of the
+# horizon over which the inverse-MSE growth rate is fitted.
+CHECKPOINTS_PER_DECADE = 50
+FIT_WINDOW_FRACTION = 0.25
 
 EXPERIMENT_CSV_COLUMNS = (
     "time",
@@ -51,8 +55,6 @@ class ExperimentConfig:
     master_seed: int = 0
     table: "object | None" = None  # tuner.LookupTable for the *-elf schemes
     fit_points: int = 11
-    checkpoints_per_decade: int = 50
-    fit_window_fraction: float = 0.25
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -62,6 +64,8 @@ class ExperimentConfig:
             raise ValueError("true_pi must lie in (-1, 1)")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.fit_points < 2:
+            raise ValueError(f"fit_points must be >= 2, got {self.fit_points}")
         min_horizon = 1 if self.scheme == "standard" else 2 * self.layers + 1
         if self.horizon < min_horizon:
             raise ValueError(f"horizon must be >= {min_horizon}")
@@ -91,24 +95,14 @@ class TraceSeries:
     excluded_runs: list[int] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """Bias/variance decomposition of the estimator along the time grid."""
-
-    times: np.ndarray
-    bias_sq: np.ndarray
-    var_est: np.ndarray
-    mean_perceived_var: np.ndarray
-
-
 # -- the lockstep engine ---------------------------------------------------------
 
 
-def _checkpoint_rounds(n_rounds: int, per_decade: int) -> np.ndarray:
+def _checkpoint_rounds(n_rounds: int) -> np.ndarray:
     if n_rounds <= 1:
         return np.array([n_rounds])
     decades = math.log10(n_rounds)
-    count = max(2, math.ceil(decades * per_decade))
+    count = max(2, math.ceil(decades * CHECKPOINTS_PER_DECADE))
     return np.unique(np.rint(np.geomspace(1, n_rounds, count)).astype(int))
 
 
@@ -124,7 +118,7 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
     source = "clf" if config.scheme.endswith("clf") else "table"
     rounds = _lockstep(
         config.bias_scheme, f, math.acos(config.true_pi), np.full(r, prior.mean), np.full(r, prior.variance),
-        _angle_policy(config.bias_scheme, layers, f, source, config.table), uniforms, config.fit_points, abort=True,
+        _angle_policy(layers, source, config.table), uniforms, config.fit_points, abort=True,
     )
     est = np.empty((r, checkpoints.size))
     per_var = np.empty((r, checkpoints.size))
@@ -137,8 +131,8 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
     return est, per_var, run_indices[~alive]
 
 
-def _growth_rate(times: np.ndarray, inv_mse: np.ndarray, horizon: int, window_fraction: float) -> float:
-    mask = times >= window_fraction * horizon
+def _growth_rate(times: np.ndarray, inv_mse: np.ndarray, horizon: int) -> float:
+    mask = times >= FIT_WINDOW_FRACTION * horizon
     if np.count_nonzero(mask) < 2:
         return float("nan")
     t = times[mask].astype(float)
@@ -172,7 +166,7 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
     standard = config.scheme == "standard"
     round_cost = 1 if standard else 2 * config.layers + 1
     n_rounds = config.horizon // round_cost
-    checkpoints = _checkpoint_rounds(n_rounds, config.checkpoints_per_decade)
+    checkpoints = _checkpoint_rounds(n_rounds)
     times = checkpoints * round_cost
 
     chunk_fn = _standard_chunk if standard else _run_chunk
@@ -216,22 +210,10 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
         mean_perceived_var=mean_perceived,
         estimates=estimates,
         perceived_var=perceived,
-        growth_rate=_growth_rate(times, inv_mse, config.horizon, config.fit_window_fraction),
+        growth_rate=_growth_rate(times, inv_mse, config.horizon),
         true_pi=config.true_pi,
         runs=config.runs,
         excluded_runs=excluded,
-    )
-
-
-def diagnostics(traces: TraceSeries) -> DiagnosticsReport:
-    """Squared bias, estimator variance, and mean perceived variance per checkpoint."""
-    if traces.runs < 30:
-        raise ValueError("diagnostics need at least 30 runs")
-    return DiagnosticsReport(
-        times=traces.times,
-        bias_sq=traces.bias_sq,
-        var_est=traces.var_est,
-        mean_perceived_var=traces.mean_perceived_var,
     )
 
 

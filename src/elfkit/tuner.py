@@ -1,20 +1,18 @@
 """Circuit-parameter tuning by Fisher-information or slope maximization.
 
-Four ascent variants per scheme: {gradient, coordinate} x {Fisher, slope}.
-Coordinate ascent makes one O(L) ``csbd.sweep`` per round.  The slope
-objective has a closed-form coordinate update.  The Fisher one is solved in
-the sinusoid's argument a = k x_j: a uniform scan of [-pi, pi) (robust to
-multimodality), then Newton steps on d/da log F within one grid step of the
-best scan point.  A step keeps the current angle unless the scan or Newton
-point beats it.
+Both objectives share one ascent: coordinate sweeps, one O(L)
+``csbd.sweep`` per round.  The slope objective has a closed-form coordinate
+update.  The Fisher one is solved in the sinusoid's argument a = k x_j: a
+uniform scan of [-pi, pi) (robust to multimodality), then Newton steps on
+d/da log F within one grid step of the best scan point.  A step keeps the
+current angle unless the scan or Newton point beats it.
 
 Once a sweep moves no angle by more than one scan-grid step, the scan has
 found the basin and further sweeps only zig-zag along coupled ridges, so
-coordinate ascent switches to a BFGS finish with Armijo backtracking.  The
-finish and gradient ascent both run on one O(L) value-and-gradient pass
-(``_value_and_gradient``).
+the ascent switches to a BFGS finish with Armijo backtracking on one O(L)
+value-and-gradient pass (``_value_and_gradient``).
 
-A multi-start driver wraps every variant.  The first start is always the
+A multi-start driver wraps the ascent.  The first start is always the
 Chebyshev point (pi/2, ..., pi/2), so a tuned objective is never worse than
 the untuned one; the remaining starts are seeded-uniform random draws, plus
 optional warm starts used by the lookup-table builder.
@@ -46,6 +44,9 @@ from .metrics import SINGULAR_TOL, NoiseModel
 
 TABLE_FORMAT_VERSION = "elf-table/1"
 DEGENERATE_FLAG = "degenerate_theta"
+# The Fisher step's scan grid size and its cap on Newton iterations.
+SCAN_POINTS = 64
+REFINE_ITERS = 30
 
 
 class Objective(Enum):
@@ -53,27 +54,15 @@ class Objective(Enum):
     SLOPE = "slope"
 
 
-class Method(Enum):
-    GRADIENT = "grad"
-    COORDINATE = "coord"
-
-
 @dataclass(frozen=True)
 class TuneSpec:
     """Inputs of one tuning problem.
 
-    ``step_size``/``step_decay`` parameterize the gradient schedule
-    delta(t) = step_size / (1 + t/step_decay); coordinate ascent ignores them.
-    Gradient ascent stops once a round changes the objective by less than
-    ``tolerance``, or after ``max_rounds`` rounds.
-
     Coordinate ascent sweeps until a sweep changes the objective by less than
     ``tolerance``, moves no angle by more than one scan-grid step
-    2 pi / (k ``scan_points``) (k = 2 for AF, 1 for AB), or reaches
+    2 pi / (k ``SCAN_POINTS``) (k = 2 for AF, 1 for AB), or reaches
     ``max_rounds`` sweeps.  Its quasi-Newton finish then stops when a step
     gains less than ``tolerance`` or after ``max_rounds`` steps.
-    ``scan_points`` and ``refine_iters`` are also the Fisher step's scan grid
-    size and its cap on Newton iterations; gradient ascent ignores them.
     """
 
     scheme: Scheme
@@ -81,15 +70,10 @@ class TuneSpec:
     mu: float
     fidelity: float = 1.0
     objective: Objective = Objective.FISHER
-    method: Method = Method.COORDINATE
     restarts: int = 10
     seed: int = 0
     tolerance: float = 1e-8
-    step_size: float = 0.1
-    step_decay: float = 50.0
     max_rounds: int = 500
-    scan_points: int = 64
-    refine_iters: int = 30
 
     def __post_init__(self) -> None:
         if self.layers < 1:
@@ -106,18 +90,14 @@ class TuneSpec:
             raise ValueError("tolerance must be positive")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
-        if self.scan_points < 1:
-            raise ValueError(f"scan_points must be >= 1, got {self.scan_points}")
-        if self.refine_iters < 0:
-            raise ValueError(f"refine_iters must be >= 0, got {self.refine_iters}")
 
 
 @dataclass(frozen=True)
 class TuneResult:
     """The winning start's angles and objective.
 
-    ``iterations`` counts that start's rounds: gradient steps, or coordinate
-    sweeps plus quasi-Newton steps.
+    ``iterations`` counts that start's coordinate sweeps plus quasi-Newton
+    steps.
     """
 
     x_opt: np.ndarray
@@ -193,13 +173,10 @@ def _value_and_gradient(spec: TuneSpec, x: np.ndarray) -> tuple[float, np.ndarra
     return f2 * ddelta * ddelta / den, 2.0 * f2 * ddelta * (den * chi_p + f2 * delta * ddelta * chi) / (den * den)
 
 
-@lru_cache(maxsize=8)
-def _scan_basis(points: int) -> np.ndarray:
-    """Rows cos a, sin a, 1 on the scan grid a_i = -pi + i h, h = 2 pi / points, of a = k x_j."""
-    a = np.linspace(-math.pi, math.pi, points, endpoint=False)
-    basis = np.vstack([np.cos(a), np.sin(a), np.ones(points)])
-    basis.setflags(write=False)  # one array serves every caller
-    return basis
+# Rows cos a, sin a, 1 on the scan grid a_i = -pi + i h, h = 2 pi / SCAN_POINTS, of a = k x_j.
+_SCAN_GRID = np.linspace(-math.pi, math.pi, SCAN_POINTS, endpoint=False)
+_SCAN_BASIS = np.vstack([np.cos(_SCAN_GRID), np.sin(_SCAN_GRID), np.ones(SCAN_POINTS)])
+_SCAN_BASIS.setflags(write=False)  # one array serves every caller
 
 
 def _fisher_1d(co: CsbdCoefficients, f: float, a: float) -> float:
@@ -238,17 +215,17 @@ def _newton_log_fisher(co: CsbdCoefficients, f: float, a: float, lo: float, hi: 
     return a
 
 
-def _coordinate_step_fisher(co: CsbdCoefficients, f: float, current: float, spec: TuneSpec) -> float:
+def _coordinate_step_fisher(co: CsbdCoefficients, f: float, current: float) -> float:
     # F / f^2 on the grid: the derivative and f-scaled bias sinusoids in one product.
     coefficients = np.array(((co.c_prime, co.s_prime, co.b_prime), (f * co.c, f * co.s, f * co.b)))
-    num, fbias = coefficients @ _scan_basis(spec.scan_points)
+    num, fbias = coefficients @ _SCAN_BASIS
     den = 1.0 - fbias * fbias
     values = num * num / np.maximum(den, SINGULAR_TOL)
     values[den < SINGULAR_TOL] = -np.inf
-    h = 2.0 * math.pi / spec.scan_points
+    h = 2.0 * math.pi / SCAN_POINTS
     a0 = int(values.argmax()) * h - math.pi
     best_a, best = a0, _fisher_1d(co, f, a0)
-    a = _newton_log_fisher(co, f, a0, a0 - h, a0 + h, spec.refine_iters)
+    a = _newton_log_fisher(co, f, a0, a0 - h, a0 + h, REFINE_ITERS)
     if (value := _fisher_1d(co, f, a)) > best:
         best_a, best = a, value
     k = co.angle_scale
@@ -332,13 +309,13 @@ def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, floa
     prev = objective_value(spec, x)
     best_x, best_val = x.copy(), prev
     period = math.pi if spec.scheme is Scheme.AF else 2.0 * math.pi
-    grid_step = period / spec.scan_points
+    grid_step = period / SCAN_POINTS
 
     def choose(j: int, co: CsbdCoefficients) -> float:
         if spec.objective is Objective.SLOPE:
             z = _coordinate_step_slope(co, x[j - 1])
         else:
-            z = _coordinate_step_fisher(co, spec.fidelity, x[j - 1], spec)
+            z = _coordinate_step_fisher(co, spec.fidelity, x[j - 1])
         # Into (-pi, pi], bit for bit as ``canonical_angles``.
         return math.pi - (math.pi - z) % (2.0 * math.pi)
 
@@ -362,27 +339,6 @@ def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, floa
     return best_x, best_val, sweeps + steps
 
 
-def _gradient_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, float, int]:
-    x = canonical_angles(x0).copy()
-    prev = objective_value(spec, x)
-    best_x, best_val = x.copy(), prev
-    iters = 0
-    for t in range(spec.max_rounds):
-        grad = _value_and_gradient(spec, x)[1]
-        if grad is None:
-            break
-        delta_t = spec.step_size / (1.0 + t / spec.step_decay)
-        x = canonical_angles(x + delta_t * grad)
-        val = objective_value(spec, x)
-        iters = t + 1
-        if val > best_val:
-            best_x, best_val = x.copy(), val
-        if abs(val - prev) < spec.tolerance:
-            break
-        prev = val
-    return best_x, best_val, iters
-
-
 def tune(spec: TuneSpec, warm_starts: tuple = ()) -> TuneResult:
     """Best ascent result across restarts (ties break to the lowest index).
 
@@ -397,10 +353,9 @@ def tune(spec: TuneSpec, warm_starts: tuple = ()) -> TuneResult:
     dim = 2 * spec.layers
     starts.extend(rng.uniform(-math.pi, math.pi, dim) for _ in range(n_random))
 
-    ascend = _coordinate_ascent if spec.method is Method.COORDINATE else _gradient_ascent
     best: TuneResult | None = None
     for idx, x0 in enumerate(starts):
-        x_opt, val, iters = ascend(spec, x0)
+        x_opt, val, iters = _coordinate_ascent(spec, x0)
         if best is None or val > best.objective_value:
             best = TuneResult(x_opt, val, iters, idx)
     assert best is not None
@@ -491,25 +446,18 @@ class LookupTable:
             raise ValueError("lookup table has no valid entries")
         valid_grid = np.array([e.pi for e in valid])
         self._midpoints = (valid_grid[1:] + valid_grid[:-1]) / 2.0
-        self._valid_angles = angle_vectors(np.vstack([e.angles for e in valid]))
         self._valid_entries = valid
         # Angle index first: row j holds cos (sin) of x_j at every valid point.
-        self._cos_rows = np.cos(self._valid_angles.T).copy()
-        self._sin_rows = np.sin(self._valid_angles.T).copy()
+        angles = angle_vectors(np.vstack([e.angles for e in valid])).T
+        self._cos_rows = np.cos(angles).copy()
+        self._sin_rows = np.sin(angles).copy()
 
     def lookup(self, pi: float) -> TableEntry:
         """Entry at the valid grid point closest to the query value (the right one on a midpoint)."""
         return self._valid_entries[np.searchsorted(self._midpoints, pi, side="right")]
 
-    def angles_for(self, pi: float) -> np.ndarray:
-        return self.lookup(pi).angles
-
-    def batch_angles(self, pis: np.ndarray) -> np.ndarray:
-        """Nearest-grid-point angle vectors for an array of query values."""
-        return self._valid_angles[np.searchsorted(self._midpoints, pis, side="right")]
-
     def trig_rows(self, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(cos x_j, sin x_j) of ``batch_angles(pis)``, indexed by j, one column per query."""
+        """(cos x_j, sin x_j) of the ``lookup`` angles of each query, indexed by j, one column per query."""
         idx = np.searchsorted(self._midpoints, pis, side="right")
         return self._cos_rows[:, idx], self._sin_rows[:, idx]
 

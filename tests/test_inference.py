@@ -316,6 +316,20 @@ class TestRunEstimation:
         assert records[-1].pi_belief.std <= 0.02
         assert len(records) < 10_000 // 3
 
+    def test_round_budget(self):
+        # A horizon buys horizon // (2L + 1) rounds; without one the run is
+        # bounded only by the fixed cap and its target precision.
+        common = dict(
+            scheme=Scheme.AF,
+            layers=2,
+            noise=NoiseModel(),
+            prior_pi=GaussianBelief(0.5, 0.0009),
+            true_pi=0.5,
+            angle_source="clf",
+        )
+        assert EstimationConfig(horizon=104, **common).round_budget() == 20
+        assert EstimationConfig(target_pi_std=0.01, **common).round_budget() == 10**6
+
     @pytest.mark.parametrize(
         "layers, true_pi, prior_mean, seed",
         [(3, 0.9964819060079395, 0.9, 1706330194), (3, -0.9923762558099185, -0.9, 238710560)],
@@ -373,6 +387,32 @@ class TestRunEstimation:
                 horizon=100,
                 angle_source="table",
             )
+        # The per-round tuned source is gone; only "table" and "clf" remain.
+        with pytest.raises(ValueError, match="angle_source"):
+            EstimationConfig(
+                scheme=Scheme.AF,
+                layers=1,
+                noise=NoiseModel(),
+                prior_pi=GaussianBelief(0.5, 0.0009),
+                true_pi=0.5,
+                horizon=100,
+                angle_source="tune",
+            )
+
+    @pytest.mark.parametrize("fit_points", [1, 0])
+    def test_rejects_fewer_than_two_fit_points(self, fit_points):
+        # Caught at construction, not when the engine first fits.
+        with pytest.raises(ValueError, match="fit_points"):
+            EstimationConfig(
+                scheme=Scheme.AF,
+                layers=1,
+                noise=NoiseModel(),
+                prior_pi=GaussianBelief(0.5, 0.0009),
+                true_pi=0.5,
+                horizon=100,
+                angle_source="clf",
+                fit_points=fit_points,
+            )
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +454,7 @@ class TestEngineEquivalence:
         var = prior.variance * rng.uniform(0.5, 2.0, width)
         mu[col], var[col] = prior.mean, prior.variance
         f = noise.process_fidelity(layers)
-        angles = _angle_policy(scheme, layers, f, source, cfg.table)
+        angles = _angle_policy(layers, source, cfg.table)
         rounds = _lockstep(scheme, f, math.acos(cfg.true_pi), mu, var, angles, uniforms, cfg.fit_points)
         batch = np.array([[a[col] for a in state[:5]] for state in rounds])
         assert np.array_equal(single, batch)

@@ -169,7 +169,7 @@ class TestRuntimeBounds:
 
 class TestHardwareCurve:
     def test_monotone_and_eps_ordering(self):
-        hw = HardwareParams(100, 200, 0.9999, 1e-8)
+        hw = HardwareParams(100, 200, 1e-8)
         grid = 1.0 - np.geomspace(1e-2, 1e-7, 40)
         points = hardware_runtime_curve(hw, [1e-3, 1e-4, 1e-5], f2q_grid=grid)
         by_eps: dict = {}
@@ -187,7 +187,7 @@ class TestHardwareCurve:
                 assert vals[1e-5] > vals[1e-4] > vals[1e-3]
 
     def test_invalid_region_flagged(self):
-        hw = HardwareParams(100, 200, 0.9999, 1e-8)
+        hw = HardwareParams(100, 200, 1e-8)
         grid = np.array([0.99, 0.999999])  # first gives lam > 1
         points = hardware_runtime_curve(hw, [1e-3], f2q_grid=grid)
         assert not points[0].valid and math.isnan(points[0].t_mid_s)
@@ -204,8 +204,8 @@ class TestHardwareCurve:
         f2q_base, f2q_upgraded = 1 - 1e-5, 1 - 1e-8
         lam_base = 0.5 * qubits * depth * math.log(1 / f2q_base)  # ~0.1
         lam_upgraded = 0.5 * qubits * depth * math.log(1 / f2q_upgraded)  # ~1e-4
-        hw_fast = HardwareParams(qubits, depth, f2q_base, 1e-8)
-        hw_slow = HardwareParams(qubits, depth, f2q_upgraded, 1e-5)
+        hw_fast = HardwareParams(qubits, depth, 1e-8)
+        hw_slow = HardwareParams(qubits, depth, 1e-5)
         for eps in (1e-6, 1e-7):
             base = hardware_runtime_curve(hw_fast, [eps], f2q_grid=np.array([f2q_base]))[0]
             upgraded = hardware_runtime_curve(hw_slow, [eps], f2q_grid=np.array([f2q_upgraded]))[0]
@@ -215,7 +215,7 @@ class TestHardwareCurve:
             )
 
     def test_bounds_bracket_mid(self):
-        hw = HardwareParams(50, 100, 0.99999, 1e-8)
+        hw = HardwareParams(50, 100, 1e-8)
         points = hardware_runtime_curve(hw, [1e-3], f2q_grid=np.array([1 - 1e-6]))
         p = points[0]
         assert p.t_lower_s < p.t_mid_s < p.t_upper_s

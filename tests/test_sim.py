@@ -11,7 +11,7 @@ from elfkit.bias import Scheme, clf_angles
 from elfkit import inference
 from elfkit.inference import _angle_policy, _lockstep
 from elfkit.metrics import GaussianBelief, NoiseModel, likelihood
-from elfkit.sim import ExperimentConfig, diagnostics, run_experiment, write_experiment_csv
+from elfkit.sim import ExperimentConfig, run_experiment, write_experiment_csv
 from elfkit.tuner import build_lookup_table
 
 
@@ -33,7 +33,7 @@ def round_outcomes(scheme, theta_star, f, layers, rng, n=100_000):
 
     The draw does not depend on the fit, so two fit points keep the batch small.
     """
-    angles = _angle_policy(scheme, layers, f, "clf")
+    angles = _angle_policy(layers, "clf")
     rounds = _lockstep(scheme, f, theta_star, np.full(n, 1.0), np.full(n, 0.01), angles, rng.random((1, n)), 2)
     return next(rounds)[2].astype(int)
 
@@ -253,22 +253,25 @@ class TestRunExperiment:
                 horizon=10,
             )
 
+    @pytest.mark.parametrize("fit_points", [1, 0])
+    def test_rejects_fewer_than_two_fit_points(self, fit_points):
+        # Caught at construction, not when the engine first fits.
+        with pytest.raises(ValueError, match="fit_points"):
+            ExperimentConfig(
+                scheme="af-clf",
+                true_pi=0.1,
+                prior_pi=GaussianBelief(0.1, 0.0009),
+                layers=1,
+                noise=NoiseModel(),
+                runs=1,
+                horizon=10,
+                fit_points=fit_points,
+            )
+
 
 class TestDiagnostics:
-    def test_requires_enough_runs(self, tiny_table):
-        cfg = ExperimentConfig(
-            scheme="af-clf",
-            true_pi=0.05,
-            prior_pi=GaussianBelief(0.08, 0.0009),
-            layers=1,
-            noise=NoiseModel(0.9, 1.0),
-            runs=10,
-            horizon=60,
-            master_seed=2,
-        )
-        with pytest.raises(ValueError):
-            diagnostics(run_experiment(cfg))
-
+    # The bias/variance decomposition of the estimator that ``TraceSeries``
+    # reports along the time grid.
     def test_degenerate_constant_traces(self):
         # All-zero fidelity freezes the belief: zero variance across runs and
         # squared bias equal to the squared offset of the frozen estimate.
@@ -282,7 +285,7 @@ class TestDiagnostics:
             horizon=120,
             master_seed=3,
         )
-        report = diagnostics(run_experiment(cfg))
+        report = run_experiment(cfg)
         assert np.allclose(report.var_est, 0.0, atol=1e-20)
         assert np.allclose(report.bias_sq, report.bias_sq[0])
 
@@ -298,7 +301,7 @@ class TestDiagnostics:
             master_seed=21,
             table=tiny_table,
         )
-        report = diagnostics(run_experiment(cfg))
+        report = run_experiment(cfg)
         late = report.times >= 1500
         ratio = report.mean_perceived_var[late] / report.var_est[late]
         assert np.all(np.abs(ratio - 1) < 0.5)

@@ -9,8 +9,8 @@ from elfkit.algebra import canonical_angles
 from elfkit.csbd import CoefficientTable, sweep
 from elfkit.metrics import NoiseModel, fisher_information
 from elfkit.tuner import (
+    SCAN_POINTS,
     LookupTable,
-    Method,
     Objective,
     TuneSpec,
     analytic_l1_slope_optimum,
@@ -22,6 +22,7 @@ from elfkit.tuner import (
     _objective,
     _readout,
     _value_and_gradient,
+    _SCAN_BASIS,
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -90,22 +91,6 @@ class TestTune:
             )
             assert res.objective_value == pytest.approx(ref, abs=1e-6)
 
-    def test_gradient_method_slope(self):
-        mu = 1.0
-        ref = analytic_l1_slope_optimum(mu)[0]
-        res = tune(
-            TuneSpec(
-                Scheme.AF,
-                1,
-                mu,
-                objective=Objective.SLOPE,
-                method=Method.GRADIENT,
-                restarts=6,
-                seed=3,
-            )
-        )
-        assert res.objective_value == pytest.approx(ref, rel=1e-6)
-
     def test_low_fidelity_fisher_matches_slope_angles(self):
         # As f -> 0 the Fisher objective degenerates to f^2 slope^2.
         mu, f = 1.0, 1e-3
@@ -145,12 +130,11 @@ class TestTune:
         assert res.objective_value == pytest.approx(info, abs=1e-10)
 
     @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
-    @pytest.mark.parametrize("method", [Method.COORDINATE, Method.GRADIENT])
     @pytest.mark.parametrize("objective", [Objective.FISHER, Objective.SLOPE])
-    def test_angles_are_canonical(self, scheme, method, objective):
+    def test_angles_are_canonical(self, scheme, objective):
         # Tuned angles are stored in (-pi, pi], as ``canonical_angles`` maps them.
         for mu in (0.4, 1.3, 2.6):
-            spec = TuneSpec(scheme, 2, mu, 0.9, objective, method, restarts=3, seed=11, max_rounds=30)
+            spec = TuneSpec(scheme, 2, mu, 0.9, objective, restarts=3, seed=11, max_rounds=30)
             x = tune(spec).x_opt
             assert np.array_equal(canonical_angles(x), x)
 
@@ -175,16 +159,6 @@ class TestTuneSpecValidation:
         with pytest.raises(ValueError, match="max_rounds"):
             TuneSpec(Scheme.AF, 1, 1.0, max_rounds=value)
 
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_rejects_scan_points_below_one(self, value):
-        with pytest.raises(ValueError, match="scan_points"):
-            TuneSpec(Scheme.AF, 1, 1.0, scan_points=value)
-
-    def test_rejects_negative_refine_iters(self):
-        with pytest.raises(ValueError, match="refine_iters"):
-            TuneSpec(Scheme.AF, 1, 1.0, refine_iters=-1)
-        assert TuneSpec(Scheme.AF, 1, 1.0, refine_iters=0).refine_iters == 0
-
 
 class TestCoordinateMonotonicity:
     def test_objective_never_decreases_between_rounds(self):
@@ -198,7 +172,7 @@ class TestCoordinateMonotonicity:
         def choose(j, co):
             if j > 1:
                 history.append(objective_value(spec, x))
-            return _coordinate_step_fisher(co, spec.fidelity, x[j - 1], spec)
+            return _coordinate_step_fisher(co, spec.fidelity, x[j - 1])
 
         for _ in range(12):
             sweep(spec.scheme, spec.mu, x, choose)
@@ -208,14 +182,21 @@ class TestCoordinateMonotonicity:
 
 
 class TestFisherStepOracle:
+    def test_scan_basis_is_shared_and_read_only(self):
+        # One module array serves every step, so no caller may write into it.
+        grid = np.linspace(-math.pi, math.pi, SCAN_POINTS, endpoint=False)
+        assert _SCAN_BASIS.shape == (3, SCAN_POINTS)
+        assert np.array_equal(_SCAN_BASIS, np.vstack([np.cos(grid), np.sin(grid), np.ones(SCAN_POINTS)]))
+        with pytest.raises(ValueError, match="read-only"):
+            _SCAN_BASIS[0, 0] = 0.0
+
     def test_matches_golden_section_reference(self):
         # Random one-coordinate subproblems: the step must reach a fully
         # converged golden-section maximum on the bracket around the best
         # scan point, and never return an angle worse than the current one.
         rng = np.random.default_rng(2006)
-        spec = TuneSpec(Scheme.AF, 1, 1.0)  # the step reads scan_points and refine_iters
-        h = 2.0 * math.pi / spec.scan_points
-        grid = np.linspace(-math.pi, math.pi, spec.scan_points, endpoint=False)
+        h = 2.0 * math.pi / SCAN_POINTS
+        grid = np.linspace(-math.pi, math.pi, SCAN_POINTS, endpoint=False)
         for _ in range(2000):
             scheme = (Scheme.AF, Scheme.AB)[rng.integers(2)]
             layers = int(rng.integers(1, 4))
@@ -236,7 +217,7 @@ class TestFisherStepOracle:
             ref, a_ref = max((fisher(a0), a0), _golden_reference(fisher, a0 - h, a0 + h))
             # From a random angle, and from the reference maximizer itself.
             for current in (x[j - 1], a_ref / k):
-                got = fisher(k * _coordinate_step_fisher(co, f, current, spec))
+                got = fisher(k * _coordinate_step_fisher(co, f, current))
                 assert got >= ref - 1e-12 * abs(ref)
                 assert got >= fisher(k * current)
 
@@ -351,9 +332,10 @@ class TestLookupTable:
 
     def test_batch_matches_scalar(self, small_table):
         queries = np.array([0.57, 0.6002, 0.649])
-        batch = small_table.batch_angles(queries)
-        for q, row in zip(queries, batch):
-            assert np.array_equal(row, small_table.angles_for(q))
+        cos_rows, sin_rows = small_table.trig_rows(queries)
+        for q, c, s in zip(queries, cos_rows.T, sin_rows.T):
+            x = small_table.lookup(q).angles
+            assert np.array_equal(c, np.cos(x)) and np.array_equal(s, np.sin(x))
 
     def test_endpoints_flagged(self):
         table = build_lookup_table(
@@ -372,7 +354,7 @@ class TestLookupTable:
         loaded = LookupTable.load(path)
         assert np.allclose(loaded.grid, small_table.grid)
         q = 0.62
-        assert np.allclose(loaded.angles_for(q), small_table.angles_for(q))
+        assert np.allclose(loaded.lookup(q).angles, small_table.lookup(q).angles)
 
     def test_version_check(self):
         with pytest.raises(ValueError):
