@@ -92,34 +92,12 @@ def trig(theta, x):
     return np.cos(t), np.sin(t), list(np.cos(xt, order="C")), list(np.sin(xt, order="C"))
 
 
-def qmul(p, q):
-    """Quaternion product p q in operator order (q acts first)."""
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return (
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 + c1 * a2 + d1 * b2 - b1 * d2,
-        a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
-    )
-
-
-def u_pair(ct, st, cx, sx):
-    """(U, dU/dtheta) for the reflection about the observable, from cos/sin values."""
-    return (cx, sx * st, 0.0, sx * ct), (0.0, sx * ct, 0.0, -sx * st)
-
-
-def v_pair(cx, sx):
-    """(V, dV/dtheta = 0) for the reflection about the ansatz state."""
-    return (cx, 0.0, 0.0, sx), ZERO
-
-
 def circuit(ct, st, cx, sx):
     """Q(theta; x) from the output of ``trig``.
 
-    Each step is ``qmul(U, q)`` or ``qmul(V, q)`` with the factors' zero
-    components folded out; the chain starts from the first V U product
-    rather than from ``ONE``.
+    Each step is the product U q or V q with the factors' zero components
+    folded out; the chain starts from the first V U product rather than
+    from ``ONE``.
     """
     cu, pb, pd = cx[0], sx[0] * st, sx[0] * ct
     cv, sv = cx[1], sx[1]
@@ -137,31 +115,40 @@ def circuit(ct, st, cx, sx):
     return a, b, c, d
 
 
+def _factor_mul(ct, st, cx, sx, u, pair):
+    """(F q, F dq + dF q) of the pair (q, dq), for F = U (if ``u``) or V at cos x = cx, sin x = sx.
+
+    The factor's zero components are folded out.  At (cx, sx) = (0, 1) this
+    is the product by the generator pair (G, dG); at -sx it is the product by
+    (conj F, conj dF), the transpose of F's.
+    """
+    (a, b, c, d), (da, db, dc, dd) = pair
+    if not u:
+        return (
+            (cx * a - sx * d, cx * b - sx * c, cx * c + sx * b, cx * d + sx * a),
+            (cx * da - sx * dd, cx * db - sx * dc, cx * dc + sx * db, cx * dd + sx * da),
+        )
+    pb, pd = sx * st, sx * ct
+    # d(U q) = U dq + dU q with dU = (0, pd, 0, -pb).
+    return (
+        (cx * a - pb * b - pd * d, cx * b + pb * a - pd * c, cx * c + pd * b - pb * d, cx * d + pd * a + pb * c),
+        (
+            cx * da - pb * db - pd * dd - pd * b + pb * d,
+            cx * db + pb * da - pd * dc + pd * a + pb * c,
+            cx * dc + pd * db - pb * dd - pb * b - pd * d,
+            cx * dd + pd * da + pb * dc - pb * a + pd * c,
+        ),
+    )
+
+
 def circuit_pair(ct, st, cx, sx):
     """(Q, dQ/dtheta) from the output of ``trig``, by the product rule, peeled like ``circuit``."""
     cu, pb, pd = cx[0], sx[0] * st, sx[0] * ct
     cv, sv = cx[1], sx[1]
-    a, b, c, d = cv * cu - sv * pd, cv * pb, sv * pb, cv * pd + sv * cu
-    da, db, dc, dd = sv * pb, cv * pd, sv * pd, -(cv * pb)
-    for j in range(2, len(cx), 2):
-        cu, pb, pd = cx[j], sx[j] * st, sx[j] * ct
-        # d(U q) = U dq + dU q with dU = (0, pd, 0, -pb).
-        da, db, dc, dd = (
-            cu * da - pb * db - pd * dd - pd * b + pb * d,
-            cu * db + pb * da - pd * dc + pd * a + pb * c,
-            cu * dc + pd * db - pb * dd - pb * b - pd * d,
-            cu * dd + pd * da + pb * dc - pb * a + pd * c,
-        )
-        a, b, c, d = (
-            cu * a - pb * b - pd * d,
-            cu * b + pb * a - pd * c,
-            cu * c + pd * b - pb * d,
-            cu * d + pd * a + pb * c,
-        )
-        cv, sv = cx[j + 1], sx[j + 1]
-        a, b, c, d = cv * a - sv * d, cv * b - sv * c, cv * c + sv * b, cv * d + sv * a
-        da, db, dc, dd = cv * da - sv * dd, cv * db - sv * dc, cv * dc + sv * db, cv * dd + sv * da
-    return (a, b, c, d), (da, db, dc, dd)
+    pair = (cv * cu - sv * pd, cv * pb, sv * pb, cv * pd + sv * cu), (sv * pb, cv * pd, sv * pd, -(cv * pb))
+    for j in range(2, len(cx)):
+        pair = _factor_mul(ct, st, cx[j], sx[j], j % 2 == 0, pair)
+    return pair
 
 
 def af_readout(q, ct, st):

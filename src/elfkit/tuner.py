@@ -9,8 +9,9 @@ current angle unless the scan or Newton point beats it.
 
 Once a sweep moves no angle by more than one scan-grid step, the scan has
 found the basin and further sweeps only zig-zag along coupled ridges, so
-the ascent switches to a BFGS finish with Armijo backtracking on one O(L)
-value-and-gradient pass (``_value_and_gradient``).
+the ascent switches to a BFGS finish with Armijo backtracking.  Its value
+and gradient (``_value_and_gradient``) take O(L): a forward prefix pass and
+one backward pass of co-vectors by the conjugate factors (``csbd.slopes``).
 
 A multi-start driver wraps the ascent.  The first start is always the
 Chebyshev point (pi/2, ..., pi/2), so a tuned objective is never worse than
@@ -39,7 +40,7 @@ from .algebra import (
     trig,
 )
 from .bias import Scheme, clf_angles
-from .csbd import _IDENTITY_PAIR, CsbdCoefficients, _pair_mul, _tables, sweep
+from .csbd import CsbdCoefficients, slopes, sweep
 from .metrics import SINGULAR_TOL, NoiseModel
 
 TABLE_FORMAT_VERSION = "elf-table/1"
@@ -129,41 +130,18 @@ def objective_value(spec: TuneSpec, x) -> float:
     return _objective(spec, *_readout(spec.scheme, ct, st, *circuit_pair(ct, st, cx, sx)))
 
 
-def _af_form(p, q, ct: float, st: float) -> float:
-    """The symmetric bilinear form B of ``af_readout``: B(q, q) = af_readout(q, ct, st)."""
-    a, b, c, d = p
-    e, f, g, h = q
-    return st * (b * h + d * f + a * g + c * e) + ct * (a * e - b * f - c * g + d * h)
-
-
 def _value_and_gradient(spec: TuneSpec, x: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """The climbed value and its gradient in x, from one O(L) prefix/suffix pass.
+    """The climbed value and its gradient in x, from one forward and one adjoint pass.
 
     The value is F for the Fisher objective and (d(bias)/dtheta)^2 for the
-    slope, whose gradient is smooth where |d(bias)/dtheta| is not.  Since
-    F(x + pi/2) = G F(x) for a factor with generator pair G, the x_j-slope of
-    the circuit is S_j F(x_j + pi/2) P_j = S_j G (F(x_j) P_j): two pair
-    products per coordinate on the prefix P and suffix S of ``csbd._tables``.
-    The AF readouts are quadratic forms, so their slopes are 2 B(Q, Q') and,
-    for d(bias)/dtheta, the product rule on its three terms.  Returns
-    (-inf, None) where the Fisher information is singular.
+    slope, whose gradient is smooth where |d(bias)/dtheta| is not.  The
+    x-slopes of the bias and of d(bias)/dtheta come from ``csbd.slopes``: a
+    forward prefix pass, then one backward pass of co-vectors by the
+    conjugate factors (the transpose of a left product is the product by
+    the conjugate, and conj U(x) = U(-x)), seeded with the readout's linear
+    form.  Returns (-inf, None) where the Fisher information is singular.
     """
-    ct, st, generators, factors, suf = _tables(spec.mu, x)
-    pre = _IDENTITY_PAIR
-    slopes = []
-    for j, factor in enumerate(factors):
-        pre = _pair_mul(factor, pre)
-        slopes.append(_pair_mul(suf[j], _pair_mul(generators[j % 2], pre)))
-    q, dq = pre
-    delta, ddelta = _readout(spec.scheme, ct, st, q, dq)
-    if spec.scheme is Scheme.AB:
-        chi = np.array([v[0] for v, _ in slopes])
-        chi_p = np.array([dv[0] for _, dv in slopes])
-    else:
-        chi = np.array([2.0 * _af_form(q, v, ct, st) for v, _ in slopes])
-        chi_p = np.array(
-            [2.0 * (_af_form(q, v, -st, ct) + _af_form(v, dq, ct, st) + _af_form(q, dv, ct, st)) for v, dv in slopes]
-        )
+    delta, ddelta, chi, chi_p = slopes(spec.scheme, spec.mu, x)
     if spec.objective is Objective.SLOPE:
         return ddelta * ddelta, 2.0 * ddelta * chi_p
     f2 = spec.fidelity**2
@@ -344,7 +322,8 @@ def tune(spec: TuneSpec, warm_starts: tuple = ()) -> TuneResult:
 
     Start 0 is the Chebyshev point, starts 1..k the provided warm starts and
     the remainder seeded-uniform draws from (-pi, pi]^(2L); the total number
-    of starts is max(restarts, 1 + len(warm_starts)).
+    of starts is max(restarts, 1 + len(warm_starts)).  A start that repeats an
+    earlier one bit for bit is skipped.
     """
     rng = np.random.default_rng(spec.seed)
     starts: list[np.ndarray] = [clf_angles(spec.layers)]
@@ -354,7 +333,12 @@ def tune(spec: TuneSpec, warm_starts: tuple = ()) -> TuneResult:
     starts.extend(rng.uniform(-math.pi, math.pi, dim) for _ in range(n_random))
 
     best: TuneResult | None = None
+    seen = set()
     for idx, x0 in enumerate(starts):
+        # The ascent is deterministic, so a repeated start cannot win.
+        if (key := x0.tobytes()) in seen:
+            continue
+        seen.add(key)
         x_opt, val, iters = _coordinate_ascent(spec, x0)
         if best is None or val > best.objective_value:
             best = TuneResult(x_opt, val, iters, idx)

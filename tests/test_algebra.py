@@ -10,16 +10,14 @@ from elfkit.algebra import (
     ONE,
     ZERO,
     DegenerateSubspaceError,
+    _factor_mul,
     canonical_angles,
     circuit,
     circuit_pair,
-    qmul,
     trig,
-    u_pair,
-    v_pair,
 )
 from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
-from elfkit.csbd import CoefficientTable, _pair_mul
+from elfkit.csbd import CoefficientTable
 from elfkit.tuner import TuneSpec
 
 ANGLES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -30,12 +28,29 @@ def random_angles(rng, layers):
     return rng.uniform(-np.pi, np.pi, 2 * layers)
 
 
+def qmul(p, q):
+    """Quaternion product p q in operator order (q acts first), with no component folded out."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 + c1 * a2 + d1 * b2 - b1 * d2,
+        a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
+    )
+
+
+def u_factor(ct, st, cx, sx):
+    """U(theta, x) = (cos x, sin x sin theta, 0, sin x cos theta) from cos/sin values."""
+    return cx, sx * st, 0.0, sx * ct
+
+
 def u(theta, x):
-    return u_pair(math.cos(theta), math.sin(theta), math.cos(x), math.sin(x))[0]
+    return u_factor(math.cos(theta), math.sin(theta), math.cos(x), math.sin(x))
 
 
 def v(x):
-    return v_pair(math.cos(x), math.sin(x))[0]
+    return math.cos(x), 0.0, 0.0, math.sin(x)
 
 
 def generator(theta):
@@ -224,7 +239,7 @@ class TestPeeledKernel:
         for ct, st, cx, sx in self.inputs(layers):
             q = ONE
             for j in range(0, 2 * layers, 2):
-                q = qmul(v_pair(cx[j + 1], sx[j + 1])[0], qmul(u_pair(ct, st, cx[j], sx[j])[0], q))
+                q = qmul((cx[j + 1], 0.0, 0.0, sx[j + 1]), qmul(u_factor(ct, st, cx[j], sx[j]), q))
             assert self.same(circuit(ct, st, cx, sx), q)
 
     @pytest.mark.parametrize("layers", [1, 2, 3, 8])
@@ -233,9 +248,15 @@ class TestPeeledKernel:
             q, dq = circuit_pair(ct, st, cx, sx)
             ref_q, ref_dq = unpeeled_pair(ct, st, cx, sx)
             assert self.same(q, ref_q) and self.same(dq, ref_dq)
-            # _pair_mul sums dU q and U dq separately, so only Q keeps every bit.
+            # The peeled pair products, chained from (ONE, ZERO).
             pair = (ONE, ZERO)
-            for j in range(0, 2 * layers, 2):
-                pair = _pair_mul(v_pair(cx[j + 1], sx[j + 1]), _pair_mul(u_pair(ct, st, cx[j], sx[j]), pair))
+            for j in range(2 * layers):
+                pair = _factor_mul(ct, st, cx[j], sx[j], j % 2 == 0, pair)
             assert self.same(q, pair[0])
             assert np.allclose(np.array(dq), np.array(pair[1]), rtol=0.0, atol=1e-13)
+            # The product at -x is the conjugate, the transpose of the product
+            # at x, so the backward chain undoes the forward one.
+            for j in range(2 * layers - 1, -1, -1):
+                pair = _factor_mul(ct, st, cx[j], -sx[j], j % 2 == 0, pair)
+            for got, want in zip(pair[0] + pair[1], ONE + ZERO):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-13)

@@ -2,7 +2,9 @@
 
 Both schemes, L in {1, 2, 3, 8, 16, 64}, random angles and thetas within 1e-9
 of 0 and pi.  Values agree to 1e-12 absolute, theta-derivatives to
-1e-12 (2L + 1), whose bound grows with the derivative's own scale.
+1e-12 (2L + 1), whose bound grows with the derivative's own scale.  The
+tuner's value and gradient are checked against the same oracle, with x_j-slopes
+read off the oracle's CSBD rows.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import complex_oracle as oracle
 from elfkit.algebra import circuit, trig
 from elfkit.bias import Scheme, bias, bias_derivative
 from elfkit.csbd import CoefficientTable
+from elfkit.tuner import Objective, TuneSpec, _value_and_gradient
 
 LAYERS = (1, 2, 3, 8, 16, 64)
 EDGE_THETAS = np.array([1e-10, -7e-10, np.pi - 3e-10, np.pi + 9e-10])
@@ -62,3 +65,32 @@ class TestAgainstComplexOracle:
                 co = table.coefficients(j)
                 assert np.max(np.abs(np.array([co.c, co.s, co.b]) - ref[j - 1, :3])) <= TOL
                 assert np.max(np.abs(np.array([co.c_prime, co.s_prime, co.b_prime]) - ref[j - 1, 3:])) <= dtol
+
+    def test_value_and_gradient(self, scheme, layers):
+        # The bias, d(bias)/dtheta and their x_j-slopes from the oracle's rows
+        # (c, s, b, c', s', b'), then the climbed value and gradient by the
+        # chain rule.  Thetas outside (0, pi) are not estimand angles.
+        rng = np.random.default_rng(300 + layers)
+        x = rng.uniform(-np.pi, np.pi, 2 * layers)
+        k = 2.0 if scheme is Scheme.AF else 1.0
+        for theta in thetas(rng, 2):
+            if not 0.0 < theta < np.pi:
+                continue
+            rows = oracle.csbd(scheme is Scheme.AF, theta, x)
+            cos, sin = np.cos(k * x), np.sin(k * x)
+            delta = rows[0, 0] * cos[0] + rows[0, 1] * sin[0] + rows[0, 2]
+            ddelta = rows[0, 3] * cos[0] + rows[0, 4] * sin[0] + rows[0, 5]
+            chi = k * (rows[:, 1] * cos - rows[:, 0] * sin)
+            chi_p = k * (rows[:, 4] * cos - rows[:, 3] * sin)
+            for objective in Objective:
+                spec = TuneSpec(scheme, layers, float(theta), 0.9, objective)
+                value, grad = _value_and_gradient(spec, x)
+                if objective is Objective.SLOPE:
+                    ref, ref_grad = ddelta**2, 2.0 * ddelta * chi_p
+                else:
+                    den = 1.0 - 0.81 * delta**2
+                    ref = 0.81 * ddelta**2 / den
+                    ref_grad = 1.62 * ddelta * (den * chi_p + 0.81 * delta * ddelta * chi) / den**2
+                scale = max(1.0, abs(ref))
+                assert abs(value - ref) <= TOL * scale
+                assert np.max(np.abs(grad - ref_grad)) <= TOL * scale * (2 * layers + 1)

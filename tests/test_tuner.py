@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from elfkit import tuner
 from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
 from elfkit.algebra import canonical_angles
 from elfkit.csbd import CoefficientTable, sweep
@@ -137,6 +138,20 @@ class TestTune:
             spec = TuneSpec(scheme, 2, mu, 0.9, objective, restarts=3, seed=11, max_rounds=30)
             x = tune(spec).x_opt
             assert np.array_equal(canonical_angles(x), x)
+
+    def test_repeated_start_runs_once(self, monkeypatch):
+        # A warm start equal to the Chebyshev start is skipped: one ascent,
+        # and the result of the Chebyshev start alone (4.1112 from x_1 = 0).
+        spec = TuneSpec(Scheme.AF, 2, 1.3, 0.8, restarts=1, seed=3)
+        alone = tune(spec)
+        starts = []
+        ascent = tuner._coordinate_ascent
+        monkeypatch.setattr(tuner, "_coordinate_ascent", lambda s, x0: starts.append(x0) or ascent(s, x0))
+        res = tune(spec, warm_starts=(clf_angles(2),))
+        assert len(starts) == 1
+        assert np.array_equal(res.x_opt, alone.x_opt)
+        assert (res.objective_value, res.iterations, res.restart_index) == (alone.objective_value, 3, 0)
+        assert res.objective_value == pytest.approx(4.111162695131024, rel=1e-12)
 
     def test_rejects_boundary_mu(self):
         with pytest.raises(ValueError):
