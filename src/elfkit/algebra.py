@@ -70,23 +70,26 @@ def canonical_angles(values) -> np.ndarray:
     return np.pi - np.remainder(np.pi - angle_vectors(values), 2.0 * np.pi)
 
 
+def kernel_inputs(theta, x):
+    """(theta, x) validated for ``trig``: a finite theta, and angle vectors as ``angle_vectors`` gives them."""
+    if not np.isfinite(theta).all():
+        raise ValueError("theta must be finite")
+    return theta, angle_vectors(x)
+
+
 def trig(theta, x):
     """(cos theta, sin theta, cos x_j, sin x_j): the kernel's inputs, indexed by j.
 
-    ``x`` holds angle vectors along its last axis (validated by
-    ``angle_vectors``); its leading axes broadcast against ``theta``.  A 0-d
-    theta with a single angle vector yields Python floats, whose arithmetic
-    is several times faster than numpy's on scalars.
+    ``x`` is a float array of angle vectors along its last axis; its leading
+    axes broadcast against ``theta``.  The inputs are trusted: the package's
+    entry points validate them once (``kernel_inputs``, ``canonical_angles``).
+    A 0-d theta with a single angle vector yields Python floats, whose
+    arithmetic is several times faster than numpy's on scalars.
     """
-    x = angle_vectors(x)
     if np.ndim(theta) == 0 and x.ndim == 1:
         t = float(theta)
-        if not math.isfinite(t):
-            raise ValueError("theta must be finite")
         return math.cos(t), math.sin(t), np.cos(x).tolist(), np.sin(x).tolist()
     t = np.asarray(theta, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError("theta must be finite")
     # Angle index first, rows contiguous: the factor loop then reads whole rows.
     xt = np.moveaxis(x, -1, 0)
     return np.cos(t), np.sin(t), list(np.cos(xt, order="C")), list(np.sin(xt, order="C"))

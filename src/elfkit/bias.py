@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import af_readout, af_readout_derivative, circuit, circuit_pair, trig
+from .algebra import af_readout, af_readout_derivative, circuit, circuit_pair, kernel_inputs, trig
 
 
 class Scheme(Enum):
@@ -41,7 +41,7 @@ def bias(scheme: Scheme, theta, x):
     leading axes broadcast against ``theta`` (one vector per run).  A scalar
     theta with one vector gives a float.
     """
-    return _bias_trig(scheme, *trig(theta, x))
+    return _bias_trig(scheme, *trig(*kernel_inputs(theta, x)))
 
 
 def _bias_trig(scheme: Scheme, ct, st, cx, sx):
@@ -50,8 +50,19 @@ def _bias_trig(scheme: Scheme, ct, st, cx, sx):
     return q[0] if scheme is Scheme.AB else af_readout(q, ct, st)
 
 
+def _readout(scheme: Scheme, ct, st, q, dq):
+    """(bias, d(bias)/dtheta) of the circuit pair (Q, dQ/dtheta): AB reads Q's first component."""
+    if scheme is Scheme.AB:
+        return q[0], dq[0]
+    return af_readout(q, ct, st), af_readout_derivative(q, dq, ct, st)
+
+
+def _bias_pair(scheme: Scheme, theta, x):
+    """(bias, d(bias)/dtheta) at (theta, x) from one ``circuit_pair`` pass; validates and broadcasts like ``bias``."""
+    ct, st, cx, sx = trig(*kernel_inputs(theta, x))
+    return _readout(scheme, ct, st, *circuit_pair(ct, st, cx, sx))
+
+
 def bias_derivative(scheme: Scheme, theta, x):
     """d/dtheta of the bias of the chosen scheme; broadcasts like ``bias``."""
-    ct, st, cx, sx = trig(theta, x)
-    q, dq = circuit_pair(ct, st, cx, sx)
-    return dq[0] if scheme is Scheme.AB else af_readout_derivative(q, dq, ct, st)
+    return _bias_pair(scheme, theta, x)[1]

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .algebra import DegenerateSubspaceError
 from .bias import Scheme, clf_angles
-from .inference import DegenerateFitError
+from .inference import FIT_POINTS, DegenerateFitError
 from .metrics import (
     GaussianBelief,
     NoiseModel,
@@ -129,7 +129,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("table", str, help="lookup-table JSON for the engineered schemes"),
         Opt("table-grid", int, 41, help="grid size when building a table on the fly"),
         Opt("restarts", int, 10, help="restarts for on-the-fly table tuning"),
-        Opt("fit-points", int, 11),
+        Opt("fit-points", int, FIT_POINTS),
         Opt("threads", int, 1, help="worker count (outputs are independent of it)"),
         Opt("out", str, "experiment", help="output prefix (.csv and .json)"),
     ),

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ONE, ZERO, _factor_mul, af_readout, af_readout_derivative, canonical_angles, trig
-from .bias import Scheme
+from .algebra import ONE, ZERO, _factor_mul, canonical_angles, trig
+from .bias import Scheme, _readout
 
 _IDENTITY_PAIR = (ONE, ZERO)
 _SQRT_HALF = math.sqrt(0.5)
@@ -74,28 +74,6 @@ class CsbdCoefficients:
     def angle_scale(self) -> float:
         """Multiplier on x_j inside the sinusoid: 2 for AF, 1 for AB."""
         return 2.0 if self.scheme is Scheme.AF else 1.0
-
-    def bias_at(self, xj) -> float:
-        """Reconstruct the bias as a function of the free angle x_j."""
-        a = self.angle_scale * np.asarray(xj, dtype=float)
-        return self.c * np.cos(a) + self.s * np.sin(a) + self.b
-
-    def bias_derivative_at(self, xj) -> float:
-        """Reconstruct d(bias)/dtheta as a function of the free angle x_j."""
-        a = self.angle_scale * np.asarray(xj, dtype=float)
-        return self.c_prime * np.cos(a) + self.s_prime * np.sin(a) + self.b_prime
-
-    def bias_slope_in_xj(self, xj) -> float:
-        """Partial derivative of the bias with respect to x_j itself."""
-        k = self.angle_scale
-        a = k * np.asarray(xj, dtype=float)
-        return k * (-self.c * np.sin(a) + self.s * np.cos(a))
-
-    def bias_derivative_slope_in_xj(self, xj) -> float:
-        """Partial derivative of d(bias)/dtheta with respect to x_j."""
-        k = self.angle_scale
-        a = k * np.asarray(xj, dtype=float)
-        return k * (-self.c_prime * np.sin(a) + self.s_prime * np.cos(a))
 
 
 def _dot(r, w):
@@ -183,8 +161,7 @@ def _coefficients(scheme: Scheme, ct, st, r, pre, u) -> CsbdCoefficients:
     h = _SQRT_HALF
     q1 = h * (q0[0] + q2[0]), h * (q0[1] + q2[1]), h * (q0[2] + q2[2]), h * (q0[3] + q2[3])
     dq1 = h * (dq0[0] + dq2[0]), h * (dq0[1] + dq2[1]), h * (dq0[2] + dq2[2]), h * (dq0[3] + dq2[3])
-    v0, v1, v2 = (af_readout(q, ct, st) for q in (q0, q1, q2))
-    d0, d1, d2 = (af_readout_derivative(q, dq, ct, st) for q, dq in ((q0, dq0), (q1, dq1), (q2, dq2)))
+    (v0, d0), (v1, d1), (v2, d2) = (_readout(scheme, ct, st, *pair) for pair in ((q0, dq0), (q1, dq1), (q2, dq2)))
     b, bp = (v0 + v2) / 2.0, (d0 + d2) / 2.0
     return CsbdCoefficients(scheme, (v0 - v2) / 2.0, v1 - b, b, (d0 - d2) / 2.0, d1 - bp, bp)
 
@@ -198,6 +175,8 @@ class CoefficientTable:
     def __init__(self, scheme: Scheme, theta: float, x) -> None:
         self.scheme = scheme
         self.theta = float(theta)
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         self.x = canonical_angles(x)
         if self.x.ndim != 1:
             raise ValueError("angle vector must be one-dimensional")
@@ -222,6 +201,8 @@ def sweep(scheme: Scheme, theta: float, x: np.ndarray, choose):
     For j = 1..2L, ``choose(j, coefficients)`` gets x_j's coefficients at the
     current x, whose x_1..x_j-1 are already updated, and returns the new x_j.
     Returns the final prefix, the pair (Q, dQ/dtheta) of the updated x.
+    ``x`` must hold valid angles (``algebra.canonical_angles``); it is not
+    checked again.
     """
     ct, st, cx, sx = trig(theta, x)
     pre = _IDENTITY_PAIR
@@ -234,14 +215,17 @@ def sweep(scheme: Scheme, theta: float, x: np.ndarray, choose):
 
 
 def slopes(scheme: Scheme, theta: float, x: np.ndarray):
-    """(bias, d(bias)/dtheta) at (theta, x) and their gradients in x, from one forward and one backward pass."""
+    """(bias, d(bias)/dtheta) at (theta, x) and their gradients in x, from one forward and one backward pass.
+
+    Like ``sweep``, takes ``x`` as a valid float vector without checking it.
+    """
     ct, st, cx, sx = trig(theta, x)
     pre = _forward(ct, st, cx, sx)
     q, dq = pre[-1]
+    delta, ddelta = _readout(scheme, ct, st, q, dq)
     if scheme is Scheme.AB:
-        delta, ddelta, seed = q[0], dq[0], _IDENTITY_PAIR
+        seed = _IDENTITY_PAIR
     else:
-        delta, ddelta = af_readout(q, ct, st), af_readout_derivative(q, dq, ct, st)
         e, de = _af_covector(q, -st, ct), _af_covector(dq, ct, st)
         seed = _af_covector(q, ct, st), (e[0] + de[0], e[1] + de[1], e[2] + de[2], e[3] + de[3])
     adj = _backward(ct, st, cx, sx, seed)

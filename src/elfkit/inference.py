@@ -29,6 +29,7 @@ ARCSIN_CLAMP = 1e-12
 PI_TO_THETA_NODES = 101
 PI_TO_THETA_TAIL_Z = 12.0
 TINY = np.finfo(float).tiny  # floor of a reported variance
+FIT_POINTS = 11  # abscissae of the sinusoid fit
 
 TRACE_CSV_COLUMNS = (
     "round",
@@ -142,7 +143,7 @@ def _window_fit(mu, sd, z):
     return r, z.sum(axis=-1) / o.size - r * mu
 
 
-def fit_sinusoid(scheme: Scheme, x, f: float, belief: GaussianBelief, fit_points: int = 11) -> SinusoidFit:
+def fit_sinusoid(scheme: Scheme, x, f: float, belief: GaussianBelief, fit_points: int = FIT_POINTS) -> SinusoidFit:
     """Fit arcsin(bias) with a line in theta over the +-1 sigma prior window.
 
     The fidelity ``f`` identifies the model (1 + (-1)^d f sin(r theta + b))/2
@@ -191,12 +192,10 @@ class EstimationConfig:
     noise: NoiseModel
     prior_pi: GaussianBelief
     true_pi: float
+    horizon: int  # total time budget, units of the ansatz duration
     seed: int = 0
-    horizon: int | None = None  # total time budget, units of the ansatz duration
-    target_pi_std: float | None = None
     angle_source: str = "table"  # "table" | "clf"
     table: "object | None" = None  # tuner.LookupTable when angle_source == "table"
-    fit_points: int = 11
 
     def __post_init__(self) -> None:
         if self.layers < 1:
@@ -205,19 +204,19 @@ class EstimationConfig:
             raise ValueError("true_pi must lie in (-1, 1)")
         if self.angle_source not in ("table", "clf"):
             raise ValueError("angle_source must be 'table' or 'clf'")
-        if self.fit_points < 2:
-            raise ValueError(f"fit_points must be >= 2, got {self.fit_points}")
-        if self.horizon is None and self.target_pi_std is None:
-            raise ValueError("either a time budget or a target precision is required")
-        if self.angle_source == "table" and self.table is None:
-            raise ValueError("angle_source 'table' requires a lookup table")
+        if self.horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        if self.angle_source == "table":
+            if self.table is None:
+                raise ValueError("angle_source 'table' requires a lookup table")
+            self.table.check_fits(self.scheme, self.layers)
 
     @property
     def round_cost(self) -> int:
         return 2 * self.layers + 1
 
     def round_budget(self) -> int:
-        return 10**6 if self.horizon is None else self.horizon // self.round_cost
+        return self.horizon // self.round_cost
 
 
 def _angle_policy(layers: int, source: str, table=None):
@@ -278,22 +277,18 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     f = config.noise.process_fidelity(config.layers)
     prior = pi_to_theta(config.prior_pi)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    budget = config.round_budget()
-    # Block draws equal the same number of single draws.
-    uniforms = (u for lo in range(0, budget, 1024) for u in rng.random((min(1024, budget - lo), 1)))
     rounds = _lockstep(
         config.scheme, f, math.acos(config.true_pi), np.array([prior.mean]), np.array([prior.variance]),
-        _angle_policy(config.layers, config.angle_source, config.table), uniforms, config.fit_points,
+        _angle_policy(config.layers, config.angle_source, config.table), rng.random((config.round_budget(), 1)),
+        FIT_POINTS,
     )
-    trace, target = [], config.target_pi_std
+    trace = []
     for r, b, d, mu, var, alive in rounds:
         if not alive.all():
             # mu, var still hold the last valid belief: redoing its update
             # makes GaussianBelief raise on the moment that failed.
             GaussianBelief(*(v.item() for v in _posterior_moments(mu, var, r, b, f, d)))
         trace.append((r[0], b[0], d[0], mu[0], var[0]))
-        if target is not None and np.all(np.sqrt(np.maximum(_cos_moments(mu, var)[1], TINY)) <= target):
-            break
     r, b, d, mu, var = np.array(trace, dtype=float).reshape(-1, 5).T
     pi_mu, pi_var = _cos_moments(mu, var)
     columns = (r, b, d, mu, var, pi_mu, np.maximum(pi_var, TINY))

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bias import Scheme, bias, bias_derivative
+from .bias import Scheme, _bias_pair, bias, bias_derivative
 
 # Treat 1 - f^2 b^2 below this as a singular likelihood rather than clamping.
 SINGULAR_TOL = 1e-14
@@ -90,8 +90,7 @@ def likelihood(scheme: Scheme, d: int, theta, f: float, x):
 def fisher_information(scheme: Scheme, theta, f: float, x):
     """Fisher information of the two-outcome likelihood with respect to theta."""
     f = _check_fidelity(f)
-    delta = np.asarray(bias(scheme, theta, x))
-    ddelta = np.asarray(bias_derivative(scheme, theta, x))
+    delta, ddelta = (np.asarray(v) for v in _bias_pair(scheme, theta, x))
     denom = 1.0 - (f * delta) ** 2
     if np.any(denom < SINGULAR_TOL):
         raise SingularLikelihoodError("fisher information diverges: f|bias| -> 1")
@@ -128,8 +127,9 @@ def expected_bias(scheme: Scheme, belief: GaussianBelief, x) -> tuple[float, flo
     t, w = _hermgauss(QUADRATURE_NODES)
     thetas = belief.mean + math.sqrt(2.0) * sigma * t
     norm = 1.0 / math.sqrt(math.pi)
-    b = norm * float(w @ np.asarray(bias(scheme, thetas, x)))
-    db = norm * float(w @ np.asarray(bias_derivative(scheme, thetas, x)))
+    delta, ddelta = _bias_pair(scheme, thetas, x)
+    b = norm * float(w @ np.asarray(delta))
+    db = norm * float(w @ np.asarray(ddelta))
     return b, db
 
 

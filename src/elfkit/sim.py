@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import DegenerateSubspaceError
 from .bias import Scheme
-from .inference import TINY, _angle_policy, _cos_moments, _lockstep, pi_to_theta
+from .inference import FIT_POINTS, TINY, _angle_policy, _cos_moments, _lockstep, pi_to_theta
 from .metrics import GaussianBelief, NoiseModel
 
 EXPERIMENT_SCHEMES = ("af-elf", "af-clf", "ab-elf", "ab-clf", "standard")
@@ -54,7 +54,7 @@ class ExperimentConfig:
     horizon: int
     master_seed: int = 0
     table: "object | None" = None  # tuner.LookupTable for the *-elf schemes
-    fit_points: int = 11
+    fit_points: int = FIT_POINTS
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -69,8 +69,10 @@ class ExperimentConfig:
         min_horizon = 1 if self.scheme == "standard" else 2 * self.layers + 1
         if self.horizon < min_horizon:
             raise ValueError(f"horizon must be >= {min_horizon}")
-        if self.scheme.endswith("elf") and self.table is None:
-            raise ValueError("the engineered schemes require a lookup table")
+        if self.scheme.endswith("elf"):
+            if self.table is None:
+                raise ValueError("the engineered schemes require a lookup table")
+            self.table.check_fits(self.bias_scheme, self.layers)
 
     @property
     def bias_scheme(self) -> Scheme:

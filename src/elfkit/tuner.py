@@ -1,11 +1,16 @@
 """Circuit-parameter tuning by Fisher-information or slope maximization.
 
-Both objectives share one ascent: coordinate sweeps, one O(L)
-``csbd.sweep`` per round.  The slope objective has a closed-form coordinate
-update.  The Fisher one is solved in the sinusoid's argument a = k x_j: a
-uniform scan of [-pi, pi) (robust to multimodality), then Newton steps on
-d/da log F within one grid step of the best scan point.  A step keeps the
-current angle unless the scan or Newton point beats it.
+Both objectives climb one value, (g d(bias)/dtheta)^2 / (1 - (f bias)^2):
+the Fisher information for (g, f) = (fidelity, fidelity), and for (g, f) =
+(1, 0) the squared slope, which is the f -> 0 limit of F / f^2.  The slope
+is reported as the square root of the climbed value.
+
+One ascent serves both: coordinate sweeps, one O(L) ``csbd.sweep`` per
+round, each coordinate updated by the one step ``_coordinate_step_fisher``.
+It is solved in the sinusoid's argument a = k x_j: a uniform scan of
+[-pi, pi) (robust to multimodality), then Newton steps on d/da log of the
+climbed value within one grid step of the best scan point.  A step keeps
+the current angle unless the scan or Newton point beats it.
 
 Once a sweep moves no angle by more than one scan-grid step, the scan has
 found the basin and further sweeps only zig-zag along coupled ridges, so
@@ -29,17 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (
-    DEGENERATE_TOL,
-    DegenerateSubspaceError,
-    af_readout,
-    af_readout_derivative,
-    angle_vectors,
-    canonical_angles,
-    circuit_pair,
-    trig,
-)
-from .bias import Scheme, clf_angles
+from .algebra import DEGENERATE_TOL, DegenerateSubspaceError, angle_vectors, canonical_angles
+from .bias import Scheme, _bias_pair, _readout, clf_angles
 from .csbd import CsbdCoefficients, slopes, sweep
 from .metrics import SINGULAR_TOL, NoiseModel
 
@@ -107,48 +103,47 @@ class TuneResult:
     restart_index: int
 
 
-def _readout(scheme: Scheme, ct: float, st: float, q, dq) -> tuple[float, float]:
-    """The bias and d(bias)/dtheta of the circuit pair (Q, dQ/dtheta), as in ``bias``."""
-    if scheme is Scheme.AB:
-        return q[0], dq[0]
-    return af_readout(q, ct, st), af_readout_derivative(q, dq, ct, st)
+def _weights(spec: TuneSpec):
+    """(g, f, report) of the climbed value (g d(bias)/dtheta)^2 / (1 - (f bias)^2).
 
-
-def _objective(spec: TuneSpec, delta: float, ddelta: float) -> float:
-    """The objective from the bias and d(bias)/dtheta; -inf where F is singular."""
+    ``report`` maps the climbed value to the objective: the Fisher
+    information is the climbed value itself, the slope its square root.
+    """
     if spec.objective is Objective.SLOPE:
-        return abs(ddelta)
-    denom = 1.0 - (spec.fidelity * delta) ** 2
+        return 1.0, 0.0, math.sqrt
+    return spec.fidelity, spec.fidelity, float
+
+
+def _climbed(g: float, f: float, delta: float, ddelta: float) -> float:
+    """The climbed value from the bias and d(bias)/dtheta; -inf where it is singular."""
+    denom = 1.0 - (f * delta) ** 2
     if denom < SINGULAR_TOL:
         return -math.inf
-    return (spec.fidelity * ddelta) ** 2 / denom
+    return (g * ddelta) ** 2 / denom
 
 
 def objective_value(spec: TuneSpec, x) -> float:
-    """Objective evaluated from the bias: Fisher information or |d(bias)/dtheta|."""
-    ct, st, cx, sx = trig(spec.mu, x)
-    return _objective(spec, *_readout(spec.scheme, ct, st, *circuit_pair(ct, st, cx, sx)))
+    """The objective at angles x: the Fisher information, or |d(bias)/dtheta| for the slope."""
+    g, f, report = _weights(spec)
+    return report(_climbed(g, f, *_bias_pair(spec.scheme, spec.mu, x)))
 
 
 def _value_and_gradient(spec: TuneSpec, x: np.ndarray) -> tuple[float, np.ndarray | None]:
     """The climbed value and its gradient in x, from one forward and one adjoint pass.
 
-    The value is F for the Fisher objective and (d(bias)/dtheta)^2 for the
-    slope, whose gradient is smooth where |d(bias)/dtheta| is not.  The
-    x-slopes of the bias and of d(bias)/dtheta come from ``csbd.slopes``: a
-    forward prefix pass, then one backward pass of co-vectors by the
+    The x-slopes of the bias and of d(bias)/dtheta come from ``csbd.slopes``:
+    a forward prefix pass, then one backward pass of co-vectors by the
     conjugate factors (the transpose of a left product is the product by
     the conjugate, and conj U(x) = U(-x)), seeded with the readout's linear
-    form.  Returns (-inf, None) where the Fisher information is singular.
+    form.  Returns (-inf, None) where the climbed value is singular.
     """
     delta, ddelta, chi, chi_p = slopes(spec.scheme, spec.mu, x)
-    if spec.objective is Objective.SLOPE:
-        return ddelta * ddelta, 2.0 * ddelta * chi_p
-    f2 = spec.fidelity**2
+    g, f, _ = _weights(spec)
+    g2, f2 = g**2, f**2
     den = 1.0 - f2 * delta * delta
     if den < SINGULAR_TOL:
         return -math.inf, None
-    return f2 * ddelta * ddelta / den, 2.0 * f2 * ddelta * (den * chi_p + f2 * delta * ddelta * chi) / (den * den)
+    return g2 * ddelta * ddelta / den, 2.0 * g2 * ddelta * (den * chi_p + f2 * delta * ddelta * chi) / (den * den)
 
 
 # Rows cos a, sin a, 1 on the scan grid a_i = -pi + i h, h = 2 pi / SCAN_POINTS, of a = k x_j.
@@ -157,16 +152,16 @@ _SCAN_BASIS = np.vstack([np.cos(_SCAN_GRID), np.sin(_SCAN_GRID), np.ones(SCAN_PO
 _SCAN_BASIS.setflags(write=False)  # one array serves every caller
 
 
-def _fisher_1d(co: CsbdCoefficients, f: float, a: float) -> float:
-    """Fisher information as a function of the sinusoid argument a = k x_j."""
+def _fisher_1d(co: CsbdCoefficients, g: float, f: float, a: float) -> float:
+    """The climbed value (see ``_climbed``) as a function of the sinusoid argument a = k x_j."""
     ca, sa = math.cos(a), math.sin(a)
     num = co.c_prime * ca + co.s_prime * sa + co.b_prime
     den = 1.0 - (f * (co.c * ca + co.s * sa + co.b)) ** 2
-    return -math.inf if den < SINGULAR_TOL else (f * num) ** 2 / den
+    return -math.inf if den < SINGULAR_TOL else (g * num) ** 2 / den
 
 
 def _newton_log_fisher(co: CsbdCoefficients, f: float, a: float, lo: float, hi: float, iters: int) -> float:
-    """Newton ascent of log F = log (f N)^2 - log(1 - f^2 M^2) from a, kept in [lo, hi].
+    """Newton ascent of log F = log N^2 - log(1 - f^2 M^2) + const from a, kept in [lo, hi].
 
     N and M are the derivative and bias sinusoids, so N'' = b' - N and M'' = b - M.
     """
@@ -193,8 +188,9 @@ def _newton_log_fisher(co: CsbdCoefficients, f: float, a: float, lo: float, hi: 
     return a
 
 
-def _coordinate_step_fisher(co: CsbdCoefficients, f: float, current: float) -> float:
-    # F / f^2 on the grid: the derivative and f-scaled bias sinusoids in one product.
+def _coordinate_step_fisher(co: CsbdCoefficients, g: float, f: float, current: float) -> float:
+    """The new x_j: the best scan point, refined by Newton steps, unless ``current`` is no worse."""
+    # The climbed value / g^2 on the grid: the derivative and f-scaled bias sinusoids in one product.
     coefficients = np.array(((co.c_prime, co.s_prime, co.b_prime), (f * co.c, f * co.s, f * co.b)))
     num, fbias = coefficients @ _SCAN_BASIS
     den = 1.0 - fbias * fbias
@@ -202,24 +198,14 @@ def _coordinate_step_fisher(co: CsbdCoefficients, f: float, current: float) -> f
     values[den < SINGULAR_TOL] = -np.inf
     h = 2.0 * math.pi / SCAN_POINTS
     a0 = int(values.argmax()) * h - math.pi
-    best_a, best = a0, _fisher_1d(co, f, a0)
+    best_a, best = a0, _fisher_1d(co, g, f, a0)
     a = _newton_log_fisher(co, f, a0, a0 - h, a0 + h, REFINE_ITERS)
-    if (value := _fisher_1d(co, f, a)) > best:
+    if (value := _fisher_1d(co, g, f, a)) > best:
         best_a, best = a, value
     k = co.angle_scale
-    if _fisher_1d(co, f, k * current) >= best:
+    if _fisher_1d(co, g, f, k * current) >= best:
         return current
     return best_a / k
-
-
-def _coordinate_step_slope(co: CsbdCoefficients, current: float) -> float:
-    # Closed-form maximizer of |c' cos(k z) + s' sin(k z) + b'|: align the
-    # sinusoid peak with the sign of the constant term.
-    sgn = 1.0 if co.b_prime >= 0.0 else -1.0
-    z = math.atan2(sgn * co.s_prime, sgn * co.c_prime) / co.angle_scale
-    if abs(co.bias_derivative_at(current)) >= abs(co.bias_derivative_at(z)):
-        return current
-    return z
 
 
 # Armijo sufficient-increase constant and the cap on step halvings of the
@@ -283,6 +269,7 @@ def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, floa
     where coordinate steps only zig-zag along coupled ridges.
     """
     x = canonical_angles(x0).copy()
+    g, f, report = _weights(spec)
     ct, st = math.cos(spec.mu), math.sin(spec.mu)
     prev = objective_value(spec, x)
     best_x, best_val = x.copy(), prev
@@ -290,16 +277,13 @@ def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, floa
     grid_step = period / SCAN_POINTS
 
     def choose(j: int, co: CsbdCoefficients) -> float:
-        if spec.objective is Objective.SLOPE:
-            z = _coordinate_step_slope(co, x[j - 1])
-        else:
-            z = _coordinate_step_fisher(co, spec.fidelity, x[j - 1])
+        z = _coordinate_step_fisher(co, g, f, x[j - 1])
         # Into (-pi, pi], bit for bit as ``canonical_angles``.
         return math.pi - (math.pi - z) % (2.0 * math.pi)
 
     for sweeps in range(1, spec.max_rounds + 1):
         before = x.copy()
-        val = _objective(spec, *_readout(spec.scheme, ct, st, *sweep(spec.scheme, spec.mu, x, choose)))
+        val = report(_climbed(g, f, *_readout(spec.scheme, ct, st, *sweep(spec.scheme, spec.mu, x, choose))))
         if val > best_val:
             best_x, best_val = x.copy(), val
         moved = np.abs((x - before + period / 2.0) % period - period / 2.0).max()
@@ -435,6 +419,17 @@ class LookupTable:
         angles = angle_vectors(np.vstack([e.angles for e in valid])).T
         self._cos_rows = np.cos(angles).copy()
         self._sin_rows = np.sin(angles).copy()
+
+    def check_fits(self, scheme: Scheme, layers: int) -> None:
+        """Raise a ``ValueError`` naming ``table`` unless its angles serve ``scheme`` at ``layers``.
+
+        The angle vectors must have length 2 ``layers``, and the metadata may
+        name no other scheme.
+        """
+        if (n := self._cos_rows.shape[0]) != 2 * layers:
+            raise ValueError(f"table holds {n}-angle vectors, but layers={layers} needs {2 * layers}")
+        if (named := self.metadata.get("scheme", scheme.value)) != scheme.value:
+            raise ValueError(f"table was tuned for scheme {named!r}, not {scheme.value!r}")
 
     def lookup(self, pi: float) -> TableEntry:
         """Entry at the valid grid point closest to the query value (the right one on a midpoint)."""

@@ -14,6 +14,7 @@ from elfkit.algebra import (
     canonical_angles,
     circuit,
     circuit_pair,
+    kernel_inputs,
     trig,
 )
 from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
@@ -59,11 +60,11 @@ def generator(theta):
 
 
 def q_of(theta, x):
-    return circuit(*trig(theta, x))
+    return circuit(*trig(*kernel_inputs(theta, x)))
 
 
 def pair_of(theta, x):
-    return circuit_pair(*trig(theta, x))
+    return circuit_pair(*trig(*kernel_inputs(theta, x)))
 
 
 class TestCanonicalAngles:

@@ -124,3 +124,26 @@ class TestBiasDerivative:
         h = 1e-6
         fd = (bias(scheme, theta + h, x) - bias(scheme, theta - h, x)) / (2 * h)
         assert bias_derivative(scheme, theta, x) == pytest.approx(fd, abs=1e-6)
+
+
+class TestInputValidation:
+    # bias and bias_derivative validate their inputs themselves; the kernel
+    # (``algebra.trig``) trusts what it is given.
+    @pytest.mark.parametrize("fn", [bias, bias_derivative])
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize(
+        "theta, x, message",
+        [
+            (np.nan, [0.1, 0.2], "theta"),
+            (np.inf, [0.1, 0.2], "theta"),
+            (np.array([0.3, -np.inf]), [0.1, 0.2], "theta"),
+            (np.array([0.3, np.nan]), np.array([[0.1, 0.2], [0.3, 0.4]]), "theta"),
+            (0.7, [0.1, 0.2, 0.3], "even length"),
+            (np.array([0.3, 0.7]), np.zeros((2, 3)), "even length"),
+            (0.7, [0.1, np.nan], "finite"),
+            (np.array([0.3, 0.7]), np.array([[0.1, 0.2], [np.inf, 0.4]]), "finite"),
+        ],
+    )
+    def test_rejects_invalid_inputs(self, fn, scheme, theta, x, message):
+        with pytest.raises(ValueError, match=message):
+            fn(scheme, theta, x)

@@ -1,5 +1,6 @@
 """The command-line entry point: exit codes, options, and the cost of importing it."""
 
+import csv
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ import sys
 import pytest
 
 import elfkit
+from elfkit.bias import Scheme
 from elfkit.cli import main
+from elfkit.metrics import NoiseModel
+from elfkit.tuner import analytic_l1_slope_optimum, build_lookup_table
 
 
 @pytest.mark.parametrize("command", ["tune", "runtime"])
@@ -62,6 +66,34 @@ def test_simulate_rejects_fewer_than_two_fit_points(fit_points, tmp_path, capsys
     argv += ["--horizon", "30", "--seed", "1", "--fit-points", fit_points, "--out", str(tmp_path / "run")]
     assert main(argv) == 2
     assert "fit_points" in capsys.readouterr().err
+
+
+def test_simulate_rejects_table_that_does_not_fit(tmp_path, capsys):
+    # An AB L=3 table for an AF L=1 run: a usage error (2) naming the table.
+    path = tmp_path / "table.json"
+    build_lookup_table(Scheme.AB, 3, NoiseModel(0.95, 0.99), [-0.5, 0.5], restarts=1, seed=0, max_rounds=5).save(path)
+    argv = ["simulate", "--scheme", "af-elf", "--layers", "1", "--table", str(path), "--true-pi", "0.1"]
+    argv += ["--prior-mean", "0.12", "--runs", "3", "--horizon", "30", "--seed", "1", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert "table holds 6-angle vectors, but layers=1" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("mu", [0.3, 1.3, 2.2])
+def test_tune_slope_reaches_l1_optimum(mu, capsys):
+    # The slope objective through the CLI, against the closed-form L=1 optimum.
+    assert main(["tune", "--mu", str(mu), "--objective", "slope", "--layers", "1", "--seed", "1"]) == 0
+    value = json.loads(capsys.readouterr().out)["result"]["objective_value"]
+    assert value == pytest.approx(analytic_l1_slope_optimum(mu)[0], rel=1e-9)
+
+
+def test_scan_slope_never_below_chebyshev(tmp_path):
+    argv = ["scan", "--quantity", "slope", "--layers", "2", "--points", "7", "--restarts", "3", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "scan")]) == 0
+    with open(tmp_path / "scan.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 7
+    assert all(float(r["elf_value"]) >= float(r["clf_value"]) for r in rows)
 
 
 def test_import_loads_no_scipy():

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from elfkit import inference
 from elfkit.bias import Scheme, bias, clf_angles
 from elfkit.inference import (
+    FIT_POINTS,
     DegenerateFitError,
     EstimationConfig,
     RoundRecord,
@@ -25,7 +26,7 @@ from elfkit.inference import (
     write_trace_csv,
 )
 from elfkit.metrics import GaussianBelief, NoiseModel
-from elfkit.tuner import build_lookup_table
+from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
 
 
 class TestThetaToPi:
@@ -300,25 +301,8 @@ class TestRunEstimation:
         assert len(records) == 100
         assert abs(records[-1].pi_belief.mean - 0.52) < 0.1
 
-    def test_target_std_stopping(self):
-        cfg = EstimationConfig(
-            scheme=Scheme.AF,
-            layers=1,
-            noise=NoiseModel(),
-            prior_pi=GaussianBelief(0.05, 0.0009),
-            true_pi=0.0,
-            seed=2,
-            horizon=10_000,
-            target_pi_std=0.02,
-            angle_source="clf",
-        )
-        records = run_estimation(cfg)
-        assert records[-1].pi_belief.std <= 0.02
-        assert len(records) < 10_000 // 3
-
     def test_round_budget(self):
-        # A horizon buys horizon // (2L + 1) rounds; without one the run is
-        # bounded only by the fixed cap and its target precision.
+        # A horizon buys horizon // (2L + 1) rounds; a negative one is an error.
         common = dict(
             scheme=Scheme.AF,
             layers=2,
@@ -328,7 +312,24 @@ class TestRunEstimation:
             angle_source="clf",
         )
         assert EstimationConfig(horizon=104, **common).round_budget() == 20
-        assert EstimationConfig(target_pi_std=0.01, **common).round_budget() == 10**6
+        with pytest.raises(ValueError, match="horizon"):
+            EstimationConfig(horizon=-5, **common)
+
+    @pytest.mark.parametrize("layers, message", [(3, "6-angle vectors, but layers=1"), (1, "scheme 'ab'")])
+    def test_rejects_table_that_does_not_fit(self, layers, message):
+        # An AF L=1 run must not use angles tuned for another scheme or depth.
+        table = LookupTable([0.0], [TableEntry(0.0, clf_angles(layers), 1.0)], {"scheme": "ab"})
+        with pytest.raises(ValueError, match=f"table .*{message}"):
+            EstimationConfig(
+                scheme=Scheme.AF,
+                layers=1,
+                noise=NoiseModel(),
+                prior_pi=GaussianBelief(0.5, 0.0009),
+                true_pi=0.5,
+                horizon=100,
+                angle_source="table",
+                table=table,
+            )
 
     @pytest.mark.parametrize(
         "layers, true_pi, prior_mean, seed",
@@ -399,21 +400,6 @@ class TestRunEstimation:
                 angle_source="tune",
             )
 
-    @pytest.mark.parametrize("fit_points", [1, 0])
-    def test_rejects_fewer_than_two_fit_points(self, fit_points):
-        # Caught at construction, not when the engine first fits.
-        with pytest.raises(ValueError, match="fit_points"):
-            EstimationConfig(
-                scheme=Scheme.AF,
-                layers=1,
-                noise=NoiseModel(),
-                prior_pi=GaussianBelief(0.5, 0.0009),
-                true_pi=0.5,
-                horizon=100,
-                angle_source="clf",
-                fit_points=fit_points,
-            )
-
 
 @lru_cache(maxsize=None)
 def small_table(scheme, layers):
@@ -455,7 +441,7 @@ class TestEngineEquivalence:
         mu[col], var[col] = prior.mean, prior.variance
         f = noise.process_fidelity(layers)
         angles = _angle_policy(layers, source, cfg.table)
-        rounds = _lockstep(scheme, f, math.acos(cfg.true_pi), mu, var, angles, uniforms, cfg.fit_points)
+        rounds = _lockstep(scheme, f, math.acos(cfg.true_pi), mu, var, angles, uniforms, FIT_POINTS)
         batch = np.array([[a[col] for a in state[:5]] for state in rounds])
         assert np.array_equal(single, batch)
         assert 0 < single[:, 2].sum() < n  # both outcomes occur

@@ -12,7 +12,7 @@ from elfkit import inference
 from elfkit.inference import _angle_policy, _lockstep
 from elfkit.metrics import GaussianBelief, NoiseModel, likelihood
 from elfkit.sim import ExperimentConfig, run_experiment, write_experiment_csv
-from elfkit.tuner import build_lookup_table
+from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +251,22 @@ class TestRunExperiment:
                 noise=NoiseModel(),
                 runs=1,
                 horizon=10,
+            )
+
+    @pytest.mark.parametrize("layers, message", [(3, "6-angle vectors, but layers=1"), (1, "scheme 'ab'")])
+    def test_rejects_table_that_does_not_fit(self, layers, message):
+        # An AF L=1 config must not run on angles tuned for another scheme or depth.
+        table = LookupTable([0.0], [TableEntry(0.0, clf_angles(layers), 1.0)], {"scheme": "ab"})
+        with pytest.raises(ValueError, match=f"table .*{message}"):
+            ExperimentConfig(
+                scheme="af-elf",
+                true_pi=0.1,
+                prior_pi=GaussianBelief(0.1, 0.0009),
+                layers=1,
+                noise=NoiseModel(),
+                runs=1,
+                horizon=10,
+                table=table,
             )
 
     @pytest.mark.parametrize("fit_points", [1, 0])

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from csbd_reconstruction import bias_derivative_slope_in_xj, bias_slope_in_xj
 from elfkit import tuner
-from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
+from elfkit.bias import Scheme, _readout, bias, bias_derivative, clf_angles
 from elfkit.algebra import canonical_angles
 from elfkit.csbd import CoefficientTable, sweep
 from elfkit.metrics import NoiseModel, fisher_information
@@ -19,10 +20,10 @@ from elfkit.tuner import (
     l1_slope_breakpoints,
     objective_value,
     tune,
+    _climbed,
     _coordinate_step_fisher,
-    _objective,
-    _readout,
     _value_and_gradient,
+    _weights,
     _SCAN_BASIS,
 )
 
@@ -187,7 +188,7 @@ class TestCoordinateMonotonicity:
         def choose(j, co):
             if j > 1:
                 history.append(objective_value(spec, x))
-            return _coordinate_step_fisher(co, spec.fidelity, x[j - 1])
+            return _coordinate_step_fisher(co, spec.fidelity, spec.fidelity, x[j - 1])
 
         for _ in range(12):
             sweep(spec.scheme, spec.mu, x, choose)
@@ -209,32 +210,35 @@ class TestFisherStepOracle:
         # Random one-coordinate subproblems: the step must reach a fully
         # converged golden-section maximum on the bracket around the best
         # scan point, and never return an angle worse than the current one.
+        # The climbed value is (g N)^2 / (1 - (f M)^2): the Fisher information
+        # for the weights (g, f) = (f, f), the squared slope for (1, 0).
         rng = np.random.default_rng(2006)
         h = 2.0 * math.pi / SCAN_POINTS
         grid = np.linspace(-math.pi, math.pi, SCAN_POINTS, endpoint=False)
         for _ in range(2000):
             scheme = (Scheme.AF, Scheme.AB)[rng.integers(2)]
             layers = int(rng.integers(1, 4))
-            theta, f = rng.uniform(0.05, math.pi - 0.05), rng.uniform(0.5, 1.0)
+            theta, fidelity = rng.uniform(0.05, math.pi - 0.05), rng.uniform(0.5, 1.0)
             x = rng.uniform(-math.pi, math.pi, 2 * layers)
             j = int(rng.integers(1, 2 * layers + 1))
             co = CoefficientTable(scheme, theta, x).coefficients(j)
             k = co.angle_scale
+            for g, f in ((fidelity, fidelity), (1.0, 0.0)):
 
-            def fisher(a):
-                ca, sa = math.cos(a), math.sin(a)
-                den = 1.0 - (f * (co.c * ca + co.s * sa + co.b)) ** 2
-                if den < 1e-14:
-                    return -math.inf
-                return (f * (co.c_prime * ca + co.s_prime * sa + co.b_prime)) ** 2 / den
+                def climbed(a):
+                    ca, sa = math.cos(a), math.sin(a)
+                    den = 1.0 - (f * (co.c * ca + co.s * sa + co.b)) ** 2
+                    if den < 1e-14:
+                        return -math.inf
+                    return (g * (co.c_prime * ca + co.s_prime * sa + co.b_prime)) ** 2 / den
 
-            a0 = grid[int(np.argmax([fisher(a) for a in grid]))]
-            ref, a_ref = max((fisher(a0), a0), _golden_reference(fisher, a0 - h, a0 + h))
-            # From a random angle, and from the reference maximizer itself.
-            for current in (x[j - 1], a_ref / k):
-                got = fisher(k * _coordinate_step_fisher(co, f, current))
-                assert got >= ref - 1e-12 * abs(ref)
-                assert got >= fisher(k * current)
+                a0 = grid[int(np.argmax([climbed(a) for a in grid]))]
+                ref, a_ref = max((climbed(a0), a0), _golden_reference(climbed, a0 - h, a0 + h))
+                # From a random angle, and from the reference maximizer itself.
+                for current in (x[j - 1], a_ref / k):
+                    got = climbed(k * _coordinate_step_fisher(co, g, f, current))
+                    assert got >= ref - 1e-12 * abs(ref)
+                    assert got >= climbed(k * current)
 
 
 def _table_gradient(spec, x):
@@ -245,8 +249,8 @@ def _table_gradient(spec, x):
     """
     table = CoefficientTable(spec.scheme, spec.mu, x)
     delta, ddelta = bias(spec.scheme, spec.mu, x), bias_derivative(spec.scheme, spec.mu, x)
-    chi = np.array([table.coefficients(j).bias_slope_in_xj(x[j - 1]) for j in range(1, x.size + 1)])
-    chi_p = np.array([table.coefficients(j).bias_derivative_slope_in_xj(x[j - 1]) for j in range(1, x.size + 1)])
+    chi = np.array([bias_slope_in_xj(table.coefficients(j), x[j - 1]) for j in range(1, x.size + 1)])
+    chi_p = np.array([bias_derivative_slope_in_xj(table.coefficients(j), x[j - 1]) for j in range(1, x.size + 1)])
     if spec.objective is Objective.SLOPE:
         return ddelta**2, 2.0 * ddelta * chi_p
     f2 = spec.fidelity**2
@@ -254,7 +258,7 @@ def _table_gradient(spec, x):
     return f2 * ddelta**2 / den, 2.0 * f2 * (den * ddelta * chi_p + f2 * delta * chi * ddelta**2) / den**2
 
 
-def _climbed(spec, x):
+def _climbed_at(spec, x):
     """The value the finish climbs, from ``objective_value``: F, or the squared slope."""
     value = objective_value(spec, x)
     return value**2 if spec.objective is Objective.SLOPE else value
@@ -291,12 +295,12 @@ class TestGradientCorrectness:
             ref_value, ref_grad = _table_gradient(spec, x)
             scale = max(1.0, abs(value))
             assert abs(value - ref_value) <= 1e-10 * scale
-            assert abs(value - _climbed(spec, x)) <= 1e-10 * scale
+            assert abs(value - _climbed_at(spec, x)) <= 1e-10 * scale
             assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * scale
             for j, e in enumerate(np.eye(x.size)):
 
                 def central(step):
-                    at = [_climbed(spec, x + m * step * e) for m in (-2, -1, 1, 2)]
+                    at = [_climbed_at(spec, x + m * step * e) for m in (-2, -1, 1, 2)]
                     return (at[0] - 8.0 * at[1] + 8.0 * at[2] - at[3]) / (12.0 * step)
 
                 fd = (16.0 * central(h / 2.0) - central(h)) / 15.0
@@ -321,9 +325,10 @@ class TestSweepObjective:
             spec = TuneSpec(scheme, layers, rng.uniform(0.1, 3.0), rng.uniform(0.5, 1.0), objective)
             ct, st = math.cos(spec.mu), math.sin(spec.mu)
             x = rng.uniform(-np.pi, np.pi, 2 * layers)
+            g, f, report = _weights(spec)
             for _ in range(3):
                 pair = sweep(spec.scheme, spec.mu, x, lambda j, co: rng.uniform(-np.pi, np.pi))
-                got = _objective(spec, *_readout(spec.scheme, ct, st, *pair))
+                got = report(_climbed(g, f, *_readout(spec.scheme, ct, st, *pair)))
                 assert got == pytest.approx(objective_value(spec, x), rel=1e-12)
 
 
