@@ -30,8 +30,10 @@ U factors depend on theta, dU/dtheta = (0, sin x cos theta, 0, -sin x sin theta)
 
 Components are Python floats or numpy arrays.  The arithmetic is the same for
 both and broadcasts, so one code path serves a single theta (pure-Python
-floats, selected by input shape in ``trig``), a vector of thetas, and per-run
-angle matrices.
+floats, selected by input shape in ``trig``), a vector of thetas, and a
+matrix of angle vectors against a grid of thetas (``bias.bias_series`` of a
+lookup table's entries).  The estimation round does not call the kernel: it
+reads the bias from those series.
 """
 
 from __future__ import annotations

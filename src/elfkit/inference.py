@@ -1,7 +1,8 @@
 """Adaptive Bayesian estimation with Gaussian beliefs: the one estimation engine.
 
 The belief over theta = arccos(Pi) stays Gaussian throughout.  Each round
-(``_lockstep``) selects circuit angles for the current belief, fits the
+(``_lockstep``) selects circuit angles for the current belief, reads the
+bias from their cached theta-series (``bias.bias_series``), fits the
 local bias with a sinusoid arcsin-linear in theta (a closed-form line over a
 fixed window of abscissae), samples an outcome from the noisy likelihood at
 the true theta, and applies the closed-form posterior-moment update of the
@@ -22,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import DEGENERATE_TOL, DegenerateSubspaceError
-from .bias import Scheme, _bias_trig, bias, clf_angles
+from .bias import Scheme, _horner, bias, bias_series, clf_angles
 from .metrics import GaussianBelief, NoiseModel
 
 ARCSIN_CLAMP = 1e-12
@@ -204,8 +205,8 @@ class EstimationConfig:
             raise ValueError("true_pi must lie in (-1, 1)")
         if self.angle_source not in ("table", "clf"):
             raise ValueError("angle_source must be 'table' or 'clf'")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
+        if self.horizon < self.round_cost:
+            raise ValueError(f"horizon must be >= {self.round_cost}")
         if self.angle_source == "table":
             if self.table is None:
                 raise ValueError("angle_source 'table' requires a lookup table")
@@ -219,28 +220,37 @@ class EstimationConfig:
         return self.horizon // self.round_cost
 
 
-def _angle_policy(layers: int, source: str, table=None):
-    """(cos x_j, sin x_j) of a round's angles as a function of the theta beliefs (mu, var).
+@lru_cache(maxsize=None)
+def _clf_series(scheme: Scheme, layers: int) -> np.ndarray:
+    """Read-only theta-series column of the Chebyshev angles, shape (D + 1, 1)."""
+    c = bias_series(scheme, clf_angles(layers))[:, None]
+    c.flags.writeable = False
+    return c
 
-    "clf" gives the Chebyshev angles as floats; "table" gives, for each run,
-    the angles of the table entry nearest its Pi mean, one value per run.
+
+def _angle_policy(scheme: Scheme, layers: int, source: str, table=None):
+    """Theta-series columns of a round's angles as a function of the theta beliefs (mu, var).
+
+    "clf" gives the Chebyshev angles' one column; "table" gives, for each run,
+    the column of the table entry nearest its Pi mean.
     """
     if source == "clf":
-        x = clf_angles(layers)
-        rows = np.cos(x).tolist(), np.sin(x).tolist()
-        return lambda mu, var: rows
-    return lambda mu, var: table.trig_rows(np.exp(-var / 2.0) * np.cos(mu))
+        c = _clf_series(scheme, layers)
+        return lambda mu, var: c
+    return lambda mu, var: table.series(scheme, np.exp(-var / 2.0) * np.cos(mu))
 
 
-def _lockstep(scheme, f, theta_star, mu, var, angles, uniforms, fit_points, abort=False):
+def _lockstep(f, theta_star, mu, var, angles, uniforms, fit_points, abort=False):
     """Advance runs with theta beliefs N(mu, var) one round per row of ``uniforms``.
 
-    One kernel call per round covers every run's fit abscissae and
-    ``theta_star``; each run is fitted over a contiguous row, so its numbers
-    do not depend on the batch width.  Outcome 1 is drawn where the uniform
-    is at least P(0).  A run whose update is not a finite Gaussian freezes
-    and stops being alive.  With ``abort`` an abscissa within
-    ``DEGENERATE_TOL`` of a multiple of pi raises ``DegenerateSubspaceError``.
+    Each round reads the bias at every run's fit abscissae and ``theta_star``
+    from the run's theta-series column (``angles``) by Horner's rule in
+    e^{i theta}.  The work is element-wise and each run is fitted over a
+    contiguous row, so its numbers do not depend on the batch width.  Outcome
+    1 is drawn where the uniform is at least P(0).  A run whose update is not
+    a finite Gaussian freezes and stops being alive.  With ``abort`` an
+    abscissa within ``DEGENERATE_TOL`` of a multiple of pi raises
+    ``DegenerateSubspaceError``.
     Yields ``(r, b, d, mu, var, alive)`` after each round.
     """
     o = _fit_offsets(fit_points)[0]
@@ -248,13 +258,15 @@ def _lockstep(scheme, f, theta_star, mu, var, angles, uniforms, fit_points, abor
     alive = np.ones(mu.shape, dtype=bool)
     block = np.empty((n + 1, mu.size))
     block[n] = theta_star
+    e = np.empty(block.shape, dtype=complex)
     for u in uniforms:
         sd = np.sqrt(var)
         np.add(mu, column * sd, out=block[:n])
-        ct, st = np.cos(block), np.sin(block)
-        if abort and (np.abs(st[:n]) < DEGENERATE_TOL).any():
+        np.cos(block, out=e.real)
+        np.sin(block, out=e.imag)
+        if abort and (np.abs(e.imag[:n]) < DEGENERATE_TOL).any():
             raise DegenerateSubspaceError("a sinusoid-fit abscissa reached a multiple of pi")
-        values = _bias_trig(scheme, ct, st, *angles(mu, var))
+        values = _horner(angles(mu, var), e)
         z = np.ascontiguousarray(values[:n].T)
         np.arcsin(np.maximum(np.minimum(z, 1.0 - ARCSIN_CLAMP, out=z), -1.0 + ARCSIN_CLAMP, out=z), out=z)
         r, b = _window_fit(mu, sd, z)
@@ -278,9 +290,9 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     prior = pi_to_theta(config.prior_pi)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     rounds = _lockstep(
-        config.scheme, f, math.acos(config.true_pi), np.array([prior.mean]), np.array([prior.variance]),
-        _angle_policy(config.layers, config.angle_source, config.table), rng.random((config.round_budget(), 1)),
-        FIT_POINTS,
+        f, math.acos(config.true_pi), np.array([prior.mean]), np.array([prior.variance]),
+        _angle_policy(config.scheme, config.layers, config.angle_source, config.table),
+        rng.random((config.round_budget(), 1)), FIT_POINTS,
     )
     trace = []
     for r, b, d, mu, var, alive in rounds:
@@ -289,7 +301,7 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
             # makes GaussianBelief raise on the moment that failed.
             GaussianBelief(*(v.item() for v in _posterior_moments(mu, var, r, b, f, d)))
         trace.append((r[0], b[0], d[0], mu[0], var[0]))
-    r, b, d, mu, var = np.array(trace, dtype=float).reshape(-1, 5).T
+    r, b, d, mu, var = np.array(trace, dtype=float).T
     pi_mu, pi_var = _cos_moments(mu, var)
     columns = (r, b, d, mu, var, pi_mu, np.maximum(pi_var, TINY))
     return [

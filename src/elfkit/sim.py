@@ -119,8 +119,8 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
     uniforms = np.stack([np.random.default_rng(s).random(n_rounds) for s in seeds], axis=1)
     source = "clf" if config.scheme.endswith("clf") else "table"
     rounds = _lockstep(
-        config.bias_scheme, f, math.acos(config.true_pi), np.full(r, prior.mean), np.full(r, prior.variance),
-        _angle_policy(layers, source, config.table), uniforms, config.fit_points, abort=True,
+        f, math.acos(config.true_pi), np.full(r, prior.mean), np.full(r, prior.variance),
+        _angle_policy(config.bias_scheme, layers, source, config.table), uniforms, config.fit_points, abort=True,
     )
     est = np.empty((r, checkpoints.size))
     per_var = np.empty((r, checkpoints.size))

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import DEGENERATE_TOL, DegenerateSubspaceError, angle_vectors, canonical_angles
-from .bias import Scheme, _bias_pair, _readout, clf_angles
+from .bias import Scheme, _bias_pair, _readout, bias_series, clf_angles
 from .csbd import CsbdCoefficients, slopes, sweep
 from .metrics import SINGULAR_TOL, NoiseModel
 
@@ -415,10 +415,8 @@ class LookupTable:
         valid_grid = np.array([e.pi for e in valid])
         self._midpoints = (valid_grid[1:] + valid_grid[:-1]) / 2.0
         self._valid_entries = valid
-        # Angle index first: row j holds cos (sin) of x_j at every valid point.
-        angles = angle_vectors(np.vstack([e.angles for e in valid])).T
-        self._cos_rows = np.cos(angles).copy()
-        self._sin_rows = np.sin(angles).copy()
+        self._angles = angle_vectors(np.vstack([e.angles for e in valid]))
+        self._series: dict[Scheme, np.ndarray] = {}  # theta-series columns of the valid entries, per scheme
 
     def check_fits(self, scheme: Scheme, layers: int) -> None:
         """Raise a ``ValueError`` naming ``table`` unless its angles serve ``scheme`` at ``layers``.
@@ -426,7 +424,7 @@ class LookupTable:
         The angle vectors must have length 2 ``layers``, and the metadata may
         name no other scheme.
         """
-        if (n := self._cos_rows.shape[0]) != 2 * layers:
+        if (n := self._angles.shape[1]) != 2 * layers:
             raise ValueError(f"table holds {n}-angle vectors, but layers={layers} needs {2 * layers}")
         if (named := self.metadata.get("scheme", scheme.value)) != scheme.value:
             raise ValueError(f"table was tuned for scheme {named!r}, not {scheme.value!r}")
@@ -435,10 +433,14 @@ class LookupTable:
         """Entry at the valid grid point closest to the query value (the right one on a midpoint)."""
         return self._valid_entries[np.searchsorted(self._midpoints, pi, side="right")]
 
-    def trig_rows(self, pis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(cos x_j, sin x_j) of the ``lookup`` angles of each query, indexed by j, one column per query."""
-        idx = np.searchsorted(self._midpoints, pis, side="right")
-        return self._cos_rows[:, idx], self._sin_rows[:, idx]
+    def series(self, scheme: Scheme, pis: np.ndarray) -> np.ndarray:
+        """``bias_series`` of the ``lookup`` angles of each query, one column per query.
+
+        The valid entries' columns are computed on first use for each scheme.
+        """
+        if (rows := self._series.get(scheme)) is None:
+            rows = self._series[scheme] = bias_series(scheme, self._angles)
+        return rows[:, np.searchsorted(self._midpoints, pis, side="right")]
 
     def to_json_dict(self) -> dict:
         return {

@@ -221,18 +221,6 @@ class TestPosteriorMoments:
 
 
 class TestRunEstimation:
-    def test_zero_round_horizon(self):
-        cfg = EstimationConfig(
-            scheme=Scheme.AF,
-            layers=2,
-            noise=NoiseModel(),
-            prior_pi=GaussianBelief(0.5, 0.0009),
-            true_pi=0.55,
-            horizon=3,  # below one round's cost of 5
-            angle_source="clf",
-        )
-        assert run_estimation(cfg) == []
-
     def test_clf_trace_bookkeeping(self):
         layers = 2
         cfg = EstimationConfig(
@@ -302,7 +290,8 @@ class TestRunEstimation:
         assert abs(records[-1].pi_belief.mean - 0.52) < 0.1
 
     def test_round_budget(self):
-        # A horizon buys horizon // (2L + 1) rounds; a negative one is an error.
+        # A horizon buys horizon // (2L + 1) rounds; one shorter than a round
+        # (2L + 1 = 5 here) is an error, as in ExperimentConfig.
         common = dict(
             scheme=Scheme.AF,
             layers=2,
@@ -312,8 +301,10 @@ class TestRunEstimation:
             angle_source="clf",
         )
         assert EstimationConfig(horizon=104, **common).round_budget() == 20
-        with pytest.raises(ValueError, match="horizon"):
-            EstimationConfig(horizon=-5, **common)
+        assert len(run_estimation(EstimationConfig(horizon=5, **common))) == 1
+        for horizon in (-5, 0, 4):
+            with pytest.raises(ValueError, match="horizon must be >= 5"):
+                EstimationConfig(horizon=horizon, **common)
 
     @pytest.mark.parametrize("layers, message", [(3, "6-angle vectors, but layers=1"), (1, "scheme 'ab'")])
     def test_rejects_table_that_does_not_fit(self, layers, message):
@@ -440,8 +431,8 @@ class TestEngineEquivalence:
         var = prior.variance * rng.uniform(0.5, 2.0, width)
         mu[col], var[col] = prior.mean, prior.variance
         f = noise.process_fidelity(layers)
-        angles = _angle_policy(layers, source, cfg.table)
-        rounds = _lockstep(scheme, f, math.acos(cfg.true_pi), mu, var, angles, uniforms, FIT_POINTS)
+        angles = _angle_policy(scheme, layers, source, cfg.table)
+        rounds = _lockstep(f, math.acos(cfg.true_pi), mu, var, angles, uniforms, FIT_POINTS)
         batch = np.array([[a[col] for a in state[:5]] for state in rounds])
         assert np.array_equal(single, batch)
         assert 0 < single[:, 2].sum() < n  # both outcomes occur

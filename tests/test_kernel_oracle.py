@@ -3,8 +3,9 @@
 Both schemes, L in {1, 2, 3, 8, 16, 64}, random angles and thetas within 1e-9
 of 0 and pi.  Values agree to 1e-12 absolute, theta-derivatives to
 1e-12 (2L + 1), whose bound grows with the derivative's own scale.  The
-tuner's value and gradient are checked against the same oracle, with x_j-slopes
-read off the oracle's CSBD rows.
+theta-series the estimation round reads the bias from is checked the same way.
+The tuner's value and gradient are checked against the same oracle, with
+x_j-slopes read off the oracle's CSBD rows.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import complex_oracle as oracle
 from elfkit.algebra import circuit, trig
-from elfkit.bias import Scheme, bias, bias_derivative
+from elfkit.bias import Scheme, _horner, bias, bias_derivative, bias_series, clf_angles
 from elfkit.csbd import CoefficientTable
 from elfkit.tuner import Objective, TuneSpec, _value_and_gradient
 
@@ -42,8 +43,23 @@ class TestAgainstComplexOracle:
         a, b, c, d = circuit(*trig(th, x))
         assert np.max(np.abs(a * a + b * b + c * c + d * d - 1.0)) <= TOL
 
+    def test_bias_series(self, scheme, layers):
+        # The round's Horner rule in e^{i theta} over the series, and the
+        # Chebyshev closed forms c_{2L+1} = 1 (AF) and c_L = (-1)^L (AB).
+        # The other coefficients are rounding residue, which grows with the
+        # kernel's own error (about 7e-15 at L = 64).
+        rng = np.random.default_rng(400 + layers)
+        x = rng.uniform(-np.pi, np.pi, 2 * layers)
+        th = thetas(rng)
+        ref, _ = oracle.bias(scheme is Scheme.AF, th, x)
+        assert np.max(np.abs(_horner(bias_series(scheme, x), np.exp(1j * th)) - ref)) <= TOL
+        degree, top = (2 * layers + 1, 1.0) if scheme is Scheme.AF else (layers, (-1.0) ** layers)
+        expected = np.zeros(degree + 1)
+        expected[degree] = top
+        assert np.max(np.abs(bias_series(scheme, clf_angles(layers)) - expected)) <= 1e-15 * (2 * layers + 1)
+
     def test_engine_batched_call(self, scheme, layers):
-        # The lockstep engine's call: per-run angle vectors against per-run thetas.
+        # A batched call: per-run angle vectors against per-run thetas.
         rng = np.random.default_rng(100 + layers)
         runs = 5
         xmat = rng.uniform(-np.pi, np.pi, (runs, 2 * layers))

@@ -33,8 +33,8 @@ def round_outcomes(scheme, theta_star, f, layers, rng, n=100_000):
 
     The draw does not depend on the fit, so two fit points keep the batch small.
     """
-    angles = _angle_policy(layers, "clf")
-    rounds = _lockstep(scheme, f, theta_star, np.full(n, 1.0), np.full(n, 0.01), angles, rng.random((1, n)), 2)
+    angles = _angle_policy(scheme, layers, "clf")
+    rounds = _lockstep(f, theta_star, np.full(n, 1.0), np.full(n, 0.01), angles, rng.random((1, n)), 2)
     return next(rounds)[2].astype(int)
 
 

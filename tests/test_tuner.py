@@ -6,7 +6,7 @@ import pytest
 
 from csbd_reconstruction import bias_derivative_slope_in_xj, bias_slope_in_xj
 from elfkit import tuner
-from elfkit.bias import Scheme, _readout, bias, bias_derivative, clf_angles
+from elfkit.bias import Scheme, _readout, bias, bias_derivative, bias_series, clf_angles
 from elfkit.algebra import canonical_angles
 from elfkit.csbd import CoefficientTable, sweep
 from elfkit.metrics import NoiseModel, fisher_information
@@ -351,11 +351,16 @@ class TestLookupTable:
         assert entry.pi == pytest.approx(0.6)
 
     def test_batch_matches_scalar(self, small_table):
-        queries = np.array([0.57, 0.6002, 0.649])
-        cos_rows, sin_rows = small_table.trig_rows(queries)
-        for q, c, s in zip(queries, cos_rows.T, sin_rows.T):
-            x = small_table.lookup(q).angles
-            assert np.array_equal(c, np.cos(x)) and np.array_equal(s, np.sin(x))
+        # The last query sits exactly on the midpoint of two valid entries,
+        # which lookup resolves to the right one.
+        left, right = small_table.entries[40], small_table.entries[41]
+        midpoint = (left.pi + right.pi) / 2.0
+        assert left.flag is None and small_table.lookup(midpoint) is right
+        queries = np.array([0.57, 0.6002, 0.649, midpoint])
+        columns = small_table.series(Scheme.AF, queries)
+        assert columns.shape == (4, queries.size)
+        for q, c in zip(queries, columns.T):
+            assert np.array_equal(c, bias_series(Scheme.AF, small_table.lookup(q).angles))
 
     def test_endpoints_flagged(self):
         table = build_lookup_table(
