@@ -23,17 +23,8 @@ import numpy as np
 from . import __version__
 from .algebra import DegenerateSubspaceError
 from .bias import Scheme, clf_angles
-from .inference import FIT_POINTS, DegenerateFitError
-from .metrics import (
-    GaussianBelief,
-    NoiseModel,
-    QuadratureDomainError,
-    SingularLikelihoodError,
-    fisher_information,
-    rhat0,
-    slope,
-)
-from .runtime_model import HardwareParams, RateDomainError, hardware_runtime_curve
+from .metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, slope
+from .runtime_model import HardwareParams, hardware_runtime_curve
 from .sim import ExperimentConfig, run_experiment, write_experiment_csv
 from .tuner import (
     LookupTable,
@@ -43,14 +34,8 @@ from .tuner import (
     tune,
 )
 
-NUMERIC_GUARDS = (
-    SingularLikelihoodError,
-    QuadratureDomainError,
-    RateDomainError,
-    DegenerateFitError,
-    DegenerateSubspaceError,
-    ArithmeticError,
-)
+# metrics.SingularLikelihoodError is an ArithmeticError.
+NUMERIC_GUARDS = (DegenerateSubspaceError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -129,7 +114,6 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("table", str, help="lookup-table JSON for the engineered schemes"),
         Opt("table-grid", int, 41, help="grid size when building a table on the fly"),
         Opt("restarts", int, 10, help="restarts for on-the-fly table tuning"),
-        Opt("fit-points", int, FIT_POINTS),
         Opt("threads", int, 1, help="worker count (outputs are independent of it)"),
         Opt("out", str, "experiment", help="output prefix (.csv and .json)"),
     ),
@@ -349,6 +333,8 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    if not cfg["prior-std"] > 0.0:
+        raise UsageError(f"--prior-std must be positive, got {cfg['prior-std']}")
     noise = NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"])
     table = None
     if cfg["scheme"].endswith("elf"):
@@ -379,7 +365,6 @@ def cmd_simulate(cfg: dict) -> int:
         horizon=cfg["horizon"],
         master_seed=cfg["seed"],
         table=table,
-        fit_points=cfg["fit-points"],
         threads=cfg["threads"],
     )
     traces = run_experiment(config)
@@ -409,6 +394,9 @@ def cmd_runtime(cfg: dict) -> int:
         gate_time=cfg["gate-time"],
         spam_fidelity=cfg["spam-fidelity"],
     )
+    for name in ("infidelity-min", "infidelity-max"):
+        if not 0.0 < cfg[name] < 1.0:
+            raise UsageError(f"--{name} must lie in (0, 1), got {cfg[name]}")
     eps_raw = cfg["eps"]
     eps_list = (
         [float(v) for v in eps_raw.split(",")] if isinstance(eps_raw, str) else [float(v) for v in eps_raw]

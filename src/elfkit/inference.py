@@ -3,11 +3,12 @@
 The belief over theta = arccos(Pi) stays Gaussian throughout.  Each round
 (``_lockstep``) selects circuit angles for the current belief, reads the
 bias from their cached theta-series (``bias.bias_series``), fits the
-local bias with a sinusoid arcsin-linear in theta (a closed-form line over a
-fixed window of abscissae), samples an outcome from the noisy likelihood at
-the true theta, and applies the closed-form posterior-moment update of the
-fitted model.  The round advances a batch of runs in lockstep; it has two
-callers: ``run_estimation`` (a batch of one, with a per-round trace) and
+local bias with a sinusoid arcsin-linear in theta (a closed-form line over
+``FIT_POINTS`` abscissae spanning +-1 sd of the belief), samples an outcome
+from the noisy likelihood at the true theta, and applies the closed-form
+posterior-moment update of the fitted model (``_posterior_moments``).  The
+round advances a batch of runs in lockstep; it has two callers:
+``run_estimation`` (a batch of one, with a per-round trace) and
 ``sim.run_experiment`` (Monte Carlo chunks).  Conversions between theta- and
 Pi-beliefs are analytic one way (moments of cos of a Gaussian) and numeric
 the other (moments of arccos of a clipped Gaussian).
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import DEGENERATE_TOL, DegenerateSubspaceError
-from .bias import Scheme, _horner, bias, bias_series, clf_angles
+from .bias import Scheme, _horner, bias_series, clf_angles
 from .metrics import GaussianBelief, NoiseModel
 
 ARCSIN_CLAMP = 1e-12
@@ -31,6 +32,10 @@ PI_TO_THETA_NODES = 101
 PI_TO_THETA_TAIL_Z = 12.0
 TINY = np.finfo(float).tiny  # floor of a reported variance
 FIT_POINTS = 11  # abscissae of the sinusoid fit
+# Their offsets o in mu + sd * o, exactly antisymmetric in [-1, 1], and |o|^2.
+_FIT_OFFSETS = np.arange(1 - FIT_POINTS, FIT_POINTS, 2) / (FIT_POINTS - 1.0)
+_FIT_OFFSETS.flags.writeable = False
+_FIT_NORM = float(np.sum(_FIT_OFFSETS * _FIT_OFFSETS))
 
 TRACE_CSV_COLUMNS = (
     "round",
@@ -43,10 +48,6 @@ TRACE_CSV_COLUMNS = (
     "pi_mean",
     "pi_var",
 )
-
-
-class DegenerateFitError(ArithmeticError):
-    """The sinusoid fit's normal equations are singular."""
 
 
 @dataclass(frozen=True)
@@ -121,40 +122,17 @@ def pi_to_theta(belief: GaussianBelief) -> GaussianBelief:
 # -- sinusoid fit and posterior update ----------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _fit_offsets(fit_points: int) -> tuple[np.ndarray, float]:
-    """Grid o of the fit abscissae mu + sd * o, exactly antisymmetric in [-1, 1], and |o|^2."""
-    if fit_points < 2:
-        raise DegenerateFitError("sinusoid fit needs at least two points")
-    o = np.arange(1 - fit_points, fit_points, 2) / (fit_points - 1.0)
-    o.flags.writeable = False
-    return o, float(np.sum(o * o))
-
-
 def _window_fit(mu, sd, z):
     """Least-squares line z ~ r*theta + b over the abscissae mu + sd * o.
 
-    ``z`` holds the values along its last axis.  With sum(o) = 0 the normal
-    equations are diagonal: r = (o . z) / (sd |o|^2) and b = mean(z) - r mu.
+    ``z`` holds the ``FIT_POINTS`` values along its last axis.  With sum(o) = 0
+    the normal equations are diagonal: r = (o . z) / (sd |o|^2) and
+    b = mean(z) - r mu.  The width sd is positive and finite: ``pi_to_theta``
+    floors the variance at ``TINY`` and ``_lockstep`` keeps only finite,
+    positive updates.
     """
-    o, norm = _fit_offsets(z.shape[-1])
-    if not np.logical_and(0.0 < sd, sd < np.inf).all():
-        raise DegenerateFitError("sinusoid-fit width must be positive and finite")
-    r = (z * o).sum(axis=-1) / (sd * norm)
-    return r, z.sum(axis=-1) / o.size - r * mu
-
-
-def fit_sinusoid(scheme: Scheme, x, f: float, belief: GaussianBelief, fit_points: int = FIT_POINTS) -> SinusoidFit:
-    """Fit arcsin(bias) with a line in theta over the +-1 sigma prior window.
-
-    The fidelity ``f`` identifies the model (1 + (-1)^d f sin(r theta + b))/2
-    the fitted parameters belong to; the fit itself uses the noiseless bias.
-    """
-    o, _ = _fit_offsets(fit_points)
-    values = bias(scheme, belief.mean + belief.std * o, x)
-    z = np.arcsin(np.clip(values, -1.0 + ARCSIN_CLAMP, 1.0 - ARCSIN_CLAMP))
-    r, b = _window_fit(belief.mean, belief.std, z)
-    return SinusoidFit(float(r), float(b))
+    r = (z * _FIT_OFFSETS).sum(axis=-1) / (sd * _FIT_NORM)
+    return r, z.sum(axis=-1) / FIT_POINTS - r * mu
 
 
 def _posterior_moments(mu, var, r, b, f, d):
@@ -169,16 +147,6 @@ def _posterior_moments(mu, var, r, b, f, d):
     mu_next = mu + signed * r * var * c_ / den
     var_next = var * (1.0 - f * r2 * var * decay * (f * decay + sign * s_) / (den * den))
     return mu_next, var_next
-
-
-def bayes_update(belief: GaussianBelief, fit: SinusoidFit, f: float, d: int) -> GaussianBelief:
-    """Gaussian posterior after observing outcome d under the fitted sinusoid."""
-    if d not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    if not 0.0 <= f <= 1.0:
-        raise ValueError("fidelity must be in [0, 1]")
-    mu, var = _posterior_moments(belief.mean, belief.variance, fit.r, fit.b, f, d)
-    return GaussianBelief(float(mu), float(var))
 
 
 # -- the estimation loop -------------------------------------------------------
@@ -240,21 +208,22 @@ def _angle_policy(scheme: Scheme, layers: int, source: str, table=None):
     return lambda mu, var: table.series(scheme, np.exp(-var / 2.0) * np.cos(mu))
 
 
-def _lockstep(f, theta_star, mu, var, angles, uniforms, fit_points, abort=False):
+def _lockstep(f, theta_star, mu, var, angles, uniforms, abort=False):
     """Advance runs with theta beliefs N(mu, var) one round per row of ``uniforms``.
 
-    Each round reads the bias at every run's fit abscissae and ``theta_star``
-    from the run's theta-series column (``angles``) by Horner's rule in
-    e^{i theta}.  The work is element-wise and each run is fitted over a
-    contiguous row, so its numbers do not depend on the batch width.  Outcome
-    1 is drawn where the uniform is at least P(0).  A run whose update is not
-    a finite Gaussian freezes and stops being alive.  With ``abort`` an
-    abscissa within ``DEGENERATE_TOL`` of a multiple of pi raises
-    ``DegenerateSubspaceError``.
+    Each round reads the bias at every run's ``FIT_POINTS`` fit abscissae
+    mu + sd * o and at ``theta_star`` from the run's theta-series column
+    (``angles``) by Horner's rule in e^{i theta}, fits the line of
+    ``_window_fit`` to arcsin of the bias, and updates by
+    ``_posterior_moments``.  The work is element-wise and each run is fitted
+    over a contiguous row, so its numbers do not depend on the batch width.
+    Outcome 1 is drawn where the uniform is at least P(0).  A run whose update
+    is not a finite Gaussian freezes and stops being alive, so a live run's
+    width stays positive and finite.  With ``abort`` an abscissa within
+    ``DEGENERATE_TOL`` of a multiple of pi raises ``DegenerateSubspaceError``.
     Yields ``(r, b, d, mu, var, alive)`` after each round.
     """
-    o = _fit_offsets(fit_points)[0]
-    n, column = o.size, o[:, None]
+    n, column = FIT_POINTS, _FIT_OFFSETS[:, None]
     alive = np.ones(mu.shape, dtype=bool)
     block = np.empty((n + 1, mu.size))
     block[n] = theta_star
@@ -292,7 +261,7 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     rounds = _lockstep(
         f, math.acos(config.true_pi), np.array([prior.mean]), np.array([prior.variance]),
         _angle_policy(config.scheme, config.layers, config.angle_source, config.table),
-        rng.random((config.round_budget(), 1)), FIT_POINTS,
+        rng.random((config.round_budget(), 1)),
     )
     trace = []
     for r, b, d, mu, var, alive in rounds:

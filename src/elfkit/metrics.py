@@ -11,26 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .bias import Scheme, _bias_pair, bias, bias_derivative
+from .bias import Scheme, _bias_pair, bias, bias_derivative, bias_series
 
 # Treat 1 - f^2 b^2 below this as a singular likelihood rather than clamping.
 SINGULAR_TOL = 1e-14
 
-# Largest prior standard deviation the fixed-node quadrature is trusted for.
-QUADRATURE_SIGMA_MAX = 1.0
-QUADRATURE_NODES = 41
-
 
 class SingularLikelihoodError(ArithmeticError):
     """The likelihood is deterministic (f |bias| -> 1) and the metric diverges."""
-
-
-class QuadratureDomainError(ValueError):
-    """Prior standard deviation outside the validated quadrature envelope."""
 
 
 @dataclass(frozen=True)
@@ -105,32 +96,18 @@ def slope(scheme: Scheme, theta, f: float, x):
     return out if out.ndim else float(out)
 
 
-@lru_cache(maxsize=8)
-def _hermgauss(n: int):
-    return np.polynomial.hermite.hermgauss(n)
-
-
 def expected_bias(scheme: Scheme, belief: GaussianBelief, x) -> tuple[float, float]:
     """Gaussian-prior average of the bias and its derivative in the prior mean.
 
-    Gauss-Hermite quadrature with a fixed node count; the bias is a degree
-    2L+1 trigonometric polynomial of theta, so the rule is exact to rounding
-    throughout the validated envelope sigma <= 1 at moderate L.  The mean
-    derivative reuses the same nodes against d(bias)/dtheta instead of finite
-    differences.
+    With bias(theta) = Re sum_k c_k e^{ik theta} (``bias_series``) and the
+    Gaussian moments phi_k = E[e^{ik theta}] = e^{ik mu - k^2 sigma^2 / 2},
+    both are closed forms, exact at every sigma > 0 and every L:
+    b = Re sum_k c_k phi_k and db/dmu = Re sum_k ik c_k phi_k.
     """
-    sigma = belief.std
-    if sigma > QUADRATURE_SIGMA_MAX:
-        raise QuadratureDomainError(
-            f"prior sigma {sigma:.3g} outside quadrature envelope <= {QUADRATURE_SIGMA_MAX}"
-        )
-    t, w = _hermgauss(QUADRATURE_NODES)
-    thetas = belief.mean + math.sqrt(2.0) * sigma * t
-    norm = 1.0 / math.sqrt(math.pi)
-    delta, ddelta = _bias_pair(scheme, thetas, x)
-    b = norm * float(w @ np.asarray(delta))
-    db = norm * float(w @ np.asarray(ddelta))
-    return b, db
+    c = bias_series(scheme, x)
+    k = np.arange(c.size)
+    weighted = c * np.exp(1j * belief.mean * k - 0.5 * belief.variance * k * k)
+    return float(weighted.real.sum()), float(-(k * weighted.imag).sum())
 
 
 def variance_reduction_factor(scheme: Scheme, belief: GaussianBelief, f: float, x) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import DegenerateSubspaceError
 from .bias import Scheme
-from .inference import FIT_POINTS, TINY, _angle_policy, _cos_moments, _lockstep, pi_to_theta
+from .inference import TINY, _angle_policy, _cos_moments, _lockstep, pi_to_theta
 from .metrics import GaussianBelief, NoiseModel
 
 EXPERIMENT_SCHEMES = ("af-elf", "af-clf", "ab-elf", "ab-clf", "standard")
@@ -54,7 +54,6 @@ class ExperimentConfig:
     horizon: int
     master_seed: int = 0
     table: "object | None" = None  # tuner.LookupTable for the *-elf schemes
-    fit_points: int = FIT_POINTS
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -64,8 +63,8 @@ class ExperimentConfig:
             raise ValueError("true_pi must lie in (-1, 1)")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if self.fit_points < 2:
-            raise ValueError(f"fit_points must be >= 2, got {self.fit_points}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         min_horizon = 1 if self.scheme == "standard" else 2 * self.layers + 1
         if self.horizon < min_horizon:
             raise ValueError(f"horizon must be >= {min_horizon}")
@@ -120,7 +119,7 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
     source = "clf" if config.scheme.endswith("clf") else "table"
     rounds = _lockstep(
         f, math.acos(config.true_pi), np.full(r, prior.mean), np.full(r, prior.variance),
-        _angle_policy(config.bias_scheme, layers, source, config.table), uniforms, config.fit_points, abort=True,
+        _angle_policy(config.bias_scheme, layers, source, config.table), uniforms, abort=True,
     )
     est = np.empty((r, checkpoints.size))
     per_var = np.empty((r, checkpoints.size))
@@ -162,8 +161,10 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
     is a pure function of the config including the master seed: runs use
     substreams keyed by run index and are aggregated in run order, so the
     result is independent of chunking and worker count.  A run whose update
-    is invalid is excluded, not fatal.  Raises ``DegenerateSubspaceError``
-    when a run's sinusoid-fit abscissa reaches a multiple of pi.
+    is not a finite Gaussian is excluded, not fatal; its index is listed in
+    ``excluded_runs`` and the aggregates cover the other runs.  Raises
+    ``DegenerateSubspaceError`` when a run's sinusoid-fit abscissa reaches a
+    multiple of pi, which fails the whole experiment.
     """
     standard = config.scheme == "standard"
     round_cost = 1 if standard else 2 * config.layers + 1

@@ -37,8 +37,10 @@ def test_tune_rejects_zero_max_rounds(capsys):
 @pytest.mark.parametrize(
     ("command", "flag", "value"),
     [pytest.param(c, "threads", 2, id=c) for c in ("tune", "table", "scan", "runtime")]
-    # tune has one ascent method, so it takes no --method.
-    + [pytest.param("tune", "method", "grad", id="tune-method")],
+    # tune has one ascent method, so it takes no --method, and the sinusoid
+    # fit has one width, so simulate takes no --fit-points.
+    + [pytest.param("tune", "method", "grad", id="tune-method")]
+    + [pytest.param("simulate", "fit-points", 11, id="simulate-fit-points")],
 )
 def test_threads_is_a_simulate_option_only(command, flag, value, tmp_path, capsys):
     # The flag is a usage error (argparse exits 2), and so is the config key.
@@ -59,13 +61,40 @@ def test_simulate_takes_threads(tmp_path):
     assert json.loads((tmp_path / "run.json").read_text())["config"]["threads"] == 2
 
 
-@pytest.mark.parametrize("fit_points", ["1", "0"])
-def test_simulate_rejects_fewer_than_two_fit_points(fit_points, tmp_path, capsys):
-    # A usage error (2) from the config's check, not a numeric guard (3).
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("prior-std", "-0.1", "--prior-std must be positive"),
+        ("prior-std", "0", "--prior-std must be positive"),
+        ("threads", "0", "threads must be >= 1"),
+        ("threads", "-1", "threads must be >= 1"),
+    ],
+)
+def test_simulate_rejects_out_of_range_values(flag, value, message, tmp_path, capsys):
+    # A usage error (2) that names the option, and no output.
     argv = ["simulate", "--scheme", "af-clf", "--true-pi", "0.1", "--prior-mean", "0.12", "--runs", "3"]
-    argv += ["--horizon", "30", "--seed", "1", "--fit-points", fit_points, "--out", str(tmp_path / "run")]
+    argv += ["--horizon", "30", "--seed", "1", f"--{flag}", value, "--out", str(tmp_path / "run")]
     assert main(argv) == 2
-    assert "fit_points" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize(
+    ("args", "flag"),
+    [
+        (["--infidelity-max=-1e-2", "--infidelity-min=-1e-4"], "--infidelity-min"),
+        (["--infidelity-max=2", "--infidelity-min=1.5"], "--infidelity-min"),
+        (["--infidelity-max=2"], "--infidelity-max"),
+        (["--infidelity-min=0"], "--infidelity-min"),
+        (["--infidelity-max=0"], "--infidelity-max"),
+        (["--infidelity-max=1"], "--infidelity-max"),
+    ],
+)
+def test_runtime_rejects_infidelities_outside_unit_interval(args, flag, tmp_path, capsys):
+    # Checked before the curve is computed, so no bad value reaches the rate model.
+    assert main(["runtime", *args, "--points", "3", "--out", str(tmp_path / "rt")]) == 2
+    assert f"{flag} must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "rt.csv").exists()
 
 
 def test_simulate_rejects_table_that_does_not_fit(tmp_path, capsys):

@@ -8,7 +8,6 @@ from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
 from elfkit.metrics import (
     GaussianBelief,
     NoiseModel,
-    QuadratureDomainError,
     SingularLikelihoodError,
     expected_bias,
     fisher_information,
@@ -135,9 +134,25 @@ class TestExpectedBias:
         se = values.std(ddof=1) / math.sqrt(draws.size)
         assert abs(b - values.mean()) < 3 * se
 
-    def test_quadrature_envelope(self):
-        with pytest.raises(QuadratureDomainError):
-            expected_bias(Scheme.AF, GaussianBelief(1.0, 1.21), clf_angles(1))
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 1.1])
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    def test_matches_dense_reference(self, scheme, layers, sigma):
+        # Trapezoid rule over mu +- 12 sigma on the kernel's bias and its
+        # theta-derivative: the Gaussian-weighted integrand is smooth and
+        # decays to below 1e-31 at the ends, so the rule is exact to rounding
+        # at every sigma and L, including sigma > 1 and the L = 8 case that a
+        # fixed-node quadrature misses.
+        rng = np.random.default_rng(100 * layers + int(10 * sigma))
+        x = rng.uniform(-np.pi, np.pi, 2 * layers)
+        mu = rng.uniform(0.3, 2.8)
+        t = np.linspace(-12.0, 12.0, 2401)
+        w = np.exp(-t * t / 2.0) * (t[1] - t[0]) / math.sqrt(2.0 * math.pi)
+        w[[0, -1]] /= 2.0
+        thetas = mu + sigma * t
+        b, db = expected_bias(scheme, GaussianBelief(mu, sigma**2), x)
+        assert b == pytest.approx(float(w @ bias(scheme, thetas, x)), abs=1e-12)
+        assert db == pytest.approx(float(w @ bias_derivative(scheme, thetas, x)), abs=1e-12)
 
 
 class TestVarianceReductionFactor:

@@ -269,10 +269,10 @@ class TestRunExperiment:
                 table=table,
             )
 
-    @pytest.mark.parametrize("fit_points", [1, 0])
-    def test_rejects_fewer_than_two_fit_points(self, fit_points):
-        # Caught at construction, not when the engine first fits.
-        with pytest.raises(ValueError, match="fit_points"):
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_fewer_than_one_thread(self, threads):
+        # Caught at construction, not when the experiment picks its executor.
+        with pytest.raises(ValueError, match="threads must be >= 1"):
             ExperimentConfig(
                 scheme="af-clf",
                 true_pi=0.1,
@@ -281,7 +281,7 @@ class TestRunExperiment:
                 noise=NoiseModel(),
                 runs=1,
                 horizon=10,
-                fit_points=fit_points,
+                threads=threads,
             )
 
 
