@@ -284,6 +284,8 @@ def cmd_table(cfg: dict) -> int:
 
 
 def cmd_scan(cfg: dict) -> int:
+    if cfg["points"] < 1:
+        raise UsageError(f"--points must be >= 1, got {cfg['points']}")
     scheme = Scheme(cfg["scheme"])
     layers = cfg["layers"]
     noise = NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"])
@@ -388,6 +390,8 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_runtime(cfg: dict) -> int:
+    if cfg["points"] < 1:
+        raise UsageError(f"--points must be >= 1, got {cfg['points']}")
     hw = HardwareParams(
         qubits=cfg["qubits"],
         depth=cfg["depth"],

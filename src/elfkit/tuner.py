@@ -7,10 +7,10 @@ is reported as the square root of the climbed value.
 
 One ascent serves both: coordinate sweeps, one O(L) ``csbd.sweep`` per
 round, each coordinate updated by the one step ``_coordinate_step_fisher``.
-It is solved in the sinusoid's argument a = k x_j: a uniform scan of
-[-pi, pi) (robust to multimodality), then Newton steps on d/da log of the
-climbed value within one grid step of the best scan point.  A step keeps
-the current angle unless the scan or Newton point beats it.
+It is solved in the sinusoid's argument a = k x_j by a uniform scan of
+[-pi, pi) (robust to multimodality), and keeps the current angle unless the
+best scan point beats it.  The scan only finds the basin; the BFGS finish
+below polishes the point within it.
 
 Once a sweep moves no angle by more than one scan-grid step, the scan has
 found the basin and further sweeps only zig-zag along coupled ridges, so
@@ -30,7 +30,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,9 +40,8 @@ from .metrics import SINGULAR_TOL, NoiseModel
 
 TABLE_FORMAT_VERSION = "elf-table/1"
 DEGENERATE_FLAG = "degenerate_theta"
-# The Fisher step's scan grid size and its cap on Newton iterations.
+# The Fisher step's scan grid size.
 SCAN_POINTS = 64
-REFINE_ITERS = 30
 
 
 class Objective(Enum):
@@ -155,57 +153,22 @@ _SCAN_BASIS.setflags(write=False)  # one array serves every caller
 def _fisher_1d(co: CsbdCoefficients, g: float, f: float, a: float) -> float:
     """The climbed value (see ``_climbed``) as a function of the sinusoid argument a = k x_j."""
     ca, sa = math.cos(a), math.sin(a)
-    num = co.c_prime * ca + co.s_prime * sa + co.b_prime
-    den = 1.0 - (f * (co.c * ca + co.s * sa + co.b)) ** 2
-    return -math.inf if den < SINGULAR_TOL else (g * num) ** 2 / den
-
-
-def _newton_log_fisher(co: CsbdCoefficients, f: float, a: float, lo: float, hi: float, iters: int) -> float:
-    """Newton ascent of log F = log N^2 - log(1 - f^2 M^2) + const from a, kept in [lo, hi].
-
-    N and M are the derivative and bias sinusoids, so N'' = b' - N and M'' = b - M.
-    """
-    f2 = f * f
-    for _ in range(iters):
-        ca, sa = math.cos(a), math.sin(a)
-        n = co.c_prime * ca + co.s_prime * sa + co.b_prime
-        dn = co.s_prime * ca - co.c_prime * sa
-        m = co.c * ca + co.s * sa + co.b
-        dm = co.s * ca - co.c * sa
-        den = 1.0 - f2 * m * m
-        if n == 0.0 or den < SINGULAR_TOL:
-            break
-        r = f2 * m * dm / den
-        grad = 2.0 * dn / n + 2.0 * r
-        curv = 2.0 * (n * (co.b_prime - n) - dn * dn) / (n * n)
-        curv += 2.0 * f2 * (dm * dm + m * (co.b - m)) / den + 4.0 * r * r
-        if curv >= 0.0:
-            break
-        step = min(max(a - grad / curv, lo), hi) - a
-        a += step
-        if abs(step) < 1e-15:
-            break
-    return a
+    return _climbed(g, f, co.c * ca + co.s * sa + co.b, co.c_prime * ca + co.s_prime * sa + co.b_prime)
 
 
 def _coordinate_step_fisher(co: CsbdCoefficients, g: float, f: float, current: float) -> float:
-    """The new x_j: the best scan point, refined by Newton steps, unless ``current`` is no worse."""
+    """The new x_j: the best scan point, unless ``current`` is no worse."""
     # The climbed value / g^2 on the grid: the derivative and f-scaled bias sinusoids in one product.
     coefficients = np.array(((co.c_prime, co.s_prime, co.b_prime), (f * co.c, f * co.s, f * co.b)))
     num, fbias = coefficients @ _SCAN_BASIS
     den = 1.0 - fbias * fbias
     values = num * num / np.maximum(den, SINGULAR_TOL)
     values[den < SINGULAR_TOL] = -np.inf
-    h = 2.0 * math.pi / SCAN_POINTS
-    a0 = int(values.argmax()) * h - math.pi
-    best_a, best = a0, _fisher_1d(co, g, f, a0)
-    a = _newton_log_fisher(co, f, a0, a0 - h, a0 + h, REFINE_ITERS)
-    if (value := _fisher_1d(co, g, f, a)) > best:
-        best_a, best = a, value
+    a = float(_SCAN_GRID[values.argmax()])
     k = co.angle_scale
-    if _fisher_1d(co, g, f, k * current) >= best:
+    if _fisher_1d(co, g, f, k * current) >= _fisher_1d(co, g, f, a):
         return current
-    return best_a / k
+    return a / k
 
 
 # Armijo sufficient-increase constant and the cap on step halvings of the
@@ -330,60 +293,6 @@ def tune(spec: TuneSpec, warm_starts: tuple = ()) -> TuneResult:
     return best
 
 
-# -- analytic optimum of the single-layer slope ------------------------------
-
-
-def _real_roots_sorted(coeffs: list[float]) -> np.ndarray:
-    roots = np.roots(coeffs)
-    real = np.sort(roots[np.abs(roots.imag) < 1e-9].real)
-    return real
-
-
-@lru_cache(maxsize=1)
-def l1_slope_breakpoints() -> tuple[float, float, float, float]:
-    """The four boundaries of the piecewise single-layer slope optimum.
-
-    The outer two are arctan expressions; the inner two come from the third
-    smallest real roots of a pair of degree-8 palindromic polynomials.
-    """
-    mu1 = 2.0 * math.atan(math.sqrt((4.0 - math.sqrt(13.0)) / 3.0))
-    mu4 = 2.0 * math.atan(math.sqrt(4.0 + math.sqrt(13.0)))
-    p2 = [1.0, 72.0, -1540.0, 8568.0, -16506.0, 8568.0, -1540.0, 72.0, 1.0]
-    p3 = [9.0, -264.0, 2492.0, -9016.0, 13302.0, -9016.0, 2492.0, -264.0, 9.0]
-    # np.roots expects the highest-degree coefficient first; both lists are
-    # palindromic so the order is immaterial, kept explicit for clarity.
-    r2 = _real_roots_sorted(p2)
-    r3 = _real_roots_sorted(p3)
-    mu2 = 4.0 * math.atan(math.sqrt(r2[2]))
-    mu3 = 4.0 * math.atan(math.sqrt(r3[2]))
-    return mu1, mu2, mu3, mu4
-
-
-def analytic_l1_slope_optimum(mu: float) -> tuple[float, float, float]:
-    """Exact max of |d(bias)/dtheta| over both angles for L=1 (ancilla-free).
-
-    Returns the maximum slope magnitude and one pair of angles attaining it.
-    Used as an independent oracle for the numerical tuner.
-    """
-    if not 0.0 <= mu <= math.pi:
-        raise ValueError("mu must lie in [0, pi]")
-    mu1, mu2, mu3, mu4 = l1_slope_breakpoints()
-    half = mu / 2.0
-    if mu <= mu1 or mu >= mu4:
-        return 3.0 * math.sin(3.0 * mu), math.pi / 2.0, math.pi / 2.0
-    if mu2 <= mu <= mu3:
-        return -3.0 * math.sin(3.0 * mu), math.pi / 2.0, math.pi / 2.0
-    if mu < mu2:
-        value = 4.0 * math.cos(half) ** 4 / math.tan(half) / (1.0 + 3.0 * math.cos(mu))
-        arg = math.sqrt(1.0 - 3.0 * math.cos(mu) + 1.0 / math.cos(mu))
-        gamma = math.atan(1.0 / arg)
-        return value, -gamma, gamma
-    value = 4.0 * math.sin(half) ** 4 * math.tan(half) / (1.0 - 3.0 * math.cos(mu))
-    arg = math.sqrt(1.0 + 3.0 * math.cos(mu) - 1.0 / math.cos(mu))
-    gamma = math.atan(1.0 / arg)
-    return value, gamma, gamma
-
-
 # -- lookup tables ------------------------------------------------------------
 
 
@@ -503,11 +412,11 @@ def build_lookup_table(
     failures at interior points are likewise flagged rather than dropped.
     """
     if isinstance(grid_spec, (int, np.integer)):
-        if grid_spec < 2:
-            raise ValueError("grid must have at least 2 points")
-        grid = np.linspace(-1.0, 1.0, int(grid_spec))
+        grid = np.linspace(-1.0, 1.0, max(int(grid_spec), 0))
     else:
         grid = np.asarray(grid_spec, dtype=float)
+    if grid.size < 2:
+        raise ValueError("grid must have at least 2 points")
     point_seeds = np.random.SeedSequence(seed).generate_state(grid.size, dtype=np.uint64)
     f = noise.process_fidelity(layers)
     entries: list[TableEntry] = []

@@ -12,7 +12,8 @@ import elfkit
 from elfkit.bias import Scheme
 from elfkit.cli import main
 from elfkit.metrics import NoiseModel
-from elfkit.tuner import analytic_l1_slope_optimum, build_lookup_table
+from elfkit.tuner import build_lookup_table
+from slope_oracle import analytic_l1_slope_optimum
 
 
 @pytest.mark.parametrize("command", ["tune", "runtime"])
@@ -95,6 +96,24 @@ def test_runtime_rejects_infidelities_outside_unit_interval(args, flag, tmp_path
     assert main(["runtime", *args, "--points", "3", "--out", str(tmp_path / "rt")]) == 2
     assert f"{flag} must lie in (0, 1)" in capsys.readouterr().err
     assert not (tmp_path / "rt.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "1"])
+def test_table_rejects_grid_below_two(grid, tmp_path, capsys, monkeypatch):
+    # A usage error (2) before any tuning, and no output.
+    monkeypatch.setattr("elfkit.tuner.tune", lambda *a, **k: pytest.fail("tuned a point"))
+    assert main(["table", "--grid", grid, "--seed", "1", "--out", str(tmp_path / "t")]) == 2
+    assert "grid must have at least 2 points" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("command", ["scan", "runtime"])
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_rejects_points_below_one(command, points, tmp_path, capsys):
+    # A usage error (2) naming the flag, and neither the CSV nor the sidecar.
+    assert main([command, "--points", points, "--out", str(tmp_path / "out")]) == 2
+    assert f"--points must be >= 1, got {points}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_rejects_table_that_does_not_fit(tmp_path, capsys):
