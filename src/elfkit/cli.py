@@ -2,8 +2,10 @@
 
 Every command accepts ``--config FILE`` with a JSON object whose keys are the
 command's flag names; explicit flags override file values and unknown keys
-are rejected.  The effective configuration is echoed into every output
-sidecar so results are regenerable from the outputs alone.
+are rejected.  ``scan``, ``simulate`` and ``runtime`` write their CSV and JSON
+sidecar through one writer, ``_write_outputs``; the other modules only
+compute.  The effective configuration is echoed into every output sidecar so
+results are regenerable from the outputs alone.
 
 Exit codes: 0 success, 2 usage error, 3 numeric guard tripped, 4 I/O error.
 """
@@ -25,7 +27,7 @@ from .algebra import DegenerateSubspaceError
 from .bias import Scheme, clf_angles
 from .metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, slope
 from .runtime_model import HardwareParams, hardware_runtime_curve
-from .sim import ExperimentConfig, run_experiment, write_experiment_csv
+from .sim import ExperimentConfig, run_experiment
 from .tuner import (
     LookupTable,
     Objective,
@@ -209,15 +211,24 @@ def _sidecar(command: str, cfg: dict, extra: dict | None = None) -> dict:
     return doc
 
 
-def _out_paths(prefix: str) -> tuple[str, str]:
-    base = prefix[:-4] if prefix.endswith(".csv") else prefix
-    return base + ".csv", base + ".json"
-
-
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def _write_outputs(command: str, cfg: dict, header, rows, extra: dict | None = None) -> None:
+    """Write the CSV and its JSON sidecar at the ``--out`` prefix (a trailing .csv is dropped).
+
+    Float cells are written as the ``repr`` of a Python float, so they round-trip exactly.
+    """
+    base = cfg["out"][:-4] if cfg["out"].endswith(".csv") else cfg["out"]
+    with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+    _write_json(base + ".json", _sidecar(command, cfg, extra))
+    print(f"wrote {base}.csv", file=sys.stderr)
 
 
 # -- commands -------------------------------------------------------------------
@@ -294,6 +305,10 @@ def cmd_scan(cfg: dict) -> int:
     over_pi = quantity == "rhat0"
     lo = cfg["min"] if cfg["min"] is not None else (-0.9 if over_pi else 0.1)
     hi = cfg["max"] if cfg["max"] is not None else (0.9 if over_pi else math.pi - 0.1)
+    below, above, domain = (-1.0, 1.0, "(-1, 1)") if over_pi else (0.0, math.pi, "(0, pi)")
+    for name, end in (("min", lo), ("max", hi)):
+        if not below < end < above:
+            raise UsageError(f"--{name} must lie in {domain} for --quantity {quantity}, got {end}")
     grid = np.linspace(lo, hi, cfg["points"])
     clf = clf_angles(layers)
     point_seeds = np.random.SeedSequence(cfg["seed"]).generate_state(grid.size, dtype=np.uint64)
@@ -323,14 +338,7 @@ def cmd_scan(cfg: dict) -> int:
         warm = (result.x_opt,)
         rows.append((float(v), evaluate(float(v), clf), evaluate(float(v), result.x_opt)))
 
-    csv_path, json_path = _out_paths(cfg["out"])
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta_or_pi", "clf_value", "elf_value"])
-        for row in rows:
-            writer.writerow([repr(row[0]), repr(row[1]), repr(row[2])])
-    _write_json(json_path, _sidecar("scan", cfg))
-    print(f"wrote {csv_path}", file=sys.stderr)
+    _write_outputs("scan", cfg, ["theta_or_pi", "clf_value", "elf_value"], rows)
     return 0
 
 
@@ -370,22 +378,24 @@ def cmd_simulate(cfg: dict) -> int:
         threads=cfg["threads"],
     )
     traces = run_experiment(config)
-    csv_path, json_path = _out_paths(cfg["out"])
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        write_experiment_csv(traces, fh)
-    _write_json(
-        json_path,
-        _sidecar(
-            "simulate",
-            cfg,
-            {
-                "growth_rate": traces.growth_rate,
-                "excluded_runs": traces.excluded_runs,
-                "final_rmse": float(traces.rmse[-1]),
-            },
+    _write_outputs(
+        "simulate",
+        cfg,
+        ["time", "rmse", "inv_mse", "bias_sq", "var_est", "mean_perceived_var"],
+        zip(
+            traces.times.tolist(),
+            traces.rmse.tolist(),
+            traces.inv_mse.tolist(),
+            traces.bias_sq.tolist(),
+            traces.var_est.tolist(),
+            traces.mean_perceived_var.tolist(),
         ),
+        {
+            "growth_rate": traces.growth_rate,
+            "excluded_runs": traces.excluded_runs,
+            "final_rmse": float(traces.rmse[-1]),
+        },
     )
-    print(f"wrote {csv_path}", file=sys.stderr)
     return 0
 
 
@@ -407,23 +417,15 @@ def cmd_runtime(cfg: dict) -> int:
     )
     grid = 1.0 - np.geomspace(cfg["infidelity-max"], cfg["infidelity-min"], cfg["points"])
     points = hardware_runtime_curve(hw, eps_list, f2q_grid=grid, pi=cfg["pi"])
-    csv_path, json_path = _out_paths(cfg["out"])
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["f2q", "eps", "t_lower_s", "t_upper_s", "t_mid_s", "flags"])
-        for p in points:
-            writer.writerow(
-                [
-                    repr(p.gate_fidelity),
-                    repr(p.eps),
-                    repr(p.t_lower_s),
-                    repr(p.t_upper_s),
-                    repr(p.t_mid_s),
-                    "ok" if p.valid else "lam_gt_1",
-                ]
-            )
-    _write_json(json_path, _sidecar("runtime", cfg))
-    print(f"wrote {csv_path}", file=sys.stderr)
+    _write_outputs(
+        "runtime",
+        cfg,
+        ["f2q", "eps", "t_lower_s", "t_upper_s", "t_mid_s", "flags"],
+        [
+            (p.gate_fidelity, p.eps, p.t_lower_s, p.t_upper_s, p.t_mid_s, "ok" if p.valid else "lam_gt_1")
+            for p in points
+        ],
+    )
     return 0
 
 

@@ -16,7 +16,6 @@ the other (moments of arccos of a clipped Gaussian).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,18 +35,6 @@ FIT_POINTS = 11  # abscissae of the sinusoid fit
 _FIT_OFFSETS = np.arange(1 - FIT_POINTS, FIT_POINTS, 2) / (FIT_POINTS - 1.0)
 _FIT_OFFSETS.flags.writeable = False
 _FIT_NORM = float(np.sum(_FIT_OFFSETS * _FIT_OFFSETS))
-
-TRACE_CSV_COLUMNS = (
-    "round",
-    "k_time",
-    "outcome",
-    "r",
-    "b",
-    "theta_mean",
-    "theta_var",
-    "pi_mean",
-    "pi_var",
-)
 
 
 @dataclass(frozen=True)
@@ -277,23 +264,3 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
         RoundRecord(k, k * config.round_cost, int(dk), SinusoidFit(rk, bk), GaussianBelief(m, v), GaussianBelief(pm, pv))
         for k, (rk, bk, dk, m, v, pm, pv) in enumerate(zip(*(c.tolist() for c in columns)), start=1)
     ]
-
-
-def write_trace_csv(records: list[RoundRecord], fh) -> None:
-    """Trace export; one row per round with the documented column set."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(TRACE_CSV_COLUMNS)
-    for rec in records:
-        writer.writerow(
-            [
-                rec.round_index,
-                rec.cumulative_time,
-                rec.outcome,
-                repr(rec.fit.r),
-                repr(rec.fit.b),
-                repr(rec.theta_belief.mean),
-                repr(rec.theta_belief.variance),
-                repr(rec.pi_belief.mean),
-                repr(rec.pi_belief.variance),
-            ]
-        )

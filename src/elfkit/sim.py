@@ -17,8 +17,6 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-import csv
-
 import numpy as np
 
 from .algebra import DegenerateSubspaceError
@@ -32,15 +30,6 @@ CHUNK_SIZE = 64
 # horizon over which the inverse-MSE growth rate is fitted.
 CHECKPOINTS_PER_DECADE = 50
 FIT_WINDOW_FRACTION = 0.25
-
-EXPERIMENT_CSV_COLUMNS = (
-    "time",
-    "rmse",
-    "inv_mse",
-    "bias_sq",
-    "var_est",
-    "mean_perceived_var",
-)
 
 
 @dataclass
@@ -65,6 +54,8 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
+        if self.scheme != "standard" and self.layers < 1:
+            raise ValueError("layers must be >= 1")
         min_horizon = 1 if self.scheme == "standard" else 2 * self.layers + 1
         if self.horizon < min_horizon:
             raise ValueError(f"horizon must be >= {min_horizon}")
@@ -218,19 +209,3 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
         runs=config.runs,
         excluded_runs=excluded,
     )
-
-
-def write_experiment_csv(traces: TraceSeries, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(EXPERIMENT_CSV_COLUMNS)
-    for i, t in enumerate(traces.times):
-        writer.writerow(
-            [
-                int(t),
-                repr(float(traces.rmse[i])),
-                repr(float(traces.inv_mse[i])),
-                repr(float(traces.bias_sq[i])),
-                repr(float(traces.var_est[i])),
-                repr(float(traces.mean_perceived_var[i])),
-            ]
-        )

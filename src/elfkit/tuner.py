@@ -304,6 +304,14 @@ class TableEntry:
     flag: str | None = None
 
 
+def _check_grid(grid: np.ndarray) -> None:
+    """Raise a ``ValueError`` unless the estimand grid is strictly increasing within [-1, 1]."""
+    if np.any(np.diff(grid) <= 0.0):
+        raise ValueError("grid must be strictly increasing")
+    if grid[0] < -1.0 or grid[-1] > 1.0:
+        raise ValueError("grid must lie within [-1, 1]")
+
+
 class LookupTable:
     """Tuned angle vectors on a grid of estimand values in [-1, 1]."""
 
@@ -311,10 +319,7 @@ class LookupTable:
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size != len(entries):
             raise ValueError("grid and entries must align")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if grid[0] < -1.0 or grid[-1] > 1.0:
-            raise ValueError("grid must lie within [-1, 1]")
+        _check_grid(grid)
         self.grid = grid
         self.entries = entries
         self.metadata = dict(metadata)
@@ -410,13 +415,17 @@ def build_lookup_table(
     an explicit increasing sequence of estimand values.  Grid points at +-1
     are emitted flagged (the estimand angle would be degenerate); tuning
     failures at interior points are likewise flagged rather than dropped.
+    The layer count and the grid are checked before any point is tuned.
     """
+    if layers < 1:
+        raise ValueError("layers must be >= 1")
     if isinstance(grid_spec, (int, np.integer)):
         grid = np.linspace(-1.0, 1.0, max(int(grid_spec), 0))
     else:
         grid = np.asarray(grid_spec, dtype=float)
     if grid.size < 2:
         raise ValueError("grid must have at least 2 points")
+    _check_grid(grid)
     point_seeds = np.random.SeedSequence(seed).generate_state(grid.size, dtype=np.uint64)
     f = noise.process_fidelity(layers)
     entries: list[TableEntry] = []

@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import elfkit
 from elfkit.bias import Scheme
 from elfkit.cli import main
-from elfkit.metrics import NoiseModel
+from elfkit.metrics import GaussianBelief, NoiseModel
+from elfkit.sim import ExperimentConfig, run_experiment
 from elfkit.tuner import build_lookup_table
 from slope_oracle import analytic_l1_slope_optimum
 
@@ -69,6 +71,8 @@ def test_simulate_takes_threads(tmp_path):
         ("prior-std", "0", "--prior-std must be positive"),
         ("threads", "0", "threads must be >= 1"),
         ("threads", "-1", "threads must be >= 1"),
+        ("layers", "0", "layers must be >= 1"),
+        ("layers", "-1", "layers must be >= 1"),
     ],
 )
 def test_simulate_rejects_out_of_range_values(flag, value, message, tmp_path, capsys):
@@ -105,6 +109,41 @@ def test_table_rejects_grid_below_two(grid, tmp_path, capsys, monkeypatch):
     assert main(["table", "--grid", grid, "--seed", "1", "--out", str(tmp_path / "t")]) == 2
     assert "grid must have at least 2 points" in capsys.readouterr().err
     assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (["--grid-min", "-2"], "grid must lie within [-1, 1]"),
+        (["--grid-max", "1.5"], "grid must lie within [-1, 1]"),
+        (["--grid-min", "0.5", "--grid-max", "-0.5"], "grid must be strictly increasing"),
+        (["--layers", "-1"], "layers must be >= 1"),
+    ],
+)
+def test_table_rejects_bad_grid_or_layers_before_tuning(args, message, tmp_path, capsys, monkeypatch):
+    # The checks of LookupTable run before the first point is tuned: a usage error (2), no output.
+    monkeypatch.setattr("elfkit.tuner.tune", lambda *a, **k: pytest.fail("tuned a point"))
+    assert main(["table", "--grid", "9", *args, "--seed", "1", "--out", str(tmp_path / "t")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    ("quantity", "flag", "value", "domain"),
+    [
+        ("rhat0", "min", "-1.5", "(-1, 1)"),
+        ("rhat0", "max", "1", "(-1, 1)"),
+        ("fisher", "max", "4", "(0, pi)"),
+        ("slope", "min", "0", "(0, pi)"),
+    ],
+)
+def test_scan_rejects_grid_end_outside_domain(quantity, flag, value, domain, tmp_path, capsys, monkeypatch):
+    # Both ends are checked before the first point is tuned: a usage error (2) naming the flag.
+    monkeypatch.setattr("elfkit.cli.tune", lambda *a, **k: pytest.fail("tuned a point"))
+    argv = ["scan", "--quantity", quantity, f"--{flag}", value, "--points", "3", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "scan")]) == 2
+    assert f"--{flag} must lie in {domain}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["scan", "runtime"])
@@ -151,3 +190,68 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_EXPERIMENT_HEADER = "time,rmse,inv_mse,bias_sq,var_est,mean_perceived_var"
+_SIMULATE = ["--true-pi", "0.1", "--prior-mean", "0.12", "--layer-fidelity", "0.95"]
+_SIMULATE += ["--runs", "5", "--horizon", "60", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "header", "n_rows"),
+    [
+        pytest.param(
+            ["scan", "--points", "3", "--restarts", "1", "--max-rounds", "20", "--seed", "1"],
+            "theta_or_pi,clf_value,elf_value",
+            3,
+            id="scan-theta",
+        ),
+        pytest.param(
+            ["scan", "--quantity", "rhat0", "--points", "3", "--restarts", "1", "--max-rounds", "20", "--seed", "1"],
+            "theta_or_pi,clf_value,elf_value",
+            3,
+            id="scan-rhat0",
+        ),
+        pytest.param(["simulate", "--scheme", "af-clf", *_SIMULATE], _EXPERIMENT_HEADER, None, id="simulate-af-clf"),
+        pytest.param(["simulate", "--scheme", "standard", *_SIMULATE], _EXPERIMENT_HEADER, None, id="simulate-standard"),
+        pytest.param(
+            ["runtime", "--points", "3", "--eps", "1e-3,1e-4"],
+            "f2q,eps,t_lower_s,t_upper_s,t_mid_s,flags",
+            6,
+            id="runtime",
+        ),
+    ],
+)
+def test_csv_and_sidecar_outputs(argv, header, n_rows, tmp_path):
+    # A trailing .csv on --out names the same prefix as no suffix.
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
+    text = (tmp_path / "out.csv").read_text(encoding="utf-8")
+    assert text.split("\n")[0] == header and text.endswith("\n") and "\r" not in text
+    rows = list(csv.reader(text.splitlines()))[1:]
+    sidecar = json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))
+    assert sidecar["command"] == argv[0]
+    if argv[0] != "simulate":
+        assert len(rows) == n_rows
+        # Every value cell is the repr of a Python float ("np.float64(...)" is not).
+        values = [c for row in rows for c in row if c not in ("ok", "lam_gt_1")]
+        assert all(repr(float(c)) == c for c in values)
+        return
+    traces = run_experiment(
+        ExperimentConfig(
+            scheme=argv[2],
+            true_pi=0.1,
+            prior_pi=GaussianBelief(0.12, 0.03**2),
+            layers=1,
+            noise=NoiseModel(0.95),
+            runs=5,
+            horizon=60,
+            master_seed=1,
+        )
+    )
+    columns = [traces.times, traces.rmse, traces.inv_mse, traces.bias_sq, traces.var_est, traces.mean_perceived_var]
+    assert [row[0] for row in rows] == [str(t) for t in traces.times.tolist()]
+    cells = np.array([[float(c) for c in row] for row in rows])
+    assert np.array_equal(cells, np.column_stack(columns), equal_nan=True)
+    assert np.isnan(cells[:, 5]).all() == (argv[2] == "standard")
+    assert sidecar["final_rmse"] == traces.rmse[-1]

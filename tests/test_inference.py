@@ -1,4 +1,3 @@
-import io
 import math
 from functools import lru_cache
 
@@ -11,8 +10,6 @@ from elfkit.bias import Scheme, clf_angles
 from elfkit.inference import (
     FIT_POINTS,
     EstimationConfig,
-    RoundRecord,
-    SinusoidFit,
     _angle_policy,
     _lockstep,
     _posterior_moments,
@@ -20,7 +17,6 @@ from elfkit.inference import (
     pi_to_theta,
     run_estimation,
     theta_to_pi,
-    write_trace_csv,
 )
 from elfkit.metrics import GaussianBelief, NoiseModel
 from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
@@ -425,17 +421,3 @@ class TestEngineEquivalence:
         batch = np.array([[a[col] for a in state[:5]] for state in rounds])
         assert np.array_equal(single, batch)
         assert 0 < single[:, 2].sum() < n  # both outcomes occur
-
-
-class TestTraceCsv:
-    def test_columns_and_rows(self):
-        records = [
-            RoundRecord(1, 3, 0, SinusoidFit(2.0, 0.1), GaussianBelief(1.0, 0.01), GaussianBelief(0.5, 0.004)),
-            RoundRecord(2, 6, 1, SinusoidFit(2.1, 0.2), GaussianBelief(1.0, 0.009), GaussianBelief(0.5, 0.0035)),
-        ]
-        buf = io.StringIO()
-        write_trace_csv(records, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "round,k_time,outcome,r,b,theta_mean,theta_var,pi_mean,pi_var"
-        assert len(lines) == 3
-        assert lines[1].startswith("1,3,0,2.0,0.1,")

@@ -1,4 +1,3 @@
-import io
 import math
 import traceback
 
@@ -11,7 +10,7 @@ from elfkit.bias import Scheme, clf_angles
 from elfkit import inference
 from elfkit.inference import _angle_policy, _lockstep
 from elfkit.metrics import GaussianBelief, NoiseModel, likelihood
-from elfkit.sim import ExperimentConfig, run_experiment, write_experiment_csv
+from elfkit.sim import ExperimentConfig, run_experiment
 from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
 
 
@@ -31,10 +30,10 @@ def tiny_table():
 def round_outcomes(scheme, theta_star, f, layers, rng, n=100_000):
     """Outcomes of one lockstep round of n runs at the Chebyshev angles.
 
-    The draw does not depend on the fit, so two fit points keep the batch small.
+    The draw reads only the uniform and the bias at theta_star, not the belief.
     """
     angles = _angle_policy(scheme, layers, "clf")
-    rounds = _lockstep(f, theta_star, np.full(n, 1.0), np.full(n, 0.01), angles, rng.random((1, n)), 2)
+    rounds = _lockstep(f, theta_star, np.full(n, 1.0), np.full(n, 0.01), angles, rng.random((1, n)))
     return next(rounds)[2].astype(int)
 
 
@@ -284,6 +283,35 @@ class TestRunExperiment:
                 threads=threads,
             )
 
+    @pytest.mark.parametrize("scheme", ["af-clf", "ab-clf", "af-elf"])
+    @pytest.mark.parametrize("layers", [0, -1])
+    def test_rejects_fewer_than_one_layer(self, scheme, layers, tiny_table):
+        # Caught at construction, not by NoiseModel.process_fidelity's bound of 0.
+        with pytest.raises(ValueError, match="layers must be >= 1"):
+            ExperimentConfig(
+                scheme=scheme,
+                true_pi=0.1,
+                prior_pi=GaussianBelief(0.1, 0.0009),
+                layers=layers,
+                noise=NoiseModel(),
+                runs=1,
+                horizon=10,
+                table=tiny_table,
+            )
+
+    def test_standard_scheme_ignores_layers(self):
+        # The standard scheme runs no layers, so it takes any count.
+        cfg = ExperimentConfig(
+            scheme="standard",
+            true_pi=0.1,
+            prior_pi=GaussianBelief(0.1, 0.0009),
+            layers=0,
+            noise=NoiseModel(),
+            runs=1,
+            horizon=10,
+        )
+        assert run_experiment(cfg).rmse.size > 0
+
 
 class TestDiagnostics:
     # The bias/variance decomposition of the estimator that ``TraceSeries``
@@ -321,23 +349,3 @@ class TestDiagnostics:
         late = report.times >= 1500
         ratio = report.mean_perceived_var[late] / report.var_est[late]
         assert np.all(np.abs(ratio - 1) < 0.5)
-
-
-class TestCsvExport:
-    def test_columns(self, tiny_table):
-        cfg = ExperimentConfig(
-            scheme="af-elf",
-            true_pi=0.1,
-            prior_pi=GaussianBelief(0.12, 0.0009),
-            layers=1,
-            noise=NoiseModel(0.9, 1.0),
-            runs=3,
-            horizon=60,
-            master_seed=8,
-            table=tiny_table,
-        )
-        buf = io.StringIO()
-        write_experiment_csv(run_experiment(cfg), buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "time,rmse,inv_mse,bias_sq,var_est,mean_perceived_var"
-        assert len(lines) > 2

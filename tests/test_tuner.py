@@ -386,9 +386,19 @@ class TestLookupTable:
         for e in small_table.entries:
             assert np.array_equal(canonical_angles(e.angles), e.angles)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            build_lookup_table(Scheme.AF, 1, NoiseModel(), [0.2, 0.1], restarts=1, seed=0)
+    def test_grid_validation(self, monkeypatch):
+        # The layer count and the grid rules of LookupTable are checked before any tuning.
+        monkeypatch.setattr(tuner, "tune", lambda *a, **k: pytest.fail("tuned a point"))
+        cases = [
+            (1, [0.2, 0.1], "strictly increasing"),
+            (1, [-2.0, 0.0, 0.5], r"within \[-1, 1\]"),
+            (1, [-0.5, 0.0, 1.5], r"within \[-1, 1\]"),
+            (0, [0.1, 0.2], "layers must be >= 1"),
+            (-1, 5, "layers must be >= 1"),
+        ]
+        for layers, grid, message in cases:
+            with pytest.raises(ValueError, match=message):
+                build_lookup_table(Scheme.AF, layers, NoiseModel(), grid, restarts=1, seed=0)
 
 
 class TestMirrorSymmetry:
