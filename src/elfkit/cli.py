@@ -235,13 +235,13 @@ def _write_outputs(command: str, cfg: dict, header, rows, extra: dict | None = N
 
 
 def cmd_tune(cfg: dict) -> int:
+    if cfg["layers"] < 1:
+        raise UsageError(f"--layers must be >= 1, got {cfg['layers']}")
     spec = TuneSpec(
         scheme=Scheme(cfg["scheme"]),
         layers=cfg["layers"],
         mu=cfg["mu"],
-        fidelity=NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"]).process_fidelity(
-            cfg["layers"]
-        ),
+        fidelity=NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"]).process_fidelity(cfg["layers"]),
         objective=Objective(cfg["objective"]),
         restarts=cfg["restarts"],
         seed=cfg["seed"],
@@ -295,8 +295,9 @@ def cmd_table(cfg: dict) -> int:
 
 
 def cmd_scan(cfg: dict) -> int:
-    if cfg["points"] < 1:
-        raise UsageError(f"--points must be >= 1, got {cfg['points']}")
+    for name in ("points", "layers"):
+        if cfg[name] < 1:
+            raise UsageError(f"--{name} must be >= 1, got {cfg[name]}")
     scheme = Scheme(cfg["scheme"])
     layers = cfg["layers"]
     noise = NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"])

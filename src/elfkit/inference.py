@@ -31,10 +31,10 @@ PI_TO_THETA_NODES = 101
 PI_TO_THETA_TAIL_Z = 12.0
 TINY = np.finfo(float).tiny  # floor of a reported variance
 FIT_POINTS = 11  # abscissae of the sinusoid fit
-# Their offsets o in mu + sd * o, exactly antisymmetric in [-1, 1], and |o|^2.
+# Their offsets o in mu + sd * o, exactly antisymmetric in [-1, 1], and o / |o|^2.
 _FIT_OFFSETS = np.arange(1 - FIT_POINTS, FIT_POINTS, 2) / (FIT_POINTS - 1.0)
-_FIT_OFFSETS.flags.writeable = False
-_FIT_NORM = float(np.sum(_FIT_OFFSETS * _FIT_OFFSETS))
+_FIT_WEIGHTS = _FIT_OFFSETS / np.sum(_FIT_OFFSETS * _FIT_OFFSETS)
+_FIT_OFFSETS.flags.writeable = _FIT_WEIGHTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -60,11 +60,8 @@ class RoundRecord:
 
 def _cos_moments(mu, var):
     """Mean and variance of cos(X) for X ~ N(mu, var); exact and underflow-safe."""
-    decay = np.exp(-var / 2.0)
-    mean = decay * np.cos(mu)
-    spread = -np.expm1(-var)  # 1 - exp(-var), accurate for tiny var
-    second = 2.0 * np.sin(mu) ** 2 - np.cos(2.0 * mu) * np.expm1(-var)
-    return mean, 0.5 * spread * second
+    shrink = np.expm1(-var)  # exp(-var) - 1, accurate for tiny var
+    return np.exp(-var / 2.0) * np.cos(mu), 0.5 * shrink * (np.cos(2.0 * mu) * shrink - 2.0 * np.sin(mu) ** 2)
 
 
 def theta_to_pi(belief: GaussianBelief) -> GaussianBelief:
@@ -110,30 +107,29 @@ def pi_to_theta(belief: GaussianBelief) -> GaussianBelief:
 
 
 def _window_fit(mu, sd, z):
-    """Least-squares line z ~ r*theta + b over the abscissae mu + sd * o.
+    """Least-squares line z ~ r*theta + b over the abscissae mu + sd * o, along z's last axis.
 
-    ``z`` holds the ``FIT_POINTS`` values along its last axis.  With sum(o) = 0
-    the normal equations are diagonal: r = (o . z) / (sd |o|^2) and
-    b = mean(z) - r mu.  The width sd is positive and finite: ``pi_to_theta``
-    floors the variance at ``TINY`` and ``_lockstep`` keeps only finite,
-    positive updates.
+    With sum(o) = 0 the normal equations are diagonal: r = (z . o / |o|^2) / sd and
+    b = mean(z) - r mu.  The width sd is positive and finite: ``pi_to_theta`` floors the
+    variance at ``TINY`` and ``_lockstep`` keeps only finite, positive updates.
     """
-    r = (z * _FIT_OFFSETS).sum(axis=-1) / (sd * _FIT_NORM)
-    return r, z.sum(axis=-1) / FIT_POINTS - r * mu
+    r = np.add.reduce(z * _FIT_WEIGHTS, axis=-1) / sd
+    return r, np.add.reduce(z, axis=-1) / FIT_POINTS - r * mu
 
 
 def _posterior_moments(mu, var, r, b, f, d):
-    """Closed-form posterior mean/variance for the sinusoidal likelihood."""
-    sign = np.where(d, -1.0, 1.0)
-    r2 = r * r
-    decay = np.exp(-r2 * var / 2.0)
+    """Closed-form posterior mean/variance for the sinusoidal likelihood.
+
+    With the signed decay g = (1 - 2d) f exp(-r^2 var / 2), p = r mu + b and den = 1 + g sin p,
+    the mean moves by g r var cos(p) / den and the variance by -(r var)^2 g (g + sin p) / den^2.
+    """
+    rv = r * var
+    signed = (f - 2.0 * f * d) * np.exp(-0.5 * r * rv)
     phase = r * mu + b
-    s_, c_ = np.sin(phase), np.cos(phase)
-    signed = sign * f * decay
+    s_ = np.sin(phase)
     den = 1.0 + signed * s_
-    mu_next = mu + signed * r * var * c_ / den
-    var_next = var * (1.0 - f * r2 * var * decay * (f * decay + sign * s_) / (den * den))
-    return mu_next, var_next
+    step = signed * rv / den
+    return mu + step * np.cos(phase), var - step * rv * (signed + s_) / den
 
 
 # -- the estimation loop -------------------------------------------------------
@@ -192,30 +188,29 @@ def _angle_policy(scheme: Scheme, layers: int, source: str, table=None):
     if source == "clf":
         c = _clf_series(scheme, layers)
         return lambda mu, var: c
-    return lambda mu, var: table.series(scheme, np.exp(-var / 2.0) * np.cos(mu))
+    return lambda mu, var: table.series(scheme, np.exp(var * -0.5) * np.cos(mu))
 
 
 def _lockstep(f, theta_star, mu, var, angles, uniforms, abort=False):
     """Advance runs with theta beliefs N(mu, var) one round per row of ``uniforms``.
 
-    Each round reads the bias at every run's ``FIT_POINTS`` fit abscissae
-    mu + sd * o and at ``theta_star`` from the run's theta-series column
-    (``angles``) by Horner's rule in e^{i theta}, fits the line of
-    ``_window_fit`` to arcsin of the bias, and updates by
-    ``_posterior_moments``.  The work is element-wise and each run is fitted
-    over a contiguous row, so its numbers do not depend on the batch width.
-    Outcome 1 is drawn where the uniform is at least P(0).  A run whose update
-    is not a finite Gaussian freezes and stops being alive, so a live run's
-    width stays positive and finite.  With ``abort`` an abscissa within
-    ``DEGENERATE_TOL`` of a multiple of pi raises ``DegenerateSubspaceError``.
+    Each round reads the bias at every run's ``FIT_POINTS`` fit abscissae mu + sd * o and at
+    ``theta_star`` from the run's theta-series column (``angles``) by Horner's rule in
+    e^{i theta}, fits the line of ``_window_fit`` to arcsin of the bias, and updates by
+    ``_posterior_moments``.  The work is element-wise and each run is fitted over a contiguous
+    row, so its numbers do not depend on the batch width.  The uniforms u become thresholds
+    2u - 1 once per batch: outcome 1 is drawn where 2u - 1 >= f bias(theta_star), i.e.
+    u >= P(0).  From its first update with a non-finite mean or a variance outside (0, inf)
+    a run is excluded (``alive`` false) and its belief frozen.  With ``abort`` an abscissa
+    within ``DEGENERATE_TOL`` of a multiple of pi raises ``DegenerateSubspaceError``.
     Yields ``(r, b, d, mu, var, alive)`` after each round.
     """
     n, column = FIT_POINTS, _FIT_OFFSETS[:, None]
-    alive = np.ones(mu.shape, dtype=bool)
+    alive, excluded = np.ones(mu.shape, dtype=bool), False
     block = np.empty((n + 1, mu.size))
     block[n] = theta_star
     e = np.empty(block.shape, dtype=complex)
-    for u in uniforms:
+    for t in 2.0 * uniforms - 1.0:
         sd = np.sqrt(var)
         np.add(mu, column * sd, out=block[:n])
         np.cos(block, out=e.real)
@@ -226,10 +221,14 @@ def _lockstep(f, theta_star, mu, var, angles, uniforms, abort=False):
         z = np.ascontiguousarray(values[:n].T)
         np.arcsin(np.maximum(np.minimum(z, 1.0 - ARCSIN_CLAMP, out=z), -1.0 + ARCSIN_CLAMP, out=z), out=z)
         r, b = _window_fit(mu, sd, z)
-        d = u >= (1.0 + f * values[n]) / 2.0
+        d = t >= f * values[n]
         mu_next, var_next = _posterior_moments(mu, var, r, b, f, d)
-        alive &= np.isfinite(mu_next) & (0.0 < var_next) & (var_next < np.inf)
-        mu, var = np.where(alive, mu_next, mu), np.where(alive, var_next, var)
+        ok = np.isfinite(mu_next) & (0.0 < var_next) & (var_next < np.inf)
+        if excluded := excluded or np.count_nonzero(ok) < ok.size:
+            alive &= ok
+            mu, var = np.where(alive, mu_next, mu), np.where(alive, var_next, var)
+        else:
+            mu, var = mu_next, var_next
         yield r, b, d, mu, var, alive
 
 
@@ -244,17 +243,15 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     """
     f = config.noise.process_fidelity(config.layers)
     prior = pi_to_theta(config.prior_pi)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     rounds = _lockstep(
         f, math.acos(config.true_pi), np.array([prior.mean]), np.array([prior.variance]),
         _angle_policy(config.scheme, config.layers, config.angle_source, config.table),
-        rng.random((config.round_budget(), 1)),
+        np.random.default_rng(np.random.SeedSequence(config.seed)).random((config.round_budget(), 1)),
     )
     trace = []
     for r, b, d, mu, var, alive in rounds:
-        if not alive.all():
-            # mu, var still hold the last valid belief: redoing its update
-            # makes GaussianBelief raise on the moment that failed.
+        if not alive[0]:
+            # mu, var hold the last valid belief: redoing its update raises on the failed moment.
             GaussianBelief(*(v.item() for v in _posterior_moments(mu, var, r, b, f, d)))
         trace.append((r[0], b[0], d[0], mu[0], var[0]))
     r, b, d, mu, var = np.array(trace, dtype=float).T

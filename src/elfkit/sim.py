@@ -99,7 +99,7 @@ def _checkpoint_rounds(n_rounds: int) -> np.ndarray:
 
 
 def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: np.ndarray):
-    """Advance one chunk of runs in lockstep; returns per-checkpoint state."""
+    """Advance one chunk of runs in lockstep; returns per-checkpoint state, read out once per chunk."""
     layers = config.layers
     f = config.noise.process_fidelity(layers)
     n_rounds = config.horizon // (2 * layers + 1)
@@ -112,15 +112,14 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
         f, math.acos(config.true_pi), np.full(r, prior.mean), np.full(r, prior.variance),
         _angle_policy(config.bias_scheme, layers, source, config.table), uniforms, abort=True,
     )
-    est = np.empty((r, checkpoints.size))
-    per_var = np.empty((r, checkpoints.size))
-    cp_pos = 0
+    mus, variances = np.empty((2, checkpoints.size, r))
+    cp_pos, marks = 0, checkpoints.tolist()
     for k, (_, _, _, mu, var, alive) in enumerate(rounds, start=1):
-        if cp_pos < checkpoints.size and k == checkpoints[cp_pos]:
-            est[:, cp_pos], pi_var = _cos_moments(mu, var)
-            per_var[:, cp_pos] = np.maximum(pi_var, TINY)
+        if cp_pos < len(marks) and k == marks[cp_pos]:
+            mus[cp_pos], variances[cp_pos] = mu, var
             cp_pos += 1
-    return est, per_var, run_indices[~alive]
+    est, pi_var = _cos_moments(mus, variances)
+    return est.T, np.maximum(pi_var, TINY).T, run_indices[~alive]
 
 
 def _growth_rate(times: np.ndarray, inv_mse: np.ndarray, horizon: int) -> float:

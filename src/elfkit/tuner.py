@@ -354,7 +354,7 @@ class LookupTable:
         """
         if (rows := self._series.get(scheme)) is None:
             rows = self._series[scheme] = bias_series(scheme, self._angles)
-        return rows[:, np.searchsorted(self._midpoints, pis, side="right")]
+        return rows[:, self._midpoints.searchsorted(pis, side="right")]
 
     def to_json_dict(self) -> dict:
         return {

@@ -128,6 +128,19 @@ def test_table_rejects_bad_grid_or_layers_before_tuning(args, message, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["tune", "--mu", "1"], ["scan"]], ids=["tune", "scan"])
+@pytest.mark.parametrize("layers", ["0", "-1"])
+def test_tune_and_scan_reject_fewer_than_one_layer(command, layers, tmp_path, capsys, monkeypatch):
+    # Checked before the noise model sees the layer count: a usage error (2)
+    # with the bound of every other layer check, and no output.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("elfkit.cli.tune", lambda *a, **k: pytest.fail("tuned a point"))
+    assert main([*command, "--layers", layers, "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert f"layers must be >= 1, got {layers}" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     ("quantity", "flag", "value", "domain"),
     [

@@ -179,7 +179,44 @@ class TestBayesUpdate:
         assert expected < var
 
 
+def termwise_posterior_moments(mu, var, r, b, f, d):
+    """The update written term by term, with np.where for the sign: the reference of ``_posterior_moments``."""
+    sign = np.where(d, -1.0, 1.0)
+    r2 = r * r
+    decay = np.exp(-r2 * var / 2.0)
+    phase = r * mu + b
+    s_, c_ = np.sin(phase), np.cos(phase)
+    signed = sign * f * decay
+    den = 1.0 + signed * s_
+    mu_next = mu + signed * r * var * c_ / den
+    var_next = var * (1.0 - f * r2 * var * decay * (f * decay + sign * s_) / (den * den))
+    return mu_next, var_next
+
+
 class TestPosteriorMoments:
+    def test_matches_termwise_reference(self):
+        # A seeded grid with both outcomes and variances from 1e-12 to 1, and
+        # three blocks where the update must return the prior exactly: f = 0,
+        # r = 0, and r^2 var > 1500, where the decay underflows to 0 (so the
+        # shared signed decay must never be a divisor).
+        rng = np.random.default_rng(1500)
+        n = 4000
+        mu, var = rng.uniform(0.05, 3.1, n), 10.0 ** rng.uniform(-12.0, 0.0, n)
+        r, b = rng.uniform(-40.0, 40.0, n), rng.uniform(-np.pi, np.pi, n)
+        f, d = rng.uniform(0.0, 1.0, n), np.arange(n) % 2 == 1
+        block = np.arange(n) // (n // 8)
+        f[block == 0] = 0.0
+        r[block == 1] = 0.0
+        r[block == 2] = np.sqrt(rng.uniform(1600.0, 1e6, n // 8) / var[block == 2]) * np.sign(r[block == 2])
+        assert np.all(np.exp(-r[block == 2] ** 2 * var[block == 2] / 2.0) == 0.0)
+        mean, variance = _posterior_moments(mu, var, r, b, f, d)
+        ref_mean, ref_variance = termwise_posterior_moments(mu, var, r, b, f, d)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(variance, ref_variance, rtol=1e-13, atol=0.0)
+        prior = block <= 2
+        assert np.array_equal(mean[prior], mu[prior]) and np.array_equal(variance[prior], var[prior])
+        assert np.any(variance < 0.6 * var) and np.any(variance > 2.0 * var)  # the grid moves the belief both ways
+
     @pytest.mark.parametrize("d", [0, 1])
     @pytest.mark.parametrize("f", [0.5, 0.9, 1.0])
     @pytest.mark.parametrize("sigma", [1e-4, 1e-3, 1e-2, 0.1, 0.5])

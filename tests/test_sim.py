@@ -8,9 +8,9 @@ from scipy.stats import chi2
 from elfkit.algebra import DegenerateSubspaceError
 from elfkit.bias import Scheme, clf_angles
 from elfkit import inference
-from elfkit.inference import _angle_policy, _lockstep
+from elfkit.inference import TINY, _angle_policy, _cos_moments, _lockstep, pi_to_theta
 from elfkit.metrics import GaussianBelief, NoiseModel, likelihood
-from elfkit.sim import ExperimentConfig, run_experiment
+from elfkit.sim import CHUNK_SIZE, ExperimentConfig, _checkpoint_rounds, run_experiment
 from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
 
 
@@ -185,14 +185,25 @@ class TestRunExperiment:
         )
         assert run_experiment(cfg).excluded_runs == []
 
-    def test_invalid_update_excludes_only_its_run(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "moment, bad",
+        [(1, -1.0), (1, 0.0), (1, np.nan), (1, np.inf), (0, np.nan), (0, np.inf), (0, -np.inf)],
+        ids=["variance=-1", "variance=0", "variance=nan", "variance=inf", "mean=nan", "mean=inf", "mean=-inf"],
+    )
+    def test_invalid_update_excludes_only_its_run(self, monkeypatch, moment, bad):
+        # Every value outside the rule (finite mean, 0 < variance < inf), even in
+        # the first update only, excludes run 5 for good: its belief stays at the
+        # prior, though its later updates are valid.  The other runs are untouched.
         def spoiled(mu, var, r, b, f, d):
-            mu_next, var_next = posterior_moments(mu, var, r, b, f, d)
-            var_next[5] = -1.0
-            return mu_next, var_next
+            moments = posterior_moments(mu, var, r, b, f, d)
+            if not calls:
+                moments[moment][5] = bad
+            calls.append(1)
+            return moments
+
+        calls = []
 
         posterior_moments = inference._posterior_moments
-        monkeypatch.setattr(inference, "_posterior_moments", spoiled)
         cfg = ExperimentConfig(
             scheme="af-clf",
             true_pi=0.05,
@@ -203,9 +214,16 @@ class TestRunExperiment:
             horizon=30,
             master_seed=1,
         )
+        clean = run_experiment(cfg)
+        monkeypatch.setattr(inference, "_posterior_moments", spoiled)
         traces = run_experiment(cfg)
         assert traces.excluded_runs == [5]
-        assert np.all(traces.estimates[5] == traces.estimates[5, 0])  # frozen at the prior
+        prior = pi_to_theta(cfg.prior_pi)
+        assert np.all(traces.estimates[5] == _cos_moments(np.full(1, prior.mean), np.full(1, prior.variance))[0])
+        assert np.all(traces.perceived_var[5] == traces.perceived_var[5, 0])
+        others = np.arange(cfg.runs) != 5
+        assert np.array_equal(traces.estimates[others], clean.estimates[others])
+        assert np.array_equal(traces.perceived_var[others], clean.perceived_var[others])
         assert np.isfinite(traces.rmse).all()
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -311,6 +329,44 @@ class TestRunExperiment:
             horizon=10,
         )
         assert run_experiment(cfg).rmse.size > 0
+
+
+class TestCheckpointReadout:
+    @pytest.mark.parametrize("scheme, source", [("af-clf", "clf"), ("af-elf", "table")])
+    def test_estimates_are_cos_moments_of_checkpoint_beliefs(self, scheme, source, tiny_table):
+        # A full chunk and a partial one.  The readout of each chunk, done once
+        # on all its checkpoints, equals, bit for bit, _cos_moments of the
+        # beliefs _lockstep yields at each checkpoint round, floored at TINY.
+        cfg = ExperimentConfig(
+            scheme=scheme,
+            true_pi=0.05,
+            prior_pi=GaussianBelief(0.08, 0.03**2),
+            layers=1,
+            noise=NoiseModel(0.9, 1.0),
+            runs=CHUNK_SIZE + 6,
+            horizon=300,
+            master_seed=4,
+            table=tiny_table if source == "table" else None,
+        )
+        traces = run_experiment(cfg)
+        n_rounds = cfg.horizon // 3
+        streams = [np.random.SeedSequence(cfg.master_seed, spawn_key=(i,)) for i in range(cfg.runs)]
+        uniforms = np.stack([np.random.default_rng(s).random(n_rounds) for s in streams], axis=1)
+        prior = pi_to_theta(cfg.prior_pi)
+        rounds = _lockstep(
+            cfg.noise.process_fidelity(1), math.acos(cfg.true_pi), np.full(cfg.runs, prior.mean),
+            np.full(cfg.runs, prior.variance), _angle_policy(Scheme.AF, 1, source, cfg.table), uniforms,
+        )
+        checkpoints = set(_checkpoint_rounds(n_rounds).tolist())
+        est, per_var = [], []
+        for k, (*_, mu, var, _) in enumerate(rounds, start=1):
+            if k in checkpoints:
+                mean, pi_var = _cos_moments(mu, var)
+                est.append(mean)
+                per_var.append(np.maximum(pi_var, TINY))
+        assert len(est) == traces.times.size > 50
+        assert np.array_equal(traces.estimates, np.transpose(est))
+        assert np.array_equal(traces.perceived_var, np.transpose(per_var))
 
 
 class TestDiagnostics:
