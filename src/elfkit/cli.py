@@ -1,11 +1,20 @@
 """Command-line surface: tuning, table building, scans, experiments, runtime curves.
 
 Every command accepts ``--config FILE`` with a JSON object whose keys are the
-command's flag names; explicit flags override file values and unknown keys
-are rejected.  ``scan``, ``simulate`` and ``runtime`` write their CSV and JSON
-sidecar through one writer, ``_write_outputs``; the other modules only
-compute.  The effective configuration is echoed into every output sidecar so
-results are regenerable from the outputs alone.
+command's flag names.  Its values are parsed as ``--key=value`` tokens ahead
+of the explicit flags, so argparse checks them as it checks flags (a float
+for an integer option or a boolean fails with exit 2), a list becomes the
+comma form of ``--eps``, a null keeps the default, and a later explicit flag
+wins.  A malformed file value fails even where a flag overrides it.  Unknown
+keys are rejected; a ``config`` key is ignored.  ``scan``, ``simulate`` and
+``runtime`` write their CSV and JSON sidecar through one writer,
+``_write_outputs``; the other modules only compute.  The effective
+configuration is echoed into every output sidecar so results are
+regenerable from the outputs alone.
+
+Two scales share the name "slope": ``tune --objective slope`` reports the
+bias slope |d(bias)/dtheta|, and ``scan --quantity slope`` the likelihood
+slope ``metrics.slope`` = f |d(bias)/dtheta| / 2 at process fidelity f.
 
 Exit codes: 0 success, 2 usage error, 3 numeric guard tripped, 4 I/O error.
 """
@@ -65,7 +74,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     + _NOISE
     + (
         Opt("scheme", str, "af", choices=("af", "ab")),
-        Opt("objective", str, "fisher", choices=("fisher", "slope")),
+        Opt("objective", str, "fisher", choices=("fisher", "slope"), help="slope reports |d(bias)/dtheta|"),
         Opt("mu", float, required=True, help="tuning point theta in (0, pi)"),
         Opt("layers", int, 1),
         Opt("restarts", int, 10),
@@ -88,7 +97,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     "scan": _COMMON
     + _NOISE
     + (
-        Opt("quantity", str, "fisher", choices=("fisher", "slope", "rhat0")),
+        Opt("quantity", str, "fisher", choices=("fisher", "slope", "rhat0"), help="slope is f |d(bias)/dtheta| / 2"),
         Opt("scheme", str, "af", choices=("af", "ab")),
         Opt("layers", int, 1),
         Opt("points", int, 41),
@@ -135,10 +144,6 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
 }
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _attr(name: str) -> str:
     return name.replace("-", "_")
 
@@ -153,47 +158,36 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, opts in OPTIONS.items():
         p = sub.add_parser(command)
         for o in opts:
-            p.add_argument(
-                f"--{o.name}",
-                type=o.type,
-                default=None,
-                choices=o.choices,
-                help=o.help,
-            )
+            p.add_argument(f"--{o.name}", type=o.type, default=o.default, choices=o.choices, help=o.help)
     return parser
 
 
-def _effective_config(args, command: str) -> dict:
-    """Merge file config, CLI flags, and defaults; validate keys and choices."""
-    opts = OPTIONS[command]
-    by_name = {o.name: o for o in opts}
-    file_cfg: dict = {}
+def _token(value) -> str:
+    """A config-file value as the text of its flag; a list joins into the comma form."""
+    if isinstance(value, list):
+        return ",".join(map(_token, value))
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _effective_config(parser, args, argv: list[str]) -> dict:
+    """Option values, with the file's keys parsed as ``--key=value`` tokens ahead of the flags."""
+    opts = OPTIONS[args.command]
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}")
+            raise ValueError(f"config file is not valid JSON: {exc}")
         if not isinstance(file_cfg, dict):
-            raise UsageError("config file must contain a JSON object")
-        unknown = set(file_cfg) - set(by_name) - {"config"}
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    effective = {}
-    for o in opts:
-        value = getattr(args, _attr(o.name))
-        if value is None and o.name in file_cfg:
-            value = file_cfg[o.name]
-            if o.choices is not None and value not in o.choices:
-                raise UsageError(f"config key {o.name!r} must be one of {o.choices}")
-            if value is not None and o.type in (int, float) and not isinstance(value, bool):
-                value = o.type(value)
-        if value is None:
-            value = o.default
-        if value is None and o.required:
-            raise UsageError(f"missing required option --{o.name}")
-        effective[o.name] = value
-    effective.pop("config", None)
+            raise ValueError("config file must contain a JSON object")
+        if unknown := set(file_cfg) - {o.name for o in opts}:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        tokens = [f"--{k}={_token(v)}" for k, v in file_cfg.items() if k != "config" and v is not None]
+        at = argv.index(args.command) + 1
+        args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
+    effective = {o.name: getattr(args, _attr(o.name)) for o in opts if o.name != "config"}
+    if missing := [o.name for o in opts if o.required and effective[o.name] is None]:
+        raise ValueError(f"missing required option --{missing[0]}")
     return effective
 
 
@@ -236,7 +230,7 @@ def _write_outputs(command: str, cfg: dict, header, rows, extra: dict | None = N
 
 def cmd_tune(cfg: dict) -> int:
     if cfg["layers"] < 1:
-        raise UsageError(f"--layers must be >= 1, got {cfg['layers']}")
+        raise ValueError(f"--layers must be >= 1, got {cfg['layers']}")
     spec = TuneSpec(
         scheme=Scheme(cfg["scheme"]),
         layers=cfg["layers"],
@@ -297,7 +291,7 @@ def cmd_table(cfg: dict) -> int:
 def cmd_scan(cfg: dict) -> int:
     for name in ("points", "layers"):
         if cfg[name] < 1:
-            raise UsageError(f"--{name} must be >= 1, got {cfg[name]}")
+            raise ValueError(f"--{name} must be >= 1, got {cfg[name]}")
     scheme = Scheme(cfg["scheme"])
     layers = cfg["layers"]
     noise = NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"])
@@ -309,7 +303,7 @@ def cmd_scan(cfg: dict) -> int:
     below, above, domain = (-1.0, 1.0, "(-1, 1)") if over_pi else (0.0, math.pi, "(0, pi)")
     for name, end in (("min", lo), ("max", hi)):
         if not below < end < above:
-            raise UsageError(f"--{name} must lie in {domain} for --quantity {quantity}, got {end}")
+            raise ValueError(f"--{name} must lie in {domain} for --quantity {quantity}, got {end}")
     grid = np.linspace(lo, hi, cfg["points"])
     clf = clf_angles(layers)
     point_seeds = np.random.SeedSequence(cfg["seed"]).generate_state(grid.size, dtype=np.uint64)
@@ -345,7 +339,7 @@ def cmd_scan(cfg: dict) -> int:
 
 def cmd_simulate(cfg: dict) -> int:
     if not cfg["prior-std"] > 0.0:
-        raise UsageError(f"--prior-std must be positive, got {cfg['prior-std']}")
+        raise ValueError(f"--prior-std must be positive, got {cfg['prior-std']}")
     noise = NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"])
     table = None
     if cfg["scheme"].endswith("elf"):
@@ -402,7 +396,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 def cmd_runtime(cfg: dict) -> int:
     if cfg["points"] < 1:
-        raise UsageError(f"--points must be >= 1, got {cfg['points']}")
+        raise ValueError(f"--points must be >= 1, got {cfg['points']}")
     hw = HardwareParams(
         qubits=cfg["qubits"],
         depth=cfg["depth"],
@@ -411,11 +405,8 @@ def cmd_runtime(cfg: dict) -> int:
     )
     for name in ("infidelity-min", "infidelity-max"):
         if not 0.0 < cfg[name] < 1.0:
-            raise UsageError(f"--{name} must lie in (0, 1), got {cfg[name]}")
-    eps_raw = cfg["eps"]
-    eps_list = (
-        [float(v) for v in eps_raw.split(",")] if isinstance(eps_raw, str) else [float(v) for v in eps_raw]
-    )
+            raise ValueError(f"--{name} must lie in (0, 1), got {cfg[name]}")
+    eps_list = [float(v) for v in cfg["eps"].split(",")]
     grid = 1.0 - np.geomspace(cfg["infidelity-max"], cfg["infidelity-min"], cfg["points"])
     points = hardware_runtime_curve(hw, eps_list, f2q_grid=grid, pi=cfg["pi"])
     _write_outputs(
@@ -442,16 +433,14 @@ _RANDOMIZED = {"tune", "table", "scan", "simulate"}
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _effective_config(args, args.command)
+        cfg = _effective_config(parser, args, argv)
         if args.command in _RANDOMIZED:
             _ensure_seed(cfg)
         return _HANDLERS[args.command](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NUMERIC_GUARDS as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return 3

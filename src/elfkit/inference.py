@@ -38,19 +38,11 @@ _FIT_OFFSETS.flags.writeable = _FIT_WEIGHTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
-class SinusoidFit:
-    """Parameters of the local model bias(theta) ~ sin(r theta + b)."""
-
-    r: float
-    b: float
-
-
-@dataclass(frozen=True)
 class RoundRecord:
-    round_index: int
+    """One round of ``run_estimation``: the time spent so far, the outcome and the posterior beliefs."""
+
     cumulative_time: int
     outcome: int
-    fit: SinusoidFit
     theta_belief: GaussianBelief
     pi_belief: GaussianBelief
 
@@ -233,13 +225,13 @@ def _lockstep(f, theta_star, mu, var, angles, uniforms, abort=False):
 
 
 def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
-    """Run the adaptive loop, as a lockstep batch of one, and return the per-round trace.
+    """Run the adaptive loop, as a lockstep batch of one, and return one record per round.
 
     The belief is maintained over theta; the recorded Pi belief is its
     analytic cosine transform.  Outcomes are synthesized from the noisy
     likelihood at the true theta using the run's private random stream.
-    Raises the ``ValueError`` of ``GaussianBelief`` when an update is not a
-    valid Gaussian.
+    Raises a ``ValueError`` naming the round whose update gives a non-finite
+    mean or a variance outside (0, inf).
     """
     f = config.noise.process_fidelity(config.layers)
     prior = pi_to_theta(config.prior_pi)
@@ -249,15 +241,14 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
         np.random.default_rng(np.random.SeedSequence(config.seed)).random((config.round_budget(), 1)),
     )
     trace = []
-    for r, b, d, mu, var, alive in rounds:
+    for k, (_, _, d, mu, var, alive) in enumerate(rounds, start=1):
         if not alive[0]:
-            # mu, var hold the last valid belief: redoing its update raises on the failed moment.
-            GaussianBelief(*(v.item() for v in _posterior_moments(mu, var, r, b, f, d)))
-        trace.append((r[0], b[0], d[0], mu[0], var[0]))
-    r, b, d, mu, var = np.array(trace, dtype=float).T
+            raise ValueError(f"round {k}: the update gave a non-finite mean or a variance outside (0, inf)")
+        trace.append((d[0], mu[0], var[0]))
+    d, mu, var = np.array(trace, dtype=float).T
     pi_mu, pi_var = _cos_moments(mu, var)
-    columns = (r, b, d, mu, var, pi_mu, np.maximum(pi_var, TINY))
+    columns = (d, mu, var, pi_mu, np.maximum(pi_var, TINY))
     return [
-        RoundRecord(k, k * config.round_cost, int(dk), SinusoidFit(rk, bk), GaussianBelief(m, v), GaussianBelief(pm, pv))
-        for k, (rk, bk, dk, m, v, pm, pv) in enumerate(zip(*(c.tolist() for c in columns)), start=1)
+        RoundRecord(k * config.round_cost, int(dk), GaussianBelief(m, v), GaussianBelief(pm, pv))
+        for k, (dk, m, v, pm, pv) in enumerate(zip(*(c.tolist() for c in columns)), start=1)
     ]

@@ -68,7 +68,7 @@ class HardwareParams:
     def __post_init__(self) -> None:
         if self.qubits < 1 or self.depth < 1:
             raise ValueError("qubits and depth must be positive")
-        if self.gate_time <= 0.0:
+        if not self.gate_time > 0.0:
             raise ValueError("gate_time must be positive")
         if not 0.0 < self.spam_fidelity <= 1.0:
             raise ValueError("spam_fidelity must be in (0, 1]")
@@ -96,7 +96,7 @@ def rbar(sigma, noise: NoiseParams):
     the rate lies at or below both limits, not between them.
     """
     sigma = np.asarray(sigma, dtype=float)
-    if np.any(sigma <= 0.0):
+    if not np.all(sigma > 0.0):
         raise RateDomainError("sigma must be positive")
     lam, alpha = noise.lam, noise.alpha
     root = np.sqrt(lam * lam + 8.0 * sigma * sigma)
@@ -189,7 +189,7 @@ def runtime_bounds(eps_theta: float, noise: NoiseParams, spam: float = 1.0) -> t
     as e^(-lam) lam D t_gate / eps_theta^2; for eps_theta >~ lam the 1/eps_theta
     terms dominate and the runtime follows the gate time alone.
     """
-    if eps_theta <= 0.0:
+    if not eps_theta > 0.0:
         raise ValueError("eps_theta must be positive")
     if not 0.0 < spam <= 1.0:
         raise ValueError("spam must be in (0, 1]")

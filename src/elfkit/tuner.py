@@ -81,7 +81,7 @@ class TuneSpec:
             raise ValueError("fidelity must be in [0, 1]")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
@@ -315,17 +315,14 @@ def _check_grid(grid: np.ndarray) -> None:
 class LookupTable:
     """Tuned angle vectors on a grid of estimand values in [-1, 1]."""
 
-    def __init__(self, grid: np.ndarray, entries: list[TableEntry], metadata: dict) -> None:
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size != len(entries):
-            raise ValueError("grid and entries must align")
-        _check_grid(grid)
-        self.grid = grid
-        self.entries = entries
-        self.metadata = dict(metadata)
+    def __init__(self, entries: list[TableEntry], metadata: dict) -> None:
         valid = [e for e in entries if e.flag is None]
         if not valid:
             raise ValueError("lookup table has no valid entries")
+        self.grid = np.array([e.pi for e in entries], dtype=float)
+        _check_grid(self.grid)
+        self.entries = entries
+        self.metadata = dict(metadata)
         valid_grid = np.array([e.pi for e in valid])
         self._midpoints = (valid_grid[1:] + valid_grid[:-1]) / 2.0
         self._valid_entries = valid
@@ -373,8 +370,13 @@ class LookupTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LookupTable":
+        if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
+            raise ValueError("table must be a JSON object with an 'entries' list")
         if doc.get("version") != TABLE_FORMAT_VERSION:
             raise ValueError(f"unsupported table version {doc.get('version')!r}")
+        for i, e in enumerate(doc["entries"]):
+            if not isinstance(e, dict) or not isinstance(e.get("pi"), (int, float)):
+                raise ValueError(f"table entry {i} has no numeric 'pi'")
         entries = [
             TableEntry(
                 pi=float(e["pi"]),
@@ -384,8 +386,7 @@ class LookupTable:
             )
             for e in doc["entries"]
         ]
-        grid = np.array([e.pi for e in entries])
-        return cls(grid, entries, doc.get("metadata", {}))
+        return cls(entries, doc.get("metadata", {}))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -477,4 +478,4 @@ def build_lookup_table(
         "restarts": restarts,
         "seed": seed,
     }
-    return LookupTable(grid, entries, metadata)
+    return LookupTable(entries, metadata)

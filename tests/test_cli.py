@@ -12,10 +12,15 @@ import pytest
 import elfkit
 from elfkit.bias import Scheme
 from elfkit.cli import main
-from elfkit.metrics import GaussianBelief, NoiseModel
+from elfkit.metrics import GaussianBelief, NoiseModel, slope
 from elfkit.sim import ExperimentConfig, run_experiment
 from elfkit.tuner import build_lookup_table
 from slope_oracle import analytic_l1_slope_optimum
+
+
+_EXPERIMENT_HEADER = "time,rmse,inv_mse,bias_sq,var_est,mean_perceived_var"
+_SIMULATE = ["--true-pi", "0.1", "--prior-mean", "0.12", "--layer-fidelity", "0.95"]
+_SIMULATE += ["--runs", "5", "--horizon", "60", "--seed", "1"]
 
 
 @pytest.mark.parametrize("command", ["tune", "runtime"])
@@ -29,6 +34,112 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["runtime", "--config", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("command", "file_cfg", "flag"),
+    [
+        (["tune"], {"mu": 1, "layers": 1.7, "seed": 2.9}, "--layers"),
+        (["tune"], {"mu": 1, "seed": 2.9}, "--seed"),
+        (["tune"], {"mu": 1, "layers": True}, "--layers"),
+        (["tune"], {"mu": True}, "--mu"),
+        (["scan"], {"quantity": "both"}, "--quantity"),
+        # A malformed file value fails even where a flag overrides it.
+        (["tune", "--layers", "2"], {"mu": 1, "layers": 1.5}, "--layers"),
+    ],
+    ids=["float-for-int", "float-seed", "bool-for-int", "bool-for-float", "bad-choice", "overridden"],
+)
+def test_config_values_are_checked_like_flags(command, file_cfg, flag, tmp_path, capsys, monkeypatch):
+    # Argparse checks a file value as it checks the flag: exit 2 naming the flag, nothing run.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("elfkit.cli.tune", lambda *a, **k: pytest.fail("tuned a point"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(file_cfg))
+    with pytest.raises(SystemExit) as info:
+        main([command[0], "--config", str(path), *command[1:]])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert f"argument {flag}: invalid" in err and out == ""
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(("file_eps", "flag_eps"), [(0.001, "0.001"), ([0.001, 1e-4], "0.001,0.0001")])
+def test_config_eps_scalar_or_list_runs_like_the_flag(file_eps, flag_eps, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"eps": file_eps, "points": 3, "out": str(tmp_path / "file")}))
+    assert main(["runtime", "--config", str(path)]) == 0
+    assert main(["runtime", "--eps", flag_eps, "--points", "3", "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "file.csv").read_text() == (tmp_path / "flag.csv").read_text()
+
+
+def test_explicit_flag_overrides_config_value(tmp_path):
+    # The file's tokens go ahead of the flags, so a flag wins wherever it stands.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"points": 5, "eps": "1e-3", "out": str(tmp_path / "file")}))
+    assert main(["runtime", "--points", "2", "--config", str(path), "--out", str(tmp_path / "flag")]) == 0
+    assert not (tmp_path / "file.csv").exists()
+    config = json.loads((tmp_path / "flag.json").read_text())["config"]
+    assert (config["points"], config["eps"]) == (2, "1e-3")
+    assert len((tmp_path / "flag.csv").read_text().splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--quantity", "rhat0", "--points", "3", "--restarts", "1", "--max-rounds", "20", "--seed", "1"],
+        ["simulate", "--scheme", "af-clf", *_SIMULATE],
+        ["runtime", "--points", "3", "--eps", "1e-3,1e-4", "--gate-time", "2e-8"],
+    ],
+    ids=["scan", "simulate", "runtime"],
+)
+def test_sidecar_config_reproduces_the_csv(argv, tmp_path):
+    # A sidecar's config, fed back through --config with a new prefix, gives the same CSV byte for byte.
+    assert main(argv + ["--out", str(tmp_path / "first")]) == 0
+    config = json.loads((tmp_path / "first.json").read_text())["config"]
+    config["out"] = str(tmp_path / "again")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([argv[0], "--config", str(path)]) == 0
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
+    assert json.loads((tmp_path / "again.json").read_text())["config"] == config
+
+
+@pytest.mark.parametrize(
+    ("doc", "key"),
+    [
+        ([], "'entries'"),
+        ({"version": "elf-table/1"}, "'entries'"),
+        ({"version": "elf-table/1", "entries": [{"angles": [1.0, 2.0]}]}, "'pi'"),
+        ({"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0]}, {"pi": None}]}, "entry 1 has no"),
+    ],
+    ids=["not-an-object", "no-entries", "entry-without-pi", "null-pi"],
+)
+def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
+    # A usage error (2) naming the key, and no output.
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(doc))
+    argv = ["simulate", "--scheme", "af-elf", "--table", str(path), *_SIMULATE, "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["tune", "--mu", "1", "--tolerance", "nan", "--restarts", "1"], "tolerance must be positive"),
+        (["runtime", "--gate-time", "nan", "--points", "3"], "gate_time must be positive"),
+        (["runtime", "--eps", "nan", "--points", "3"], "eps_theta must be positive"),
+    ],
+    ids=["tolerance", "gate-time", "eps"],
+)
+def test_nan_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
+    # NaN fails a guard written "not x > 0": exit 2 naming the value, no output.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tune_rejects_zero_max_rounds(capsys):
@@ -187,6 +298,17 @@ def test_tune_slope_reaches_l1_optimum(mu, capsys):
     assert value == pytest.approx(analytic_l1_slope_optimum(mu)[0], rel=1e-9)
 
 
+def test_tune_slope_and_metrics_slope_differ_by_half_the_fidelity(capsys):
+    # tune --objective slope reports |d(bias)/dtheta|; metrics.slope (scan's
+    # slope) is f |d(bias)/dtheta| / 2 at the process fidelity f.
+    argv = ["tune", "--mu", "1.3", "--objective", "slope", "--layers", "2", "--layer-fidelity", "0.9"]
+    assert main(argv + ["--restarts", "2", "--seed", "1"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    f = NoiseModel(0.9).process_fidelity(2)
+    value = slope(Scheme.AF, 1.3, f, np.array(result["x_opt"]))
+    assert value == pytest.approx(f / 2 * result["objective_value"], rel=1e-12)
+
+
 def test_scan_slope_never_below_chebyshev(tmp_path):
     argv = ["scan", "--quantity", "slope", "--layers", "2", "--points", "7", "--restarts", "3", "--seed", "1"]
     assert main(argv + ["--out", str(tmp_path / "scan")]) == 0
@@ -203,11 +325,6 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-
-
-_EXPERIMENT_HEADER = "time,rmse,inv_mse,bias_sq,var_est,mean_perceived_var"
-_SIMULATE = ["--true-pi", "0.1", "--prior-mean", "0.12", "--layer-fidelity", "0.95"]
-_SIMULATE += ["--runs", "5", "--horizon", "60", "--seed", "1"]
 
 
 @pytest.mark.parametrize(

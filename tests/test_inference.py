@@ -331,7 +331,7 @@ class TestRunEstimation:
     @pytest.mark.parametrize("layers, message", [(3, "6-angle vectors, but layers=1"), (1, "scheme 'ab'")])
     def test_rejects_table_that_does_not_fit(self, layers, message):
         # An AF L=1 run must not use angles tuned for another scheme or depth.
-        table = LookupTable([0.0], [TableEntry(0.0, clf_angles(layers), 1.0)], {"scheme": "ab"})
+        table = LookupTable([TableEntry(0.0, clf_angles(layers), 1.0)], {"scheme": "ab"})
         with pytest.raises(ValueError, match=f"table .*{message}"):
             EstimationConfig(
                 scheme=Scheme.AF,
@@ -365,16 +365,21 @@ class TestRunEstimation:
         assert len(records) == 300 // (2 * layers + 1)
         assert all(-1.0 <= rec.pi_belief.mean <= 1.0 for rec in records)
 
-    @pytest.mark.parametrize("bad, message", [(np.nan, "finite"), (-1e-9, "positive")])
-    def test_invalid_update_raises_like_gaussian_belief(self, monkeypatch, bad, message):
+    @pytest.mark.parametrize(
+        "moment, bad", [("mean", np.nan), ("variance", -1e-9), ("variance", np.inf)],
+        ids=["nan-mean", "negative-variance", "inf-variance"],
+    )
+    def test_invalid_update_names_the_round(self, monkeypatch, moment, bad):
         # The batch of one excludes its run on an invalid update; that raises
-        # the ValueError GaussianBelief gives for the failing moment.
+        # a ValueError naming the round, after one update per round and no replay.
         calls = []
 
         def spoiled(mu, var, r, b, f, d):
             calls.append(1)
             mu_next, var_next = _posterior_moments(mu, var, r, b, f, d)
-            return (mu_next + bad, var_next) if message == "finite" else (mu_next, np.full_like(var, bad))
+            if len(calls) < 3:
+                return mu_next, var_next
+            return (mu_next + bad, var_next) if moment == "mean" else (mu_next, np.full_like(var, bad))
 
         monkeypatch.setattr(inference, "_posterior_moments", spoiled)
         cfg = EstimationConfig(
@@ -386,9 +391,9 @@ class TestRunEstimation:
             horizon=30,
             angle_source="clf",
         )
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=r"^round 3: the update gave a non-finite mean or a variance outside"):
             run_estimation(cfg)
-        assert len(calls) == 2  # the update, then its replay for the error
+        assert len(calls) == 3
 
     def test_requires_table_when_requested(self):
         with pytest.raises(ValueError):
@@ -440,8 +445,7 @@ class TestEngineEquivalence:
             table=small_table(scheme, layers) if source == "table" else None,
         )
         records = run_estimation(cfg)
-        single = np.array([(rec.fit.r, rec.fit.b, rec.outcome, rec.theta_belief.mean, rec.theta_belief.variance)
-                           for rec in records])
+        single = np.array([(rec.outcome, rec.theta_belief.mean, rec.theta_belief.variance) for rec in records])
 
         # The same run as column 23 among other runs with their own priors and draws.
         rng = np.random.default_rng(layers)
@@ -455,6 +459,6 @@ class TestEngineEquivalence:
         f = noise.process_fidelity(layers)
         angles = _angle_policy(scheme, layers, source, cfg.table)
         rounds = _lockstep(f, math.acos(cfg.true_pi), mu, var, angles, uniforms)
-        batch = np.array([[a[col] for a in state[:5]] for state in rounds])
+        batch = np.array([[a[col] for a in state[2:5]] for state in rounds])
         assert np.array_equal(single, batch)
-        assert 0 < single[:, 2].sum() < n  # both outcomes occur
+        assert 0 < single[:, 0].sum() < n  # both outcomes occur

@@ -95,6 +95,12 @@ class TestRbar:
         with pytest.raises(RateDomainError):
             rbar(0.0, NoiseParams(0.1))
 
+    @pytest.mark.parametrize("sigma", [math.nan, [0.1, math.nan]], ids=["scalar", "in-array"])
+    def test_rejects_nan_sigma(self, sigma):
+        # The guard reads "not sigma > 0", which NaN fails.
+        with pytest.raises(RateDomainError, match="sigma must be positive"):
+            rbar(sigma, NoiseParams(0.1))
+
 
 class TestChebyshevRateBounds:
     def test_fixed_ratio(self):
@@ -142,6 +148,11 @@ class TestRuntimeBounds:
         ref = (E - 1) / 2 * (1 / (math.sqrt(3) * eps) + 2 * math.sqrt(2) / eps)
         assert lo == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
+    def test_rejects_nonpositive_eps(self, eps):
+        with pytest.raises(ValueError, match="eps_theta must be positive"):
+            runtime_bounds(eps, NoiseParams(0.01), 1.0)
+
     def test_ordering(self):
         for lam in (0.0, 1e-3, 1e-1, 1.0):
             lo, hi = runtime_bounds(1e-4, NoiseParams(lam), 0.95)
@@ -185,6 +196,11 @@ class TestHardwareCurve:
             vals = {p.eps: p.t_mid_s for p in points if p.valid and p.gate_fidelity == f2q}
             if len(vals) == 3:
                 assert vals[1e-5] > vals[1e-4] > vals[1e-3]
+
+    @pytest.mark.parametrize("gate_time", [0.0, -1e-8, math.nan])
+    def test_rejects_nonpositive_gate_time(self, gate_time):
+        with pytest.raises(ValueError, match="gate_time must be positive"):
+            HardwareParams(100, 200, gate_time)
 
     def test_invalid_region_flagged(self):
         hw = HardwareParams(100, 200, 1e-8)

@@ -273,7 +273,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("layers, message", [(3, "6-angle vectors, but layers=1"), (1, "scheme 'ab'")])
     def test_rejects_table_that_does_not_fit(self, layers, message):
         # An AF L=1 config must not run on angles tuned for another scheme or depth.
-        table = LookupTable([0.0], [TableEntry(0.0, clf_angles(layers), 1.0)], {"scheme": "ab"})
+        table = LookupTable([TableEntry(0.0, clf_angles(layers), 1.0)], {"scheme": "ab"})
         with pytest.raises(ValueError, match=f"table .*{message}"):
             ExperimentConfig(
                 scheme="af-elf",

@@ -163,6 +163,11 @@ class TestTuneSpecValidation:
         with pytest.raises(ValueError, match="max_rounds"):
             TuneSpec(Scheme.AF, 1, 1.0, max_rounds=value)
 
+    @pytest.mark.parametrize("value", [0.0, -1e-8, math.nan])
+    def test_rejects_nonpositive_tolerance(self, value):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            TuneSpec(Scheme.AF, 1, 1.0, tolerance=value)
+
 
 class TestCoordinateMonotonicity:
     def test_objective_never_decreases_between_rounds(self):
