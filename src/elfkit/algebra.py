@@ -146,14 +146,13 @@ def _factor_mul(ct, st, cx, sx, u, pair):
     )
 
 
-def circuit_pair(ct, st, cx, sx):
-    """(Q, dQ/dtheta) from the output of ``trig``, by the product rule, peeled like ``circuit``."""
-    cu, pb, pd = cx[0], sx[0] * st, sx[0] * ct
-    cv, sv = cx[1], sx[1]
-    pair = (cv * cu - sv * pd, cv * pb, sv * pb, cv * pd + sv * cu), (sv * pb, cv * pd, sv * pd, -(cv * pb))
-    for j in range(2, len(cx)):
+def circuit_prefixes(ct, st, cx, sx):
+    """The pairs of the prefixes F_j ... F_1, j = 1..2L, by the product rule from (ONE, ZERO); the last is (Q, dQ/dtheta)."""
+    pre, pair = [], (ONE, ZERO)
+    for j in range(len(cx)):
         pair = _factor_mul(ct, st, cx[j], sx[j], j % 2 == 0, pair)
-    return pair
+        pre.append(pair)
+    return pre
 
 
 def af_readout(q, ct, st):

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import af_readout, af_readout_derivative, angle_vectors, circuit, circuit_pair, kernel_inputs, trig
+from .algebra import af_readout, af_readout_derivative, angle_vectors, circuit, circuit_prefixes, kernel_inputs, trig
 
 
 class Scheme(Enum):
@@ -103,9 +103,9 @@ def _readout(scheme: Scheme, ct, st, q, dq):
 
 
 def _bias_pair(scheme: Scheme, theta, x):
-    """(bias, d(bias)/dtheta) at (theta, x) from one ``circuit_pair`` pass; validates and broadcasts like ``bias``."""
+    """(bias, d(bias)/dtheta) at (theta, x) from the last of ``circuit_prefixes``; validates and broadcasts like ``bias``."""
     ct, st, cx, sx = trig(*kernel_inputs(theta, x))
-    return _readout(scheme, ct, st, *circuit_pair(ct, st, cx, sx))
+    return _readout(scheme, ct, st, *circuit_prefixes(ct, st, cx, sx)[-1])
 
 
 def bias_derivative(scheme: Scheme, theta, x):

@@ -3,14 +3,14 @@
 Every command accepts ``--config FILE`` with a JSON object whose keys are the
 command's flag names.  Its values are parsed as ``--key=value`` tokens ahead
 of the explicit flags, so argparse checks them as it checks flags (a float
-for an integer option or a boolean fails with exit 2), a list becomes the
-comma form of ``--eps``, a null keeps the default, and a later explicit flag
-wins.  A malformed file value fails even where a flag overrides it.  Unknown
-keys are rejected; a ``config`` key is ignored.  ``scan``, ``simulate`` and
-``runtime`` write their CSV and JSON sidecar through one writer,
-``_write_outputs``; the other modules only compute.  The effective
-configuration is echoed into every output sidecar so results are
-regenerable from the outputs alone.
+for an integer option, a boolean, or a list for any key but ``eps`` fails
+with exit 2), a list becomes the comma form of ``--eps``, a null keeps the
+default, and a later explicit flag wins.  A malformed file value fails even
+where a flag overrides it.  Unknown keys are rejected; a ``config`` key is
+ignored.  ``scan``, ``simulate`` and ``runtime`` write their CSV and JSON
+sidecar through one writer, ``_write_outputs``; the other modules only
+compute.  The effective configuration is echoed into every output sidecar so
+results are regenerable from the outputs alone.
 
 Two scales share the name "slope": ``tune --objective slope`` reports the
 bias slope |d(bias)/dtheta|, and ``scan --quantity slope`` the likelihood
@@ -162,11 +162,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _token(value) -> str:
-    """A config-file value as the text of its flag; a list joins into the comma form."""
-    if isinstance(value, list):
-        return ",".join(map(_token, value))
-    return value if isinstance(value, str) else json.dumps(value)
+def _token(parser, key: str, value) -> str:
+    """A config-file value as the text of its flag; a list joins into the comma form, which only ``--eps`` reads."""
+    if not isinstance(value, list):
+        return value if isinstance(value, str) else json.dumps(value)
+    if key != "eps":
+        parser.error(f"argument --{key}: invalid list value: {json.dumps(value)} (only --eps takes a list)")
+    return ",".join(_token(parser, key, v) for v in value)
 
 
 def _effective_config(parser, args, argv: list[str]) -> dict:
@@ -182,7 +184,7 @@ def _effective_config(parser, args, argv: list[str]) -> dict:
             raise ValueError("config file must contain a JSON object")
         if unknown := set(file_cfg) - {o.name for o in opts}:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        tokens = [f"--{k}={_token(v)}" for k, v in file_cfg.items() if k != "config" and v is not None]
+        tokens = [f"--{k}={_token(parser, k, v)}" for k, v in file_cfg.items() if k != "config" and v is not None]
         at = argv.index(args.command) + 1
         args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
     effective = {o.name: getattr(args, _attr(o.name)) for o in opts if o.name != "config"}

@@ -20,7 +20,7 @@ biases v0, v1, v2 at x_j = 0, pi/4, pi/2 (Q1 = (Q0 + Q2)/sqrt(2)) give
 and the theta-derivatives of the same biases give the primed coefficients.
 Products carry their theta-derivative as quaternion pairs and are left
 products by one U or V factor (``algebra._factor_mul``, the step of
-``algebra.circuit_pair``).
+``algebra.circuit_prefixes``).
 
 The transpose of the left product by q is the left product by conj q, and
 conj F(x) = F(-x).  So R = conj S, whose dot product with w is the first
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ONE, ZERO, _factor_mul, canonical_angles, trig
+from .algebra import ONE, ZERO, _factor_mul, canonical_angles, circuit_prefixes, trig
 from .bias import Scheme, _readout
 
 _IDENTITY_PAIR = (ONE, ZERO)
@@ -133,15 +133,6 @@ def _af_covector(q, ct, st):
     return 2.0 * (st * c + ct * a), 2.0 * (st * d - ct * b), 2.0 * (st * a - ct * c), 2.0 * (st * b + ct * d)
 
 
-def _forward(ct, st, cx, sx):
-    """The pairs of the prefixes F_j ... F_1, j = 1..2L; the last is (Q, dQ/dtheta)."""
-    pre, pair = [], _IDENTITY_PAIR
-    for j in range(len(cx)):
-        pair = _factor_mul(ct, st, cx[j], sx[j], j % 2 == 0, pair)
-        pre.append(pair)
-    return pre
-
-
 def _backward(ct, st, cx, sx, seed):
     """r_j = conj(S_j) e as pairs, j = 0..2L-1, from the seed pair (e, de) at the last coordinate."""
     adj = [seed] * len(cx)
@@ -185,7 +176,7 @@ class CoefficientTable:
         self._trig = ct, st
         self._suf = _backward(ct, st, cx, sx, _IDENTITY_PAIR)
         # _pre[j]: factors 0..j-1 (acting before coordinate j, 0-based).
-        self._pre = [_IDENTITY_PAIR] + _forward(ct, st, cx, sx)[:-1]
+        self._pre = [_IDENTITY_PAIR] + circuit_prefixes(ct, st, cx, sx)[:-1]
 
     def coefficients(self, j: int) -> CsbdCoefficients:
         """CSBD coefficients of the bias with respect to x_j (1-based)."""
@@ -220,7 +211,7 @@ def slopes(scheme: Scheme, theta: float, x: np.ndarray):
     Like ``sweep``, takes ``x`` as a valid float vector without checking it.
     """
     ct, st, cx, sx = trig(theta, x)
-    pre = _forward(ct, st, cx, sx)
+    pre = circuit_prefixes(ct, st, cx, sx)
     q, dq = pre[-1]
     delta, ddelta = _readout(scheme, ct, st, q, dq)
     if scheme is Scheme.AB:

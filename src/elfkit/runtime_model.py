@@ -2,11 +2,9 @@
 
 Noise enters through a per-time-unit decay exponent lam and a SPAM exponent
 alpha via fidelity^2 = exp(-lam*m - alpha) with m = 2L + 1.  The model gives
-the optimal-depth inverse-variance rate, constant-factor bounds on the best
-Chebyshev rate, an ODE for the inverse variance interpolating the Heisenberg
-(quadratic) and shot-noise (linear) regimes, closed-form runtime bounds
-versus target error, and a mapping from hardware parameters (qubits, depth,
-two-qubit fidelity, gate time) to runtime-in-seconds curves.
+closed-form runtime bounds versus target error, and a mapping from hardware
+parameters (qubits, depth, two-qubit fidelity, gate time) to
+runtime-in-seconds curves.
 """
 
 from __future__ import annotations
@@ -17,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 E = math.e
-RATE_LOWER_FACTOR = (E - 1.0) / E
-RATE_UPPER_FACTOR = E / (E - 1.0)
-MU_VALID_RANGE = (0.1 * math.pi, 0.9 * math.pi)
 
 
 class RateDomainError(ValueError):
@@ -43,13 +38,6 @@ class NoiseParams:
             raise RateDomainError("lam must lie in [0, 1]")
         if not math.isfinite(self.alpha):
             raise RateDomainError("alpha must be finite")
-
-    @classmethod
-    def from_noise_model(cls, noise) -> "NoiseParams":
-        """Exponents matching fidelity = spam * layer^L at every L."""
-        lam = math.log(1.0 / noise.layer_fidelity)
-        alpha = 2.0 * math.log(1.0 / noise.spam_fidelity) - lam
-        return cls(lam, alpha)
 
 
 @dataclass(frozen=True)
@@ -84,99 +72,6 @@ class HardwareParams:
     def seconds_per_time_unit(self) -> float:
         """One ansatz application: depth layers of two-qubit gates."""
         return self.depth * self.gate_time
-
-
-def rbar(sigma, noise: NoiseParams):
-    """Optimal-depth inverse-variance rate at prior width sigma.
-
-    The rate is the maximum over depth m of m exp(-lam m - m^2 sigma^2 - alpha),
-    reached at 1/m = (sqrt(lam^2 + 8 sigma^2) + lam)/2.  It tends to
-    e^(-alpha-1/2)/(sqrt(2) sigma) as lam -> 0 and to e^(-alpha-1)/lam for
-    sigma << lam.  Dropping either decay term can only raise the maximum, so
-    the rate lies at or below both limits, not between them.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.all(sigma > 0.0):
-        raise RateDomainError("sigma must be positive")
-    lam, alpha = noise.lam, noise.alpha
-    root = np.sqrt(lam * lam + 8.0 * sigma * sigma)
-    out = (
-        2.0 * math.exp(-alpha - 1.0) / (root + lam)
-        * np.exp(2.0 * sigma * sigma / (4.0 * sigma * sigma + lam * lam + lam * root))
-    )
-    return out if out.ndim else float(out)
-
-
-def chebyshev_rate_bounds(mu: float, sigma: float, noise: NoiseParams) -> tuple[float, float]:
-    """Constant-factor envelope of the depth-optimized Chebyshev rate.
-
-    Valid for mu in [0.1 pi, 0.9 pi]; the ratio of the bounds is
-    (e/(e-1))^2 independent of the inputs.
-    """
-    if not MU_VALID_RANGE[0] <= mu <= MU_VALID_RANGE[1]:
-        raise RateDomainError("mu must lie in [0.1 pi, 0.9 pi]")
-    mid = rbar(sigma, noise)
-    return RATE_LOWER_FACTOR * mid, RATE_UPPER_FACTOR * mid
-
-
-@dataclass(frozen=True)
-class InverseVarianceCurve:
-    times: np.ndarray
-    values: np.ndarray
-    _dense: object
-
-    def at(self, t):
-        return self._dense(np.asarray(t, dtype=float))[0]
-
-    def time_to(self, f_target: float) -> float:
-        """First time the inverse variance reaches the target (monotone curve)."""
-        if f_target <= self.values[0]:
-            return float(self.times[0])
-        if f_target > self.values[-1]:
-            raise ValueError("target beyond integrated horizon")
-        idx = int(np.searchsorted(self.values, f_target))
-        lo, hi = self.times[max(idx - 1, 0)], self.times[idx]
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.at(mid) < f_target:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-
-def integrate_inverse_variance(
-    noise: NoiseParams,
-    f0: float,
-    t_max: float,
-    n_points: int = 400,
-    rtol: float = 1e-8,
-) -> InverseVarianceCurve:
-    """Integrate dF/dt = rbar(1/sqrt(F)) from F(0) = f0 up to t_max.
-
-    Quadratic growth while F << 1/lam^2, linear growth for F >> 1/lam^2.
-    """
-    if f0 <= 0.0:
-        raise ValueError("initial inverse variance must be positive")
-    from scipy.integrate import solve_ivp  # here, so that importing the package does not load SciPy
-
-    def rhs(_t, y):
-        return [rbar(1.0 / math.sqrt(y[0]), noise)]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_max),
-        [f0],
-        rtol=rtol,
-        atol=f0 * 1e-12,
-        dense_output=True,
-        method="RK45",
-    )
-    if not sol.success:
-        raise ArithmeticError(f"inverse-variance integration failed: {sol.message}")
-    times = np.linspace(0.0, t_max, n_points)
-    values = sol.sol(times)[0]
-    return InverseVarianceCurve(times, values, sol.sol)
 
 
 def runtime_bounds(eps_theta: float, noise: NoiseParams, spam: float = 1.0) -> tuple[float, float]:

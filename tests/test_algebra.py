@@ -13,7 +13,7 @@ from elfkit.algebra import (
     _factor_mul,
     canonical_angles,
     circuit,
-    circuit_pair,
+    circuit_prefixes,
     kernel_inputs,
     trig,
 )
@@ -64,7 +64,7 @@ def q_of(theta, x):
 
 
 def pair_of(theta, x):
-    return circuit_pair(*trig(*kernel_inputs(theta, x)))
+    return circuit_prefixes(*trig(*kernel_inputs(theta, x)))[-1]
 
 
 class TestCanonicalAngles:
@@ -204,7 +204,7 @@ class TestCircuitDerivative:
 
 
 def unpeeled_pair(ct, st, cx, sx):
-    """The product-rule chain of ``circuit_pair`` started from (ONE, ZERO)."""
+    """The product-rule chain of ``circuit_prefixes`` with full quaternion products."""
     (a, b, c, d), (da, db, dc, dd) = ONE, ZERO
     for j in range(0, len(cx), 2):
         cu, pb, pd = cx[j], sx[j] * st, sx[j] * ct
@@ -246,15 +246,15 @@ class TestPeeledKernel:
     @pytest.mark.parametrize("layers", [1, 2, 3, 8])
     def test_circuit_pair_equals_chains(self, layers):
         for ct, st, cx, sx in self.inputs(layers):
-            q, dq = circuit_pair(ct, st, cx, sx)
+            prefixes = circuit_prefixes(ct, st, cx, sx)
+            q, dq = prefixes[-1]
             ref_q, ref_dq = unpeeled_pair(ct, st, cx, sx)
             assert self.same(q, ref_q) and self.same(dq, ref_dq)
-            # The peeled pair products, chained from (ONE, ZERO).
+            # Each prefix is the one before times its factor, from (ONE, ZERO).
             pair = (ONE, ZERO)
             for j in range(2 * layers):
                 pair = _factor_mul(ct, st, cx[j], sx[j], j % 2 == 0, pair)
-            assert self.same(q, pair[0])
-            assert np.allclose(np.array(dq), np.array(pair[1]), rtol=0.0, atol=1e-13)
+                assert self.same(prefixes[j][0] + prefixes[j][1], pair[0] + pair[1])
             # The product at -x is the conjugate, the transpose of the product
             # at x, so the backward chain undoes the forward one.
             for j in range(2 * layers - 1, -1, -1):

@@ -46,8 +46,11 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
         (["scan"], {"quantity": "both"}, "--quantity"),
         # A malformed file value fails even where a flag overrides it.
         (["tune", "--layers", "2"], {"mu": 1, "layers": 1.5}, "--layers"),
+        # Only --eps reads the comma form a list joins into.
+        (["runtime"], {"out": ["a", "b"], "points": 2}, "--out"),
+        (["simulate"], {"true-pi": 0.3, "prior-mean": 0.3, "table": ["t.json"]}, "--table"),
     ],
-    ids=["float-for-int", "float-seed", "bool-for-int", "bool-for-float", "bad-choice", "overridden"],
+    ids=["float-for-int", "float-seed", "bool-for-int", "bool-for-float", "bad-choice", "overridden", "list-out", "list-table"],
 )
 def test_config_values_are_checked_like_flags(command, file_cfg, flag, tmp_path, capsys, monkeypatch):
     # Argparse checks a file value as it checks the flag: exit 2 naming the flag, nothing run.
@@ -318,13 +321,21 @@ def test_scan_slope_never_below_chebyshev(tmp_path):
     assert all(float(r["elf_value"]) >= float(r["clf_value"]) for r in rows)
 
 
-def test_import_loads_no_scipy():
-    # SciPy costs about half a second to import; only the runtime ODE needs it.
+def test_import_loads_no_scipy(tmp_path):
+    # SciPy is a test dependency only: importing the CLI loads none of it, and
+    # with it blocked a small simulate (table build included) and runtime still run.
     src = os.path.dirname(os.path.dirname(elfkit.__file__))
-    code = "import sys, elfkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    simulate = ["simulate", "--table-grid", "3", "--restarts", "1", *_SIMULATE, "--out", str(tmp_path / "sim")]
+    runtime = ["runtime", "--points", "3", "--out", str(tmp_path / "runtime")]
+    code = (
+        "import sys, elfkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "sys.modules['scipy'] = None\n"
+        f"sys.exit(elfkit.cli.main({simulate!r}) or elfkit.cli.main({runtime!r}))"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runtime.csv", "runtime.json", "sim.csv", "sim.json"]
 
 
 @pytest.mark.parametrize(

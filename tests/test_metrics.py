@@ -5,18 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
-from elfkit.metrics import (
-    GaussianBelief,
-    NoiseModel,
-    SingularLikelihoodError,
-    expected_bias,
-    fisher_information,
-    inverse_variance_rate,
-    likelihood,
-    rhat0,
-    slope,
-    variance_reduction_factor,
-)
+from elfkit.metrics import GaussianBelief, NoiseModel, SingularLikelihoodError, fisher_information, rhat0, slope
+from paper_model import expected_bias, inverse_variance_rate, likelihood, variance_reduction_factor
 
 
 class TestNoiseModel:

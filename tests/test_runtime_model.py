@@ -5,16 +5,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from elfkit.metrics import NoiseModel
-from elfkit.runtime_model import (
-    HardwareParams,
-    NoiseParams,
-    RateDomainError,
-    chebyshev_rate_bounds,
-    hardware_runtime_curve,
-    integrate_inverse_variance,
-    rbar,
-    runtime_bounds,
-)
+from elfkit.runtime_model import HardwareParams, NoiseParams, RateDomainError, hardware_runtime_curve, runtime_bounds
+from paper_model import chebyshev_rate_bounds, from_noise_model, integrate_inverse_variance, rbar
 
 E = math.e
 
@@ -26,14 +18,14 @@ class TestNoiseParams:
 
     def test_from_noise_model_matches_fidelity(self):
         noise = NoiseModel(0.93, 0.97)
-        params = NoiseParams.from_noise_model(noise)
+        params = from_noise_model(noise)
         for layers in (1, 3, 7):
             m = 2 * layers + 1
             f2 = noise.process_fidelity(layers) ** 2
             assert f2 == pytest.approx(math.exp(-params.lam * m - params.alpha), rel=1e-12)
 
     def test_alpha_negative_without_spam(self):
-        params = NoiseParams.from_noise_model(NoiseModel(0.9, 1.0))
+        params = from_noise_model(NoiseModel(0.9, 1.0))
         assert params.alpha == pytest.approx(-params.lam)
 
 

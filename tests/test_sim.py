@@ -9,9 +9,10 @@ from elfkit.algebra import DegenerateSubspaceError
 from elfkit.bias import Scheme, clf_angles
 from elfkit import inference
 from elfkit.inference import TINY, _angle_policy, _cos_moments, _lockstep, pi_to_theta
-from elfkit.metrics import GaussianBelief, NoiseModel, likelihood
+from elfkit.metrics import GaussianBelief, NoiseModel
 from elfkit.sim import CHUNK_SIZE, ExperimentConfig, _checkpoint_rounds, run_experiment
 from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
+from paper_model import likelihood
 
 
 @pytest.fixture(scope="module")
