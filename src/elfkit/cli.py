@@ -315,7 +315,7 @@ def cmd_scan(cfg: dict) -> int:
             return fisher_information(scheme, value, f, x)
         if quantity == "slope":
             return slope(scheme, value, f, x)
-        return rhat0(scheme, value, f, x, layers)
+        return rhat0(scheme, value, f, x)
 
     rows = []
     warm: tuple = ()

@@ -146,6 +146,8 @@ class EstimationConfig:
             raise ValueError("layers must be >= 1")
         if not -1.0 < self.true_pi < 1.0:
             raise ValueError("true_pi must lie in (-1, 1)")
+        if not -1.0 <= self.prior_pi.mean <= 1.0:
+            raise ValueError(f"prior_pi mean must lie in [-1, 1], got {self.prior_pi.mean}")
         if self.angle_source not in ("table", "clf"):
             raise ValueError("angle_source must be 'table' or 'clf'")
         if self.horizon < self.round_cost:

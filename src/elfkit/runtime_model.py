@@ -1,10 +1,11 @@
 """Analytic model of estimation runtime on noisy hardware.
 
-Noise enters through a per-time-unit decay exponent lam and a SPAM exponent
-alpha via fidelity^2 = exp(-lam*m - alpha) with m = 2L + 1.  The model gives
-closed-form runtime bounds versus target error, and a mapping from hardware
-parameters (qubits, depth, two-qubit fidelity, gate time) to
-runtime-in-seconds curves.
+Noise enters through a per-time-unit decay exponent lam, the SPAM fidelity
+and a SPAM exponent alpha via fidelity^2 = exp(-lam*m - alpha) with
+m = 2L + 1.  The closed-form runtime bounds versus target error take lam and
+the SPAM fidelity; alpha belongs to the rate oracles of the tests.  The
+model maps hardware parameters (qubits, depth, two-qubit fidelity, gate
+time) to runtime-in-seconds curves.
 """
 
 from __future__ import annotations
@@ -17,35 +18,12 @@ import numpy as np
 E = math.e
 
 
-class RateDomainError(ValueError):
-    """Inputs outside the validity region of the rate model."""
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Reparameterized noise: fidelity^2 = exp(-lam * (2L+1) - alpha).
-
-    The model requires lam <= 1 (deeper noise breaks the continuous-depth
-    optimization).  ``alpha`` may be negative: with no SPAM error the layer
-    share alone gives alpha = -lam.
-    """
-
-    lam: float
-    alpha: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise RateDomainError("lam must lie in [0, 1]")
-        if not math.isfinite(self.alpha):
-            raise RateDomainError("alpha must be finite")
-
-
 @dataclass(frozen=True)
 class HardwareParams:
     """Device-level inputs of the runtime-in-seconds mapping.
 
-    The runtime curve sweeps the two-qubit gate fidelity f2Q, so the
-    exponents take it as an argument.
+    The runtime curve sweeps the two-qubit gate fidelity f2Q, so the decay
+    exponent takes it as an argument.
     """
 
     qubits: int
@@ -65,16 +43,13 @@ class HardwareParams:
         """lam = (nD/2) ln(1/f2Q); the layer fidelity is f2Q^(nD/2)."""
         return 0.5 * self.qubits * self.depth * math.log(1.0 / f2q)
 
-    def spam_exponent(self, f2q: float) -> float:
-        return 2.0 * math.log(1.0 / self.spam_fidelity) - self.decay_exponent(f2q)
-
     @property
     def seconds_per_time_unit(self) -> float:
         """One ansatz application: depth layers of two-qubit gates."""
         return self.depth * self.gate_time
 
 
-def runtime_bounds(eps_theta: float, noise: NoiseParams, spam: float = 1.0) -> tuple[float, float]:
+def runtime_bounds(eps_theta: float, lam: float, spam: float) -> tuple[float, float]:
     """Closed-form bounds on the time to reach phase error eps_theta.
 
     Lower bound pairs the fastest admissible rate with a bias-free estimate;
@@ -86,9 +61,10 @@ def runtime_bounds(eps_theta: float, noise: NoiseParams, spam: float = 1.0) -> t
     """
     if not eps_theta > 0.0:
         raise ValueError("eps_theta must be positive")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0, 1]")
     if not 0.0 < spam <= 1.0:
         raise ValueError("spam must be in (0, 1]")
-    lam = noise.lam
     core_shared = math.sqrt((lam / eps_theta**2) ** 2 + (2.0 * math.sqrt(2.0) / eps_theta) ** 2)
     lower = (
         (E - 1.0)
@@ -119,7 +95,7 @@ class RuntimePoint:
 def hardware_runtime_curve(
     hw: HardwareParams,
     eps_list,
-    f2q_grid=None,
+    f2q_grid,
     pi: float = 0.0,
 ) -> list[RuntimePoint]:
     """Estimation runtime in seconds versus two-qubit gate fidelity.
@@ -129,8 +105,6 @@ def hardware_runtime_curve(
     The mid curve is the geometric mean of the bounds, consistent with a rate
     tracking the geometric mean of the rate envelope.
     """
-    if f2q_grid is None:
-        f2q_grid = 1.0 - np.geomspace(1e-2, 1e-8, 121)
     if not -1.0 < pi < 1.0:
         raise ValueError("pi must lie in (-1, 1)")
     scale = hw.seconds_per_time_unit
@@ -141,8 +115,7 @@ def hardware_runtime_curve(
         for eps in eps_list:
             eps_theta = float(eps) / math.sqrt(1.0 - pi * pi)
             if valid:
-                noise = NoiseParams(lam, hw.spam_exponent(f2q))
-                lo, hi = runtime_bounds(eps_theta, noise, hw.spam_fidelity)
+                lo, hi = runtime_bounds(eps_theta, lam, hw.spam_fidelity)
                 lo_s, hi_s = lo * scale, hi * scale
                 mid_s = math.sqrt(lo_s * hi_s)
             else:

@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ValueError(f"scheme must be one of {EXPERIMENT_SCHEMES}")
         if not -1.0 < self.true_pi < 1.0:
             raise ValueError("true_pi must lie in (-1, 1)")
+        if not -1.0 <= self.prior_pi.mean <= 1.0:
+            raise ValueError(f"prior_pi mean must lie in [-1, 1], got {self.prior_pi.mean}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.threads < 1:
@@ -82,7 +84,6 @@ class TraceSeries:
     estimates: np.ndarray  # per run x per checkpoint estimates of Pi
     perceived_var: np.ndarray | None
     growth_rate: float
-    true_pi: float
     runs: int
     excluded_runs: list[int] = field(default_factory=list)
 
@@ -91,8 +92,6 @@ class TraceSeries:
 
 
 def _checkpoint_rounds(n_rounds: int) -> np.ndarray:
-    if n_rounds <= 1:
-        return np.array([n_rounds])
     decades = math.log10(n_rounds)
     count = max(2, math.ceil(decades * CHECKPOINTS_PER_DECADE))
     return np.unique(np.rint(np.geomspace(1, n_rounds, count)).astype(int))
@@ -204,7 +203,6 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
         estimates=estimates,
         perceived_var=perceived,
         growth_rate=_growth_rate(times, inv_mse, config.horizon),
-        true_pi=config.true_pi,
         runs=config.runs,
         excluded_runs=excluded,
     )

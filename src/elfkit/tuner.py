@@ -414,9 +414,8 @@ def build_lookup_table(
 
     ``grid_spec`` is either a point count for a uniform grid over [-1, 1] or
     an explicit increasing sequence of estimand values.  Grid points at +-1
-    are emitted flagged (the estimand angle would be degenerate); tuning
-    failures at interior points are likewise flagged rather than dropped.
-    The layer count and the grid are checked before any point is tuned.
+    are emitted flagged (the estimand angle would be degenerate).  The layer
+    count and the grid are checked before any point is tuned.
     """
     if layers < 1:
         raise ValueError("layers must be >= 1")
@@ -445,12 +444,7 @@ def build_lookup_table(
                 seed=int(point_seeds[i]),
                 **tune_overrides,
             )
-            warm = () if prev_x is None else (prev_x,)
-            try:
-                result = tune(spec, warm_starts=warm)
-            except ArithmeticError as exc:
-                entries.append(TableEntry(float(pi), None, None, f"tune_failed: {exc}"))
-                continue
+            result = tune(spec, warm_starts=() if prev_x is None else (prev_x,))
             entries.append(TableEntry(float(pi), result.x_opt, result.objective_value))
             prev_x = result.x_opt
         if progress is not None:

@@ -14,6 +14,9 @@ them, like ``slope_oracle``.  Each is the paper's formula as written:
 * ``integrate_inverse_variance`` and ``InverseVarianceCurve``: the ODE
   dF/dt = rbar(1/sqrt(F)) between the Heisenberg and shot-noise regimes
   (``test_runtime_model``).
+* ``NoiseParams`` and ``RateDomainError``: the runtime model's exponents lam
+  and alpha, and the error of inputs outside the rate model's validity
+  region; ``elfkit.runtime_model`` takes lam alone (``test_runtime_model``).
 * ``from_noise_model``: the runtime model's exponents of a
   ``metrics.NoiseModel`` (``test_runtime_model``).
 """
@@ -28,11 +31,34 @@ from scipy.integrate import solve_ivp
 
 from elfkit.bias import Scheme, bias, bias_series
 from elfkit.metrics import SINGULAR_TOL, GaussianBelief, SingularLikelihoodError, _check_fidelity
-from elfkit.runtime_model import E, NoiseParams, RateDomainError
+from elfkit.runtime_model import E
 
 RATE_LOWER_FACTOR = (E - 1.0) / E
 RATE_UPPER_FACTOR = E / (E - 1.0)
 MU_VALID_RANGE = (0.1 * math.pi, 0.9 * math.pi)
+
+
+class RateDomainError(ValueError):
+    """Inputs outside the validity region of the rate model."""
+
+
+@dataclass(frozen=True)
+class NoiseParams:
+    """Reparameterized noise: fidelity^2 = exp(-lam * (2L+1) - alpha).
+
+    The model requires lam <= 1 (deeper noise breaks the continuous-depth
+    optimization).  ``alpha`` may be negative: with no SPAM error the layer
+    share alone gives alpha = -lam.
+    """
+
+    lam: float
+    alpha: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.lam <= 1.0:
+            raise RateDomainError("lam must lie in [0, 1]")
+        if not math.isfinite(self.alpha):
+            raise RateDomainError("alpha must be finite")
 
 
 def likelihood(scheme: Scheme, d: int, theta, f: float, x):

@@ -183,6 +183,8 @@ def test_simulate_takes_threads(tmp_path):
     [
         ("prior-std", "-0.1", "--prior-std must be positive"),
         ("prior-std", "0", "--prior-std must be positive"),
+        ("prior-mean", "1.5", "prior_pi mean must lie in [-1, 1]"),
+        ("prior-mean", "-1.2", "prior_pi mean must lie in [-1, 1]"),
         ("threads", "0", "threads must be >= 1"),
         ("threads", "-1", "threads must be >= 1"),
         ("layers", "0", "layers must be >= 1"),

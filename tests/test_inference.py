@@ -328,6 +328,34 @@ class TestRunEstimation:
             with pytest.raises(ValueError, match="horizon must be >= 5"):
                 EstimationConfig(horizon=horizon, **common)
 
+    @pytest.mark.parametrize("mean", [1.5, -1.2])
+    def test_rejects_prior_mean_outside_unit_interval(self, mean):
+        # Caught at construction: pi_to_theta would clip the whole belief to one
+        # end, and the run would freeze there with a vanishing variance.
+        with pytest.raises(ValueError, match=r"prior_pi mean must lie in \[-1, 1\]"):
+            EstimationConfig(
+                scheme=Scheme.AF,
+                layers=2,
+                noise=NoiseModel(),
+                prior_pi=GaussianBelief(mean, 0.0009),
+                true_pi=0.3,
+                horizon=100,
+                angle_source="clf",
+            )
+
+    @pytest.mark.parametrize("mean", [1.0, -1.0])
+    def test_accepts_prior_mean_at_unit_interval_ends(self, mean):
+        cfg = EstimationConfig(
+            scheme=Scheme.AF,
+            layers=2,
+            noise=NoiseModel(),
+            prior_pi=GaussianBelief(mean, 0.0009),
+            true_pi=0.3,
+            horizon=100,
+            angle_source="clf",
+        )
+        assert cfg.prior_pi.mean == mean
+
     @pytest.mark.parametrize("layers, message", [(3, "6-angle vectors, but layers=1"), (1, "scheme 'ab'")])
     def test_rejects_table_that_does_not_fit(self, layers, message):
         # An AF L=1 run must not use angles tuned for another scheme or depth.

@@ -217,8 +217,26 @@ class TestRates:
         x = clf_angles(layers)
         for j in (1, 3, 5):
             pi_star = math.cos(j * np.pi / (2 * layers + 1))
-            assert rhat0(Scheme.AF, pi_star, f, x, layers) == pytest.approx(0.0, abs=1e-8)
+            assert rhat0(Scheme.AF, pi_star, f, x) == pytest.approx(0.0, abs=1e-8)
 
     def test_rhat0_rejects_boundary(self):
         with pytest.raises(ValueError):
-            rhat0(Scheme.AF, 1.0, 0.5, clf_angles(1), 1)
+            rhat0(Scheme.AF, 1.0, 0.5, clf_angles(1))
+
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("layers", [2, 3])
+    def test_rhat0_takes_its_depth_from_the_angles(self, scheme, layers):
+        # One round of L layers holds 2L angles and costs 2L + 1 time steps.
+        rng = np.random.default_rng(100 * layers + (scheme is Scheme.AB))
+        f = NoiseModel(0.95, 0.99).process_fidelity(layers)
+        for _ in range(5):
+            x = rng.uniform(-math.pi, math.pi, 2 * layers)
+            pi_star = rng.uniform(-0.9, 0.9)
+            info = fisher_information(scheme, math.acos(pi_star), f, x)
+            expected = info / ((2 * layers + 1) * (1.0 - pi_star**2))
+            assert rhat0(scheme, pi_star, f, x) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [[0.3], [0.3, 0.2, 0.1]], ids=["one", "odd"])
+    def test_rhat0_rejects_odd_angle_vectors(self, x):
+        with pytest.raises(ValueError, match="even length"):
+            rhat0(Scheme.AF, 0.3, 0.9, x)

@@ -5,8 +5,15 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from elfkit.metrics import NoiseModel
-from elfkit.runtime_model import HardwareParams, NoiseParams, RateDomainError, hardware_runtime_curve, runtime_bounds
-from paper_model import chebyshev_rate_bounds, from_noise_model, integrate_inverse_variance, rbar
+from elfkit.runtime_model import HardwareParams, hardware_runtime_curve, runtime_bounds
+from paper_model import (
+    NoiseParams,
+    RateDomainError,
+    chebyshev_rate_bounds,
+    from_noise_model,
+    integrate_inverse_variance,
+    rbar,
+)
 
 E = math.e
 
@@ -136,18 +143,23 @@ class TestInverseVarianceOde:
 class TestRuntimeBounds:
     def test_noiseless_lower_bound(self):
         eps = 1e-3
-        lo, _ = runtime_bounds(eps, NoiseParams(0.0, 0.0), 1.0)
+        lo, _ = runtime_bounds(eps, 0.0, 1.0)
         ref = (E - 1) / 2 * (1 / (math.sqrt(3) * eps) + 2 * math.sqrt(2) / eps)
         assert lo == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, math.nan])
     def test_rejects_nonpositive_eps(self, eps):
         with pytest.raises(ValueError, match="eps_theta must be positive"):
-            runtime_bounds(eps, NoiseParams(0.01), 1.0)
+            runtime_bounds(eps, 0.01, 1.0)
+
+    @pytest.mark.parametrize("lam", [1.2, -0.1, math.nan])
+    def test_rejects_lam_outside_unit_interval(self, lam):
+        with pytest.raises(ValueError, match="lam must lie in"):
+            runtime_bounds(1e-3, lam, 1.0)
 
     def test_ordering(self):
         for lam in (0.0, 1e-3, 1e-1, 1.0):
-            lo, hi = runtime_bounds(1e-4, NoiseParams(lam), 0.95)
+            lo, hi = runtime_bounds(1e-4, lam, 0.95)
             assert lo < hi
 
     def test_high_noise_scaling(self):
@@ -155,7 +167,7 @@ class TestRuntimeBounds:
         lam = 0.5
         ratios = []
         for eps in (1e-4, 1e-5, 1e-6):
-            lo, hi = runtime_bounds(eps, NoiseParams(lam), 1.0)
+            lo, hi = runtime_bounds(eps, lam, 1.0)
             ratios.append((lo / (lam / eps**2), hi / (lam / eps**2)))
         assert ratios[-1][0] == pytest.approx(ratios[-2][0], rel=0.01)
         assert ratios[-1][1] == pytest.approx(ratios[-2][1], rel=0.01)
@@ -166,7 +178,7 @@ class TestRuntimeBounds:
             curve = integrate_inverse_variance(params, 1.0, 5e9, n_points=20)
             for eps in (1e-2, 1e-3):
                 t_ode = curve.time_to(1.0 / eps**2)
-                lo, hi = runtime_bounds(eps, params, 1.0)
+                lo, hi = runtime_bounds(eps, lam, 1.0)
                 assert lo <= t_ode <= hi
 
 

@@ -318,6 +318,33 @@ class TestRunExperiment:
                 table=tiny_table,
             )
 
+    @pytest.mark.parametrize("mean", [1.5, -1.2])
+    def test_rejects_prior_mean_outside_unit_interval(self, mean):
+        # Caught at construction: pi_to_theta would clip the whole belief to one end.
+        with pytest.raises(ValueError, match=r"prior_pi mean must lie in \[-1, 1\]"):
+            ExperimentConfig(
+                scheme="af-clf",
+                true_pi=0.3,
+                prior_pi=GaussianBelief(mean, 0.0009),
+                layers=2,
+                noise=NoiseModel(),
+                runs=1,
+                horizon=10,
+            )
+
+    @pytest.mark.parametrize("mean", [1.0, -1.0])
+    def test_accepts_prior_mean_at_unit_interval_ends(self, mean):
+        cfg = ExperimentConfig(
+            scheme="af-clf",
+            true_pi=0.3,
+            prior_pi=GaussianBelief(mean, 0.0009),
+            layers=2,
+            noise=NoiseModel(),
+            runs=1,
+            horizon=10,
+        )
+        assert cfg.prior_pi.mean == mean
+
     def test_standard_scheme_ignores_layers(self):
         # The standard scheme runs no layers, so it takes any count.
         cfg = ExperimentConfig(

@@ -406,6 +406,28 @@ class TestLookupTable:
                 build_lookup_table(Scheme.AF, layers, NoiseModel(), grid, restarts=1, seed=0)
 
 
+class TestBernsteinBound:
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("restarts", [1, 10])
+    def test_noiseless_table_at_chebyshev_nodes_stays_below_bound(self, scheme, layers, restarts):
+        # The bias is a trigonometric polynomial in theta of degree n = 2L + 1
+        # (AF) or L (AB) bounded by 1, so Bernstein-Szego gives
+        # bias'^2 <= n^2 (1 - bias^2): the noiseless Fisher information is at
+        # most n^2.  At a Chebyshev node cos(j pi / n) the Chebyshev start has
+        # 1 - bias^2 = 0, and a value climbed from there must not be rounding noise.
+        n = 2 * layers + 1 if scheme is Scheme.AF else layers
+        nodes = {math.cos(j * math.pi / n) for j in range(n + 1)}
+        grid = np.array(sorted(nodes | set(np.linspace(-1.0, 1.0, 9).tolist())))
+        table = build_lookup_table(scheme, layers, NoiseModel(), grid, restarts=restarts, seed=0)
+        interior = [e for e in table.entries if abs(e.pi) < 1.0]
+        assert len(interior) >= n - 1
+        for e in interior:
+            assert e.flag is None
+            assert math.isfinite(e.objective)
+            assert e.objective <= n**2 * (1.0 + 1e-9), e.pi
+
+
 class TestMirrorSymmetry:
     @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
     @pytest.mark.parametrize("layers", [1, 2, 3])
