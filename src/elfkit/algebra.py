@@ -147,11 +147,15 @@ def _factor_mul(ct, st, cx, sx, u, pair):
 
 
 def circuit_prefixes(ct, st, cx, sx):
-    """The pairs of the prefixes F_j ... F_1, j = 1..2L, by the product rule from (ONE, ZERO); the last is (Q, dQ/dtheta)."""
-    pre, pair = [], (ONE, ZERO)
-    for j in range(len(cx)):
-        pair = _factor_mul(ct, st, cx[j], sx[j], j % 2 == 0, pair)
-        pre.append(pair)
+    """The pairs of the prefixes F_j ... F_1, j = 1..2L, by the product rule; the last is (Q, dQ/dtheta).
+
+    The first, (U_1, dU_1/dtheta), is U_1 (ONE, ZERO) with the ones and zeros folded out, in its broadcast shape.
+    """
+    pb, pd = sx[0] * st, sx[0] * ct
+    zero = 0.0 * pb
+    pre = [((cx[0] + zero, pb, zero, pd), (zero, pd, zero, -pb))]
+    for j in range(1, len(cx)):
+        pre.append(_factor_mul(ct, st, cx[j], sx[j], j % 2 == 0, pre[-1]))
     return pre
 
 

@@ -27,7 +27,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -342,38 +342,37 @@ def cmd_scan(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     if not cfg["prior-std"] > 0.0:
         raise ValueError(f"--prior-std must be positive, got {cfg['prior-std']}")
-    noise = NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"])
-    table = None
+    # The Chebyshev twin of an engineered scheme makes every check but the
+    # table's, so a bad setting fails before a table is loaded or tuned.
+    config = ExperimentConfig(
+        scheme=cfg["scheme"].replace("elf", "clf"),
+        true_pi=cfg["true-pi"],
+        prior_pi=GaussianBelief(cfg["prior-mean"], cfg["prior-std"] ** 2),
+        layers=cfg["layers"],
+        noise=NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"]),
+        runs=cfg["runs"],
+        horizon=cfg["horizon"],
+        master_seed=cfg["seed"],
+        threads=cfg["threads"],
+    )
     if cfg["scheme"].endswith("elf"):
         if cfg["table"]:
             table = LookupTable.load(cfg["table"])
         else:
-            scheme = Scheme.AF if cfg["scheme"].startswith("af") else Scheme.AB
             print(
                 f"building a {cfg['table-grid']}-point lookup table (pass --table to reuse one)",
                 file=sys.stderr,
             )
             table = build_lookup_table(
-                scheme,
+                config.bias_scheme,
                 cfg["layers"],
-                noise,
+                config.noise,
                 cfg["table-grid"],
                 restarts=cfg["restarts"],
                 seed=cfg["seed"],
                 max_rounds=100,
             )
-    config = ExperimentConfig(
-        scheme=cfg["scheme"],
-        true_pi=cfg["true-pi"],
-        prior_pi=GaussianBelief(cfg["prior-mean"], cfg["prior-std"] ** 2),
-        layers=cfg["layers"],
-        noise=noise,
-        runs=cfg["runs"],
-        horizon=cfg["horizon"],
-        master_seed=cfg["seed"],
-        table=table,
-        threads=cfg["threads"],
-    )
+        config = replace(config, scheme=cfg["scheme"], table=table)
     traces = run_experiment(config)
     _write_outputs(
         "simulate",

@@ -7,9 +7,12 @@ local bias with a sinusoid arcsin-linear in theta (a closed-form line over
 ``FIT_POINTS`` abscissae spanning +-1 sd of the belief), samples an outcome
 from the noisy likelihood at the true theta, and applies the closed-form
 posterior-moment update of the fitted model (``_posterior_moments``).  The
-round advances a batch of runs in lockstep; it has two callers:
-``run_estimation`` (a batch of one, with a per-round trace) and
-``sim.run_experiment`` (Monte Carlo chunks).  Conversions between theta- and
+round advances a batch of runs, shaped like the belief arrays, in lockstep;
+it has two callers: ``run_estimation`` (a 0-d batch, with a per-round trace)
+and ``sim.run_experiment`` (1-D Monte Carlo chunks).  A 0-d batch runs on
+numpy scalars, which skip a 1-element array's per-call cost and round as the
+arrays do; Python floats would not (``math.exp`` and ``math.asin`` differ
+from numpy's in the last bit).  Conversions between theta- and
 Pi-beliefs are analytic one way (moments of cos of a Gaussian) and numeric
 the other (moments of arccos of a clipped Gaussian).
 """
@@ -167,8 +170,8 @@ class EstimationConfig:
 
 @lru_cache(maxsize=None)
 def _clf_series(scheme: Scheme, layers: int) -> np.ndarray:
-    """Read-only theta-series column of the Chebyshev angles, shape (D + 1, 1)."""
-    c = bias_series(scheme, clf_angles(layers))[:, None]
+    """Read-only theta-series column of the Chebyshev angles, shape (D + 1,): it broadcasts against any runs."""
+    c = bias_series(scheme, clf_angles(layers))
     c.flags.writeable = False
     return c
 
@@ -192,16 +195,18 @@ def _lockstep(f, theta_star, mu, var, angles, uniforms, abort=False):
     ``theta_star`` from the run's theta-series column (``angles``) by Horner's rule in
     e^{i theta}, fits the line of ``_window_fit`` to arcsin of the bias, and updates by
     ``_posterior_moments``.  The work is element-wise and each run is fitted over a contiguous
-    row, so its numbers do not depend on the batch width.  The uniforms u become thresholds
-    2u - 1 once per batch: outcome 1 is drawn where 2u - 1 >= f bias(theta_star), i.e.
-    u >= P(0).  From its first update with a non-finite mean or a variance outside (0, inf)
-    a run is excluded (``alive`` false) and its belief frozen.  With ``abort`` an abscissa
-    within ``DEGENERATE_TOL`` of a multiple of pi raises ``DegenerateSubspaceError``.
-    Yields ``(r, b, d, mu, var, alive)`` after each round.
+    row, so its numbers do not depend on the batch shape, that of ``mu``: 1-D for ``sim``'s
+    chunks, and 0-d for ``run_estimation``'s one run, on numpy scalars, not Python floats (see
+    the module docstring).  The uniforms u become thresholds 2u - 1 once per batch: outcome 1
+    is drawn where 2u - 1 >= f bias(theta_star), i.e. u >= P(0).  From its first update with a
+    non-finite mean or a variance outside (0, inf) a run is excluded (``alive`` false) and its
+    belief frozen.  With ``abort`` an abscissa within ``DEGENERATE_TOL`` of a multiple of pi
+    raises ``DegenerateSubspaceError``.  Yields ``(r, b, d, mu, var, alive)`` after each round.
     """
-    n, column = FIT_POINTS, _FIT_OFFSETS[:, None]
-    alive, excluded = np.ones(mu.shape, dtype=bool), False
-    block = np.empty((n + 1, mu.size))
+    n, shape = FIT_POINTS, np.shape(mu)
+    column = _FIT_OFFSETS.reshape((n,) + (1,) * len(shape))
+    alive, excluded = np.ones(shape, dtype=bool), False
+    block = np.empty((n + 1,) + shape)
     block[n] = theta_star
     e = np.empty(block.shape, dtype=complex)
     for t in 2.0 * uniforms - 1.0:
@@ -217,7 +222,7 @@ def _lockstep(f, theta_star, mu, var, angles, uniforms, abort=False):
         r, b = _window_fit(mu, sd, z)
         d = t >= f * values[n]
         mu_next, var_next = _posterior_moments(mu, var, r, b, f, d)
-        ok = np.isfinite(mu_next) & (0.0 < var_next) & (var_next < np.inf)
+        ok = (abs(mu_next) < np.inf) & (0.0 < var_next) & (var_next < np.inf)
         if excluded := excluded or np.count_nonzero(ok) < ok.size:
             alive &= ok
             mu, var = np.where(alive, mu_next, mu), np.where(alive, var_next, var)
@@ -227,7 +232,7 @@ def _lockstep(f, theta_star, mu, var, angles, uniforms, abort=False):
 
 
 def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
-    """Run the adaptive loop, as a lockstep batch of one, and return one record per round.
+    """Run the adaptive loop, as a 0-d lockstep batch, and return one record per round.
 
     The belief is maintained over theta; the recorded Pi belief is its
     analytic cosine transform.  Outcomes are synthesized from the noisy
@@ -238,15 +243,15 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     f = config.noise.process_fidelity(config.layers)
     prior = pi_to_theta(config.prior_pi)
     rounds = _lockstep(
-        f, math.acos(config.true_pi), np.array([prior.mean]), np.array([prior.variance]),
+        f, math.acos(config.true_pi), np.float64(prior.mean), np.float64(prior.variance),
         _angle_policy(config.scheme, config.layers, config.angle_source, config.table),
-        np.random.default_rng(np.random.SeedSequence(config.seed)).random((config.round_budget(), 1)),
+        np.random.default_rng(np.random.SeedSequence(config.seed)).random(config.round_budget()),
     )
     trace = []
     for k, (_, _, d, mu, var, alive) in enumerate(rounds, start=1):
-        if not alive[0]:
+        if not alive:
             raise ValueError(f"round {k}: the update gave a non-finite mean or a variance outside (0, inf)")
-        trace.append((d[0], mu[0], var[0]))
+        trace.append((d, mu, var))
     d, mu, var = np.array(trace, dtype=float).T
     pi_mu, pi_var = _cos_moments(mu, var)
     columns = (d, mu, var, pi_mu, np.maximum(pi_var, TINY))

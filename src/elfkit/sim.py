@@ -5,7 +5,7 @@ estimand, so no state-vector simulation is involved.  ``run_experiment``
 repeats the adaptive estimation loop over many independent runs with
 per-run random substreams derived from one master seed, advances each chunk
 of runs in lockstep with the estimation round of ``inference`` (the round
-``run_estimation`` drives as a batch of one), and aggregates the
+``run_estimation`` drives as a 0-d batch), and aggregates the
 root-mean-squared error of the estimator on a geometric time grid together
 with an inverse-MSE growth-rate fit over the late-time window.
 """

@@ -347,7 +347,8 @@ class LookupTable:
     def series(self, scheme: Scheme, pis: np.ndarray) -> np.ndarray:
         """``bias_series`` of the ``lookup`` angles of each query, one column per query.
 
-        The valid entries' columns are computed on first use for each scheme.
+        The result has shape (D + 1,) + the shape of ``pis``: a scalar query gives one 1-D
+        column.  The valid entries' columns are computed on first use for each scheme.
         """
         if (rows := self._series.get(scheme)) is None:
             rows = self._series[scheme] = bias_series(scheme, self._angles)

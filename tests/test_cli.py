@@ -189,15 +189,21 @@ def test_simulate_takes_threads(tmp_path):
         ("threads", "-1", "threads must be >= 1"),
         ("layers", "0", "layers must be >= 1"),
         ("layers", "-1", "layers must be >= 1"),
+        ("true-pi", "1.0", "true_pi must lie in (-1, 1)"),
+        ("horizon", "2", "horizon must be >= 3"),
     ],
 )
-def test_simulate_rejects_out_of_range_values(flag, value, message, tmp_path, capsys):
-    # A usage error (2) that names the option, and no output.
-    argv = ["simulate", "--scheme", "af-clf", "--true-pi", "0.1", "--prior-mean", "0.12", "--runs", "3"]
-    argv += ["--horizon", "30", "--seed", "1", f"--{flag}", value, "--out", str(tmp_path / "run")]
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "run.json").exists()
+def test_simulate_rejects_out_of_range_values(flag, value, message, tmp_path, capsys, monkeypatch):
+    # A usage error (2) that names the option, and no output; an engineered
+    # scheme without --table fails before it tunes its table.
+    monkeypatch.setattr("elfkit.cli.build_lookup_table", lambda *a, **k: pytest.fail("built a table"))
+    for scheme in ("af-clf", "af-elf"):
+        argv = ["simulate", "--scheme", scheme, "--true-pi", "0.1", "--prior-mean", "0.12", "--runs", "3"]
+        argv += ["--horizon", "30", "--seed", "1", f"--{flag}", value, "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "building a" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -490,3 +490,37 @@ class TestEngineEquivalence:
         batch = np.array([[a[col] for a in state[2:5]] for state in rounds])
         assert np.array_equal(single, batch)
         assert 0 < single[:, 0].sum() < n  # both outcomes occur
+
+
+class TestZeroDimBatch:
+    """A run held 0-d, on numpy scalars, yields what the same run held as a (1,) batch, bit for bit."""
+
+    @pytest.mark.parametrize("source", ["clf", "table"])
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_scalar_state_equals_one_element_batch(self, source, scheme, layers):
+        f = NoiseModel(0.95, 0.99).process_fidelity(layers)
+        prior = pi_to_theta(GaussianBelief(0.35, 0.05**2))
+        angles = _angle_policy(scheme, layers, source, small_table(scheme, layers) if source == "table" else None)
+        uniforms = np.random.default_rng(layers).random(60)
+        start = math.acos(0.3), np.float64(prior.mean), np.float64(prior.variance)
+        scalar = list(_lockstep(f, *start, angles, uniforms))
+        batch = list(_lockstep(f, start[0], np.array([start[1]]), np.array([start[2]]), angles, uniforms[:, None]))
+        assert len(scalar) == len(batch) == 60
+        for one, column in zip(scalar, batch):
+            # (r, b, d, mu, var) stay numpy scalars, not 1-element arrays.
+            assert all(np.ndim(v) == 0 for v in one[:5])
+            got, want = (np.array([float(v) for v in state[:5]]) for state in (one, [v[0] for v in column]))
+            assert got.tobytes() == want.tobytes()
+            assert bool(one[5]) and bool(column[5][0])
+        assert 0 < sum(int(state[2]) for state in scalar) < 60  # both outcomes occur
+
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    def test_table_series_of_a_scalar_query_is_one_column(self, scheme):
+        table = small_table(scheme, 2)
+        degree = 5 if scheme is Scheme.AF else 2
+        for pi in (-0.97, -0.31, 0.0, 0.42, 0.97):
+            for query in (pi, np.float64(pi)):
+                column = table.series(scheme, query)
+                assert column.shape == (degree + 1,)
+                assert np.array_equal(column, table.series(scheme, np.array([pi]))[:, 0])
