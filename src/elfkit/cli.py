@@ -17,6 +17,8 @@ bias slope |d(bias)/dtheta|, and ``scan --quantity slope`` the likelihood
 slope ``metrics.slope`` = f |d(bias)/dtheta| / 2 at process fidelity f.
 
 Exit codes: 0 success, 2 usage error, 3 numeric guard tripped, 4 I/O error.
+A seed drawn in the absence of ``--seed`` is printed on exit 0, 3 and 4, not
+on a usage error.  Sidecars are strict JSON: a non-finite figure is null.
 """
 
 from __future__ import annotations
@@ -191,13 +193,6 @@ def _effective_config(parser, args, argv: list[str]) -> dict:
     if missing := [o.name for o in opts if o.required and effective[o.name] is None]:
         raise ValueError(f"missing required option --{missing[0]}")
     return effective
-
-
-def _ensure_seed(cfg: dict) -> dict:
-    if cfg.get("seed") is None:
-        cfg["seed"] = int.from_bytes(os.urandom(6), "big")
-        print(f"seed: {cfg['seed']}", file=sys.stderr)
-    return cfg
 
 
 def _sidecar(command: str, cfg: dict, extra: dict | None = None) -> dict:
@@ -387,9 +382,9 @@ def cmd_simulate(cfg: dict) -> int:
             traces.mean_perceived_var.tolist(),
         ),
         {
-            "growth_rate": traces.growth_rate,
+            "growth_rate": traces.growth_rate if math.isfinite(traces.growth_rate) else None,
             "excluded_runs": traces.excluded_runs,
-            "final_rmse": float(traces.rmse[-1]),
+            "final_rmse": float(traces.rmse[-1]) if math.isfinite(traces.rmse[-1]) else None,
         },
     )
     return 0
@@ -437,20 +432,24 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
+    drawn = None  # a seed drawn for the run; printed unless the run never starts (exit 2)
     try:
         cfg = _effective_config(parser, args, argv)
-        if args.command in _RANDOMIZED:
-            _ensure_seed(cfg)
-        return _HANDLERS[args.command](cfg)
+        if args.command in _RANDOMIZED and cfg["seed"] is None:
+            cfg["seed"] = drawn = int.from_bytes(os.urandom(6), "big")
+        status = _HANDLERS[args.command](cfg)
     except NUMERIC_GUARDS as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
-        return 3
+        status = 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+        status = 4
+    if drawn is not None:
+        print(f"seed: {drawn}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

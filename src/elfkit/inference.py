@@ -7,14 +7,15 @@ local bias with a sinusoid arcsin-linear in theta (a closed-form line over
 ``FIT_POINTS`` abscissae spanning +-1 sd of the belief), samples an outcome
 from the noisy likelihood at the true theta, and applies the closed-form
 posterior-moment update of the fitted model (``_posterior_moments``).  The
-round advances a batch of runs, shaped like the belief arrays, in lockstep;
-it has two callers: ``run_estimation`` (a 0-d batch, with a per-round trace)
-and ``sim.run_experiment`` (1-D Monte Carlo chunks).  A 0-d batch runs on
-numpy scalars, which skip a 1-element array's per-call cost and round as the
-arrays do; Python floats would not (``math.exp`` and ``math.asin`` differ
-from numpy's in the last bit).  Conversions between theta- and
-Pi-beliefs are analytic one way (moments of cos of a Gaussian) and numeric
-the other (moments of arccos of a clipped Gaussian).
+round advances a batch of runs, shaped like the belief arrays, in lockstep.
+It starts runs of an ``EstimationConfig`` in ``_rounds`` and reads Pi beliefs
+out in ``_cos_moments`` for two callers: ``run_estimation`` (a 0-d batch,
+with a per-round trace) and ``sim.run_experiment`` (1-D Monte Carlo chunks).
+A 0-d batch runs on numpy scalars, which skip a 1-element array's per-call
+cost and round as the arrays do; Python floats would not (``math.exp`` and
+``math.asin`` differ from numpy's in the last bit).  Conversions between
+theta- and Pi-beliefs are analytic one way (moments of cos of a Gaussian)
+and numeric the other (moments of arccos of a clipped Gaussian).
 """
 
 from __future__ import annotations
@@ -54,15 +55,10 @@ class RoundRecord:
 
 
 def _cos_moments(mu, var):
-    """Mean and variance of cos(X) for X ~ N(mu, var); exact and underflow-safe."""
+    """Mean and variance, floored at ``TINY``, of cos(X) for X ~ N(mu, var); exact and underflow-safe."""
     shrink = np.expm1(-var)  # exp(-var) - 1, accurate for tiny var
-    return np.exp(-var / 2.0) * np.cos(mu), 0.5 * shrink * (np.cos(2.0 * mu) * shrink - 2.0 * np.sin(mu) ** 2)
-
-
-def theta_to_pi(belief: GaussianBelief) -> GaussianBelief:
-    """Moment-matched Gaussian belief over Pi = cos(theta)."""
-    mean, var = _cos_moments(belief.mean, belief.variance)
-    return GaussianBelief(float(mean), max(float(var), TINY))
+    pi_var = 0.5 * shrink * (np.cos(2.0 * mu) * shrink - 2.0 * np.sin(mu) ** 2)
+    return np.exp(-var / 2.0) * np.cos(mu), np.maximum(pi_var, TINY)
 
 
 @lru_cache(maxsize=4)
@@ -157,7 +153,7 @@ class EstimationConfig:
             raise ValueError(f"horizon must be >= {self.round_cost}")
         if self.angle_source == "table":
             if self.table is None:
-                raise ValueError("angle_source 'table' requires a lookup table")
+                raise ValueError("table must be given when the angles come from a lookup table")
             self.table.check_fits(self.scheme, self.layers)
 
     @property
@@ -231,6 +227,19 @@ def _lockstep(f, theta_star, mu, var, angles, uniforms, abort=False):
         yield r, b, d, mu, var, alive
 
 
+def _rounds(config: EstimationConfig, uniforms, abort=False):
+    """``_lockstep``'s rounds, one per row of ``uniforms``, for runs of ``config`` from its theta prior.
+
+    A run per column of a 2-D ``uniforms``; a 1-D one gives a 0-d batch of numpy scalars (``[()]``).
+    """
+    prior, shape = pi_to_theta(config.prior_pi), np.shape(uniforms)[1:]
+    return _lockstep(
+        config.noise.process_fidelity(config.layers), math.acos(config.true_pi),
+        np.full(shape, prior.mean)[()], np.full(shape, prior.variance)[()],
+        _angle_policy(config.scheme, config.layers, config.angle_source, config.table), uniforms, abort,
+    )
+
+
 def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     """Run the adaptive loop, as a 0-d lockstep batch, and return one record per round.
 
@@ -240,21 +249,14 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     Raises a ``ValueError`` naming the round whose update gives a non-finite
     mean or a variance outside (0, inf).
     """
-    f = config.noise.process_fidelity(config.layers)
-    prior = pi_to_theta(config.prior_pi)
-    rounds = _lockstep(
-        f, math.acos(config.true_pi), np.float64(prior.mean), np.float64(prior.variance),
-        _angle_policy(config.scheme, config.layers, config.angle_source, config.table),
-        np.random.default_rng(np.random.SeedSequence(config.seed)).random(config.round_budget()),
-    )
+    uniforms = np.random.default_rng(np.random.SeedSequence(config.seed)).random(config.round_budget())
     trace = []
-    for k, (_, _, d, mu, var, alive) in enumerate(rounds, start=1):
+    for k, (_, _, d, mu, var, alive) in enumerate(_rounds(config, uniforms), start=1):
         if not alive:
             raise ValueError(f"round {k}: the update gave a non-finite mean or a variance outside (0, inf)")
         trace.append((d, mu, var))
     d, mu, var = np.array(trace, dtype=float).T
-    pi_mu, pi_var = _cos_moments(mu, var)
-    columns = (d, mu, var, pi_mu, np.maximum(pi_var, TINY))
+    columns = (d, mu, var, *_cos_moments(mu, var))
     return [
         RoundRecord(k * config.round_cost, int(dk), GaussianBelief(m, v), GaussianBelief(pm, pv))
         for k, (dk, m, v, pm, pv) in enumerate(zip(*(c.tolist() for c in columns)), start=1)

@@ -7,7 +7,8 @@ per-run random substreams derived from one master seed, advances each chunk
 of runs in lockstep with the estimation round of ``inference`` (the round
 ``run_estimation`` drives as a 0-d batch), and aggregates the
 root-mean-squared error of the estimator on a geometric time grid together
-with an inverse-MSE growth-rate fit over the late-time window.
+with an inverse-MSE growth-rate fit over the late-time window.  A run of a
+non-standard scheme runs, and is checked, as ``ExperimentConfig._run_config``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .algebra import DegenerateSubspaceError
 from .bias import Scheme
-from .inference import TINY, _angle_policy, _cos_moments, _lockstep, pi_to_theta
+from .inference import EstimationConfig, _cos_moments, _rounds
 from .metrics import GaussianBelief, NoiseModel
 
 EXPERIMENT_SCHEMES = ("af-elf", "af-clf", "ab-elf", "ab-clf", "standard")
@@ -48,27 +49,30 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scheme not in EXPERIMENT_SCHEMES:
             raise ValueError(f"scheme must be one of {EXPERIMENT_SCHEMES}")
-        if not -1.0 < self.true_pi < 1.0:
-            raise ValueError("true_pi must lie in (-1, 1)")
-        if not -1.0 <= self.prior_pi.mean <= 1.0:
-            raise ValueError(f"prior_pi mean must lie in [-1, 1], got {self.prior_pi.mean}")
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.scheme != "standard" and self.layers < 1:
-            raise ValueError("layers must be >= 1")
-        min_horizon = 1 if self.scheme == "standard" else 2 * self.layers + 1
-        if self.horizon < min_horizon:
-            raise ValueError(f"horizon must be >= {min_horizon}")
-        if self.scheme.endswith("elf"):
-            if self.table is None:
-                raise ValueError("the engineered schemes require a lookup table")
-            self.table.check_fits(self.bias_scheme, self.layers)
+        if self.scheme != "standard":
+            self._run_config()  # EstimationConfig checks what the runs read
+        elif not -1.0 < self.true_pi < 1.0:
+            raise ValueError("true_pi must lie in (-1, 1)")
+        elif not -1.0 <= self.prior_pi.mean <= 1.0:
+            raise ValueError(f"prior_pi mean must lie in [-1, 1], got {self.prior_pi.mean}")
+        elif self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
 
     @property
     def bias_scheme(self) -> Scheme:
         return Scheme.AB if self.scheme.startswith("ab") else Scheme.AF
+
+    def _run_config(self) -> EstimationConfig:
+        """The ``EstimationConfig`` of each run of a non-standard scheme; its ``seed`` is unused."""
+        source = "clf" if self.scheme.endswith("clf") else "table"
+        return EstimationConfig(
+            self.bias_scheme, self.layers, self.noise, self.prior_pi, self.true_pi, self.horizon,
+            angle_source=source, table=self.table,
+        )
 
 
 @dataclass
@@ -99,26 +103,17 @@ def _checkpoint_rounds(n_rounds: int) -> np.ndarray:
 
 def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: np.ndarray):
     """Advance one chunk of runs in lockstep; returns per-checkpoint state, read out once per chunk."""
-    layers = config.layers
-    f = config.noise.process_fidelity(layers)
-    n_rounds = config.horizon // (2 * layers + 1)
-    prior = pi_to_theta(config.prior_pi)
-    r = run_indices.size
+    run = config._run_config()
     seeds = [np.random.SeedSequence(config.master_seed, spawn_key=(int(i),)) for i in run_indices]
-    uniforms = np.stack([np.random.default_rng(s).random(n_rounds) for s in seeds], axis=1)
-    source = "clf" if config.scheme.endswith("clf") else "table"
-    rounds = _lockstep(
-        f, math.acos(config.true_pi), np.full(r, prior.mean), np.full(r, prior.variance),
-        _angle_policy(config.bias_scheme, layers, source, config.table), uniforms, abort=True,
-    )
-    mus, variances = np.empty((2, checkpoints.size, r))
+    uniforms = np.stack([np.random.default_rng(s).random(run.round_budget()) for s in seeds], axis=1)
+    mus, variances = np.empty((2, checkpoints.size, run_indices.size))
     cp_pos, marks = 0, checkpoints.tolist()
-    for k, (_, _, _, mu, var, alive) in enumerate(rounds, start=1):
+    for k, (_, _, _, mu, var, alive) in enumerate(_rounds(run, uniforms, abort=True), start=1):
         if cp_pos < len(marks) and k == marks[cp_pos]:
             mus[cp_pos], variances[cp_pos] = mu, var
             cp_pos += 1
     est, pi_var = _cos_moments(mus, variances)
-    return est.T, np.maximum(pi_var, TINY).T, run_indices[~alive]
+    return est.T, pi_var.T, run_indices[~alive]
 
 
 def _growth_rate(times: np.ndarray, inv_mse: np.ndarray, horizon: int) -> float:
@@ -156,7 +151,7 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
     multiple of pi, which fails the whole experiment.
     """
     standard = config.scheme == "standard"
-    round_cost = 1 if standard else 2 * config.layers + 1
+    round_cost = 1 if standard else config._run_config().round_cost
     n_rounds = config.horizon // round_cost
     checkpoints = _checkpoint_rounds(n_rounds)
     times = checkpoints * round_cost

@@ -409,14 +409,15 @@ def build_lookup_table(
     seed: int = 0,
     objective: Objective = Objective.FISHER,
     progress=None,
-    **tune_overrides,
+    max_rounds: int = 500,
 ) -> LookupTable:
     """Tune one angle vector per grid point, warm-starting from the neighbor.
 
     ``grid_spec`` is either a point count for a uniform grid over [-1, 1] or
     an explicit increasing sequence of estimand values.  Grid points at +-1
     are emitted flagged (the estimand angle would be degenerate).  The layer
-    count and the grid are checked before any point is tuned.
+    count and the grid are checked before any point is tuned.  Each point's
+    ``TuneSpec`` takes ``objective``, ``restarts`` and ``max_rounds`` from here.
     """
     if layers < 1:
         raise ValueError("layers must be >= 1")
@@ -443,7 +444,7 @@ def build_lookup_table(
                 objective=objective,
                 restarts=restarts,
                 seed=int(point_seeds[i]),
-                **tune_overrides,
+                max_rounds=max_rounds,
             )
             result = tune(spec, warm_starts=() if prev_x is None else (prev_x,))
             entries.append(TableEntry(float(pi), result.x_opt, result.objective_value))

@@ -145,6 +145,35 @@ def test_nan_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_drawn_seed_is_printed_only_for_a_run(tmp_path, capsys, monkeypatch):
+    # Without --seed a seed is drawn, but a usage error (2) runs nothing, so it
+    # prints none; a run prints the seed that its output's config records.
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["tune", "--mu", "1", "--tolerance", "nan"],
+        ["simulate", "--scheme", "af-clf", "--true-pi", "0.3", "--prior-mean", "1.5"],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "seed:" not in err and out == ""
+    assert main(["tune", "--mu", "1", "--restarts", "1", "--max-rounds", "5"]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1] == f"seed: {json.loads(out)['config']['seed']}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_sidecar_is_strict_json(tmp_path):
+    # A horizon of one round leaves no growth-rate window: the rate is null, not NaN.
+    argv = ["simulate", "--scheme", "af-clf", "--layers", "1", "--true-pi", "0.3", "--prior-mean", "0.3"]
+    assert main(argv + ["--runs", "4", "--horizon", "3", "--seed", "1", "--out", str(tmp_path / "run")]) == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    sidecar = json.loads((tmp_path / "run.json").read_text(), parse_constant=reject)
+    assert sidecar["growth_rate"] is None and sidecar["final_rmse"] > 0.0
+
+
 def test_tune_rejects_zero_max_rounds(capsys):
     # A zero round budget used to return the untuned starts with exit 0.
     assert main(["tune", "--mu", "1.0", "--max-rounds", "0"]) == 2

@@ -11,37 +11,46 @@ from elfkit.inference import (
     FIT_POINTS,
     EstimationConfig,
     _angle_policy,
+    _cos_moments,
     _lockstep,
     _posterior_moments,
     _window_fit,
     pi_to_theta,
     run_estimation,
-    theta_to_pi,
 )
 from elfkit.metrics import GaussianBelief, NoiseModel
 from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
 
 
-class TestThetaToPi:
+class TestCosMoments:
+    """``_cos_moments``, the one theta -> Pi read-out of the beliefs."""
+
     def test_point_mass_limit(self):
-        out = theta_to_pi(GaussianBelief(1.2, 1e-24))
-        assert out.mean == pytest.approx(math.cos(1.2), abs=1e-12)
-        assert out.variance < 1e-20
+        mean, var = _cos_moments(1.2, 1e-24)
+        assert mean == pytest.approx(math.cos(1.2), abs=1e-12)
+        assert 0.0 < var < 1e-20
 
     def test_unit_sigma_mean(self):
-        out = theta_to_pi(GaussianBelief(0.0, 1.0))
-        assert out.mean == pytest.approx(math.exp(-0.5), rel=1e-12)
+        mean, _ = _cos_moments(0.0, 1.0)
+        assert mean == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_matches_sampling(self):
         rng = np.random.default_rng(14)
         mu, sigma = 0.8, 0.25
-        out = theta_to_pi(GaussianBelief(mu, sigma**2))
+        mean, var = _cos_moments(mu, sigma**2)
         draws = np.cos(rng.normal(mu, sigma, 1_000_000))
         se_mean = draws.std(ddof=1) / 1000
-        assert abs(out.mean - draws.mean()) < 3 * se_mean
+        assert abs(mean - draws.mean()) < 3 * se_mean
         # Variance of the sample variance for a well-behaved bounded variable.
         se_var = draws.var(ddof=1) * math.sqrt(2.0) / 1000
-        assert abs(out.variance - draws.var(ddof=1)) < 3 * se_var
+        assert abs(var - draws.var(ddof=1)) < 3 * se_var
+
+    def test_variance_is_floored_at_tiny_elementwise(self):
+        # At theta = 0 and a zero variance the exact Pi variance is 0; the floor
+        # keeps it positive, in a batch as for one run.
+        mean, var = _cos_moments(np.array([0.0, 1.2]), np.array([0.0, 1e-4]))
+        assert np.array_equal(mean[:1], [1.0]) and var[0] == inference.TINY
+        assert var[1] == _cos_moments(1.2, 1e-4)[1] > inference.TINY
 
 
 class TestPiToTheta:
@@ -52,7 +61,7 @@ class TestPiToTheta:
 
     def test_round_trip_small_sigma(self):
         start = GaussianBelief(1.2, 0.0009)
-        back = pi_to_theta(theta_to_pi(start))
+        back = pi_to_theta(GaussianBelief(*(float(v) for v in _cos_moments(start.mean, start.variance))))
         assert back.mean == pytest.approx(1.2, abs=1e-3)
 
     def test_clipped_mass_against_sampling(self):

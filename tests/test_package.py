@@ -89,7 +89,7 @@ def test_scipy_is_a_test_dependency_only():
 
 def test_every_top_level_name_has_a_caller():
     # A caller is code of src/ outside the name's own definition, or anything in
-    # benchmarks/, including a dotted string such as "inference.theta_to_pi".
+    # benchmarks/, including a dotted string such as "inference.pi_to_theta".
     benchmarks = _benchmark_names()
     trees = {path.stem: _tree(path) for path in SOURCES}
     used = {module: [_identifiers([node]) for node in tree.body] for module, tree in trees.items()}

@@ -8,7 +8,7 @@ from scipy.stats import chi2
 from elfkit.algebra import DegenerateSubspaceError
 from elfkit.bias import Scheme, clf_angles
 from elfkit import inference
-from elfkit.inference import TINY, _angle_policy, _cos_moments, _lockstep, pi_to_theta
+from elfkit.inference import EstimationConfig, _angle_policy, _cos_moments, _lockstep, pi_to_theta
 from elfkit.metrics import GaussianBelief, NoiseModel
 from elfkit.sim import CHUNK_SIZE, ExperimentConfig, _checkpoint_rounds, run_experiment
 from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
@@ -359,12 +359,44 @@ class TestRunExperiment:
         assert run_experiment(cfg).rmse.size > 0
 
 
+_FITTING_TABLE = LookupTable([TableEntry(0.0, clf_angles(2), 1.0)], {"scheme": "af"})
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"layers": 0}, "layers"),
+        ({"horizon": 4}, "horizon"),
+        ({"true_pi": 1.0}, "true_pi"),
+        ({"prior_pi": GaussianBelief(1.5, 0.0009)}, "prior_pi"),
+        ({"table": None}, "table"),
+        ({"table": LookupTable([TableEntry(0.0, clf_angles(3), 1.0)], {"scheme": "af"})}, "table"),
+    ],
+    ids=["layers", "horizon", "true-pi", "prior-mean", "no-table", "table-for-3-layers"],
+)
+def test_both_configs_check_a_problem_alike(change, field):
+    # A non-standard ExperimentConfig is checked as the EstimationConfig of its
+    # runs: the same message, naming a field that both configs have.
+    common = dict(
+        layers=2, noise=NoiseModel(), prior_pi=GaussianBelief(0.1, 0.0009), true_pi=0.1, horizon=100,
+        table=_FITTING_TABLE,
+    )
+    EstimationConfig(scheme=Scheme.AF, angle_source="table", **common)
+    ExperimentConfig(scheme="af-elf", runs=1, **common)
+    with pytest.raises(ValueError) as estimation:
+        EstimationConfig(scheme=Scheme.AF, angle_source="table", **{**common, **change})
+    with pytest.raises(ValueError) as experiment:
+        ExperimentConfig(scheme="af-elf", runs=1, **{**common, **change})
+    assert str(experiment.value) == str(estimation.value)
+    assert field in str(estimation.value) and "angle_source" not in str(estimation.value)
+
+
 class TestCheckpointReadout:
     @pytest.mark.parametrize("scheme, source", [("af-clf", "clf"), ("af-elf", "table")])
     def test_estimates_are_cos_moments_of_checkpoint_beliefs(self, scheme, source, tiny_table):
         # A full chunk and a partial one.  The readout of each chunk, done once
         # on all its checkpoints, equals, bit for bit, _cos_moments of the
-        # beliefs _lockstep yields at each checkpoint round, floored at TINY.
+        # beliefs _lockstep yields at each checkpoint round.
         cfg = ExperimentConfig(
             scheme=scheme,
             true_pi=0.05,
@@ -391,7 +423,7 @@ class TestCheckpointReadout:
             if k in checkpoints:
                 mean, pi_var = _cos_moments(mu, var)
                 est.append(mean)
-                per_var.append(np.maximum(pi_var, TINY))
+                per_var.append(pi_var)
         assert len(est) == traces.times.size > 50
         assert np.array_equal(traces.estimates, np.transpose(est))
         assert np.array_equal(traces.perceived_var, np.transpose(per_var))
