@@ -119,7 +119,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
             choices=("af-elf", "af-clf", "ab-elf", "ab-clf", "standard"),
         ),
         Opt("true-pi", float, required=True),
-        Opt("prior-mean", float, required=True, help="prior mean of Pi"),
+        Opt("prior-mean", float, help="prior mean of Pi; every scheme but standard needs it"),
         Opt("prior-std", float, 0.03, help="prior standard deviation of Pi"),
         Opt("layers", int, 1),
         Opt("runs", int, 300),
@@ -144,10 +144,6 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("out", str, "runtime", help="output prefix (.csv and .json)"),
     ),
 }
-
-
-def _attr(name: str) -> str:
-    return name.replace("-", "_")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,7 +185,7 @@ def _effective_config(parser, args, argv: list[str]) -> dict:
         tokens = [f"--{k}={_token(parser, k, v)}" for k, v in file_cfg.items() if k != "config" and v is not None]
         at = argv.index(args.command) + 1
         args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
-    effective = {o.name: getattr(args, _attr(o.name)) for o in opts if o.name != "config"}
+    effective = {o.name: getattr(args, o.name.replace("-", "_")) for o in opts if o.name != "config"}
     if missing := [o.name for o in opts if o.required and effective[o.name] is None]:
         raise ValueError(f"missing required option --{missing[0]}")
     return effective
@@ -337,12 +333,16 @@ def cmd_scan(cfg: dict) -> int:
 def cmd_simulate(cfg: dict) -> int:
     if not cfg["prior-std"] > 0.0:
         raise ValueError(f"--prior-std must be positive, got {cfg['prior-std']}")
+    if (mean := cfg["prior-mean"]) is None and cfg["scheme"] != "standard":
+        raise ValueError(f"missing option --prior-mean, which --scheme {cfg['scheme']} needs")
+    if mean is not None and not -1.0 <= mean <= 1.0:
+        raise ValueError(f"--prior-mean must lie in [-1, 1], got {mean}")
     # The Chebyshev twin of an engineered scheme makes every check but the
     # table's, so a bad setting fails before a table is loaded or tuned.
     config = ExperimentConfig(
         scheme=cfg["scheme"].replace("elf", "clf"),
         true_pi=cfg["true-pi"],
-        prior_pi=GaussianBelief(cfg["prior-mean"], cfg["prior-std"] ** 2),
+        prior_pi=None if mean is None else GaussianBelief(mean, cfg["prior-std"] ** 2),
         layers=cfg["layers"],
         noise=NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"]),
         runs=cfg["runs"],
@@ -369,18 +369,12 @@ def cmd_simulate(cfg: dict) -> int:
             )
         config = replace(config, scheme=cfg["scheme"], table=table)
     traces = run_experiment(config)
+    columns = (traces.times, traces.rmse, traces.inv_mse, traces.bias_sq, traces.var_est, traces.mean_perceived_var)
     _write_outputs(
         "simulate",
         cfg,
         ["time", "rmse", "inv_mse", "bias_sq", "var_est", "mean_perceived_var"],
-        zip(
-            traces.times.tolist(),
-            traces.rmse.tolist(),
-            traces.inv_mse.tolist(),
-            traces.bias_sq.tolist(),
-            traces.var_est.tolist(),
-            traces.mean_perceived_var.tolist(),
-        ),
+        zip(*(c.tolist() for c in columns)),
         {
             "growth_rate": traces.growth_rate if math.isfinite(traces.growth_rate) else None,
             "excluded_runs": traces.excluded_runs,

@@ -9,8 +9,9 @@ from the noisy likelihood at the true theta, and applies the closed-form
 posterior-moment update of the fitted model (``_posterior_moments``).  The
 round advances a batch of runs, shaped like the belief arrays, in lockstep.
 It starts runs of an ``EstimationConfig`` in ``_rounds`` and reads Pi beliefs
-out in ``_cos_moments`` for two callers: ``run_estimation`` (a 0-d batch,
-with a per-round trace) and ``sim.run_experiment`` (1-D Monte Carlo chunks).
+out in ``_cos_moments`` for two callers: ``run_estimation`` (a 0-d batch; its
+``RoundRecord`` per round is a tuple of plain numbers, the time, the outcome and
+the theta and Pi moments) and ``sim.run_experiment`` (1-D Monte Carlo chunks).
 A 0-d batch runs on numpy scalars, which skip a 1-element array's per-call
 cost and round as the arrays do; Python floats would not (``math.exp`` and
 ``math.asin`` differ from numpy's in the last bit).  Conversions between
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,14 +43,17 @@ _FIT_WEIGHTS = _FIT_OFFSETS / np.sum(_FIT_OFFSETS * _FIT_OFFSETS)
 _FIT_OFFSETS.flags.writeable = _FIT_WEIGHTS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One round of ``run_estimation``: the time spent so far, the outcome and the posterior beliefs."""
+class RoundRecord(NamedTuple):
+    """One round of ``run_estimation``: the time spent so far, the outcome and the posterior moments."""
 
     cumulative_time: int
     outcome: int
-    theta_belief: GaussianBelief
-    pi_belief: GaussianBelief
+    theta_mean: float
+    theta_variance: float
+    pi_mean: float
+    pi_variance: float
+    theta_belief = property(lambda self: GaussianBelief(self.theta_mean, self.theta_variance))
+    pi_belief = property(lambda self: GaussianBelief(self.pi_mean, self.pi_variance))
 
 
 # -- belief conversions --------------------------------------------------------
@@ -172,51 +177,58 @@ def _clf_series(scheme: Scheme, layers: int) -> np.ndarray:
     return c
 
 
-def _angle_policy(scheme: Scheme, layers: int, source: str, table=None):
-    """Theta-series columns of a round's angles as a function of the theta beliefs (mu, var).
+def _angle_policy(scheme: Scheme, layers: int, source: str, f: float, theta_star: float, table=None):
+    """A round's theta-series columns and thresholds f bias(theta_star) as a function of the theta beliefs (mu, var).
 
-    "clf" gives the Chebyshev angles' one column; "table" gives, for each run,
-    the column of the table entry nearest its Pi mean.
+    "clf" gives the Chebyshev angles' one column; "table" gives, for each run, the column of the table
+    entry nearest its Pi mean (``LookupTable.lookup``).  The thresholds are read once, at two copies of
+    e^{i theta_star}: numpy rounds a length-1 in-place complex product unlike the rounds' longer ones.
     """
-    if source == "clf":
-        c = _clf_series(scheme, layers)
-        return lambda mu, var: c
-    return lambda mu, var: table.series(scheme, np.exp(var * -0.5) * np.cos(mu))
+    midpoints, columns = (None, _clf_series(scheme, layers)) if source == "clf" else table.series(scheme)
+    e = np.full(2, complex(np.cos(theta_star), np.sin(theta_star)))
+    thresholds = f * _horner(columns[..., None], e)[..., 0]
+    if midpoints is None:
+        return lambda mu, var: (columns, thresholds)
+
+    def policy(mu, var):
+        i = midpoints.searchsorted(np.exp(var * -0.5) * np.cos(mu), side="right")
+        return columns[:, i], thresholds[i]
+
+    return policy
 
 
-def _lockstep(f, theta_star, mu, var, angles, uniforms, abort=False):
+def _lockstep(f, mu, var, angles, uniforms, abort=False):
     """Advance runs with theta beliefs N(mu, var) one round per row of ``uniforms``.
 
-    Each round reads the bias at every run's ``FIT_POINTS`` fit abscissae mu + sd * o and at
-    ``theta_star`` from the run's theta-series column (``angles``) by Horner's rule in
-    e^{i theta}, fits the line of ``_window_fit`` to arcsin of the bias, and updates by
-    ``_posterior_moments``.  The work is element-wise and each run is fitted over a contiguous
-    row, so its numbers do not depend on the batch shape, that of ``mu``: 1-D for ``sim``'s
-    chunks, and 0-d for ``run_estimation``'s one run, on numpy scalars, not Python floats (see
-    the module docstring).  The uniforms u become thresholds 2u - 1 once per batch: outcome 1
-    is drawn where 2u - 1 >= f bias(theta_star), i.e. u >= P(0).  From its first update with a
-    non-finite mean or a variance outside (0, inf) a run is excluded (``alive`` false) and its
-    belief frozen.  With ``abort`` an abscissa within ``DEGENERATE_TOL`` of a multiple of pi
-    raises ``DegenerateSubspaceError``.  Yields ``(r, b, d, mu, var, alive)`` after each round.
+    Each round reads the bias at every run's ``FIT_POINTS`` fit abscissae mu + sd * o from the
+    run's theta-series column (``angles``) by Horner's rule in e^{i theta}, fits the line of
+    ``_window_fit`` to arcsin of the bias, and updates by ``_posterior_moments``.  The work is
+    element-wise and each run is fitted over a contiguous row, so its numbers do not depend on
+    the batch shape, that of ``mu``: 1-D for ``sim``'s chunks, and 0-d for ``run_estimation``'s
+    one run, on numpy scalars, not Python floats (see the module docstring).  The uniforms u
+    become 2u - 1 once per batch: outcome 1 is drawn where 2u - 1 >= the column's threshold
+    f bias(theta_star), i.e. u >= P(0).  From its first update with a non-finite mean or a
+    variance outside (0, inf) a run is excluded (``alive`` false) and its belief frozen.  With
+    ``abort`` an abscissa within ``DEGENERATE_TOL`` of a multiple of pi raises
+    ``DegenerateSubspaceError``.  Yields ``(r, b, d, mu, var, alive)`` after each round.
     """
     n, shape = FIT_POINTS, np.shape(mu)
-    column = _FIT_OFFSETS.reshape((n,) + (1,) * len(shape))
+    offsets = _FIT_OFFSETS.reshape((n,) + (1,) * len(shape))
     alive, excluded = np.ones(shape, dtype=bool), False
-    block = np.empty((n + 1,) + shape)
-    block[n] = theta_star
+    block = np.empty((n,) + shape)
     e = np.empty(block.shape, dtype=complex)
     for t in 2.0 * uniforms - 1.0:
         sd = np.sqrt(var)
-        np.add(mu, column * sd, out=block[:n])
+        np.add(mu, offsets * sd, out=block)
         np.cos(block, out=e.real)
         np.sin(block, out=e.imag)
-        if abort and (np.abs(e.imag[:n]) < DEGENERATE_TOL).any():
+        if abort and (np.abs(e.imag) < DEGENERATE_TOL).any():
             raise DegenerateSubspaceError("a sinusoid-fit abscissa reached a multiple of pi")
-        values = _horner(angles(mu, var), e)
-        z = np.ascontiguousarray(values[:n].T)
-        np.arcsin(np.maximum(np.minimum(z, 1.0 - ARCSIN_CLAMP, out=z), -1.0 + ARCSIN_CLAMP, out=z), out=z)
+        columns, threshold = angles(mu, var)
+        z = np.ascontiguousarray(_horner(columns, e).T)
+        np.arcsin(z.clip(-1.0 + ARCSIN_CLAMP, 1.0 - ARCSIN_CLAMP, out=z), out=z)  # not np.clip: 2-3 us more a call
         r, b = _window_fit(mu, sd, z)
-        d = t >= f * values[n]
+        d = t >= threshold
         mu_next, var_next = _posterior_moments(mu, var, r, b, f, d)
         ok = (abs(mu_next) < np.inf) & (0.0 < var_next) & (var_next < np.inf)
         if excluded := excluded or np.count_nonzero(ok) < ok.size:
@@ -233,11 +245,9 @@ def _rounds(config: EstimationConfig, uniforms, abort=False):
     A run per column of a 2-D ``uniforms``; a 1-D one gives a 0-d batch of numpy scalars (``[()]``).
     """
     prior, shape = pi_to_theta(config.prior_pi), np.shape(uniforms)[1:]
-    return _lockstep(
-        config.noise.process_fidelity(config.layers), math.acos(config.true_pi),
-        np.full(shape, prior.mean)[()], np.full(shape, prior.variance)[()],
-        _angle_policy(config.scheme, config.layers, config.angle_source, config.table), uniforms, abort,
-    )
+    f = config.noise.process_fidelity(config.layers)
+    angles = _angle_policy(config.scheme, config.layers, config.angle_source, f, math.acos(config.true_pi), config.table)
+    return _lockstep(f, np.full(shape, prior.mean)[()], np.full(shape, prior.variance)[()], angles, uniforms, abort)
 
 
 def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
@@ -250,14 +260,9 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     mean or a variance outside (0, inf).
     """
     uniforms = np.random.default_rng(np.random.SeedSequence(config.seed)).random(config.round_budget())
-    trace = []
-    for k, (_, _, d, mu, var, alive) in enumerate(_rounds(config, uniforms), start=1):
+    d, mu, var = np.empty((3, uniforms.size))
+    for k, (_, _, d[k], mu[k], var[k], alive) in enumerate(_rounds(config, uniforms)):
         if not alive:
-            raise ValueError(f"round {k}: the update gave a non-finite mean or a variance outside (0, inf)")
-        trace.append((d, mu, var))
-    d, mu, var = np.array(trace, dtype=float).T
-    columns = (d, mu, var, *_cos_moments(mu, var))
-    return [
-        RoundRecord(k * config.round_cost, int(dk), GaussianBelief(m, v), GaussianBelief(pm, pv))
-        for k, (dk, m, v, pm, pv) in enumerate(zip(*(c.tolist() for c in columns)), start=1)
-    ]
+            raise ValueError(f"round {k + 1}: the update gave a non-finite mean or a variance outside (0, inf)")
+    columns = (c.tolist() for c in (d.astype(int), mu, var, *_cos_moments(mu, var)))
+    return list(map(RoundRecord._make, zip(range(config.round_cost, config.horizon + 1, config.round_cost), *columns)))

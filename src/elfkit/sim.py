@@ -37,7 +37,7 @@ FIT_WINDOW_FRACTION = 0.25
 class ExperimentConfig:
     scheme: str
     true_pi: float
-    prior_pi: GaussianBelief
+    prior_pi: GaussianBelief | None  # None only for "standard", which reads no prior
     layers: int
     noise: NoiseModel
     runs: int
@@ -54,11 +54,11 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.scheme != "standard":
+            if self.prior_pi is None:
+                raise ValueError(f"prior_pi must be given for scheme {self.scheme!r}")
             self._run_config()  # EstimationConfig checks what the runs read
         elif not -1.0 < self.true_pi < 1.0:
             raise ValueError("true_pi must lie in (-1, 1)")
-        elif not -1.0 <= self.prior_pi.mean <= 1.0:
-            raise ValueError(f"prior_pi mean must lie in [-1, 1], got {self.prior_pi.mean}")
         elif self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 

@@ -344,15 +344,15 @@ class LookupTable:
         """Entry at the valid grid point closest to the query value (the right one on a midpoint)."""
         return self._valid_entries[np.searchsorted(self._midpoints, pi, side="right")]
 
-    def series(self, scheme: Scheme, pis: np.ndarray) -> np.ndarray:
-        """``bias_series`` of the ``lookup`` angles of each query, one column per query.
+    def series(self, scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
+        """The valid entries' midpoints and ``bias_series`` columns, shape (D + 1, valid entries).
 
-        The result has shape (D + 1,) + the shape of ``pis``: a scalar query gives one 1-D
-        column.  The valid entries' columns are computed on first use for each scheme.
+        The ``lookup`` entry of a query pi has column ``midpoints.searchsorted(pi, side="right")``.
+        The columns are computed on first use for each scheme.
         """
-        if (rows := self._series.get(scheme)) is None:
-            rows = self._series[scheme] = bias_series(scheme, self._angles)
-        return rows[:, self._midpoints.searchsorted(pis, side="right")]
+        if (columns := self._series.get(scheme)) is None:
+            columns = self._series[scheme] = bias_series(scheme, self._angles)
+        return self._midpoints, columns
 
     def to_json_dict(self) -> dict:
         return {

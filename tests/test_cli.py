@@ -212,8 +212,8 @@ def test_simulate_takes_threads(tmp_path):
     [
         ("prior-std", "-0.1", "--prior-std must be positive"),
         ("prior-std", "0", "--prior-std must be positive"),
-        ("prior-mean", "1.5", "prior_pi mean must lie in [-1, 1]"),
-        ("prior-mean", "-1.2", "prior_pi mean must lie in [-1, 1]"),
+        ("prior-mean", "1.5", "--prior-mean must lie in [-1, 1], got 1.5"),
+        ("prior-mean", "-1.2", "--prior-mean must lie in [-1, 1], got -1.2"),
         ("threads", "0", "threads must be >= 1"),
         ("threads", "-1", "threads must be >= 1"),
         ("layers", "0", "layers must be >= 1"),
@@ -233,6 +233,32 @@ def test_simulate_rejects_out_of_range_values(flag, value, message, tmp_path, ca
         err = capsys.readouterr().err
         assert message in err and "building a" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scheme", ["af-elf", "af-clf", "ab-elf", "ab-clf"])
+def test_simulate_needs_prior_mean_but_for_standard(scheme, tmp_path, capsys, monkeypatch):
+    # A usage error (2) naming the flag, before any table is built, and no output.
+    monkeypatch.setattr("elfkit.cli.build_lookup_table", lambda *a, **k: pytest.fail("built a table"))
+    argv = ["simulate", "--scheme", scheme, "--true-pi", "0.3", "--seed", "1", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--prior-mean" in err and "building a" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_standard_takes_no_prior_mean(tmp_path):
+    # The standard scheme reads no prior: without --prior-mean it writes the CSV it writes with one,
+    # and its sidecar's null prior mean, fed back through --config, reproduces that CSV.
+    argv = ["simulate", "--scheme", "standard", "--true-pi", "0.31", "--runs", "4", "--horizon", "40", "--seed", "2"]
+    assert main(argv + ["--out", str(tmp_path / "none")]) == 0
+    assert main(argv + ["--prior-mean", "0.9", "--out", str(tmp_path / "prior")]) == 0
+    assert (tmp_path / "none.csv").read_bytes() == (tmp_path / "prior.csv").read_bytes()
+    config = json.loads((tmp_path / "none.json").read_text())["config"]
+    assert config["prior-mean"] is None
+    config["out"] = str(tmp_path / "again")
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(tmp_path / "cfg.json")]) == 0
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "none.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

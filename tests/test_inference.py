@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from elfkit import inference
-from elfkit.bias import Scheme, clf_angles
+from elfkit import bias, inference
+from elfkit.bias import Scheme, bias_series, clf_angles
 from elfkit.inference import (
     FIT_POINTS,
     EstimationConfig,
@@ -81,7 +81,7 @@ class TestPiToTheta:
 
 def first_round_fit(layers, mu, var, f):
     """(r, b) of the fit of the first ``_lockstep`` round of one AF run at the Chebyshev angles."""
-    rounds = _lockstep(f, mu, np.array([mu]), np.array([var]), _angle_policy(Scheme.AF, layers, "clf"), np.zeros((1, 1)))
+    rounds = _lockstep(f, np.array([mu]), np.array([var]), _angle_policy(Scheme.AF, layers, "clf", f, mu), np.zeros((1, 1)))
     r, b = next(rounds)[:2]
     return r[0], b[0]
 
@@ -494,8 +494,8 @@ class TestEngineEquivalence:
         var = prior.variance * rng.uniform(0.5, 2.0, width)
         mu[col], var[col] = prior.mean, prior.variance
         f = noise.process_fidelity(layers)
-        angles = _angle_policy(scheme, layers, source, cfg.table)
-        rounds = _lockstep(f, math.acos(cfg.true_pi), mu, var, angles, uniforms)
+        angles = _angle_policy(scheme, layers, source, f, math.acos(cfg.true_pi), cfg.table)
+        rounds = _lockstep(f, mu, var, angles, uniforms)
         batch = np.array([[a[col] for a in state[2:5]] for state in rounds])
         assert np.array_equal(single, batch)
         assert 0 < single[:, 0].sum() < n  # both outcomes occur
@@ -510,11 +510,12 @@ class TestZeroDimBatch:
     def test_scalar_state_equals_one_element_batch(self, source, scheme, layers):
         f = NoiseModel(0.95, 0.99).process_fidelity(layers)
         prior = pi_to_theta(GaussianBelief(0.35, 0.05**2))
-        angles = _angle_policy(scheme, layers, source, small_table(scheme, layers) if source == "table" else None)
+        table = small_table(scheme, layers) if source == "table" else None
+        angles = _angle_policy(scheme, layers, source, f, math.acos(0.3), table)
         uniforms = np.random.default_rng(layers).random(60)
-        start = math.acos(0.3), np.float64(prior.mean), np.float64(prior.variance)
+        start = np.float64(prior.mean), np.float64(prior.variance)
         scalar = list(_lockstep(f, *start, angles, uniforms))
-        batch = list(_lockstep(f, start[0], np.array([start[1]]), np.array([start[2]]), angles, uniforms[:, None]))
+        batch = list(_lockstep(f, np.array([start[0]]), np.array([start[1]]), angles, uniforms[:, None]))
         assert len(scalar) == len(batch) == 60
         for one, column in zip(scalar, batch):
             # (r, b, d, mu, var) stay numpy scalars, not 1-element arrays.
@@ -525,11 +526,73 @@ class TestZeroDimBatch:
         assert 0 < sum(int(state[2]) for state in scalar) < 60  # both outcomes occur
 
     @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
-    def test_table_series_of_a_scalar_query_is_one_column(self, scheme):
+    def test_table_policy_of_a_scalar_belief_is_one_column(self, scheme):
         table = small_table(scheme, 2)
         degree = 5 if scheme is Scheme.AF else 2
+        policy = _angle_policy(scheme, 2, "table", 0.9, 1.1, table)
         for pi in (-0.97, -0.31, 0.0, 0.42, 0.97):
-            for query in (pi, np.float64(pi)):
-                column = table.series(scheme, query)
-                assert column.shape == (degree + 1,)
-                assert np.array_equal(column, table.series(scheme, np.array([pi]))[:, 0])
+            mu, var = math.acos(pi), 1e-30  # the belief's Pi mean is pi to rounding
+            columns, thresholds = policy(np.array([mu]), np.array([var]))
+            for belief in ((mu, var), (np.float64(mu), np.float64(var))):
+                column, threshold = policy(*belief)
+                assert column.shape == (degree + 1,) and np.ndim(threshold) == 0
+                assert np.array_equal(column, columns[:, 0]) and threshold == thresholds[0]
+                assert np.array_equal(column, bias_series(scheme, table.lookup(pi).angles))
+
+
+class TestLeanRun:
+    """A record is the numbers of its round, and a policy's thresholds are f bias(theta_star)."""
+
+    @staticmethod
+    def config(scheme, source, layers=2):
+        return EstimationConfig(
+            scheme=scheme,
+            layers=layers,
+            noise=NoiseModel(0.95, 0.99),
+            prior_pi=GaussianBelief(0.35, 0.05**2),
+            true_pi=0.3,
+            seed=5,
+            horizon=60 * (2 * layers + 1) + 2,  # not a multiple of the round cost
+            angle_source=source,
+            table=small_table(scheme, layers) if source == "table" else None,
+        )
+
+    @pytest.mark.parametrize("source", ["clf", "table"])
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    def test_records_carry_the_rounds_numbers(self, source, scheme):
+        cfg = self.config(scheme, source)
+        records = run_estimation(cfg)
+        uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed)).random(cfg.round_budget())
+        d, mu, var = np.array([state[2:5] for state in inference._rounds(cfg, uniforms)], dtype=float).T
+        pi_mean, pi_var = _cos_moments(mu, var)
+        assert len(records) == d.size == 60
+        assert [rec.cumulative_time for rec in records] == [k * 5 for k in range(1, 61)]
+        assert [rec.outcome for rec in records] == d.astype(int).tolist()
+        got = np.array([rec[2:] for rec in records])
+        assert got.tobytes() == np.stack([mu, var, pi_mean, pi_var], axis=1).tobytes()
+        assert 0 < d.sum() < 60  # both outcomes occur
+
+    def test_record_fields_are_plain_numbers(self):
+        for rec in run_estimation(self.config(Scheme.AF, "table")):
+            assert [type(v) for v in rec] == [int, int, float, float, float, float]
+            theta, pi = rec.theta_belief, rec.pi_belief
+            assert isinstance(theta, GaussianBelief) and isinstance(pi, GaussianBelief)
+            assert (theta.mean, theta.variance, pi.mean, pi.variance) == rec[2:]
+
+    @pytest.mark.parametrize("true_pi", [-0.8, 0.3, 0.95])
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_policy_thresholds_are_the_bias_at_theta_star(self, layers, scheme, true_pi):
+        f, theta_star = NoiseModel(0.95, 0.99).process_fidelity(layers), math.acos(true_pi)
+        clf = clf_angles(layers)
+        column, threshold = _angle_policy(scheme, layers, "clf", f, theta_star)(1.0, 0.01)
+        assert np.array_equal(column, bias_series(scheme, clf))
+        assert abs(threshold - f * bias.bias(scheme, theta_star, clf)) <= 1e-12
+        table = small_table(scheme, layers)
+        valid = [e for e in table.entries if e.flag is None]
+        mu = np.arccos([e.pi for e in valid])  # each belief's Pi mean is its entry's pi to rounding
+        columns, thresholds = _angle_policy(scheme, layers, "table", f, theta_star, table)(mu, np.full(mu.size, 1e-30))
+        assert thresholds.shape == (len(valid),) and len(valid) > 5
+        for entry, column, threshold in zip(valid, columns.T, thresholds):
+            assert np.array_equal(column, bias_series(scheme, entry.angles))
+            assert abs(threshold - f * bias.bias(scheme, theta_star, entry.angles)) <= 1e-12

@@ -10,7 +10,7 @@ from elfkit.bias import Scheme, clf_angles
 from elfkit import inference
 from elfkit.inference import EstimationConfig, _angle_policy, _cos_moments, _lockstep, pi_to_theta
 from elfkit.metrics import GaussianBelief, NoiseModel
-from elfkit.sim import CHUNK_SIZE, ExperimentConfig, _checkpoint_rounds, run_experiment
+from elfkit.sim import CHUNK_SIZE, EXPERIMENT_SCHEMES, ExperimentConfig, _checkpoint_rounds, run_experiment
 from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
 from paper_model import likelihood
 
@@ -33,8 +33,8 @@ def round_outcomes(scheme, theta_star, f, layers, rng, n=100_000):
 
     The draw reads only the uniform and the bias at theta_star, not the belief.
     """
-    angles = _angle_policy(scheme, layers, "clf")
-    rounds = _lockstep(f, theta_star, np.full(n, 1.0), np.full(n, 0.01), angles, rng.random((1, n)))
+    angles = _angle_policy(scheme, layers, "clf", f, theta_star)
+    rounds = _lockstep(f, np.full(n, 1.0), np.full(n, 0.01), angles, rng.random((1, n)))
     return next(rounds)[2].astype(int)
 
 
@@ -345,6 +345,16 @@ class TestRunExperiment:
         )
         assert cfg.prior_pi.mean == mean
 
+    @pytest.mark.parametrize("scheme", EXPERIMENT_SCHEMES)
+    def test_only_standard_takes_no_prior(self, scheme):
+        # The standard scheme reads no prior; every other scheme names the missing prior_pi.
+        kwargs = dict(scheme=scheme, true_pi=0.3, prior_pi=None, layers=1, noise=NoiseModel(), runs=1, horizon=10)
+        if scheme == "standard":
+            assert run_experiment(ExperimentConfig(**kwargs)).estimates.shape[0] == 1
+        else:
+            with pytest.raises(ValueError, match="prior_pi"):
+                ExperimentConfig(**kwargs, table=None if scheme.endswith("clf") else object())
+
     def test_standard_scheme_ignores_layers(self):
         # The standard scheme runs no layers, so it takes any count.
         cfg = ExperimentConfig(
@@ -413,9 +423,10 @@ class TestCheckpointReadout:
         streams = [np.random.SeedSequence(cfg.master_seed, spawn_key=(i,)) for i in range(cfg.runs)]
         uniforms = np.stack([np.random.default_rng(s).random(n_rounds) for s in streams], axis=1)
         prior = pi_to_theta(cfg.prior_pi)
+        f = cfg.noise.process_fidelity(1)
         rounds = _lockstep(
-            cfg.noise.process_fidelity(1), math.acos(cfg.true_pi), np.full(cfg.runs, prior.mean),
-            np.full(cfg.runs, prior.variance), _angle_policy(Scheme.AF, 1, source, cfg.table), uniforms,
+            f, np.full(cfg.runs, prior.mean), np.full(cfg.runs, prior.variance),
+            _angle_policy(Scheme.AF, 1, source, f, math.acos(cfg.true_pi), cfg.table), uniforms,
         )
         checkpoints = set(_checkpoint_rounds(n_rounds).tolist())
         est, per_var = [], []
