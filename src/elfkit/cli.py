@@ -12,6 +12,10 @@ sidecar through one writer, ``_write_outputs``; the other modules only
 compute.  The effective configuration is echoed into every output sidecar so
 results are regenerable from the outputs alone.
 
+``scan`` tunes its angles with ``tuner.build_lookup_table`` on its grid
+mapped to Pi (cos theta for ``fisher`` and ``slope``), so a scan point is a
+table entry, and it writes its rows in the order of its own grid.
+
 Two scales share the name "slope": ``tune --objective slope`` reports the
 bias slope |d(bias)/dtheta|, and ``scan --quantity slope`` the likelihood
 slope ``metrics.slope`` = f |d(bias)/dtheta| / 2 at process fidelity f.
@@ -282,9 +286,9 @@ def cmd_table(cfg: dict) -> int:
 
 
 def cmd_scan(cfg: dict) -> int:
-    for name in ("points", "layers"):
-        if cfg[name] < 1:
-            raise ValueError(f"--{name} must be >= 1, got {cfg[name]}")
+    for name, least in (("points", 2), ("layers", 1)):
+        if cfg[name] < least:
+            raise ValueError(f"--{name} must be >= {least}, got {cfg[name]}")
     scheme = Scheme(cfg["scheme"])
     layers = cfg["layers"]
     noise = NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"])
@@ -293,39 +297,32 @@ def cmd_scan(cfg: dict) -> int:
     over_pi = quantity == "rhat0"
     lo = cfg["min"] if cfg["min"] is not None else (-0.9 if over_pi else 0.1)
     hi = cfg["max"] if cfg["max"] is not None else (0.9 if over_pi else math.pi - 0.1)
-    below, above, domain = (-1.0, 1.0, "(-1, 1)") if over_pi else (0.0, math.pi, "(0, pi)")
+    below, above, domain = (-1.0, 1.0, "(-1, 1)") if over_pi else (0.0, math.pi, "(0, pi) with |cos| < 1 as a float")
+    to_pi = (lambda v: v) if over_pi else np.cos
     for name, end in (("min", lo), ("max", hi)):
-        if not below < end < above:
+        # An end at Pi = +-1 would be a flagged table entry, with no angles.
+        if not (below < end < above and abs(to_pi(end)) < 1.0):
             raise ValueError(f"--{name} must lie in {domain} for --quantity {quantity}, got {end}")
+    if lo == hi:
+        raise ValueError(f"--min and --max must differ, got {lo} for both")
     grid = np.linspace(lo, hi, cfg["points"])
+    # The table's grid is the scan's in Pi, in increasing order.
+    pis = to_pi(grid)
+    step = 1 if pis[0] < pis[-1] else -1
+    table = build_lookup_table(
+        scheme,
+        layers,
+        noise,
+        pis[::step],
+        restarts=cfg["restarts"],
+        seed=cfg["seed"],
+        objective=Objective.SLOPE if quantity == "slope" else Objective.FISHER,
+        max_rounds=cfg["max-rounds"],
+    )
     clf = clf_angles(layers)
-    point_seeds = np.random.SeedSequence(cfg["seed"]).generate_state(grid.size, dtype=np.uint64)
-
-    def evaluate(value: float, x) -> float:
-        if quantity == "fisher":
-            return fisher_information(scheme, value, f, x)
-        if quantity == "slope":
-            return slope(scheme, value, f, x)
-        return rhat0(scheme, value, f, x)
-
-    rows = []
-    warm: tuple = ()
-    for i, v in enumerate(grid):
-        mu = math.acos(v) if over_pi else float(v)
-        spec = TuneSpec(
-            scheme=scheme,
-            layers=layers,
-            mu=mu,
-            fidelity=f,
-            restarts=cfg["restarts"],
-            seed=int(point_seeds[i]),
-            max_rounds=cfg["max-rounds"],
-            objective=Objective.SLOPE if quantity == "slope" else Objective.FISHER,
-        )
-        result = tune(spec, warm_starts=warm)
-        warm = (result.x_opt,)
-        rows.append((float(v), evaluate(float(v), clf), evaluate(float(v), result.x_opt)))
-
+    evaluate = {"fisher": fisher_information, "slope": slope, "rhat0": rhat0}[quantity]
+    entries = table.entries[::step]
+    rows = [(v, evaluate(scheme, v, f, clf), evaluate(scheme, v, f, e.angles)) for v, e in zip(grid.tolist(), entries)]
     _write_outputs("scan", cfg, ["theta_or_pi", "clf_value", "elf_value"], rows)
     return 0
 

@@ -180,8 +180,8 @@ def _clf_series(scheme: Scheme, layers: int) -> np.ndarray:
 def _angle_policy(scheme: Scheme, layers: int, source: str, f: float, theta_star: float, table=None):
     """A round's theta-series columns and thresholds f bias(theta_star) as a function of the theta beliefs (mu, var).
 
-    "clf" gives the Chebyshev angles' one column; "table" gives, for each run, the column of the table
-    entry nearest its Pi mean (``LookupTable.lookup``).  The thresholds are read once, at two copies of
+    "clf" gives the Chebyshev angles' one column; "table" gives, for each run, the column of the valid
+    table entry nearest its Pi mean (``LookupTable.series``).  The thresholds are read once, at two copies of
     e^{i theta_star}: numpy rounds a length-1 in-place complex product unlike the rounds' longer ones.
     """
     midpoints, columns = (None, _clf_series(scheme, layers)) if source == "clf" else table.series(scheme)

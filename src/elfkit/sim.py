@@ -117,7 +117,8 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
 
 
 def _growth_rate(times: np.ndarray, inv_mse: np.ndarray, horizon: int) -> float:
-    mask = times >= FIT_WINDOW_FRACTION * horizon
+    """The slope of a line fit to the late window's finite inverse MSEs (a zero-MSE checkpoint is left out)."""
+    mask = (times >= FIT_WINDOW_FRACTION * horizon) & np.isfinite(inv_mse)
     if np.count_nonzero(mask) < 2:
         return float("nan")
     t = times[mask].astype(float)
@@ -127,14 +128,16 @@ def _growth_rate(times: np.ndarray, inv_mse: np.ndarray, horizon: int) -> float:
 
 
 def _standard_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: np.ndarray):
-    p0 = (1.0 + config.noise.process_fidelity(0) * config.true_pi) / 2.0
+    """Sample means of +-1 outcomes, divided by the SPAM fidelity f0 that scales their expectation f0 Pi."""
+    f0 = config.noise.process_fidelity(0)
+    p0 = (1.0 + f0 * config.true_pi) / 2.0
     est = np.empty((run_indices.size, checkpoints.size))
     for row, i in enumerate(run_indices):
         rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(int(i),)))
         signs = np.where(rng.random(config.horizon) < p0, 1.0, -1.0)
         trace = np.cumsum(signs) / np.arange(1, config.horizon + 1)
         est[row] = trace[checkpoints - 1]
-    return est, None, np.array([], dtype=int)
+    return est / f0, None, np.array([], dtype=int)
 
 
 def run_experiment(config: ExperimentConfig) -> TraceSeries:
@@ -179,7 +182,8 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
     err_sq = (est_ok - config.true_pi) ** 2
     mse = err_sq.mean(axis=0)
     rmse = np.sqrt(mse)
-    inv_mse = 1.0 / mse
+    with np.errstate(divide="ignore"):
+        inv_mse = 1.0 / mse
     mean_est = est_ok.mean(axis=0)
     bias_sq = (mean_est - config.true_pi) ** 2
     var_est = est_ok.var(axis=0, ddof=1) if est_ok.shape[0] > 1 else np.zeros_like(mean_est)

@@ -319,13 +319,11 @@ class LookupTable:
         valid = [e for e in entries if e.flag is None]
         if not valid:
             raise ValueError("lookup table has no valid entries")
-        self.grid = np.array([e.pi for e in entries], dtype=float)
-        _check_grid(self.grid)
+        _check_grid(np.array([e.pi for e in entries], dtype=float))
         self.entries = entries
         self.metadata = dict(metadata)
         valid_grid = np.array([e.pi for e in valid])
         self._midpoints = (valid_grid[1:] + valid_grid[:-1]) / 2.0
-        self._valid_entries = valid
         self._angles = angle_vectors(np.vstack([e.angles for e in valid]))
         self._series: dict[Scheme, np.ndarray] = {}  # theta-series columns of the valid entries, per scheme
 
@@ -340,15 +338,11 @@ class LookupTable:
         if (named := self.metadata.get("scheme", scheme.value)) != scheme.value:
             raise ValueError(f"table was tuned for scheme {named!r}, not {scheme.value!r}")
 
-    def lookup(self, pi: float) -> TableEntry:
-        """Entry at the valid grid point closest to the query value (the right one on a midpoint)."""
-        return self._valid_entries[np.searchsorted(self._midpoints, pi, side="right")]
-
     def series(self, scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
         """The valid entries' midpoints and ``bias_series`` columns, shape (D + 1, valid entries).
 
-        The ``lookup`` entry of a query pi has column ``midpoints.searchsorted(pi, side="right")``.
-        The columns are computed on first use for each scheme.
+        A query pi reads column ``midpoints.searchsorted(pi, side="right")``: the valid entry nearest
+        pi, the right one on a midpoint.  The columns are computed on first use for each scheme.
         """
         if (columns := self._series.get(scheme)) is None:
             columns = self._series[scheme] = bias_series(scheme, self._angles)

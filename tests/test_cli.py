@@ -2,9 +2,11 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -55,7 +57,8 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
 def test_config_values_are_checked_like_flags(command, file_cfg, flag, tmp_path, capsys, monkeypatch):
     # Argparse checks a file value as it checks the flag: exit 2 naming the flag, nothing run.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("elfkit.cli.tune", lambda *a, **k: pytest.fail("tuned a point"))
+    for tune in ("elfkit.cli.tune", "elfkit.tuner.tune"):
+        monkeypatch.setattr(tune, lambda *a, **k: pytest.fail("tuned a point"))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(file_cfg))
     with pytest.raises(SystemExit) as info:
@@ -261,6 +264,24 @@ def test_standard_takes_no_prior_mean(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "none.csv").read_bytes()
 
 
+def test_zero_mse_checkpoint_leaves_the_growth_rate_finite(tmp_path):
+    # At t = 20 all four runs' sample means equal 0.3 exactly, so that checkpoint's
+    # MSE is 0: its inverse is inf without a warning, and the rate is fitted over
+    # the window's finite checkpoints.
+    argv = ["simulate", "--scheme", "standard", "--true-pi", "0.3", "--runs", "4", "--horizon", "40", "--seed", "2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    with open(tmp_path / "run.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    times, inv_mse = (np.array([float(r[k]) for r in rows]) for k in ("time", "inv_mse"))
+    assert inv_mse[times == 20].tolist() == [math.inf]
+    window = (times >= 10) & np.isfinite(inv_mse)
+    growth_rate = json.loads((tmp_path / "run.json").read_text())["growth_rate"]
+    assert math.isfinite(growth_rate)
+    assert growth_rate == pytest.approx(np.polyfit(times[window], inv_mse[window], 1)[0], rel=1e-9)
+
+
 @pytest.mark.parametrize(
     ("args", "flag"),
     [
@@ -309,9 +330,11 @@ def test_table_rejects_bad_grid_or_layers_before_tuning(args, message, tmp_path,
 @pytest.mark.parametrize("layers", ["0", "-1"])
 def test_tune_and_scan_reject_fewer_than_one_layer(command, layers, tmp_path, capsys, monkeypatch):
     # Checked before the noise model sees the layer count: a usage error (2)
-    # with the bound of every other layer check, and no output.
+    # with the bound of every other layer check, and no output.  `tune` calls
+    # cli.tune, and `scan` tunes through build_lookup_table, which calls tuner.tune.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("elfkit.cli.tune", lambda *a, **k: pytest.fail("tuned a point"))
+    for tune in ("elfkit.cli.tune", "elfkit.tuner.tune"):
+        monkeypatch.setattr(tune, lambda *a, **k: pytest.fail("tuned a point"))
     assert main([*command, "--layers", layers, "--seed", "1"]) == 2
     out, err = capsys.readouterr()
     assert f"layers must be >= 1, got {layers}" in err and out == ""
@@ -325,11 +348,13 @@ def test_tune_and_scan_reject_fewer_than_one_layer(command, layers, tmp_path, ca
         ("rhat0", "max", "1", "(-1, 1)"),
         ("fisher", "max", "4", "(0, pi)"),
         ("slope", "min", "0", "(0, pi)"),
+        # Its Pi, cos(1e-9), rounds to 1: a table entry there would be flagged.
+        ("fisher", "min", "1e-9", "(0, pi)"),
     ],
 )
 def test_scan_rejects_grid_end_outside_domain(quantity, flag, value, domain, tmp_path, capsys, monkeypatch):
     # Both ends are checked before the first point is tuned: a usage error (2) naming the flag.
-    monkeypatch.setattr("elfkit.cli.tune", lambda *a, **k: pytest.fail("tuned a point"))
+    monkeypatch.setattr("elfkit.tuner.tune", lambda *a, **k: pytest.fail("tuned a point"))
     argv = ["scan", "--quantity", quantity, f"--{flag}", value, "--points", "3", "--seed", "1"]
     assert main(argv + ["--out", str(tmp_path / "scan")]) == 2
     assert f"--{flag} must lie in {domain}" in capsys.readouterr().err
@@ -340,9 +365,41 @@ def test_scan_rejects_grid_end_outside_domain(quantity, flag, value, domain, tmp
 @pytest.mark.parametrize("points", ["0", "-2"])
 def test_rejects_points_below_one(command, points, tmp_path, capsys):
     # A usage error (2) naming the flag, and neither the CSV nor the sidecar.
+    # A scan is a lookup table, which needs 2 points.
     assert main([command, "--points", points, "--out", str(tmp_path / "out")]) == 2
-    assert f"--points must be >= 1, got {points}" in capsys.readouterr().err
+    least = 2 if command == "scan" else 1
+    assert f"--points must be >= {least}, got {points}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (["--points", "1"], "--points must be >= 2, got 1"),
+        (["--min", "1", "--max", "1"], "--min and --max must differ, got 1.0 for both"),
+        (["--quantity", "rhat0", "--min", "0.2", "--max", "0.2"], "--min and --max must differ, got 0.2 for both"),
+    ],
+    ids=["one-point", "equal-theta-ends", "equal-pi-ends"],
+)
+def test_scan_rejects_a_grid_of_one_value(args, message, tmp_path, capsys, monkeypatch):
+    # A scan tunes a lookup table, which needs 2 distinct points: a usage error (2)
+    # naming the flag, before the first point is tuned, and no output.
+    monkeypatch.setattr("elfkit.tuner.tune", lambda *a, **k: pytest.fail("tuned a point"))
+    assert main(["scan", *args, "--seed", "1", "--out", str(tmp_path / "scan")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scan_descending_theta_grid_is_the_ascending_one_reversed(tmp_path):
+    # Both grids are the same table in Pi; the rows follow the grid as given.
+    common = ["scan", "--layers", "2", "--layer-fidelity", "0.95", "--spam-fidelity", "0.99", "--points", "5"]
+    common += ["--restarts", "2", "--max-rounds", "50", "--seed", "3"]
+    for name, lo, hi in (("down", "2.5", "0.5"), ("up", "0.5", "2.5")):
+        assert main([*common, "--min", lo, "--max", hi, "--out", str(tmp_path / name)]) == 0
+    down, up = ((tmp_path / f"{name}.csv").read_text().splitlines() for name in ("down", "up"))
+    assert down[0] == up[0] == "theta_or_pi,clf_value,elf_value"
+    assert [float(row.split(",")[0]) for row in down[1:]] == [2.5, 2.0, 1.5, 1.0, 0.5]
+    assert down[1:] == up[:0:-1]
 
 
 def test_simulate_rejects_table_that_does_not_fit(tmp_path, capsys):

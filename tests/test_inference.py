@@ -20,6 +20,7 @@ from elfkit.inference import (
 )
 from elfkit.metrics import GaussianBelief, NoiseModel
 from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
+from table_oracle import nearest_valid_entry
 
 
 class TestCosMoments:
@@ -537,7 +538,7 @@ class TestZeroDimBatch:
                 column, threshold = policy(*belief)
                 assert column.shape == (degree + 1,) and np.ndim(threshold) == 0
                 assert np.array_equal(column, columns[:, 0]) and threshold == thresholds[0]
-                assert np.array_equal(column, bias_series(scheme, table.lookup(pi).angles))
+                assert np.array_equal(column, bias_series(scheme, nearest_valid_entry(table, pi).angles))
 
 
 class TestLeanRun:

@@ -2,6 +2,7 @@
 
 import ast
 import tomllib
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,20 +30,22 @@ def _docstrings(tree):
                 yield body[0].value
 
 
+def _names(root):
+    """Names, attribute names and import names (split at dots) used in a subtree, once per use."""
+    for node in ast.walk(root):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+
+
 def _identifiers(nodes):
-    """Names, attribute names and import names (split at dots) used in the given subtrees."""
-    out = set()
-    for root in nodes:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
-            elif isinstance(node, ast.alias):
-                out.update(node.name.split("."))
-                if node.asname:
-                    out.add(node.asname)
-    return out
+    """The set of ``_names`` used in the given subtrees."""
+    return {name for root in nodes for name in _names(root)}
 
 
 def _definitions(tree):
@@ -56,6 +59,31 @@ def _definitions(tree):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
                         yield name.id, node
+
+
+def _members(tree):
+    """(class, name, node) of every method and property in a top-level class body.
+
+    A property is a decorated method or a ``name = property(...)`` assignment.
+    Dunder methods, which Python calls itself, and fields (the records of a
+    dataclass or NamedTuple) are not members here.
+    """
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield cls.name, node.name, node
+            elif (
+                isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id == "property"
+            ):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        yield cls.name, target.id, node
 
 
 def _benchmark_names():
@@ -100,4 +128,19 @@ def test_every_top_level_name_has_a_caller():
             here = [ids for other, ids in zip(tree.body, used[module]) if other is not node]
             if name not in elsewhere and not any(name in ids for ids in here):
                 uncalled.append(f"{module}.{name}")
+    assert uncalled == []
+
+
+def test_every_method_and_property_has_a_caller():
+    # The top-level rule one level down: a method or property of a src/ class
+    # needs a use in src/ outside its own definition, or any use in benchmarks/.
+    benchmarks = _benchmark_names()
+    trees = [_tree(path) for path in SOURCES]
+    uses = Counter(name for tree in trees for name in _names(tree))
+    uncalled = [
+        f"{cls}.{name}"
+        for tree in trees
+        for cls, name, node in _members(tree)
+        if name not in benchmarks and uses[name] == Counter(_names(node))[name]
+    ]
     assert uncalled == []

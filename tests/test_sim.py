@@ -100,6 +100,25 @@ class TestStandardSampling:
         assert np.var(standard_finals(pi_star, m, 300, 0), ddof=1) < 4 * ref + 1e-9
 
 
+    def test_spam_noise_leaves_no_bias(self):
+        # Outcomes have mean f0 Pi at SPAM fidelity f0.  The estimate divides by f0, so its squared
+        # bias is sampling noise, far below the (1 - f0)^2 Pi^2 of the plain sample mean.
+        f0, pi, runs = 0.9, 0.3, 16
+        cfg = ExperimentConfig(
+            scheme="standard",
+            true_pi=pi,
+            prior_pi=None,
+            layers=1,
+            noise=NoiseModel(1.0, f0),
+            runs=runs,
+            horizon=200_000,
+            master_seed=1,
+        )
+        traces = run_experiment(cfg)
+        assert traces.bias_sq[-1] < 9 * traces.var_est[-1] / runs
+        assert traces.bias_sq[-1] < 0.01 * ((1 - f0) * pi) ** 2
+
+
 class TestRunExperiment:
     def test_single_run_single_round(self, tiny_table):
         cfg = ExperimentConfig(

@@ -11,6 +11,7 @@ from elfkit.algebra import canonical_angles
 from elfkit.csbd import CoefficientTable, sweep
 from elfkit.metrics import NoiseModel, fisher_information
 from slope_oracle import analytic_l1_slope_optimum, l1_slope_breakpoints
+from table_oracle import nearest_valid_entry
 from elfkit.tuner import (
     SCAN_POINTS,
     LookupTable,
@@ -349,21 +350,24 @@ class TestLookupTable:
         )
 
     def test_nearest_lookup(self, small_table):
-        entry = small_table.lookup(0.6002)
+        entry = nearest_valid_entry(small_table, 0.6002)
         assert entry.pi == pytest.approx(0.6)
+        midpoints, series = small_table.series(Scheme.AF)
+        column = series[:, midpoints.searchsorted(0.6002, side="right")]
+        assert np.array_equal(column, bias_series(Scheme.AF, entry.angles))
 
     def test_batch_matches_scalar(self, small_table):
         # The last query sits exactly on the midpoint of two valid entries,
-        # which lookup resolves to the right one.
+        # which resolves to the right one.
         left, right = small_table.entries[40], small_table.entries[41]
         midpoint = (left.pi + right.pi) / 2.0
-        assert left.flag is None and small_table.lookup(midpoint) is right
+        assert left.flag is None and nearest_valid_entry(small_table, midpoint) is right
         queries = np.array([0.57, 0.6002, 0.649, midpoint])
         midpoints, series = small_table.series(Scheme.AF)
         columns = series[:, midpoints.searchsorted(queries, side="right")]
         assert columns.shape == (4, queries.size)
         for q, c in zip(queries, columns.T):
-            assert np.array_equal(c, bias_series(Scheme.AF, small_table.lookup(q).angles))
+            assert np.array_equal(c, bias_series(Scheme.AF, nearest_valid_entry(small_table, q).angles))
 
     def test_endpoints_flagged(self):
         table = build_lookup_table(
@@ -372,7 +376,11 @@ class TestLookupTable:
         flags = [e.flag for e in table.entries]
         assert flags[0] is not None and flags[2] is not None and flags[1] is None
         # Lookups fall back to the nearest valid entry.
-        assert table.lookup(0.999).pi == 0.0
+        entry = nearest_valid_entry(table, 0.999)
+        assert entry.pi == 0.0
+        midpoints, series = table.series(Scheme.AF)
+        column = series[:, midpoints.searchsorted(0.999, side="right")]
+        assert np.array_equal(column, bias_series(Scheme.AF, entry.angles))
 
     def test_json_round_trip(self, small_table, tmp_path):
         path = tmp_path / "table.json"
@@ -380,9 +388,9 @@ class TestLookupTable:
         doc = json.loads(path.read_text())
         assert doc["version"] == "elf-table/1"
         loaded = LookupTable.load(path)
-        assert np.allclose(loaded.grid, small_table.grid)
+        assert np.allclose([e.pi for e in loaded.entries], [e.pi for e in small_table.entries])
         q = 0.62
-        assert np.allclose(loaded.lookup(q).angles, small_table.lookup(q).angles)
+        assert np.allclose(nearest_valid_entry(loaded, q).angles, nearest_valid_entry(small_table, q).angles)
 
     def test_version_check(self):
         with pytest.raises(ValueError):
