@@ -43,7 +43,7 @@ bilinear form B at the circuit's (Q, dQ).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ _IDENTITY_PAIR = (ONE, ZERO)
 _SQRT_HALF = math.sqrt(0.5)
 
 
-@dataclass(frozen=True)
-class CsbdCoefficients:
+class CsbdCoefficients(NamedTuple):
     """Decomposition coefficients of the bias and its theta-derivative.
 
     ``b`` and ``b_prime`` are identically zero for the ancilla-based scheme,

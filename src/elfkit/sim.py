@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,6 +162,9 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
     chunks = [np.arange(lo, min(lo + CHUNK_SIZE, config.runs)) for lo in range(0, config.runs, CHUNK_SIZE)]
     try:
         if config.threads > 1 and len(chunks) > 1:
+            # Imported here: only a pooled run needs multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=config.threads) as pool:
                 results = list(pool.map(chunk_fn, [config] * len(chunks), chunks, [checkpoints] * len(chunks)))
         else:

@@ -5,16 +5,16 @@ the Fisher information for (g, f) = (fidelity, fidelity), and for (g, f) =
 (1, 0) the squared slope, which is the f -> 0 limit of F / f^2.  The slope
 is reported as the square root of the climbed value.
 
-One ascent serves both: coordinate sweeps, one O(L) ``csbd.sweep`` per
-round, each coordinate updated by the one step ``_coordinate_step_fisher``.
-It is solved in the sinusoid's argument a = k x_j by a uniform scan of
-[-pi, pi) (robust to multimodality), and keeps the current angle unless the
-best scan point beats it.  The scan only finds the basin; the BFGS finish
-below polishes the point within it.
+One ascent serves both: one O(L) coordinate sweep (``csbd.sweep``), each
+coordinate updated by the one step ``_coordinate_step_fisher``.  It is
+solved in the sinusoid's argument a = k x_j by a uniform scan of [-pi, pi)
+(robust to multimodality), and keeps the current angle unless the best scan
+point beats it.  The scan only finds the basin; the BFGS finish below
+polishes the point within it.
 
-Once a sweep moves no angle by more than one scan-grid step, the scan has
-found the basin and further sweeps only zig-zag along coupled ridges, so
-the ascent switches to a BFGS finish with Armijo backtracking.  Its value
+One sweep places each angle in its basin.  Further sweeps would only
+zig-zag along coupled ridges that the finish climbs anyway, so the swept
+point goes straight to a BFGS finish with Armijo backtracking.  Its value
 and gradient (``_value_and_gradient``) take O(L): a forward prefix pass and
 one backward pass of co-vectors by the conjugate factors (``csbd.slopes``).
 
@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import DEGENERATE_TOL, DegenerateSubspaceError, angle_vectors, canonical_angles
-from .bias import Scheme, _bias_pair, _readout, bias_series, clf_angles
+from .bias import Scheme, _bias_pair, bias_series, clf_angles
 from .csbd import CsbdCoefficients, slopes, sweep
 from .metrics import SINGULAR_TOL, NoiseModel
 
@@ -53,10 +53,8 @@ class Objective(Enum):
 class TuneSpec:
     """Inputs of one tuning problem.
 
-    Coordinate ascent sweeps until a sweep changes the objective by less than
-    ``tolerance``, moves no angle by more than one scan-grid step
-    2 pi / (k ``SCAN_POINTS``) (k = 2 for AF, 1 for AB), or reaches
-    ``max_rounds`` sweeps.  Its quasi-Newton finish then stops when a step
+    Each start takes one coordinate sweep.  ``tolerance`` and ``max_rounds``
+    govern only the quasi-Newton finish after it, which stops when a step
     gains less than ``tolerance`` or after ``max_rounds`` steps.
     """
 
@@ -91,8 +89,8 @@ class TuneSpec:
 class TuneResult:
     """The winning start's angles and objective.
 
-    ``iterations`` counts that start's coordinate sweeps plus quasi-Newton
-    steps.
+    ``iterations`` counts that start's one coordinate sweep plus its
+    quasi-Newton steps.
     """
 
     x_opt: np.ndarray
@@ -220,48 +218,34 @@ def _quasi_newton(spec: TuneSpec, x: np.ndarray, first_step: float) -> tuple[np.
             h_inv = np.eye(x.size) * (sy / float(y @ y))
         hy = h_inv @ y
         rho = 1.0 / sy
-        h_inv += (rho * rho * float(y @ hy) + rho) * np.outer(s, s) - rho * (np.outer(hy, s) + np.outer(s, hy))
+        w = np.multiply.outer(hy, s)  # its transpose is outer(s, hy) bit for bit
+        h_inv += (rho * rho * float(y @ hy) + rho) * np.multiply.outer(s, s) - rho * (w + w.T)
     return x, steps
 
 
 def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Coordinate sweeps until the scan has found the basin, then a quasi-Newton finish.
+    """One coordinate sweep to find the basin, then a quasi-Newton finish.
 
-    Sweeps stop at ``tolerance`` or ``max_rounds``, or once no angle moves by
-    more than one scan-grid step (in x_j, up to the period 2 pi / k), from
-    where coordinate steps only zig-zag along coupled ridges.
+    Returns the better of the swept and the finished point, its objective,
+    and 1 + the finish's steps.
     """
     x = canonical_angles(x0).copy()
-    g, f, report = _weights(spec)
-    ct, st = math.cos(spec.mu), math.sin(spec.mu)
-    prev = objective_value(spec, x)
-    best_x, best_val = x.copy(), prev
-    period = math.pi if spec.scheme is Scheme.AF else 2.0 * math.pi
-    grid_step = period / SCAN_POINTS
+    g, f, _ = _weights(spec)
 
     def choose(j: int, co: CsbdCoefficients) -> float:
         z = _coordinate_step_fisher(co, g, f, x[j - 1])
         # Into (-pi, pi], bit for bit as ``canonical_angles``.
         return math.pi - (math.pi - z) % (2.0 * math.pi)
 
-    for sweeps in range(1, spec.max_rounds + 1):
-        before = x.copy()
-        val = report(_climbed(g, f, *_readout(spec.scheme, ct, st, *sweep(spec.scheme, spec.mu, x, choose))))
-        if val > best_val:
-            best_x, best_val = x.copy(), val
-        moved = np.abs((x - before + period / 2.0) % period - period / 2.0).max()
-        if abs(val - prev) < spec.tolerance or moved <= grid_step:
-            break
-        prev = val
-
-    # The result reports objective_value's reading, which the sweep's
-    # matches only to rounding.
-    best_val = objective_value(spec, best_x)
-    x_fin, steps = _quasi_newton(spec, best_x, grid_step)
+    sweep(spec.scheme, spec.mu, x, choose)
+    val = objective_value(spec, x)
+    # The finish's first step moves no angle by more than one scan-grid step.
+    period = math.pi if spec.scheme is Scheme.AF else 2.0 * math.pi
+    x_fin, steps = _quasi_newton(spec, x, period / SCAN_POINTS)
     x_fin = canonical_angles(x_fin)
-    if (val := objective_value(spec, x_fin)) > best_val:
-        best_x, best_val = x_fin, val
-    return best_x, best_val, sweeps + steps
+    if (val_fin := objective_value(spec, x_fin)) > val:
+        return x_fin, val_fin, 1 + steps
+    return x, val, 1 + steps
 
 
 def tune(spec: TuneSpec, warm_starts: tuple = ()) -> TuneResult:

@@ -378,12 +378,21 @@ def test_rejects_points_below_one(command, points, tmp_path, capsys):
         (["--points", "1"], "--points must be >= 2, got 1"),
         (["--min", "1", "--max", "1"], "--min and --max must differ, got 1.0 for both"),
         (["--quantity", "rhat0", "--min", "0.2", "--max", "0.2"], "--min and --max must differ, got 0.2 for both"),
+        (
+            ["--min", "2e-8", "--max", "2.1e-8", "--points", "3"],
+            "--min 2e-08, --max 2.1e-08 and --points 3 give grid points that share a Pi value",
+        ),
+        (
+            ["--quantity", "rhat0", "--min", "0.1", "--max", "0.10000000000000002", "--points", "5"],
+            "--min 0.1, --max 0.10000000000000002 and --points 5 give grid points that share a Pi value",
+        ),
     ],
-    ids=["one-point", "equal-theta-ends", "equal-pi-ends"],
+    ids=["one-point", "equal-theta-ends", "equal-pi-ends", "theta-points-share-cos", "pi-points-share-a-value"],
 )
 def test_scan_rejects_a_grid_of_one_value(args, message, tmp_path, capsys, monkeypatch):
     # A scan tunes a lookup table, which needs 2 distinct points: a usage error (2)
-    # naming the flag, before the first point is tuned, and no output.
+    # naming the flags, before the first point is tuned, and no output.  Distinct
+    # theta ends near 0 can still give neighbouring points one cos value.
     monkeypatch.setattr("elfkit.tuner.tune", lambda *a, **k: pytest.fail("tuned a point"))
     assert main(["scan", *args, "--seed", "1", "--out", str(tmp_path / "scan")]) == 2
     assert message in capsys.readouterr().err

@@ -129,8 +129,20 @@ class TestTune:
         res = tune(spec, warm_starts=(clf_angles(2),))
         assert len(starts) == 1
         assert np.array_equal(res.x_opt, alone.x_opt)
-        assert (res.objective_value, res.iterations, res.restart_index) == (alone.objective_value, 3, 0)
+        # One sweep plus one finish step.
+        assert (res.objective_value, res.iterations, res.restart_index) == (alone.objective_value, 2, 0)
         assert res.objective_value == pytest.approx(4.111162695131024, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        ("layers", "mu", "best"),
+        [(3, 2.2, 22.87830109662345), (4, 0.7183, 32.20334833052), (4, math.pi - 0.7183, 32.20334833052)],
+    )
+    def test_default_starts_reach_the_many_start_maximum(self, layers, mu, best):
+        # The 80-start values at the device fidelity 0.99 * 0.95^L.  An ascent
+        # that repeats coordinate sweeps before its finish stops the default
+        # 10 starts at lower local maxima here, 14.4% and 4.3% short.
+        f = NoiseModel(0.95, 0.99).process_fidelity(layers)
+        assert tune(TuneSpec(Scheme.AF, layers, mu, f)).objective_value == pytest.approx(best, rel=1e-9)
 
     def test_rejects_boundary_mu(self):
         with pytest.raises(ValueError):
