@@ -85,10 +85,11 @@ def trig(theta, x):
     ``x`` is a float array of angle vectors along its last axis; its leading
     axes broadcast against ``theta``.  The inputs are trusted: the package's
     entry points validate them once (``kernel_inputs``, ``canonical_angles``).
-    A 0-d theta with a single angle vector yields Python floats, whose
-    arithmetic is several times faster than numpy's on scalars.
+    A scalar theta (a float, int, numpy scalar or 0-d array, not a list) with
+    one angle vector yields Python floats, whose arithmetic is several times
+    faster than numpy's on scalars.
     """
-    if np.ndim(theta) == 0 and x.ndim == 1:
+    if (isinstance(theta, float) or np.ndim(theta) == 0) and x.ndim == 1:
         t = float(theta)
         return math.cos(t), math.sin(t), np.cos(x).tolist(), np.sin(x).tolist()
     t = np.asarray(theta, dtype=float)

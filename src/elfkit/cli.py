@@ -43,13 +43,7 @@ from .bias import Scheme, clf_angles
 from .metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, slope
 from .runtime_model import HardwareParams, hardware_runtime_curve
 from .sim import ExperimentConfig, run_experiment
-from .tuner import (
-    LookupTable,
-    Objective,
-    TuneSpec,
-    build_lookup_table,
-    tune,
-)
+from .tuner import LookupTable, Objective, TuneSpec, build_lookup_table, tune
 
 # metrics.SingularLikelihoodError is an ArithmeticError.
 NUMERIC_GUARDS = (DegenerateSubspaceError, ArithmeticError)
@@ -116,12 +110,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     "simulate": _COMMON
     + _NOISE
     + (
-        Opt(
-            "scheme",
-            str,
-            "af-elf",
-            choices=("af-elf", "af-clf", "ab-elf", "ab-clf", "standard"),
-        ),
+        Opt("scheme", str, "af-elf", choices=("af-elf", "af-clf", "ab-elf", "ab-clf", "standard")),
         Opt("true-pi", float, required=True),
         Opt("prior-mean", float, help="prior mean of Pi; every scheme but standard needs it"),
         Opt("prior-std", float, 0.03, help="prior standard deviation of Pi"),

@@ -208,6 +208,7 @@ def slopes(scheme: Scheme, theta: float, x: np.ndarray):
     """(bias, d(bias)/dtheta) at (theta, x) and their gradients in x, from one forward and one backward pass.
 
     Like ``sweep``, takes ``x`` as a valid float vector without checking it.
+    For a scalar theta the gradients are tuples of Python floats.
     """
     ct, st, cx, sx = trig(theta, x)
     pre = circuit_prefixes(ct, st, cx, sx)
@@ -219,5 +220,5 @@ def slopes(scheme: Scheme, theta: float, x: np.ndarray):
         e, de = _af_covector(q, -st, ct), _af_covector(dq, ct, st)
         seed = _af_covector(q, ct, st), (e[0] + de[0], e[1] + de[1], e[2] + de[2], e[3] + de[3])
     adj = _backward(ct, st, cx, sx, seed)
-    chi, chi_p = np.array([_slope(ct, st, j % 2 == 0, adj[j], pre[j]) for j in range(len(cx))]).T
+    chi, chi_p = zip(*[_slope(ct, st, j % 2 == 0, adj[j], pre[j]) for j in range(len(cx))])
     return delta, ddelta, chi, chi_p

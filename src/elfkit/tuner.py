@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import DEGENERATE_TOL, DegenerateSubspaceError, angle_vectors, canonical_angles
-from .bias import Scheme, _bias_pair, bias_series, clf_angles
+from .bias import Scheme, _bias_pair, _readout, bias_series, clf_angles
 from .csbd import CsbdCoefficients, slopes, sweep
 from .metrics import SINGULAR_TOL, NoiseModel
 
@@ -131,7 +131,8 @@ def _value_and_gradient(spec: TuneSpec, x: np.ndarray) -> tuple[float, np.ndarra
     a forward prefix pass, then one backward pass of co-vectors by the
     conjugate factors (the transpose of a left product is the product by
     the conjugate, and conj U(x) = U(-x)), seeded with the readout's linear
-    form.  Returns (-inf, None) where the climbed value is singular.
+    form, and combined into the gradient as Python floats.  Returns
+    (-inf, None) where the climbed value is singular.
     """
     delta, ddelta, chi, chi_p = slopes(spec.scheme, spec.mu, x)
     g, f, _ = _weights(spec)
@@ -139,7 +140,8 @@ def _value_and_gradient(spec: TuneSpec, x: np.ndarray) -> tuple[float, np.ndarra
     den = 1.0 - f2 * delta * delta
     if den < SINGULAR_TOL:
         return -math.inf, None
-    return g2 * ddelta * ddelta / den, 2.0 * g2 * ddelta * (den * chi_p + f2 * delta * ddelta * chi) / (den * den)
+    c, k, dd = 2.0 * g2 * ddelta, f2 * delta * ddelta, den * den
+    return g2 * ddelta * ddelta / den, np.array([c * (den * cp + k * ch) / dd for ch, cp in zip(chi, chi_p)])
 
 
 # Rows cos a, sin a, 1 on the scan grid a_i = -pi + i h, h = 2 pi / SCAN_POINTS, of a = k x_j.
@@ -198,7 +200,7 @@ def _quasi_newton(spec: TuneSpec, x: np.ndarray, first_step: float) -> tuple[np.
             break
         alpha = 1.0
         for _ in range(_BACKTRACKS):
-            x_new = x + alpha * p
+            x_new = x + p if alpha == 1.0 else x + alpha * p
             val_new, grad_new = _value_and_gradient(spec, x_new)
             if val_new >= val + _ARMIJO * alpha * slope:
                 break
@@ -226,26 +228,27 @@ def _quasi_newton(spec: TuneSpec, x: np.ndarray, first_step: float) -> tuple[np.
 def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, float, int]:
     """One coordinate sweep to find the basin, then a quasi-Newton finish.
 
-    Returns the better of the swept and the finished point, its objective,
-    and 1 + the finish's steps.
+    Returns the better of the swept point, scored off the sweep's final
+    prefix pair, and the finished point; its ``objective_value``; and 1 + the
+    finish's steps.
     """
-    x = canonical_angles(x0).copy()
-    g, f, _ = _weights(spec)
+    x = canonical_angles(x0)
+    g, f, report = _weights(spec)
 
     def choose(j: int, co: CsbdCoefficients) -> float:
         z = _coordinate_step_fisher(co, g, f, x[j - 1])
         # Into (-pi, pi], bit for bit as ``canonical_angles``.
         return math.pi - (math.pi - z) % (2.0 * math.pi)
 
-    sweep(spec.scheme, spec.mu, x, choose)
-    val = objective_value(spec, x)
+    q, dq = sweep(spec.scheme, spec.mu, x, choose)
+    val = report(_climbed(g, f, *_readout(spec.scheme, math.cos(spec.mu), math.sin(spec.mu), q, dq)))
     # The finish's first step moves no angle by more than one scan-grid step.
     period = math.pi if spec.scheme is Scheme.AF else 2.0 * math.pi
     x_fin, steps = _quasi_newton(spec, x, period / SCAN_POINTS)
     x_fin = canonical_angles(x_fin)
     if (val_fin := objective_value(spec, x_fin)) > val:
         return x_fin, val_fin, 1 + steps
-    return x, val, 1 + steps
+    return x, objective_value(spec, x), 1 + steps
 
 
 def tune(spec: TuneSpec, warm_starts: tuple = ()) -> TuneResult:
@@ -254,13 +257,16 @@ def tune(spec: TuneSpec, warm_starts: tuple = ()) -> TuneResult:
     Start 0 is the Chebyshev point, starts 1..k the provided warm starts and
     the remainder seeded-uniform draws from (-pi, pi]^(2L); the total number
     of starts is max(restarts, 1 + len(warm_starts)).  A start that repeats an
-    earlier one bit for bit is skipped.
+    earlier one bit for bit is skipped.  Each warm start must be one vector of
+    2L angles; any other raises a ``ValueError`` before the first ascent.
     """
+    dim = 2 * spec.layers
+    if bad := [np.shape(w) for w in warm_starts if np.shape(w) != (dim,)]:
+        raise ValueError(f"warm_starts must be vectors of 2 * layers = {dim} angles, got shape {bad[0]}")
     rng = np.random.default_rng(spec.seed)
     starts: list[np.ndarray] = [clf_angles(spec.layers)]
     starts.extend(canonical_angles(w) for w in warm_starts)
     n_random = max(spec.restarts - len(starts), 0)
-    dim = 2 * spec.layers
     starts.extend(rng.uniform(-math.pi, math.pi, dim) for _ in range(n_random))
 
     best: TuneResult | None = None

@@ -67,6 +67,35 @@ def pair_of(theta, x):
     return circuit_prefixes(*trig(*kernel_inputs(theta, x)))[-1]
 
 
+
+class TestScalarDispatch:
+    """A scalar theta with one angle vector takes ``trig``'s Python-float path, bit for bit its (1,)-array path."""
+
+    @staticmethod
+    def bits(values):
+        return np.array(values, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("theta", [1.1, 2, np.float64(1.1), np.array(1.1)], ids=["float", "int", "float64", "0-d"])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_scalar_theta_gives_python_floats(self, theta, layers):
+        x = random_angles(np.random.default_rng(layers), layers)
+        ct, st, cx, sx = trig(theta, x)
+        assert all(type(v) is float for v in (ct, st, *cx, *sx))
+        act, ast, acx, asx = trig(np.array([float(theta)]), x)
+        assert self.bits([ct, st, *cx, *sx]) == self.bits([act[0], ast[0], *acx, *asx])
+        for scheme in Scheme:
+            value = bias(scheme, theta, x)
+            assert type(value) is float
+            assert self.bits([value]) == self.bits(bias(scheme, np.array([float(theta)]), x))
+
+    def test_list_theta_takes_the_array_path(self):
+        x = random_angles(np.random.default_rng(0), 2)
+        ct, st, cx, sx = trig([1.1], x)
+        assert isinstance(ct, np.ndarray) and ct.shape == (1,)
+        assert self.bits([ct[0], st[0]]) == self.bits([math.cos(1.1), math.sin(1.1)])
+        assert isinstance(bias(Scheme.AF, [1.1, 2.0], x), np.ndarray)
+
+
 class TestCanonicalAngles:
     def test_rejects_odd_length(self):
         with pytest.raises(ValueError):

@@ -166,8 +166,44 @@ class TestTune:
         # The scan finds a basin and the quasi-Newton finish polishes it, so
         # the gradient at the result is small against the climbed value.
         spec = TuneSpec(scheme, layers, mu, 0.9, objective, restarts=3)
-        value, grad = _value_and_gradient(spec, tune(spec).x_opt)
+        res = tune(spec)
+        value, grad = _value_and_gradient(spec, res.x_opt)
         assert np.linalg.norm(grad) / value <= 1e-4
+        # The ascent compares its swept point by a value read off the sweep's
+        # final prefix pair, but reports the objective of the returned angles.
+        assert res.objective_value == objective_value(spec, res.x_opt)
+
+    def test_reported_objective_where_the_finish_gains_nothing(self):
+        # The Chebyshev start wins after one finish step that leaves its
+        # objective unchanged, so the swept point itself is returned.
+        f = NoiseModel(0.95, 0.99).process_fidelity(3)
+        spec = TuneSpec(Scheme.AF, 3, 3 * math.pi / 8, f, restarts=3)
+        res = tune(spec)
+        assert (res.iterations, res.restart_index) == (2, 0)
+        assert res.x_opt == pytest.approx(clf_angles(3), abs=1e-12)
+        assert res.objective_value == objective_value(spec, res.x_opt)
+
+
+class TestWarmStarts:
+    def test_rejects_a_start_of_the_wrong_shape(self, monkeypatch):
+        # An L=3 start for an L=1 spec used to be tuned as an L=3 circuit,
+        # above the L=1 Bernstein bound 9 f^2.  Nothing is tuned now.
+        spec = TuneSpec(Scheme.AF, 1, 1.1, 0.9, restarts=2)
+        ascents = []
+        ascent = tuner._coordinate_ascent
+        monkeypatch.setattr(tuner, "_coordinate_ascent", lambda s, x0: ascents.append(x0) or ascent(s, x0))
+        for start, shape in ((np.full(6, 0.3), r"\(6,\)"), (np.full((1, 2), 0.3), r"\(1, 2\)")):
+            with pytest.raises(ValueError, match=rf"warm_starts .* = 2 angles, got shape {shape}"):
+                tune(spec, warm_starts=(clf_angles(1), start))
+        assert ascents == []
+
+    def test_a_start_of_the_right_length_is_tuned(self):
+        spec = TuneSpec(Scheme.AF, 1, 1.1, 0.9, restarts=2)
+        res = tune(spec, warm_starts=(np.full(2, 0.3),))
+        assert np.array_equal(res.x_opt, tune(spec, warm_starts=([0.3, 0.3],)).x_opt)
+        assert (res.x_opt.shape, res.iterations, res.restart_index) == ((2,), 8, 1)
+        assert res.objective_value == pytest.approx(2.54350725915628, rel=1e-12)
+        assert res.objective_value <= 9 * 0.9**2
 
 
 class TestTuneSpecValidation:
