@@ -52,10 +52,6 @@ ZERO = (0.0, 0.0, 0.0, 0.0)
 DEGENERATE_TOL = 1e-12
 
 
-class DegenerateSubspaceError(ValueError):
-    """The estimand angle is (numerically) 0 or pi, so span{|A>, P|A>} is 1-D."""
-
-
 def angle_vectors(values) -> np.ndarray:
     """Validate angle vectors of even length 2L >= 2 along the last axis."""
     x = np.atleast_1d(np.asarray(values, dtype=float))
@@ -69,7 +65,8 @@ def angle_vectors(values) -> np.ndarray:
 
 def canonical_angles(values) -> np.ndarray:
     """Validate angle vectors (see ``angle_vectors``) and map each angle into (-pi, pi]."""
-    return np.pi - np.remainder(np.pi - angle_vectors(values), 2.0 * np.pi)
+    # ``remainder`` rounds a tiny negative argument up to 2 pi; ``fmod`` takes that to 0, so it gives pi, not -pi.
+    return np.pi - np.fmod(np.remainder(np.pi - angle_vectors(values), 2.0 * np.pi), 2.0 * np.pi)
 
 
 def kernel_inputs(theta, x):

@@ -20,9 +20,10 @@ Two scales share the name "slope": ``tune --objective slope`` reports the
 bias slope |d(bias)/dtheta|, and ``scan --quantity slope`` the likelihood
 slope ``metrics.slope`` = f |d(bias)/dtheta| / 2 at process fidelity f.
 
-Exit codes: 0 success, 2 usage error, 3 numeric guard tripped, 4 I/O error.
-A seed drawn in the absence of ``--seed`` is printed on exit 0, 3 and 4, not
-on a usage error.  Sidecars are strict JSON: a non-finite figure is null.
+Exit codes: 0 success, 2 usage error, 3 numeric guard tripped (an
+``ArithmeticError``, such as a singular likelihood), 4 I/O error.  A seed
+drawn in the absence of ``--seed`` is printed on exit 0, 3 and 4, not on a
+usage error.  Sidecars are strict JSON: a non-finite figure is null.
 """
 
 from __future__ import annotations
@@ -38,15 +39,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .algebra import DegenerateSubspaceError
 from .bias import Scheme, clf_angles
 from .metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, slope
 from .runtime_model import HardwareParams, hardware_runtime_curve
 from .sim import ExperimentConfig, run_experiment
 from .tuner import LookupTable, Objective, TuneSpec, build_lookup_table, tune
-
-# metrics.SingularLikelihoodError is an ArithmeticError.
-NUMERIC_GUARDS = (DegenerateSubspaceError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -421,7 +418,7 @@ def main(argv=None) -> int:
         if args.command in _RANDOMIZED and cfg["seed"] is None:
             cfg["seed"] = drawn = int.from_bytes(os.urandom(6), "big")
         status = _HANDLERS[args.command](cfg)
-    except NUMERIC_GUARDS as exc:
+    except ArithmeticError as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         status = 3
     except ValueError as exc:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import DEGENERATE_TOL, DegenerateSubspaceError
+from .algebra import DEGENERATE_TOL
 from .bias import Scheme, _horner, bias_series, clf_angles
 from .metrics import GaussianBelief, NoiseModel
 
@@ -210,7 +210,7 @@ def _lockstep(f, mu, var, angles, uniforms, abort=False):
     f bias(theta_star), i.e. u >= P(0).  From its first update with a non-finite mean or a
     variance outside (0, inf) a run is excluded (``alive`` false) and its belief frozen.  With
     ``abort`` an abscissa within ``DEGENERATE_TOL`` of a multiple of pi raises
-    ``DegenerateSubspaceError``.  Yields ``(r, b, d, mu, var, alive)`` after each round.
+    ``FloatingPointError``.  Yields ``(r, b, d, mu, var, alive)`` after each round.
     """
     n, shape = FIT_POINTS, np.shape(mu)
     offsets = _FIT_OFFSETS.reshape((n,) + (1,) * len(shape))
@@ -223,7 +223,7 @@ def _lockstep(f, mu, var, angles, uniforms, abort=False):
         np.cos(block, out=e.real)
         np.sin(block, out=e.imag)
         if abort and (np.abs(e.imag) < DEGENERATE_TOL).any():
-            raise DegenerateSubspaceError("a sinusoid-fit abscissa reached a multiple of pi")
+            raise FloatingPointError("a sinusoid-fit abscissa reached a multiple of pi")
         columns, threshold = angles(mu, var)
         z = np.ascontiguousarray(_horner(columns, e).T)
         np.arcsin(z.clip(-1.0 + ARCSIN_CLAMP, 1.0 - ARCSIN_CLAMP, out=z), out=z)  # not np.clip: 2-3 us more a call

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DegenerateSubspaceError
 from .bias import Scheme
 from .inference import EstimationConfig, _cos_moments, _rounds
 from .metrics import GaussianBelief, NoiseModel
@@ -85,10 +84,10 @@ class TraceSeries:
     var_est: np.ndarray
     mean_perceived_var: np.ndarray
     estimates: np.ndarray  # per run x per checkpoint estimates of Pi
-    perceived_var: np.ndarray | None
+    perceived_var: np.ndarray  # per run x per checkpoint perceived variances; NaN for "standard"
     growth_rate: float
     runs: int
-    excluded_runs: list[int] = field(default_factory=list)
+    excluded_runs: list[int]
 
 
 # -- the lockstep engine ---------------------------------------------------------
@@ -101,7 +100,7 @@ def _checkpoint_rounds(n_rounds: int) -> np.ndarray:
 
 
 def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: np.ndarray):
-    """Advance one chunk of runs in lockstep; returns per-checkpoint state, read out once per chunk."""
+    """Advance one chunk of runs in lockstep; returns (estimates, perceived variances, alive), run by checkpoint."""
     run = config._run_config()
     seeds = [np.random.SeedSequence(config.master_seed, spawn_key=(int(i),)) for i in run_indices]
     uniforms = np.stack([np.random.default_rng(s).random(run.round_budget()) for s in seeds], axis=1)
@@ -112,7 +111,7 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
             mus[cp_pos], variances[cp_pos] = mu, var
             cp_pos += 1
     est, pi_var = _cos_moments(mus, variances)
-    return est.T, pi_var.T, run_indices[~alive]
+    return est.T, pi_var.T, alive
 
 
 def _growth_rate(times: np.ndarray, inv_mse: np.ndarray, horizon: int) -> float:
@@ -127,7 +126,10 @@ def _growth_rate(times: np.ndarray, inv_mse: np.ndarray, horizon: int) -> float:
 
 
 def _standard_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: np.ndarray):
-    """Sample means of +-1 outcomes, divided by the SPAM fidelity f0 that scales their expectation f0 Pi."""
+    """Sample means of +-1 outcomes, divided by the SPAM fidelity f0 that scales their expectation f0 Pi.
+
+    Returns ``_run_chunk``'s shape, with NaN perceived variances and every run alive.
+    """
     f0 = config.noise.process_fidelity(0)
     p0 = (1.0 + f0 * config.true_pi) / 2.0
     est = np.empty((run_indices.size, checkpoints.size))
@@ -136,7 +138,7 @@ def _standard_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoin
         signs = np.where(rng.random(config.horizon) < p0, 1.0, -1.0)
         trace = np.cumsum(signs) / np.arange(1, config.horizon + 1)
         est[row] = trace[checkpoints - 1]
-    return est / f0, None, np.array([], dtype=int)
+    return est / f0, np.full(est.shape, np.nan), np.ones(run_indices.size, dtype=bool)
 
 
 def run_experiment(config: ExperimentConfig) -> TraceSeries:
@@ -149,7 +151,7 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
     result is independent of chunking and worker count.  A run whose update
     is not a finite Gaussian is excluded, not fatal; its index is listed in
     ``excluded_runs`` and the aggregates cover the other runs.  Raises
-    ``DegenerateSubspaceError`` when a run's sinusoid-fit abscissa reaches a
+    ``FloatingPointError`` when a run's sinusoid-fit abscissa reaches a
     multiple of pi, which fails the whole experiment.
     """
     standard = config.scheme == "standard"
@@ -169,17 +171,14 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
                 results = list(pool.map(chunk_fn, [config] * len(chunks), chunks, [checkpoints] * len(chunks)))
         else:
             results = [chunk_fn(config, idx, checkpoints) for idx in chunks]
-    except DegenerateSubspaceError as exc:
+    except FloatingPointError as exc:
         # Free the engine's run arrays now: a caller that keeps the exception
         # would otherwise keep them alive through the traceback's frames.
         traceback.clear_frames(exc.__traceback__)
         raise
 
-    estimates = np.vstack([res[0] for res in results])
-    perceived = None if standard else np.vstack([res[1] for res in results])
-    excluded = sorted(int(i) for res in results for i in res[2])
-    included = np.setdiff1d(np.arange(config.runs), np.asarray(excluded, dtype=int))
-    est_ok = estimates[included]
+    estimates, perceived, alive = map(np.concatenate, zip(*results))
+    est_ok = estimates[alive]
 
     err_sq = (est_ok - config.true_pi) ** 2
     mse = err_sq.mean(axis=0)
@@ -189,10 +188,6 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
     mean_est = est_ok.mean(axis=0)
     bias_sq = (mean_est - config.true_pi) ** 2
     var_est = est_ok.var(axis=0, ddof=1) if est_ok.shape[0] > 1 else np.zeros_like(mean_est)
-    if perceived is None:
-        mean_perceived = np.full_like(mean_est, np.nan)
-    else:
-        mean_perceived = perceived[included].mean(axis=0)
 
     return TraceSeries(
         times=times,
@@ -200,10 +195,10 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
         inv_mse=inv_mse,
         bias_sq=bias_sq,
         var_est=var_est,
-        mean_perceived_var=mean_perceived,
+        mean_perceived_var=perceived[alive].mean(axis=0),
         estimates=estimates,
         perceived_var=perceived,
         growth_rate=_growth_rate(times, inv_mse, config.horizon),
         runs=config.runs,
-        excluded_runs=excluded,
+        excluded_runs=np.flatnonzero(~alive).tolist(),
     )

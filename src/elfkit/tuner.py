@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import DEGENERATE_TOL, DegenerateSubspaceError, angle_vectors, canonical_angles
+from .algebra import DEGENERATE_TOL, angle_vectors, canonical_angles
 from .bias import Scheme, _bias_pair, _readout, bias_series, clf_angles
 from .csbd import CsbdCoefficients, slopes, sweep
 from .metrics import SINGULAR_TOL, NoiseModel
@@ -74,7 +74,7 @@ class TuneSpec:
         if not 0.0 < self.mu < math.pi:
             raise ValueError("mu must lie in (0, pi)")
         if abs(math.sin(self.mu)) < DEGENERATE_TOL:
-            raise DegenerateSubspaceError(f"mu={self.mu!r} is within {DEGENERATE_TOL} of a multiple of pi")
+            raise ValueError(f"mu={self.mu!r} is within {DEGENERATE_TOL} of a multiple of pi")
         if not 0.0 <= self.fidelity <= 1.0:
             raise ValueError("fidelity must be in [0, 1]")
         if self.restarts < 1:
@@ -238,7 +238,7 @@ def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, floa
     def choose(j: int, co: CsbdCoefficients) -> float:
         z = _coordinate_step_fisher(co, g, f, x[j - 1])
         # Into (-pi, pi], bit for bit as ``canonical_angles``.
-        return math.pi - (math.pi - z) % (2.0 * math.pi)
+        return math.pi - math.fmod((math.pi - z) % (2.0 * math.pi), 2.0 * math.pi)
 
     q, dq = sweep(spec.scheme, spec.mu, x, choose)
     val = report(_climbed(g, f, *_readout(spec.scheme, math.cos(spec.mu), math.sin(spec.mu), q, dq)))
@@ -246,6 +246,7 @@ def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, floa
     period = math.pi if spec.scheme is Scheme.AF else 2.0 * math.pi
     x_fin, steps = _quasi_newton(spec, x, period / SCAN_POINTS)
     x_fin = canonical_angles(x_fin)
+    # Ties keep the swept point, so a next warm start repeating the Chebyshev start is skipped (128 ascents, not 160).
     if (val_fin := objective_value(spec, x_fin)) > val:
         return x_fin, val_fin, 1 + steps
     return x, objective_value(spec, x), 1 + steps
@@ -359,19 +360,19 @@ class LookupTable:
             raise ValueError("table must be a JSON object with an 'entries' list")
         if doc.get("version") != TABLE_FORMAT_VERSION:
             raise ValueError(f"unsupported table version {doc.get('version')!r}")
+        if not isinstance(metadata := doc.get("metadata", {}), dict):
+            raise ValueError(f"table 'metadata' must be a JSON object, got {metadata!r}")
+        entries = []
         for i, e in enumerate(doc["entries"]):
             if not isinstance(e, dict) or not isinstance(e.get("pi"), (int, float)):
                 raise ValueError(f"table entry {i} has no numeric 'pi'")
-        entries = [
-            TableEntry(
-                pi=float(e["pi"]),
-                angles=None if e.get("angles") is None else np.asarray(e["angles"], dtype=float),
-                objective=e.get("objective"),
-                flag=e.get("flag"),
-            )
-            for e in doc["entries"]
-        ]
-        return cls(entries, doc.get("metadata", {}))
+            if (angles := e.get("angles")) is not None:
+                try:
+                    angles = np.asarray(angles, dtype=float)
+                except (TypeError, ValueError):
+                    raise ValueError(f"table entry {i} has non-numeric 'angles': {angles!r}") from None
+            entries.append(TableEntry(float(e["pi"]), angles, e.get("objective"), e.get("flag")))
+        return cls(entries, metadata)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

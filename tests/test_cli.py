@@ -117,8 +117,10 @@ def test_sidecar_config_reproduces_the_csv(argv, tmp_path):
         ({"version": "elf-table/1"}, "'entries'"),
         ({"version": "elf-table/1", "entries": [{"angles": [1.0, 2.0]}]}, "'pi'"),
         ({"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0]}, {"pi": None}]}, "entry 1 has no"),
+        ({"version": "elf-table/1", "metadata": 5, "entries": [{"pi": 0.0, "angles": [1.0, 2.0]}]}, "'metadata'"),
+        ({"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": {"a": 1}}]}, "entry 0 has non-numeric 'angles'"),
     ],
-    ids=["not-an-object", "no-entries", "entry-without-pi", "null-pi"],
+    ids=["not-an-object", "no-entries", "entry-without-pi", "null-pi", "metadata-not-an-object", "non-numeric-angles"],
 )
 def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
     # A usage error (2) naming the key, and no output.
@@ -181,6 +183,21 @@ def test_tune_rejects_zero_max_rounds(capsys):
     # A zero round budget used to return the untuned starts with exit 0.
     assert main(["tune", "--mu", "1.0", "--max-rounds", "0"]) == 2
     assert "max_rounds" in capsys.readouterr().err
+
+
+def test_tune_rejects_mu_near_a_multiple_of_pi(capsys):
+    # A degenerate estimand angle is outside the domain, as mu = 0 is: a usage error (2), so no seed is drawn.
+    assert main(["tune", "--mu", "1e-13"]) == 2
+    out, err = capsys.readouterr()
+    assert "mu=1e-13" in err and "seed:" not in err and out == ""
+
+
+def test_numeric_guard_exits_3_and_writes_nothing(tmp_path, capsys):
+    # The noiseless L=1 Chebyshev bias is -1 at theta = pi/3, where the Fisher information diverges.
+    argv = ["scan", "--quantity", "fisher", "--min", "1.0471975511965976", "--max", "2", "--points", "2"]
+    assert main(argv + ["--seed", "1", "--out", str(tmp_path / "scan")]) == 3
+    assert "numeric guard: fisher information diverges" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

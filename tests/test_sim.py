@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from elfkit.algebra import DegenerateSubspaceError
 from elfkit.bias import Scheme, clf_angles
 from elfkit import inference
 from elfkit.inference import EstimationConfig, _angle_policy, _cos_moments, _lockstep, pi_to_theta
@@ -117,6 +116,24 @@ class TestStandardSampling:
         traces = run_experiment(cfg)
         assert traces.bias_sq[-1] < 9 * traces.var_est[-1] / runs
         assert traces.bias_sq[-1] < 0.01 * ((1 - f0) * pi) ** 2
+
+    def test_perceived_variance_is_nan_and_no_run_is_excluded(self):
+        # A standard run has the shape of any other: per-run perceived variances (NaN, as it
+        # keeps no belief) and an exclusion list, empty.  Two chunks are joined.
+        cfg = ExperimentConfig(
+            scheme="standard",
+            true_pi=0.3,
+            prior_pi=None,
+            layers=1,
+            noise=NoiseModel(0.9, 0.99),
+            runs=CHUNK_SIZE + 6,
+            horizon=200,
+            master_seed=1,
+        )
+        traces = run_experiment(cfg)
+        assert traces.perceived_var.shape == traces.estimates.shape == (cfg.runs, traces.times.size)
+        assert np.isnan(traces.perceived_var).all() and np.isnan(traces.mean_perceived_var).all()
+        assert traces.excluded_runs == []
 
 
 class TestRunExperiment:
@@ -261,7 +278,7 @@ class TestRunExperiment:
             horizon=3000,
             master_seed=seed,
         )
-        with pytest.raises(DegenerateSubspaceError, match="pi") as info:
+        with pytest.raises(FloatingPointError, match="pi") as info:
             run_experiment(cfg)
         engine = [f for f, _ in traceback.walk_tb(info.value.__traceback__) if f.f_code.co_name == "_run_chunk"]
         assert engine and all(f.f_locals == {} for f in engine)
