@@ -28,6 +28,11 @@ class Scheme(Enum):
     AF = "af"
     AB = "ab"
 
+    @property
+    def angle_scale(self) -> float:
+        """k of the bias's sinusoid in k x_j: 2 for AF (period pi in each angle), 1 for AB (period 2 pi)."""
+        return 2.0 if self is Scheme.AF else 1.0
+
 
 def clf_angles(layers: int) -> np.ndarray:
     """Angle vector (pi/2, ..., pi/2) producing the Chebyshev likelihood."""

@@ -20,10 +20,10 @@ Two scales share the name "slope": ``tune --objective slope`` reports the
 bias slope |d(bias)/dtheta|, and ``scan --quantity slope`` the likelihood
 slope ``metrics.slope`` = f |d(bias)/dtheta| / 2 at process fidelity f.
 
-Exit codes: 0 success, 2 usage error, 3 numeric guard tripped (an
-``ArithmeticError``, such as a singular likelihood), 4 I/O error.  A seed
-drawn in the absence of ``--seed`` is printed on exit 0, 3 and 4, not on a
-usage error.  Sidecars are strict JSON: a non-finite figure is null.
+Exit codes: 0 success, 2 usage error, 3 numeric guard tripped (a builtin
+``ArithmeticError``, such as a singular likelihood), 4 I/O error.  A command
+with ``--seed`` (all but ``runtime``) draws one where it is absent, and
+prints it on exit 0, 3 and 4.  Sidecars are strict JSON: a non-finite figure is null.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from . import __version__
 from .bias import Scheme, clf_angles
 from .metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, slope
 from .runtime_model import HardwareParams, hardware_runtime_curve
-from .sim import ExperimentConfig, run_experiment
+from .sim import EXPERIMENT_SCHEMES, ExperimentConfig, run_experiment
 from .tuner import LookupTable, Objective, TuneSpec, build_lookup_table, tune
 
 
@@ -56,10 +56,8 @@ class Opt:
     help: str = ""
 
 
-_COMMON = (
-    Opt("config", str, help="JSON file with flag values (flags override)"),
-    Opt("seed", int, help="master seed; drawn and printed if absent"),
-)
+_CONFIG = Opt("config", str, help="JSON file with flag values (flags override)")
+_COMMON = (_CONFIG, Opt("seed", int, help="master seed; drawn and printed if absent"))
 
 _NOISE = (
     Opt("layer-fidelity", float, 1.0, help="per-layer process fidelity p"),
@@ -107,7 +105,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     "simulate": _COMMON
     + _NOISE
     + (
-        Opt("scheme", str, "af-elf", choices=("af-elf", "af-clf", "ab-elf", "ab-clf", "standard")),
+        Opt("scheme", str, "af-elf", choices=EXPERIMENT_SCHEMES),
         Opt("true-pi", float, required=True),
         Opt("prior-mean", float, help="prior mean of Pi; every scheme but standard needs it"),
         Opt("prior-std", float, 0.03, help="prior standard deviation of Pi"),
@@ -120,8 +118,8 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("threads", int, 1, help="worker count (outputs are independent of it)"),
         Opt("out", str, "experiment", help="output prefix (.csv and .json)"),
     ),
-    "runtime": _COMMON
-    + (
+    "runtime": (
+        _CONFIG,
         Opt("qubits", int, 100),
         Opt("depth", int, 200, help="two-qubit gate depth per layer"),
         Opt("gate-time", float, 1e-8, help="seconds per two-qubit gate layer"),
@@ -182,10 +180,7 @@ def _effective_config(parser, args, argv: list[str]) -> dict:
 
 
 def _sidecar(command: str, cfg: dict, extra: dict | None = None) -> dict:
-    doc = {"tool": "elfkit", "version": __version__, "command": command, "config": cfg}
-    if extra:
-        doc.update(extra)
-    return doc
+    return {"tool": "elfkit", "version": __version__, "command": command, "config": cfg, **(extra or {})}
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -382,7 +377,10 @@ def cmd_runtime(cfg: dict) -> int:
     for name in ("infidelity-min", "infidelity-max"):
         if not 0.0 < cfg[name] < 1.0:
             raise ValueError(f"--{name} must lie in (0, 1), got {cfg[name]}")
-    eps_list = [float(v) for v in cfg["eps"].split(",")]
+    try:
+        eps_list = [float(v) for v in cfg["eps"].split(",")]
+    except ValueError:
+        raise ValueError(f"--eps must be comma-separated numbers, got {cfg['eps']!r}") from None
     grid = 1.0 - np.geomspace(cfg["infidelity-max"], cfg["infidelity-min"], cfg["points"])
     points = hardware_runtime_curve(hw, eps_list, f2q_grid=grid, pi=cfg["pi"])
     _write_outputs(
@@ -405,8 +403,6 @@ _HANDLERS = {
     "runtime": cmd_runtime,
 }
 
-_RANDOMIZED = {"tune", "table", "scan", "simulate"}
-
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -415,7 +411,7 @@ def main(argv=None) -> int:
     drawn = None  # a seed drawn for the run; printed unless the run never starts (exit 2)
     try:
         cfg = _effective_config(parser, args, argv)
-        if args.command in _RANDOMIZED and cfg["seed"] is None:
+        if "seed" in cfg and cfg["seed"] is None:
             cfg["seed"] = drawn = int.from_bytes(os.urandom(6), "big")
         status = _HANDLERS[args.command](cfg)
     except ArithmeticError as exc:

@@ -57,22 +57,17 @@ _SQRT_HALF = math.sqrt(0.5)
 class CsbdCoefficients(NamedTuple):
     """Decomposition coefficients of the bias and its theta-derivative.
 
-    ``b`` and ``b_prime`` are identically zero for the ancilla-based scheme,
-    whose bias has no constant term and period 2*pi in each angle.
+    The sinusoids' argument is k x_j with k = ``Scheme.angle_scale`` of the
+    scheme they were computed for.  ``b`` and ``b_prime`` are identically
+    zero for the ancilla-based scheme, whose bias has no constant term.
     """
 
-    scheme: Scheme
     c: float
     s: float
     b: float
     c_prime: float
     s_prime: float
     b_prime: float
-
-    @property
-    def angle_scale(self) -> float:
-        """Multiplier on x_j inside the sinusoid: 2 for AF, 1 for AB."""
-        return 2.0 if self.scheme is Scheme.AF else 1.0
 
 
 def _dot(r, w):
@@ -144,7 +139,7 @@ def _coefficients(scheme: Scheme, ct, st, r, pre, u) -> CsbdCoefficients:
     """Coefficients of the coordinate with factor U (if ``u``) or V between the ``pre`` pair and the suffix ``r``."""
     if scheme is Scheme.AB:
         (c, cp), (s, sp) = _dot(r, pre), _slope(ct, st, u, r, pre)
-        return CsbdCoefficients(scheme, c, s, 0.0, cp, sp, 0.0)
+        return CsbdCoefficients(c, s, 0.0, cp, sp, 0.0)
     (q0, dq0), (q2, dq2) = _suffix_mul(r, pre), _suffix_mul(r, _factor_mul(ct, st, 0.0, 1.0, u, pre))
     # s = v1 - b, not the equal cross term of B: where the bias is flat in x_j
     # the Fisher step's choice rests on these rounding bits.
@@ -153,7 +148,7 @@ def _coefficients(scheme: Scheme, ct, st, r, pre, u) -> CsbdCoefficients:
     dq1 = h * (dq0[0] + dq2[0]), h * (dq0[1] + dq2[1]), h * (dq0[2] + dq2[2]), h * (dq0[3] + dq2[3])
     (v0, d0), (v1, d1), (v2, d2) = (_readout(scheme, ct, st, *pair) for pair in ((q0, dq0), (q1, dq1), (q2, dq2)))
     b, bp = (v0 + v2) / 2.0, (d0 + d2) / 2.0
-    return CsbdCoefficients(scheme, (v0 - v2) / 2.0, v1 - b, b, (d0 - d2) / 2.0, d1 - bp, bp)
+    return CsbdCoefficients((v0 - v2) / 2.0, v1 - b, b, (d0 - d2) / 2.0, d1 - bp, bp)
 
 
 class CoefficientTable:

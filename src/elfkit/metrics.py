@@ -21,10 +21,6 @@ from .bias import Scheme, _bias_pair, bias_derivative
 SINGULAR_TOL = 1e-8
 
 
-class SingularLikelihoodError(ArithmeticError):
-    """The likelihood is deterministic (f |bias| -> 1) and the metric diverges."""
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Exponential-decay noise: per-layer fidelity and SPAM fidelity."""
@@ -76,7 +72,7 @@ def fisher_information(scheme: Scheme, theta, f: float, x):
     delta, ddelta = (np.asarray(v) for v in _bias_pair(scheme, theta, x))
     denom = 1.0 - (f * delta) ** 2
     if np.any(denom < SINGULAR_TOL):
-        raise SingularLikelihoodError("fisher information diverges: f|bias| -> 1")
+        raise FloatingPointError("fisher information diverges: f|bias| -> 1")
     out = (f * ddelta) ** 2 / denom
     return out if out.ndim else float(out)
 

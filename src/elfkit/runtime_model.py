@@ -59,8 +59,8 @@ def runtime_bounds(eps_theta: float, lam: float, spam: float) -> tuple[float, fl
     as e^(-lam) lam D t_gate / eps_theta^2; for eps_theta >~ lam the 1/eps_theta
     terms dominate and the runtime follows the gate time alone.
     """
-    if not eps_theta > 0.0:
-        raise ValueError("eps_theta must be positive")
+    if not 0.0 < eps_theta < math.inf:
+        raise ValueError(f"eps_theta must be positive and finite, got {eps_theta}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     if not 0.0 < spam <= 1.0:

@@ -7,10 +7,10 @@ is reported as the square root of the climbed value.
 
 One ascent serves both: one O(L) coordinate sweep (``csbd.sweep``), each
 coordinate updated by the one step ``_coordinate_step_fisher``.  It is
-solved in the sinusoid's argument a = k x_j by a uniform scan of [-pi, pi)
-(robust to multimodality), and keeps the current angle unless the best scan
-point beats it.  The scan only finds the basin; the BFGS finish below
-polishes the point within it.
+solved in the sinusoid's argument a = k x_j (k = ``Scheme.angle_scale``) by
+a uniform scan of [-pi, pi) (robust to multimodality), and keeps the current
+angle unless the best scan point beats it.  The scan only finds the basin;
+the BFGS finish below polishes the point within it.
 
 One sweep places each angle in its basin.  Further sweeps would only
 zig-zag along coupled ridges that the finish climbs anyway, so the swept
@@ -156,8 +156,8 @@ def _fisher_1d(co: CsbdCoefficients, g: float, f: float, a: float) -> float:
     return _climbed(g, f, co.c * ca + co.s * sa + co.b, co.c_prime * ca + co.s_prime * sa + co.b_prime)
 
 
-def _coordinate_step_fisher(co: CsbdCoefficients, g: float, f: float, current: float) -> float:
-    """The new x_j: the best scan point, unless ``current`` is no worse."""
+def _coordinate_step_fisher(co: CsbdCoefficients, k: float, g: float, f: float, current: float) -> float:
+    """The new x_j: the best scan point of a = k x_j (k = ``Scheme.angle_scale``), unless ``current`` is no worse."""
     # The climbed value / g^2 on the grid: the derivative and f-scaled bias sinusoids in one product.
     coefficients = np.array(((co.c_prime, co.s_prime, co.b_prime), (f * co.c, f * co.s, f * co.b)))
     num, fbias = coefficients @ _SCAN_BASIS
@@ -165,7 +165,6 @@ def _coordinate_step_fisher(co: CsbdCoefficients, g: float, f: float, current: f
     values = num * num / np.maximum(den, SINGULAR_TOL)
     values[den < SINGULAR_TOL] = -np.inf
     a = float(_SCAN_GRID[values.argmax()])
-    k = co.angle_scale
     if _fisher_1d(co, g, f, k * current) >= _fisher_1d(co, g, f, a):
         return current
     return a / k
@@ -234,17 +233,17 @@ def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, floa
     """
     x = canonical_angles(x0)
     g, f, report = _weights(spec)
+    k = spec.scheme.angle_scale
 
     def choose(j: int, co: CsbdCoefficients) -> float:
-        z = _coordinate_step_fisher(co, g, f, x[j - 1])
+        z = _coordinate_step_fisher(co, k, g, f, x[j - 1])
         # Into (-pi, pi], bit for bit as ``canonical_angles``.
         return math.pi - math.fmod((math.pi - z) % (2.0 * math.pi), 2.0 * math.pi)
 
     q, dq = sweep(spec.scheme, spec.mu, x, choose)
     val = report(_climbed(g, f, *_readout(spec.scheme, math.cos(spec.mu), math.sin(spec.mu), q, dq)))
-    # The finish's first step moves no angle by more than one scan-grid step.
-    period = math.pi if spec.scheme is Scheme.AF else 2.0 * math.pi
-    x_fin, steps = _quasi_newton(spec, x, period / SCAN_POINTS)
+    # The finish's first step moves no angle by more than one scan-grid step, 2 pi / (k SCAN_POINTS).
+    x_fin, steps = _quasi_newton(spec, x, 2.0 * math.pi / (k * SCAN_POINTS))
     x_fin = canonical_angles(x_fin)
     # Ties keep the swept point, so a next warm start repeating the Chebyshev start is skipped (128 ascents, not 160).
     if (val_fin := objective_value(spec, x_fin)) > val:
@@ -296,7 +295,9 @@ class TableEntry:
 
 
 def _check_grid(grid: np.ndarray) -> None:
-    """Raise a ``ValueError`` unless the estimand grid is strictly increasing within [-1, 1]."""
+    """Raise a ``ValueError`` unless the estimand grid is finite and strictly increasing within [-1, 1]."""
+    if (bad := np.flatnonzero(~np.isfinite(grid))).size:
+        raise ValueError(f"grid point {bad[0]} is not finite: {float(grid[bad[0]])}")
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
     if grid[0] < -1.0 or grid[-1] > 1.0:
@@ -307,15 +308,20 @@ class LookupTable:
     """Tuned angle vectors on a grid of estimand values in [-1, 1]."""
 
     def __init__(self, entries: list[TableEntry], metadata: dict) -> None:
-        valid = [e for e in entries if e.flag is None]
+        valid = [(i, e) for i, e in enumerate(entries) if e.flag is None]
         if not valid:
             raise ValueError("lookup table has no valid entries")
         _check_grid(np.array([e.pi for e in entries], dtype=float))
+        for i, e in valid:  # each holds one angle vector, of the first one's length
+            if (got := None if e.angles is None else np.shape(e.angles)) is None or len(got) != 1:
+                raise ValueError(f"table entry {i} has no flag, so it needs one angle vector, got {got}")
+            if got[0] != (n := np.size(valid[0][1].angles)):
+                raise ValueError(f"table entry {i} holds {got[0]} angles, but entry {valid[0][0]} holds {n}")
         self.entries = entries
         self.metadata = dict(metadata)
-        valid_grid = np.array([e.pi for e in valid])
+        valid_grid = np.array([e.pi for _, e in valid])
         self._midpoints = (valid_grid[1:] + valid_grid[:-1]) / 2.0
-        self._angles = angle_vectors(np.vstack([e.angles for e in valid]))
+        self._angles = angle_vectors(np.vstack([e.angles for _, e in valid]))
         self._series: dict[Scheme, np.ndarray] = {}  # theta-series columns of the valid entries, per scheme
 
     def check_fits(self, scheme: Scheme, layers: int) -> None:
@@ -389,7 +395,7 @@ def build_lookup_table(
     scheme: Scheme,
     layers: int,
     noise: NoiseModel,
-    grid_spec=4001,
+    grid_spec,
     restarts: int = 10,
     seed: int = 0,
     objective: Objective = Objective.FISHER,

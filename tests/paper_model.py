@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from elfkit.bias import Scheme, bias, bias_series
-from elfkit.metrics import SINGULAR_TOL, GaussianBelief, SingularLikelihoodError, _check_fidelity
+from elfkit.metrics import SINGULAR_TOL, GaussianBelief, _check_fidelity
 from elfkit.runtime_model import E
 
 RATE_LOWER_FACTOR = (E - 1.0) / E
@@ -93,7 +93,7 @@ def variance_reduction_factor(scheme: Scheme, belief: GaussianBelief, f: float, 
     b, db = expected_bias(scheme, belief, x)
     denom = 1.0 - (f * b) ** 2
     if denom < SINGULAR_TOL:
-        raise SingularLikelihoodError("variance reduction factor diverges: f|b| -> 1")
+        raise FloatingPointError("variance reduction factor diverges: f|b| -> 1")
     return (f * db) ** 2 / denom
 
 
@@ -110,7 +110,7 @@ def inverse_variance_rate(
     v = variance_reduction_factor(scheme, belief, f, x)
     shrink = belief.variance * v
     if shrink >= 1.0:
-        raise SingularLikelihoodError("sigma^2 V >= 1: rate expression invalid")
+        raise FloatingPointError("sigma^2 V >= 1: rate expression invalid")
     return v / ((2 * layers + 1) * (1.0 - shrink))
 
 

@@ -110,6 +110,11 @@ def test_sidecar_config_reproduces_the_csv(argv, tmp_path):
     assert json.loads((tmp_path / "again.json").read_text())["config"] == config
 
 
+def _table(*angles):
+    """A table file's document with one entry at Pi = -0.5, 0.5, ... per angle value."""
+    return {"version": "elf-table/1", "entries": [{"pi": i - 0.5, "angles": a} for i, a in enumerate(angles)]}
+
+
 @pytest.mark.parametrize(
     ("doc", "key"),
     [
@@ -119,8 +124,24 @@ def test_sidecar_config_reproduces_the_csv(argv, tmp_path):
         ({"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0]}, {"pi": None}]}, "entry 1 has no"),
         ({"version": "elf-table/1", "metadata": 5, "entries": [{"pi": 0.0, "angles": [1.0, 2.0]}]}, "'metadata'"),
         ({"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": {"a": 1}}]}, "entry 0 has non-numeric 'angles'"),
+        # Each unflagged entry holds one angle vector, of the first one's length.
+        (_table([[1.0, 2.0]], [1.0, 2.0]), "entry 0 has no flag, so it needs one angle vector, got (1, 2)"),
+        (_table([1.0, 2.0, 3.0], [1.0, 2.0]), "entry 1 holds 2 angles, but entry 0 holds 3"),
+        (_table([1.0, 2.0], 5), "entry 1 has no flag, so it needs one angle vector, got ()"),
+        (_table([1.0, 2.0], None), "entry 1 has no flag, so it needs one angle vector, got None"),
     ],
-    ids=["not-an-object", "no-entries", "entry-without-pi", "null-pi", "metadata-not-an-object", "non-numeric-angles"],
+    ids=[
+        "not-an-object",
+        "no-entries",
+        "entry-without-pi",
+        "null-pi",
+        "metadata-not-an-object",
+        "non-numeric-angles",
+        "nested-angles",
+        "unequal-lengths",
+        "scalar-angles",
+        "unflagged-null-angles",
+    ],
 )
 def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
     # A usage error (2) naming the key, and no output.
@@ -138,13 +159,16 @@ def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
         (["tune", "--mu", "1", "--tolerance", "nan", "--restarts", "1"], "tolerance must be positive"),
         (["runtime", "--gate-time", "nan", "--points", "3"], "gate_time must be positive"),
         (["runtime", "--eps", "nan", "--points", "3"], "eps_theta must be positive"),
+        (["runtime", "--eps", "inf", "--points", "2"], "eps_theta must be positive and finite, got inf"),
+        (["runtime", "--eps", "1e-3,abc", "--points", "2"], "--eps must be comma-separated numbers, got '1e-3,abc'"),
     ],
-    ids=["tolerance", "gate-time", "eps"],
+    ids=["tolerance", "gate-time", "eps", "eps-inf", "eps-not-a-number"],
 )
 def test_nan_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
     # NaN fails a guard written "not x > 0": exit 2 naming the value, no output.
+    # An infinite or unreadable error target is a usage error as well.
     monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--seed", "1"]) == 2
+    assert main(argv + (["--seed", "1"] if argv[0] == "tune" else [])) == 2
     out, err = capsys.readouterr()
     assert message in err and out == ""
     assert list(tmp_path.iterdir()) == []
@@ -206,7 +230,9 @@ def test_numeric_guard_exits_3_and_writes_nothing(tmp_path, capsys):
     # tune has one ascent method, so it takes no --method, and the sinusoid
     # fit has one width, so simulate takes no --fit-points.
     + [pytest.param("tune", "method", "grad", id="tune-method")]
-    + [pytest.param("simulate", "fit-points", 11, id="simulate-fit-points")],
+    + [pytest.param("simulate", "fit-points", 11, id="simulate-fit-points")]
+    # runtime draws nothing at random, so it takes no --seed.
+    + [pytest.param("runtime", "seed", 1, id="runtime-seed")],
 )
 def test_threads_is_a_simulate_option_only(command, flag, value, tmp_path, capsys):
     # The flag is a usage error (argparse exits 2), and so is the config key.
@@ -332,6 +358,7 @@ def test_table_rejects_grid_below_two(grid, tmp_path, capsys, monkeypatch):
         (["--grid-min", "-2"], "grid must lie within [-1, 1]"),
         (["--grid-max", "1.5"], "grid must lie within [-1, 1]"),
         (["--grid-min", "0.5", "--grid-max", "-0.5"], "grid must be strictly increasing"),
+        (["--grid-min", "nan"], "grid point 0 is not finite: nan"),
         (["--layers", "-1"], "layers must be >= 1"),
     ],
 )

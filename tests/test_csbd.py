@@ -27,8 +27,8 @@ class TestReconstruction:
             for z in (0.0, 0.9, -1.3):
                 probe = x.copy()
                 probe[j - 1] = z
-                assert bias_at(co, z) == pytest.approx(bias(scheme, theta, probe), abs=1e-10)
-                assert bias_derivative_at(co, z) == pytest.approx(
+                assert bias_at(co, scheme.angle_scale, z) == pytest.approx(bias(scheme, theta, probe), abs=1e-10)
+                assert bias_derivative_at(co, scheme.angle_scale, z) == pytest.approx(
                     bias_derivative(scheme, theta, probe), abs=1e-8
                 )
 
@@ -40,7 +40,7 @@ class TestReconstruction:
         x = np.zeros(4)
         for j in range(1, 5):
             co = CoefficientTable(Scheme.AB, 0.8, x).coefficients(j)
-            assert bias_at(co, 0.0) == pytest.approx(bias(Scheme.AB, 0.8, x))
+            assert bias_at(co, Scheme.AB.angle_scale, 0.0) == pytest.approx(bias(Scheme.AB, 0.8, x))
 
     def test_clf_first_coordinate_slice(self):
         # With every other angle at pi/2, the free-coordinate slice through
@@ -48,7 +48,7 @@ class TestReconstruction:
         layers, theta = 3, 0.6
         co = CoefficientTable(Scheme.AF, theta, clf_angles(layers)).coefficients(1)
         m = 2 * layers + 1
-        assert bias_at(co, np.pi / 2) == pytest.approx(np.cos(m * theta), abs=1e-12)
+        assert bias_at(co, Scheme.AF.angle_scale, np.pi / 2) == pytest.approx(np.cos(m * theta), abs=1e-12)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -88,7 +88,7 @@ class TestGradientConsistency:
             up[j - 1] += h
             down[j - 1] -= h
             fd = (bias(scheme, theta, up) - bias(scheme, theta, down)) / (2 * h)
-            slope = bias_slope_in_xj(table.coefficients(j), x[j - 1])
+            slope = bias_slope_in_xj(table.coefficients(j), scheme.angle_scale, x[j - 1])
             assert slope == pytest.approx(fd, abs=1e-6)
 
     def test_derivative_slope_in_xj_matches_fd(self):
@@ -104,7 +104,7 @@ class TestGradientConsistency:
             fd = (
                 bias_derivative(Scheme.AF, theta, up) - bias_derivative(Scheme.AF, theta, down)
             ) / (2 * h)
-            slope = bias_derivative_slope_in_xj(table.coefficients(j), x[j - 1])
+            slope = bias_derivative_slope_in_xj(table.coefficients(j), Scheme.AF.angle_scale, x[j - 1])
             assert slope == pytest.approx(fd, abs=1e-5)
 
 

@@ -1,9 +1,13 @@
-"""What the package is made of: its runtime dependencies, and a caller for every name it defines."""
+"""What the package is made of: its runtime dependencies, a caller for every name it defines,
+a reader for every CLI option, and no exception type of its own."""
 
 import ast
+import importlib
 import tomllib
 from collections import Counter
 from pathlib import Path
+
+from elfkit.cli import OPTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "elfkit").glob("*.py"))
@@ -144,3 +148,42 @@ def test_every_method_and_property_has_a_caller():
         if name not in benchmarks and uses[name] == Counter(_names(node))[name]
     ]
     assert uncalled == []
+
+
+def test_no_class_is_an_exception_type():
+    # The CLI's exit 3 maps builtin ArithmeticErrors: the package raises builtin exceptions and defines none.
+    modules = [importlib.import_module("elfkit" if p.stem == "__init__" else f"elfkit.{p.stem}") for p in SOURCES]
+    found = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__ and issubclass(obj, BaseException)
+    ]
+    assert found == []
+
+
+def test_every_cli_option_has_a_reader():
+    # Each option of a command but --config is read as cfg["<name>"] by its
+    # handler cmd_<command> or by a cli function that the handler calls.
+    tree = _tree(ROOT / "src" / "elfkit" / "cli.py")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen):
+        seen.add(name)
+        out = set()
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == "cfg":
+                if isinstance(node.slice, ast.Constant):
+                    out.add(node.slice.value)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id in functions and node.func.id not in seen:
+                    out |= reads(node.func.id, seen)
+        return out
+
+    unread = [
+        f"{command} --{opt.name}"
+        for command, opts in OPTIONS.items()
+        for opt in opts
+        if opt.name != "config" and opt.name not in reads(f"cmd_{command}", set())
+    ]
+    assert unread == []

@@ -15,6 +15,7 @@ from table_oracle import nearest_valid_entry
 from elfkit.tuner import (
     SCAN_POINTS,
     LookupTable,
+    TableEntry,
     Objective,
     TuneSpec,
     build_lookup_table,
@@ -230,7 +231,7 @@ class TestCoordinateMonotonicity:
         def choose(j, co):
             if j > 1:
                 history.append(objective_value(spec, x))
-            return _coordinate_step_fisher(co, spec.fidelity, spec.fidelity, x[j - 1])
+            return _coordinate_step_fisher(co, spec.scheme.angle_scale, spec.fidelity, spec.fidelity, x[j - 1])
 
         for _ in range(12):
             sweep(spec.scheme, spec.mu, x, choose)
@@ -265,7 +266,7 @@ class TestFisherStepOracle:
             x = rng.uniform(-math.pi, math.pi, 2 * layers)
             j = int(rng.integers(1, 2 * layers + 1))
             co = CoefficientTable(scheme, theta, x).coefficients(j)
-            k = co.angle_scale
+            k = scheme.angle_scale
             for g, f in ((fidelity, fidelity), (1.0, 0.0)):
 
                 def climbed(a):
@@ -282,7 +283,7 @@ class TestFisherStepOracle:
                 _, a_fine = max((climbed(a), a) for a in [a_grid, *(a_grid + h * np.linspace(-1.0, 1.0, 33))])
                 # From a random angle, and from the finer scan's best point.
                 for current in (x[j - 1], a_fine / k):
-                    step = _coordinate_step_fisher(co, g, f, current)
+                    step = _coordinate_step_fisher(co, k, g, f, current)
                     if climbed(k * current) >= grid_max:
                         assert step == current
                         kept += 1
@@ -298,10 +299,10 @@ def _table_gradient(spec, x):
     The tuner's gradient before the fused pass, kept as a reference: each
     coordinate's bias and d(bias)/dtheta slopes come from its CSBD sinusoids.
     """
-    table = CoefficientTable(spec.scheme, spec.mu, x)
+    table, k = CoefficientTable(spec.scheme, spec.mu, x), spec.scheme.angle_scale
     delta, ddelta = bias(spec.scheme, spec.mu, x), bias_derivative(spec.scheme, spec.mu, x)
-    chi = np.array([bias_slope_in_xj(table.coefficients(j), x[j - 1]) for j in range(1, x.size + 1)])
-    chi_p = np.array([bias_derivative_slope_in_xj(table.coefficients(j), x[j - 1]) for j in range(1, x.size + 1)])
+    chi = np.array([bias_slope_in_xj(table.coefficients(j), k, x[j - 1]) for j in range(1, x.size + 1)])
+    chi_p = np.array([bias_derivative_slope_in_xj(table.coefficients(j), k, x[j - 1]) for j in range(1, x.size + 1)])
     if spec.objective is Objective.SLOPE:
         return ddelta**2, 2.0 * ddelta * chi_p
     f2 = spec.fidelity**2
@@ -457,10 +458,40 @@ class TestLookupTable:
             (1, [-0.5, 0.0, 1.5], r"within \[-1, 1\]"),
             (0, [0.1, 0.2], "layers must be >= 1"),
             (-1, 5, "layers must be >= 1"),
+            # NaN fails no comparison, so it takes a check of its own.
+            (1, [-0.5, math.nan, 0.5], "grid point 1 is not finite: nan"),
         ]
         for layers, grid, message in cases:
             with pytest.raises(ValueError, match=message):
                 build_lookup_table(Scheme.AF, layers, NoiseModel(), grid, restarts=1, seed=0)
+
+    def test_entries_are_checked_like_a_grid(self):
+        # A NaN Pi would sort last in the midpoints, so that every query read entry 0.
+        x = clf_angles(1)
+        with pytest.raises(ValueError, match="grid point 1 is not finite: nan"):
+            LookupTable([TableEntry(-0.5, x, 1.0), TableEntry(math.nan, x, 1.0), TableEntry(0.5, x, 1.0)], {})
+        # Python's json reads NaN.
+        entries = [{"pi": -0.5, "angles": list(x)}, {"pi": math.nan, "angles": list(x)}]
+        with pytest.raises(ValueError, match="grid point 1 is not finite"):
+            LookupTable.from_json_dict(json.loads(json.dumps({"version": "elf-table/1", "entries": entries})))
+
+    def test_unflagged_entries_hold_vectors_of_one_length(self):
+        # A built table takes the check of a loaded one; flagged entries hold no angles.
+        x = clf_angles(1)
+        flagged = TableEntry(-1.0, None, None, tuner.DEGENERATE_FLAG)
+        needs = "entry 1 has no flag, so it needs one angle vector, got"
+        cases = [
+            ([TableEntry(0.0, x[None, :], 1.0)], rf"{needs} \(1, 2\)"),
+            ([TableEntry(0.0, None, None)], f"{needs} None"),
+            (
+                [TableEntry(0.0, clf_angles(2), 1.0), TableEntry(0.5, x, 1.0)],
+                "entry 2 holds 2 angles, but entry 1 holds 4",
+            ),
+        ]
+        for entries, message in cases:
+            with pytest.raises(ValueError, match=message):
+                LookupTable([flagged, *entries], {})
+        assert LookupTable([flagged, TableEntry(0.0, x, 1.0)], {}).entries[0] is flagged
 
 
 class TestBernsteinBound:
