@@ -10,7 +10,8 @@ where a flag overrides it.  Unknown keys are rejected; a ``config`` key is
 ignored.  ``scan``, ``simulate`` and ``runtime`` write their CSV and JSON
 sidecar through one writer, ``_write_outputs``; the other modules only
 compute.  The effective configuration is echoed into every output sidecar so
-results are regenerable from the outputs alone.
+results are regenerable from the outputs alone.  Each int and float ``Opt``
+declares its domain, checked once after parsing and printed by ``--help``.
 
 ``scan`` tunes its angles with ``tuner.build_lookup_table`` on its grid
 mapped to Pi (cos theta for ``fisher`` and ``slope``), so a scan point is a
@@ -54,14 +55,15 @@ class Opt:
     required: bool = False
     choices: tuple | None = None
     help: str = ""
+    domain: str | None = None  # interval such as "(0, 1]" or "[1, inf)"; every int and float option has one
 
 
 _CONFIG = Opt("config", str, help="JSON file with flag values (flags override)")
-_COMMON = (_CONFIG, Opt("seed", int, help="master seed; drawn and printed if absent"))
+_COMMON = (_CONFIG, Opt("seed", int, help="master seed; drawn and printed if absent", domain="[0, inf)"))
 
 _NOISE = (
-    Opt("layer-fidelity", float, 1.0, help="per-layer process fidelity p"),
-    Opt("spam-fidelity", float, 1.0, help="state-preparation-and-measurement fidelity"),
+    Opt("layer-fidelity", float, 1.0, help="per-layer process fidelity p", domain="(0, 1]"),
+    Opt("spam-fidelity", float, 1.0, help="state-preparation-and-measurement fidelity", domain="(0, 1]"),
 )
 
 OPTIONS: dict[str, tuple[Opt, ...]] = {
@@ -70,23 +72,23 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     + (
         Opt("scheme", str, "af", choices=("af", "ab")),
         Opt("objective", str, "fisher", choices=("fisher", "slope"), help="slope reports |d(bias)/dtheta|"),
-        Opt("mu", float, required=True, help="tuning point theta in (0, pi)"),
-        Opt("layers", int, 1),
-        Opt("restarts", int, 10),
-        Opt("max-rounds", int, 500),
-        Opt("tolerance", float, 1e-8),
+        Opt("mu", float, required=True, help="tuning point theta", domain="(0, pi)"),
+        Opt("layers", int, 1, domain="[1, inf)"),
+        Opt("restarts", int, 10, domain="[1, inf)"),
+        Opt("max-rounds", int, 500, domain="[1, inf)"),
+        Opt("tolerance", float, 1e-8, domain="(0, inf)"),
     ),
     "table": _COMMON
     + _NOISE
     + (
         Opt("scheme", str, "af", choices=("af", "ab")),
         Opt("objective", str, "fisher", choices=("fisher", "slope")),
-        Opt("layers", int, 1),
-        Opt("restarts", int, 10),
-        Opt("max-rounds", int, 500),
-        Opt("grid", int, 4001, help="uniform grid size over [-1, 1]"),
-        Opt("grid-min", float, -1.0),
-        Opt("grid-max", float, 1.0),
+        Opt("layers", int, 1, domain="[1, inf)"),
+        Opt("restarts", int, 10, domain="[1, inf)"),
+        Opt("max-rounds", int, 500, domain="[1, inf)"),
+        Opt("grid", int, 4001, help="uniform grid size over [grid-min, grid-max]", domain="[2, inf)"),
+        Opt("grid-min", float, -1.0, domain="[-1, 1]"),
+        Opt("grid-max", float, 1.0, domain="[-1, 1]"),
         Opt("out", str, "table.json"),
     ),
     "scan": _COMMON
@@ -94,41 +96,42 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     + (
         Opt("quantity", str, "fisher", choices=("fisher", "slope", "rhat0"), help="slope is f |d(bias)/dtheta| / 2"),
         Opt("scheme", str, "af", choices=("af", "ab")),
-        Opt("layers", int, 1),
-        Opt("points", int, 41),
-        Opt("min", float, help="grid start (theta for fisher/slope, Pi for rhat0)"),
-        Opt("max", float, help="grid end"),
-        Opt("restarts", int, 10),
-        Opt("max-rounds", int, 500),
+        Opt("layers", int, 1, domain="[1, inf)"),
+        Opt("points", int, 41, domain="[2, inf)"),
+        Opt("min", float, help="grid start (theta for fisher/slope, Pi for rhat0)", domain="(-inf, inf)"),
+        Opt("max", float, help="grid end", domain="(-inf, inf)"),
+        Opt("restarts", int, 10, domain="[1, inf)"),
+        Opt("max-rounds", int, 500, domain="[1, inf)"),
         Opt("out", str, "scan", help="output prefix (.csv and .json)"),
     ),
     "simulate": _COMMON
     + _NOISE
     + (
         Opt("scheme", str, "af-elf", choices=EXPERIMENT_SCHEMES),
-        Opt("true-pi", float, required=True),
-        Opt("prior-mean", float, help="prior mean of Pi; every scheme but standard needs it"),
-        Opt("prior-std", float, 0.03, help="prior standard deviation of Pi"),
-        Opt("layers", int, 1),
-        Opt("runs", int, 300),
-        Opt("horizon", int, 20000, help="total time budget in ansatz durations"),
+        Opt("true-pi", float, required=True, domain="(-1, 1)"),
+        Opt("prior-mean", float, help="prior mean of Pi; every scheme but standard needs it", domain="[-1, 1]"),
+        # Its square, the prior variance, is then a positive finite float.
+        Opt("prior-std", float, 0.03, help="prior standard deviation of Pi", domain="[1e-150, 1e150]"),
+        Opt("layers", int, 1, domain="[1, inf)"),
+        Opt("runs", int, 300, domain="[1, inf)"),
+        Opt("horizon", int, 20000, help="total time budget in ansatz durations", domain="[1, inf)"),
         Opt("table", str, help="lookup-table JSON for the engineered schemes"),
-        Opt("table-grid", int, 41, help="grid size when building a table on the fly"),
-        Opt("restarts", int, 10, help="restarts for on-the-fly table tuning"),
-        Opt("threads", int, 1, help="worker count (outputs are independent of it)"),
+        Opt("table-grid", int, 41, help="grid size when building a table on the fly", domain="[2, inf)"),
+        Opt("restarts", int, 10, help="restarts for on-the-fly table tuning", domain="[1, inf)"),
+        Opt("threads", int, 1, help="worker count (outputs are independent of it)", domain="[1, inf)"),
         Opt("out", str, "experiment", help="output prefix (.csv and .json)"),
     ),
     "runtime": (
         _CONFIG,
-        Opt("qubits", int, 100),
-        Opt("depth", int, 200, help="two-qubit gate depth per layer"),
-        Opt("gate-time", float, 1e-8, help="seconds per two-qubit gate layer"),
-        Opt("spam-fidelity", float, 1.0),
+        Opt("qubits", int, 100, domain="[1, inf)"),
+        Opt("depth", int, 200, help="two-qubit gate depth per layer", domain="[1, inf)"),
+        Opt("gate-time", float, 1e-8, help="seconds per two-qubit gate layer", domain="(0, inf)"),
+        Opt("spam-fidelity", float, 1.0, domain="(0, 1]"),
         Opt("eps", str, "1e-3,1e-4,1e-5", help="comma-separated target errors"),
-        Opt("pi", float, 0.0, help="estimand value for the error conversion"),
-        Opt("infidelity-min", float, 1e-8),
-        Opt("infidelity-max", float, 1e-2),
-        Opt("points", int, 121),
+        Opt("pi", float, 0.0, help="estimand value for the error conversion", domain="(-1, 1)"),
+        Opt("infidelity-min", float, 1e-8, domain="(0, 1)"),
+        Opt("infidelity-max", float, 1e-2, domain="(0, 1)"),
+        Opt("points", int, 121, domain="[1, inf)"),
         Opt("out", str, "runtime", help="output prefix (.csv and .json)"),
     ),
 }
@@ -144,7 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, opts in OPTIONS.items():
         p = sub.add_parser(command)
         for o in opts:
-            p.add_argument(f"--{o.name}", type=o.type, default=o.default, choices=o.choices, help=o.help)
+            text = "; ".join(filter(None, (o.help, o.domain and f"domain {o.domain}")))
+            p.add_argument(f"--{o.name}", type=o.type, default=o.default, choices=o.choices, help=text)
     return parser
 
 
@@ -158,7 +162,7 @@ def _token(parser, key: str, value) -> str:
 
 
 def _effective_config(parser, args, argv: list[str]) -> dict:
-    """Option values, with the file's keys parsed as ``--key=value`` tokens ahead of the flags."""
+    """Option values, with the file's keys parsed as ``--key=value`` tokens ahead of the flags, each in its domain."""
     opts = OPTIONS[args.command]
     if args.config:
         try:
@@ -176,6 +180,11 @@ def _effective_config(parser, args, argv: list[str]) -> dict:
     effective = {o.name: getattr(args, o.name.replace("-", "_")) for o in opts if o.name != "config"}
     if missing := [o.name for o in opts if o.required and effective[o.name] is None]:
         raise ValueError(f"missing required option --{missing[0]}")
+    for o in opts:
+        if o.domain and (value := effective[o.name]) is not None:
+            lo, hi = (math.pi if end == "pi" else float(end) for end in o.domain[1:-1].split(", "))
+            if not (lo < value < hi or (value == lo and o.domain[0] == "[") or (value == hi and o.domain[-1] == "]")):
+                raise ValueError(f"--{o.name} must lie in {o.domain}, got {value}")
     return effective
 
 
@@ -207,8 +216,6 @@ def _write_outputs(command: str, cfg: dict, header, rows, extra: dict | None = N
 
 
 def cmd_tune(cfg: dict) -> int:
-    if cfg["layers"] < 1:
-        raise ValueError(f"--layers must be >= 1, got {cfg['layers']}")
     spec = TuneSpec(
         scheme=Scheme(cfg["scheme"]),
         layers=cfg["layers"],
@@ -267,9 +274,6 @@ def cmd_table(cfg: dict) -> int:
 
 
 def cmd_scan(cfg: dict) -> int:
-    for name, least in (("points", 2), ("layers", 1)):
-        if cfg[name] < least:
-            raise ValueError(f"--{name} must be >= {least}, got {cfg[name]}")
     scheme = Scheme(cfg["scheme"])
     layers = cfg["layers"]
     noise = NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"])
@@ -312,12 +316,8 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    if not cfg["prior-std"] > 0.0:
-        raise ValueError(f"--prior-std must be positive, got {cfg['prior-std']}")
     if (mean := cfg["prior-mean"]) is None and cfg["scheme"] != "standard":
         raise ValueError(f"missing option --prior-mean, which --scheme {cfg['scheme']} needs")
-    if mean is not None and not -1.0 <= mean <= 1.0:
-        raise ValueError(f"--prior-mean must lie in [-1, 1], got {mean}")
     # The Chebyshev twin of an engineered scheme makes every check but the
     # table's, so a bad setting fails before a table is loaded or tuned.
     config = ExperimentConfig(
@@ -366,17 +366,12 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_runtime(cfg: dict) -> int:
-    if cfg["points"] < 1:
-        raise ValueError(f"--points must be >= 1, got {cfg['points']}")
     hw = HardwareParams(
         qubits=cfg["qubits"],
         depth=cfg["depth"],
         gate_time=cfg["gate-time"],
         spam_fidelity=cfg["spam-fidelity"],
     )
-    for name in ("infidelity-min", "infidelity-max"):
-        if not 0.0 < cfg[name] < 1.0:
-            raise ValueError(f"--{name} must lie in (0, 1), got {cfg[name]}")
     try:
         eps_list = [float(v) for v in cfg["eps"].split(",")]
     except ValueError:

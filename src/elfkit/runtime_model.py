@@ -49,6 +49,12 @@ class HardwareParams:
         return self.depth * self.gate_time
 
 
+def _positive_finite(name: str, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def runtime_bounds(eps_theta: float, lam: float, spam: float) -> tuple[float, float]:
     """Closed-form bounds on the time to reach phase error eps_theta.
 
@@ -59,8 +65,7 @@ def runtime_bounds(eps_theta: float, lam: float, spam: float) -> tuple[float, fl
     as e^(-lam) lam D t_gate / eps_theta^2; for eps_theta >~ lam the 1/eps_theta
     terms dominate and the runtime follows the gate time alone.
     """
-    if not 0.0 < eps_theta < math.inf:
-        raise ValueError(f"eps_theta must be positive and finite, got {eps_theta}")
+    _positive_finite("eps_theta", eps_theta)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
     if not 0.0 < spam <= 1.0:
@@ -108,12 +113,12 @@ def hardware_runtime_curve(
     if not -1.0 < pi < 1.0:
         raise ValueError("pi must lie in (-1, 1)")
     scale = hw.seconds_per_time_unit
+    eps_thetas = [_positive_finite("eps", float(eps)) / math.sqrt(1.0 - pi * pi) for eps in eps_list]
     points: list[RuntimePoint] = []
     for f2q in np.asarray(f2q_grid, dtype=float):
         lam = hw.decay_exponent(f2q)
         valid = lam <= 1.0
-        for eps in eps_list:
-            eps_theta = float(eps) / math.sqrt(1.0 - pi * pi)
+        for eps, eps_theta in zip(eps_list, eps_thetas):
             if valid:
                 lo, hi = runtime_bounds(eps_theta, lam, hw.spam_fidelity)
                 lo_s, hi_s = lo * scale, hi * scale

@@ -353,7 +353,7 @@ class LookupTable:
                 {
                     "pi": e.pi,
                     "angles": None if e.angles is None else [float(v) for v in e.angles],
-                    "objective": e.objective,
+                    "objective": e.objective if e.objective is not None and math.isfinite(e.objective) else None,
                     **({"flag": e.flag} if e.flag is not None else {}),
                 }
                 for e in self.entries

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ import pytest
 
 import elfkit
 from elfkit.bias import Scheme
-from elfkit.cli import main
+from elfkit.cli import OPTIONS, main
 from elfkit.metrics import GaussianBelief, NoiseModel, slope
 from elfkit.sim import ExperimentConfig, run_experiment
 from elfkit.tuner import build_lookup_table
@@ -23,6 +24,7 @@ from slope_oracle import analytic_l1_slope_optimum
 _EXPERIMENT_HEADER = "time,rmse,inv_mse,bias_sq,var_est,mean_perceived_var"
 _SIMULATE = ["--true-pi", "0.1", "--prior-mean", "0.12", "--layer-fidelity", "0.95"]
 _SIMULATE += ["--runs", "5", "--horizon", "60", "--seed", "1"]
+_FLAGGED_ROWS = ["--infidelity-min", "1e-3", "--infidelity-max", "1e-2"]
 
 
 @pytest.mark.parametrize("command", ["tune", "runtime"])
@@ -156,19 +158,25 @@ def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (["tune", "--mu", "1", "--tolerance", "nan", "--restarts", "1"], "tolerance must be positive"),
-        (["runtime", "--gate-time", "nan", "--points", "3"], "gate_time must be positive"),
-        (["runtime", "--eps", "nan", "--points", "3"], "eps_theta must be positive"),
-        (["runtime", "--eps", "inf", "--points", "2"], "eps_theta must be positive and finite, got inf"),
+        (["tune", "--mu", "1", "--tolerance", "nan", "--restarts", "1"], "--tolerance must lie in (0, inf), got nan"),
+        (["tune", "--mu", "1", "--seed", "-1"], "--seed must lie in [0, inf), got -1"),
+        (["runtime", "--gate-time", "nan", "--points", "3"], "--gate-time must lie in (0, inf), got nan"),
+        (["runtime", "--eps", "nan", "--points", "3"], "eps must be positive and finite, got nan"),
+        (["runtime", "--eps", "inf", "--points", "2"], "eps must be positive and finite, got inf"),
         (["runtime", "--eps", "1e-3,abc", "--points", "2"], "--eps must be comma-separated numbers, got '1e-3,abc'"),
+        # Every row of this grid has a decay exponent above 1, so no row reaches runtime_bounds.
+        (["runtime", "--eps", "-1", *_FLAGGED_ROWS], "eps must be positive and finite, got -1.0"),
+        (["runtime", "--eps", "nan", *_FLAGGED_ROWS], "eps must be positive and finite, got nan"),
+        (["runtime", "--eps", "0", *_FLAGGED_ROWS], "eps must be positive and finite, got 0.0"),
     ],
-    ids=["tolerance", "gate-time", "eps", "eps-inf", "eps-not-a-number"],
+    ids=["tolerance", "tune-seed", "gate-time", "eps", "eps-inf", "eps-not-a-number", "eps-negative-lam-gt-1"]
+    + ["eps-nan-lam-gt-1", "eps-zero-lam-gt-1"],
 )
 def test_nan_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
-    # NaN fails a guard written "not x > 0": exit 2 naming the value, no output.
-    # An infinite or unreadable error target is a usage error as well.
+    # NaN fails a guard written "not x > 0", and a domain check: exit 2 naming the value, no output.
+    # An infinite, negative or unreadable error target is a usage error as well.
     monkeypatch.chdir(tmp_path)
-    assert main(argv + (["--seed", "1"] if argv[0] == "tune" else [])) == 2
+    assert main(argv + (["--seed", "1"] if argv[0] == "tune" and "--seed" not in argv else [])) == 2
     out, err = capsys.readouterr()
     assert message in err and out == ""
     assert list(tmp_path.iterdir()) == []
@@ -206,7 +214,7 @@ def test_simulate_sidecar_is_strict_json(tmp_path):
 def test_tune_rejects_zero_max_rounds(capsys):
     # A zero round budget used to return the untuned starts with exit 0.
     assert main(["tune", "--mu", "1.0", "--max-rounds", "0"]) == 2
-    assert "max_rounds" in capsys.readouterr().err
+    assert "--max-rounds must lie in [1, inf), got 0" in capsys.readouterr().err
 
 
 def test_tune_rejects_mu_near_a_multiple_of_pi(capsys):
@@ -256,16 +264,25 @@ def test_simulate_takes_threads(tmp_path):
 @pytest.mark.parametrize(
     ("flag", "value", "message"),
     [
-        ("prior-std", "-0.1", "--prior-std must be positive"),
-        ("prior-std", "0", "--prior-std must be positive"),
+        ("prior-std", "-0.1", "--prior-std must lie in [1e-150, 1e150], got -0.1"),
+        ("prior-std", "0", "--prior-std must lie in [1e-150, 1e150], got 0.0"),
+        # Their squares would overflow to inf or underflow to 0 as the prior variance.
+        ("prior-std", "1e200", "--prior-std must lie in [1e-150, 1e150], got 1e+200"),
+        ("prior-std", "inf", "--prior-std must lie in [1e-150, 1e150], got inf"),
+        ("prior-std", "1e-300", "--prior-std must lie in [1e-150, 1e150], got 1e-300"),
         ("prior-mean", "1.5", "--prior-mean must lie in [-1, 1], got 1.5"),
         ("prior-mean", "-1.2", "--prior-mean must lie in [-1, 1], got -1.2"),
-        ("threads", "0", "threads must be >= 1"),
-        ("threads", "-1", "threads must be >= 1"),
-        ("layers", "0", "layers must be >= 1"),
-        ("layers", "-1", "layers must be >= 1"),
-        ("true-pi", "1.0", "true_pi must lie in (-1, 1)"),
+        ("threads", "0", "--threads must lie in [1, inf), got 0"),
+        ("threads", "-1", "--threads must lie in [1, inf), got -1"),
+        ("layers", "0", "--layers must lie in [1, inf), got 0"),
+        ("layers", "-1", "--layers must lie in [1, inf), got -1"),
+        ("true-pi", "1.0", "--true-pi must lie in (-1, 1), got 1.0"),
         ("horizon", "2", "horizon must be >= 3"),
+        ("seed", "-1", "--seed must lie in [0, inf), got -1"),
+        ("layer-fidelity", "0", "--layer-fidelity must lie in (0, 1], got 0.0"),
+        ("spam-fidelity", "1.5", "--spam-fidelity must lie in (0, 1], got 1.5"),
+        # Checked for af-clf, which builds no table, as for af-elf.
+        ("table-grid", "1", "--table-grid must lie in [2, inf), got 1"),
     ],
 )
 def test_simulate_rejects_out_of_range_values(flag, value, message, tmp_path, capsys, monkeypatch):
@@ -348,18 +365,18 @@ def test_table_rejects_grid_below_two(grid, tmp_path, capsys, monkeypatch):
     # A usage error (2) before any tuning, and no output.
     monkeypatch.setattr("elfkit.tuner.tune", lambda *a, **k: pytest.fail("tuned a point"))
     assert main(["table", "--grid", grid, "--seed", "1", "--out", str(tmp_path / "t")]) == 2
-    assert "grid must have at least 2 points" in capsys.readouterr().err
+    assert f"--grid must lie in [2, inf), got {grid}" in capsys.readouterr().err
     assert not (tmp_path / "t.json").exists()
 
 
 @pytest.mark.parametrize(
     ("args", "message"),
     [
-        (["--grid-min", "-2"], "grid must lie within [-1, 1]"),
-        (["--grid-max", "1.5"], "grid must lie within [-1, 1]"),
+        (["--grid-min", "-2"], "--grid-min must lie in [-1, 1], got -2.0"),
+        (["--grid-max", "1.5"], "--grid-max must lie in [-1, 1], got 1.5"),
         (["--grid-min", "0.5", "--grid-max", "-0.5"], "grid must be strictly increasing"),
-        (["--grid-min", "nan"], "grid point 0 is not finite: nan"),
-        (["--layers", "-1"], "layers must be >= 1"),
+        (["--grid-min", "nan"], "--grid-min must lie in [-1, 1], got nan"),
+        (["--layers", "-1"], "--layers must lie in [1, inf), got -1"),
     ],
 )
 def test_table_rejects_bad_grid_or_layers_before_tuning(args, message, tmp_path, capsys, monkeypatch):
@@ -381,7 +398,7 @@ def test_tune_and_scan_reject_fewer_than_one_layer(command, layers, tmp_path, ca
         monkeypatch.setattr(tune, lambda *a, **k: pytest.fail("tuned a point"))
     assert main([*command, "--layers", layers, "--seed", "1"]) == 2
     out, err = capsys.readouterr()
-    assert f"layers must be >= 1, got {layers}" in err and out == ""
+    assert f"--layers must lie in [1, inf), got {layers}" in err and out == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -412,14 +429,14 @@ def test_rejects_points_below_one(command, points, tmp_path, capsys):
     # A scan is a lookup table, which needs 2 points.
     assert main([command, "--points", points, "--out", str(tmp_path / "out")]) == 2
     least = 2 if command == "scan" else 1
-    assert f"--points must be >= {least}, got {points}" in capsys.readouterr().err
+    assert f"--points must lie in [{least}, inf), got {points}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
     ("args", "message"),
     [
-        (["--points", "1"], "--points must be >= 2, got 1"),
+        (["--points", "1"], "--points must lie in [2, inf), got 1"),
         (["--min", "1", "--max", "1"], "--min and --max must differ, got 1.0 for both"),
         (["--quantity", "rhat0", "--min", "0.2", "--max", "0.2"], "--min and --max must differ, got 0.2 for both"),
         (
@@ -569,3 +586,73 @@ def test_csv_and_sidecar_outputs(argv, header, n_rows, tmp_path):
     assert np.array_equal(cells, np.column_stack(columns), equal_nan=True)
     assert np.isnan(cells[:, 5]).all() == (argv[2] == "standard")
     assert sidecar["final_rmse"] == traces.rmse[-1]
+
+
+# One small valid command each; the sweep sets one option at a time to an edge value.
+_SWEEP_BASE = {
+    "simulate": ["--scheme", "af-clf", "--true-pi", "0.3", "--prior-mean", "0.3", "--runs", "4", "--horizon", "60"],
+    "tune": ["--mu", "1", "--restarts", "1", "--max-rounds", "5"],
+    "table": ["--grid", "3", "--restarts", "1", "--max-rounds", "5"],
+    "scan": ["--points", "3", "--restarts", "1", "--max-rounds", "5"],
+    "runtime": ["--points", "2"],
+}
+# The library's own checks that a domain leaves in place name a field, not the flag:
+# horizon >= 2L + 1, a mu within 1e-12 of a multiple of pi, table grid ends out of
+# order, and a table grid whose every point sits at Pi = +-1.
+_LIBRARY_MESSAGES = {
+    ("simulate", "horizon"): "horizon must be >= ",
+    ("tune", "mu"): "mu=",
+    ("table", "grid-min"): "grid must be strictly increasing",
+    ("table", "grid-max"): "grid must be strictly increasing",
+    ("table", "grid"): "lookup table has no valid entries",
+}
+
+
+def _edge_values(opt):
+    """The fixed edge set of an option: fixed values, and each finite domain end with its neighbours."""
+    ends = [math.pi if end == "pi" else float(end) for end in opt.domain[1:-1].split(", ")]
+    if opt.type is int:
+        values = [0, -1] + [int(e) + d for e in ends if math.isfinite(e) for d in (-1, 0, 1)]
+    else:
+        values = [0.0, -1.0, math.inf, -math.inf, math.nan, 1e300, 1e-300]
+        finite = [e for e in ends if math.isfinite(e)]
+        values += [v for e in finite for v in (math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf))]
+    return list(dict.fromkeys(repr(v) for v in values))
+
+
+@pytest.mark.parametrize(
+    ("command", "name", "value"),
+    [
+        pytest.param(command, opt.name, value, id=f"{command}-{opt.name}={value}")
+        for command, opts in OPTIONS.items()
+        for opt in opts
+        if opt.domain
+        for value in _edge_values(opt)
+    ],
+)
+def test_every_option_at_its_edge_values(command, name, value, tmp_path, capsys):
+    # Each edge value runs (0), is a usage error naming the option (2), or trips
+    # the numeric guard (3) without an errno tuple; nothing raises past main, and
+    # pytest turns a RuntimeWarning into an error.
+    argv = [command, *_SWEEP_BASE[command], f"--{name}={value}"]
+    if name != "seed" and command != "runtime":
+        argv.insert(1, "--seed=1")
+    if command != "tune":
+        argv.append(f"--out={tmp_path / 'out'}")
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    assert status in (0, 2, 3), err
+    if status == 2:
+        assert f"--{name}" in err or _LIBRARY_MESSAGES.get((command, name), f"--{name}") in err, err
+    elif status == 3:
+        assert err.startswith("numeric guard") and not re.search(r"\(\d+, '", err), err
+    else:
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        text = out if command == "tune" else (tmp_path / "out.json").read_text()
+        json.loads(text, parse_constant=reject)

@@ -1,8 +1,10 @@
 """What the package is made of: its runtime dependencies, a caller for every name it defines,
-a reader for every CLI option, and no exception type of its own."""
+a reader and a domain for every CLI option, and no exception type of its own."""
 
 import ast
 import importlib
+import math
+import re
 import tomllib
 from collections import Counter
 from pathlib import Path
@@ -187,3 +189,21 @@ def test_every_cli_option_has_a_reader():
         if opt.name != "config" and opt.name not in reads(f"cmd_{command}", set())
     ]
     assert unread == []
+
+
+def test_every_numeric_cli_option_declares_a_domain():
+    # An int or float option declares an interval such as "(0, 1]" or "[1, inf)",
+    # whose ends parse as floats (or "pi") with the lower at or below the upper;
+    # no other option declares one.
+    bad = []
+    for command, opts in OPTIONS.items():
+        for opt in opts:
+            if opt.type not in (int, float):
+                if opt.domain is not None:
+                    bad.append(f"{command} --{opt.name}: a {opt.type.__name__} option with a domain")
+                continue
+            match = re.fullmatch(r"[\[(]([^,]+), ([^,]+)[\])]", opt.domain or "")
+            ends = [math.pi if end == "pi" else float(end) for end in match.groups()] if match else None
+            if ends is None or not ends[0] <= ends[1]:
+                bad.append(f"{command} --{opt.name}: {opt.domain!r}")
+    assert bad == []

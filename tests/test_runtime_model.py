@@ -206,6 +206,14 @@ class TestHardwareCurve:
         with pytest.raises(ValueError, match="gate_time must be positive"):
             HardwareParams(100, 200, gate_time)
 
+    @pytest.mark.parametrize("eps", [-1.0, math.nan, 0.0, math.inf])
+    def test_rejects_bad_eps_where_no_row_is_valid(self, eps):
+        # Both rows have a decay exponent above 1, so neither reaches runtime_bounds;
+        # each eps is still checked before the first row.
+        hw = HardwareParams(100, 200, 1e-8)
+        with pytest.raises(ValueError, match=f"eps must be positive and finite, got {eps}"):
+            hardware_runtime_curve(hw, [1e-3, eps], f2q_grid=[1 - 1e-3, 1 - 1e-2], pi=0.0)
+
     def test_invalid_region_flagged(self):
         hw = HardwareParams(100, 200, 1e-8)
         grid = np.array([0.99, 0.999999])  # first gives lam > 1
