@@ -34,6 +34,9 @@ floats, selected by input shape in ``trig``), a vector of thetas, and a
 matrix of angle vectors against a grid of thetas (``bias.bias_series`` of a
 lookup table's entries).  The estimation round does not call the kernel: it
 reads the bias from those series.
+
+The module also holds the input checks: ``angle_vectors``, and ``check``
+against ``DOMAINS`` for every numeric input.
 """
 
 from __future__ import annotations
@@ -50,6 +53,57 @@ ZERO = (0.0, 0.0, 0.0, 0.0)
 # where the estimand enters (``tuner.TuneSpec``).  The kernel itself is
 # smooth there and evaluates any finite theta.
 DEGENERATE_TOL = 1e-12
+
+# The domain of each numeric input, keyed by the name of its field or
+# argument; the CLI's options take theirs from here.  eps_theta and spam keep
+# the squares of ``runtime_model.runtime_bounds``, (lam / eps_theta^2)^2 too,
+# positive finite floats.
+_NAMES_BY_DOMAIN = {
+    "[1, inf)": "layers restarts max_rounds runs horizon threads qubits depth",
+    "[0, inf)": "seed master_seed",
+    "(0, inf)": "tolerance gate_time variance",
+    "(-inf, inf)": "mean theta",
+    "(0, 1]": "layer_fidelity spam_fidelity",
+    "[0, 1]": "fidelity lam",
+    "(0, pi)": "mu",
+    "(-1, 1)": "true_pi pi_star pi",
+    "[-1, 1]": "prior_mean grid_point",
+    "(0, 2]": "eps",  # an RMSE of Pi in [-1, 1]
+    "[1e-75, 1e75]": "eps_theta",
+    "[1e-150, 1]": "spam",
+}
+DOMAINS = {name: domain for domain, names in _NAMES_BY_DOMAIN.items() for name in names.split()}
+INTEGERS = frozenset("layers restarts max_rounds runs horizon threads qubits depth seed master_seed".split())
+
+
+def _bounds(domain: str) -> tuple:
+    lo, hi = (math.pi if end == "pi" else float(end) for end in domain[1:-1].split(", "))
+    return lo, hi, domain[0] == "[", domain[-1] == "]"
+
+
+_BOUNDS = {domain: _bounds(domain) for domain in _NAMES_BY_DOMAIN}
+
+
+def check(name: str, value, domain: str | None = None):
+    """``value``, if it lies in ``domain`` (``DOMAINS[name]`` by default); else a ``ValueError`` naming ``name``.
+
+    A name in ``INTEGERS`` takes only an int or a numpy integer.  A domain not
+    in the table (a CLI-only option's) is parsed at its first check.
+    """
+    domain = DOMAINS[name] if domain is None else domain
+    if name in INTEGERS and not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    lo, hi, closed_lo, closed_hi = _BOUNDS.get(domain) or _BOUNDS.setdefault(domain, _bounds(domain))
+    if not (lo < value < hi or (closed_lo and value == lo) or (closed_hi and value == hi)):
+        raise ValueError(f"{name} must lie in {domain}, got {value}")
+    return value
+
+
+def check_fields(obj) -> None:
+    """``check`` each attribute of ``obj`` that ``DOMAINS`` names, in field order."""
+    for name, value in vars(obj).items():
+        if name in DOMAINS:
+            check(name, value)
 
 
 def angle_vectors(values) -> np.ndarray:

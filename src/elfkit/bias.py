@@ -19,7 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import af_readout, af_readout_derivative, angle_vectors, circuit, circuit_prefixes, kernel_inputs, trig
+from .algebra import (
+    af_readout, af_readout_derivative, angle_vectors, check, circuit, circuit_prefixes, kernel_inputs, trig
+)
 
 
 class Scheme(Enum):
@@ -36,9 +38,7 @@ class Scheme(Enum):
 
 def clf_angles(layers: int) -> np.ndarray:
     """Angle vector (pi/2, ..., pi/2) producing the Chebyshev likelihood."""
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    return np.full(2 * layers, np.pi / 2)
+    return np.full(2 * check("layers", layers), np.pi / 2)
 
 
 def bias(scheme: Scheme, theta, x):

@@ -11,7 +11,9 @@ ignored.  ``scan``, ``simulate`` and ``runtime`` write their CSV and JSON
 sidecar through one writer, ``_write_outputs``; the other modules only
 compute.  The effective configuration is echoed into every output sidecar so
 results are regenerable from the outputs alone.  Each int and float ``Opt``
-declares its domain, checked once after parsing and printed by ``--help``.
+declares its domain, checked after parsing by ``algebra.check`` and printed
+by ``--help``: an option that feeds a library input takes that input's entry
+of ``algebra.DOMAINS``, and only the CLI's own options write theirs here.
 
 ``scan`` tunes its angles with ``tuner.build_lookup_table`` on its grid
 mapped to Pi (cos theta for ``fisher`` and ``slope``), so a scan point is a
@@ -40,6 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
+from .algebra import DOMAINS, check
 from .bias import Scheme, clf_angles
 from .metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, slope
 from .runtime_model import HardwareParams, hardware_runtime_curve
@@ -59,11 +62,11 @@ class Opt:
 
 
 _CONFIG = Opt("config", str, help="JSON file with flag values (flags override)")
-_COMMON = (_CONFIG, Opt("seed", int, help="master seed; drawn and printed if absent", domain="[0, inf)"))
+_COMMON = (_CONFIG, Opt("seed", int, help="master seed; drawn and printed if absent", domain=DOMAINS["seed"]))
 
 _NOISE = (
-    Opt("layer-fidelity", float, 1.0, help="per-layer process fidelity p", domain="(0, 1]"),
-    Opt("spam-fidelity", float, 1.0, help="state-preparation-and-measurement fidelity", domain="(0, 1]"),
+    Opt("layer-fidelity", float, 1.0, help="per-layer process fidelity p", domain=DOMAINS["layer_fidelity"]),
+    Opt("spam-fidelity", float, 1.0, help="SPAM fidelity", domain=DOMAINS["spam_fidelity"]),
 )
 
 OPTIONS: dict[str, tuple[Opt, ...]] = {
@@ -72,23 +75,23 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     + (
         Opt("scheme", str, "af", choices=("af", "ab")),
         Opt("objective", str, "fisher", choices=("fisher", "slope"), help="slope reports |d(bias)/dtheta|"),
-        Opt("mu", float, required=True, help="tuning point theta", domain="(0, pi)"),
-        Opt("layers", int, 1, domain="[1, inf)"),
-        Opt("restarts", int, 10, domain="[1, inf)"),
-        Opt("max-rounds", int, 500, domain="[1, inf)"),
-        Opt("tolerance", float, 1e-8, domain="(0, inf)"),
+        Opt("mu", float, required=True, help="tuning point theta", domain=DOMAINS["mu"]),
+        Opt("layers", int, 1, domain=DOMAINS["layers"]),
+        Opt("restarts", int, 10, domain=DOMAINS["restarts"]),
+        Opt("max-rounds", int, 500, domain=DOMAINS["max_rounds"]),
+        Opt("tolerance", float, 1e-8, domain=DOMAINS["tolerance"]),
     ),
     "table": _COMMON
     + _NOISE
     + (
         Opt("scheme", str, "af", choices=("af", "ab")),
         Opt("objective", str, "fisher", choices=("fisher", "slope")),
-        Opt("layers", int, 1, domain="[1, inf)"),
-        Opt("restarts", int, 10, domain="[1, inf)"),
-        Opt("max-rounds", int, 500, domain="[1, inf)"),
+        Opt("layers", int, 1, domain=DOMAINS["layers"]),
+        Opt("restarts", int, 10, domain=DOMAINS["restarts"]),
+        Opt("max-rounds", int, 500, domain=DOMAINS["max_rounds"]),
         Opt("grid", int, 4001, help="uniform grid size over [grid-min, grid-max]", domain="[2, inf)"),
-        Opt("grid-min", float, -1.0, domain="[-1, 1]"),
-        Opt("grid-max", float, 1.0, domain="[-1, 1]"),
+        Opt("grid-min", float, -1.0, domain=DOMAINS["grid_point"]),
+        Opt("grid-max", float, 1.0, domain=DOMAINS["grid_point"]),
         Opt("out", str, "table.json"),
     ),
     "scan": _COMMON
@@ -96,39 +99,39 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     + (
         Opt("quantity", str, "fisher", choices=("fisher", "slope", "rhat0"), help="slope is f |d(bias)/dtheta| / 2"),
         Opt("scheme", str, "af", choices=("af", "ab")),
-        Opt("layers", int, 1, domain="[1, inf)"),
+        Opt("layers", int, 1, domain=DOMAINS["layers"]),
         Opt("points", int, 41, domain="[2, inf)"),
         Opt("min", float, help="grid start (theta for fisher/slope, Pi for rhat0)", domain="(-inf, inf)"),
         Opt("max", float, help="grid end", domain="(-inf, inf)"),
-        Opt("restarts", int, 10, domain="[1, inf)"),
-        Opt("max-rounds", int, 500, domain="[1, inf)"),
+        Opt("restarts", int, 10, domain=DOMAINS["restarts"]),
+        Opt("max-rounds", int, 500, domain=DOMAINS["max_rounds"]),
         Opt("out", str, "scan", help="output prefix (.csv and .json)"),
     ),
     "simulate": _COMMON
     + _NOISE
     + (
         Opt("scheme", str, "af-elf", choices=EXPERIMENT_SCHEMES),
-        Opt("true-pi", float, required=True, domain="(-1, 1)"),
-        Opt("prior-mean", float, help="prior mean of Pi; every scheme but standard needs it", domain="[-1, 1]"),
+        Opt("true-pi", float, required=True, domain=DOMAINS["true_pi"]),
+        Opt("prior-mean", float, help="prior mean of Pi; needed by all but standard", domain=DOMAINS["prior_mean"]),
         # Its square, the prior variance, is then a positive finite float.
         Opt("prior-std", float, 0.03, help="prior standard deviation of Pi", domain="[1e-150, 1e150]"),
-        Opt("layers", int, 1, domain="[1, inf)"),
-        Opt("runs", int, 300, domain="[1, inf)"),
-        Opt("horizon", int, 20000, help="total time budget in ansatz durations", domain="[1, inf)"),
+        Opt("layers", int, 1, domain=DOMAINS["layers"]),
+        Opt("runs", int, 300, domain=DOMAINS["runs"]),
+        Opt("horizon", int, 20000, help="total time budget in ansatz durations", domain=DOMAINS["horizon"]),
         Opt("table", str, help="lookup-table JSON for the engineered schemes"),
         Opt("table-grid", int, 41, help="grid size when building a table on the fly", domain="[2, inf)"),
-        Opt("restarts", int, 10, help="restarts for on-the-fly table tuning", domain="[1, inf)"),
-        Opt("threads", int, 1, help="worker count (outputs are independent of it)", domain="[1, inf)"),
+        Opt("restarts", int, 10, help="restarts for on-the-fly table tuning", domain=DOMAINS["restarts"]),
+        Opt("threads", int, 1, help="worker count (outputs are independent of it)", domain=DOMAINS["threads"]),
         Opt("out", str, "experiment", help="output prefix (.csv and .json)"),
     ),
     "runtime": (
         _CONFIG,
-        Opt("qubits", int, 100, domain="[1, inf)"),
-        Opt("depth", int, 200, help="two-qubit gate depth per layer", domain="[1, inf)"),
-        Opt("gate-time", float, 1e-8, help="seconds per two-qubit gate layer", domain="(0, inf)"),
-        Opt("spam-fidelity", float, 1.0, domain="(0, 1]"),
-        Opt("eps", str, "1e-3,1e-4,1e-5", help="comma-separated target errors"),
-        Opt("pi", float, 0.0, help="estimand value for the error conversion", domain="(-1, 1)"),
+        Opt("qubits", int, 100, domain=DOMAINS["qubits"]),
+        Opt("depth", int, 200, help="two-qubit gate depth per layer", domain=DOMAINS["depth"]),
+        Opt("gate-time", float, 1e-8, help="seconds per two-qubit gate layer", domain=DOMAINS["gate_time"]),
+        Opt("spam-fidelity", float, 1.0, help=f"the bounds take {DOMAINS['spam']}", domain=DOMAINS["spam_fidelity"]),
+        Opt("eps", str, "1e-3,1e-4,1e-5", help=f"comma-separated target errors, each in {DOMAINS['eps']}"),
+        Opt("pi", float, 0.0, help="estimand value for the error conversion", domain=DOMAINS["pi"]),
         Opt("infidelity-min", float, 1e-8, domain="(0, 1)"),
         Opt("infidelity-max", float, 1e-2, domain="(0, 1)"),
         Opt("points", int, 121, domain="[1, inf)"),
@@ -182,9 +185,7 @@ def _effective_config(parser, args, argv: list[str]) -> dict:
         raise ValueError(f"missing required option --{missing[0]}")
     for o in opts:
         if o.domain and (value := effective[o.name]) is not None:
-            lo, hi = (math.pi if end == "pi" else float(end) for end in o.domain[1:-1].split(", "))
-            if not (lo < value < hi or (value == lo and o.domain[0] == "[") or (value == hi and o.domain[-1] == "]")):
-                raise ValueError(f"--{o.name} must lie in {o.domain}, got {value}")
+            check(f"--{o.name}", value, o.domain)
     return effective
 
 
@@ -234,7 +235,7 @@ def cmd_tune(cfg: dict) -> int:
         {
             "result": {
                 "x_opt": [float(v) for v in result.x_opt],
-                "objective_value": result.objective_value,
+                "objective_value": result.objective_value if math.isfinite(result.objective_value) else None,
                 "iterations": result.iterations,
                 "restart_index": result.restart_index,
             }
@@ -247,8 +248,7 @@ def cmd_tune(cfg: dict) -> int:
 
 def cmd_table(cfg: dict) -> int:
     noise = NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"])
-    n = cfg["grid"]
-    grid = np.linspace(cfg["grid-min"], cfg["grid-max"], n)
+    grid = np.linspace(cfg["grid-min"], cfg["grid-max"], cfg["grid"])
 
     def progress(done: int, total: int) -> None:
         if done % 50 == 0 or done == total:
@@ -282,20 +282,19 @@ def cmd_scan(cfg: dict) -> int:
     over_pi = quantity == "rhat0"
     lo = cfg["min"] if cfg["min"] is not None else (-0.9 if over_pi else 0.1)
     hi = cfg["max"] if cfg["max"] is not None else (0.9 if over_pi else math.pi - 0.1)
-    below, above, domain = (-1.0, 1.0, "(-1, 1)") if over_pi else (0.0, math.pi, "(0, pi) with |cos| < 1 as a float")
+    domain = DOMAINS["pi_star"] if over_pi else DOMAINS["mu"]
     to_pi = (lambda v: v) if over_pi else np.cos
     for name, end in (("min", lo), ("max", hi)):
         # An end at Pi = +-1 would be a flagged table entry, with no angles.
-        if not (below < end < above and abs(to_pi(end)) < 1.0):
-            raise ValueError(f"--{name} must lie in {domain} for --quantity {quantity}, got {end}")
+        if abs(to_pi(check(f"--{name}", end, domain))) == 1.0:
+            raise ValueError(f"--{name} must lie in {domain} with |cos| < 1 as a float, got {end}")
     if lo == hi:
         raise ValueError(f"--min and --max must differ, got {lo} for both")
     grid = np.linspace(lo, hi, cfg["points"])
     # The table's grid is the scan's in Pi, in increasing order.
     pis = to_pi(grid)
     if np.unique(pis).size < pis.size:
-        points = cfg["points"]
-        raise ValueError(f"--min {lo}, --max {hi} and --points {points} give grid points that share a Pi value")
+        raise ValueError(f"--min {lo}, --max {hi} and --points {cfg['points']} give grid points that share a Pi value")
     step = 1 if pis[0] < pis[-1] else -1
     table = build_lookup_table(
         scheme,
@@ -335,10 +334,7 @@ def cmd_simulate(cfg: dict) -> int:
         if cfg["table"]:
             table = LookupTable.load(cfg["table"])
         else:
-            print(
-                f"building a {cfg['table-grid']}-point lookup table (pass --table to reuse one)",
-                file=sys.stderr,
-            )
+            print(f"building a {cfg['table-grid']}-point lookup table (pass --table to reuse one)", file=sys.stderr)
             table = build_lookup_table(
                 config.bias_scheme,
                 cfg["layers"],
@@ -390,13 +386,7 @@ def cmd_runtime(cfg: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "tune": cmd_tune,
-    "table": cmd_table,
-    "scan": cmd_scan,
-    "simulate": cmd_simulate,
-    "runtime": cmd_runtime,
-}
+_HANDLERS = {"tune": cmd_tune, "table": cmd_table, "scan": cmd_scan, "simulate": cmd_simulate, "runtime": cmd_runtime}
 
 
 def main(argv=None) -> int:

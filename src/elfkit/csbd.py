@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import ONE, ZERO, _factor_mul, canonical_angles, circuit_prefixes, trig
+from .algebra import ONE, ZERO, _factor_mul, canonical_angles, check, circuit_prefixes, trig
 from .bias import Scheme, _readout
 
 _IDENTITY_PAIR = (ONE, ZERO)
@@ -159,9 +159,7 @@ class CoefficientTable:
 
     def __init__(self, scheme: Scheme, theta: float, x) -> None:
         self.scheme = scheme
-        self.theta = float(theta)
-        if not math.isfinite(self.theta):
-            raise ValueError("theta must be finite")
+        self.theta = float(check("theta", theta))
         self.x = canonical_angles(x)
         if self.x.ndim != 1:
             raise ValueError("angle vector must be one-dimensional")

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import DEGENERATE_TOL
+from .algebra import DEGENERATE_TOL, DOMAINS, check, check_fields
 from .bias import Scheme, _horner, bias_series, clf_angles
 from .metrics import GaussianBelief, NoiseModel
 
@@ -146,12 +146,8 @@ class EstimationConfig:
     table: "object | None" = None  # tuner.LookupTable when angle_source == "table"
 
     def __post_init__(self) -> None:
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
-        if not -1.0 < self.true_pi < 1.0:
-            raise ValueError("true_pi must lie in (-1, 1)")
-        if not -1.0 <= self.prior_pi.mean <= 1.0:
-            raise ValueError(f"prior_pi mean must lie in [-1, 1], got {self.prior_pi.mean}")
+        check_fields(self)
+        check("prior_pi mean", self.prior_pi.mean, DOMAINS["prior_mean"])
         if self.angle_source not in ("table", "clf"):
             raise ValueError("angle_source must be 'table' or 'clf'")
         if self.horizon < self.round_cost:

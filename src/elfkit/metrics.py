@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import check, check_fields
 from .bias import Scheme, _bias_pair, bias_derivative
 
 # Treat 1 - f^2 b^2 below this as a singular likelihood rather than clamping.
@@ -29,16 +30,11 @@ class NoiseModel:
     spam_fidelity: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.layer_fidelity <= 1.0:
-            raise ValueError("layer_fidelity must be in (0, 1]")
-        if not 0.0 < self.spam_fidelity <= 1.0:
-            raise ValueError("spam_fidelity must be in (0, 1]")
+        check_fields(self)
 
     def process_fidelity(self, layers: int) -> float:
         """Fidelity of the whole L-layer process: spam * layer^L."""
-        if layers < 0:
-            raise ValueError("layers must be >= 0")
-        return self.spam_fidelity * self.layer_fidelity**layers
+        return self.spam_fidelity * self.layer_fidelity ** check("layers", layers)
 
 
 @dataclass(frozen=True)
@@ -49,26 +45,16 @@ class GaussianBelief:
     variance: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
-            raise ValueError("belief moments must be finite")
-        if self.variance <= 0.0:
-            raise ValueError("belief variance must be positive")
+        check_fields(self)
 
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
 
 
-def _check_fidelity(f: float) -> float:
-    f = float(f)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError("fidelity must be in [0, 1]")
-    return f
-
-
 def fisher_information(scheme: Scheme, theta, f: float, x):
     """Fisher information of the two-outcome likelihood with respect to theta."""
-    f = _check_fidelity(f)
+    f = float(check("fidelity", f))
     delta, ddelta = (np.asarray(v) for v in _bias_pair(scheme, theta, x))
     denom = 1.0 - (f * delta) ** 2
     if np.any(denom < SINGULAR_TOL):
@@ -79,7 +65,7 @@ def fisher_information(scheme: Scheme, theta, f: float, x):
 
 def slope(scheme: Scheme, theta, f: float, x):
     """Magnitude of the likelihood slope: f |d(bias)/dtheta| / 2."""
-    f = _check_fidelity(f)
+    f = float(check("fidelity", f))
     out = f * np.abs(np.asarray(bias_derivative(scheme, theta, x))) / 2.0
     return out if out.ndim else float(out)
 
@@ -91,9 +77,7 @@ def rhat0(scheme: Scheme, pi_star: float, f: float, x) -> float:
     maximizing over the angles gives the rate predictor reported per scheme.
     One round of L layers takes 2L angles and costs 2L + 1 time steps.
     """
-    pi_star = float(pi_star)
-    if not -1.0 < pi_star < 1.0:
-        raise ValueError("pi_star must lie strictly inside (-1, 1)")
+    pi_star = float(check("pi_star", pi_star))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     info = fisher_information(scheme, math.acos(pi_star), f, x)
     return info / ((x.size + 1) * (1.0 - pi_star**2))

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import check, check_fields
+
 E = math.e
 
 
@@ -32,12 +34,7 @@ class HardwareParams:
     spam_fidelity: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.qubits < 1 or self.depth < 1:
-            raise ValueError("qubits and depth must be positive")
-        if not self.gate_time > 0.0:
-            raise ValueError("gate_time must be positive")
-        if not 0.0 < self.spam_fidelity <= 1.0:
-            raise ValueError("spam_fidelity must be in (0, 1]")
+        check_fields(self)
 
     def decay_exponent(self, f2q: float) -> float:
         """lam = (nD/2) ln(1/f2Q); the layer fidelity is f2Q^(nD/2)."""
@@ -47,12 +44,6 @@ class HardwareParams:
     def seconds_per_time_unit(self) -> float:
         """One ansatz application: depth layers of two-qubit gates."""
         return self.depth * self.gate_time
-
-
-def _positive_finite(name: str, value: float) -> float:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
 
 
 def runtime_bounds(eps_theta: float, lam: float, spam: float) -> tuple[float, float]:
@@ -65,11 +56,8 @@ def runtime_bounds(eps_theta: float, lam: float, spam: float) -> tuple[float, fl
     as e^(-lam) lam D t_gate / eps_theta^2; for eps_theta >~ lam the 1/eps_theta
     terms dominate and the runtime follows the gate time alone.
     """
-    _positive_finite("eps_theta", eps_theta)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    if not 0.0 < spam <= 1.0:
-        raise ValueError("spam must be in (0, 1]")
+    for name, value in (("eps_theta", eps_theta), ("lam", lam), ("spam", spam)):
+        check(name, value)
     core_shared = math.sqrt((lam / eps_theta**2) ** 2 + (2.0 * math.sqrt(2.0) / eps_theta) ** 2)
     lower = (
         (E - 1.0)
@@ -108,12 +96,14 @@ def hardware_runtime_curve(
     The phase error uses eps_theta^2 = eps_pi^2 / (1 - pi^2); rows whose
     decay exponent exceeds 1 are flagged invalid instead of silently plotted.
     The mid curve is the geometric mean of the bounds, consistent with a rate
-    tracking the geometric mean of the rate envelope.
+    tracking the geometric mean of the rate envelope.  ``pi``, every eps and
+    eps_theta, and the SPAM fidelity are checked before the first row, as
+    ``runtime_bounds`` checks them.
     """
-    if not -1.0 < pi < 1.0:
-        raise ValueError("pi must lie in (-1, 1)")
+    check("pi", pi)
+    check("spam", hw.spam_fidelity)
     scale = hw.seconds_per_time_unit
-    eps_thetas = [_positive_finite("eps", float(eps)) / math.sqrt(1.0 - pi * pi) for eps in eps_list]
+    eps_thetas = [check("eps_theta", check("eps", float(eps)) / math.sqrt(1.0 - pi * pi)) for eps in eps_list]
     points: list[RuntimePoint] = []
     for f2q in np.asarray(f2q_grid, dtype=float):
         lam = hw.decay_exponent(f2q)

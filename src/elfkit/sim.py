@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import check
 from .bias import Scheme
 from .inference import EstimationConfig, _cos_moments, _rounds
 from .metrics import GaussianBelief, NoiseModel
@@ -47,18 +48,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scheme not in EXPERIMENT_SCHEMES:
             raise ValueError(f"scheme must be one of {EXPERIMENT_SCHEMES}")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        # The standard scheme reads no layers, so it takes any count.
+        for name in ("true_pi", "runs", "horizon", "master_seed", "threads"):
+            check(name, getattr(self, name))
         if self.scheme != "standard":
             if self.prior_pi is None:
                 raise ValueError(f"prior_pi must be given for scheme {self.scheme!r}")
             self._run_config()  # EstimationConfig checks what the runs read
-        elif not -1.0 < self.true_pi < 1.0:
-            raise ValueError("true_pi must lie in (-1, 1)")
-        elif self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
 
     @property
     def bias_scheme(self) -> Scheme:
@@ -130,7 +126,7 @@ def _standard_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoin
 
     Returns ``_run_chunk``'s shape, with NaN perceived variances and every run alive.
     """
-    f0 = config.noise.process_fidelity(0)
+    f0 = config.noise.spam_fidelity
     p0 = (1.0 + f0 * config.true_pi) / 2.0
     est = np.empty((run_indices.size, checkpoints.size))
     for row, i in enumerate(run_indices):

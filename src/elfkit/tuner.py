@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import DEGENERATE_TOL, angle_vectors, canonical_angles
+from .algebra import DEGENERATE_TOL, DOMAINS, angle_vectors, canonical_angles, check, check_fields
 from .bias import Scheme, _bias_pair, _readout, bias_series, clf_angles
 from .csbd import CsbdCoefficients, slopes, sweep
 from .metrics import SINGULAR_TOL, NoiseModel
@@ -69,20 +69,9 @@ class TuneSpec:
     max_rounds: int = 500
 
     def __post_init__(self) -> None:
-        if self.layers < 1:
-            raise ValueError("layers must be >= 1")
-        if not 0.0 < self.mu < math.pi:
-            raise ValueError("mu must lie in (0, pi)")
+        check_fields(self)
         if abs(math.sin(self.mu)) < DEGENERATE_TOL:
             raise ValueError(f"mu={self.mu!r} is within {DEGENERATE_TOL} of a multiple of pi")
-        if not 0.0 <= self.fidelity <= 1.0:
-            raise ValueError("fidelity must be in [0, 1]")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
 
 @dataclass(frozen=True)
@@ -294,14 +283,16 @@ class TableEntry:
     flag: str | None = None
 
 
+# The JSON types of a table entry's keys but "angles", which is converted.
+_ENTRY_TYPES = {"pi": (int, float), "objective": (int, float, type(None)), "flag": (str, type(None))}
+
+
 def _check_grid(grid: np.ndarray) -> None:
-    """Raise a ``ValueError`` unless the estimand grid is finite and strictly increasing within [-1, 1]."""
-    if (bad := np.flatnonzero(~np.isfinite(grid))).size:
-        raise ValueError(f"grid point {bad[0]} is not finite: {float(grid[bad[0]])}")
+    """Raise a ``ValueError`` unless the estimand grid is strictly increasing within [-1, 1]."""
+    for i, point in enumerate(grid.tolist()):
+        check(f"grid point {i}", point, DOMAINS["grid_point"])
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    if grid[0] < -1.0 or grid[-1] > 1.0:
-        raise ValueError("grid must lie within [-1, 1]")
 
 
 class LookupTable:
@@ -370,8 +361,11 @@ class LookupTable:
             raise ValueError(f"table 'metadata' must be a JSON object, got {metadata!r}")
         entries = []
         for i, e in enumerate(doc["entries"]):
-            if not isinstance(e, dict) or not isinstance(e.get("pi"), (int, float)):
-                raise ValueError(f"table entry {i} has no numeric 'pi'")
+            if not isinstance(e, dict):
+                raise ValueError(f"table entry {i} is not a JSON object: {e!r}")
+            for key, kinds in _ENTRY_TYPES.items():
+                if isinstance(value := e.get(key), bool) or not isinstance(value, kinds):
+                    raise ValueError(f"table entry {i} has no valid {key!r}: {value!r}")
             if (angles := e.get("angles")) is not None:
                 try:
                     angles = np.asarray(angles, dtype=float)
@@ -406,12 +400,14 @@ def build_lookup_table(
 
     ``grid_spec`` is either a point count for a uniform grid over [-1, 1] or
     an explicit increasing sequence of estimand values.  Grid points at +-1
-    are emitted flagged (the estimand angle would be degenerate).  The layer
-    count and the grid are checked before any point is tuned.  Each point's
-    ``TuneSpec`` takes ``objective``, ``restarts`` and ``max_rounds`` from here.
+    are emitted flagged (the estimand angle would be degenerate), as are points
+    where every start is singular (noiseless, within about 1e-8 of +-1); a
+    flagged point warm-starts no other.  The numeric arguments and the grid are
+    checked before any point is tuned.  Each point's ``TuneSpec`` takes
+    ``objective``, ``restarts`` and ``max_rounds`` from here.
     """
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
+    for name, value in (("layers", layers), ("restarts", restarts), ("seed", seed), ("max_rounds", max_rounds)):
+        check(name, value)
     if isinstance(grid_spec, (int, np.integer)):
         grid = np.linspace(-1.0, 1.0, max(int(grid_spec), 0))
     else:
@@ -424,20 +420,15 @@ def build_lookup_table(
     entries: list[TableEntry] = []
     prev_x: np.ndarray | None = None
     for i, pi in enumerate(grid):
-        if abs(pi) >= 1.0:
-            entries.append(TableEntry(float(pi), None, None, DEGENERATE_FLAG))
-        else:
+        result = None
+        if abs(pi) < 1.0:
             spec = TuneSpec(
-                scheme=scheme,
-                layers=layers,
-                mu=math.acos(pi),
-                fidelity=f,
-                objective=objective,
-                restarts=restarts,
-                seed=int(point_seeds[i]),
-                max_rounds=max_rounds,
+                scheme, layers, math.acos(pi), f, objective, restarts, int(point_seeds[i]), max_rounds=max_rounds
             )
             result = tune(spec, warm_starts=() if prev_x is None else (prev_x,))
+        if result is None or result.objective_value == -math.inf:
+            entries.append(TableEntry(float(pi), None, None, DEGENERATE_FLAG))
+        else:
             entries.append(TableEntry(float(pi), result.x_opt, result.objective_value))
             prev_x = result.x_opt
         if progress is not None:

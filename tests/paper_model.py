@@ -29,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from elfkit.algebra import check
 from elfkit.bias import Scheme, bias, bias_series
-from elfkit.metrics import SINGULAR_TOL, GaussianBelief, _check_fidelity
+from elfkit.metrics import SINGULAR_TOL, GaussianBelief
 from elfkit.runtime_model import E
 
 RATE_LOWER_FACTOR = (E - 1.0) / E
@@ -65,7 +66,7 @@ def likelihood(scheme: Scheme, d: int, theta, f: float, x):
     """Probability of outcome d under the noisy likelihood (sums to 1 exactly)."""
     if d not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
-    f = _check_fidelity(f)
+    f = float(check("fidelity", f))
     sign = 1.0 if d == 0 else -1.0
     return (1.0 + sign * f * bias(scheme, theta, x)) / 2.0
 
@@ -89,7 +90,7 @@ def variance_reduction_factor(scheme: Scheme, belief: GaussianBelief, f: float, 
 
     Satisfies E_d[Var(theta | d)] = sigma^2 (1 - sigma^2 * V) exactly.
     """
-    f = _check_fidelity(f)
+    f = float(check("fidelity", f))
     b, db = expected_bias(scheme, belief, x)
     denom = 1.0 - (f * b) ** 2
     if denom < SINGULAR_TOL:

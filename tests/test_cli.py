@@ -131,6 +131,15 @@ def _table(*angles):
         (_table([1.0, 2.0, 3.0], [1.0, 2.0]), "entry 1 holds 2 angles, but entry 0 holds 3"),
         (_table([1.0, 2.0], 5), "entry 1 has no flag, so it needs one angle vector, got ()"),
         (_table([1.0, 2.0], None), "entry 1 has no flag, so it needs one angle vector, got None"),
+        ({"version": "elf-table/1", "entries": [{"pi": True, "angles": [1.0]}]}, "entry 0 has no valid 'pi': True"),
+        (
+            {"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0], "objective": "x"}]},
+            "entry 0 has no valid 'objective': 'x'",
+        ),
+        (
+            {"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0], "flag": 3}]},
+            "entry 0 has no valid 'flag': 3",
+        ),
     ],
     ids=[
         "not-an-object",
@@ -143,6 +152,9 @@ def _table(*angles):
         "unequal-lengths",
         "scalar-angles",
         "unflagged-null-angles",
+        "boolean-pi",
+        "string-objective",
+        "numeric-flag",
     ],
 )
 def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
@@ -161,13 +173,13 @@ def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
         (["tune", "--mu", "1", "--tolerance", "nan", "--restarts", "1"], "--tolerance must lie in (0, inf), got nan"),
         (["tune", "--mu", "1", "--seed", "-1"], "--seed must lie in [0, inf), got -1"),
         (["runtime", "--gate-time", "nan", "--points", "3"], "--gate-time must lie in (0, inf), got nan"),
-        (["runtime", "--eps", "nan", "--points", "3"], "eps must be positive and finite, got nan"),
-        (["runtime", "--eps", "inf", "--points", "2"], "eps must be positive and finite, got inf"),
+        (["runtime", "--eps", "nan", "--points", "3"], "eps must lie in (0, 2], got nan"),
+        (["runtime", "--eps", "inf", "--points", "2"], "eps must lie in (0, 2], got inf"),
         (["runtime", "--eps", "1e-3,abc", "--points", "2"], "--eps must be comma-separated numbers, got '1e-3,abc'"),
         # Every row of this grid has a decay exponent above 1, so no row reaches runtime_bounds.
-        (["runtime", "--eps", "-1", *_FLAGGED_ROWS], "eps must be positive and finite, got -1.0"),
-        (["runtime", "--eps", "nan", *_FLAGGED_ROWS], "eps must be positive and finite, got nan"),
-        (["runtime", "--eps", "0", *_FLAGGED_ROWS], "eps must be positive and finite, got 0.0"),
+        (["runtime", "--eps", "-1", *_FLAGGED_ROWS], "eps must lie in (0, 2], got -1.0"),
+        (["runtime", "--eps", "nan", *_FLAGGED_ROWS], "eps must lie in (0, 2], got nan"),
+        (["runtime", "--eps", "0", *_FLAGGED_ROWS], "eps must lie in (0, 2], got 0.0"),
     ],
     ids=["tolerance", "tune-seed", "gate-time", "eps", "eps-inf", "eps-not-a-number", "eps-negative-lam-gt-1"]
     + ["eps-nan-lam-gt-1", "eps-zero-lam-gt-1"],
@@ -222,6 +234,35 @@ def test_tune_rejects_mu_near_a_multiple_of_pi(capsys):
     assert main(["tune", "--mu", "1e-13"]) == 2
     out, err = capsys.readouterr()
     assert "mu=1e-13" in err and "seed:" not in err and out == ""
+
+
+def test_tune_with_every_start_singular_writes_strict_json(capsys):
+    # Noiseless, mu = 1e-7 puts the L=1 Fisher information beyond the singular guard at every
+    # start: the objective is -inf, written as null, not as the non-JSON -Infinity.
+    assert main(["tune", "--mu", "1e-7", "--seed", "1", "--restarts", "2", "--max-rounds", "5"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    assert json.loads(capsys.readouterr().out, parse_constant=reject)["result"]["objective_value"] is None
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--eps", "1e200"], "eps must lie in (0, 2], got 1e+200"),
+        (["--eps", "1e-100"], "eps_theta must lie in [1e-75, 1e75], got 1e-100"),
+        (["--spam-fidelity", "1e-300"], "spam must lie in [1e-150, 1], got 1e-300"),
+        # Every row's decay exponent is above 1, so no row reaches runtime_bounds.
+        (["--spam-fidelity", "1e-300", *_FLAGGED_ROWS], "spam must lie in [1e-150, 1], got 1e-300"),
+    ],
+    ids=["eps-above-2", "eps-theta-squared-underflows", "spam-squared-underflows", "spam-lam-gt-1"],
+)
+def test_runtime_inputs_whose_squares_leave_the_floats_are_usage_errors(argv, message, tmp_path, capsys):
+    # They tripped the numeric guard (exit 3) with an OverflowError or ZeroDivisionError naming no input.
+    assert main(["runtime", "--points", "2", *argv, "--out", str(tmp_path / "rt")]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_numeric_guard_exits_3_and_writes_nothing(tmp_path, capsys):
@@ -598,8 +639,10 @@ _SWEEP_BASE = {
 }
 # The library's own checks that a domain leaves in place name a field, not the flag:
 # horizon >= 2L + 1, a mu within 1e-12 of a multiple of pi, table grid ends out of
-# order, and a table grid whose every point sits at Pi = +-1.
+# order, a table grid whose every point sits at Pi = +-1, and the runtime bounds'
+# SPAM fidelity, whose square must stay a positive float.
 _LIBRARY_MESSAGES = {
+    ("runtime", "spam-fidelity"): "spam must lie in [1e-150, 1]",
     ("simulate", "horizon"): "horizon must be >= ",
     ("tune", "mu"): "mu=",
     ("table", "grid-min"): "grid must be strictly increasing",

@@ -1,0 +1,158 @@
+"""The one domain table and its check: every numeric input of the library at its edge values."""
+
+import math
+
+import numpy as np
+import pytest
+
+from elfkit.algebra import DOMAINS, INTEGERS, check
+from elfkit.bias import Scheme, clf_angles
+from elfkit.csbd import CoefficientTable
+from elfkit.inference import EstimationConfig
+from elfkit.metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, slope
+from elfkit.runtime_model import HardwareParams, hardware_runtime_curve, runtime_bounds
+from elfkit.sim import ExperimentConfig
+from elfkit.tuner import TuneSpec, build_lookup_table
+
+_BELIEF = GaussianBelief(0.3, 1e-3)
+_HARDWARE = HardwareParams(100, 200, 1e-8)
+# A row of lam = 100 * 200 / 2 * 1e-6 = 0.01, so every call reaches runtime_bounds.
+_VALID_ROW = [1.0 - 1e-6]
+_EXPERIMENT = dict(
+    true_pi=0.3, prior_pi=_BELIEF, layers=1, noise=NoiseModel(), runs=4, horizon=60, master_seed=0, threads=1
+)
+
+# Each target: the names of its checked inputs, and a call that takes one of them by keyword.
+TARGETS = {
+    "NoiseModel": (("layer_fidelity", "spam_fidelity"), lambda **kw: NoiseModel(**kw)),
+    "GaussianBelief": (("mean", "variance"), lambda **kw: GaussianBelief(**{"mean": 0.3, "variance": 1e-3, **kw})),
+    "TuneSpec": (
+        ("layers", "mu", "fidelity", "restarts", "seed", "tolerance", "max_rounds"),
+        lambda **kw: TuneSpec(**{"scheme": Scheme.AF, "layers": 1, "mu": 1.0, **kw}),
+    ),
+    "EstimationConfig": (
+        ("layers", "true_pi", "horizon", "seed"),
+        lambda **kw: EstimationConfig(
+            **{
+                "scheme": Scheme.AF,
+                "layers": 1,
+                "noise": NoiseModel(),
+                "prior_pi": _BELIEF,
+                "true_pi": 0.3,
+                "horizon": 60,
+                "angle_source": "clf",
+                **kw,
+            }
+        ),
+    ),
+    "ExperimentConfig": (
+        ("true_pi", "layers", "runs", "horizon", "master_seed", "threads"),
+        lambda **kw: ExperimentConfig(**{"scheme": "af-clf", **_EXPERIMENT, **kw}),
+    ),
+    "ExperimentConfig-standard": (
+        ("true_pi", "layers", "runs", "horizon", "master_seed", "threads"),
+        lambda **kw: ExperimentConfig(**{"scheme": "standard", **_EXPERIMENT, **kw}),
+    ),
+    "HardwareParams": (
+        ("qubits", "depth", "gate_time", "spam_fidelity"),
+        lambda **kw: HardwareParams(**{"qubits": 100, "depth": 200, "gate_time": 1e-8, **kw}),
+    ),
+    "process_fidelity": (("layers",), lambda layers: NoiseModel(0.9).process_fidelity(layers)),
+    "clf_angles": (("layers",), lambda layers: clf_angles(layers)),
+    "fisher_information": (("fidelity",), lambda fidelity: fisher_information(Scheme.AF, 0.7, fidelity, clf_angles(1))),
+    "slope": (("fidelity",), lambda fidelity: slope(Scheme.AB, 0.7, fidelity, clf_angles(1))),
+    "rhat0": (
+        ("pi_star", "fidelity"),
+        lambda **kw: rhat0(Scheme.AF, kw.get("pi_star", 0.3), kw.get("fidelity", 0.9), clf_angles(1)),
+    ),
+    "CoefficientTable": (("theta",), lambda theta: CoefficientTable(Scheme.AF, theta, clf_angles(1))),
+    "runtime_bounds": (
+        ("eps_theta", "lam", "spam"),
+        lambda **kw: runtime_bounds(**{"eps_theta": 1e-3, "lam": 0.5, "spam": 0.9, **kw}),
+    ),
+    "hardware_runtime_curve": (
+        ("pi", "eps"),
+        lambda **kw: hardware_runtime_curve(_HARDWARE, [kw.get("eps", 1e-3)], _VALID_ROW, kw.get("pi", 0.0)),
+    ),
+    "hardware_runtime_curve-spam": (
+        ("spam_fidelity",),
+        lambda spam_fidelity: hardware_runtime_curve(
+            HardwareParams(100, 200, 1e-8, spam_fidelity), [1e-3], _VALID_ROW
+        ),
+    ),
+    "build_lookup_table": (
+        ("layers", "restarts", "seed", "max_rounds"),
+        lambda **kw: build_lookup_table(
+            Scheme.AF,
+            noise=NoiseModel(0.9),
+            grid_spec=[-0.5, 0.5],
+            **{"layers": 1, "restarts": 1, "max_rounds": 5, **kw},
+        ),
+    ),
+}
+
+
+# An input that a call passes on under another name, whose domain its errors may name.
+_PASSED_AS = {("hardware_runtime_curve-spam", "spam_fidelity"): "spam"}
+
+
+def _edge_values(name: str, domain: str) -> list:
+    """0, -1, +-inf, nan, 1e+-300, 1.5 for an integer, and each finite end of the domain with its neighbours.
+
+    An integer input's end also comes as an int, with its int neighbours.
+    """
+    values = [0, -1, math.inf, -math.inf, math.nan, 1e300, 1e-300]
+    if name in INTEGERS:
+        values.append(1.5)
+    for end in domain[1:-1].split(", "):
+        e = math.pi if end == "pi" else float(end)
+        if math.isfinite(e):
+            values += [math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)]
+            if name in INTEGERS:
+                values += [int(e) - 1, int(e), int(e) + 1]
+    return list({repr(v): v for v in values}.values())
+
+
+@pytest.mark.parametrize(
+    ("target", "name", "value"),
+    [
+        pytest.param(target, name, value, id=f"{target}-{name}={value!r}")
+        for target, (names, _) in TARGETS.items()
+        for name in names
+        for value in _edge_values(name, DOMAINS[_PASSED_AS.get((target, name), name)])
+    ],
+)
+def test_every_numeric_input_at_its_edge_values(target, name, value):
+    # Each edge value constructs (or returns), or raises a ValueError whose message starts with
+    # the input's name (eps_theta for an eps); no other exception type, and pytest turns a
+    # RuntimeWarning into an error.
+    try:
+        TARGETS[target][1](**{name: value})
+    except ValueError as exc:
+        assert str(exc).startswith(_PASSED_AS.get((target, name), name)), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGERS))
+def test_an_integer_input_takes_an_int_or_numpy_integer_only(name):
+    assert check(name, 3) == 3 and check(name, np.int64(3)) == 3
+    for value in (3.0, np.float64(3.0), 2.5):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            check(name, value)
+
+
+def test_check_reads_open_and_closed_ends():
+    assert check("spam_fidelity", 1.0) == 1.0 and check("fidelity", 0.0) == 0.0
+    with pytest.raises(ValueError, match=r"^layer_fidelity must lie in \(0, 1\], got 0.0$"):
+        check("layer_fidelity", 0.0)
+    with pytest.raises(ValueError, match=r"^mu must lie in \(0, pi\), got 3.141592653589793$"):
+        check("mu", math.pi)
+    # Another domain, with its own label: the CLI's options, or an input passed on under another name.
+    assert check("--points", 2, "[2, inf)") == 2
+    with pytest.raises(ValueError, match=r"^--points must lie in \[2, inf\), got 1$"):
+        check("--points", 1, "[2, inf)")
+
+
+def test_every_domain_parses_to_ordered_ends():
+    for name, domain in DOMAINS.items():
+        lo, hi = (math.pi if end == "pi" else float(end) for end in domain[1:-1].split(", "))
+        assert domain[0] in "[(" and domain[-1] in ")]" and lo < hi, name

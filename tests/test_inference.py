@@ -334,8 +334,9 @@ class TestRunEstimation:
         )
         assert EstimationConfig(horizon=104, **common).round_budget() == 20
         assert len(run_estimation(EstimationConfig(horizon=5, **common))) == 1
-        for horizon in (-5, 0, 4):
-            with pytest.raises(ValueError, match="horizon must be >= 5"):
+        # Below 1 it is out of its domain; from 1 to 4 too short for a round.
+        for horizon, message in ((-5, r"must lie in \[1, inf\)"), (0, r"must lie in \[1, inf\)"), (4, "must be >= 5")):
+            with pytest.raises(ValueError, match=f"horizon {message}"):
                 EstimationConfig(horizon=horizon, **common)
 
     @pytest.mark.parametrize("mean", [1.5, -1.2])

@@ -1,5 +1,5 @@
 """What the package is made of: its runtime dependencies, a caller for every name it defines,
-a reader and a domain for every CLI option, and no exception type of its own."""
+a reader and a domain for every CLI option, one home for each domain, and no exception type of its own."""
 
 import ast
 import importlib
@@ -9,6 +9,7 @@ import tomllib
 from collections import Counter
 from pathlib import Path
 
+from elfkit.algebra import DOMAINS
 from elfkit.cli import OPTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -207,3 +208,28 @@ def test_every_numeric_cli_option_declares_a_domain():
             if ends is None or not ends[0] <= ends[1]:
                 bad.append(f"{command} --{opt.name}: {opt.domain!r}")
     assert bad == []
+
+
+def test_no_cli_option_restates_a_library_domain():
+    # An option named like an input of algebra.DOMAINS (dashes for underscores) takes that
+    # entry, DOMAINS["<name>"], where it is written; only the CLI's own options write a literal.
+    tree = _tree(ROOT / "src" / "elfkit" / "cli.py")
+    literal, taken = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Opt":
+            name = node.args[0].value
+            for kw in node.keywords:
+                if kw.arg == "domain" and isinstance(kw.value, ast.Constant):
+                    literal.append(name)
+                elif kw.arg == "domain":
+                    taken.append((name, ast.unparse(kw.value)))
+    assert [name for name in literal if name.replace("-", "_") in DOMAINS] == []
+    assert [(name, src) for name, src in taken if not re.fullmatch(r"DOMAINS\[['\"]\w+['\"]\]", src)] == []
+    # Each numeric option named like an entry holds that entry (--eps, a comma list, is checked value by value).
+    wrong = [
+        f"{command} --{opt.name}: {opt.domain}"
+        for command, opts in OPTIONS.items()
+        for opt in opts
+        if opt.type in (int, float) and opt.domain != DOMAINS.get(opt.name.replace("-", "_"), opt.domain)
+    ]
+    assert wrong == []

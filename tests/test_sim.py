@@ -326,7 +326,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("threads", [0, -1])
     def test_rejects_fewer_than_one_thread(self, threads):
         # Caught at construction, not when the experiment picks its executor.
-        with pytest.raises(ValueError, match="threads must be >= 1"):
+        with pytest.raises(ValueError, match=r"threads must lie in \[1, inf\)"):
             ExperimentConfig(
                 scheme="af-clf",
                 true_pi=0.1,
@@ -342,7 +342,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("layers", [0, -1])
     def test_rejects_fewer_than_one_layer(self, scheme, layers, tiny_table):
         # Caught at construction, not by NoiseModel.process_fidelity's bound of 0.
-        with pytest.raises(ValueError, match="layers must be >= 1"):
+        with pytest.raises(ValueError, match=r"layers must lie in \[1, inf\)"):
             ExperimentConfig(
                 scheme=scheme,
                 true_pi=0.1,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ class TestTuneSpecValidation:
 
     @pytest.mark.parametrize("value", [0.0, -1e-8, math.nan])
     def test_rejects_nonpositive_tolerance(self, value):
-        with pytest.raises(ValueError, match="tolerance must be positive"):
+        with pytest.raises(ValueError, match=r"tolerance must lie in \(0, inf\)"):
             TuneSpec(Scheme.AF, 1, 1.0, tolerance=value)
 
 
@@ -441,6 +442,31 @@ class TestLookupTable:
         q = 0.62
         assert np.allclose(nearest_valid_entry(loaded, q).angles, nearest_valid_entry(small_table, q).angles)
 
+    def test_singular_point_is_flagged(self):
+        # Noiseless, Pi = -1 + 1e-16 puts every start beyond the singular guard: the entry is
+        # flagged like the points at +-1, with no angles, instead of keeping the untuned ones.
+        table = build_lookup_table(Scheme.AF, 1, NoiseModel(), [-0.9999999999999999, 0.0, 0.5], restarts=1, seed=1)
+        first, *rest = table.entries
+        assert (first.angles, first.objective, first.flag) == (None, None, tuner.DEGENERATE_FLAG)
+        assert all(e.flag is None and math.isfinite(e.objective) for e in rest)
+        written = table.to_json_dict()["entries"][0]
+        assert written == {"pi": first.pi, "angles": None, "objective": None, "flag": tuner.DEGENERATE_FLAG}
+
+    @pytest.mark.parametrize(
+        ("entry", "message"),
+        [
+            ({"pi": True}, "table entry 1 has no valid 'pi': True"),
+            ({"pi": 0.5, "objective": "x"}, "table entry 1 has no valid 'objective': 'x'"),
+            ({"pi": 0.5, "flag": 3}, "table entry 1 has no valid 'flag': 3"),
+            ({"pi": 0.5, "objective": False}, "table entry 1 has no valid 'objective': False"),
+        ],
+    )
+    def test_malformed_entry_names_its_key(self, entry, message):
+        # Each loaded before and failed later: save raised a TypeError on a string objective.
+        entries = [{"pi": -0.5, "angles": [1.0, 2.0], "objective": 1.0}, {"angles": [1.0, 2.0], **entry}]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LookupTable.from_json_dict({"version": "elf-table/1", "entries": entries})
+
     def test_version_check(self):
         with pytest.raises(ValueError):
             LookupTable.from_json_dict({"version": "other", "entries": []})
@@ -454,12 +480,11 @@ class TestLookupTable:
         monkeypatch.setattr(tuner, "tune", lambda *a, **k: pytest.fail("tuned a point"))
         cases = [
             (1, [0.2, 0.1], "strictly increasing"),
-            (1, [-2.0, 0.0, 0.5], r"within \[-1, 1\]"),
-            (1, [-0.5, 0.0, 1.5], r"within \[-1, 1\]"),
-            (0, [0.1, 0.2], "layers must be >= 1"),
-            (-1, 5, "layers must be >= 1"),
-            # NaN fails no comparison, so it takes a check of its own.
-            (1, [-0.5, math.nan, 0.5], "grid point 1 is not finite: nan"),
+            (1, [-2.0, 0.0, 0.5], r"grid point 0 must lie in \[-1, 1\], got -2.0"),
+            (1, [-0.5, 0.0, 1.5], r"grid point 2 must lie in \[-1, 1\], got 1.5"),
+            (0, [0.1, 0.2], r"layers must lie in \[1, inf\)"),
+            (-1, 5, r"layers must lie in \[1, inf\)"),
+            (1, [-0.5, math.nan, 0.5], r"grid point 1 must lie in \[-1, 1\], got nan"),
         ]
         for layers, grid, message in cases:
             with pytest.raises(ValueError, match=message):
@@ -468,11 +493,11 @@ class TestLookupTable:
     def test_entries_are_checked_like_a_grid(self):
         # A NaN Pi would sort last in the midpoints, so that every query read entry 0.
         x = clf_angles(1)
-        with pytest.raises(ValueError, match="grid point 1 is not finite: nan"):
+        with pytest.raises(ValueError, match=r"grid point 1 must lie in \[-1, 1\], got nan"):
             LookupTable([TableEntry(-0.5, x, 1.0), TableEntry(math.nan, x, 1.0), TableEntry(0.5, x, 1.0)], {})
         # Python's json reads NaN.
         entries = [{"pi": -0.5, "angles": list(x)}, {"pi": math.nan, "angles": list(x)}]
-        with pytest.raises(ValueError, match="grid point 1 is not finite"):
+        with pytest.raises(ValueError, match="grid point 1 must lie in"):
             LookupTable.from_json_dict(json.loads(json.dumps({"version": "elf-table/1", "entries": entries})))
 
     def test_unflagged_entries_hold_vectors_of_one_length(self):
