@@ -61,7 +61,7 @@ DEGENERATE_TOL = 1e-12
 _NAMES_BY_DOMAIN = {
     "[1, inf)": "layers restarts max_rounds runs horizon threads qubits depth",
     "[0, inf)": "seed master_seed",
-    "(0, inf)": "tolerance gate_time variance",
+    "(0, inf)": "gate_time variance",
     "(-inf, inf)": "mean theta",
     "(0, 1]": "layer_fidelity spam_fidelity",
     "[0, 1]": "fidelity lam",

@@ -11,9 +11,9 @@ ignored.  ``scan``, ``simulate`` and ``runtime`` write their CSV and JSON
 sidecar through one writer, ``_write_outputs``; the other modules only
 compute.  The effective configuration is echoed into every output sidecar so
 results are regenerable from the outputs alone.  Each int and float ``Opt``
-declares its domain, checked after parsing by ``algebra.check`` and printed
-by ``--help``: an option that feeds a library input takes that input's entry
-of ``algebra.DOMAINS``, and only the CLI's own options write theirs here.
+has a domain, checked after parsing by ``algebra.check`` and printed by
+``--help``: one named (dashes as underscores) like a key of ``algebra.DOMAINS``
+takes that entry, and only the CLI's own options write theirs here.
 
 ``scan`` tunes its angles with ``tuner.build_lookup_table`` on its grid
 mapped to Pi (cos theta for ``fisher`` and ``slope``), so a scan point is a
@@ -58,15 +58,19 @@ class Opt:
     required: bool = False
     choices: tuple | None = None
     help: str = ""
-    domain: str | None = None  # interval such as "(0, 1]" or "[1, inf)"; every int and float option has one
+    domain: str | None = None  # interval such as "(0, 1]"; an int or float option named in DOMAINS takes that entry
+
+    def __post_init__(self) -> None:
+        if self.domain is None and self.type in (int, float):
+            object.__setattr__(self, "domain", DOMAINS.get(self.name.replace("-", "_")))
 
 
 _CONFIG = Opt("config", str, help="JSON file with flag values (flags override)")
-_COMMON = (_CONFIG, Opt("seed", int, help="master seed; drawn and printed if absent", domain=DOMAINS["seed"]))
+_COMMON = (_CONFIG, Opt("seed", int, help="master seed; drawn and printed if absent"))
 
 _NOISE = (
-    Opt("layer-fidelity", float, 1.0, help="per-layer process fidelity p", domain=DOMAINS["layer_fidelity"]),
-    Opt("spam-fidelity", float, 1.0, help="SPAM fidelity", domain=DOMAINS["spam_fidelity"]),
+    Opt("layer-fidelity", float, 1.0, help="per-layer process fidelity p"),
+    Opt("spam-fidelity", float, 1.0, help="SPAM fidelity"),
 )
 
 OPTIONS: dict[str, tuple[Opt, ...]] = {
@@ -75,20 +79,19 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     + (
         Opt("scheme", str, "af", choices=("af", "ab")),
         Opt("objective", str, "fisher", choices=("fisher", "slope"), help="slope reports |d(bias)/dtheta|"),
-        Opt("mu", float, required=True, help="tuning point theta", domain=DOMAINS["mu"]),
-        Opt("layers", int, 1, domain=DOMAINS["layers"]),
-        Opt("restarts", int, 10, domain=DOMAINS["restarts"]),
-        Opt("max-rounds", int, 500, domain=DOMAINS["max_rounds"]),
-        Opt("tolerance", float, 1e-8, domain=DOMAINS["tolerance"]),
+        Opt("mu", float, required=True, help="tuning point theta"),
+        Opt("layers", int, 1),
+        Opt("restarts", int, 10),
+        Opt("max-rounds", int, 500),
     ),
     "table": _COMMON
     + _NOISE
     + (
         Opt("scheme", str, "af", choices=("af", "ab")),
         Opt("objective", str, "fisher", choices=("fisher", "slope")),
-        Opt("layers", int, 1, domain=DOMAINS["layers"]),
-        Opt("restarts", int, 10, domain=DOMAINS["restarts"]),
-        Opt("max-rounds", int, 500, domain=DOMAINS["max_rounds"]),
+        Opt("layers", int, 1),
+        Opt("restarts", int, 10),
+        Opt("max-rounds", int, 500),
         Opt("grid", int, 4001, help="uniform grid size over [grid-min, grid-max]", domain="[2, inf)"),
         Opt("grid-min", float, -1.0, domain=DOMAINS["grid_point"]),
         Opt("grid-max", float, 1.0, domain=DOMAINS["grid_point"]),
@@ -99,39 +102,39 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     + (
         Opt("quantity", str, "fisher", choices=("fisher", "slope", "rhat0"), help="slope is f |d(bias)/dtheta| / 2"),
         Opt("scheme", str, "af", choices=("af", "ab")),
-        Opt("layers", int, 1, domain=DOMAINS["layers"]),
+        Opt("layers", int, 1),
         Opt("points", int, 41, domain="[2, inf)"),
         Opt("min", float, help="grid start (theta for fisher/slope, Pi for rhat0)", domain="(-inf, inf)"),
         Opt("max", float, help="grid end", domain="(-inf, inf)"),
-        Opt("restarts", int, 10, domain=DOMAINS["restarts"]),
-        Opt("max-rounds", int, 500, domain=DOMAINS["max_rounds"]),
+        Opt("restarts", int, 10),
+        Opt("max-rounds", int, 500),
         Opt("out", str, "scan", help="output prefix (.csv and .json)"),
     ),
     "simulate": _COMMON
     + _NOISE
     + (
         Opt("scheme", str, "af-elf", choices=EXPERIMENT_SCHEMES),
-        Opt("true-pi", float, required=True, domain=DOMAINS["true_pi"]),
-        Opt("prior-mean", float, help="prior mean of Pi; needed by all but standard", domain=DOMAINS["prior_mean"]),
+        Opt("true-pi", float, required=True),
+        Opt("prior-mean", float, help="prior mean of Pi; needed by all but standard"),
         # Its square, the prior variance, is then a positive finite float.
         Opt("prior-std", float, 0.03, help="prior standard deviation of Pi", domain="[1e-150, 1e150]"),
-        Opt("layers", int, 1, domain=DOMAINS["layers"]),
-        Opt("runs", int, 300, domain=DOMAINS["runs"]),
-        Opt("horizon", int, 20000, help="total time budget in ansatz durations", domain=DOMAINS["horizon"]),
+        Opt("layers", int, 1),
+        Opt("runs", int, 300),
+        Opt("horizon", int, 20000, help="total time budget in ansatz durations"),
         Opt("table", str, help="lookup-table JSON for the engineered schemes"),
         Opt("table-grid", int, 41, help="grid size when building a table on the fly", domain="[2, inf)"),
-        Opt("restarts", int, 10, help="restarts for on-the-fly table tuning", domain=DOMAINS["restarts"]),
-        Opt("threads", int, 1, help="worker count (outputs are independent of it)", domain=DOMAINS["threads"]),
+        Opt("restarts", int, 10, help="restarts for on-the-fly table tuning"),
+        Opt("threads", int, 1, help="worker count (outputs are independent of it)"),
         Opt("out", str, "experiment", help="output prefix (.csv and .json)"),
     ),
     "runtime": (
         _CONFIG,
-        Opt("qubits", int, 100, domain=DOMAINS["qubits"]),
-        Opt("depth", int, 200, help="two-qubit gate depth per layer", domain=DOMAINS["depth"]),
-        Opt("gate-time", float, 1e-8, help="seconds per two-qubit gate layer", domain=DOMAINS["gate_time"]),
-        Opt("spam-fidelity", float, 1.0, help=f"the bounds take {DOMAINS['spam']}", domain=DOMAINS["spam_fidelity"]),
+        Opt("qubits", int, 100),
+        Opt("depth", int, 200, help="two-qubit gate depth per layer"),
+        Opt("gate-time", float, 1e-8, help="seconds per two-qubit gate layer"),
+        Opt("spam-fidelity", float, 1.0, help=f"the bounds take {DOMAINS['spam']}"),
         Opt("eps", str, "1e-3,1e-4,1e-5", help=f"comma-separated target errors, each in {DOMAINS['eps']}"),
-        Opt("pi", float, 0.0, help="estimand value for the error conversion", domain=DOMAINS["pi"]),
+        Opt("pi", float, 0.0, help="estimand value for the error conversion"),
         Opt("infidelity-min", float, 1e-8, domain="(0, 1)"),
         Opt("infidelity-max", float, 1e-2, domain="(0, 1)"),
         Opt("points", int, 121, domain="[1, inf)"),
@@ -225,7 +228,6 @@ def cmd_tune(cfg: dict) -> int:
         objective=Objective(cfg["objective"]),
         restarts=cfg["restarts"],
         seed=cfg["seed"],
-        tolerance=cfg["tolerance"],
         max_rounds=cfg["max-rounds"],
     )
     result = tune(spec)
@@ -362,12 +364,7 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_runtime(cfg: dict) -> int:
-    hw = HardwareParams(
-        qubits=cfg["qubits"],
-        depth=cfg["depth"],
-        gate_time=cfg["gate-time"],
-        spam_fidelity=cfg["spam-fidelity"],
-    )
+    hw = HardwareParams(cfg["qubits"], cfg["depth"], cfg["gate-time"], cfg["spam-fidelity"])
     try:
         eps_list = [float(v) for v in cfg["eps"].split(",")]
     except ValueError:

@@ -52,15 +52,20 @@ class GaussianBelief:
         return math.sqrt(self.variance)
 
 
-def fisher_information(scheme: Scheme, theta, f: float, x):
-    """Fisher information of the two-outcome likelihood with respect to theta."""
-    f = float(check("fidelity", f))
-    delta, ddelta = (np.asarray(v) for v in _bias_pair(scheme, theta, x))
+def climbed(g: float, f: float, delta: float, ddelta: float) -> float:
+    """(g d(bias)/dtheta)^2 / (1 - (f bias)^2): F at (g, f) = (f, f), the squared slope at (1, 0); -inf if singular."""
     denom = 1.0 - (f * delta) ** 2
-    if np.any(denom < SINGULAR_TOL):
+    if denom < SINGULAR_TOL:
+        return -math.inf
+    return (g * ddelta) ** 2 / denom
+
+
+def fisher_information(scheme: Scheme, theta: float, f: float, x) -> float:
+    """Fisher information of the two-outcome likelihood with respect to theta, at one theta and angle vector."""
+    f = float(check("fidelity", f))
+    if (info := climbed(f, f, *_bias_pair(scheme, theta, x))) == -math.inf:
         raise FloatingPointError("fisher information diverges: f|bias| -> 1")
-    out = (f * ddelta) ** 2 / denom
-    return out if out.ndim else float(out)
+    return info
 
 
 def slope(scheme: Scheme, theta, f: float, x):
@@ -78,6 +83,4 @@ def rhat0(scheme: Scheme, pi_star: float, f: float, x) -> float:
     One round of L layers takes 2L angles and costs 2L + 1 time steps.
     """
     pi_star = float(check("pi_star", pi_star))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    info = fisher_information(scheme, math.acos(pi_star), f, x)
-    return info / ((x.size + 1) * (1.0 - pi_star**2))
+    return fisher_information(scheme, math.acos(pi_star), f, x) / ((np.size(x) + 1) * (1.0 - pi_star**2))

@@ -98,10 +98,11 @@ def hardware_runtime_curve(
     The mid curve is the geometric mean of the bounds, consistent with a rate
     tracking the geometric mean of the rate envelope.  ``pi``, every eps and
     eps_theta, and the SPAM fidelity are checked before the first row, as
-    ``runtime_bounds`` checks them.
+    ``runtime_bounds`` checks them; a bound beyond the float range raises a
+    ``ValueError`` naming the SPAM fidelity, eps, depth and gate time.
     """
     check("pi", pi)
-    check("spam", hw.spam_fidelity)
+    spam = check("spam", hw.spam_fidelity)
     scale = hw.seconds_per_time_unit
     eps_thetas = [check("eps_theta", check("eps", float(eps)) / math.sqrt(1.0 - pi * pi)) for eps in eps_list]
     points: list[RuntimePoint] = []
@@ -110,9 +111,11 @@ def hardware_runtime_curve(
         valid = lam <= 1.0
         for eps, eps_theta in zip(eps_list, eps_thetas):
             if valid:
-                lo, hi = runtime_bounds(eps_theta, lam, hw.spam_fidelity)
+                lo, hi = runtime_bounds(eps_theta, lam, spam)
                 lo_s, hi_s = lo * scale, hi * scale
-                mid_s = math.sqrt(lo_s * hi_s)
+                if not math.isfinite(hi_s):
+                    raise ValueError(f"spam {spam}, eps {eps} and depth * gate_time {scale} give a runtime bound of inf s")
+                mid_s = math.sqrt(lo_s) * math.sqrt(hi_s)
             else:
                 lo_s = hi_s = mid_s = math.nan
             points.append(RuntimePoint(float(f2q), float(eps), lo_s, hi_s, mid_s, valid))

@@ -1,9 +1,9 @@
 """Circuit-parameter tuning by Fisher-information or slope maximization.
 
-Both objectives climb one value, (g d(bias)/dtheta)^2 / (1 - (f bias)^2):
-the Fisher information for (g, f) = (fidelity, fidelity), and for (g, f) =
-(1, 0) the squared slope, which is the f -> 0 limit of F / f^2.  The slope
-is reported as the square root of the climbed value.
+Both objectives climb one value, ``metrics.climbed``, (g d(bias)/dtheta)^2 /
+(1 - (f bias)^2): the Fisher information for (g, f) = (fidelity, fidelity),
+and for (g, f) = (1, 0) the squared slope, which is the f -> 0 limit of
+F / f^2.  The slope is reported as the square root of the climbed value.
 
 One ascent serves both: one O(L) coordinate sweep (``csbd.sweep``), each
 coordinate updated by the one step ``_coordinate_step_fisher``.  It is
@@ -36,7 +36,7 @@ import numpy as np
 from .algebra import DEGENERATE_TOL, DOMAINS, angle_vectors, canonical_angles, check, check_fields
 from .bias import Scheme, _bias_pair, _readout, bias_series, clf_angles
 from .csbd import CsbdCoefficients, slopes, sweep
-from .metrics import SINGULAR_TOL, NoiseModel
+from .metrics import SINGULAR_TOL, NoiseModel, climbed
 
 TABLE_FORMAT_VERSION = "elf-table/1"
 DEGENERATE_FLAG = "degenerate_theta"
@@ -53,9 +53,9 @@ class Objective(Enum):
 class TuneSpec:
     """Inputs of one tuning problem.
 
-    Each start takes one coordinate sweep.  ``tolerance`` and ``max_rounds``
-    govern only the quasi-Newton finish after it, which stops when a step
-    gains less than ``tolerance`` or after ``max_rounds`` steps.
+    Each start takes one coordinate sweep.  ``max_rounds`` governs only the
+    quasi-Newton finish after it, which stops when a step gains less than
+    ``_MIN_GAIN`` or after ``max_rounds`` steps.
     """
 
     scheme: Scheme
@@ -65,7 +65,6 @@ class TuneSpec:
     objective: Objective = Objective.FISHER
     restarts: int = 10
     seed: int = 0
-    tolerance: float = 1e-8
     max_rounds: int = 500
 
     def __post_init__(self) -> None:
@@ -99,18 +98,10 @@ def _weights(spec: TuneSpec):
     return spec.fidelity, spec.fidelity, float
 
 
-def _climbed(g: float, f: float, delta: float, ddelta: float) -> float:
-    """The climbed value from the bias and d(bias)/dtheta; -inf where it is singular."""
-    denom = 1.0 - (f * delta) ** 2
-    if denom < SINGULAR_TOL:
-        return -math.inf
-    return (g * ddelta) ** 2 / denom
-
-
 def objective_value(spec: TuneSpec, x) -> float:
     """The objective at angles x: the Fisher information, or |d(bias)/dtheta| for the slope."""
     g, f, report = _weights(spec)
-    return report(_climbed(g, f, *_bias_pair(spec.scheme, spec.mu, x)))
+    return report(climbed(g, f, *_bias_pair(spec.scheme, spec.mu, x)))
 
 
 def _value_and_gradient(spec: TuneSpec, x: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -140,9 +131,9 @@ _SCAN_BASIS.setflags(write=False)  # one array serves every caller
 
 
 def _fisher_1d(co: CsbdCoefficients, g: float, f: float, a: float) -> float:
-    """The climbed value (see ``_climbed``) as a function of the sinusoid argument a = k x_j."""
+    """The climbed value (see ``metrics.climbed``) as a function of the sinusoid argument a = k x_j."""
     ca, sa = math.cos(a), math.sin(a)
-    return _climbed(g, f, co.c * ca + co.s * sa + co.b, co.c_prime * ca + co.s_prime * sa + co.b_prime)
+    return climbed(g, f, co.c * ca + co.s * sa + co.b, co.c_prime * ca + co.s_prime * sa + co.b_prime)
 
 
 def _coordinate_step_fisher(co: CsbdCoefficients, k: float, g: float, f: float, current: float) -> float:
@@ -159,10 +150,11 @@ def _coordinate_step_fisher(co: CsbdCoefficients, k: float, g: float, f: float, 
     return a / k
 
 
-# Armijo sufficient-increase constant and the cap on step halvings of the
-# quasi-Newton finish.
+# Armijo sufficient-increase constant, the cap on step halvings and the
+# least gain of a step that does not stop the quasi-Newton finish.
 _ARMIJO = 1e-4
 _BACKTRACKS = 40
+_MIN_GAIN = 1e-8
 
 
 def _quasi_newton(spec: TuneSpec, x: np.ndarray, first_step: float) -> tuple[np.ndarray, int]:
@@ -171,7 +163,7 @@ def _quasi_newton(spec: TuneSpec, x: np.ndarray, first_step: float) -> tuple[np.
     Each step backtracks from the quasi-Newton step until it passes the
     Armijo test.  Until the first curvature update the step is the gradient,
     shortened where needed so that no angle moves by more than
-    ``first_step``.  Stops when a step gains less than ``tolerance``, when no
+    ``first_step``.  Stops when a step gains less than ``_MIN_GAIN``, when no
     step length passes, or after ``max_rounds`` steps.  Returns the last
     point and the number of steps taken.
     """
@@ -199,7 +191,7 @@ def _quasi_newton(spec: TuneSpec, x: np.ndarray, first_step: float) -> tuple[np.
         s, y = x_new - x, grad - grad_new
         gain = val_new - val
         x, val, grad = x_new, val_new, grad_new
-        if gain < spec.tolerance:
+        if gain < _MIN_GAIN:
             break
         sy = float(s @ y)
         if sy <= 0.0:
@@ -230,7 +222,7 @@ def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, floa
         return math.pi - math.fmod((math.pi - z) % (2.0 * math.pi), 2.0 * math.pi)
 
     q, dq = sweep(spec.scheme, spec.mu, x, choose)
-    val = report(_climbed(g, f, *_readout(spec.scheme, math.cos(spec.mu), math.sin(spec.mu), q, dq)))
+    val = report(climbed(g, f, *_readout(spec.scheme, math.cos(spec.mu), math.sin(spec.mu), q, dq)))
     # The finish's first step moves no angle by more than one scan-grid step, 2 pi / (k SCAN_POINTS).
     x_fin, steps = _quasi_newton(spec, x, 2.0 * math.pi / (k * SCAN_POINTS))
     x_fin = canonical_angles(x_fin)
@@ -283,8 +275,12 @@ class TableEntry:
     flag: str | None = None
 
 
-# The JSON types of a table entry's keys but "angles", which is converted.
-_ENTRY_TYPES = {"pi": (int, float), "objective": (int, float, type(None)), "flag": (str, type(None))}
+# The values that a table entry's keys but "angles", which is converted, may hold (no JSON boolean).
+_ENTRY_VALUES = {
+    "pi": lambda v: isinstance(v, (int, float)),
+    "objective": lambda v: v is None or isinstance(v, (int, float)) and 0.0 <= v < math.inf,
+    "flag": lambda v: v in (None, DEGENERATE_FLAG),
+}
 
 
 def _check_grid(grid: np.ndarray) -> None:
@@ -363,8 +359,8 @@ class LookupTable:
         for i, e in enumerate(doc["entries"]):
             if not isinstance(e, dict):
                 raise ValueError(f"table entry {i} is not a JSON object: {e!r}")
-            for key, kinds in _ENTRY_TYPES.items():
-                if isinstance(value := e.get(key), bool) or not isinstance(value, kinds):
+            for key, valid in _ENTRY_VALUES.items():
+                if isinstance(value := e.get(key), bool) or not valid(value):
                     raise ValueError(f"table entry {i} has no valid {key!r}: {value!r}")
             if (angles := e.get("angles")) is not None:
                 try:

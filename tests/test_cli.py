@@ -40,6 +40,16 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_config_with_a_tolerance_key_is_a_usage_error(tmp_path, capsys):
+    # The finish's stop gain is a constant of the tuner, not an option, so a
+    # "tolerance" key is unknown like any other: exit 2 naming it, nothing run.
+    path = tmp_path / "tune.json"
+    path.write_text(json.dumps({"mu": 1, "seed": 1, "tolerance": 1e-8}))
+    assert main(["tune", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "unknown config keys: ['tolerance']" in err and out == ""
+
+
 @pytest.mark.parametrize(
     ("command", "file_cfg", "flag"),
     [
@@ -112,9 +122,11 @@ def test_sidecar_config_reproduces_the_csv(argv, tmp_path):
     assert json.loads((tmp_path / "again.json").read_text())["config"] == config
 
 
-def _table(*angles):
-    """A table file's document with one entry at Pi = -0.5, 0.5, ... per angle value."""
-    return {"version": "elf-table/1", "entries": [{"pi": i - 0.5, "angles": a} for i, a in enumerate(angles)]}
+def _table(*angles, **first):
+    """A table file's document with one entry at Pi = -0.5, 0.5, ... per angle value; ``first`` adds keys to entry 0."""
+    entries = [{"pi": i - 0.5, "angles": a} for i, a in enumerate(angles)]
+    entries[0].update(first)
+    return {"version": "elf-table/1", "entries": entries}
 
 
 @pytest.mark.parametrize(
@@ -140,6 +152,11 @@ def _table(*angles):
             {"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0], "flag": 3}]},
             "entry 0 has no valid 'flag': 3",
         ),
+        # A Fisher information or slope is finite and at least 0; json.dumps writes inf as Infinity.
+        (_table([1.0, 2.0], [1.0, 2.0], objective=-5), "entry 0 has no valid 'objective': -5"),
+        (_table([1.0, 2.0], [1.0, 2.0], objective=math.inf), "entry 0 has no valid 'objective': inf"),
+        (_table([1.0, 2.0], [1.0, 2.0], objective=math.nan), "entry 0 has no valid 'objective': nan"),
+        (_table([1.0, 2.0], [1.0, 2.0], flag="other"), "entry 0 has no valid 'flag': 'other'"),
     ],
     ids=[
         "not-an-object",
@@ -155,6 +172,10 @@ def _table(*angles):
         "boolean-pi",
         "string-objective",
         "numeric-flag",
+        "negative-objective",
+        "infinite-objective",
+        "nan-objective",
+        "unknown-flag",
     ],
 )
 def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
@@ -170,7 +191,7 @@ def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (["tune", "--mu", "1", "--tolerance", "nan", "--restarts", "1"], "--tolerance must lie in (0, inf), got nan"),
+        (["tune", "--mu", "1", "--layer-fidelity", "nan", "--restarts", "1"], "--layer-fidelity must lie in (0, 1], got nan"),
         (["tune", "--mu", "1", "--seed", "-1"], "--seed must lie in [0, inf), got -1"),
         (["runtime", "--gate-time", "nan", "--points", "3"], "--gate-time must lie in (0, inf), got nan"),
         (["runtime", "--eps", "nan", "--points", "3"], "eps must lie in (0, 2], got nan"),
@@ -181,7 +202,7 @@ def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
         (["runtime", "--eps", "nan", *_FLAGGED_ROWS], "eps must lie in (0, 2], got nan"),
         (["runtime", "--eps", "0", *_FLAGGED_ROWS], "eps must lie in (0, 2], got 0.0"),
     ],
-    ids=["tolerance", "tune-seed", "gate-time", "eps", "eps-inf", "eps-not-a-number", "eps-negative-lam-gt-1"]
+    ids=["layer-fidelity", "tune-seed", "gate-time", "eps", "eps-inf", "eps-not-a-number", "eps-negative-lam-gt-1"]
     + ["eps-nan-lam-gt-1", "eps-zero-lam-gt-1"],
 )
 def test_nan_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
@@ -199,7 +220,7 @@ def test_drawn_seed_is_printed_only_for_a_run(tmp_path, capsys, monkeypatch):
     # prints none; a run prints the seed that its output's config records.
     monkeypatch.chdir(tmp_path)
     for argv in (
-        ["tune", "--mu", "1", "--tolerance", "nan"],
+        ["tune", "--mu", "1", "--layer-fidelity", "nan"],
         ["simulate", "--scheme", "af-clf", "--true-pi", "0.3", "--prior-mean", "1.5"],
     ):
         assert main(argv) == 2
@@ -263,6 +284,19 @@ def test_runtime_inputs_whose_squares_leave_the_floats_are_usage_errors(argv, me
     assert main(["runtime", "--points", "2", *argv, "--out", str(tmp_path / "rt")]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_runtime_rows_flagged_ok_are_finite(tmp_path, capsys):
+    # At a SPAM fidelity of 1e-150 the bounds near 1e298 s are finite, and so is their geometric mean.
+    assert main(["runtime", "--spam-fidelity", "1e-150", "--points", "2", "--out", str(tmp_path / "rt")]) == 0
+    with open(tmp_path / "rt.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["flags"] == "ok"]
+    assert len(rows) == 3 and all(math.isfinite(float(r[k])) for r in rows for k in ("t_lower_s", "t_upper_s", "t_mid_s"))
+    # With eps = 1e-70 the bounds themselves leave the floats: a usage error naming spam and eps, and no output.
+    argv = ["runtime", "--spam-fidelity", "1e-150", "--eps", "1e-70", "--points", "2", "--out", str(tmp_path / "bad")]
+    assert main(argv) == 2
+    assert "error: spam 1e-150, eps 1e-70 and depth * gate_time 2e-06 give a runtime bound of inf s" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rt.csv", "rt.json"]
 
 
 def test_numeric_guard_exits_3_and_writes_nothing(tmp_path, capsys):
@@ -643,6 +677,8 @@ _SWEEP_BASE = {
 # SPAM fidelity, whose square must stay a positive float.
 _LIBRARY_MESSAGES = {
     ("runtime", "spam-fidelity"): "spam must lie in [1e-150, 1]",
+    # A gate time of 1e300 s puts the bounds beyond the float range.
+    ("runtime", "gate-time"): "and depth * gate_time 2e+302 give a runtime bound of inf s",
     ("simulate", "horizon"): "horizon must be >= ",
     ("tune", "mu"): "mu=",
     ("table", "grid-min"): "grid must be strictly increasing",

@@ -27,7 +27,7 @@ TARGETS = {
     "NoiseModel": (("layer_fidelity", "spam_fidelity"), lambda **kw: NoiseModel(**kw)),
     "GaussianBelief": (("mean", "variance"), lambda **kw: GaussianBelief(**{"mean": 0.3, "variance": 1e-3, **kw})),
     "TuneSpec": (
-        ("layers", "mu", "fidelity", "restarts", "seed", "tolerance", "max_rounds"),
+        ("layers", "mu", "fidelity", "restarts", "seed", "max_rounds"),
         lambda **kw: TuneSpec(**{"scheme": Scheme.AF, "layers": 1, "mu": 1.0, **kw}),
     ),
     "EstimationConfig": (

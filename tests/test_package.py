@@ -193,9 +193,9 @@ def test_every_cli_option_has_a_reader():
 
 
 def test_every_numeric_cli_option_declares_a_domain():
-    # An int or float option declares an interval such as "(0, 1]" or "[1, inf)",
-    # whose ends parse as floats (or "pi") with the lower at or below the upper;
-    # no other option declares one.
+    # An int or float option has an interval such as "(0, 1]" or "[1, inf)", written or
+    # taken from algebra.DOMAINS by name, whose ends parse as floats (or "pi") with the
+    # lower at or below the upper; no other option has one.
     bad = []
     for command, opts in OPTIONS.items():
         for opt in opts:
@@ -211,25 +211,13 @@ def test_every_numeric_cli_option_declares_a_domain():
 
 
 def test_no_cli_option_restates_a_library_domain():
-    # An option named like an input of algebra.DOMAINS (dashes for underscores) takes that
-    # entry, DOMAINS["<name>"], where it is written; only the CLI's own options write a literal.
+    # A numeric option named like an entry of algebra.DOMAINS (dashes as underscores) takes
+    # that entry by name, so none writes a domain; only the CLI's own options do.
     tree = _tree(ROOT / "src" / "elfkit" / "cli.py")
-    literal, taken = [], []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Opt":
-            name = node.args[0].value
-            for kw in node.keywords:
-                if kw.arg == "domain" and isinstance(kw.value, ast.Constant):
-                    literal.append(name)
-                elif kw.arg == "domain":
-                    taken.append((name, ast.unparse(kw.value)))
-    assert [name for name in literal if name.replace("-", "_") in DOMAINS] == []
-    assert [(name, src) for name, src in taken if not re.fullmatch(r"DOMAINS\[['\"]\w+['\"]\]", src)] == []
-    # Each numeric option named like an entry holds that entry (--eps, a comma list, is checked value by value).
-    wrong = [
-        f"{command} --{opt.name}: {opt.domain}"
-        for command, opts in OPTIONS.items()
-        for opt in opts
-        if opt.type in (int, float) and opt.domain != DOMAINS.get(opt.name.replace("-", "_"), opt.domain)
+    restated = [
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Opt"
+        if any(kw.arg == "domain" for kw in node.keywords) and node.args[0].value.replace("-", "_") in DOMAINS
     ]
-    assert wrong == []
+    assert restated == []

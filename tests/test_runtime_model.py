@@ -248,3 +248,19 @@ class TestHardwareCurve:
         points = hardware_runtime_curve(hw, [1e-3], f2q_grid=np.array([1 - 1e-6]))
         p = points[0]
         assert p.t_lower_s < p.t_mid_s < p.t_upper_s
+
+    def test_mid_of_bounds_near_the_float_limit_is_finite(self):
+        # Bounds near 1e298 s: their product overflowed, so the mid curve read inf between them.
+        hw = HardwareParams(100, 200, 1e-8, 1e-150)
+        p = hardware_runtime_curve(hw, [1e-3], f2q_grid=[1 - 1e-8])[0]
+        assert p.valid and 1e297 < p.t_lower_s < p.t_mid_s < p.t_upper_s < math.inf
+        assert (p.t_mid_s / p.t_upper_s) ** 2 == pytest.approx(p.t_lower_s / p.t_upper_s, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        ("spam", "eps", "gate_time"), [(1e-150, 1e-70, 1e-8), (1e-150, 1e-3, 1e5), (1.0, 1e-5, 1e300)]
+    )
+    def test_a_bound_beyond_the_floats_names_its_inputs(self, spam, eps, gate_time):
+        hw = HardwareParams(100, 200, gate_time, spam)
+        message = f"spam {spam}, eps {eps} and depth * gate_time {200 * gate_time} give a runtime bound of inf s"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hardware_runtime_curve(hw, [1e-3, eps], f2q_grid=[1 - 1e-8])

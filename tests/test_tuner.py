@@ -4,13 +4,14 @@ import re
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from csbd_reconstruction import bias_derivative_slope_in_xj, bias_slope_in_xj
 from elfkit import tuner
 from elfkit.bias import Scheme, _readout, bias, bias_derivative, bias_series, clf_angles
 from elfkit.algebra import canonical_angles
 from elfkit.csbd import CoefficientTable, sweep
-from elfkit.metrics import NoiseModel, fisher_information
+from elfkit.metrics import NoiseModel, climbed, fisher_information
 from slope_oracle import analytic_l1_slope_optimum, l1_slope_breakpoints
 from table_oracle import nearest_valid_entry
 from elfkit.tuner import (
@@ -22,7 +23,6 @@ from elfkit.tuner import (
     build_lookup_table,
     objective_value,
     tune,
-    _climbed,
     _coordinate_step_fisher,
     _value_and_gradient,
     _weights,
@@ -186,6 +186,46 @@ class TestTune:
         assert res.objective_value == objective_value(spec, res.x_opt)
 
 
+def _oracle_census():
+    """AF and AB, L = 1-4, four mu, at the device fidelity 0.99 * 0.95^L and at 0.9, plus the two
+    AF L=4 points of ``test_default_starts_reach_the_many_start_maximum``."""
+    cases = [
+        (scheme, layers, mu, fidelity)
+        for scheme in (Scheme.AF, Scheme.AB)
+        for layers in (1, 2, 3, 4)
+        for mu in (0.37, 1.1, 2.2, 7 * math.pi / 32)
+        for fidelity in ("device", 0.9)
+    ]
+    cases += [(Scheme.AF, 4, 0.7183, "device"), (Scheme.AF, 4, math.pi - 0.7183, "device")]
+    # The finish stops on a step that gains less than tuner._MIN_GAIN while the ridge still
+    # climbs: 1.3e-8 and 4.3e-8 short at mu = 0.37, 1.4e-7 and 1.3e-9 at 7 pi / 32.
+    flat_ridge = pytest.mark.xfail(strict=True, reason="known defect: the tuner's finish stops short on flat ridges")
+    for scheme, layers, mu, fidelity in cases:
+        short = (scheme, layers) == (Scheme.AF, 4) and mu in (0.37, 7 * math.pi / 32)
+        name = f"{scheme.value}-L{layers}-{mu:.4f}-{fidelity}"
+        yield pytest.param(scheme, layers, mu, fidelity, marks=flat_ridge if short else (), id=name)
+
+
+class TestIndependentOptimizer:
+    @pytest.mark.parametrize(("scheme", "layers", "mu", "fidelity"), _oracle_census())
+    def test_tune_is_within_1e_9_of_a_scipy_polish(self, scheme, layers, mu, fidelity):
+        # SciPy's BFGS polishes tune's default result to gtol 1e-12, and its L-BFGS-B climbs
+        # from two seeded random starts; each value they reach bounds the maximum from below.
+        f = NoiseModel(0.95, 0.99).process_fidelity(layers) if fidelity == "device" else fidelity
+        spec = TuneSpec(scheme, layers, mu, f)
+        res = tune(spec)
+
+        def negated(x):
+            value, grad = _value_and_gradient(spec, x)
+            return (math.inf, np.zeros_like(x)) if grad is None else (-value, -grad)
+
+        starts = np.random.default_rng(layers).uniform(-math.pi, math.pi, (2, 2 * layers))
+        polished = [minimize(negated, res.x_opt, jac=True, method="BFGS", options={"gtol": 1e-12})]
+        polished += [minimize(negated, x0, jac=True, method="L-BFGS-B") for x0 in starts]
+        oracle = max(-p.fun for p in polished)
+        assert res.objective_value >= oracle * (1.0 - 1e-9)
+
+
 class TestWarmStarts:
     def test_rejects_a_start_of_the_wrong_shape(self, monkeypatch):
         # An L=3 start for an L=1 spec used to be tuned as an L=3 circuit,
@@ -213,11 +253,6 @@ class TestTuneSpecValidation:
     def test_rejects_max_rounds_below_one(self, value):
         with pytest.raises(ValueError, match="max_rounds"):
             TuneSpec(Scheme.AF, 1, 1.0, max_rounds=value)
-
-    @pytest.mark.parametrize("value", [0.0, -1e-8, math.nan])
-    def test_rejects_nonpositive_tolerance(self, value):
-        with pytest.raises(ValueError, match=r"tolerance must lie in \(0, inf\)"):
-            TuneSpec(Scheme.AF, 1, 1.0, tolerance=value)
 
 
 class TestCoordinateMonotonicity:
@@ -381,7 +416,7 @@ class TestSweepObjective:
             g, f, report = _weights(spec)
             for _ in range(3):
                 pair = sweep(spec.scheme, spec.mu, x, lambda j, co: rng.uniform(-np.pi, np.pi))
-                got = report(_climbed(g, f, *_readout(spec.scheme, ct, st, *pair)))
+                got = report(climbed(g, f, *_readout(spec.scheme, ct, st, *pair)))
                 assert got == pytest.approx(objective_value(spec, x), rel=1e-12)
 
 
@@ -459,6 +494,12 @@ class TestLookupTable:
             ({"pi": 0.5, "objective": "x"}, "table entry 1 has no valid 'objective': 'x'"),
             ({"pi": 0.5, "flag": 3}, "table entry 1 has no valid 'flag': 3"),
             ({"pi": 0.5, "objective": False}, "table entry 1 has no valid 'objective': False"),
+            # Each loaded before: json.load reads -Infinity and NaN, and any string passed as a flag.
+            ({"pi": 0.5, "objective": -5}, "table entry 1 has no valid 'objective': -5"),
+            ({"pi": 0.5, "objective": math.inf}, "table entry 1 has no valid 'objective': inf"),
+            ({"pi": 0.5, "objective": -math.inf}, "table entry 1 has no valid 'objective': -inf"),
+            ({"pi": 0.5, "objective": math.nan}, "table entry 1 has no valid 'objective': nan"),
+            ({"pi": 0.5, "flag": "other"}, "table entry 1 has no valid 'flag': 'other'"),
         ],
     )
     def test_malformed_entry_names_its_key(self, entry, message):
