@@ -55,12 +55,12 @@ ZERO = (0.0, 0.0, 0.0, 0.0)
 DEGENERATE_TOL = 1e-12
 
 # The domain of each numeric input, keyed by the name of its field or
-# argument; the CLI's options take theirs from here.  eps_theta and spam keep
-# the squares of ``runtime_model.runtime_bounds``, (lam / eps_theta^2)^2 too,
-# positive finite floats.
+# argument (``objective_value``: a table entry's); the CLI's options take
+# theirs from here.  eps_theta and spam keep the squares of
+# ``runtime_model.runtime_bounds``, (lam / eps_theta^2)^2 too, positive finite floats.
 _NAMES_BY_DOMAIN = {
     "[1, inf)": "layers restarts max_rounds runs horizon threads qubits depth",
-    "[0, inf)": "seed master_seed",
+    "[0, inf)": "seed master_seed objective_value",
     "(0, inf)": "gate_time variance",
     "(-inf, inf)": "mean theta",
     "(0, 1]": "layer_fidelity spam_fidelity",
@@ -85,11 +85,13 @@ _BOUNDS = {domain: _bounds(domain) for domain in _NAMES_BY_DOMAIN}
 
 
 def check(name: str, value, domain: str | None = None):
-    """``value``, if it lies in ``domain`` (``DOMAINS[name]`` by default); else a ``ValueError`` naming ``name``.
+    """``value`` if it is one number in ``domain`` (default ``DOMAINS[name]``); else a ``ValueError`` naming ``name``.
 
-    A name in ``INTEGERS`` takes only an int or a numpy integer.  A domain not
-    in the table (a CLI-only option's) is parsed at its first check.
+    One number is an int, a float, or a numpy integer or float scalar or 0-d array; a name in ``INTEGERS``
+    takes only an int or a numpy integer.  A domain not in the table (a CLI-only option's) is parsed at its first check.
     """
+    if type(value) not in (float, int) and (getattr(value, "ndim", None) != 0 or value.dtype.kind not in "iuf"):
+        raise ValueError(f"{name} must be one number, got {value!r}")
     domain = DOMAINS[name] if domain is None else domain
     if name in INTEGERS and not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")

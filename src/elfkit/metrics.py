@@ -61,22 +61,20 @@ def climbed(g: float, f: float, delta: float, ddelta: float) -> float:
 
 
 def fisher_information(scheme: Scheme, theta: float, f: float, x) -> float:
-    """Fisher information of the two-outcome likelihood with respect to theta, at one theta and angle vector."""
+    """Fisher information of the two-outcome likelihood with respect to theta, at one theta and one angle vector."""
     f = float(check("fidelity", f))
-    if (info := climbed(f, f, *_bias_pair(scheme, theta, x))) == -math.inf:
+    if (info := climbed(f, f, *_bias_pair(scheme, check("theta", theta), x))) == -math.inf:
         raise FloatingPointError("fisher information diverges: f|bias| -> 1")
     return info
 
 
-def slope(scheme: Scheme, theta, f: float, x):
-    """Magnitude of the likelihood slope: f |d(bias)/dtheta| / 2."""
-    f = float(check("fidelity", f))
-    out = f * np.abs(np.asarray(bias_derivative(scheme, theta, x))) / 2.0
-    return out if out.ndim else float(out)
+def slope(scheme: Scheme, theta: float, f: float, x) -> float:
+    """Magnitude of the likelihood slope, f |d(bias)/dtheta| / 2, at one theta and one angle vector."""
+    return float(check("fidelity", f)) * abs(bias_derivative(scheme, check("theta", theta), x)) / 2.0
 
 
 def rhat0(scheme: Scheme, pi_star: float, f: float, x) -> float:
-    """Predicted asymptotic growth rate per time step of the inverse MSE of Pi.
+    """Predicted asymptotic growth rate per time step of the inverse MSE of Pi, at one pi_star and one angle vector.
 
     Evaluated at the true point theta* = arccos(pi_star) for the given angles;
     maximizing over the angles gives the rate predictor reported per scheme.

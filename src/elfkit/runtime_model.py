@@ -104,7 +104,7 @@ def hardware_runtime_curve(
     check("pi", pi)
     spam = check("spam", hw.spam_fidelity)
     scale = hw.seconds_per_time_unit
-    eps_thetas = [check("eps_theta", check("eps", float(eps)) / math.sqrt(1.0 - pi * pi)) for eps in eps_list]
+    eps_thetas = [check("eps_theta", check("eps", eps) / math.sqrt(1.0 - pi * pi)) for eps in eps_list]
     points: list[RuntimePoint] = []
     for f2q in np.asarray(f2q_grid, dtype=float):
         lam = hw.decay_exponent(f2q)

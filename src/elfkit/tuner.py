@@ -275,40 +275,41 @@ class TableEntry:
     flag: str | None = None
 
 
-# The values that a table entry's keys but "angles", which is converted, may hold (no JSON boolean).
-_ENTRY_VALUES = {
-    "pi": lambda v: isinstance(v, (int, float)),
-    "objective": lambda v: v is None or isinstance(v, (int, float)) and 0.0 <= v < math.inf,
-    "flag": lambda v: v in (None, DEGENERATE_FLAG),
-}
-
-
-def _check_grid(grid: np.ndarray) -> None:
-    """Raise a ``ValueError`` unless the estimand grid is strictly increasing within [-1, 1]."""
-    for i, point in enumerate(grid.tolist()):
+def _check_grid(points) -> None:
+    """Raise a ``ValueError`` unless the estimand points are numbers in [-1, 1], strictly increasing."""
+    for i, point in enumerate(points):
         check(f"grid point {i}", point, DOMAINS["grid_point"])
-    if np.any(np.diff(grid) <= 0.0):
+    if np.any(np.diff(np.asarray(points, dtype=float)) <= 0.0):
         raise ValueError("grid must be strictly increasing")
 
 
 class LookupTable:
-    """Tuned angle vectors on a grid of estimand values in [-1, 1]."""
+    """Tuned angle vectors on a grid of estimand values in [-1, 1]; a built and a loaded table meet one contract."""
 
     def __init__(self, entries: list[TableEntry], metadata: dict) -> None:
+        for i, e in enumerate(entries):
+            if e.objective is not None:
+                check(f"table entry {i} objective", e.objective, DOMAINS["objective_value"])
+            if e.flag not in (None, DEGENERATE_FLAG):
+                raise ValueError(f"table entry {i} has no valid 'flag': {e.flag!r}")
         valid = [(i, e) for i, e in enumerate(entries) if e.flag is None]
         if not valid:
             raise ValueError("lookup table has no valid entries")
-        _check_grid(np.array([e.pi for e in entries], dtype=float))
+        _check_grid([e.pi for e in entries])
         for i, e in valid:  # each holds one angle vector, of the first one's length
             if (got := None if e.angles is None else np.shape(e.angles)) is None or len(got) != 1:
                 raise ValueError(f"table entry {i} has no flag, so it needs one angle vector, got {got}")
             if got[0] != (n := np.size(valid[0][1].angles)):
                 raise ValueError(f"table entry {i} holds {got[0]} angles, but entry {valid[0][0]} holds {n}")
+            try:
+                angle_vectors(e.angles)
+            except ValueError as err:
+                raise ValueError(f"table entry {i}: {err}") from None
         self.entries = entries
         self.metadata = dict(metadata)
-        valid_grid = np.array([e.pi for _, e in valid])
+        valid_grid = np.array([e.pi for _, e in valid], dtype=float)
         self._midpoints = (valid_grid[1:] + valid_grid[:-1]) / 2.0
-        self._angles = angle_vectors(np.vstack([e.angles for _, e in valid]))
+        self._angles = np.vstack([e.angles for _, e in valid], dtype=float)
         self._series: dict[Scheme, np.ndarray] = {}  # theta-series columns of the valid entries, per scheme
 
     def check_fits(self, scheme: Scheme, layers: int) -> None:
@@ -340,7 +341,7 @@ class LookupTable:
                 {
                     "pi": e.pi,
                     "angles": None if e.angles is None else [float(v) for v in e.angles],
-                    "objective": e.objective if e.objective is not None and math.isfinite(e.objective) else None,
+                    "objective": e.objective,
                     **({"flag": e.flag} if e.flag is not None else {}),
                 }
                 for e in self.entries
@@ -359,15 +360,12 @@ class LookupTable:
         for i, e in enumerate(doc["entries"]):
             if not isinstance(e, dict):
                 raise ValueError(f"table entry {i} is not a JSON object: {e!r}")
-            for key, valid in _ENTRY_VALUES.items():
-                if isinstance(value := e.get(key), bool) or not valid(value):
-                    raise ValueError(f"table entry {i} has no valid {key!r}: {value!r}")
             if (angles := e.get("angles")) is not None:
                 try:
                     angles = np.asarray(angles, dtype=float)
                 except (TypeError, ValueError):
                     raise ValueError(f"table entry {i} has non-numeric 'angles': {angles!r}") from None
-            entries.append(TableEntry(float(e["pi"]), angles, e.get("objective"), e.get("flag")))
+            entries.append(TableEntry(e.get("pi"), angles, e.get("objective"), e.get("flag")))
         return cls(entries, metadata)
 
     def save(self, path) -> None:

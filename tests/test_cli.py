@@ -134,29 +134,35 @@ def _table(*angles, **first):
     [
         ([], "'entries'"),
         ({"version": "elf-table/1"}, "'entries'"),
-        ({"version": "elf-table/1", "entries": [{"angles": [1.0, 2.0]}]}, "'pi'"),
-        ({"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0]}, {"pi": None}]}, "entry 1 has no"),
+        ({"version": "elf-table/1", "entries": [{"angles": [1.0, 2.0]}]}, "grid point 0 must be one number, got None"),
+        (
+            {"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0]}, {"pi": None}]},
+            "grid point 1 must be one number, got None",
+        ),
         ({"version": "elf-table/1", "metadata": 5, "entries": [{"pi": 0.0, "angles": [1.0, 2.0]}]}, "'metadata'"),
         ({"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": {"a": 1}}]}, "entry 0 has non-numeric 'angles'"),
         # Each unflagged entry holds one angle vector, of the first one's length.
         (_table([[1.0, 2.0]], [1.0, 2.0]), "entry 0 has no flag, so it needs one angle vector, got (1, 2)"),
-        (_table([1.0, 2.0, 3.0], [1.0, 2.0]), "entry 1 holds 2 angles, but entry 0 holds 3"),
+        (_table([1.0, 2.0, 3.0, 4.0], [1.0, 2.0]), "entry 1 holds 2 angles, but entry 0 holds 4"),
         (_table([1.0, 2.0], 5), "entry 1 has no flag, so it needs one angle vector, got ()"),
         (_table([1.0, 2.0], None), "entry 1 has no flag, so it needs one angle vector, got None"),
-        ({"version": "elf-table/1", "entries": [{"pi": True, "angles": [1.0]}]}, "entry 0 has no valid 'pi': True"),
+        ({"version": "elf-table/1", "entries": [{"pi": True, "angles": [1.0]}]}, "grid point 0 must be one number, got True"),
         (
             {"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0], "objective": "x"}]},
-            "entry 0 has no valid 'objective': 'x'",
+            "table entry 0 objective must be one number, got 'x'",
         ),
         (
             {"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0], "flag": 3}]},
             "entry 0 has no valid 'flag': 3",
         ),
         # A Fisher information or slope is finite and at least 0; json.dumps writes inf as Infinity.
-        (_table([1.0, 2.0], [1.0, 2.0], objective=-5), "entry 0 has no valid 'objective': -5"),
-        (_table([1.0, 2.0], [1.0, 2.0], objective=math.inf), "entry 0 has no valid 'objective': inf"),
-        (_table([1.0, 2.0], [1.0, 2.0], objective=math.nan), "entry 0 has no valid 'objective': nan"),
+        (_table([1.0, 2.0], [1.0, 2.0], objective=-5), "table entry 0 objective must lie in [0, inf), got -5"),
+        (_table([1.0, 2.0], [1.0, 2.0], objective=math.inf), "table entry 0 objective must lie in [0, inf), got inf"),
+        (_table([1.0, 2.0], [1.0, 2.0], objective=math.nan), "table entry 0 objective must lie in [0, inf), got nan"),
         (_table([1.0, 2.0], [1.0, 2.0], flag="other"), "entry 0 has no valid 'flag': 'other'"),
+        # A bad angle names its entry too.
+        (_table([1.0, 2.0], [math.nan, 2.0]), "table entry 1: angles must be finite"),
+        (_table([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), "table entry 0: angle vector must have even length 2L >= 2, got 3"),
     ],
     ids=[
         "not-an-object",
@@ -176,6 +182,8 @@ def _table(*angles, **first):
         "infinite-objective",
         "nan-objective",
         "unknown-flag",
+        "nan-angle",
+        "odd-length",
     ],
 )
 def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):

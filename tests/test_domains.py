@@ -1,6 +1,7 @@
 """The one domain table and its check: every numeric input of the library at its edge values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from elfkit.inference import EstimationConfig
 from elfkit.metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, slope
 from elfkit.runtime_model import HardwareParams, hardware_runtime_curve, runtime_bounds
 from elfkit.sim import ExperimentConfig
-from elfkit.tuner import TuneSpec, build_lookup_table
+from elfkit.tuner import LookupTable, TableEntry, TuneSpec, build_lookup_table
 
 _BELIEF = GaussianBelief(0.3, 1e-3)
 _HARDWARE = HardwareParams(100, 200, 1e-8)
@@ -59,8 +60,14 @@ TARGETS = {
     ),
     "process_fidelity": (("layers",), lambda layers: NoiseModel(0.9).process_fidelity(layers)),
     "clf_angles": (("layers",), lambda layers: clf_angles(layers)),
-    "fisher_information": (("fidelity",), lambda fidelity: fisher_information(Scheme.AF, 0.7, fidelity, clf_angles(1))),
-    "slope": (("fidelity",), lambda fidelity: slope(Scheme.AB, 0.7, fidelity, clf_angles(1))),
+    "fisher_information": (
+        ("theta", "fidelity"),
+        lambda **kw: fisher_information(Scheme.AF, kw.get("theta", 0.7), kw.get("fidelity", 0.9), clf_angles(1)),
+    ),
+    "slope": (
+        ("theta", "fidelity"),
+        lambda **kw: slope(Scheme.AB, kw.get("theta", 0.7), kw.get("fidelity", 0.9), clf_angles(1)),
+    ),
     "rhat0": (
         ("pi_star", "fidelity"),
         lambda **kw: rhat0(Scheme.AF, kw.get("pi_star", 0.3), kw.get("fidelity", 0.9), clf_angles(1)),
@@ -80,6 +87,10 @@ TARGETS = {
             HardwareParams(100, 200, 1e-8, spam_fidelity), [1e-3], _VALID_ROW
         ),
     ),
+    "LookupTable": (
+        ("objective_value",),
+        lambda objective_value: LookupTable([TableEntry(0.5, clf_angles(1), objective_value)], {}),
+    ),
     "build_lookup_table": (
         ("layers", "restarts", "seed", "max_rounds"),
         lambda **kw: build_lookup_table(
@@ -94,6 +105,16 @@ TARGETS = {
 
 # An input that a call passes on under another name, whose domain its errors may name.
 _PASSED_AS = {("hardware_runtime_curve-spam", "spam_fidelity"): "spam"}
+# An input whose errors name it by a label: a table entry's objective names its entry.
+_LABELS = {("LookupTable", "objective_value"): "table entry 0 objective"}
+# The standard scheme reads no layers, so it takes any count (see tests/test_sim.py).
+_UNREAD = {("ExperimentConfig-standard", "layers")}
+# A table entry may have no objective.
+_NULLABLE = {("LookupTable", "objective_value")}
+
+
+def _label(target: str, name: str) -> str:
+    return _LABELS.get((target, name)) or _PASSED_AS.get((target, name), name)
 
 
 def _edge_values(name: str, domain: str) -> list:
@@ -129,7 +150,54 @@ def test_every_numeric_input_at_its_edge_values(target, name, value):
     try:
         TARGETS[target][1](**{name: value})
     except ValueError as exc:
-        assert str(exc).startswith(_PASSED_AS.get((target, name), name)), str(exc)
+        assert str(exc).startswith(_label(target, name)), str(exc)
+
+
+def _inside(name: str, domain: str):
+    """A value inside ``domain``, an int for an integer input."""
+    lo, hi = (math.pi if end == "pi" else float(end) for end in domain[1:-1].split(", "))
+    if math.isfinite(lo) and math.isfinite(hi):
+        return (lo + hi) / 2.0
+    v = lo + 1.0 if math.isfinite(lo) else 0.5
+    return int(v) if name in INTEGERS else v
+
+
+def _non_numbers(v) -> dict:
+    return {
+        "array1": np.array([v]),
+        "array2": np.array([v, v]),
+        "list": [v],
+        "string": str(v),
+        "None": None,
+        "bool": True,
+    }
+
+
+@pytest.mark.parametrize(
+    ("target", "name", "kind"),
+    [
+        pytest.param(target, name, kind, id=f"{target}-{name}-{kind}")
+        for target, (names, _) in TARGETS.items()
+        for name in names
+        if (target, name) not in _UNREAD
+        for kind in _non_numbers(0.5)
+        if not (kind == "None" and (target, name) in _NULLABLE)
+    ],
+)
+def test_every_numeric_input_refuses_a_non_number(target, name, kind):
+    # A value inside the domain, but not one number: the check names the input before any use of it.
+    v = _inside(name, DOMAINS[_PASSED_AS.get((target, name), name)])
+    with pytest.raises(ValueError) as exc:
+        TARGETS[target][1](**{name: _non_numbers(v)[kind]})
+    assert str(exc.value).startswith(_label(target, name)), str(exc.value)
+
+
+def test_one_number_is_a_real_scalar():
+    for value in (0.5, 1, np.float64(0.5), np.float32(0.5), np.int64(1), np.array(0.5), np.array(1)):
+        assert check("fidelity", value) is value
+    for value in (True, np.True_, np.array(True), 0.5 + 0j, np.array([0.5]), [0.5], "0.5", None):
+        with pytest.raises(ValueError, match=f"^fidelity must be one number, got {re.escape(repr(value))}$"):
+            check("fidelity", value)
 
 
 @pytest.mark.parametrize("name", sorted(INTEGERS))

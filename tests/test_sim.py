@@ -512,3 +512,33 @@ class TestDiagnostics:
         late = report.times >= 1500
         ratio = report.mean_perceived_var[late] / report.var_est[late]
         assert np.all(np.abs(ratio - 1) < 0.5)
+
+
+# The fit leaves 58-70 of 256 runs beyond 5 perceived sd at a prior sd of 0.3 (73-77% within 3).
+_WRONG_MODE = pytest.mark.xfail(
+    strict=True, reason="known defect: the Gaussian belief locks onto the wrong mode when its window spans branches"
+)
+
+
+class TestCalibration:
+    """The Gaussian belief's perceived variance against the spread of its estimates (a coverage judge)."""
+
+    @pytest.mark.parametrize("prior_std", [pytest.param(0.3, marks=_WRONG_MODE), 0.1])
+    def test_final_estimates_lie_within_their_perceived_sd(self, prior_std):
+        # AF L=3 at the Chebyshev angles, true Pi 0, on the benchmark's device, master seeds 0-2.
+        # On each seed at most 2 of 256 runs may miss by more than 5 perceived sd, and at least
+        # 95% must lie within 3.
+        for seed in range(3):
+            cfg = ExperimentConfig(
+                scheme="af-clf",
+                true_pi=0.0,
+                prior_pi=GaussianBelief(0.0, prior_std**2),
+                layers=3,
+                noise=NoiseModel(0.95, 0.99),
+                runs=256,
+                horizon=3000,
+                master_seed=seed,
+            )
+            report = run_experiment(cfg)
+            z = np.abs(report.estimates[:, -1]) / np.sqrt(report.perceived_var[:, -1])
+            assert (z > 5.0).sum() <= 2 and (z <= 3.0).mean() >= 0.95, seed

@@ -490,23 +490,39 @@ class TestLookupTable:
     @pytest.mark.parametrize(
         ("entry", "message"),
         [
-            ({"pi": True}, "table entry 1 has no valid 'pi': True"),
-            ({"pi": 0.5, "objective": "x"}, "table entry 1 has no valid 'objective': 'x'"),
+            ({"pi": True}, "grid point 1 must be one number, got True"),
+            ({"pi": "0.5"}, "grid point 1 must be one number, got '0.5'"),
+            ({"pi": 0.5, "objective": "x"}, "table entry 1 objective must be one number, got 'x'"),
             ({"pi": 0.5, "flag": 3}, "table entry 1 has no valid 'flag': 3"),
-            ({"pi": 0.5, "objective": False}, "table entry 1 has no valid 'objective': False"),
-            # Each loaded before: json.load reads -Infinity and NaN, and any string passed as a flag.
-            ({"pi": 0.5, "objective": -5}, "table entry 1 has no valid 'objective': -5"),
-            ({"pi": 0.5, "objective": math.inf}, "table entry 1 has no valid 'objective': inf"),
-            ({"pi": 0.5, "objective": -math.inf}, "table entry 1 has no valid 'objective': -inf"),
-            ({"pi": 0.5, "objective": math.nan}, "table entry 1 has no valid 'objective': nan"),
+            ({"pi": 0.5, "objective": False}, "table entry 1 objective must be one number, got False"),
+            ({"pi": 0.5, "objective": [1.0]}, "table entry 1 objective must be one number, got [1.0]"),
+            # json.load reads -Infinity and NaN, so a file can hold them.
+            ({"pi": 0.5, "objective": -5}, "table entry 1 objective must lie in [0, inf), got -5"),
+            ({"pi": 0.5, "objective": math.inf}, "table entry 1 objective must lie in [0, inf), got inf"),
+            ({"pi": 0.5, "objective": -math.inf}, "table entry 1 objective must lie in [0, inf), got -inf"),
+            ({"pi": 0.5, "objective": math.nan}, "table entry 1 objective must lie in [0, inf), got nan"),
             ({"pi": 0.5, "flag": "other"}, "table entry 1 has no valid 'flag': 'other'"),
+            ({"pi": 0.5, "angles": [math.nan, 2.0]}, "table entry 1: angles must be finite"),
+            ({"pi": 0.5, "angles": [1.0, 2.0, 3.0]}, "table entry 1 holds 3 angles, but entry 0 holds 2"),
         ],
     )
     def test_malformed_entry_names_its_key(self, entry, message):
-        # Each loaded before and failed later: save raised a TypeError on a string objective.
+        # A built and a loaded table meet one contract: each bad entry fails with one message either way.
         entries = [{"pi": -0.5, "angles": [1.0, 2.0], "objective": 1.0}, {"angles": [1.0, 2.0], **entry}]
         with pytest.raises(ValueError, match=re.escape(message)):
             LookupTable.from_json_dict({"version": "elf-table/1", "entries": entries})
+        built = [TableEntry(e["pi"], np.array(e["angles"]), e.get("objective"), e.get("flag")) for e in entries]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LookupTable(built, {})
+
+    def test_an_entry_built_in_code_is_checked(self):
+        # The objective of entry 0 is checked before the unknown flag of entry 1.
+        entries = [TableEntry(-0.5, clf_angles(1), -5.0), TableEntry(0.5, None, None, "other")]
+        with pytest.raises(ValueError, match=re.escape("table entry 0 objective must lie in [0, inf), got -5.0")):
+            LookupTable(entries, {})
+        odd = [TableEntry(-0.5, np.ones(3), 1.0), TableEntry(0.5, np.ones(3), 1.0)]
+        with pytest.raises(ValueError, match=re.escape("table entry 0: angle vector must have even length")):
+            LookupTable(odd, {})
 
     def test_version_check(self):
         with pytest.raises(ValueError):
