@@ -68,16 +68,32 @@ def _cos_moments(mu, var):
 
 @lru_cache(maxsize=4)
 def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights of order n: Newton's method on the Legendre recurrence from
+    Tricomi's guesses, until its largest step is below 1e-15, and weights 2 / ((1 - x^2) P_n'(x)^2), symmetrized
+    and scaled to sum 2.  numpy's ``leggauss`` would load ``numpy.polynomial`` and run LAPACK's ``eigvalsh``."""
+
+    def legendre(x):  # P_n(x) and P_n'(x) by the three-term recurrence
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (p0 - x * p1) / (1.0 - x * x)
+
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * np.arange(n, 0, -1) - 1) / (4 * n + 2))
+    step = np.ones(n)
+    while np.max(np.abs(step)) >= 1e-15:
+        step = np.divide(*legendre(x))
+        x = x - step
+    w = 1.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)  # the weights up to their scale
+    return (x - x[::-1]) / 2.0, (w + w[::-1]) / w.sum()
 
 
 def pi_to_theta(belief: GaussianBelief) -> GaussianBelief:
     """Moment-matched Gaussian belief over theta = arccos(clip(Pi, -1, 1)).
 
-    Gauss-Legendre quadrature over the in-range part of the Gaussian plus
-    explicit point masses at the clipped tails (theta = pi below -1, theta = 0
-    above +1).  Moments are accumulated around arccos of the clipped mean so
-    that tiny variances survive the subtraction.
+    Gauss-Legendre quadrature (``_leggauss``, numpy only, without LAPACK) over
+    the in-range part of the Gaussian plus point masses at the clipped tails
+    (theta = pi below -1, theta = 0 above +1).  Moments are accumulated around
+    arccos of the clipped mean so that tiny variances survive the subtraction.
     """
     mu, sd = belief.mean, belief.std
     w_lo = 0.5 * math.erfc((1.0 + mu) / (sd * math.sqrt(2.0)))  # mass clipped to Pi = -1

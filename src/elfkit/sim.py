@@ -48,7 +48,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.scheme not in EXPERIMENT_SCHEMES:
             raise ValueError(f"scheme must be one of {EXPERIMENT_SCHEMES}")
-        # The standard scheme reads no layers, so it takes any count.
+        # The standard scheme reads no layers, so it takes any one integer; the others' runs check theirs.
+        check("layers", self.layers, "(-inf, inf)")
         for name in ("true_pi", "runs", "horizon", "master_seed", "threads"):
             check(name, getattr(self, name))
         if self.scheme != "standard":
@@ -92,7 +93,8 @@ class TraceSeries:
 def _checkpoint_rounds(n_rounds: int) -> np.ndarray:
     decades = math.log10(n_rounds)
     count = max(2, math.ceil(decades * CHECKPOINTS_PER_DECADE))
-    return np.unique(np.rint(np.geomspace(1, n_rounds, count)).astype(int))
+    rounds = np.sort(np.rint(np.geomspace(1, n_rounds, count)).astype(int))
+    return rounds[np.diff(rounds, prepend=0) > 0]  # each distinct round once; not np.unique, which loads numpy.ma
 
 
 def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: np.ndarray):

@@ -107,8 +107,6 @@ TARGETS = {
 _PASSED_AS = {("hardware_runtime_curve-spam", "spam_fidelity"): "spam"}
 # An input whose errors name it by a label: a table entry's objective names its entry.
 _LABELS = {("LookupTable", "objective_value"): "table entry 0 objective"}
-# The standard scheme reads no layers, so it takes any count (see tests/test_sim.py).
-_UNREAD = {("ExperimentConfig-standard", "layers")}
 # A table entry may have no objective.
 _NULLABLE = {("LookupTable", "objective_value")}
 
@@ -179,7 +177,6 @@ def _non_numbers(v) -> dict:
         pytest.param(target, name, kind, id=f"{target}-{name}-{kind}")
         for target, (names, _) in TARGETS.items()
         for name in names
-        if (target, name) not in _UNREAD
         for kind in _non_numbers(0.5)
         if not (kind == "None" and (target, name) in _NULLABLE)
     ],

@@ -1,6 +1,7 @@
 import math
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,6 +13,7 @@ from elfkit.inference import (
     EstimationConfig,
     _angle_policy,
     _cos_moments,
+    _leggauss,
     _lockstep,
     _posterior_moments,
     _window_fit,
@@ -78,6 +80,82 @@ class TestPiToTheta:
     def test_fully_clipped_above(self):
         out = pi_to_theta(GaussianBelief(1.5, 1e-4))
         assert out.mean == pytest.approx(0.0, abs=1e-12)
+
+    # (Pi mean, Pi variance, mean tolerance, relative variance tolerance).  The rule's 12-sd window
+    # holds 1e-13 while it stays clear of Pi = +-1; a window reaching +-1 meets arccos's square-root
+    # end, which 101 nodes integrate to about 1e-6, and a variance of 1e-24 puts the nodes 1e-4 sd
+    # apart in the last bit of Pi.  The loose tolerances are about 3x the errors measured there.
+    @pytest.mark.parametrize(
+        ("mean", "variance", "mean_tol", "var_rtol"),
+        [
+            pytest.param(0.3, 1e-6, 1e-13, 1e-13, id="narrow-interior"),
+            pytest.param(0.999, 1e-8, 1e-13, 1e-13, id="narrow-10-sd-from-+1"),
+            pytest.param(-0.2, 0.09, 5e-8, 1e-6, id="wide"),
+            pytest.param(0.98, 0.01, 2e-6, 2e-5, id="clipped-above"),
+            pytest.param(-0.97, 4e-4, 5e-7, 2e-5, id="clipped-below"),
+            pytest.param(1.5, 1e-4, 1e-13, 1e-13, id="fully-clipped-above"),
+            pytest.param(-1.5, 1e-4, 1e-13, 1e-13, id="fully-clipped-below"),
+            pytest.param(0.5, 1e-24, 1e-13, 1e-4, id="variance-1e-24"),
+        ],
+    )
+    def test_matches_an_mpmath_quadrature(self, mean, variance, mean_tol, var_rtol):
+        # The theta moments of arccos(clip(X)), X ~ N(mean, variance), to 30 digits: the point masses
+        # at Pi = +-1 plus mpmath's quad over [-1, 1], split at the mean and at +-1, 4 and 12 sd.
+        with mpmath.workdps(30):
+            mu, sd = mpmath.mpf(mean), mpmath.sqrt(mpmath.mpf(variance))
+            w_lo, w_hi = mpmath.ncdf(-1, mu, sd), 1 - mpmath.ncdf(1, mu, sd)
+            ends = (min(1, max(-1, mu + k * sd)) for k in (-12, -4, -1, 0, 1, 4, 12))
+            cuts = sorted({mpmath.mpf(-1), mpmath.mpf(1), *ends})
+            m = w_lo * mpmath.pi + mpmath.quad(lambda x: mpmath.acos(x) * mpmath.npdf(x, mu, sd), cuts)
+            tails = w_lo * (mpmath.pi - m) ** 2 + w_hi * m**2
+            v = tails + mpmath.quad(lambda x: (mpmath.acos(x) - m) ** 2 * mpmath.npdf(x, mu, sd), cuts)
+        out, ref_var = pi_to_theta(GaussianBelief(mean, variance)), max(float(v), inference.TINY)
+        assert abs(out.mean - float(m)) <= mean_tol
+        assert abs(out.variance - ref_var) <= var_rtol * ref_var
+
+
+def _legendre_reference(n):
+    """Gauss-Legendre nodes and weights of order n to 30 digits: Newton on the recurrence, mirrored from x > 0."""
+    with mpmath.workdps(30):
+
+        def legendre(x):
+            p0, p1 = mpmath.mpf(1), x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            return p1, n * (p0 - x * p1) / (1 - x * x)
+
+        half = []
+        for k in range(n // 2, 0, -1):
+            x = mpmath.cos(mpmath.pi * (4 * k - 1) / (4 * n + 2))
+            for _ in range(100):
+                p, dp = legendre(x)
+                x -= p / dp
+                if abs(p / dp) < mpmath.mpf(10) ** -28:
+                    break
+            half.append((x, 2 / ((1 - x * x) * legendre(x)[1] ** 2)))
+        middle = [(mpmath.mpf(0), 2 / legendre(mpmath.mpf(0))[1] ** 2)] if n % 2 else []
+        rule = [(-x, w) for x, w in reversed(half)] + middle + half
+        return np.array([[float(x), float(w)] for x, w in rule]).T
+
+
+class TestLegGauss:
+    """``_leggauss``, the numpy-only rule of ``pi_to_theta``, against a 30-digit reference."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 50, inference.PI_TO_THETA_NODES])
+    def test_matches_a_30_digit_newton_reference(self, n):
+        x, w = _leggauss(n)
+        x_ref, w_ref = _legendre_reference(n)
+        assert np.all(np.abs(x - x_ref) <= 2 * np.spacing(np.abs(x_ref)))
+        # 1e-15 of the weights' total, 2: the edge weights' own last bits are out of reach, as a node's
+        # rounding alone moves its weight by 2x / (1 - x^2) ulp, about 4e-13 relative at n = 101.
+        assert np.max(np.abs(w - w_ref)) <= 1e-15
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, inference.PI_TO_THETA_NODES])
+    def test_integrates_monomials_below_degree_2n(self, n):
+        x, w = _leggauss(n)
+        for k in range(2 * n):
+            assert abs(np.sum(w * x**k) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 1e-15, k
 
 
 def first_round_fit(layers, mu, var, f):

@@ -4,7 +4,10 @@ a reader and a domain for every CLI option, one home for each domain, and no exc
 import ast
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tomllib
 from collections import Counter
 from pathlib import Path
@@ -109,6 +112,31 @@ def _benchmark_names():
 def test_source_imports_no_scipy():
     found = [f"{p.name}: {m}" for p in SOURCES for m in _imported_modules(_tree(p)) if m.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_estimation_and_the_cli_load_no_numpy_polynomial_or_ma(tmp_path):
+    # pi_to_theta's quadrature rule and the checkpoint and scan-grid dedupes are numpy-only:
+    # a run through each entry point leaves numpy.polynomial and numpy.ma unloaded.
+    out = str(tmp_path / "run")
+    code = f"""
+import sys
+from elfkit.cli import main
+from elfkit.inference import EstimationConfig, run_estimation
+from elfkit.metrics import GaussianBelief, NoiseModel
+from elfkit.sim import ExperimentConfig, run_experiment
+from elfkit.bias import Scheme
+
+prior = GaussianBelief(0.3, 1e-3)
+run_estimation(EstimationConfig(Scheme.AF, 1, NoiseModel(), prior, 0.3, 30, angle_source="clf"))
+run_experiment(ExperimentConfig("af-clf", 0.3, prior, 1, NoiseModel(), runs=4, horizon=60))
+common = ["--seed", "1", "--out", {out!r}]
+assert main(["simulate", "--true-pi", "0.3", "--prior-mean", "0.3", "--runs", "3", "--horizon", "30", *common]) == 0
+assert main(["scan", "--points", "3", "--restarts", "1", "--max-rounds", "5", *common]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[:2] in (["numpy", "polynomial"], ["numpy", "ma"])))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]", run.stdout
 
 
 def test_scipy_is_a_test_dependency_only():

@@ -9,7 +9,14 @@ from elfkit.bias import Scheme, clf_angles
 from elfkit import inference
 from elfkit.inference import EstimationConfig, _angle_policy, _cos_moments, _lockstep, pi_to_theta
 from elfkit.metrics import GaussianBelief, NoiseModel
-from elfkit.sim import CHUNK_SIZE, EXPERIMENT_SCHEMES, ExperimentConfig, _checkpoint_rounds, run_experiment
+from elfkit.sim import (
+    CHECKPOINTS_PER_DECADE,
+    CHUNK_SIZE,
+    EXPERIMENT_SCHEMES,
+    ExperimentConfig,
+    _checkpoint_rounds,
+    run_experiment,
+)
 from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
 from paper_model import likelihood
 
@@ -404,6 +411,11 @@ class TestRunExperiment:
         )
         assert run_experiment(cfg).rmse.size > 0
 
+    @pytest.mark.parametrize("layers", ["x", None, 2.5, [1]])
+    def test_standard_scheme_refuses_a_layer_count_that_is_no_integer(self, layers):
+        with pytest.raises(ValueError, match="^layers must be"):
+            ExperimentConfig("standard", 0.1, None, layers, NoiseModel(), runs=1, horizon=10)
+
 
 _FITTING_TABLE = LookupTable([TableEntry(0.0, clf_angles(2), 1.0)], {"scheme": "af"})
 
@@ -435,6 +447,13 @@ def test_both_configs_check_a_problem_alike(change, field):
         ExperimentConfig(scheme="af-elf", runs=1, **{**common, **change})
     assert str(experiment.value) == str(estimation.value)
     assert field in str(estimation.value) and "angle_source" not in str(estimation.value)
+
+
+def test_checkpoint_rounds_are_the_distinct_rounded_grid():
+    # The sort-and-compare form gives what np.unique of the rounded geometric grid gave.
+    for n in range(1, 5001):
+        count = max(2, math.ceil(math.log10(n) * CHECKPOINTS_PER_DECADE))
+        assert np.array_equal(_checkpoint_rounds(n), np.unique(np.rint(np.geomspace(1, n, count)).astype(int))), n
 
 
 class TestCheckpointReadout:
