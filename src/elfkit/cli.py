@@ -318,6 +318,8 @@ def cmd_scan(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
+    if cfg["table"] and not cfg["scheme"].endswith("elf"):
+        raise ValueError(f"--table is read only by the engineered schemes, not by --scheme {cfg['scheme']}")
     if (mean := cfg["prior-mean"]) is None and cfg["scheme"] != "standard":
         raise ValueError(f"missing option --prior-mean, which --scheme {cfg['scheme']} needs")
     # The Chebyshev twin of an engineered scheme makes every check but the

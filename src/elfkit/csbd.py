@@ -29,9 +29,10 @@ same peeled products at -x_j, seeded with e0 = (1, 0, 0, 0).  AB's
 coefficients are then 4-term dot products; AF's take Q0 = conj(R) P and
 Q2 = conj(R) G P whole.
 
-A coordinate sweep (``sweep``) updates x_1, ..., x_2L in turn.  The suffix of
-x_j holds only coordinates not yet updated and its prefix only updated ones,
-so one backward pass and a growing prefix serve the whole sweep in O(L).
+A coordinate sweep (``sweep``) updates x_1, ..., x_2L in turn; x_j's suffix
+holds only coordinates not yet updated and its prefix only updated ones, so one
+backward pass and a growing prefix serve it in O(L).  ``CoefficientTable``
+records the coefficients of a sweep that keeps x.
 
 The x-gradient (``slopes``) takes the same two passes.  Since dF/dx_j = G F,
 the x_j-slope of Q is S G P' with P' = F(x_j) P, so a readout linear in Q
@@ -152,30 +153,20 @@ def _coefficients(scheme: Scheme, ct, st, r, pre, u) -> CsbdCoefficients:
 
 
 class CoefficientTable:
-    """Prefix pairs and backward-pass suffix pairs for one (scheme, theta, x).
-
-    Immutable after construction; safe for concurrent queries.
-    """
+    """Every coordinate's coefficients at one (scheme, theta, x), recorded by one ``sweep`` that keeps x."""
 
     def __init__(self, scheme: Scheme, theta: float, x) -> None:
-        self.scheme = scheme
-        self.theta = float(check("theta", theta))
-        self.x = canonical_angles(x)
-        if self.x.ndim != 1:
+        theta, x = float(check("theta", theta)), canonical_angles(x)
+        if x.ndim != 1:
             raise ValueError("angle vector must be one-dimensional")
-        self.layers = self.x.size // 2
-        ct, st, cx, sx = trig(self.theta, self.x)
-        self._trig = ct, st
-        self._suf = _backward(ct, st, cx, sx, _IDENTITY_PAIR)
-        # _pre[j]: factors 0..j-1 (acting before coordinate j, 0-based).
-        self._pre = [_IDENTITY_PAIR] + circuit_prefixes(ct, st, cx, sx)[:-1]
+        self._record: list[CsbdCoefficients] = []
+        sweep(scheme, theta, x.copy(), lambda j, co: self._record.append(co) or x[j - 1])
 
     def coefficients(self, j: int) -> CsbdCoefficients:
         """CSBD coefficients of the bias with respect to x_j (1-based)."""
-        if not 1 <= j <= 2 * self.layers:
-            raise IndexError(f"coordinate index {j} out of range 1..{2 * self.layers}")
-        ct, st = self._trig
-        return _coefficients(self.scheme, ct, st, self._suf[j - 1], self._pre[j - 1], j % 2 == 1)
+        if not 1 <= j <= len(self._record):
+            raise IndexError(f"coordinate index {j} out of range 1..{len(self._record)}")
+        return self._record[j - 1]
 
 
 def sweep(scheme: Scheme, theta: float, x: np.ndarray, choose):

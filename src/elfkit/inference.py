@@ -1,12 +1,12 @@
 """Adaptive Bayesian estimation with Gaussian beliefs: the one estimation engine.
 
 The belief over theta = arccos(Pi) stays Gaussian throughout.  Each round
-(``_lockstep``) selects circuit angles for the current belief, reads the
-bias from their cached theta-series (``bias.bias_series``), fits the
-local bias with a sinusoid arcsin-linear in theta (a closed-form line over
-``FIT_POINTS`` abscissae spanning +-1 sd of the belief), samples an outcome
-from the noisy likelihood at the true theta, and applies the closed-form
-posterior-moment update of the fitted model (``_posterior_moments``).  The
+(``_lockstep``) takes circuit angles for the current belief from a lookup table
+(``tuner.chebyshev_table`` holds the Chebyshev angles), reads the bias from their
+cached theta-series (``LookupTable.series``), fits it with a sinusoid arcsin-linear
+in theta (a closed-form line over ``FIT_POINTS`` abscissae spanning +-1 sd of the
+belief), samples an outcome from the noisy likelihood at the true theta, and applies
+the closed-form posterior-moment update of the fit (``_posterior_moments``).  The
 round advances a batch of runs, shaped like the belief arrays, in lockstep.
 It starts runs of an ``EstimationConfig`` in ``_rounds`` and reads Pi beliefs
 out in ``_cos_moments`` for two callers: ``run_estimation`` (a 0-d batch; its
@@ -29,8 +29,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import DEGENERATE_TOL, DOMAINS, check, check_fields
-from .bias import Scheme, _horner, bias_series, clf_angles
+from .bias import Scheme, _horner
 from .metrics import GaussianBelief, NoiseModel
+from .tuner import chebyshev_table
 
 ARCSIN_CLAMP = 1e-12
 PI_TO_THETA_NODES = 101
@@ -158,8 +159,8 @@ class EstimationConfig:
     true_pi: float
     horizon: int  # total time budget, units of the ansatz duration
     seed: int = 0
-    angle_source: str = "table"  # "table" | "clf"
-    table: "object | None" = None  # tuner.LookupTable when angle_source == "table"
+    angle_source: str = "table"  # "table" | "clf", a constructor input only: the runs read ``table``
+    table: "object | None" = None  # tuner.LookupTable for "table"; None for "clf", whose runs read chebyshev_table
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -168,9 +169,9 @@ class EstimationConfig:
             raise ValueError("angle_source must be 'table' or 'clf'")
         if self.horizon < self.round_cost:
             raise ValueError(f"horizon must be >= {self.round_cost}")
-        if self.angle_source == "table":
-            if self.table is None:
-                raise ValueError("table must be given when the angles come from a lookup table")
+        if (self.table is None) == (self.angle_source == "table"):
+            raise ValueError(f"table must be given exactly when the angles come from a table, got {self.table!r}")
+        if self.table is not None:
             self.table.check_fits(self.scheme, self.layers)
 
     @property
@@ -181,26 +182,19 @@ class EstimationConfig:
         return self.horizon // self.round_cost
 
 
-@lru_cache(maxsize=None)
-def _clf_series(scheme: Scheme, layers: int) -> np.ndarray:
-    """Read-only theta-series column of the Chebyshev angles, shape (D + 1,): it broadcasts against any runs."""
-    c = bias_series(scheme, clf_angles(layers))
-    c.flags.writeable = False
-    return c
-
-
-def _angle_policy(scheme: Scheme, layers: int, source: str, f: float, theta_star: float, table=None):
+def _angle_policy(scheme: Scheme, f: float, theta_star: float, table):
     """A round's theta-series columns and thresholds f bias(theta_star) as a function of the theta beliefs (mu, var).
 
-    "clf" gives the Chebyshev angles' one column; "table" gives, for each run, the column of the valid
-    table entry nearest its Pi mean (``LookupTable.series``).  The thresholds are read once, at two copies of
+    Each run reads the column of the valid table entry nearest its Pi mean (``LookupTable.series``); one valid
+    entry (``chebyshev_table``) gives one column, unbroadcast.  The thresholds are read once, at two copies of
     e^{i theta_star}: numpy rounds a length-1 in-place complex product unlike the rounds' longer ones.
     """
-    midpoints, columns = (None, _clf_series(scheme, layers)) if source == "clf" else table.series(scheme)
+    midpoints, columns = table.series(scheme)
     e = np.full(2, complex(np.cos(theta_star), np.sin(theta_star)))
     thresholds = f * _horner(columns[..., None], e)[..., 0]
-    if midpoints is None:
-        return lambda mu, var: (columns, thresholds)
+    if not midpoints.size:  # one entry: its column and threshold broadcast against any runs
+        pair = columns[:, 0], thresholds[0]
+        return lambda mu, var: pair
 
     def policy(mu, var):
         i = midpoints.searchsorted(np.exp(var * -0.5) * np.cos(mu), side="right")
@@ -258,7 +252,7 @@ def _rounds(config: EstimationConfig, uniforms, abort=False):
     """
     prior, shape = pi_to_theta(config.prior_pi), np.shape(uniforms)[1:]
     f = config.noise.process_fidelity(config.layers)
-    angles = _angle_policy(config.scheme, config.layers, config.angle_source, f, math.acos(config.true_pi), config.table)
+    angles = _angle_policy(config.scheme, f, math.acos(config.true_pi), config.table or chebyshev_table(config.layers))
     return _lockstep(f, np.full(shape, prior.mean)[()], np.full(shape, prior.variance)[()], angles, uniforms, abort)
 
 

@@ -42,7 +42,7 @@ class ExperimentConfig:
     runs: int
     horizon: int
     master_seed: int = 0
-    table: "object | None" = None  # tuner.LookupTable for the *-elf schemes
+    table: "object | None" = None  # tuner.LookupTable for the *-elf schemes, None for the others
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -56,6 +56,8 @@ class ExperimentConfig:
             if self.prior_pi is None:
                 raise ValueError(f"prior_pi must be given for scheme {self.scheme!r}")
             self._run_config()  # EstimationConfig checks what the runs read
+        elif self.table is not None:
+            raise ValueError(f"table must be None with scheme 'standard', got {self.table!r}")
 
     @property
     def bias_scheme(self) -> Scheme:
@@ -63,10 +65,9 @@ class ExperimentConfig:
 
     def _run_config(self) -> EstimationConfig:
         """The ``EstimationConfig`` of each run of a non-standard scheme; its ``seed`` is unused."""
-        source = "clf" if self.scheme.endswith("clf") else "table"
         return EstimationConfig(
             self.bias_scheme, self.layers, self.noise, self.prior_pi, self.true_pi, self.horizon,
-            angle_source=source, table=self.table,
+            angle_source="clf" if self.scheme.endswith("clf") else "table", table=self.table,
         )
 
 

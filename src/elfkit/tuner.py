@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -327,10 +328,11 @@ class LookupTable:
         """The valid entries' midpoints and ``bias_series`` columns, shape (D + 1, valid entries).
 
         A query pi reads column ``midpoints.searchsorted(pi, side="right")``: the valid entry nearest
-        pi, the right one on a midpoint.  The columns are computed on first use for each scheme.
+        pi, the right one on a midpoint.  The columns, computed on first use per scheme, are shared and read-only.
         """
         if (columns := self._series.get(scheme)) is None:
             columns = self._series[scheme] = bias_series(scheme, self._angles)
+            columns.flags.writeable = False
         return self._midpoints, columns
 
     def to_json_dict(self) -> dict:
@@ -377,6 +379,12 @@ class LookupTable:
     def load(cls, path) -> "LookupTable":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+@lru_cache(maxsize=None)
+def chebyshev_table(layers: int) -> LookupTable:
+    """The Chebyshev angles (``clf_angles``) as a one-entry table: the one angle source of the ``*-clf`` runs."""
+    return LookupTable([TableEntry(0.0, clf_angles(layers), None)], {})
 
 
 def build_lookup_table(

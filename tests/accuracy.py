@@ -1,0 +1,226 @@
+"""Accuracy census: final estimation error of fixed configs, and a comparison of two census files.
+
+    PYTHONPATH=src python tests/accuracy.py write FILE [--quick]
+    PYTHONPATH=src python tests/accuracy.py compare OLD NEW
+
+``write`` runs every config with the ``elfkit`` found on the path, so one copy
+of this script measures any tree: point ``PYTHONPATH`` at that tree's ``src``.
+All configs use the benchmark's device (layer fidelity 0.95, SPAM fidelity
+0.99) and 256 runs at each master seed 0-2.  The configs are
+
+- ``wide/...``, ``narrow/...``, ``edge/...``: the ``run_experiment`` rows of
+  the accuracy table of ROADMAP direction 1 at horizon 3000 (the ``*-elf``
+  rows read an AF L=3 table of 41 points, 10 restarts, ``max_rounds`` 100,
+  seed 1).  The edge config aborts at the time of writing;
+- ``bench/...``: the benchmark's three ``experiment`` kinds at three Pi
+  values, the prior mean 0.02 above Pi with sd 0.03 (the ``*-elf`` kinds read
+  the benchmark's 17-point tables);
+- ``near/...``: the benchmark's ``adaptive`` near-edge kind (true Pi 0.995 or
+  -0.993, prior +-0.9 with sd 0.2, horizon 300) at the Chebyshev angles, AF and
+  AB at L = 1..3, one ``run_estimation`` call per run.
+
+For each config and master seed a census records the final RMSE in Pi over
+the runs that were not excluded, with a bootstrap 95% interval (1000
+resamples), the runs whose final estimate lies more than 5 perceived sd from
+Pi, the share within 3 perceived sd, the excluded runs, and whether the
+experiment aborted.  ``--quick`` writes two Chebyshev configs at 64 runs.
+
+``compare`` lists each config that the new file does worse on, and exits 1 if
+there is any: a seed newly aborted, more excluded runs or more runs beyond
+5 sd over the seeds, a final RMSE above the old file's upper bound at some
+seed, or a config that only one file holds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from typing import NamedTuple
+
+import numpy as np
+
+from elfkit.bias import Scheme
+from elfkit.inference import EstimationConfig, run_estimation
+from elfkit.metrics import GaussianBelief, NoiseModel
+from elfkit.sim import ExperimentConfig, run_experiment
+from elfkit.tuner import build_lookup_table
+
+DEVICE = NoiseModel(0.95, 0.99)
+RUNS, QUICK_RUNS = 256, 64
+MASTER_SEEDS = (0, 1, 2)
+BOOTSTRAP = 1000
+
+
+class Config(NamedTuple):
+    scheme: str
+    layers: int
+    true_pi: float
+    prior_mean: float
+    prior_sd: float
+    horizon: int
+    table: tuple | None  # (scheme, layers) of a table built once per census (``_table``)
+
+
+L3_TABLE = ("af", 3)
+CONFIGS = {
+    "wide/af-clf-L3": Config("af-clf", 3, 0.0, 0.0, 0.3, 3000, None),
+    "wide/af-clf-L2": Config("af-clf", 2, 0.0, 0.0, 0.3, 3000, None),
+    "edge/af-clf-L3": Config("af-clf", 3, -0.995, -0.9, 0.1, 3000, None),
+    "narrow/af-elf-L3": Config("af-elf", 3, 0.3, 0.32, 0.03, 3000, L3_TABLE),
+    "wide/af-elf-L3": Config("af-elf", 3, 0.0, 0.0, 0.3, 3000, L3_TABLE),
+    "edge/af-elf-L3": Config("af-elf", 3, -0.995, -0.9, 0.1, 3000, L3_TABLE),
+    **{
+        f"bench/{scheme}-L{layers}/pi{pi:+}": Config(scheme, layers, pi, pi + 0.02, 0.03, horizon, table)
+        for scheme, layers, horizon, table in (
+            ("af-elf", 2, 1000, ("af", 2)),
+            ("ab-elf", 2, 1000, ("ab", 2)),
+            ("af-clf", 3, 1400, None),
+        )
+        for pi in (-0.6, 0.1, 0.7)
+    },
+    **{
+        f"near/{scheme}-L{layers}/pi{pi:+}": Config(scheme, layers, pi, math.copysign(0.9, pi), 0.2, 300, None)
+        for scheme in ("af-clf", "ab-clf")
+        for layers in (1, 2, 3)
+        for pi in (0.995, -0.993)
+    },
+}
+QUICK = ("bench/af-clf-L3/pi+0.1", "near/ab-clf-L1/pi+0.995")
+
+
+def _table(key):
+    """The table of a config's ``table`` key: ROADMAP's AF L=3 table, or one of the benchmark's set-up tables."""
+    scheme, layers = Scheme(key[0]), key[1]
+    if key == L3_TABLE:
+        return build_lookup_table(scheme, layers, DEVICE, 41, restarts=10, seed=1, max_rounds=100)
+    return build_lookup_table(scheme, layers, DEVICE, 17, restarts=2, seed=2020, max_rounds=50)
+
+
+def _final_beliefs(name: str, table, runs: int, master: int):
+    """(estimates, perceived variances, alive) of each run at the horizon; None if the experiment aborts."""
+    scheme, layers, true_pi, mean, sd, horizon, _ = CONFIGS[name]
+    prior = GaussianBelief(mean, sd * sd)
+    if not name.startswith("near/"):
+        try:
+            traces = run_experiment(
+                ExperimentConfig(scheme, true_pi, prior, layers, DEVICE, runs, horizon, master, table)
+            )
+        except FloatingPointError:
+            return None
+        alive = np.ones(runs, dtype=bool)
+        alive[traces.excluded_runs] = False
+        return traces.estimates[:, -1], traces.perceived_var[:, -1], alive
+    bias_scheme = Scheme.AB if scheme.startswith("ab") else Scheme.AF
+    est, var, alive = np.zeros(runs), np.ones(runs), np.ones(runs, dtype=bool)
+    for i in range(runs):
+        run = EstimationConfig(bias_scheme, layers, DEVICE, prior, true_pi, horizon, master * 10**6 + i, "clf")
+        try:
+            last = run_estimation(run)[-1]
+        except ValueError:  # the run's update left the Gaussians: it is excluded
+            alive[i] = False
+            continue
+        est[i], var[i] = last.pi_mean, last.pi_variance
+    return est, var, alive
+
+
+def census(name: str, table, runs: int, master: int) -> dict:
+    """The figures of one config at one master seed."""
+    true_pi = CONFIGS[name].true_pi
+    beliefs = _final_beliefs(name, table, runs, master)
+    if beliefs is None:
+        return {"aborted": True}
+    est, var, alive = beliefs
+    err, sd = est[alive] - true_pi, np.sqrt(var[alive])
+    sq = err * err
+    picks = np.random.default_rng(0).integers(0, sq.size, (BOOTSTRAP, sq.size))
+    lo, hi = np.percentile(np.sqrt(sq[picks].mean(axis=1)), [2.5, 97.5])
+    return {
+        "aborted": False,
+        "final_rmse": float(np.sqrt(sq.mean())),
+        "rmse_lo": float(lo),
+        "rmse_hi": float(hi),
+        "beyond_5sd": int(np.count_nonzero(np.abs(err) > 5.0 * sd)),
+        "within_3sd": float(np.count_nonzero(np.abs(err) <= 3.0 * sd) / sq.size),
+        "excluded": int(np.count_nonzero(~alive)),
+    }
+
+
+def accuracy(quick: bool = False) -> dict:
+    names = QUICK if quick else tuple(CONFIGS)
+    keys = {CONFIGS[name].table for name in names} - {None}
+    tables = {key: _table(key) for key in sorted(keys)}
+    runs = QUICK_RUNS if quick else RUNS
+    return {
+        name: {
+            f"seed{m}": census(name, tables.get(CONFIGS[name].table), runs, m) for m in MASTER_SEEDS
+        }
+        for name in names
+    }
+
+
+def regressions(old: dict, new: dict) -> list[str]:
+    """One line per config that the new census does worse on, or that only one of the two holds."""
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new or name not in old:
+            lines.append(f"{name}: only in the {'old' if name in old else 'new'} file")
+            continue
+        a, b = old[name], new[name]
+        why = [f"{s} aborts" for s in sorted(b) if b[s]["aborted"] and not a.get(s, {}).get("aborted")]
+        done = [s for s in sorted(a.keys() & b.keys()) if not a[s]["aborted"] and not b[s]["aborted"]]
+        for key in ("excluded", "beyond_5sd"):
+            if (m := sum(b[s][key] for s in done)) > (n := sum(a[s][key] for s in done)):
+                why.append(f"{key} {m} > {n}")
+        why += [f"{s} rmse {b[s]['final_rmse']:.4g} > {a[s]['rmse_hi']:.4g}" for s in done
+                if b[s]["final_rmse"] > a[s]["rmse_hi"]]
+        if why:
+            lines.append(f"{name}: " + ", ".join(why))
+    return lines
+
+
+def summary(items: dict) -> list[str]:
+    """One line per config: the range over seeds of the final RMSE, of the runs beyond 5 sd, and the aborts."""
+    lines = []
+    for name, seeds in items.items():
+        done = [v for v in seeds.values() if not v["aborted"]]
+        aborts = len(seeds) - len(done)
+        text = f"{name}: aborts {aborts}/{len(seeds)}"
+        if done:
+            rmse = [v["final_rmse"] for v in done]
+            beyond = [v["beyond_5sd"] for v in done]
+            excluded = sum(v["excluded"] for v in done)
+            text += f", rmse {min(rmse):.3g}-{max(rmse):.3g}, beyond 5 sd {min(beyond)}-{max(beyond)}"
+            text += f", within 3 sd {min(v['within_3sd'] for v in done):.3f}+, excluded {excluded}"
+        lines.append(text)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    write = sub.add_parser("write", help="run the census with the elfkit on the path")
+    write.add_argument("file")
+    write.add_argument("--quick", action="store_true", help="two Chebyshev configs at 64 runs")
+    compare = sub.add_parser("compare", help="list the configs that the new census does worse on")
+    compare.add_argument("old")
+    compare.add_argument("new")
+    args = parser.parse_args(argv)
+    if args.mode == "write":
+        items = accuracy(args.quick)
+        with open(args.file, "w", encoding="utf-8") as fh:
+            json.dump(items, fh, indent=1)
+            fh.write("\n")
+        print("\n".join(summary(items)))
+        print(f"wrote {len(items)} configs to {args.file}")
+        return 0
+    with open(args.old, encoding="utf-8") as fh, open(args.new, encoding="utf-8") as gh:
+        old, new = json.load(fh), json.load(gh)
+    lines = regressions(old, new)
+    print("\n".join(lines) if lines else f"no config does worse ({len(old)} configs)")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,48 @@
+"""The accuracy census runs, its figures hang together, and its compare mode flags a planted regression."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import elfkit
+
+SCRIPT = Path(__file__).resolve().parent / "accuracy.py"
+
+
+def test_write_and_compare_flag_a_planted_regression(tmp_path):
+    src = os.path.dirname(os.path.dirname(elfkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    old = tmp_path / "old.json"
+    run = subprocess.run([sys.executable, str(SCRIPT), "write", str(old), "--quick"], env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()
+    items = json.loads(old.read_text())
+    assert len(items) == 2 and all(sorted(seeds) == ["seed0", "seed1", "seed2"] for seeds in items.values())
+    for seeds in items.values():
+        for v in seeds.values():
+            assert not v["aborted"] and v["excluded"] == 0
+            assert 0.0 < v["rmse_lo"] <= v["final_rmse"] <= v["rmse_hi"]
+            assert 0 <= v["beyond_5sd"] <= 64 and 0.0 <= v["within_3sd"] <= 1.0
+
+    # Plant a regression in each config: an RMSE above the old upper bound, and an
+    # aborted seed with one more run beyond 5 sd on another.
+    first, second = sorted(items)
+    planted = json.loads(old.read_text())
+    planted[first]["seed1"]["final_rmse"] = 2.0 * items[first]["seed1"]["rmse_hi"]
+    planted[second]["seed0"] = {"aborted": True}
+    planted[second]["seed2"]["beyond_5sd"] += 1
+    new = tmp_path / "new.json"
+    new.write_text(json.dumps(planted))
+    args = [sys.executable, str(SCRIPT), "compare"]
+    same = subprocess.run(args + [str(old), str(old)], env=env, capture_output=True, text=True)
+    assert same.returncode == 0 and same.stdout.startswith("no config does worse")
+    diff = subprocess.run(args + [str(old), str(new)], env=env, capture_output=True, text=True)
+    assert diff.returncode == 1
+    lines = diff.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == [first, second]
+    beyond = sum(items[second][s]["beyond_5sd"] for s in ("seed1", "seed2"))
+    assert "seed1 rmse" in lines[0]
+    assert "seed0 aborts" in lines[1] and f"beyond_5sd {beyond + 1} > {beyond}" in lines[1]
+    # A better census is not a regression.
+    assert subprocess.run(args + [str(new), str(old)], env=env, capture_output=True).returncode == 0

@@ -566,6 +566,19 @@ def test_simulate_rejects_table_that_does_not_fit(tmp_path, capsys):
     assert not (tmp_path / "run.json").exists()
 
 
+@pytest.mark.parametrize("scheme", ["af-clf", "ab-clf", "standard"])
+def test_simulate_refuses_a_table_that_no_run_reads(scheme, tmp_path, capsys, monkeypatch):
+    # A usage error (2) naming --table and --scheme, before the table is read or a run starts:
+    # the drawn seed is not printed, and nothing is written.
+    monkeypatch.setattr("elfkit.cli.run_experiment", lambda config: pytest.fail("ran"))
+    argv = ["simulate", "--scheme", scheme, "--table", str(tmp_path / "none.json"), "--true-pi", "0.3"]
+    argv += ["--prior-mean", "0.3", "--runs", "4", "--horizon", "30", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "--table" in err and f"--scheme {scheme}" in err and "seed:" not in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("mu", [0.3, 1.3, 2.2])
 def test_tune_slope_reaches_l1_optimum(mu, capsys):
     # The slope objective through the CLI, against the closed-form L=1 optimum.

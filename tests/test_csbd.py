@@ -128,7 +128,10 @@ class TestSweep:
     @pytest.mark.parametrize("layers", [1, 2, 3, 8, 16])
     def test_matches_fresh_table_on_updated_vector(self, scheme, layers):
         # Each coordinate's coefficients must be those of a table built
-        # afresh on the partly updated vector.
+        # afresh on the partly updated vector.  That table is itself a
+        # recorded sweep, so the coefficients must also rebuild the kernel's
+        # bias and its theta-derivative at three values of the free angle, as
+        # in TestReconstruction, on the partly updated vector.
         rng = np.random.default_rng(100 + layers)
         theta = rng.uniform(0.1, np.pi - 0.1)
         x = rng.uniform(-np.pi, np.pi, 2 * layers)
@@ -138,6 +141,13 @@ class TestSweep:
             ref = CoefficientTable(scheme, theta, x).coefficients(j)
             for name in ("c", "s", "b", "c_prime", "s_prime", "b_prime"):
                 assert getattr(co, name) == pytest.approx(getattr(ref, name), abs=1e-13)
+            for z in (0.0, 0.9, -1.3):
+                probe = x.copy()
+                probe[j - 1] = z
+                assert bias_at(co, scheme.angle_scale, z) == pytest.approx(bias(scheme, theta, probe), abs=1e-10)
+                assert bias_derivative_at(co, scheme.angle_scale, z) == pytest.approx(
+                    bias_derivative(scheme, theta, probe), abs=1e-8
+                )
             visited.append(j)
             z = rng.uniform(-2 * np.pi, 2 * np.pi) if rng.random() < 0.7 else x[j - 1]
             written.append(z)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import mpmath
@@ -7,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from elfkit import bias, inference
-from elfkit.bias import Scheme, bias_series, clf_angles
+from elfkit.bias import Scheme, _horner, bias_series, clf_angles
 from elfkit.inference import (
     FIT_POINTS,
     EstimationConfig,
@@ -21,7 +22,7 @@ from elfkit.inference import (
     run_estimation,
 )
 from elfkit.metrics import GaussianBelief, NoiseModel
-from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
+from elfkit.tuner import DEGENERATE_FLAG, LookupTable, TableEntry, build_lookup_table, chebyshev_table
 from table_oracle import nearest_valid_entry
 
 
@@ -160,7 +161,8 @@ class TestLegGauss:
 
 def first_round_fit(layers, mu, var, f):
     """(r, b) of the fit of the first ``_lockstep`` round of one AF run at the Chebyshev angles."""
-    rounds = _lockstep(f, np.array([mu]), np.array([var]), _angle_policy(Scheme.AF, layers, "clf", f, mu), np.zeros((1, 1)))
+    angles = _angle_policy(Scheme.AF, f, mu, chebyshev_table(layers))
+    rounds = _lockstep(f, np.array([mu]), np.array([var]), angles, np.zeros((1, 1)))
     r, b = next(rounds)[:2]
     return r[0], b[0]
 
@@ -574,7 +576,7 @@ class TestEngineEquivalence:
         var = prior.variance * rng.uniform(0.5, 2.0, width)
         mu[col], var[col] = prior.mean, prior.variance
         f = noise.process_fidelity(layers)
-        angles = _angle_policy(scheme, layers, source, f, math.acos(cfg.true_pi), cfg.table)
+        angles = _angle_policy(scheme, f, math.acos(cfg.true_pi), cfg.table or chebyshev_table(layers))
         rounds = _lockstep(f, mu, var, angles, uniforms)
         batch = np.array([[a[col] for a in state[2:5]] for state in rounds])
         assert np.array_equal(single, batch)
@@ -591,7 +593,7 @@ class TestZeroDimBatch:
         f = NoiseModel(0.95, 0.99).process_fidelity(layers)
         prior = pi_to_theta(GaussianBelief(0.35, 0.05**2))
         table = small_table(scheme, layers) if source == "table" else None
-        angles = _angle_policy(scheme, layers, source, f, math.acos(0.3), table)
+        angles = _angle_policy(scheme, f, math.acos(0.3), table or chebyshev_table(layers))
         uniforms = np.random.default_rng(layers).random(60)
         start = np.float64(prior.mean), np.float64(prior.variance)
         scalar = list(_lockstep(f, *start, angles, uniforms))
@@ -609,7 +611,7 @@ class TestZeroDimBatch:
     def test_table_policy_of_a_scalar_belief_is_one_column(self, scheme):
         table = small_table(scheme, 2)
         degree = 5 if scheme is Scheme.AF else 2
-        policy = _angle_policy(scheme, 2, "table", 0.9, 1.1, table)
+        policy = _angle_policy(scheme, 0.9, 1.1, table)
         for pi in (-0.97, -0.31, 0.0, 0.42, 0.97):
             mu, var = math.acos(pi), 1e-30  # the belief's Pi mean is pi to rounding
             columns, thresholds = policy(np.array([mu]), np.array([var]))
@@ -618,6 +620,39 @@ class TestZeroDimBatch:
                 assert column.shape == (degree + 1,) and np.ndim(threshold) == 0
                 assert np.array_equal(column, columns[:, 0]) and threshold == thresholds[0]
                 assert np.array_equal(column, bias_series(scheme, nearest_valid_entry(table, pi).angles))
+
+
+class TestOneEntryTable:
+    """A table with one valid entry, such as ``chebyshev_table``, gives every run that entry's one column."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_policy_returns_the_column_unbroadcast(self, scheme, layers):
+        # For a 0-d and a 1-D belief: the (D + 1,) column of the Chebyshev angles and a 0-d threshold,
+        # bit for bit those of that column alone, read-only because every run of the process shares them.
+        f, theta_star = 0.9, 1.1
+        want = bias_series(scheme, clf_angles(layers))
+        e = np.full(2, complex(math.cos(theta_star), math.sin(theta_star)))
+        want_threshold = (f * _horner(want[:, None], e))[0]
+        assert abs(want_threshold - f * bias.bias(scheme, theta_star, clf_angles(layers))) <= 1e-12
+        policy = _angle_policy(scheme, f, theta_star, chebyshev_table(layers))
+        for mu, var in ((np.float64(0.4), np.float64(0.01)), (np.array([0.4, 2.0, 3.1]), np.full(3, 0.01))):
+            column, threshold = policy(mu, var)
+            assert column.shape == want.shape and np.ndim(threshold) == 0
+            assert column.tobytes() == want.tobytes() and threshold == want_threshold
+            assert not column.flags.writeable
+
+    @pytest.mark.parametrize("scheme, layers", [(Scheme.AF, 3), (Scheme.AB, 2)])
+    def test_a_user_built_table_estimates_as_the_chebyshev_angles(self, scheme, layers):
+        # One valid entry between two flagged ones: its grid point does not matter.
+        flagged = TableEntry(-1.0, None, None, DEGENERATE_FLAG), TableEntry(1.0, None, None, DEGENERATE_FLAG)
+        table = LookupTable([flagged[0], TableEntry(0.6, clf_angles(layers), None), flagged[1]], {})
+        noise = NoiseModel(0.95, 0.99)
+        for true_pi, prior in ((0.3, GaussianBelief(0.32, 0.03**2)), (0.995, GaussianBelief(0.9, 0.2**2))):
+            for seed in range(3):
+                cfg = EstimationConfig(scheme, layers, noise, prior, true_pi, 300, seed, angle_source="clf")
+                want = run_estimation(cfg)
+                assert repr(run_estimation(replace(cfg, angle_source="table", table=table))) == repr(want)
 
 
 class TestLeanRun:
@@ -665,13 +700,13 @@ class TestLeanRun:
     def test_policy_thresholds_are_the_bias_at_theta_star(self, layers, scheme, true_pi):
         f, theta_star = NoiseModel(0.95, 0.99).process_fidelity(layers), math.acos(true_pi)
         clf = clf_angles(layers)
-        column, threshold = _angle_policy(scheme, layers, "clf", f, theta_star)(1.0, 0.01)
+        column, threshold = _angle_policy(scheme, f, theta_star, chebyshev_table(layers))(1.0, 0.01)
         assert np.array_equal(column, bias_series(scheme, clf))
         assert abs(threshold - f * bias.bias(scheme, theta_star, clf)) <= 1e-12
         table = small_table(scheme, layers)
         valid = [e for e in table.entries if e.flag is None]
         mu = np.arccos([e.pi for e in valid])  # each belief's Pi mean is its entry's pi to rounding
-        columns, thresholds = _angle_policy(scheme, layers, "table", f, theta_star, table)(mu, np.full(mu.size, 1e-30))
+        columns, thresholds = _angle_policy(scheme, f, theta_star, table)(mu, np.full(mu.size, 1e-30))
         assert thresholds.shape == (len(valid),) and len(valid) > 5
         for entry, column, threshold in zip(valid, columns.T, thresholds):
             assert np.array_equal(column, bias_series(scheme, entry.angles))

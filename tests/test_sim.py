@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import traceback
 
@@ -14,10 +15,11 @@ from elfkit.sim import (
     CHUNK_SIZE,
     EXPERIMENT_SCHEMES,
     ExperimentConfig,
+    TraceSeries,
     _checkpoint_rounds,
     run_experiment,
 )
-from elfkit.tuner import LookupTable, TableEntry, build_lookup_table
+from elfkit.tuner import LookupTable, TableEntry, build_lookup_table, chebyshev_table
 from paper_model import likelihood
 
 
@@ -39,7 +41,7 @@ def round_outcomes(scheme, theta_star, f, layers, rng, n=100_000):
 
     The draw reads only the uniform and the bias at theta_star, not the belief.
     """
-    angles = _angle_policy(scheme, layers, "clf", f, theta_star)
+    angles = _angle_policy(scheme, f, theta_star, chebyshev_table(layers))
     rounds = _lockstep(f, np.full(n, 1.0), np.full(n, 0.01), angles, rng.random((1, n)))
     return next(rounds)[2].astype(int)
 
@@ -449,6 +451,42 @@ def test_both_configs_check_a_problem_alike(change, field):
     assert field in str(estimation.value) and "angle_source" not in str(estimation.value)
 
 
+_PRIOR = GaussianBelief(0.1, 0.0009)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ExperimentConfig("af-clf", 0.1, _PRIOR, 2, NoiseModel(), 1, 100, table="not a table"),
+        lambda: ExperimentConfig("ab-clf", 0.1, _PRIOR, 2, NoiseModel(), 1, 100, table=_FITTING_TABLE),
+        lambda: ExperimentConfig("standard", 0.1, None, 2, NoiseModel(), 1, 100, table=_FITTING_TABLE),
+        lambda: EstimationConfig(Scheme.AF, 2, NoiseModel(), _PRIOR, 0.1, 100, angle_source="clf", table=object()),
+    ],
+    ids=["af-clf-string", "ab-clf-table", "standard-table", "estimation-clf-object"],
+)
+def test_a_config_whose_runs_read_no_table_refuses_one(make):
+    # A table that no run would read is refused, not ignored.
+    with pytest.raises(ValueError, match="^table must be"):
+        make()
+
+
+@pytest.mark.parametrize("scheme, layers", [("af", 3), ("ab", 2)])
+def test_a_user_built_chebyshev_table_runs_as_the_clf_scheme(scheme, layers):
+    # A one-entry table of the Chebyshev angles gives every TraceSeries field of the
+    # *-clf scheme, over two chunks of runs.
+    table = LookupTable([TableEntry(-0.2, clf_angles(layers), None)], {"scheme": scheme})
+    common = dict(
+        true_pi=0.3, prior_pi=GaussianBelief(0.32, 0.03**2), layers=layers, noise=NoiseModel(0.95, 0.99),
+        runs=70, horizon=60 * (2 * layers + 1), master_seed=2,
+    )
+    assert common["runs"] > CHUNK_SIZE
+    clf = run_experiment(ExperimentConfig(f"{scheme}-clf", **common))
+    elf = run_experiment(ExperimentConfig(f"{scheme}-elf", table=table, **common))
+    for field in dataclasses.fields(TraceSeries):
+        want, got = (np.asarray(getattr(t, field.name)) for t in (clf, elf))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), field.name
+
+
 def test_checkpoint_rounds_are_the_distinct_rounded_grid():
     # The sort-and-compare form gives what np.unique of the rounded geometric grid gave.
     for n in range(1, 5001):
@@ -481,7 +519,7 @@ class TestCheckpointReadout:
         f = cfg.noise.process_fidelity(1)
         rounds = _lockstep(
             f, np.full(cfg.runs, prior.mean), np.full(cfg.runs, prior.variance),
-            _angle_policy(Scheme.AF, 1, source, f, math.acos(cfg.true_pi), cfg.table), uniforms,
+            _angle_policy(Scheme.AF, f, math.acos(cfg.true_pi), cfg.table or chebyshev_table(1)), uniforms,
         )
         checkpoints = set(_checkpoint_rounds(n_rounds).tolist())
         est, per_var = [], []
