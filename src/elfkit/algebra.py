@@ -21,12 +21,15 @@ The circuit Q(theta; x) = V(x_2L) U(x_2L-1) ... V(x_2) U(x_1) has two
 readouts, both real by construction:
 
     ancilla-based   Re <0|Q|0>          = a
-    ancilla-free    <0|Q^dag P Q|0>     = sin(theta) 2(bd + ac)
-                                          + cos(theta) (a^2 - b^2 - c^2 + d^2)
+    ancilla-free    <0|Q^dag P Q|0>     = sin(theta) <X> + cos(theta) <Z>
+
+with <X> = 2(bd + ac) and <Z> = a^2 - b^2 - c^2 + d^2 (``af_parts``).
 
 The theta-derivative is carried as a pair (q, dq) with dq = dq/dtheta, which
 multiplies by the product rule (p, dp)(q, dq) = (p q, dp q + p dq); only the
 U factors depend on theta, dU/dtheta = (0, sin x cos theta, 0, -sin x sin theta).
+The AF readout is a quadratic form B_theta(Q, Q), so its derivative is
+cos(theta) <X> - sin(theta) <Z> + e . dQ, with e = 2 B(Q, .) (``af_covector``).
 
 Components are Python floats or numpy arrays.  The arithmetic is the same for
 both and broadcasts, so one code path serves a single theta (pure-Python
@@ -213,18 +216,13 @@ def circuit_prefixes(ct, st, cx, sx):
     return pre
 
 
-def af_readout(q, ct, st):
-    """<0| Q^dag P(theta) Q |0> of a quaternion Q."""
+def af_parts(q):
+    """(<X>, <Z>) = (2(bd + ac), a^2 - b^2 - c^2 + d^2) of Q|0>: the AF readout is sin(theta) <X> + cos(theta) <Z>."""
     a, b, c, d = q
-    return st * 2.0 * (b * d + a * c) + ct * (a * a - b * b - c * c + d * d)
+    return 2.0 * (b * d + a * c), a * a - b * b - c * c + d * d
 
 
-def af_readout_derivative(q, dq, ct, st):
-    """d/dtheta of ``af_readout``, from the pair (Q, dQ/dtheta)."""
+def af_covector(q, ct, st):
+    """The 4-vector e of the linear form 2 B(q, .) of the AF readout's bilinear form B: 2 B(q, w) = e . w."""
     a, b, c, d = q
-    da, db, dc, dd = dq
-    x = 2.0 * (b * d + a * c)
-    z = a * a - b * b - c * c + d * d
-    dx = 2.0 * (db * d + b * dd + da * c + a * dc)
-    dz = 2.0 * (a * da - b * db - c * dc + d * dd)
-    return ct * x - st * z + st * dx + ct * dz
+    return 2.0 * (st * c + ct * a), 2.0 * (st * d - ct * b), 2.0 * (st * a - ct * c), 2.0 * (st * b + ct * d)

@@ -19,9 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (
-    af_readout, af_readout_derivative, angle_vectors, check, circuit, circuit_prefixes, kernel_inputs, trig
-)
+from .algebra import af_covector, af_parts, angle_vectors, check, circuit, circuit_prefixes, kernel_inputs, trig
 
 
 class Scheme(Enum):
@@ -53,7 +51,10 @@ def bias(scheme: Scheme, theta, x):
     """
     ct, st, cx, sx = trig(*kernel_inputs(theta, x))
     q = circuit(ct, st, cx, sx)
-    return q[0] if scheme is Scheme.AB else af_readout(q, ct, st)
+    if scheme is Scheme.AB:
+        return q[0]
+    px, pz = af_parts(q)
+    return st * px + ct * pz
 
 
 @lru_cache(maxsize=None)
@@ -101,10 +102,12 @@ def _horner(c, e):
 
 
 def _readout(scheme: Scheme, ct, st, q, dq):
-    """(bias, d(bias)/dtheta) of the circuit pair (Q, dQ/dtheta): AB reads Q's first component."""
+    """(bias, d(bias)/dtheta) of the pair (Q, dQ/dtheta); AF sums e . dQ first, as tunes on flat ridges rest on its bits."""
     if scheme is Scheme.AB:
         return q[0], dq[0]
-    return af_readout(q, ct, st), af_readout_derivative(q, dq, ct, st)
+    px, pz = af_parts(q)
+    e0, e1, e2, e3 = af_covector(q, ct, st)
+    return st * px + ct * pz, ct * px - st * pz + (e0 * dq[0] + e1 * dq[1] + e2 * dq[2] + e3 * dq[3])
 
 
 def _bias_pair(scheme: Scheme, theta, x):

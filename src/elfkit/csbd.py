@@ -37,8 +37,8 @@ records the coefficients of a sweep that keeps x.
 The x-gradient (``slopes``) takes the same two passes.  Since dF/dx_j = G F,
 the x_j-slope of Q is S G P' with P' = F(x_j) P, so a readout linear in Q
 with co-vector e has slope r . (G P'), r being the backward pass seeded with
-e: e0 for AB, and for AF the linear form 2 B(Q, .) of ``af_readout``'s
-bilinear form B at the circuit's (Q, dQ).
+e: e0 for AB, and for AF the co-vector of the linear form 2 B(Q, .) at the
+circuit's (Q, dQ), from ``algebra.af_covector``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import ONE, ZERO, _factor_mul, canonical_angles, check, circuit_prefixes, trig
+from .algebra import ONE, ZERO, _factor_mul, af_covector, canonical_angles, check, circuit_prefixes, trig
 from .bias import Scheme, _readout
 
 _IDENTITY_PAIR = (ONE, ZERO)
@@ -120,12 +120,6 @@ def _suffix_mul(rp, wp):
             e0 * w3 - e3 * w0 - e1 * w2 + e2 * w1 + (r0 * f3 - r3 * f0 - r1 * f2 + r2 * f1),
         ),
     )
-
-
-def _af_covector(q, ct, st):
-    """The 4-vector e of the linear form 2 B(q, .): 2 B(q, w) = e . w."""
-    a, b, c, d = q
-    return 2.0 * (st * c + ct * a), 2.0 * (st * d - ct * b), 2.0 * (st * a - ct * c), 2.0 * (st * b + ct * d)
 
 
 def _backward(ct, st, cx, sx, seed):
@@ -201,8 +195,8 @@ def slopes(scheme: Scheme, theta: float, x: np.ndarray):
     if scheme is Scheme.AB:
         seed = _IDENTITY_PAIR
     else:
-        e, de = _af_covector(q, -st, ct), _af_covector(dq, ct, st)
-        seed = _af_covector(q, ct, st), (e[0] + de[0], e[1] + de[1], e[2] + de[2], e[3] + de[3])
+        e, de = af_covector(q, -st, ct), af_covector(dq, ct, st)
+        seed = af_covector(q, ct, st), (e[0] + de[0], e[1] + de[1], e[2] + de[2], e[3] + de[3])
     adj = _backward(ct, st, cx, sx, seed)
     chi, chi_p = zip(*[_slope(ct, st, j % 2 == 0, adj[j], pre[j]) for j in range(len(cx))])
     return delta, ddelta, chi, chi_p

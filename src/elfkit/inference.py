@@ -31,7 +31,7 @@ import numpy as np
 from .algebra import DEGENERATE_TOL, DOMAINS, check, check_fields
 from .bias import Scheme, _horner
 from .metrics import GaussianBelief, NoiseModel
-from .tuner import chebyshev_table
+from .tuner import LookupTable, chebyshev_table
 
 ARCSIN_CLAMP = 1e-12
 PI_TO_THETA_NODES = 101
@@ -160,7 +160,7 @@ class EstimationConfig:
     horizon: int  # total time budget, units of the ansatz duration
     seed: int = 0
     angle_source: str = "table"  # "table" | "clf", a constructor input only: the runs read ``table``
-    table: "object | None" = None  # tuner.LookupTable for "table"; None for "clf", whose runs read chebyshev_table
+    table: LookupTable | None = None  # for "table"; None for "clf", whose runs read chebyshev_table
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -172,6 +172,8 @@ class EstimationConfig:
         if (self.table is None) == (self.angle_source == "table"):
             raise ValueError(f"table must be given exactly when the angles come from a table, got {self.table!r}")
         if self.table is not None:
+            if not isinstance(self.table, LookupTable):
+                raise ValueError(f"table must be a tuner.LookupTable, got {self.table!r}")
             self.table.check_fits(self.scheme, self.layers)
 
     @property

@@ -251,18 +251,15 @@ def tune(spec: TuneSpec, warm_starts: tuple = ()) -> TuneResult:
     n_random = max(spec.restarts - len(starts), 0)
     starts.extend(rng.uniform(-math.pi, math.pi, dim) for _ in range(n_random))
 
-    best: TuneResult | None = None
+    results = []
     seen = set()
     for idx, x0 in enumerate(starts):
-        # The ascent is deterministic, so a repeated start cannot win.
+        # The ascent is deterministic, so a repeated start cannot win; start 0 is never skipped.
         if (key := x0.tobytes()) in seen:
             continue
         seen.add(key)
-        x_opt, val, iters = _coordinate_ascent(spec, x0)
-        if best is None or val > best.objective_value:
-            best = TuneResult(x_opt, val, iters, idx)
-    assert best is not None
-    return best
+        results.append(TuneResult(*_coordinate_ascent(spec, x0), idx))
+    return max(results, key=lambda r: r.objective_value)  # the first maximum: ties keep the lowest index
 
 
 # -- lookup tables ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,13 +11,15 @@ from elfkit.algebra import (
     ONE,
     ZERO,
     _factor_mul,
+    af_covector,
+    af_parts,
     canonical_angles,
     circuit,
     circuit_prefixes,
     kernel_inputs,
     trig,
 )
-from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
+from elfkit.bias import Scheme, _readout, bias, bias_derivative, clf_angles
 from elfkit.csbd import CoefficientTable
 from elfkit.tuner import TuneSpec
 
@@ -304,3 +307,62 @@ class TestPeeledKernel:
                 pair = _factor_mul(ct, st, cx[j], -sx[j], j % 2 == 0, pair)
             for got, want in zip(pair[0] + pair[1], ONE + ZERO):
                 assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def af_bias(q, ct, st):
+    """sin(theta) <X> + cos(theta) <Z> of a quaternion written out, for any component type (complex too)."""
+    a, b, c, d = q
+    return st * 2.0 * (b * d + a * c) + ct * (a * a - b * b - c * c + d * d)
+
+
+class TestAfForm:
+    """The AF readout as one quadratic form: ``af_parts`` gives its value and ``af_covector`` its linear form."""
+
+    DRAWS = 50
+
+    @classmethod
+    def draws(cls):
+        """(q, w, theta) as 50 float triples, then as one triple of arrays of 50."""
+        rng = np.random.default_rng(32)
+        q, w, theta = rng.normal(size=(4, cls.DRAWS)), rng.normal(size=(4, cls.DRAWS)), rng.uniform(-4, 4, cls.DRAWS)
+        for i in range(cls.DRAWS):
+            yield tuple(q[:, i].tolist()), tuple(w[:, i].tolist()), float(theta[i])
+        yield tuple(q), tuple(w), theta
+
+    @staticmethod
+    def trig(theta):
+        return (math.cos(theta), math.sin(theta)) if isinstance(theta, float) else (np.cos(theta), np.sin(theta))
+
+    def test_parts_give_the_readout(self):
+        for q, _, theta in self.draws():
+            ct, st = self.trig(theta)
+            px, pz = af_parts(q)
+            assert np.array_equal(st * px + ct * pz, af_bias(q, ct, st))
+
+    def test_covector_is_the_polarization_of_the_readout(self):
+        for q, w, theta in self.draws():
+            ct, st = self.trig(theta)
+            plus = af_bias(tuple(a + b for a, b in zip(q, w)), ct, st)
+            minus = af_bias(tuple(a - b for a, b in zip(q, w)), ct, st)
+            e = af_covector(q, ct, st)
+            scale = (np.sqrt(sum(a * a for a in q)) + np.sqrt(sum(b * b for b in w))) ** 2
+            assert np.all(np.abs(sum(a * b for a, b in zip(e, w)) - (plus - minus) / 2.0) <= 1e-13 * scale)
+
+    @staticmethod
+    def complex_step(q, dq, theta, h=1e-30):
+        """Im r(q + i h dQ; cos(theta + i h), sin(theta + i h)) / h: d/dt of the readout along (q + t dQ, theta + t)."""
+        z = complex(theta, h)
+        return af_bias(tuple(complex(a, h * b) for a, b in zip(q, dq)), cmath.cos(z), cmath.sin(z)).imag / h
+
+    def test_readout_derivative_is_the_complex_step(self):
+        for q, dq, theta in self.draws():
+            ct, st = self.trig(theta)
+            value, slope = _readout(Scheme.AF, ct, st, q, dq)
+            assert np.array_equal(value, af_bias(q, ct, st))
+            if isinstance(theta, float):
+                want = self.complex_step(q, dq, theta)
+            else:
+                want = np.array([self.complex_step(*draw) for draw in zip(zip(*q), zip(*dq), theta)])
+            assert np.all(np.abs(slope - want) <= 1e-13 * np.abs(want))
+            ab = _readout(Scheme.AB, ct, st, q, dq)
+            assert len(ab) == 2 and ab[0] is q[0] and ab[1] is dq[0]

@@ -470,6 +470,26 @@ def test_a_config_whose_runs_read_no_table_refuses_one(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda table: ExperimentConfig("af-elf", 0.1, _PRIOR, 2, NoiseModel(), 1, 100, table=table),
+        lambda table: EstimationConfig(Scheme.AF, 2, NoiseModel(), _PRIOR, 0.1, 100, angle_source="table", table=table),
+    ],
+    ids=["experiment", "estimation"],
+)
+def test_a_table_that_is_no_lookup_table_is_refused(make):
+    # A typed error naming the input, not an AttributeError from a missing method.
+    for table in ("not a table", object()):
+        with pytest.raises(ValueError, match="^table must be a tuner.LookupTable, got"):
+            make(table)
+
+    class Subclass(LookupTable):
+        pass
+
+    make(Subclass(_FITTING_TABLE.entries, _FITTING_TABLE.metadata))
+
+
 @pytest.mark.parametrize("scheme, layers", [("af", 3), ("ab", 2)])
 def test_a_user_built_chebyshev_table_runs_as_the_clf_scheme(scheme, layers):
     # A one-entry table of the Chebyshev angles gives every TraceSeries field of the
