@@ -38,8 +38,9 @@ matrix of angle vectors against a grid of thetas (``bias.bias_series`` of a
 lookup table's entries).  The estimation round does not call the kernel: it
 reads the bias from those series.
 
-The module also holds the input checks: ``angle_vectors``, and ``check``
-against ``DOMAINS`` for every numeric input.
+The module also holds the input checks: ``angle_vectors``, ``check``
+against ``DOMAINS`` for every numeric input, and ``check_type`` for every
+typed one.
 """
 
 from __future__ import annotations
@@ -101,6 +102,13 @@ def check(name: str, value, domain: str | None = None):
     lo, hi, closed_lo, closed_hi = _BOUNDS.get(domain) or _BOUNDS.setdefault(domain, _bounds(domain))
     if not (lo < value < hi or (closed_lo and value == lo) or (closed_hi and value == hi)):
         raise ValueError(f"{name} must lie in {domain}, got {value}")
+    return value
+
+
+def check_type(name: str, value, kind: type):
+    """``value`` if it is a ``kind``; else a ``ValueError`` naming ``name`` and ``kind`` (as tuner.LookupTable)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__module__.rpartition('.')[2]}.{kind.__qualname__}, got {value!r}")
     return value
 
 

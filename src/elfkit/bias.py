@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import af_covector, af_parts, angle_vectors, check, circuit, circuit_prefixes, kernel_inputs, trig
+from .algebra import af_covector, af_parts, angle_vectors, check, check_type, circuit, circuit_prefixes, kernel_inputs, trig
 
 
 class Scheme(Enum):
@@ -49,6 +49,7 @@ def bias(scheme: Scheme, theta, x):
     leading axes broadcast against ``theta`` (one vector per run).  A scalar
     theta with one vector gives a float.
     """
+    check_type("scheme", scheme, Scheme)
     ct, st, cx, sx = trig(*kernel_inputs(theta, x))
     q = circuit(ct, st, cx, sx)
     if scheme is Scheme.AB:
@@ -112,6 +113,7 @@ def _readout(scheme: Scheme, ct, st, q, dq):
 
 def _bias_pair(scheme: Scheme, theta, x):
     """(bias, d(bias)/dtheta) at (theta, x) from the last of ``circuit_prefixes``; validates and broadcasts like ``bias``."""
+    check_type("scheme", scheme, Scheme)
     ct, st, cx, sx = trig(*kernel_inputs(theta, x))
     return _readout(scheme, ct, st, *circuit_prefixes(ct, st, cx, sx)[-1])
 

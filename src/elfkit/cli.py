@@ -124,7 +124,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("table", str, help="lookup-table JSON for the engineered schemes"),
         Opt("table-grid", int, 41, help="grid size when building a table on the fly", domain="[2, inf)"),
         Opt("restarts", int, 10, help="restarts for on-the-fly table tuning"),
-        Opt("threads", int, 1, help="worker count (outputs are independent of it)"),
+        Opt("threads", int, 1, help="at most this many worker processes (outputs are independent of it)"),
         Opt("out", str, "experiment", help="output prefix (.csv and .json)"),
     ),
     "runtime": (

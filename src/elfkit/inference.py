@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import DEGENERATE_TOL, DOMAINS, check, check_fields
+from .algebra import DEGENERATE_TOL, DOMAINS, check, check_fields, check_type
 from .bias import Scheme, _horner
 from .metrics import GaussianBelief, NoiseModel
 from .tuner import LookupTable, chebyshev_table
@@ -164,7 +164,9 @@ class EstimationConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        check("prior_pi mean", self.prior_pi.mean, DOMAINS["prior_mean"])
+        check_type("scheme", self.scheme, Scheme)
+        check_type("noise", self.noise, NoiseModel)
+        check("prior_pi mean", check_type("prior_pi", self.prior_pi, GaussianBelief).mean, DOMAINS["prior_mean"])
         if self.angle_source not in ("table", "clf"):
             raise ValueError("angle_source must be 'table' or 'clf'")
         if self.horizon < self.round_cost:
@@ -172,9 +174,7 @@ class EstimationConfig:
         if (self.table is None) == (self.angle_source == "table"):
             raise ValueError(f"table must be given exactly when the angles come from a table, got {self.table!r}")
         if self.table is not None:
-            if not isinstance(self.table, LookupTable):
-                raise ValueError(f"table must be a tuner.LookupTable, got {self.table!r}")
-            self.table.check_fits(self.scheme, self.layers)
+            check_type("table", self.table, LookupTable).check_fits(self.scheme, self.layers)
 
     @property
     def round_cost(self) -> int:

@@ -14,15 +14,17 @@ non-standard scheme runs, and is checked, as ``ExperimentConfig._run_config``.
 from __future__ import annotations
 
 import math
+import os
 import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import check
+from .algebra import check, check_type
 from .bias import Scheme
 from .inference import EstimationConfig, _cos_moments, _rounds
 from .metrics import GaussianBelief, NoiseModel
+from .tuner import LookupTable
 
 EXPERIMENT_SCHEMES = ("af-elf", "af-clf", "ab-elf", "ab-clf", "standard")
 CHUNK_SIZE = 64
@@ -42,7 +44,7 @@ class ExperimentConfig:
     runs: int
     horizon: int
     master_seed: int = 0
-    table: "object | None" = None  # tuner.LookupTable for the *-elf schemes, None for the others
+    table: LookupTable | None = None  # for the *-elf schemes, None for the others
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -52,10 +54,9 @@ class ExperimentConfig:
         check("layers", self.layers, "(-inf, inf)")
         for name in ("true_pi", "runs", "horizon", "master_seed", "threads"):
             check(name, getattr(self, name))
+        check_type("noise", self.noise, NoiseModel)
         if self.scheme != "standard":
-            if self.prior_pi is None:
-                raise ValueError(f"prior_pi must be given for scheme {self.scheme!r}")
-            self._run_config()  # EstimationConfig checks what the runs read
+            self._run_config()  # EstimationConfig checks what the runs read, a prior_pi of None included
         elif self.table is not None:
             raise ValueError(f"table must be None with scheme 'standard', got {self.table!r}")
 
@@ -147,7 +148,8 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
     round, the same round ``run_estimation`` runs for a single run.  Output
     is a pure function of the config including the master seed: runs use
     substreams keyed by run index and are aggregated in run order, so the
-    result is independent of chunking and worker count.  A run whose update
+    result is independent of chunking and worker count: at most ``threads``
+    processes, and no more than the chunks or the CPUs.  A run whose update
     is not a finite Gaussian is excluded, not fatal; its index is listed in
     ``excluded_runs`` and the aggregates cover the other runs.  Raises
     ``FloatingPointError`` when a run's sinusoid-fit abscissa reaches a
@@ -161,12 +163,14 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
 
     chunk_fn = _standard_chunk if standard else _run_chunk
     chunks = [np.arange(lo, min(lo + CHUNK_SIZE, config.runs)) for lo in range(0, config.runs, CHUNK_SIZE)]
+    # A forked pool starts every worker at its first submit, so it gets no more than the chunks or the cores.
+    workers = min(config.threads, len(chunks), os.cpu_count() or 1)
     try:
-        if config.threads > 1 and len(chunks) > 1:
+        if workers > 1:
             # Imported here: only a pooled run needs multiprocessing.
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=config.threads) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(chunk_fn, [config] * len(chunks), chunks, [checkpoints] * len(chunks)))
         else:
             results = [chunk_fn(config, idx, checkpoints) for idx in chunks]

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DEGENERATE_TOL, DOMAINS, angle_vectors, canonical_angles, check, check_fields
+from .algebra import DEGENERATE_TOL, DOMAINS, angle_vectors, canonical_angles, check, check_fields, check_type
 from .bias import Scheme, _bias_pair, _readout, bias_series, clf_angles
 from .csbd import CsbdCoefficients, slopes, sweep
 from .metrics import SINGULAR_TOL, NoiseModel, climbed
@@ -70,6 +70,8 @@ class TuneSpec:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        check_type("scheme", self.scheme, Scheme)
+        check_type("objective", self.objective, Objective)
         if abs(math.sin(self.mu)) < DEGENERATE_TOL:
             raise ValueError(f"mu={self.mu!r} is within {DEGENERATE_TOL} of a multiple of pi")
 
@@ -401,12 +403,15 @@ def build_lookup_table(
     an explicit increasing sequence of estimand values.  Grid points at +-1
     are emitted flagged (the estimand angle would be degenerate), as are points
     where every start is singular (noiseless, within about 1e-8 of +-1); a
-    flagged point warm-starts no other.  The numeric arguments and the grid are
+    flagged point warm-starts no other.  The arguments and the grid are
     checked before any point is tuned.  Each point's ``TuneSpec`` takes
     ``objective``, ``restarts`` and ``max_rounds`` from here.
     """
     for name, value in (("layers", layers), ("restarts", restarts), ("seed", seed), ("max_rounds", max_rounds)):
         check(name, value)
+    check_type("scheme", scheme, Scheme)
+    check_type("noise", noise, NoiseModel)
+    check_type("objective", objective, Objective)
     if isinstance(grid_spec, (int, np.integer)):
         grid = np.linspace(-1.0, 1.0, max(int(grid_spec), 0))
     else:

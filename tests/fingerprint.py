@@ -12,8 +12,9 @@ tree's ``src``.  The items are
 - ``table/...``: ``build_lookup_table`` entries for AF and AB at L = 2;
 - ``traces/...``: every ``TraceSeries`` field of the five schemes over two
   chunks of runs, with one worker and with two;
-- ``cli/...``: the outputs of the CLI smoke step of the tier-1 workflow, each
-  JSON sidecar without its ``out`` path.
+- ``cli/...``: the outputs of the commands of ``CLI_COMMANDS``, each JSON
+  sidecar without its ``out`` path (``tests/test_cli.py`` runs each of them
+  too, for exit 0 and strict JSON).
 
 ``--quick`` writes a small subset of each kind.  ``compare`` lists the items
 whose hashes differ or that one file lacks, and exits 1 if there is any.  The

@@ -1,22 +1,12 @@
 """The accuracy census runs, its figures hang together, and its compare mode flags a planted regression."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import elfkit
-
-SCRIPT = Path(__file__).resolve().parent / "accuracy.py"
 
 
-def test_write_and_compare_flag_a_planted_regression(tmp_path):
-    src = os.path.dirname(os.path.dirname(elfkit.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def test_write_and_compare_flag_a_planted_regression(tmp_path, run_script):
     old = tmp_path / "old.json"
-    run = subprocess.run([sys.executable, str(SCRIPT), "write", str(old), "--quick"], env=env, capture_output=True)
-    assert run.returncode == 0, run.stderr.decode()
+    run = run_script("accuracy.py", "write", str(old), "--quick")
+    assert run.returncode == 0, run.stderr
     items = json.loads(old.read_text())
     assert len(items) == 2 and all(sorted(seeds) == ["seed0", "seed1", "seed2"] for seeds in items.values())
     for seeds in items.values():
@@ -34,10 +24,9 @@ def test_write_and_compare_flag_a_planted_regression(tmp_path):
     planted[second]["seed2"]["beyond_5sd"] += 1
     new = tmp_path / "new.json"
     new.write_text(json.dumps(planted))
-    args = [sys.executable, str(SCRIPT), "compare"]
-    same = subprocess.run(args + [str(old), str(old)], env=env, capture_output=True, text=True)
+    same = run_script("accuracy.py", "compare", str(old), str(old))
     assert same.returncode == 0 and same.stdout.startswith("no config does worse")
-    diff = subprocess.run(args + [str(old), str(new)], env=env, capture_output=True, text=True)
+    diff = run_script("accuracy.py", "compare", str(old), str(new))
     assert diff.returncode == 1
     lines = diff.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [first, second]
@@ -45,4 +34,4 @@ def test_write_and_compare_flag_a_planted_regression(tmp_path):
     assert "seed1 rmse" in lines[0]
     assert "seed0 aborts" in lines[1] and f"beyond_5sd {beyond + 1} > {beyond}" in lines[1]
     # A better census is not a regression.
-    assert subprocess.run(args + [str(new), str(old)], env=env, capture_output=True).returncode == 0
+    assert run_script("accuracy.py", "compare", str(new), str(old)).returncode == 0

@@ -18,6 +18,7 @@ from elfkit.cli import OPTIONS, main
 from elfkit.metrics import GaussianBelief, NoiseModel, slope
 from elfkit.sim import ExperimentConfig, run_experiment
 from elfkit.tuner import build_lookup_table
+from fingerprint import CLI_COMMANDS
 from slope_oracle import analytic_l1_slope_optimum
 
 
@@ -25,6 +26,15 @@ _EXPERIMENT_HEADER = "time,rmse,inv_mse,bias_sq,var_est,mean_perceived_var"
 _SIMULATE = ["--true-pi", "0.1", "--prior-mean", "0.12", "--layer-fidelity", "0.95"]
 _SIMULATE += ["--runs", "5", "--horizon", "60", "--seed", "1"]
 _FLAGGED_ROWS = ["--infidelity-min", "1e-3", "--infidelity-max", "1e-2"]
+
+
+def _strict_json(text: str):
+    """The JSON document in ``text``; a ValueError if it holds NaN or an infinity, which strict JSON has not."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.mark.parametrize("command", ["tune", "runtime"])
@@ -157,6 +167,13 @@ def _table(*angles, **first):
         ),
         # A Fisher information or slope is finite and at least 0; json.dumps writes inf as Infinity.
         (_table([1.0, 2.0], [1.0, 2.0], objective=-5), "table entry 0 objective must lie in [0, inf), got -5"),
+        (
+            {
+                "version": "elf-table/1",
+                "entries": [{"pi": -0.5, "angles": [1.0, 2.0]}, {"pi": 0.5, "angles": [1.0, 2.0], "objective": -5}],
+            },
+            "table entry 1 objective must lie in [0, inf), got -5",
+        ),
         (_table([1.0, 2.0], [1.0, 2.0], objective=math.inf), "table entry 0 objective must lie in [0, inf), got inf"),
         (_table([1.0, 2.0], [1.0, 2.0], objective=math.nan), "table entry 0 objective must lie in [0, inf), got nan"),
         (_table([1.0, 2.0], [1.0, 2.0], flag="other"), "entry 0 has no valid 'flag': 'other'"),
@@ -179,6 +196,7 @@ def _table(*angles, **first):
         "string-objective",
         "numeric-flag",
         "negative-objective",
+        "negative-objective-of-entry-1",
         "infinite-objective",
         "nan-objective",
         "unknown-flag",
@@ -205,13 +223,14 @@ def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
         (["runtime", "--eps", "nan", "--points", "3"], "eps must lie in (0, 2], got nan"),
         (["runtime", "--eps", "inf", "--points", "2"], "eps must lie in (0, 2], got inf"),
         (["runtime", "--eps", "1e-3,abc", "--points", "2"], "--eps must be comma-separated numbers, got '1e-3,abc'"),
+        (["runtime", "--eps", "-1", "--points", "3"], "eps must lie in (0, 2], got -1.0"),
         # Every row of this grid has a decay exponent above 1, so no row reaches runtime_bounds.
         (["runtime", "--eps", "-1", *_FLAGGED_ROWS], "eps must lie in (0, 2], got -1.0"),
         (["runtime", "--eps", "nan", *_FLAGGED_ROWS], "eps must lie in (0, 2], got nan"),
         (["runtime", "--eps", "0", *_FLAGGED_ROWS], "eps must lie in (0, 2], got 0.0"),
     ],
-    ids=["layer-fidelity", "tune-seed", "gate-time", "eps", "eps-inf", "eps-not-a-number", "eps-negative-lam-gt-1"]
-    + ["eps-nan-lam-gt-1", "eps-zero-lam-gt-1"],
+    ids=["layer-fidelity", "tune-seed", "gate-time", "eps", "eps-inf", "eps-not-a-number", "eps-negative"]
+    + ["eps-negative-lam-gt-1", "eps-nan-lam-gt-1", "eps-zero-lam-gt-1"],
 )
 def test_nan_is_a_usage_error(argv, message, tmp_path, capsys, monkeypatch):
     # NaN fails a guard written "not x > 0", and a domain check: exit 2 naming the value, no output.
@@ -244,11 +263,7 @@ def test_simulate_sidecar_is_strict_json(tmp_path):
     # A horizon of one round leaves no growth-rate window: the rate is null, not NaN.
     argv = ["simulate", "--scheme", "af-clf", "--layers", "1", "--true-pi", "0.3", "--prior-mean", "0.3"]
     assert main(argv + ["--runs", "4", "--horizon", "3", "--seed", "1", "--out", str(tmp_path / "run")]) == 0
-
-    def reject(constant):
-        raise ValueError(f"not strict JSON: {constant}")
-
-    sidecar = json.loads((tmp_path / "run.json").read_text(), parse_constant=reject)
+    sidecar = _strict_json((tmp_path / "run.json").read_text())
     assert sidecar["growth_rate"] is None and sidecar["final_rmse"] > 0.0
 
 
@@ -269,11 +284,7 @@ def test_tune_with_every_start_singular_writes_strict_json(capsys):
     # Noiseless, mu = 1e-7 puts the L=1 Fisher information beyond the singular guard at every
     # start: the objective is -inf, written as null, not as the non-JSON -Infinity.
     assert main(["tune", "--mu", "1e-7", "--seed", "1", "--restarts", "2", "--max-rounds", "5"]) == 0
-
-    def reject(constant):
-        raise ValueError(f"not strict JSON: {constant}")
-
-    assert json.loads(capsys.readouterr().out, parse_constant=reject)["result"]["objective_value"] is None
+    assert _strict_json(capsys.readouterr().out)["result"]["objective_value"] is None
 
 
 @pytest.mark.parametrize(
@@ -684,6 +695,18 @@ def test_csv_and_sidecar_outputs(argv, header, n_rows, tmp_path):
     assert sidecar["final_rmse"] == traces.rmse[-1]
 
 
+@pytest.mark.parametrize("name", list(CLI_COMMANDS))
+def test_each_fingerprinted_command_runs_and_writes_strict_json(name, tmp_path, capsys):
+    # The commands whose outputs fingerprint.py hashes, one list for both: each exits 0, and its
+    # JSON (tune's stdout, or the file at --out) parses as strict JSON, null where a value is not finite.
+    argv = CLI_COMMANDS[name].split()
+    if argv[0] != "tune":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    _strict_json(out if argv[0] == "tune" else (tmp_path / "out.json").read_text())
+
+
 # One small valid command each; the sweep sets one option at a time to an edge value.
 _SWEEP_BASE = {
     "simulate": ["--scheme", "af-clf", "--true-pi", "0.3", "--prior-mean", "0.3", "--runs", "4", "--horizon", "60"],
@@ -750,9 +773,4 @@ def test_every_option_at_its_edge_values(command, name, value, tmp_path, capsys)
     elif status == 3:
         assert err.startswith("numeric guard") and not re.search(r"\(\d+, '", err), err
     else:
-
-        def reject(constant):
-            raise ValueError(f"not strict JSON: {constant}")
-
-        text = out if command == "tune" else (tmp_path / "out.json").read_text()
-        json.loads(text, parse_constant=reject)
+        _strict_json(out if command == "tune" else (tmp_path / "out.json").read_text())

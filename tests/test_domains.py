@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from elfkit.algebra import DOMAINS, INTEGERS, check
-from elfkit.bias import Scheme, clf_angles
+from elfkit.bias import Scheme, bias, bias_derivative, bias_series, clf_angles
 from elfkit.csbd import CoefficientTable
 from elfkit.inference import EstimationConfig
 from elfkit.metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, slope
@@ -94,10 +94,15 @@ TARGETS = {
     "build_lookup_table": (
         ("layers", "restarts", "seed", "max_rounds"),
         lambda **kw: build_lookup_table(
-            Scheme.AF,
-            noise=NoiseModel(0.9),
-            grid_spec=[-0.5, 0.5],
-            **{"layers": 1, "restarts": 1, "max_rounds": 5, **kw},
+            **{
+                "scheme": Scheme.AF,
+                "noise": NoiseModel(0.9),
+                "grid_spec": [-0.5, 0.5],
+                "layers": 1,
+                "restarts": 1,
+                "max_rounds": 5,
+                **kw,
+            }
         ),
     ),
 }
@@ -187,6 +192,48 @@ def test_every_numeric_input_refuses_a_non_number(target, name, kind):
     with pytest.raises(ValueError) as exc:
         TARGETS[target][1](**{name: _non_numbers(v)[kind]})
     assert str(exc.value).startswith(_label(target, name)), str(exc.value)
+
+
+# Each typed input's kind, as its errors name it, and values of other types; a str is the kind's value or name.
+_KINDS = {
+    "scheme": ("bias.Scheme", ["af", "ab", 1, None]),
+    "objective": ("tuner.Objective", ["slope", "fisher", None]),
+    "noise": ("metrics.NoiseModel", [None, (0.9, 1.0)]),
+    "prior_pi": ("metrics.GaussianBelief", [None, (0.3, 0.01)]),
+}
+# Each target: the names of its typed inputs, and a call that takes one of them by keyword.
+TYPED = {
+    "bias": (("scheme",), lambda scheme: bias(scheme, 0.7, clf_angles(1))),
+    "bias_series": (("scheme",), lambda scheme: bias_series(scheme, clf_angles(1))),
+    "bias_derivative": (("scheme",), lambda scheme: bias_derivative(scheme, 0.7, clf_angles(1))),
+    "TuneSpec": (("scheme", "objective"), TARGETS["TuneSpec"][1]),
+    "EstimationConfig": (("scheme", "noise", "prior_pi"), TARGETS["EstimationConfig"][1]),
+    "ExperimentConfig": (("noise", "prior_pi"), TARGETS["ExperimentConfig"][1]),
+    "ExperimentConfig-standard": (("noise",), TARGETS["ExperimentConfig-standard"][1]),
+    "build_lookup_table": (("scheme", "noise", "objective"), TARGETS["build_lookup_table"][1]),
+    # Every point flagged, so no point's TuneSpec would check scheme or objective.
+    "build_lookup_table-ends": (
+        ("scheme", "noise", "objective"),
+        lambda **kw: TARGETS["build_lookup_table"][1](**{"grid_spec": [-1.0, 1.0], **kw}),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    ("target", "name", "value"),
+    [
+        pytest.param(target, name, value, id=f"{target}-{name}={value!r}")
+        for target, (names, _) in TYPED.items()
+        for name in names
+        for value in _KINDS[name][1]
+    ],
+)
+def test_every_typed_input_refuses_another_type(target, name, value, monkeypatch):
+    # A ValueError naming the input and its kind, before any use of it: a table build tunes no point.
+    monkeypatch.setattr("elfkit.tuner.tune", lambda *a, **k: pytest.fail("tuned a point"))
+    kind = _KINDS[name][0]
+    with pytest.raises(ValueError, match=f"^{name} must be a {re.escape(kind)}, got {re.escape(repr(value))}$"):
+        TYPED[target][1](**{name: value})
 
 
 def test_one_number_is_a_real_scalar():

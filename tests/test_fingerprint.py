@@ -4,23 +4,14 @@ Exact hashes stay out of these tests: numpy's SIMD paths may change last bits be
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-import elfkit
 import fingerprint
 
-SCRIPT = Path(__file__).resolve().parent / "fingerprint.py"
 
-
-def test_write_and_compare_report_a_planted_change(tmp_path):
-    src = os.path.dirname(os.path.dirname(elfkit.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def test_write_and_compare_report_a_planted_change(tmp_path, run_script):
     old = tmp_path / "old.json"
-    run = subprocess.run([sys.executable, str(SCRIPT), "write", str(old), "--quick"], env=env, capture_output=True)
-    assert run.returncode == 0, run.stderr.decode()
+    run = run_script("fingerprint.py", "write", str(old), "--quick")
+    assert run.returncode == 0, run.stderr
     items = json.loads(old.read_text())
     # One hash per item, of every kind.
     assert {name.split("/")[0] for name in items} == {"tune", "table", "traces", "cli"}
@@ -32,10 +23,9 @@ def test_write_and_compare_report_a_planted_change(tmp_path):
     del planted[gone]
     new = tmp_path / "new.json"
     new.write_text(json.dumps(planted))
-    args = [sys.executable, str(SCRIPT), "compare"]
-    same = subprocess.run(args + [str(old), str(old)], env=env, capture_output=True, text=True)
+    same = run_script("fingerprint.py", "compare", str(old), str(old))
     assert same.returncode == 0 and same.stdout.startswith("no item differs")
-    diff = subprocess.run(args + [str(old), str(new)], env=env, capture_output=True, text=True)
+    diff = run_script("fingerprint.py", "compare", str(old), str(new))
     assert diff.returncode == 1
     assert diff.stdout.splitlines() == sorted(
         [f"{changed}: differs", f"{gone}: only in the old file", "tune/planted: only in the new file"]

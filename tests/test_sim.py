@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import traceback
 
 import numpy as np
@@ -182,6 +183,38 @@ class TestRunExperiment:
         assert np.array_equal(a.estimates, b.estimates)
         assert np.array_equal(a.estimates, c.estimates)
         assert a.growth_rate == c.growth_rate
+
+    def test_the_pool_gets_no_more_workers_than_chunks_or_cpus(self, monkeypatch):
+        # A forked pool starts every worker at its first submit, so a huge thread count must not fork that
+        # many.  A serial stand-in records the pool size; no real process is started.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+
+        def make(threads):
+            prior = GaussianBelief(0.12, 0.0009)
+            return ExperimentConfig("af-clf", 0.1, prior, 1, NoiseModel(0.95), 130, 60, 3, threads=threads)
+
+        wide = run_experiment(make(10**6))  # 130 runs are three chunks
+        workers = min(3, os.cpu_count() or 1)
+        assert sizes == ([] if workers == 1 else [workers])
+        serial = run_experiment(make(1))
+        for field in dataclasses.fields(TraceSeries):
+            a, b = getattr(wide, field.name), getattr(serial, field.name)
+            assert np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b, field.name
 
     def test_standard_scheme_rate(self):
         cfg = ExperimentConfig(

@@ -1,22 +1,12 @@
 """The tuned-value census runs, and its compare mode flags a planted fall and a missing item, not a rise."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import elfkit
-
-SCRIPT = Path(__file__).resolve().parent / "tune_census.py"
 
 
-def test_write_and_compare_flag_a_planted_fall(tmp_path):
-    src = os.path.dirname(os.path.dirname(elfkit.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+def test_write_and_compare_flag_a_planted_fall(tmp_path, run_script):
     old = tmp_path / "old.json"
-    run = subprocess.run([sys.executable, str(SCRIPT), "write", str(old), "--quick"], env=env, capture_output=True)
-    assert run.returncode == 0, run.stderr.decode()
+    run = run_script("tune_census.py", "write", str(old), "--quick")
+    assert run.returncode == 0, run.stderr
     items = json.loads(old.read_text())
     assert {name.split("/")[0] for name in items} == {"tune", "table"}
     values = [v for v in items.values() if isinstance(v, float)]
@@ -28,11 +18,10 @@ def test_write_and_compare_flag_a_planted_fall(tmp_path):
     del planted[gone]
     new = tmp_path / "new.json"
     new.write_text(json.dumps(planted))
-    args = [sys.executable, str(SCRIPT), "compare"]
-    same = subprocess.run(args + [str(old), str(old)], env=env, capture_output=True, text=True)
+    same = run_script("tune_census.py", "compare", str(old), str(old))
     assert same.returncode == 0
     assert same.stdout.splitlines()[0] == f"{len(items)} identical, 0 rose, 0 fell ({len(items)} items)"
-    diff = subprocess.run(args + [str(old), str(new)], env=env, capture_output=True, text=True)
+    diff = run_script("tune_census.py", "compare", str(old), str(new))
     assert diff.returncode == 1
     head, *lines = diff.stdout.splitlines()
     assert head == f"{len(items) - 3} identical, 1 rose, 1 fell ({len(items)} items)"
@@ -42,4 +31,4 @@ def test_write_and_compare_flag_a_planted_fall(tmp_path):
     # A rise alone is not listed.
     risen = tmp_path / "risen.json"
     risen.write_text(json.dumps({**items, rose: items[rose] * (1.0 + 1e-9)}))
-    assert subprocess.run(args + [str(old), str(risen)], env=env, capture_output=True).returncode == 0
+    assert run_script("tune_census.py", "compare", str(old), str(risen)).returncode == 0
