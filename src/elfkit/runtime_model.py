@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import check, check_fields
+from .algebra import check, check_fields, check_type
 
 E = math.e
 
@@ -102,7 +102,7 @@ def hardware_runtime_curve(
     ``ValueError`` naming the SPAM fidelity, eps, depth and gate time.
     """
     check("pi", pi)
-    spam = check("spam", hw.spam_fidelity)
+    spam = check("spam", check_type("hw", hw, HardwareParams).spam_fidelity)
     scale = hw.seconds_per_time_unit
     eps_thetas = [check("eps_theta", check("eps", eps) / math.sqrt(1.0 - pi * pi)) for eps in eps_list]
     points: list[RuntimePoint] = []

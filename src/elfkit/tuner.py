@@ -244,7 +244,7 @@ def tune(spec: TuneSpec, warm_starts: tuple = ()) -> TuneResult:
     earlier one bit for bit is skipped.  Each warm start must be one vector of
     2L angles; any other raises a ``ValueError`` before the first ascent.
     """
-    dim = 2 * spec.layers
+    dim = 2 * check_type("spec", spec, TuneSpec).layers
     if bad := [np.shape(w) for w in warm_starts if np.shape(w) != (dim,)]:
         raise ValueError(f"warm_starts must be vectors of 2 * layers = {dim} angles, got shape {bad[0]}")
     rng = np.random.default_rng(spec.seed)
@@ -287,8 +287,9 @@ class LookupTable:
     """Tuned angle vectors on a grid of estimand values in [-1, 1]; a built and a loaded table meet one contract."""
 
     def __init__(self, entries: list[TableEntry], metadata: dict) -> None:
+        check_type("metadata", metadata, dict)
         for i, e in enumerate(entries):
-            if e.objective is not None:
+            if check_type(f"table entry {i}", e, TableEntry).objective is not None:
                 check(f"table entry {i} objective", e.objective, DOMAINS["objective_value"])
             if e.flag not in (None, DEGENERATE_FLAG):
                 raise ValueError(f"table entry {i} has no valid 'flag': {e.flag!r}")

@@ -33,14 +33,13 @@ seed, or a config that only one file holds.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 from typing import NamedTuple
 
 import numpy as np
 
+import census_cli
 from elfkit.bias import Scheme
 from elfkit.inference import EstimationConfig, run_estimation
 from elfkit.metrics import GaussianBelief, NoiseModel
@@ -160,8 +159,9 @@ def accuracy(quick: bool = False) -> dict:
     }
 
 
-def regressions(old: dict, new: dict) -> list[str]:
-    """One line per config that the new census does worse on, or that only one of the two holds."""
+def regressions(old: dict, new: dict) -> tuple[list[str], bool]:
+    """One line per config that the new census does worse on, or that only one of the two holds (else one line
+    saying so); and whether there is any."""
     lines = []
     for name in sorted(old.keys() | new.keys()):
         if name not in new or name not in old:
@@ -177,7 +177,7 @@ def regressions(old: dict, new: dict) -> list[str]:
                 if b[s]["final_rmse"] > a[s]["rmse_hi"]]
         if why:
             lines.append(f"{name}: " + ", ".join(why))
-    return lines
+    return lines or [f"no config does worse ({len(old)} configs)"], bool(lines)
 
 
 def summary(items: dict) -> list[str]:
@@ -198,28 +198,12 @@ def summary(items: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="mode", required=True)
-    write = sub.add_parser("write", help="run the census with the elfkit on the path")
-    write.add_argument("file")
-    write.add_argument("--quick", action="store_true", help="two Chebyshev configs at 64 runs")
-    compare = sub.add_parser("compare", help="list the configs that the new census does worse on")
-    compare.add_argument("old")
-    compare.add_argument("new")
-    args = parser.parse_args(argv)
-    if args.mode == "write":
-        items = accuracy(args.quick)
-        with open(args.file, "w", encoding="utf-8") as fh:
-            json.dump(items, fh, indent=1)
-            fh.write("\n")
-        print("\n".join(summary(items)))
-        print(f"wrote {len(items)} configs to {args.file}")
-        return 0
-    with open(args.old, encoding="utf-8") as fh, open(args.new, encoding="utf-8") as gh:
-        old, new = json.load(fh), json.load(gh)
-    lines = regressions(old, new)
-    print("\n".join(lines) if lines else f"no config does worse ({len(old)} configs)")
-    return 1 if lines else 0
+    helps = (
+        "run the census with the elfkit on the path",
+        "two Chebyshev configs at 64 runs",
+        "list the configs that the new census does worse on",
+    )
+    return census_cli.main(argv, __doc__, helps, accuracy, regressions, "configs", summary)
 
 
 if __name__ == "__main__":

@@ -12,14 +12,7 @@ import numpy as np
 
 IDENTITY = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def to_matrix(q) -> np.ndarray:
-    """The matrix a I - i (b X + c Y + d Z) of a quaternion (a, b, c, d)."""
-    a, b, c, d = (np.asarray(v, dtype=float)[..., None, None] for v in q)
-    return a * IDENTITY - 1j * (b * PAULI_X + c * PAULI_Y + d * PAULI_Z)
 
 
 def observable(theta) -> np.ndarray:

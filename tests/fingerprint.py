@@ -24,7 +24,6 @@ machines, so compare files written on one machine.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -36,6 +35,7 @@ import tempfile
 
 import numpy as np
 
+import census_cli
 from elfkit import cli
 from elfkit.bias import Scheme
 from elfkit.metrics import GaussianBelief, NoiseModel
@@ -156,8 +156,9 @@ def fingerprints(quick: bool = False) -> dict:
     return dict(sorted(items.items()))
 
 
-def differing(old: dict, new: dict) -> list[str]:
-    """One line per item whose hash differs, or that only one of the two holds."""
+def differing(old: dict, new: dict) -> tuple[list[str], bool]:
+    """One line per item whose hash differs, or that only one of the two holds (else one line saying so),
+    and whether there is any."""
     lines = []
     for name in sorted(old.keys() | new.keys()):
         if name not in new:
@@ -166,31 +167,16 @@ def differing(old: dict, new: dict) -> list[str]:
             lines.append(f"{name}: only in the new file")
         elif old[name] != new[name]:
             lines.append(f"{name}: differs")
-    return lines
+    return lines or [f"no item differs ({len(old)} items)"], bool(lines)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="mode", required=True)
-    write = sub.add_parser("write", help="fingerprint the outputs of the elfkit on the path")
-    write.add_argument("file")
-    write.add_argument("--quick", action="store_true", help="a small subset of each kind of item")
-    compare = sub.add_parser("compare", help="list the items that differ between two fingerprint files")
-    compare.add_argument("old")
-    compare.add_argument("new")
-    args = parser.parse_args(argv)
-    if args.mode == "write":
-        items = fingerprints(args.quick)
-        with open(args.file, "w", encoding="utf-8") as fh:
-            json.dump(items, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {len(items)} items to {args.file}")
-        return 0
-    with open(args.old, encoding="utf-8") as fh, open(args.new, encoding="utf-8") as gh:
-        old, new = json.load(fh), json.load(gh)
-    lines = differing(old, new)
-    print("\n".join(lines) if lines else f"no item differs ({len(old)} items)")
-    return 1 if lines else 0
+    helps = (
+        "fingerprint the outputs of the elfkit on the path",
+        "a small subset of each kind of item",
+        "list the items that differ between two fingerprint files",
+    )
+    return census_cli.main(argv, __doc__, helps, fingerprints, differing)
 
 
 if __name__ == "__main__":

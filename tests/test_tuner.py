@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from csbd_reconstruction import bias_derivative_slope_in_xj, bias_slope_in_xj
 from elfkit import tuner
-from elfkit.bias import Scheme, _readout, bias, bias_derivative, bias_series, clf_angles
+from elfkit.bias import Scheme, _readout, bias_derivative, bias_series, clf_angles
 from elfkit.algebra import canonical_angles
 from elfkit.csbd import CoefficientTable, sweep
 from elfkit.metrics import NoiseModel, climbed, fisher_information
@@ -146,10 +145,6 @@ class TestTune:
         f = NoiseModel(0.95, 0.99).process_fidelity(layers)
         assert tune(TuneSpec(Scheme.AF, layers, mu, f)).objective_value == pytest.approx(best, rel=1e-9)
 
-    def test_rejects_boundary_mu(self):
-        with pytest.raises(ValueError):
-            TuneSpec(Scheme.AF, 1, 0.0)
-
     @pytest.mark.parametrize("mu", [math.pi / 8, 7 * math.pi / 8])
     def test_capped_runs_converge(self, mu):
         # Coordinate sweeps alone stop short here, at 18.71 and 18.26 with
@@ -248,13 +243,6 @@ class TestWarmStarts:
         assert res.objective_value <= 9 * 0.9**2
 
 
-class TestTuneSpecValidation:
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_rejects_max_rounds_below_one(self, value):
-        with pytest.raises(ValueError, match="max_rounds"):
-            TuneSpec(Scheme.AF, 1, 1.0, max_rounds=value)
-
-
 class TestCoordinateMonotonicity:
     def test_objective_never_decreases_between_rounds(self):
         # Drive the O(L) sweep with the Fisher step and evaluate the
@@ -329,71 +317,7 @@ class TestFisherStepOracle:
         assert kept >= 2 * 2000
 
 
-def _table_gradient(spec, x):
-    """Climbed value and gradient from a CoefficientTable's per-coordinate slopes.
-
-    The tuner's gradient before the fused pass, kept as a reference: each
-    coordinate's bias and d(bias)/dtheta slopes come from its CSBD sinusoids.
-    """
-    table, k = CoefficientTable(spec.scheme, spec.mu, x), spec.scheme.angle_scale
-    delta, ddelta = bias(spec.scheme, spec.mu, x), bias_derivative(spec.scheme, spec.mu, x)
-    chi = np.array([bias_slope_in_xj(table.coefficients(j), k, x[j - 1]) for j in range(1, x.size + 1)])
-    chi_p = np.array([bias_derivative_slope_in_xj(table.coefficients(j), k, x[j - 1]) for j in range(1, x.size + 1)])
-    if spec.objective is Objective.SLOPE:
-        return ddelta**2, 2.0 * ddelta * chi_p
-    f2 = spec.fidelity**2
-    den = 1.0 - f2 * delta**2
-    return f2 * ddelta**2 / den, 2.0 * f2 * (den * ddelta * chi_p + f2 * delta * chi * ddelta**2) / den**2
-
-
-def _climbed_at(spec, x):
-    """The value the finish climbs, from ``objective_value``: F, or the squared slope."""
-    value = objective_value(spec, x)
-    return value**2 if spec.objective is Objective.SLOPE else value
-
-
 class TestGradientCorrectness:
-    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
-    def test_fisher_gradient_matches_finite_difference(self, scheme):
-        rng = np.random.default_rng(6)
-        spec = TuneSpec(scheme, 2, 1.2, 0.8, objective=Objective.FISHER)
-        x = rng.uniform(-np.pi, np.pi, 4)
-        grad = _value_and_gradient(spec, x)[1]
-        h = 1e-6
-        for j in range(4):
-            up, down = x.copy(), x.copy()
-            up[j] += h
-            down[j] -= h
-            fd = (objective_value(spec, up) - objective_value(spec, down)) / (2 * h)
-            assert grad[j] == pytest.approx(fd, abs=1e-5)
-
-    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
-    @pytest.mark.parametrize("objective", [Objective.FISHER, Objective.SLOPE])
-    @pytest.mark.parametrize("layers", [1, 2, 3, 8])
-    def test_fused_pass_matches_table_gradient(self, scheme, objective, layers):
-        # Against the CoefficientTable gradient and a Richardson-extrapolated
-        # five-point central difference (truncation O(h^6)), in units of
-        # max(1, value).
-        rng = np.random.default_rng(layers)
-        h = 5e-4
-        for _ in range(5):
-            spec = TuneSpec(scheme, layers, rng.uniform(0.1, 3.0), rng.uniform(0.5, 0.9), objective)
-            x = rng.uniform(-np.pi, np.pi, 2 * layers)
-            value, grad = _value_and_gradient(spec, x)
-            ref_value, ref_grad = _table_gradient(spec, x)
-            scale = max(1.0, abs(value))
-            assert abs(value - ref_value) <= 1e-10 * scale
-            assert abs(value - _climbed_at(spec, x)) <= 1e-10 * scale
-            assert np.max(np.abs(grad - ref_grad)) <= 1e-10 * scale
-            for j, e in enumerate(np.eye(x.size)):
-
-                def central(step):
-                    at = [_climbed_at(spec, x + m * step * e) for m in (-2, -1, 1, 2)]
-                    return (at[0] - 8.0 * at[1] + 8.0 * at[2] - at[3]) / (12.0 * step)
-
-                fd = (16.0 * central(h / 2.0) - central(h)) / 15.0
-                assert abs(grad[j] - fd) <= 1e-10 * scale
-
     def test_singular_point_has_no_gradient(self):
         # All angles zero make Q = I, so the AB bias is 1 and with f = 1 the
         # Fisher information diverges.

@@ -30,13 +30,12 @@ if it lists any.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 
 import numpy as np
 
+import census_cli
 from elfkit.bias import Scheme
 from elfkit.metrics import NoiseModel
 from elfkit.tuner import Objective, TuneSpec, build_lookup_table, tune
@@ -83,8 +82,9 @@ def census(quick: bool = False) -> dict:
     return dict(sorted({**tune_items(quick), **table_items(quick)}.items()))
 
 
-def compared(old: dict, new: dict) -> tuple[dict, list[str]]:
-    """(counts of identical, rose and fell items; one line per item listed, see the module docstring)."""
+def compared(old: dict, new: dict) -> tuple[list[str], bool]:
+    """(the counts of identical, rose and fell items, then one line per item listed (see the module docstring)
+    or one line saying there is none; whether there is any)."""
     counts, lines = {"identical": 0, "rose": 0, "fell": 0}, []
     for name in sorted(old.keys() | new.keys()):
         if name not in new or name not in old:
@@ -100,32 +100,17 @@ def compared(old: dict, new: dict) -> tuple[dict, list[str]]:
         counts["identical" if b == a else "rose" if b > a else "fell"] += 1
         if b < a and (a - b) > FALL_TOL * abs(a):
             lines.append(f"{name}: {a!r} -> {b!r} (fell by {(a - b) / abs(a):.3g} relative)")
-    return counts, lines
+    head = ", ".join(f"{n} {key}" for key, n in counts.items()) + f" ({len(old.keys() | new.keys())} items)"
+    return [head, *(lines or [f"no item fell by more than {FALL_TOL:g} relative"])], bool(lines)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    sub = parser.add_subparsers(dest="mode", required=True)
-    write = sub.add_parser("write", help="run the census with the elfkit on the path")
-    write.add_argument("file")
-    write.add_argument("--quick", action="store_true", help="the L=1 tunes at four mu and the noiseless table")
-    compare = sub.add_parser("compare", help="list the items that fell, changed kind, or only one file holds")
-    compare.add_argument("old")
-    compare.add_argument("new")
-    args = parser.parse_args(argv)
-    if args.mode == "write":
-        items = census(args.quick)
-        with open(args.file, "w", encoding="utf-8") as fh:
-            json.dump(items, fh, indent=1)
-            fh.write("\n")
-        print(f"wrote {len(items)} items to {args.file}")
-        return 0
-    with open(args.old, encoding="utf-8") as fh, open(args.new, encoding="utf-8") as gh:
-        old, new = json.load(fh), json.load(gh)
-    counts, lines = compared(old, new)
-    print(", ".join(f"{n} {key}" for key, n in counts.items()) + f" ({len(old.keys() | new.keys())} items)")
-    print("\n".join(lines) if lines else f"no item fell by more than {FALL_TOL:g} relative")
-    return 1 if lines else 0
+    helps = (
+        "run the census with the elfkit on the path",
+        "the L=1 tunes at four mu and the noiseless table",
+        "list the items that fell, changed kind, or only one file holds",
+    )
+    return census_cli.main(argv, __doc__, helps, census, compared)
 
 
 if __name__ == "__main__":
