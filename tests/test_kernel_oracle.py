@@ -7,8 +7,8 @@ theta-derivatives to 1e-12 (2L + 1), whose bound grows with the derivative's
 own scale, and the circuit stays a unit quaternion to 1e-12.  The theta-series
 the estimation round reads the bias from is checked the same way.  The CSBD
 coefficients are checked against the oracle's discrete Fourier transform, and
-the tuner's value and gradient against the chain rule on x_j-slopes read off
-the oracle's CSBD rows.
+the tuner's value and gradient, at fidelities 0.5, 0.7 and 0.9, against the
+chain rule on x_j-slopes read off the oracle's CSBD rows.
 """
 
 import numpy as np
@@ -86,7 +86,8 @@ class TestAgainstComplexOracle:
                 assert np.max(np.abs(np.array([co.c, co.s, co.b]) - ref[j - 1, :3])) <= TOL
                 assert np.max(np.abs(np.array([co.c_prime, co.s_prime, co.b_prime]) - ref[j - 1, 3:])) <= dtol
 
-    def test_value_and_gradient(self, scheme, layers):
+    @pytest.mark.parametrize("fidelity", [0.5, 0.7, 0.9])
+    def test_value_and_gradient(self, scheme, layers, fidelity):
         # The bias, d(bias)/dtheta and their x_j-slopes from the oracle's rows
         # (c, s, b, c', s', b'), then the climbed value and gradient by the
         # chain rule.  Thetas outside (0, pi) are not estimand angles.
@@ -103,14 +104,15 @@ class TestAgainstComplexOracle:
             chi = k * (rows[:, 1] * cos - rows[:, 0] * sin)
             chi_p = k * (rows[:, 4] * cos - rows[:, 3] * sin)
             for objective in Objective:
-                spec = TuneSpec(scheme, layers, float(theta), 0.9, objective)
+                spec = TuneSpec(scheme, layers, float(theta), fidelity, objective)
                 value, grad = _value_and_gradient(spec, x)
                 if objective is Objective.SLOPE:
                     ref, ref_grad = ddelta**2, 2.0 * ddelta * chi_p
                 else:
-                    den = 1.0 - 0.81 * delta**2
-                    ref = 0.81 * ddelta**2 / den
-                    ref_grad = 1.62 * ddelta * (den * chi_p + 0.81 * delta * ddelta * chi) / den**2
+                    f2 = fidelity**2
+                    den = 1.0 - f2 * delta**2
+                    ref = f2 * ddelta**2 / den
+                    ref_grad = 2.0 * f2 * ddelta * (den * chi_p + f2 * delta * ddelta * chi) / den**2
                 scale = max(1.0, abs(ref))
                 assert abs(value - ref) <= TOL * scale
                 assert np.max(np.abs(grad - ref_grad)) <= TOL * scale * (2 * layers + 1)
