@@ -13,7 +13,9 @@ compute.  The effective configuration is echoed into every output sidecar so
 results are regenerable from the outputs alone.  Each int and float ``Opt``
 has a domain, checked after parsing by ``algebra.check`` and printed by
 ``--help``: one named (dashes as underscores) like a key of ``algebra.DOMAINS``
-takes that entry, and only the CLI's own options write theirs here.
+takes that entry, and only the CLI's own options write theirs here.  An
+unbounded domain is not printed: ``scan``'s grid ends print the domain of
+each quantity, from ``_SCAN_ENDS``, against which ``cmd_scan`` checks them.
 
 ``scan`` tunes its angles with ``tuner.build_lookup_table`` on its grid
 mapped to Pi (cos theta for ``fisher`` and ``slope``), so a scan point is a
@@ -66,6 +68,9 @@ class Opt:
 
 
 _CONFIG = Opt("config", str, help="JSON file with flag values (flags override)")
+# The domain of scan's grid ends, by quantity: theta for fisher and slope, Pi for rhat0.
+_SCAN_ENDS = {"fisher": DOMAINS["mu"], "slope": DOMAINS["mu"], "rhat0": DOMAINS["pi_star"]}
+_ENDS = ", ".join(f"{domain} for {quantity}" for quantity, domain in _SCAN_ENDS.items())
 _COMMON = (_CONFIG, Opt("seed", int, help="master seed; drawn and printed if absent"))
 
 _NOISE = (
@@ -104,11 +109,11 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("scheme", str, "af", choices=("af", "ab")),
         Opt("layers", int, 1),
         Opt("points", int, 41, domain="[2, inf)"),
-        Opt("min", float, help="grid start (theta for fisher/slope, Pi for rhat0)", domain="(-inf, inf)"),
-        Opt("max", float, help="grid end", domain="(-inf, inf)"),
+        Opt("min", float, help=f"grid start (theta, or Pi for rhat0); domain {_ENDS}", domain="(-inf, inf)"),
+        Opt("max", float, help=f"grid end; domain {_ENDS}", domain="(-inf, inf)"),
         Opt("restarts", int, 10),
         Opt("max-rounds", int, 500),
-        Opt("out", str, "scan", help="output prefix (.csv and .json)"),
+        Opt("out", str, "scan", help="output prefix (.csv and .json; a trailing .csv or .json is dropped)"),
     ),
     "simulate": _COMMON
     + _NOISE
@@ -125,7 +130,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("table-grid", int, 41, help="grid size when building a table on the fly", domain="[2, inf)"),
         Opt("restarts", int, 10, help="restarts for on-the-fly table tuning"),
         Opt("threads", int, 1, help="at most this many worker processes (outputs are independent of it)"),
-        Opt("out", str, "experiment", help="output prefix (.csv and .json)"),
+        Opt("out", str, "experiment", help="output prefix (.csv and .json; a trailing .csv or .json is dropped)"),
     ),
     "runtime": (
         _CONFIG,
@@ -138,7 +143,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("infidelity-min", float, 1e-8, domain="(0, 1)"),
         Opt("infidelity-max", float, 1e-2, domain="(0, 1)"),
         Opt("points", int, 121, domain="[1, inf)"),
-        Opt("out", str, "runtime", help="output prefix (.csv and .json)"),
+        Opt("out", str, "runtime", help="output prefix (.csv and .json; a trailing .csv or .json is dropped)"),
     ),
 }
 
@@ -153,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, opts in OPTIONS.items():
         p = sub.add_parser(command)
         for o in opts:
-            text = "; ".join(filter(None, (o.help, o.domain and f"domain {o.domain}")))
+            text = "; ".join(filter(None, (o.help, o.domain not in (None, "(-inf, inf)") and f"domain {o.domain}")))
             p.add_argument(f"--{o.name}", type=o.type, default=o.default, choices=o.choices, help=text)
     return parser
 
@@ -203,11 +208,11 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def _write_outputs(command: str, cfg: dict, header, rows, extra: dict | None = None) -> None:
-    """Write the CSV and its JSON sidecar at the ``--out`` prefix (a trailing .csv is dropped).
+    """Write the CSV and its JSON sidecar at the ``--out`` prefix (a trailing .csv or .json is dropped).
 
     Float cells are written as the ``repr`` of a Python float, so they round-trip exactly.
     """
-    base = cfg["out"][:-4] if cfg["out"].endswith(".csv") else cfg["out"]
+    base = os.path.splitext(cfg["out"])[0] if cfg["out"].endswith((".csv", ".json")) else cfg["out"]
     with open(base + ".csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -284,7 +289,7 @@ def cmd_scan(cfg: dict) -> int:
     over_pi = quantity == "rhat0"
     lo = cfg["min"] if cfg["min"] is not None else (-0.9 if over_pi else 0.1)
     hi = cfg["max"] if cfg["max"] is not None else (0.9 if over_pi else math.pi - 0.1)
-    domain = DOMAINS["pi_star"] if over_pi else DOMAINS["mu"]
+    domain = _SCAN_ENDS[quantity]
     to_pi = (lambda v: v) if over_pi else np.cos
     for name, end in (("min", lo), ("max", hi)):
         # An end at Pi = +-1 would be a flagged table entry, with no angles.

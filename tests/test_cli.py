@@ -15,7 +15,7 @@ import pytest
 import elfkit
 from elfkit import tuner
 from elfkit.bias import Scheme
-from elfkit.cli import OPTIONS, main
+from elfkit.cli import _SCAN_ENDS, OPTIONS, main
 from elfkit.metrics import GaussianBelief, NoiseModel, slope
 from elfkit.sim import ExperimentConfig, run_experiment
 from elfkit.tuner import build_lookup_table
@@ -133,85 +133,25 @@ def test_sidecar_config_reproduces_the_csv(argv, tmp_path):
     assert json.loads((tmp_path / "again.json").read_text())["config"] == config
 
 
-def _table(*angles, **first):
-    """A table file's document with one entry at Pi = -0.5, 0.5, ... per angle value; ``first`` adds keys to entry 0."""
-    entries = [{"pi": i - 0.5, "angles": a} for i, a in enumerate(angles)]
-    entries[0].update(first)
-    return {"version": "elf-table/1", "entries": entries}
-
-
 @pytest.mark.parametrize(
-    ("doc", "key"),
+    ("doc", "message"),
     [
-        ([], "'entries'"),
-        ({"version": "elf-table/1"}, "'entries'"),
-        ({"version": "elf-table/1", "entries": [{"angles": [1.0, 2.0]}]}, "grid point 0 must be one number, got None"),
+        ([], "table must be a JSON object with an 'entries' list"),
         (
-            {"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0]}, {"pi": None}]},
-            "grid point 1 must be one number, got None",
+            {"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [math.nan, 2.0]}]},
+            "table entry 0: angles must be finite",
         ),
-        ({"version": "elf-table/1", "metadata": 5, "entries": [{"pi": 0.0, "angles": [1.0, 2.0]}]}, "'metadata'"),
-        ({"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": {"a": 1}}]}, "entry 0 has non-numeric 'angles'"),
-        # Each unflagged entry holds one angle vector, of the first one's length.
-        (_table([[1.0, 2.0]], [1.0, 2.0]), "entry 0 has no flag, so it needs one angle vector, got (1, 2)"),
-        (_table([1.0, 2.0, 3.0, 4.0], [1.0, 2.0]), "entry 1 holds 2 angles, but entry 0 holds 4"),
-        (_table([1.0, 2.0], 5), "entry 1 has no flag, so it needs one angle vector, got ()"),
-        (_table([1.0, 2.0], None), "entry 1 has no flag, so it needs one angle vector, got None"),
-        ({"version": "elf-table/1", "entries": [{"pi": True, "angles": [1.0]}]}, "grid point 0 must be one number, got True"),
-        (
-            {"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0], "objective": "x"}]},
-            "table entry 0 objective must be one number, got 'x'",
-        ),
-        (
-            {"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": [1.0, 2.0], "flag": 3}]},
-            "entry 0 has no valid 'flag': 3",
-        ),
-        # A Fisher information or slope is finite and at least 0; json.dumps writes inf as Infinity.
-        (_table([1.0, 2.0], [1.0, 2.0], objective=-5), "table entry 0 objective must lie in [0, inf), got -5"),
-        (
-            {
-                "version": "elf-table/1",
-                "entries": [{"pi": -0.5, "angles": [1.0, 2.0]}, {"pi": 0.5, "angles": [1.0, 2.0], "objective": -5}],
-            },
-            "table entry 1 objective must lie in [0, inf), got -5",
-        ),
-        (_table([1.0, 2.0], [1.0, 2.0], objective=math.inf), "table entry 0 objective must lie in [0, inf), got inf"),
-        (_table([1.0, 2.0], [1.0, 2.0], objective=math.nan), "table entry 0 objective must lie in [0, inf), got nan"),
-        (_table([1.0, 2.0], [1.0, 2.0], flag="other"), "entry 0 has no valid 'flag': 'other'"),
-        # A bad angle names its entry too.
-        (_table([1.0, 2.0], [math.nan, 2.0]), "table entry 1: angles must be finite"),
-        (_table([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]), "table entry 0: angle vector must have even length 2L >= 2, got 3"),
     ],
-    ids=[
-        "not-an-object",
-        "no-entries",
-        "entry-without-pi",
-        "null-pi",
-        "metadata-not-an-object",
-        "non-numeric-angles",
-        "nested-angles",
-        "unequal-lengths",
-        "scalar-angles",
-        "unflagged-null-angles",
-        "boolean-pi",
-        "string-objective",
-        "numeric-flag",
-        "negative-objective",
-        "negative-objective-of-entry-1",
-        "infinite-objective",
-        "nan-objective",
-        "unknown-flag",
-        "nan-angle",
-        "odd-length",
-    ],
+    ids=["not-an-object", "nan-angle"],
 )
-def test_simulate_rejects_malformed_table_file(doc, key, tmp_path, capsys):
-    # A usage error (2) naming the key, and no output.
+def test_simulate_rejects_malformed_table_file(doc, message, tmp_path, capsys):
+    # A usage error (2) with the table's message, and no output; tests/test_tuner.py checks each malformed table.
     path = tmp_path / "table.json"
     path.write_text(json.dumps(doc))
     argv = ["simulate", "--scheme", "af-elf", "--table", str(path), *_SIMULATE, "--out", str(tmp_path / "run")]
     assert main(argv) == 2
-    assert key in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert err.splitlines()[-1] == f"error: {message}" and out == ""
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -418,11 +358,10 @@ def test_table_rejects_grid_ends_out_of_order_before_tuning(tmp_path, capsys, mo
 @pytest.mark.parametrize(
     ("quantity", "flag", "value", "domain"),
     [
-        ("rhat0", "min", "-1.5", "(-1, 1)"),
-        ("rhat0", "max", "1", "(-1, 1)"),
-        ("fisher", "max", "4", "(0, pi)"),
+        # The edge sweep scans fisher and rhat0; slope takes fisher's domain.
         ("slope", "min", "0", "(0, pi)"),
-        # Its Pi, cos(1e-9), rounds to 1: a table entry there would be flagged.
+        # Its Pi, cos(1e-9), rounds to 1: a table entry there would be flagged.  The sweep's ends
+        # whose cos rounds to 1 may exit 2 or 3; this one must be the usage error.
         ("fisher", "min", "1e-9", "(0, pi)"),
     ],
 )
@@ -542,34 +481,43 @@ def test_import_loads_no_scipy(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["runtime.csv", "runtime.json", "sim.csv", "sim.json"]
 
 
+_RUNTIME_HEADER = "f2q,eps,t_lower_s,t_upper_s,t_mid_s,flags"
+
+
 @pytest.mark.parametrize(
-    ("argv", "header", "n_rows"),
+    ("argv", "header", "n_rows", "out"),
     [
         pytest.param(
             ["scan", "--points", "3", "--restarts", "1", "--max-rounds", "20", "--seed", "1"],
             "theta_or_pi,clf_value,elf_value",
             3,
+            "out.csv",
             id="scan-theta",
         ),
         pytest.param(
             ["scan", "--quantity", "rhat0", "--points", "3", "--restarts", "1", "--max-rounds", "20", "--seed", "1"],
             "theta_or_pi,clf_value,elf_value",
             3,
+            "out.csv",
             id="scan-rhat0",
         ),
-        pytest.param(["simulate", "--scheme", "af-clf", *_SIMULATE], _EXPERIMENT_HEADER, None, id="simulate-af-clf"),
-        pytest.param(["simulate", "--scheme", "standard", *_SIMULATE], _EXPERIMENT_HEADER, None, id="simulate-standard"),
         pytest.param(
-            ["runtime", "--points", "3", "--eps", "1e-3,1e-4"],
-            "f2q,eps,t_lower_s,t_upper_s,t_mid_s,flags",
-            6,
-            id="runtime",
+            ["simulate", "--scheme", "af-clf", *_SIMULATE], _EXPERIMENT_HEADER, None, "out.csv", id="simulate-af-clf"
         ),
+        pytest.param(
+            ["simulate", "--scheme", "standard", *_SIMULATE],
+            _EXPERIMENT_HEADER,
+            None,
+            "out.csv",
+            id="simulate-standard",
+        ),
+        pytest.param(["runtime", "--points", "3", "--eps", "1e-3,1e-4"], _RUNTIME_HEADER, 6, "out.csv", id="runtime"),
+        pytest.param(["runtime", "--points", "2"], _RUNTIME_HEADER, 6, "out.json", id="runtime-json-suffix"),
     ],
 )
-def test_csv_and_sidecar_outputs(argv, header, n_rows, tmp_path):
-    # A trailing .csv on --out names the same prefix as no suffix.
-    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+def test_csv_and_sidecar_outputs(argv, header, n_rows, out, tmp_path):
+    # A trailing .csv or .json on --out names the same prefix as no suffix.
+    assert main(argv + ["--out", str(tmp_path / out)]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.json"]
     text = (tmp_path / "out.csv").read_text(encoding="utf-8")
     assert text.split("\n")[0] == header and text.endswith("\n") and "\r" not in text
@@ -622,12 +570,13 @@ _SWEEP_BASE = {
     "simulate-af-elf": ["--scheme", "af-elf", *_SIMULATE_SWEEP, "--table-grid", "3", "--restarts", "1"],
     "tune": ["--mu", "1", "--restarts", "1", "--max-rounds", "5"],
     "table": ["--grid", "3", "--restarts", "1", "--max-rounds", "5"],
-    "scan": ["--points", "3", "--restarts", "1", "--max-rounds", "5"],
+    "scan": ["--quantity", "fisher", "--points", "3", "--restarts", "1", "--max-rounds", "5"],
+    "scan-rhat0": ["--quantity", "rhat0", "--points", "3", "--restarts", "1", "--max-rounds", "5"],
     "runtime": ["--points", "2"],
 }
 # The library's own checks that a domain leaves in place name a field, not the flag:
-# horizon >= 2L + 1, a mu within 1e-12 of a multiple of pi, a scan's grid ends in the
-# domain of its quantity, table grid ends out of order, a table grid whose every point
+# horizon >= 2L + 1, a mu within 1e-12 of a multiple of pi, a scan's theta grid end
+# whose cos rounds to +-1, table grid ends out of order, a table grid whose every point
 # sits at Pi = +-1, and the runtime bounds' SPAM fidelity, whose square must stay a
 # positive float.
 _LIBRARY_MESSAGES = {
@@ -646,9 +595,17 @@ _LIBRARY_MESSAGES = {
 }
 
 
-def _edge_values(opt):
-    """The fixed edge set of an option: fixed values, and each finite domain end with its neighbours."""
-    ends = [math.pi if end == "pi" else float(end) for end in opt.domain[1:-1].split(", ")]
+def _domains(base: str, opt) -> list:
+    """The domains an option's value is checked against, in order: its ``Opt``'s, then a scan grid end's quantity's."""
+    args = _SWEEP_BASE[base]
+    if opt.name in ("min", "max"):
+        return [opt.domain, _SCAN_ENDS[args[args.index("--quantity") + 1]]]
+    return [opt.domain]
+
+
+def _edge_values(opt, domain: str):
+    """The fixed edge set of an option: fixed values, and each finite end of ``domain`` with its neighbours."""
+    ends = [math.pi if end == "pi" else float(end) for end in domain[1:-1].split(", ")]
     if opt.type is int:
         values = [0, -1] + [int(e) + d for e in ends if math.isfinite(e) for d in (-1, 0, 1)]
     else:
@@ -671,15 +628,15 @@ def _in_domain(value: str, domain: str) -> bool:
         for base in _SWEEP_BASE
         for opt in OPTIONS[base.split("-")[0]]
         if opt.domain
-        for value in _edge_values(opt)
+        for value in _edge_values(opt, _domains(base, opt)[-1])
     ],
 )
 def test_every_option_at_its_edge_values(base, name, value, tmp_path, capsys, monkeypatch):
     # Each edge value runs (0), is a usage error (2), or trips the numeric guard (3) without an
     # errno tuple; nothing raises past main, and pytest turns a RuntimeWarning into an error.  A
-    # value outside the option's domain is the usage error "--<name> must lie in <domain>, got
-    # <value>"; one inside may be a usage error of the library's own checks.  A usage error starts
-    # no tune, prints nothing on stdout and no seed, and writes no file.
+    # value outside one of the option's domains is the usage error "--<name> must lie in <domain>,
+    # got <value>", naming the first it leaves; one inside may be a usage error of the library's own
+    # checks.  A usage error starts no tune, prints nothing on stdout and no seed, and writes no file.
     command = base.split("-")[0]
     tuned, tune = [], tuner.tune
     for path in ("elfkit.tuner.tune", "elfkit.cli.tune"):
@@ -695,10 +652,11 @@ def test_every_option_at_its_edge_values(base, name, value, tmp_path, capsys, mo
     except SystemExit as exc:
         status = exc.code
     out, err = capsys.readouterr()
-    domain = next(o.domain for o in OPTIONS[command] if o.name == name)
-    flag_message = f"--{name} must lie in {domain}, got {value}"
+    domains = _domains(base, next(o for o in OPTIONS[command] if o.name == name))
+    outside = next((domain for domain in domains if not _in_domain(value, domain)), None)
+    flag_message = f"--{name} must lie in {outside or domains[-1]}, got {value}"
     assert status in (0, 2, 3), err
-    if not _in_domain(value, domain):
+    if outside:
         assert status == 2 and err.splitlines()[-1] == f"error: {flag_message}", err
     if status == 2:
         assert flag_message in err or _LIBRARY_MESSAGES.get((base, name), flag_message) in err, err

@@ -23,6 +23,14 @@ _EXPERIMENT = dict(
     true_pi=0.3, prior_pi=_BELIEF, layers=1, noise=NoiseModel(), runs=4, horizon=60, master_seed=0, threads=1
 )
 
+
+def _prior_mean(kw: dict) -> dict:
+    """``kw`` with a ``prior_mean`` key turned into ``prior_pi``, a belief of that mean."""
+    if "prior_mean" in kw:
+        kw["prior_pi"] = GaussianBelief(kw.pop("prior_mean"), 1e-3)
+    return kw
+
+
 # Each target: the names of its checked inputs, and a call that takes one of them by keyword.
 TARGETS = {
     "NoiseModel": (("layer_fidelity", "spam_fidelity"), lambda **kw: NoiseModel(**kw)),
@@ -32,7 +40,7 @@ TARGETS = {
         lambda **kw: TuneSpec(**{"scheme": Scheme.AF, "layers": 1, "mu": 1.0, **kw}),
     ),
     "EstimationConfig": (
-        ("layers", "true_pi", "horizon", "seed"),
+        ("layers", "true_pi", "horizon", "seed", "prior_mean"),
         lambda **kw: EstimationConfig(
             **{
                 "scheme": Scheme.AF,
@@ -42,13 +50,13 @@ TARGETS = {
                 "true_pi": 0.3,
                 "horizon": 60,
                 "angle_source": "clf",
-                **kw,
+                **_prior_mean(kw),
             }
         ),
     ),
     "ExperimentConfig": (
-        ("true_pi", "layers", "runs", "horizon", "master_seed", "threads"),
-        lambda **kw: ExperimentConfig(**{"scheme": "af-clf", **_EXPERIMENT, **kw}),
+        ("true_pi", "layers", "runs", "horizon", "master_seed", "threads", "prior_mean"),
+        lambda **kw: ExperimentConfig(**{"scheme": "af-clf", **_EXPERIMENT, **_prior_mean(kw)}),
     ),
     "ExperimentConfig-standard": (
         ("true_pi", "layers", "runs", "horizon", "master_seed", "threads"),
@@ -112,14 +120,16 @@ TARGETS = {
 _PASSED_AS = {("hardware_runtime_curve-spam", "spam_fidelity"): "spam"}
 # An input that a call checks against a domain wider than its entry's: the standard scheme reads no layers.
 _DOMAIN_OF = {("ExperimentConfig-standard", "layers"): "(-inf, inf)"}
+# The prior's mean, which a config checks as "prior_pi mean" after GaussianBelief has checked it as "mean".
+_PRIOR_MEAN = [("EstimationConfig", "prior_mean"), ("ExperimentConfig", "prior_mean")]
 # An input whose errors name it by a label: a table entry's objective names its entry.
-_LABELS = {("LookupTable", "objective_value"): "table entry 0 objective"}
+_LABELS = {("LookupTable", "objective_value"): "table entry 0 objective", **dict.fromkeys(_PRIOR_MEAN, "prior_pi mean")}
 # A table entry may have no objective.
 _NULLABLE = {("LookupTable", "objective_value")}
 # The library's rules beyond a domain: the start of each one's message, and the values it refuses.  A
 # mu within 1e-12 of a multiple of pi, horizon >= 2L + 1, each eps passed on as eps_theta =
-# eps / sqrt(1 - pi^2), and HardwareParams' own check of the SPAM fidelity, ahead of the runtime
-# bounds' check of it as spam.
+# eps / sqrt(1 - pi^2), HardwareParams' own check of the SPAM fidelity, ahead of the runtime
+# bounds' check of it as spam, and GaussianBelief's own check of the prior's mean.
 _RULES = {
     ("TuneSpec", "mu"): ("mu=", lambda v: min(abs(v), abs(math.pi - v)) < 1e-12),
     ("EstimationConfig", "horizon"): ("horizon must be >= 3", lambda v: v < 3),
@@ -129,6 +139,7 @@ _RULES = {
         "spam_fidelity must lie in (0, 1], got ",
         lambda v: not 0 < v <= 1,
     ),
+    **dict.fromkeys(_PRIOR_MEAN, ("mean must lie in (-inf, inf), got ", lambda v: not math.isfinite(v))),
 }
 
 
@@ -225,11 +236,12 @@ def _non_numbers(v) -> dict:
         for target, (names, _) in TARGETS.items()
         for name in names
         for kind in _non_numbers(0.5)
-        if not (kind == "None" and (target, name) in _NULLABLE)
+        if not (kind == "None" and (target, name) in _NULLABLE) and (target, name) not in _PRIOR_MEAN
     ],
 )
 def test_every_numeric_input_refuses_a_non_number(target, name, kind):
     # A value inside the domain, but not one number: the check names the input before any use of it.
+    # A prior's mean that is not one number is GaussianBelief's mean, checked as such.
     v = _inside(name, DOMAINS[_PASSED_AS.get((target, name), name)])
     with pytest.raises(ValueError) as exc:
         TARGETS[target][1](**{name: _non_numbers(v)[kind]})
@@ -246,6 +258,7 @@ _KINDS = {
     "spec": ("tuner.TuneSpec", ["x"]),
     "metadata": ("builtins.dict", [None]),
     "table entry 0": ("tuner.TableEntry", ["x"]),
+    "table": ("tuner.LookupTable", ["not a table", object()]),
 }
 # Each target: the names of its typed inputs, and a call that takes one of them by keyword.
 TYPED = {
@@ -256,6 +269,11 @@ TYPED = {
     "EstimationConfig": (("scheme", "noise", "prior_pi"), TARGETS["EstimationConfig"][1]),
     "ExperimentConfig": (("noise", "prior_pi"), TARGETS["ExperimentConfig"][1]),
     "ExperimentConfig-standard": (("noise",), TARGETS["ExperimentConfig-standard"][1]),
+    "EstimationConfig-table": (
+        ("table",),
+        lambda table: TARGETS["EstimationConfig"][1](angle_source="table", table=table),
+    ),
+    "ExperimentConfig-af-elf": (("table",), lambda table: ExperimentConfig("af-elf", **_EXPERIMENT, table=table)),
     "build_lookup_table": (("scheme", "noise", "objective"), TARGETS["build_lookup_table"][1]),
     "hardware_runtime_curve": (("hw",), lambda hw: hardware_runtime_curve(hw, [1e-3], [0.999])),
     "tune": (("spec",), lambda spec: tune(spec)),
@@ -276,7 +294,7 @@ TYPED = {
 @pytest.mark.parametrize(
     ("target", "name", "value"),
     [
-        pytest.param(target, name, value, id=f"{target}-{name}={value!r}")
+        pytest.param(target, name, value, id=re.sub(" at 0x[0-9a-f]+", "", f"{target}-{name}={value!r}"))
         for target, (names, _) in TYPED.items()
         for name in names
         for value in _KINDS[name][1]

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from functools import lru_cache
 
 import mpmath
@@ -8,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from elfkit import bias, inference
-from elfkit.bias import Scheme, _horner, bias_series, clf_angles
+from elfkit.bias import Scheme, _horner, bias_series
 from elfkit.inference import (
     FIT_POINTS,
     EstimationConfig,
@@ -22,7 +21,7 @@ from elfkit.inference import (
     run_estimation,
 )
 from elfkit.metrics import GaussianBelief, NoiseModel
-from elfkit.tuner import DEGENERATE_FLAG, LookupTable, TableEntry, build_lookup_table, chebyshev_table
+from elfkit.tuner import build_lookup_table, chebyshev_table
 from table_oracle import nearest_valid_entry
 
 
@@ -372,50 +371,6 @@ class TestRunEstimation:
             with pytest.raises(ValueError, match=f"horizon {message}"):
                 EstimationConfig(horizon=horizon, **common)
 
-    @pytest.mark.parametrize("mean", [1.5, -1.2])
-    def test_rejects_prior_mean_outside_unit_interval(self, mean):
-        # Caught at construction: pi_to_theta would clip the whole belief to one
-        # end, and the run would freeze there with a vanishing variance.
-        with pytest.raises(ValueError, match=r"prior_pi mean must lie in \[-1, 1\]"):
-            EstimationConfig(
-                scheme=Scheme.AF,
-                layers=2,
-                noise=NoiseModel(),
-                prior_pi=GaussianBelief(mean, 0.0009),
-                true_pi=0.3,
-                horizon=100,
-                angle_source="clf",
-            )
-
-    @pytest.mark.parametrize("mean", [1.0, -1.0])
-    def test_accepts_prior_mean_at_unit_interval_ends(self, mean):
-        cfg = EstimationConfig(
-            scheme=Scheme.AF,
-            layers=2,
-            noise=NoiseModel(),
-            prior_pi=GaussianBelief(mean, 0.0009),
-            true_pi=0.3,
-            horizon=100,
-            angle_source="clf",
-        )
-        assert cfg.prior_pi.mean == mean
-
-    @pytest.mark.parametrize("layers, message", [(3, "6-angle vectors, but layers=1"), (1, "scheme 'ab'")])
-    def test_rejects_table_that_does_not_fit(self, layers, message):
-        # An AF L=1 run must not use angles tuned for another scheme or depth.
-        table = LookupTable([TableEntry(0.0, clf_angles(layers), 1.0)], {"scheme": "ab"})
-        with pytest.raises(ValueError, match=f"table .*{message}"):
-            EstimationConfig(
-                scheme=Scheme.AF,
-                layers=1,
-                noise=NoiseModel(),
-                prior_pi=GaussianBelief(0.5, 0.0009),
-                true_pi=0.5,
-                horizon=100,
-                angle_source="table",
-                table=table,
-            )
-
     @pytest.mark.parametrize(
         "layers, true_pi, prior_mean, seed",
         [(3, 0.9964819060079395, 0.9, 1706330194), (3, -0.9923762558099185, -0.9, 238710560)],
@@ -467,28 +422,10 @@ class TestRunEstimation:
             run_estimation(cfg)
         assert len(calls) == 3
 
-    def test_requires_table_when_requested(self):
-        with pytest.raises(ValueError):
-            EstimationConfig(
-                scheme=Scheme.AF,
-                layers=1,
-                noise=NoiseModel(),
-                prior_pi=GaussianBelief(0.5, 0.0009),
-                true_pi=0.5,
-                horizon=100,
-                angle_source="table",
-            )
+    def test_angle_source_is_table_or_clf(self):
         # The per-round tuned source is gone; only "table" and "clf" remain.
-        with pytest.raises(ValueError, match="angle_source"):
-            EstimationConfig(
-                scheme=Scheme.AF,
-                layers=1,
-                noise=NoiseModel(),
-                prior_pi=GaussianBelief(0.5, 0.0009),
-                true_pi=0.5,
-                horizon=100,
-                angle_source="tune",
-            )
+        with pytest.raises(ValueError, match="^angle_source must be 'table' or 'clf'$"):
+            EstimationConfig(Scheme.AF, 1, NoiseModel(), GaussianBelief(0.5, 0.0009), 0.5, 100, angle_source="tune")
 
 
 @lru_cache(maxsize=None)
@@ -498,7 +435,7 @@ def small_table(scheme, layers):
 
 
 class TestEngineEquivalence:
-    """``run_estimation`` is one column of a 64-run lockstep batch, bit for bit."""
+    """A single run, held 0-d on numpy scalars, is column 23 of a 64-run lockstep batch, bit for bit."""
 
     @pytest.mark.parametrize("source", ["clf", "table"])
     @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
@@ -516,100 +453,68 @@ class TestEngineEquivalence:
             angle_source=source,
             table=small_table(scheme, layers) if source == "table" else None,
         )
-        records = run_estimation(cfg)
-        single = np.array([(rec.outcome, rec.theta_belief.mean, rec.theta_belief.variance) for rec in records])
+        draws = np.random.default_rng(np.random.SeedSequence(cfg.seed)).random(cfg.round_budget())
+        single = list(inference._rounds(cfg, draws))
 
         # The same run as column 23 among other runs with their own priors and draws.
         rng = np.random.default_rng(layers)
-        col, width, n = 23, 64, len(records)
+        col, width, n = 23, 64, draws.size
         uniforms = rng.random((n, width))
-        uniforms[:, col] = np.random.default_rng(np.random.SeedSequence(cfg.seed)).random(n)
+        uniforms[:, col] = draws
         prior = pi_to_theta(cfg.prior_pi)
         mu = prior.mean + 0.05 * rng.standard_normal(width)
         var = prior.variance * rng.uniform(0.5, 2.0, width)
         mu[col], var[col] = prior.mean, prior.variance
         f = noise.process_fidelity(layers)
         angles = _angle_policy(scheme, f, math.acos(cfg.true_pi), cfg.table or chebyshev_table(layers))
-        rounds = _lockstep(f, mu, var, angles, uniforms)
-        batch = np.array([[a[col] for a in state[2:5]] for state in rounds])
-        assert np.array_equal(single, batch)
-        assert 0 < single[:, 0].sum() < n  # both outcomes occur
-
-
-class TestZeroDimBatch:
-    """A run held 0-d, on numpy scalars, yields what the same run held as a (1,) batch, bit for bit."""
-
-    @pytest.mark.parametrize("source", ["clf", "table"])
-    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_scalar_state_equals_one_element_batch(self, source, scheme, layers):
-        f = NoiseModel(0.95, 0.99).process_fidelity(layers)
-        prior = pi_to_theta(GaussianBelief(0.35, 0.05**2))
-        table = small_table(scheme, layers) if source == "table" else None
-        angles = _angle_policy(scheme, f, math.acos(0.3), table or chebyshev_table(layers))
-        uniforms = np.random.default_rng(layers).random(60)
-        start = np.float64(prior.mean), np.float64(prior.variance)
-        scalar = list(_lockstep(f, *start, angles, uniforms))
-        batch = list(_lockstep(f, np.array([start[0]]), np.array([start[1]]), angles, uniforms[:, None]))
-        assert len(scalar) == len(batch) == 60
-        for one, column in zip(scalar, batch):
-            # (r, b, d, mu, var) stay numpy scalars, not 1-element arrays.
-            assert all(np.ndim(v) == 0 for v in one[:5])
-            got, want = (np.array([float(v) for v in state[:5]]) for state in (one, [v[0] for v in column]))
+        batch = list(_lockstep(f, mu, var, angles, uniforms))
+        assert len(single) == len(batch) == n
+        for one, state in zip(single, batch):
+            # (r, b, d, mu, var, alive) stay numpy scalars, not 1-element arrays.
+            assert all(np.ndim(v) == 0 for v in one)
+            got, want = (np.array([float(v) for v in values[:5]]) for values in (one, [v[col] for v in state]))
             assert got.tobytes() == want.tobytes()
-            assert bool(one[5]) and bool(column[5][0])
-        assert 0 < sum(int(state[2]) for state in scalar) < 60  # both outcomes occur
+            assert bool(one[5]) and bool(state[5][col])
+        assert 0 < sum(int(state[2]) for state in single) < n  # both outcomes occur
 
-    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
-    def test_table_policy_of_a_scalar_belief_is_one_column(self, scheme):
-        table = small_table(scheme, 2)
-        degree = 5 if scheme is Scheme.AF else 2
-        policy = _angle_policy(scheme, 0.9, 1.1, table)
-        for pi in (-0.97, -0.31, 0.0, 0.42, 0.97):
-            mu, var = math.acos(pi), 1e-30  # the belief's Pi mean is pi to rounding
-            columns, thresholds = policy(np.array([mu]), np.array([var]))
-            for belief in ((mu, var), (np.float64(mu), np.float64(var))):
+
+@pytest.mark.parametrize("true_pi", [-0.8, 0.3, 0.95])
+@pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_angle_policy_reads_the_nearest_valid_entry(layers, scheme, true_pi):
+    # A run reads the theta-series column of the valid entry nearest its Pi mean, and the threshold
+    # f bias(theta_star) of that column, bit for bit f times its Horner value at two copies of
+    # e^{i theta_star}.  A 0-d belief reads one (D + 1,) column and a 0-d threshold, read-only because
+    # every run of the process shares them; so does a 1-D one of a one-entry table (chebyshev_table).
+    f, theta_star = NoiseModel(0.95, 0.99).process_fidelity(layers), math.acos(true_pi)
+    e = np.full(2, complex(math.cos(theta_star), math.sin(theta_star)))
+    for table in (chebyshev_table(layers), small_table(scheme, layers)):
+        policy = _angle_policy(scheme, f, theta_star, table)
+        valid = [entry.pi for entry in table.entries if entry.flag is None]
+        # Queries between and beyond the entries, and at each; a belief's Pi mean is its pi to rounding.
+        pis = [-0.97, -0.31, 0.0, 0.42, 0.97, *valid]
+        mu = np.arccos(pis)
+        columns, thresholds = policy(mu, np.full(mu.size, 1e-30))
+        if len(valid) == 1:  # one column and threshold for every run, unbroadcast
+            assert columns.ndim == 1 and np.ndim(thresholds) == 0 and not columns.flags.writeable
+            columns, thresholds = np.repeat(columns[:, None], mu.size, axis=1), np.full(mu.size, thresholds)
+        else:
+            assert thresholds.shape == mu.shape and len(valid) > 5
+        for pi, m, batch_column, batch_threshold in zip(pis, mu, columns.T, thresholds):
+            angles = nearest_valid_entry(table, pi).angles
+            want = bias_series(scheme, angles)
+            want_threshold = f * _horner(want[:, None], e)[0]
+            assert abs(want_threshold - f * bias.bias(scheme, theta_star, angles)) <= 1e-12
+            assert batch_column.tobytes() == want.tobytes() and batch_threshold == want_threshold
+            for belief in ((m, 1e-30), (np.float64(m), np.float64(1e-30))):
                 column, threshold = policy(*belief)
-                assert column.shape == (degree + 1,) and np.ndim(threshold) == 0
-                assert np.array_equal(column, columns[:, 0]) and threshold == thresholds[0]
-                assert np.array_equal(column, bias_series(scheme, nearest_valid_entry(table, pi).angles))
-
-
-class TestOneEntryTable:
-    """A table with one valid entry, such as ``chebyshev_table``, gives every run that entry's one column."""
-
-    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_policy_returns_the_column_unbroadcast(self, scheme, layers):
-        # For a 0-d and a 1-D belief: the (D + 1,) column of the Chebyshev angles and a 0-d threshold,
-        # bit for bit those of that column alone, read-only because every run of the process shares them.
-        f, theta_star = 0.9, 1.1
-        want = bias_series(scheme, clf_angles(layers))
-        e = np.full(2, complex(math.cos(theta_star), math.sin(theta_star)))
-        want_threshold = (f * _horner(want[:, None], e))[0]
-        assert abs(want_threshold - f * bias.bias(scheme, theta_star, clf_angles(layers))) <= 1e-12
-        policy = _angle_policy(scheme, f, theta_star, chebyshev_table(layers))
-        for mu, var in ((np.float64(0.4), np.float64(0.01)), (np.array([0.4, 2.0, 3.1]), np.full(3, 0.01))):
-            column, threshold = policy(mu, var)
-            assert column.shape == want.shape and np.ndim(threshold) == 0
-            assert column.tobytes() == want.tobytes() and threshold == want_threshold
-            assert not column.flags.writeable
-
-    @pytest.mark.parametrize("scheme, layers", [(Scheme.AF, 3), (Scheme.AB, 2)])
-    def test_a_user_built_table_estimates_as_the_chebyshev_angles(self, scheme, layers):
-        # One valid entry between two flagged ones: its grid point does not matter.
-        flagged = TableEntry(-1.0, None, None, DEGENERATE_FLAG), TableEntry(1.0, None, None, DEGENERATE_FLAG)
-        table = LookupTable([flagged[0], TableEntry(0.6, clf_angles(layers), None), flagged[1]], {})
-        noise = NoiseModel(0.95, 0.99)
-        for true_pi, prior in ((0.3, GaussianBelief(0.32, 0.03**2)), (0.995, GaussianBelief(0.9, 0.2**2))):
-            for seed in range(3):
-                cfg = EstimationConfig(scheme, layers, noise, prior, true_pi, 300, seed, angle_source="clf")
-                want = run_estimation(cfg)
-                assert repr(run_estimation(replace(cfg, angle_source="table", table=table))) == repr(want)
+                assert column.shape == want.shape and np.ndim(threshold) == 0
+                assert column.tobytes() == want.tobytes() and threshold == want_threshold
+                assert not column.flags.writeable
 
 
 class TestLeanRun:
-    """A record is the numbers of its round, and a policy's thresholds are f bias(theta_star)."""
+    """A record is the numbers of its round."""
 
     @staticmethod
     def config(scheme, source, layers=2):
@@ -646,21 +551,3 @@ class TestLeanRun:
             theta, pi = rec.theta_belief, rec.pi_belief
             assert isinstance(theta, GaussianBelief) and isinstance(pi, GaussianBelief)
             assert (theta.mean, theta.variance, pi.mean, pi.variance) == rec[2:]
-
-    @pytest.mark.parametrize("true_pi", [-0.8, 0.3, 0.95])
-    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_policy_thresholds_are_the_bias_at_theta_star(self, layers, scheme, true_pi):
-        f, theta_star = NoiseModel(0.95, 0.99).process_fidelity(layers), math.acos(true_pi)
-        clf = clf_angles(layers)
-        column, threshold = _angle_policy(scheme, f, theta_star, chebyshev_table(layers))(1.0, 0.01)
-        assert np.array_equal(column, bias_series(scheme, clf))
-        assert abs(threshold - f * bias.bias(scheme, theta_star, clf)) <= 1e-12
-        table = small_table(scheme, layers)
-        valid = [e for e in table.entries if e.flag is None]
-        mu = np.arccos([e.pi for e in valid])  # each belief's Pi mean is its entry's pi to rounding
-        columns, thresholds = _angle_policy(scheme, f, theta_star, table)(mu, np.full(mu.size, 1e-30))
-        assert thresholds.shape == (len(valid),) and len(valid) > 5
-        for entry, column, threshold in zip(valid, columns.T, thresholds):
-            assert np.array_equal(column, bias_series(scheme, entry.angles))
-            assert abs(threshold - f * bias.bias(scheme, theta_star, entry.angles)) <= 1e-12

@@ -63,16 +63,21 @@ class TestAgainstComplexOracle:
         assert np.max(np.abs(bias_series(scheme, clf_angles(layers)) - expected)) <= 1e-15 * (2 * layers + 1)
 
     def test_engine_batched_call(self, scheme, layers):
-        # A batched call: per-run angle vectors against per-run thetas.
+        # A batched call: per-run angle vectors against per-run thetas.  The batched circuit is, to
+        # rounding, the scalar-theta circuit of each run's angles at each of its thetas.
         rng = np.random.default_rng(100 + layers)
         runs = 5
         xmat = rng.uniform(-np.pi, np.pi, (runs, 2 * layers))
         grid = np.stack([thetas(rng, 8) for _ in range(runs)])
         values = bias(scheme, grid, xmat[:, None, :])
         assert values.shape == grid.shape
+        q = np.stack(circuit(*trig(grid, xmat[:, None, :])))
+        assert q.shape == (4, *grid.shape)
         for r in range(runs):
             ref, _ = oracle.bias(scheme is Scheme.AF, grid[r], xmat[r])
             assert np.max(np.abs(values[r] - ref)) <= TOL
+            for t, column in zip(grid[r], q[:, r].T):
+                assert np.max(np.abs(column - circuit(*trig(float(t), xmat[r])))) <= TOL
 
     def test_csbd_coefficients(self, scheme, layers):
         rng = np.random.default_rng(200 + layers)

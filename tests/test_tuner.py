@@ -344,6 +344,90 @@ class TestSweepObjective:
                 assert got == pytest.approx(objective_value(spec, x), rel=1e-12)
 
 
+_X = [1.0, 2.0]
+_FLAGGED = {"pi": -1.0, "angles": None, "flag": tuner.DEGENERATE_FLAG}
+
+
+def _second(**entry):
+    """Entries -0.5 and 0.5 of one angle vector each, ``entry`` updating the second."""
+    return [{"pi": -0.5, "angles": _X, "objective": 1.0}, {"pi": 0.5, "angles": _X, **entry}]
+
+
+# The one contract of a table file's document and of a table's entries (TestLookupTable): rows
+# (document, entries, message), one of the first two None, and the message None for a table that is taken.
+_TABLE_CONTRACT = [
+    pytest.param(doc, None, message, id=name)
+    for name, doc, message in [
+        ("not-an-object", [], "table must be a JSON object with an 'entries' list"),
+        ("no-entries", {"version": "elf-table/1"}, "table must be a JSON object with an 'entries' list"),
+        ("other-version", {"version": "other", "entries": []}, "unsupported table version 'other'"),
+        (
+            "metadata-not-an-object",
+            {"version": "elf-table/1", "metadata": 5, "entries": [{"pi": 0.0, "angles": _X}]},
+            "table 'metadata' must be a JSON object, got 5",
+        ),
+        ("entry-not-an-object", {"version": "elf-table/1", "entries": [3]}, "table entry 0 is not a JSON object: 3"),
+        (
+            "non-numeric-angles",
+            {"version": "elf-table/1", "entries": [{"pi": 0.0, "angles": {"a": 1}}]},
+            "table entry 0 has non-numeric 'angles': {'a': 1}",
+        ),
+    ]
+] + [
+    pytest.param(None, entries, message, id=name)
+    for name, entries, message in [
+        ("no-pi", [{"angles": _X}], "grid point 0 must be one number, got None"),
+        ("null-pi", _second(pi=None), "grid point 1 must be one number, got None"),
+        ("boolean-pi", _second(pi=True), "grid point 1 must be one number, got True"),
+        ("string-pi", _second(pi="0.5"), "grid point 1 must be one number, got '0.5'"),
+        # A NaN Pi would sort last in the midpoints, so that every query read entry 0.
+        ("nan-pi", [*_second(pi=math.nan), {"pi": 0.7, "angles": _X}], "grid point 1 must lie in [-1, 1], got nan"),
+        ("string-objective", _second(objective="x"), "table entry 1 objective must be one number, got 'x'"),
+        ("boolean-objective", _second(objective=False), "table entry 1 objective must be one number, got False"),
+        ("list-objective", _second(objective=[1.0]), "table entry 1 objective must be one number, got [1.0]"),
+        # A Fisher information or slope is finite and at least 0.
+        ("negative-objective", _second(objective=-5), "table entry 1 objective must lie in [0, inf), got -5"),
+        ("inf-objective", _second(objective=math.inf), "table entry 1 objective must lie in [0, inf), got inf"),
+        ("-inf-objective", _second(objective=-math.inf), "table entry 1 objective must lie in [0, inf), got -inf"),
+        ("nan-objective", _second(objective=math.nan), "table entry 1 objective must lie in [0, inf), got nan"),
+        ("numeric-flag", _second(flag=3), "table entry 1 has no valid 'flag': 3"),
+        ("unknown-flag", _second(flag="other"), "table entry 1 has no valid 'flag': 'other'"),
+        # The objective of entry 0 is checked before the unknown flag of entry 1.
+        (
+            "objective-before-flag",
+            [{"pi": -0.5, "angles": _X, "objective": -5.0}, {"pi": 0.5, "angles": None, "flag": "other"}],
+            "table entry 0 objective must lie in [0, inf), got -5.0",
+        ),
+        # Each unflagged entry holds one finite angle vector of even length, of the first one's length.
+        ("nan-angle", _second(angles=[math.nan, 2.0]), "table entry 1: angles must be finite"),
+        (
+            "odd-length",
+            [{"pi": -0.5, "angles": [1.0, 1.0, 1.0]}, {"pi": 0.5, "angles": [1.0, 1.0, 1.0]}],
+            "table entry 0: angle vector must have even length 2L >= 2, got 3",
+        ),
+        ("unequal-lengths", _second(angles=[1.0, 2.0, 3.0]), "table entry 1 holds 3 angles, but entry 0 holds 2"),
+        ("scalar-angles", _second(angles=5), "table entry 1 has no flag, so it needs one angle vector, got ()"),
+        # A flagged entry holds no angles; the first unflagged one sets the length.
+        (
+            "nested-angles",
+            [_FLAGGED, {"pi": 0.0, "angles": [_X], "objective": 1.0}],
+            "table entry 1 has no flag, so it needs one angle vector, got (1, 2)",
+        ),
+        (
+            "null-angles",
+            [_FLAGGED, {"pi": 0.0, "angles": None}],
+            "table entry 1 has no flag, so it needs one angle vector, got None",
+        ),
+        (
+            "unequal-lengths-after-a-flagged-entry",
+            [_FLAGGED, {"pi": 0.0, "angles": [1.0, 2.0, 3.0, 4.0]}, {"pi": 0.5, "angles": _X}],
+            "table entry 2 holds 2 angles, but entry 1 holds 4",
+        ),
+        ("flagged-then-valid", [_FLAGGED, {"pi": 0.0, "angles": _X, "objective": 1.0}], None),
+    ]
+]
+
+
 class TestLookupTable:
     @pytest.fixture(scope="class")
     def small_table(self):
@@ -411,46 +495,23 @@ class TestLookupTable:
         written = table.to_json_dict()["entries"][0]
         assert written == {"pi": first.pi, "angles": None, "objective": None, "flag": tuner.DEGENERATE_FLAG}
 
-    @pytest.mark.parametrize(
-        ("entry", "message"),
-        [
-            ({"pi": True}, "grid point 1 must be one number, got True"),
-            ({"pi": "0.5"}, "grid point 1 must be one number, got '0.5'"),
-            ({"pi": 0.5, "objective": "x"}, "table entry 1 objective must be one number, got 'x'"),
-            ({"pi": 0.5, "flag": 3}, "table entry 1 has no valid 'flag': 3"),
-            ({"pi": 0.5, "objective": False}, "table entry 1 objective must be one number, got False"),
-            ({"pi": 0.5, "objective": [1.0]}, "table entry 1 objective must be one number, got [1.0]"),
-            # json.load reads -Infinity and NaN, so a file can hold them.
-            ({"pi": 0.5, "objective": -5}, "table entry 1 objective must lie in [0, inf), got -5"),
-            ({"pi": 0.5, "objective": math.inf}, "table entry 1 objective must lie in [0, inf), got inf"),
-            ({"pi": 0.5, "objective": -math.inf}, "table entry 1 objective must lie in [0, inf), got -inf"),
-            ({"pi": 0.5, "objective": math.nan}, "table entry 1 objective must lie in [0, inf), got nan"),
-            ({"pi": 0.5, "flag": "other"}, "table entry 1 has no valid 'flag': 'other'"),
-            ({"pi": 0.5, "angles": [math.nan, 2.0]}, "table entry 1: angles must be finite"),
-            ({"pi": 0.5, "angles": [1.0, 2.0, 3.0]}, "table entry 1 holds 3 angles, but entry 0 holds 2"),
-        ],
-    )
-    def test_malformed_entry_names_its_key(self, entry, message):
-        # A built and a loaded table meet one contract: each bad entry fails with one message either way.
-        entries = [{"pi": -0.5, "angles": [1.0, 2.0], "objective": 1.0}, {"angles": [1.0, 2.0], **entry}]
-        with pytest.raises(ValueError, match=re.escape(message)):
-            LookupTable.from_json_dict({"version": "elf-table/1", "entries": entries})
-        built = [TableEntry(e["pi"], np.array(e["angles"]), e.get("objective"), e.get("flag")) for e in entries]
-        with pytest.raises(ValueError, match=re.escape(message)):
-            LookupTable(built, {})
-
-    def test_an_entry_built_in_code_is_checked(self):
-        # The objective of entry 0 is checked before the unknown flag of entry 1.
-        entries = [TableEntry(-0.5, clf_angles(1), -5.0), TableEntry(0.5, None, None, "other")]
-        with pytest.raises(ValueError, match=re.escape("table entry 0 objective must lie in [0, inf), got -5.0")):
-            LookupTable(entries, {})
-        odd = [TableEntry(-0.5, np.ones(3), 1.0), TableEntry(0.5, np.ones(3), 1.0)]
-        with pytest.raises(ValueError, match=re.escape("table entry 0: angle vector must have even length")):
-            LookupTable(odd, {})
-
-    def test_version_check(self):
-        with pytest.raises(ValueError):
-            LookupTable.from_json_dict({"version": "other", "entries": []})
+    @pytest.mark.parametrize(("doc", "entries", "message"), _TABLE_CONTRACT)
+    def test_a_loaded_and_a_built_table_meet_one_contract(self, doc, entries, message):
+        # Entries are checked twice: loaded from the JSON text of {"version": "elf-table/1", "entries": entries}
+        # and built of TableEntry values.  Each bad table fails with one message either way; a good one
+        # loads, and a built one keeps the entries it was given.
+        tables = [lambda: LookupTable.from_json_dict(json.loads(json.dumps(doc)))]  # json reads NaN and Infinity
+        if entries is not None:
+            doc = {"version": "elf-table/1", "entries": entries}
+            angles = [None if e.get("angles") is None else np.array(e["angles"]) for e in entries]
+            built = [TableEntry(e.get("pi"), a, e.get("objective"), e.get("flag")) for e, a in zip(entries, angles)]
+            tables.append(lambda: LookupTable(built, {}))
+        if message is None:
+            assert len(tables[0]().entries) == len(entries) and tables[1]().entries is built
+            return
+        for make in tables:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make()
 
     def test_angles_are_canonical(self, small_table):
         for e in small_table.entries:
@@ -470,34 +531,6 @@ class TestLookupTable:
         for layers, grid, message in cases:
             with pytest.raises(ValueError, match=message):
                 build_lookup_table(Scheme.AF, layers, NoiseModel(), grid, restarts=1, seed=0)
-
-    def test_entries_are_checked_like_a_grid(self):
-        # A NaN Pi would sort last in the midpoints, so that every query read entry 0.
-        x = clf_angles(1)
-        with pytest.raises(ValueError, match=r"grid point 1 must lie in \[-1, 1\], got nan"):
-            LookupTable([TableEntry(-0.5, x, 1.0), TableEntry(math.nan, x, 1.0), TableEntry(0.5, x, 1.0)], {})
-        # Python's json reads NaN.
-        entries = [{"pi": -0.5, "angles": list(x)}, {"pi": math.nan, "angles": list(x)}]
-        with pytest.raises(ValueError, match="grid point 1 must lie in"):
-            LookupTable.from_json_dict(json.loads(json.dumps({"version": "elf-table/1", "entries": entries})))
-
-    def test_unflagged_entries_hold_vectors_of_one_length(self):
-        # A built table takes the check of a loaded one; flagged entries hold no angles.
-        x = clf_angles(1)
-        flagged = TableEntry(-1.0, None, None, tuner.DEGENERATE_FLAG)
-        needs = "entry 1 has no flag, so it needs one angle vector, got"
-        cases = [
-            ([TableEntry(0.0, x[None, :], 1.0)], rf"{needs} \(1, 2\)"),
-            ([TableEntry(0.0, None, None)], f"{needs} None"),
-            (
-                [TableEntry(0.0, clf_angles(2), 1.0), TableEntry(0.5, x, 1.0)],
-                "entry 2 holds 2 angles, but entry 1 holds 4",
-            ),
-        ]
-        for entries, message in cases:
-            with pytest.raises(ValueError, match=message):
-                LookupTable([flagged, *entries], {})
-        assert LookupTable([flagged, TableEntry(0.0, x, 1.0)], {}).entries[0] is flagged
 
 
 class TestBernsteinBound:
