@@ -289,20 +289,14 @@ def cmd_scan(cfg: dict) -> int:
     over_pi = quantity == "rhat0"
     lo = cfg["min"] if cfg["min"] is not None else (-0.9 if over_pi else 0.1)
     hi = cfg["max"] if cfg["max"] is not None else (0.9 if over_pi else math.pi - 0.1)
-    domain = _SCAN_ENDS[quantity]
-    to_pi = (lambda v: v) if over_pi else np.cos
-    for name, end in (("min", lo), ("max", hi)):
-        # An end at Pi = +-1 would be a flagged table entry, with no angles.
-        if abs(to_pi(check(f"--{name}", end, domain))) == 1.0:
-            raise ValueError(f"--{name} must lie in {domain} with |cos| < 1 as a float, got {end}")
-    if lo == hi:
-        raise ValueError(f"--min and --max must differ, got {lo} for both")
+    for name, end in (("--min", lo), ("--max", hi)):
+        check(name, end, _SCAN_ENDS[quantity])
     grid = np.linspace(lo, hi, cfg["points"])
-    # The table's grid is the scan's in Pi, in increasing order.
-    pis = to_pi(grid)
+    # The table's grid is the scan's in Pi, in increasing order: distinct points, none at Pi = +-1 (a flagged entry).
+    pis = grid if over_pi else np.cos(grid)
     ordered = np.sort(pis)  # np.cos need not be monotone in the last bit; np.unique would load numpy.ma
-    if (ordered[1:] == ordered[:-1]).any():
-        raise ValueError(f"--min {lo}, --max {hi} and --points {cfg['points']} give grid points that share a Pi value")
+    if ordered[0] == -1.0 or ordered[-1] == 1.0 or (ordered[1:] == ordered[:-1]).any():
+        raise ValueError(f"--min {lo}, --max {hi} and --points {cfg['points']} must give distinct Pi values in (-1, 1)")
     step = 1 if pis[0] < pis[-1] else -1
     table = build_lookup_table(
         scheme,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .algebra import DEGENERATE_TOL, DOMAINS, check, check_fields, check_type
 from .bias import Scheme, _horner
-from .metrics import GaussianBelief, NoiseModel
+from .metrics import GaussianBelief, NoiseModel, round_cost, round_times
 from .tuner import LookupTable, chebyshev_table
 
 ARCSIN_CLAMP = 1e-12
@@ -169,19 +169,12 @@ class EstimationConfig:
         check("prior_pi mean", check_type("prior_pi", self.prior_pi, GaussianBelief).mean, DOMAINS["prior_mean"])
         if self.angle_source not in ("table", "clf"):
             raise ValueError("angle_source must be 'table' or 'clf'")
-        if self.horizon < self.round_cost:
-            raise ValueError(f"horizon must be >= {self.round_cost}")
+        if self.horizon < round_cost(self.layers):
+            raise ValueError(f"horizon must be >= {round_cost(self.layers)}")
         if (self.table is None) == (self.angle_source == "table"):
             raise ValueError(f"table must be given exactly when the angles come from a table, got {self.table!r}")
         if self.table is not None:
             check_type("table", self.table, LookupTable).check_fits(self.scheme, self.layers)
-
-    @property
-    def round_cost(self) -> int:
-        return 2 * self.layers + 1
-
-    def round_budget(self) -> int:
-        return self.horizon // self.round_cost
 
 
 def _angle_policy(scheme: Scheme, f: float, theta_star: float, table):
@@ -267,10 +260,11 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     Raises a ``ValueError`` naming the round whose update gives a non-finite
     mean or a variance outside (0, inf).
     """
-    uniforms = np.random.default_rng(np.random.SeedSequence(config.seed)).random(config.round_budget())
-    d, mu, var = np.empty((3, uniforms.size))
+    times = round_times(config.layers, config.horizon)
+    uniforms = np.random.default_rng(np.random.SeedSequence(config.seed)).random(times.size)
+    d, mu, var = np.empty((3, times.size))
     for k, (_, _, d[k], mu[k], var[k], alive) in enumerate(_rounds(config, uniforms)):
         if not alive:
             raise ValueError(f"round {k + 1}: the update gave a non-finite mean or a variance outside (0, inf)")
-    columns = (c.tolist() for c in (d.astype(int), mu, var, *_cos_moments(mu, var)))
-    return list(map(RoundRecord._make, zip(range(config.round_cost, config.horizon + 1, config.round_cost), *columns)))
+    columns = (c.tolist() for c in (times, d.astype(int), mu, var, *_cos_moments(mu, var)))
+    return list(map(RoundRecord._make, zip(*columns)))

@@ -2,8 +2,9 @@
 
 The noise model rescales the bias by a process fidelity f = spam * layer^L,
 leaving the likelihood (1 + (-1)^d f * bias)/2.  From that follow the Fisher
-information, the slope, and the asymptotic inverse-MSE rate predictor; the
-Gaussian belief is the estimator's state.
+information, the slope, and the asymptotic inverse-MSE rate predictor per
+time step, of which a round spends ``round_cost`` of its depth; the Gaussian
+belief is the estimator's state.
 """
 
 from __future__ import annotations
@@ -52,6 +53,16 @@ class GaussianBelief:
         return math.sqrt(self.variance)
 
 
+def round_cost(layers: int) -> int:
+    """Time steps of a round of depth L: 2L + 1 ansatz applications.  Standard sampling is the depth-0 round."""
+    return 2 * layers + 1
+
+
+def round_times(layers: int, horizon: int) -> np.ndarray:
+    """The end time of each round of depth ``layers`` that ends by ``horizon``: k ``round_cost(layers)``, k >= 1."""
+    return np.arange(round_cost(layers), horizon + 1, round_cost(layers))
+
+
 def climbed(g: float, f: float, delta: float, ddelta: float) -> float:
     """(g d(bias)/dtheta)^2 / (1 - (f bias)^2): F at (g, f) = (f, f), the squared slope at (1, 0); -inf if singular."""
     denom = 1.0 - (f * delta) ** 2
@@ -78,7 +89,7 @@ def rhat0(scheme: Scheme, pi_star: float, f: float, x) -> float:
 
     Evaluated at the true point theta* = arccos(pi_star) for the given angles;
     maximizing over the angles gives the rate predictor reported per scheme.
-    One round of L layers takes 2L angles and costs 2L + 1 time steps.
+    One round of L layers takes 2L angles and costs ``round_cost(L)`` time steps.
     """
     pi_star = float(check("pi_star", pi_star))
-    return fisher_information(scheme, math.acos(pi_star), f, x) / ((np.size(x) + 1) * (1.0 - pi_star**2))
+    return fisher_information(scheme, math.acos(pi_star), f, x) / (round_cost(np.size(x) // 2) * (1.0 - pi_star**2))

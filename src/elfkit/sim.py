@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import check, check_type
 from .bias import Scheme
 from .inference import EstimationConfig, _cos_moments, _rounds
-from .metrics import GaussianBelief, NoiseModel
+from .metrics import GaussianBelief, NoiseModel, round_times
 from .tuner import LookupTable
 
 EXPERIMENT_SCHEMES = ("af-elf", "af-clf", "ab-elf", "ab-clf", "standard")
@@ -103,7 +103,8 @@ def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: n
     """Advance one chunk of runs in lockstep; returns (estimates, perceived variances, alive), run by checkpoint."""
     run = config._run_config()
     seeds = [np.random.SeedSequence(config.master_seed, spawn_key=(int(i),)) for i in run_indices]
-    uniforms = np.stack([np.random.default_rng(s).random(run.round_budget()) for s in seeds], axis=1)
+    n_rounds = round_times(run.layers, run.horizon).size
+    uniforms = np.stack([np.random.default_rng(s).random(n_rounds) for s in seeds], axis=1)
     mus, variances = np.empty((2, checkpoints.size, run_indices.size))
     cp_pos, marks = 0, checkpoints.tolist()
     for k, (_, _, _, mu, var, alive) in enumerate(_rounds(run, uniforms, abort=True), start=1):
@@ -126,17 +127,17 @@ def _growth_rate(times: np.ndarray, inv_mse: np.ndarray, horizon: int) -> float:
 
 
 def _standard_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: np.ndarray):
-    """Sample means of +-1 outcomes, divided by the SPAM fidelity f0 that scales their expectation f0 Pi.
+    """Sample means of +-1 outcomes, one a depth-0 round, divided by the SPAM fidelity f0 that scales them.
 
     Returns ``_run_chunk``'s shape, with NaN perceived variances and every run alive.
     """
     f0 = config.noise.spam_fidelity
     p0 = (1.0 + f0 * config.true_pi) / 2.0
-    est = np.empty((run_indices.size, checkpoints.size))
+    est, times = np.empty((run_indices.size, checkpoints.size)), round_times(0, config.horizon)
     for row, i in enumerate(run_indices):
         rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(int(i),)))
-        signs = np.where(rng.random(config.horizon) < p0, 1.0, -1.0)
-        trace = np.cumsum(signs) / np.arange(1, config.horizon + 1)
+        signs = np.where(rng.random(times.size) < p0, 1.0, -1.0)
+        trace = np.cumsum(signs) / times
         est[row] = trace[checkpoints - 1]
     return est / f0, np.full(est.shape, np.nan), np.ones(run_indices.size, dtype=bool)
 
@@ -156,10 +157,9 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
     multiple of pi, which fails the whole experiment.
     """
     standard = config.scheme == "standard"
-    round_cost = 1 if standard else config._run_config().round_cost
-    n_rounds = config.horizon // round_cost
-    checkpoints = _checkpoint_rounds(n_rounds)
-    times = checkpoints * round_cost
+    rounds = round_times(0 if standard else config.layers, config.horizon)
+    checkpoints = _checkpoint_rounds(rounds.size)
+    times = rounds[checkpoints - 1]
 
     chunk_fn = _standard_chunk if standard else _run_chunk
     chunks = [np.arange(lo, min(lo + CHUNK_SIZE, config.runs)) for lo in range(0, config.runs, CHUNK_SIZE)]

@@ -17,7 +17,13 @@ All configs use the benchmark's device (layer fidelity 0.95, SPAM fidelity
   the benchmark's 17-point tables);
 - ``near/...``: the benchmark's ``adaptive`` near-edge kind (true Pi 0.995 or
   -0.993, prior +-0.9 with sd 0.2, horizon 300) at the Chebyshev angles, AF and
-  AB at L = 1..3, one ``run_estimation`` call per run.
+  AB at L = 1..3, one ``run_estimation`` call per run;
+- the rows that can judge a depth rule, at horizon 3000 (ROADMAP direction
+  18): ``offcentre/...``, true Pi 0.2 under the wide rows' prior 0 +- 0.3, so
+  that a run which stays at its prior mean shows its error, as it need not
+  where the prior is centred on Pi; ``deep/af-clf-L6``, true Pi 0.1 under a
+  prior 0.12 +- 0.03; and ``edge/ab-clf-L3``, AB at the edge rows' Pi and
+  prior.
 
 For each config and master seed a census records the final RMSE in Pi over
 the runs that were not excluded, with a bootstrap 95% interval (1000
@@ -28,7 +34,8 @@ experiment aborted.  ``--quick`` writes two Chebyshev configs at 64 runs.
 ``compare`` lists each config that the new file does worse on, and exits 1 if
 there is any: a seed newly aborted, more excluded runs or more runs beyond
 5 sd over the seeds, a final RMSE above the old file's upper bound at some
-seed, or a config that only one file holds.
+seed, or a config that only the old file holds.  A config that only the new
+file holds is listed as added, which is no regression.
 """
 
 from __future__ import annotations
@@ -85,6 +92,18 @@ CONFIGS = {
         for layers in (1, 2, 3)
         for pi in (0.995, -0.993)
     },
+    **{
+        f"offcentre/{scheme}-L{layers}": Config(scheme, layers, 0.2, 0.0, 0.3, 3000, table)
+        for scheme, layers, table in (
+            ("af-clf", 3, None),
+            ("af-clf", 6, None),
+            ("ab-clf", 3, None),
+            ("ab-clf", 5, None),
+            ("af-elf", 3, L3_TABLE),
+        )
+    },
+    "deep/af-clf-L6": Config("af-clf", 6, 0.1, 0.12, 0.03, 3000, None),
+    "edge/ab-clf-L3": Config("ab-clf", 3, -0.995, -0.9, 0.1, 3000, None),
 }
 QUICK = ("bench/af-clf-L3/pi+0.1", "near/ab-clf-L1/pi+0.995")
 
@@ -160,12 +179,12 @@ def accuracy(quick: bool = False) -> dict:
 
 
 def regressions(old: dict, new: dict) -> tuple[list[str], bool]:
-    """One line per config that the new census does worse on, or that only one of the two holds (else one line
-    saying so); and whether there is any."""
-    lines = []
-    for name in sorted(old.keys() | new.keys()):
-        if name not in new or name not in old:
-            lines.append(f"{name}: only in the {'old' if name in old else 'new'} file")
+    """One line per config that the new census does worse on, or that only the old one holds (else one line saying
+    so), then one per config that only the new one holds, as added; and whether there is a line of the first kind."""
+    lines, added = [], [f"{name}: added" for name in sorted(new.keys() - old.keys())]
+    for name in sorted(old.keys()):
+        if name not in new:
+            lines.append(f"{name}: only in the old file")
             continue
         a, b = old[name], new[name]
         why = [f"{s} aborts" for s in sorted(b) if b[s]["aborted"] and not a.get(s, {}).get("aborted")]
@@ -177,7 +196,7 @@ def regressions(old: dict, new: dict) -> tuple[list[str], bool]:
                 if b[s]["final_rmse"] > a[s]["rmse_hi"]]
         if why:
             lines.append(f"{name}: " + ", ".join(why))
-    return lines or [f"no config does worse ({len(old)} configs)"], bool(lines)
+    return (lines or [f"no config does worse ({len(old)} configs)"]) + added, bool(lines)
 
 
 def summary(items: dict) -> list[str]:

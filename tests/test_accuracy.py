@@ -1,4 +1,5 @@
-"""The accuracy census runs, its figures hang together, and its compare mode flags a planted regression."""
+"""The accuracy census runs, its figures hang together, and its compare mode flags a planted regression
+but not an added config."""
 
 import json
 
@@ -35,3 +36,17 @@ def test_write_and_compare_flag_a_planted_regression(tmp_path, run_script):
     assert "seed0 aborts" in lines[1] and f"beyond_5sd {beyond + 1} > {beyond}" in lines[1]
     # A better census is not a regression.
     assert run_script("accuracy.py", "compare", str(new), str(old)).returncode == 0
+
+
+def test_compare_takes_a_config_only_the_new_file_holds_as_added(tmp_path, run_script):
+    # A census with more configs than an older one is compared on the configs they share; one that
+    # only the old file holds is still a regression.
+    seed = {"aborted": False, "final_rmse": 0.01, "rmse_lo": 0.009, "rmse_hi": 0.011, "beyond_5sd": 0}
+    seeds = {f"seed{m}": {**seed, "within_3sd": 1.0, "excluded": 0} for m in range(3)}
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    old.write_text(json.dumps({"kept": seeds}))
+    new.write_text(json.dumps({"kept": seeds, "new/row": seeds}))
+    grown = run_script("accuracy.py", "compare", str(old), str(new))
+    assert grown.returncode == 0 and grown.stdout.splitlines() == ["no config does worse (1 configs)", "new/row: added"]
+    shrunk = run_script("accuracy.py", "compare", str(new), str(old))
+    assert shrunk.returncode == 1 and shrunk.stdout.splitlines() == ["new/row: only in the old file"]

@@ -360,9 +360,6 @@ def test_table_rejects_grid_ends_out_of_order_before_tuning(tmp_path, capsys, mo
     [
         # The edge sweep scans fisher and rhat0; slope takes fisher's domain.
         ("slope", "min", "0", "(0, pi)"),
-        # Its Pi, cos(1e-9), rounds to 1: a table entry there would be flagged.  The sweep's ends
-        # whose cos rounds to 1 may exit 2 or 3; this one must be the usage error.
-        ("fisher", "min", "1e-9", "(0, pi)"),
     ],
 )
 def test_scan_rejects_grid_end_outside_domain(quantity, flag, value, domain, tmp_path, capsys, monkeypatch):
@@ -377,15 +374,15 @@ def test_scan_rejects_grid_end_outside_domain(quantity, flag, value, domain, tmp
 @pytest.mark.parametrize(
     ("args", "message"),
     [
-        (["--min", "1", "--max", "1"], "--min and --max must differ, got 1.0 for both"),
-        (["--quantity", "rhat0", "--min", "0.2", "--max", "0.2"], "--min and --max must differ, got 0.2 for both"),
+        (["--min", "1", "--max", "1"], "--min 1.0, --max 1.0 and --points 41 must give distinct Pi values"),
+        (["--quantity", "rhat0", "--min", "0.2", "--max", "0.2"], "--min 0.2, --max 0.2 and --points 41 must give"),
         (
             ["--min", "2e-8", "--max", "2.1e-8", "--points", "3"],
-            "--min 2e-08, --max 2.1e-08 and --points 3 give grid points that share a Pi value",
+            "--min 2e-08, --max 2.1e-08 and --points 3 must give distinct Pi values",
         ),
         (
             ["--quantity", "rhat0", "--min", "0.1", "--max", "0.10000000000000002", "--points", "5"],
-            "--min 0.1, --max 0.10000000000000002 and --points 5 give grid points that share a Pi value",
+            "--min 0.1, --max 0.10000000000000002 and --points 5 must give distinct Pi values",
         ),
     ],
     ids=["equal-theta-ends", "equal-pi-ends", "theta-points-share-cos", "pi-points-share-a-value"],
@@ -575,10 +572,10 @@ _SWEEP_BASE = {
     "runtime": ["--points", "2"],
 }
 # The library's own checks that a domain leaves in place name a field, not the flag:
-# horizon >= 2L + 1, a mu within 1e-12 of a multiple of pi, a scan's theta grid end
-# whose cos rounds to +-1, table grid ends out of order, a table grid whose every point
-# sits at Pi = +-1, and the runtime bounds' SPAM fidelity, whose square must stay a
-# positive float.
+# horizon >= 2L + 1, a mu within 1e-12 of a multiple of pi, table grid ends out of
+# order, a table grid whose every point sits at Pi = +-1, and the runtime bounds' SPAM
+# fidelity, whose square must stay a positive float.  These may refuse an in-domain
+# value; each of _RULES below must.
 _LIBRARY_MESSAGES = {
     ("runtime", "spam-fidelity"): "spam must lie in [1e-150, 1]",
     # A gate time of 1e300 s puts the bounds beyond the float range.
@@ -587,12 +584,23 @@ _LIBRARY_MESSAGES = {
     ("simulate-af-elf", "horizon"): "horizon must be >= ",
     ("simulate-af-elf", "table-grid"): "lookup table has no valid entries",
     ("tune", "mu"): "mu=",
-    ("scan", "min"): "--min must lie in (0, pi)",
-    ("scan", "max"): "--max must lie in (0, pi)",
     ("table", "grid-min"): "grid must be strictly increasing",
     ("table", "grid-max"): "grid must be strictly increasing",
     ("table", "grid"): "lookup table has no valid entries",
 }
+
+# The rules that must refuse an in-domain value, like ``_RULES`` in test_domains.py: the end of the
+# message, the values refused, and values the sweep adds.  A scan's grid must give distinct Pi
+# values with |Pi| < 1: fisher's theta ends whose cos rounds to +-1 give a Pi = +-1 entry, flagged.
+_RULES = {
+    ("scan", end): (
+        "must give distinct Pi values in (-1, 1)",
+        lambda v: 0.0 < v < math.pi and abs(math.cos(v)) == 1.0,
+        ["1e-09"],
+    )
+    for end in ("min", "max")
+}
+_NO_RULE = ("", lambda v: False, [])
 
 
 def _domains(base: str, opt) -> list:
@@ -628,7 +636,7 @@ def _in_domain(value: str, domain: str) -> bool:
         for base in _SWEEP_BASE
         for opt in OPTIONS[base.split("-")[0]]
         if opt.domain
-        for value in _edge_values(opt, _domains(base, opt)[-1])
+        for value in _edge_values(opt, _domains(base, opt)[-1]) + _RULES.get((base, opt.name), _NO_RULE)[2]
     ],
 )
 def test_every_option_at_its_edge_values(base, name, value, tmp_path, capsys, monkeypatch):
@@ -636,7 +644,8 @@ def test_every_option_at_its_edge_values(base, name, value, tmp_path, capsys, mo
     # errno tuple; nothing raises past main, and pytest turns a RuntimeWarning into an error.  A
     # value outside one of the option's domains is the usage error "--<name> must lie in <domain>,
     # got <value>", naming the first it leaves; one inside may be a usage error of the library's own
-    # checks.  A usage error starts no tune, prints nothing on stdout and no seed, and writes no file.
+    # checks, and must be where one of _RULES refuses it, and only there.  A usage error starts no
+    # tune, prints nothing on stdout and no seed, and writes no file.
     command = base.split("-")[0]
     tuned, tune = [], tuner.tune
     for path in ("elfkit.tuner.tune", "elfkit.cli.tune"):
@@ -655,11 +664,16 @@ def test_every_option_at_its_edge_values(base, name, value, tmp_path, capsys, mo
     domains = _domains(base, next(o for o in OPTIONS[command] if o.name == name))
     outside = next((domain for domain in domains if not _in_domain(value, domain)), None)
     flag_message = f"--{name} must lie in {outside or domains[-1]}, got {value}"
+    rule, refuses, _ = _RULES.get((base, name), _NO_RULE)
+    refused = refuses(float(value))
     assert status in (0, 2, 3), err
     if outside:
         assert status == 2 and err.splitlines()[-1] == f"error: {flag_message}", err
+    if refused or rule and rule in err:
+        assert status == 2 and refused and err.endswith(f"{rule}\n"), err
     if status == 2:
-        assert flag_message in err or _LIBRARY_MESSAGES.get((base, name), flag_message) in err, err
+        library_message = rule if refused else _LIBRARY_MESSAGES.get((base, name), flag_message)
+        assert flag_message in err or library_message in err, err
         assert out == "" and "seed:" not in err and tuned == [] and list(tmp_path.iterdir()) == []
     elif status == 3:
         last = err.splitlines()[-1]

@@ -20,7 +20,7 @@ from elfkit.inference import (
     pi_to_theta,
     run_estimation,
 )
-from elfkit.metrics import GaussianBelief, NoiseModel
+from elfkit.metrics import GaussianBelief, NoiseModel, round_times
 from elfkit.tuner import build_lookup_table, chebyshev_table
 from table_oracle import nearest_valid_entry
 
@@ -354,8 +354,8 @@ class TestRunEstimation:
         assert abs(records[-1].pi_belief.mean - 0.52) < 0.1
 
     def test_round_budget(self):
-        # A horizon buys horizon // (2L + 1) rounds; one shorter than a round
-        # (2L + 1 = 5 here) is an error, as in ExperimentConfig.
+        # A horizon buys horizon // (2L + 1) rounds (``metrics.round_times``); one shorter
+        # than a round (2L + 1 = 5 here) is an error, as in ExperimentConfig.
         common = dict(
             scheme=Scheme.AF,
             layers=2,
@@ -364,7 +364,7 @@ class TestRunEstimation:
             true_pi=0.5,
             angle_source="clf",
         )
-        assert EstimationConfig(horizon=104, **common).round_budget() == 20
+        assert len(run_estimation(EstimationConfig(horizon=104, **common))) == 20
         assert len(run_estimation(EstimationConfig(horizon=5, **common))) == 1
         # Below 1 it is out of its domain; from 1 to 4 too short for a round.
         for horizon, message in ((-5, r"must lie in \[1, inf\)"), (0, r"must lie in \[1, inf\)"), (4, "must be >= 5")):
@@ -453,7 +453,8 @@ class TestEngineEquivalence:
             angle_source=source,
             table=small_table(scheme, layers) if source == "table" else None,
         )
-        draws = np.random.default_rng(np.random.SeedSequence(cfg.seed)).random(cfg.round_budget())
+        rounds = round_times(cfg.layers, cfg.horizon).size
+        draws = np.random.default_rng(np.random.SeedSequence(cfg.seed)).random(rounds)
         single = list(inference._rounds(cfg, draws))
 
         # The same run as column 23 among other runs with their own priors and draws.
@@ -535,7 +536,8 @@ class TestLeanRun:
     def test_records_carry_the_rounds_numbers(self, source, scheme):
         cfg = self.config(scheme, source)
         records = run_estimation(cfg)
-        uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed)).random(cfg.round_budget())
+        rounds = round_times(cfg.layers, cfg.horizon).size
+        uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed)).random(rounds)
         d, mu, var = np.array([state[2:5] for state in inference._rounds(cfg, uniforms)], dtype=float).T
         pi_mean, pi_var = _cos_moments(mu, var)
         assert len(records) == d.size == 60

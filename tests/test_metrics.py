@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
-from elfkit.metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, slope
+from elfkit.metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, round_cost, slope
+from elfkit.tuner import TuneSpec, tune
 from paper_model import expected_bias, inverse_variance_rate, likelihood, variance_reduction_factor
 
 
@@ -216,6 +217,30 @@ class TestRates:
             info = fisher_information(scheme, math.acos(pi_star), f, x)
             expected = info / ((2 * layers + 1) * (1.0 - pi_star**2))
             assert rhat0(scheme, pi_star, f, x) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("pi_star", [-0.6, 0.1, 0.7])
+    def test_tuned_rates_against_standard_sampling(self, pi_star):
+        # ELF against standard sampling, the depth-0 round, in closed form (ROADMAP direction 17): at the
+        # benchmark's device, rhat0 of tuned angles (the default TuneSpec) against f0^2 / (1 - f0^2 Pi^2),
+        # rhat0's formula for the depth-0 likelihood (bias cos theta) at round_cost(0) = 1.  Measured:
+        #   Pi     standard  AF L=1..3            AB L=1..5
+        #   -0.6   1.5145    2.627 6.229 4.866    0.433 0.981 0.777 1.217 2.079
+        #    0.1   0.9898    2.651 3.802 4.412    0.298 0.302 0.911 0.754 1.205
+        #    0.7   1.8857    4.604 6.718 7.886    0.520 1.252 1.381 0.967 2.047
+        # AF beats standard sampling from L = 1.  An AB round has theta-frequency L but costs 2L + 1,
+        # so AB first passes it at L = 5 at each Pi; a change to the cost model moves that depth.
+        noise = NoiseModel(0.95, 0.99)
+        theta, f0 = math.acos(pi_star), noise.spam_fidelity
+        depth0 = (f0 * math.sin(theta)) ** 2 / (1.0 - (f0 * pi_star) ** 2)  # F at bias cos theta
+        standard = depth0 / (round_cost(0) * (1.0 - pi_star**2))
+        assert standard == pytest.approx(f0**2 / (1.0 - f0**2 * pi_star**2), rel=1e-12)
+
+        def rate(scheme, layers):
+            f = noise.process_fidelity(layers)
+            return rhat0(scheme, pi_star, f, tune(TuneSpec(scheme, layers, theta, f)).x_opt)
+
+        assert all(rate(Scheme.AF, layers) > standard for layers in (1, 2, 3))
+        assert [rate(Scheme.AB, layers) > standard for layers in range(1, 6)] == [False] * 4 + [True]
 
     @pytest.mark.parametrize("x", [[0.3], [0.3, 0.2, 0.1]], ids=["one", "odd"])
     def test_rhat0_rejects_odd_angle_vectors(self, x):
