@@ -42,8 +42,8 @@ def clf_angles(layers: int) -> np.ndarray:
 def bias(scheme: Scheme, theta, x):
     """Bias of the chosen scheme's likelihood at (theta, x).
 
-    At the Chebyshev angles it equals cos((2L+1) theta) for AF and
-    (-1)^L cos(L theta) for AB.
+    At the Chebyshev angles it equals cos((2L+1) theta) for AF and (-1)^L cos(L theta) for AB.  It is even
+    in x and unchanged by reversing x; a pi shift of any one angle keeps the AF bias and negates the AB one.
 
     ``x`` is one 2L-angle vector, or angle vectors along its last axis whose
     leading axes broadcast against ``theta`` (one vector per run).  A scalar

@@ -17,6 +17,7 @@ import math
 import os
 import traceback
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -99,12 +100,15 @@ def _checkpoint_rounds(n_rounds: int) -> np.ndarray:
     return rounds[np.diff(rounds, prepend=0) > 0]  # each distinct round once; not np.unique, which loads numpy.ma
 
 
-def _run_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: np.ndarray):
+def _run_uniforms(master_seed: int, run: int, n_rounds: int) -> np.ndarray:
+    """Run ``run``'s uniforms, one per round: its substream of the master seed, keyed by the run index."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(int(run),))).random(n_rounds)
+
+
+def _run_chunk(config: ExperimentConfig, checkpoints: np.ndarray, n_rounds: int, run_indices: np.ndarray):
     """Advance one chunk of runs in lockstep; returns (estimates, perceived variances, alive), run by checkpoint."""
     run = config._run_config()
-    seeds = [np.random.SeedSequence(config.master_seed, spawn_key=(int(i),)) for i in run_indices]
-    n_rounds = round_times(run.layers, run.horizon).size
-    uniforms = np.stack([np.random.default_rng(s).random(n_rounds) for s in seeds], axis=1)
+    uniforms = np.stack([_run_uniforms(config.master_seed, i, n_rounds) for i in run_indices], axis=1)
     mus, variances = np.empty((2, checkpoints.size, run_indices.size))
     cp_pos, marks = 0, checkpoints.tolist()
     for k, (_, _, _, mu, var, alive) in enumerate(_rounds(run, uniforms, abort=True), start=1):
@@ -120,25 +124,21 @@ def _growth_rate(times: np.ndarray, inv_mse: np.ndarray, horizon: int) -> float:
     mask = (times >= FIT_WINDOW_FRACTION * horizon) & np.isfinite(inv_mse)
     if np.count_nonzero(mask) < 2:
         return float("nan")
-    t = times[mask].astype(float)
-    y = inv_mse[mask]
+    t, y = times[mask].astype(float), inv_mse[mask]
     tc = t - t.mean()
     return float(np.sum(tc * (y - y.mean())) / np.sum(tc * tc))
 
 
-def _standard_chunk(config: ExperimentConfig, run_indices: np.ndarray, checkpoints: np.ndarray):
+def _standard_chunk(config: ExperimentConfig, checkpoints: np.ndarray, n_rounds: int, run_indices: np.ndarray):
     """Sample means of +-1 outcomes, one a depth-0 round, divided by the SPAM fidelity f0 that scales them.
 
+    Outcome 1 (sign -1) is the engine's, drawn where 2u - 1 >= f0 bias(theta*) = f0 Pi; round k ends at time k.
     Returns ``_run_chunk``'s shape, with NaN perceived variances and every run alive.
     """
-    f0 = config.noise.spam_fidelity
-    p0 = (1.0 + f0 * config.true_pi) / 2.0
-    est, times = np.empty((run_indices.size, checkpoints.size)), round_times(0, config.horizon)
+    f0, est = config.noise.spam_fidelity, np.empty((run_indices.size, checkpoints.size))
     for row, i in enumerate(run_indices):
-        rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(int(i),)))
-        signs = np.where(rng.random(times.size) < p0, 1.0, -1.0)
-        trace = np.cumsum(signs) / times
-        est[row] = trace[checkpoints - 1]
+        signs = np.where(2.0 * _run_uniforms(config.master_seed, i, n_rounds) - 1.0 >= f0 * config.true_pi, -1.0, 1.0)
+        est[row] = np.cumsum(signs)[checkpoints - 1] / checkpoints
     return est / f0, np.full(est.shape, np.nan), np.ones(run_indices.size, dtype=bool)
 
 
@@ -161,7 +161,7 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
     checkpoints = _checkpoint_rounds(rounds.size)
     times = rounds[checkpoints - 1]
 
-    chunk_fn = _standard_chunk if standard else _run_chunk
+    run_chunk = partial(_standard_chunk if standard else _run_chunk, config, checkpoints, rounds.size)
     chunks = [np.arange(lo, min(lo + CHUNK_SIZE, config.runs)) for lo in range(0, config.runs, CHUNK_SIZE)]
     # A forked pool starts every worker at its first submit, so it gets no more than the chunks or the cores.
     workers = min(config.threads, len(chunks), os.cpu_count() or 1)
@@ -171,9 +171,9 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(chunk_fn, [config] * len(chunks), chunks, [checkpoints] * len(chunks)))
+                results = list(pool.map(run_chunk, chunks))
         else:
-            results = [chunk_fn(config, idx, checkpoints) for idx in chunks]
+            results = list(map(run_chunk, chunks))
     except FloatingPointError as exc:
         # Free the engine's run arrays now: a caller that keeps the exception
         # would otherwise keep them alive through the traceback's frames.
@@ -185,7 +185,6 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
 
     err_sq = (est_ok - config.true_pi) ** 2
     mse = err_sq.mean(axis=0)
-    rmse = np.sqrt(mse)
     with np.errstate(divide="ignore"):
         inv_mse = 1.0 / mse
     mean_est = est_ok.mean(axis=0)
@@ -194,7 +193,7 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
 
     return TraceSeries(
         times=times,
-        rmse=rmse,
+        rmse=np.sqrt(mse),
         inv_mse=inv_mse,
         bias_sq=bias_sq,
         var_est=var_est,

@@ -29,13 +29,22 @@ For each config and master seed a census records the final RMSE in Pi over
 the runs that were not excluded, with a bootstrap 95% interval (1000
 resamples), the runs whose final estimate lies more than 5 perceived sd from
 Pi, the share within 3 perceived sd, the excluded runs, and whether the
-experiment aborted.  ``--quick`` writes two Chebyshev configs at 64 runs.
+experiment aborted.  A ``run_experiment`` config also runs its ``standard``
+twin (the same true Pi, horizon, runs and master seed, so the same run
+streams) and records the ratio of the two ``growth_rate``s (ROADMAP
+direction 17), with a bootstrap 95% interval that resamples the runs in
+pairs, the same resamples as the RMSE's.  An aborting seed and the
+``near/...`` rows, which run no ``run_experiment`` and so have no
+``TraceSeries``, record no ratio.  ``--quick`` writes two Chebyshev configs
+at 64 runs.
 
 ``compare`` lists each config that the new file does worse on, and exits 1 if
 there is any: a seed newly aborted, more excluded runs or more runs beyond
 5 sd over the seeds, a final RMSE above the old file's upper bound at some
-seed, or a config that only the old file holds.  A config that only the new
-file holds is listed as added, which is no regression.
+seed, a rate ratio below the old file's lower bound at some seed (a file
+without ratios counts as having none), or a config that only the old file
+holds.  A config that only the new file holds is listed as added, which is
+no regression.
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ import census_cli
 from elfkit.bias import Scheme
 from elfkit.inference import EstimationConfig, run_estimation
 from elfkit.metrics import GaussianBelief, NoiseModel
-from elfkit.sim import ExperimentConfig, run_experiment
+from elfkit.sim import FIT_WINDOW_FRACTION, ExperimentConfig, _growth_rate, run_experiment
 from elfkit.tuner import build_lookup_table
 
 DEVICE = NoiseModel(0.95, 0.99)
@@ -117,7 +126,10 @@ def _table(key):
 
 
 def _final_beliefs(name: str, table, runs: int, master: int):
-    """(estimates, perceived variances, alive) of each run at the horizon; None if the experiment aborts."""
+    """(estimates, perceived variances, alive, traces) of each run at the horizon; None if the experiment aborts.
+
+    ``traces`` holds the ``TraceSeries`` of the config and of its ``standard`` twin, or None for a ``near/`` row.
+    """
     scheme, layers, true_pi, mean, sd, horizon, _ = CONFIGS[name]
     prior = GaussianBelief(mean, sd * sd)
     if not name.startswith("near/"):
@@ -127,9 +139,10 @@ def _final_beliefs(name: str, table, runs: int, master: int):
             )
         except FloatingPointError:
             return None
+        twin = run_experiment(ExperimentConfig("standard", true_pi, None, layers, DEVICE, runs, horizon, master))
         alive = np.ones(runs, dtype=bool)
         alive[traces.excluded_runs] = False
-        return traces.estimates[:, -1], traces.perceived_var[:, -1], alive
+        return traces.estimates[:, -1], traces.perceived_var[:, -1], alive, (traces, twin)
     bias_scheme = Scheme.AB if scheme.startswith("ab") else Scheme.AF
     est, var, alive = np.zeros(runs), np.ones(runs), np.ones(runs, dtype=bool)
     for i in range(runs):
@@ -140,20 +153,38 @@ def _final_beliefs(name: str, table, runs: int, master: int):
             alive[i] = False
             continue
         est[i], var[i] = last.pi_mean, last.pi_variance
-    return est, var, alive
+    return est, var, alive, None
+
+
+def _growth_rates(traces, resamples, true_pi: float, horizon: int) -> np.ndarray:
+    """The inverse-MSE growth rate of ``traces`` over each resample, a row of run indices."""
+    late = traces.times >= FIT_WINDOW_FRACTION * horizon
+    times, err_sq = traces.times[late], (traces.estimates[:, late] - true_pi) ** 2
+    with np.errstate(divide="ignore"):
+        return np.array([_growth_rate(times, 1.0 / err_sq[rows].mean(axis=0), horizon) for rows in resamples])
 
 
 def census(name: str, table, runs: int, master: int) -> dict:
     """The figures of one config at one master seed."""
-    true_pi = CONFIGS[name].true_pi
+    true_pi, horizon = CONFIGS[name].true_pi, CONFIGS[name].horizon
     beliefs = _final_beliefs(name, table, runs, master)
     if beliefs is None:
         return {"aborted": True}
-    est, var, alive = beliefs
+    est, var, alive, traces = beliefs
     err, sd = est[alive] - true_pi, np.sqrt(var[alive])
     sq = err * err
     picks = np.random.default_rng(0).integers(0, sq.size, (BOOTSTRAP, sq.size))
     lo, hi = np.percentile(np.sqrt(sq[picks].mean(axis=1)), [2.5, 97.5])
+    ratio = {}
+    if traces is not None:
+        pairs = np.flatnonzero(alive)[picks]
+        rates = [_growth_rates(t, pairs, true_pi, horizon) for t in traces]
+        ratio_lo, ratio_hi = np.percentile(rates[0] / rates[1], [2.5, 97.5])
+        ratio = {
+            "rate_ratio": traces[0].growth_rate / traces[1].growth_rate,
+            "ratio_lo": float(ratio_lo),
+            "ratio_hi": float(ratio_hi),
+        }
     return {
         "aborted": False,
         "final_rmse": float(np.sqrt(sq.mean())),
@@ -162,6 +193,7 @@ def census(name: str, table, runs: int, master: int) -> dict:
         "beyond_5sd": int(np.count_nonzero(np.abs(err) > 5.0 * sd)),
         "within_3sd": float(np.count_nonzero(np.abs(err) <= 3.0 * sd) / sq.size),
         "excluded": int(np.count_nonzero(~alive)),
+        **ratio,
     }
 
 
@@ -194,6 +226,8 @@ def regressions(old: dict, new: dict) -> tuple[list[str], bool]:
                 why.append(f"{key} {m} > {n}")
         why += [f"{s} rmse {b[s]['final_rmse']:.4g} > {a[s]['rmse_hi']:.4g}" for s in done
                 if b[s]["final_rmse"] > a[s]["rmse_hi"]]
+        why += [f"{s} rate ratio {b[s]['rate_ratio']:.4g} < {a[s]['ratio_lo']:.4g}" for s in done
+                if b[s].get("rate_ratio", math.inf) < a[s].get("ratio_lo", -math.inf)]
         if why:
             lines.append(f"{name}: " + ", ".join(why))
     return (lines or [f"no config does worse ({len(old)} configs)"]) + added, bool(lines)
@@ -212,6 +246,8 @@ def summary(items: dict) -> list[str]:
             excluded = sum(v["excluded"] for v in done)
             text += f", rmse {min(rmse):.3g}-{max(rmse):.3g}, beyond 5 sd {min(beyond)}-{max(beyond)}"
             text += f", within 3 sd {min(v['within_3sd'] for v in done):.3f}+, excluded {excluded}"
+            if ratios := [v["rate_ratio"] for v in done if "rate_ratio" in v]:
+                text += f", rate ratio {min(ratios):.3g}-{max(ratios):.3g}"
         lines.append(text)
     return lines
 

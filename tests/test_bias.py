@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
+from elfkit.tuner import Objective, TuneSpec, objective_value
 
 THETAS = st.floats(min_value=0.05, max_value=np.pi - 0.05)
 # A grid over (0, pi), and multiples of pi and points 1e-13 from them, where the estimand is refused
@@ -88,6 +89,31 @@ class TestBiasProperties:
                 assert bias(Scheme.AB, theta, probe) == pytest.approx(
                     c * np.cos(xj) + s * np.sin(xj), abs=1e-10
                 )
+
+
+class TestSymmetries:
+    # theta within 1e-9 of 0 and of pi, and random theta.
+    THETAS = np.append([1e-9, np.pi - 1e-9], np.random.default_rng(5).uniform(0.0, np.pi, 6))
+
+    @pytest.mark.parametrize("layers", range(1, 7))
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    def test_negation_reversal_and_a_pi_shift(self, scheme, layers):
+        # bias(theta; -x) is bias(theta; x) bit for bit, and reversing x keeps it; a pi shift of one angle
+        # keeps the AF bias and negates the AB bias.  The tuner's objectives read the bias only up to sign,
+        # so all three images of x leave both unchanged.
+        sign = 1.0 if scheme is Scheme.AF else -1.0
+        for x in np.random.default_rng(layers).uniform(-np.pi, np.pi, (4, 2 * layers)):
+            b = bias(scheme, self.THETAS, x)
+            assert np.array_equal(bias(scheme, self.THETAS, -x), b)
+            assert np.max(np.abs(bias(scheme, self.THETAS, x[::-1]) - b)) <= 1e-14
+            shifts = x + np.pi * np.eye(2 * layers)
+            for shifted in shifts:
+                assert np.max(np.abs(bias(scheme, self.THETAS, shifted) - sign * b)) <= 1e-14
+            for mu in self.THETAS:
+                for spec in (TuneSpec(scheme, layers, mu, 0.9), TuneSpec(scheme, layers, mu, objective=Objective.SLOPE)):
+                    value = objective_value(spec, x)
+                    for image in (-x, x[::-1], *shifts):
+                        assert objective_value(spec, image) == pytest.approx(value, rel=1e-12, abs=1e-13)
 
 
 class TestBiasDerivative:

@@ -146,6 +146,19 @@ class TestStandardSampling:
         assert np.isnan(traces.perceived_var).all() and np.isnan(traces.mean_perceived_var).all()
         assert traces.excluded_runs == []
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("f0", [0.9, 0.99])
+    @pytest.mark.parametrize("pi", [-0.999, -0.3, 0.0, 0.7, 0.999])
+    def test_estimates_are_each_runs_own_sample_mean(self, pi, f0, threads):
+        # Over two chunks, each run's estimates equal, bit for bit, the running mean of its own
+        # +-1 outcomes over f0: +1 where u < (1 + f0 Pi)/2, u from its substream of the master seed.
+        cfg = ExperimentConfig("standard", pi, None, 0, NoiseModel(0.95, f0), CHUNK_SIZE + 6, 500, 5, threads=threads)
+        traces = run_experiment(cfg)
+        for i in range(cfg.runs):
+            u = np.random.default_rng(np.random.SeedSequence(cfg.master_seed, spawn_key=(i,))).random(cfg.horizon)
+            mean = np.cumsum(np.where(u < (1.0 + f0 * pi) / 2.0, 1.0, -1.0)) / np.arange(1, cfg.horizon + 1)
+            assert traces.estimates[i].tobytes() == (mean[traces.times - 1] / f0).tobytes(), i
+
 
 class TestRunExperiment:
     def test_single_run_single_round(self, tiny_table):
