@@ -8,10 +8,10 @@ in theta (a closed-form line over ``FIT_POINTS`` abscissae spanning +-1 sd of th
 belief), samples an outcome from the noisy likelihood at the true theta, and applies
 the closed-form posterior-moment update of the fit (``_posterior_moments``).  The
 round advances a batch of runs, shaped like the belief arrays, in lockstep.
-It starts runs of an ``EstimationConfig`` in ``_rounds`` and reads Pi beliefs
-out in ``_cos_moments`` for two callers: ``run_estimation`` (a 0-d batch; its
-``RoundRecord`` per round is a tuple of plain numbers, the time, the outcome and
-the theta and Pi moments) and ``sim.run_experiment`` (1-D Monte Carlo chunks).
+It starts runs of an ``EstimationConfig`` in ``_rounds`` for two callers:
+``run_estimation`` (a 0-d batch; its ``RoundRecord`` per round holds plain
+numbers, the time, the outcome and the theta moments, and computes its Pi belief
+by ``_cos_moments`` when read) and ``sim.run_experiment`` (1-D Monte Carlo chunks).
 A 0-d batch runs on numpy scalars, which skip a 1-element array's per-call
 cost and round as the arrays do; Python floats would not (``math.exp`` and
 ``math.asin`` differ from numpy's in the last bit).  Conversions between
@@ -45,25 +45,25 @@ _FIT_OFFSETS.flags.writeable = _FIT_WEIGHTS.flags.writeable = False
 
 
 class RoundRecord(NamedTuple):
-    """One round of ``run_estimation``: the time spent so far, the outcome and the posterior moments."""
+    """One round of ``run_estimation``: time so far, outcome and theta moments; ``pi_belief`` computes Pi's when read."""
 
     cumulative_time: int
     outcome: int
     theta_mean: float
     theta_variance: float
-    pi_mean: float
-    pi_variance: float
     theta_belief = property(lambda self: GaussianBelief(self.theta_mean, self.theta_variance))
-    pi_belief = property(lambda self: GaussianBelief(self.pi_mean, self.pi_variance))
+    pi_belief = property(lambda self: GaussianBelief(*map(float, _cos_moments(self.theta_mean, self.theta_variance))))
 
 
 # -- belief conversions --------------------------------------------------------
 
 
 def _cos_moments(mu, var):
-    """Mean and variance, floored at ``TINY``, of cos(X) for X ~ N(mu, var); exact and underflow-safe."""
+    """Mean and variance, floored at ``TINY``, of cos(X) for X ~ N(mu, var); exact and underflow-safe.
+    sin(mu) is squared as a product: ``**`` on a numpy scalar calls ``pow``, which rounds unlike an array's square."""
     shrink = np.expm1(-var)  # exp(-var) - 1, accurate for tiny var
-    pi_var = 0.5 * shrink * (np.cos(2.0 * mu) * shrink - 2.0 * np.sin(mu) ** 2)
+    s = np.sin(mu)
+    pi_var = 0.5 * shrink * (np.cos(2.0 * mu) * shrink - 2.0 * (s * s))
     return np.exp(-var / 2.0) * np.cos(mu), np.maximum(pi_var, TINY)
 
 
@@ -254,8 +254,9 @@ def _rounds(config: EstimationConfig, uniforms, abort=False):
 def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     """Run the adaptive loop, as a 0-d lockstep batch, and return one record per round.
 
-    The belief is maintained over theta; the recorded Pi belief is its
-    analytic cosine transform.  Outcomes are synthesized from the noisy
+    The belief is maintained over theta, and a record holds its round's theta
+    moments; its Pi belief, their analytic cosine transform, is computed when
+    read (``RoundRecord.pi_belief``).  Outcomes are synthesized from the noisy
     likelihood at the true theta using the run's private random stream.
     Raises a ``ValueError`` naming the round whose update gives a non-finite
     mean or a variance outside (0, inf).
@@ -266,5 +267,4 @@ def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
     for k, (_, _, d[k], mu[k], var[k], alive) in enumerate(_rounds(config, uniforms)):
         if not alive:
             raise ValueError(f"round {k + 1}: the update gave a non-finite mean or a variance outside (0, inf)")
-    columns = (c.tolist() for c in (times, d.astype(int), mu, var, *_cos_moments(mu, var)))
-    return list(map(RoundRecord._make, zip(*columns)))
+    return list(map(RoundRecord._make, zip(times.tolist(), d.astype(int).tolist(), mu.tolist(), var.tolist())))

@@ -35,16 +35,20 @@ streams) and records the ratio of the two ``growth_rate``s (ROADMAP
 direction 17), with a bootstrap 95% interval that resamples the runs in
 pairs, the same resamples as the RMSE's.  An aborting seed and the
 ``near/...`` rows, which run no ``run_experiment`` and so have no
-``TraceSeries``, record no ratio.  ``--quick`` writes two Chebyshev configs
-at 64 runs.
+``TraceSeries``, record no ratio.  Every seed of a ``run_experiment`` config,
+an aborting one too, also records ``rhat0_ratio``: ``metrics.rhat0`` of the
+angles its runs use at the true Pi (the Chebyshev angles, or the valid table
+entry nearest the true Pi, ``tests/table_oracle.py``) over standard
+sampling's rate f0^2 / (1 - f0^2 Pi^2), the predicted form of the rate ratio.
+``--quick`` writes two Chebyshev configs at 64 runs.
 
 ``compare`` lists each config that the new file does worse on, and exits 1 if
 there is any: a seed newly aborted, more excluded runs or more runs beyond
 5 sd over the seeds, a final RMSE above the old file's upper bound at some
-seed, a rate ratio below the old file's lower bound at some seed (a file
-without ratios counts as having none), or a config that only the old file
-holds.  A config that only the new file holds is listed as added, which is
-no regression.
+seed, a rate ratio below the old file's lower bound at some seed, an
+``rhat0`` ratio below the old file's at some seed (a file without ratios
+counts as having none), or a config that only the old file holds.  A config
+that only the new file holds is listed as added, which is no regression.
 """
 
 from __future__ import annotations
@@ -58,9 +62,10 @@ import numpy as np
 import census_cli
 from elfkit.bias import Scheme
 from elfkit.inference import EstimationConfig, run_estimation
-from elfkit.metrics import GaussianBelief, NoiseModel
+from elfkit.metrics import GaussianBelief, NoiseModel, rhat0
 from elfkit.sim import FIT_WINDOW_FRACTION, ExperimentConfig, _growth_rate, run_experiment
-from elfkit.tuner import build_lookup_table
+from elfkit.tuner import build_lookup_table, chebyshev_table
+from table_oracle import nearest_valid_entry
 
 DEVICE = NoiseModel(0.95, 0.99)
 RUNS, QUICK_RUNS = 256, 64
@@ -152,8 +157,16 @@ def _final_beliefs(name: str, table, runs: int, master: int):
         except ValueError:  # the run's update left the Gaussians: it is excluded
             alive[i] = False
             continue
-        est[i], var[i] = last.pi_mean, last.pi_variance
+        est[i], var[i] = last.pi_belief.mean, last.pi_belief.variance
     return est, var, alive, None
+
+
+def _rhat0_ratio(config: Config, table) -> float:
+    """``rhat0`` of the angles a config's runs use at its true Pi over standard sampling's f0^2 / (1 - f0^2 Pi^2)."""
+    scheme, f0 = Scheme.AB if config.scheme.startswith("ab") else Scheme.AF, DEVICE.spam_fidelity
+    angles = nearest_valid_entry(table or chebyshev_table(config.layers), config.true_pi).angles
+    rate = rhat0(scheme, config.true_pi, DEVICE.process_fidelity(config.layers), angles)
+    return rate * (1.0 - (f0 * config.true_pi) ** 2) / f0**2
 
 
 def _growth_rates(traces, resamples, true_pi: float, horizon: int) -> np.ndarray:
@@ -167,9 +180,10 @@ def _growth_rates(traces, resamples, true_pi: float, horizon: int) -> np.ndarray
 def census(name: str, table, runs: int, master: int) -> dict:
     """The figures of one config at one master seed."""
     true_pi, horizon = CONFIGS[name].true_pi, CONFIGS[name].horizon
+    predicted = {} if name.startswith("near/") else {"rhat0_ratio": _rhat0_ratio(CONFIGS[name], table)}
     beliefs = _final_beliefs(name, table, runs, master)
     if beliefs is None:
-        return {"aborted": True}
+        return {"aborted": True, **predicted}
     est, var, alive, traces = beliefs
     err, sd = est[alive] - true_pi, np.sqrt(var[alive])
     sq = err * err
@@ -194,6 +208,7 @@ def census(name: str, table, runs: int, master: int) -> dict:
         "within_3sd": float(np.count_nonzero(np.abs(err) <= 3.0 * sd) / sq.size),
         "excluded": int(np.count_nonzero(~alive)),
         **ratio,
+        **predicted,
     }
 
 
@@ -228,13 +243,16 @@ def regressions(old: dict, new: dict) -> tuple[list[str], bool]:
                 if b[s]["final_rmse"] > a[s]["rmse_hi"]]
         why += [f"{s} rate ratio {b[s]['rate_ratio']:.4g} < {a[s]['ratio_lo']:.4g}" for s in done
                 if b[s].get("rate_ratio", math.inf) < a[s].get("ratio_lo", -math.inf)]
+        why += [f"{s} rhat0 ratio {b[s]['rhat0_ratio']:.6g} < {a[s]['rhat0_ratio']:.6g}" for s in sorted(a.keys() & b.keys())
+                if b[s].get("rhat0_ratio", math.inf) < a[s].get("rhat0_ratio", -math.inf)]
         if why:
             lines.append(f"{name}: " + ", ".join(why))
     return (lines or [f"no config does worse ({len(old)} configs)"]) + added, bool(lines)
 
 
 def summary(items: dict) -> list[str]:
-    """One line per config: the range over seeds of the final RMSE, of the runs beyond 5 sd, and the aborts."""
+    """One line per config: the range over seeds of the final RMSE, of the runs beyond 5 sd and of the ratios to
+    standard sampling, and the aborts."""
     lines = []
     for name, seeds in items.items():
         done = [v for v in seeds.values() if not v["aborted"]]
@@ -248,6 +266,8 @@ def summary(items: dict) -> list[str]:
             text += f", within 3 sd {min(v['within_3sd'] for v in done):.3f}+, excluded {excluded}"
             if ratios := [v["rate_ratio"] for v in done if "rate_ratio" in v]:
                 text += f", rate ratio {min(ratios):.3g}-{max(ratios):.3g}"
+        if predicted := {v["rhat0_ratio"] for v in seeds.values() if "rhat0_ratio" in v}:
+            text += f", rhat0 ratio {min(predicted):.3g}"
         lines.append(text)
     return lines
 

@@ -12,6 +12,11 @@ tree's ``src``.  The items are
 - ``table/...``: ``build_lookup_table`` entries for AF and AB at L = 2;
 - ``traces/...``: every ``TraceSeries`` field of the five schemes over two
   chunks of runs, with one worker and with two;
+- ``records/...``: every record of one ``run_estimation`` call, AF and AB
+  at L = 2 with the tables' angles and the Chebyshev angles, and AB at L = 1
+  near Pi = 1 (its time, outcome and theta moments, and its ``theta_belief``
+  and ``pi_belief`` moments, each read by attribute, so that trees whose
+  records hold other fields hash alike);
 - ``cli/...``: the outputs of the commands of ``CLI_COMMANDS``, each JSON
   sidecar without its ``out`` path (``tests/test_cli.py`` runs each of them
   too, for exit 0 and strict JSON).
@@ -38,6 +43,7 @@ import numpy as np
 import census_cli
 from elfkit import cli
 from elfkit.bias import Scheme
+from elfkit.inference import EstimationConfig, run_estimation
 from elfkit.metrics import GaussianBelief, NoiseModel
 from elfkit.sim import EXPERIMENT_SCHEMES, ExperimentConfig, run_experiment
 from elfkit.tuner import Objective, TuneSpec, build_lookup_table, tune
@@ -124,6 +130,26 @@ def trace_items(tables: dict, quick: bool) -> dict:
     return items
 
 
+def record_items(tables: dict, quick: bool) -> dict:
+    items = {}
+    runs = [(scheme, layers, "table", 0.3, 0.32, 0.03) for scheme, layers in tables]
+    if not quick:  # the Chebyshev angles, and last the benchmark's near-edge prior
+        runs += [(s, 2, "clf", 0.3, 0.32, 0.03) for s in (Scheme.AF, Scheme.AB)]
+        runs.append((Scheme.AB, 1, "clf", 0.995, 0.9, 0.2))
+    for scheme, layers, source, pi, mean, sd in runs:
+        table = tables[scheme, layers] if source == "table" else None
+        config = EstimationConfig(scheme, layers, DEVICE, GaussianBelief(mean, sd * sd), pi, 500, 1, source, table)
+        records = run_estimation(config)
+        counts = np.array([(r.cumulative_time, r.outcome) for r in records])
+        moments = np.array([
+            (r.theta_mean, r.theta_variance, r.theta_belief.mean, r.theta_belief.variance, r.pi_belief.mean,
+             r.pi_belief.variance)
+            for r in records
+        ])
+        items[f"records/{scheme.value}-{source}/L{layers}/pi{pi:+}"] = _digest(counts, moments)
+    return items
+
+
 def _normalized(path: str) -> bytes:
     """A file's bytes; a JSON sidecar without the ``out`` path of its config."""
     with open(path, "rb") as fh:
@@ -152,7 +178,13 @@ def cli_items(quick: bool) -> dict:
 
 def fingerprints(quick: bool = False) -> dict:
     tables = _tables(quick)
-    items = {**tune_items(quick), **table_items(tables), **trace_items(tables, quick), **cli_items(quick)}
+    items = {
+        **tune_items(quick),
+        **table_items(tables),
+        **trace_items(tables, quick),
+        **record_items(tables, quick),
+        **cli_items(quick),
+    }
     return dict(sorted(items.items()))
 
 

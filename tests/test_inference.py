@@ -55,6 +55,16 @@ class TestCosMoments:
         assert np.array_equal(mean[:1], [1.0]) and var[0] == inference.TINY
         assert var[1] == _cos_moments(1.2, 1e-4)[1] > inference.TINY
 
+    def test_scalars_read_out_the_arrays_bits(self):
+        # A run's record reads its Pi belief on numpy scalars, sim's chunks on arrays: the two agree bit
+        # for bit.  At the first point sin(mu) ** 2 by pow differs from the array's square in the last bit.
+        rng = np.random.default_rng(38)
+        mu = np.concatenate([[2.9858556804584366], rng.uniform(0.0, np.pi, 20_000)])
+        var = np.concatenate([[0.016938908170902343], 10.0 ** rng.uniform(-12.0, 0.0, 20_000)])
+        want = np.stack(_cos_moments(mu, var), axis=1)
+        got = np.array([[float(v) for v in _cos_moments(m, v)] for m, v in zip(mu, var)])
+        assert got.tobytes() == want.tobytes()
+
 
 class TestPiToTheta:
     def test_point_mass(self):
@@ -539,17 +549,18 @@ class TestLeanRun:
         rounds = round_times(cfg.layers, cfg.horizon).size
         uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed)).random(rounds)
         d, mu, var = np.array([state[2:5] for state in inference._rounds(cfg, uniforms)], dtype=float).T
-        pi_mean, pi_var = _cos_moments(mu, var)
         assert len(records) == d.size == 60
         assert [rec.cumulative_time for rec in records] == [k * 5 for k in range(1, 61)]
         assert [rec.outcome for rec in records] == d.astype(int).tolist()
-        got = np.array([rec[2:] for rec in records])
-        assert got.tobytes() == np.stack([mu, var, pi_mean, pi_var], axis=1).tobytes()
+        assert np.array([rec[2:] for rec in records]).tobytes() == np.stack([mu, var], axis=1).tobytes()
+        # Each record's Pi belief, computed when read, is the array-wide read-out of the rounds, bit for bit.
+        got = np.array([(rec.pi_belief.mean, rec.pi_belief.variance) for rec in records])
+        assert got.tobytes() == np.stack(_cos_moments(mu, var), axis=1).tobytes()
         assert 0 < d.sum() < 60  # both outcomes occur
 
     def test_record_fields_are_plain_numbers(self):
         for rec in run_estimation(self.config(Scheme.AF, "table")):
-            assert [type(v) for v in rec] == [int, int, float, float, float, float]
+            assert [type(v) for v in rec] == [int, int, float, float]
             theta, pi = rec.theta_belief, rec.pi_belief
             assert isinstance(theta, GaussianBelief) and isinstance(pi, GaussianBelief)
-            assert (theta.mean, theta.variance, pi.mean, pi.variance) == rec[2:]
+            assert (theta.mean, theta.variance) == rec[2:] and type(pi.mean) is type(pi.variance) is float
