@@ -127,7 +127,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("runs", int, 300),
         Opt("horizon", int, 20000, help="total time budget in ansatz durations"),
         Opt("table", str, help="lookup-table JSON for the engineered schemes"),
-        Opt("table-grid", int, 41, help="grid size when building a table on the fly", domain="[2, inf)"),
+        Opt("table-grid", int, 41, help="on-the-fly table size; its ends, Pi = +-1, are flagged", domain="[3, inf)"),
         Opt("restarts", int, 10, help="restarts for on-the-fly table tuning"),
         Opt("threads", int, 1, help="at most this many worker processes (outputs are independent of it)"),
         Opt("out", str, "experiment", help="output prefix (.csv and .json; a trailing .csv or .json is dropped)"),

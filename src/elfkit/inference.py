@@ -1,22 +1,21 @@
 """Adaptive Bayesian estimation with Gaussian beliefs: the one estimation engine.
 
-The belief over theta = arccos(Pi) stays Gaussian throughout.  Each round
-(``_lockstep``) takes circuit angles for the current belief from a lookup table
-(``tuner.chebyshev_table`` holds the Chebyshev angles), reads the bias from their
-cached theta-series (``LookupTable.series``), fits it with a sinusoid arcsin-linear
-in theta (a closed-form line over ``FIT_POINTS`` abscissae spanning +-1 sd of the
-belief), samples an outcome from the noisy likelihood at the true theta, and applies
-the closed-form posterior-moment update of the fit (``_posterior_moments``).  The
-round advances a batch of runs, shaped like the belief arrays, in lockstep.
-It starts runs of an ``EstimationConfig`` in ``_rounds`` for two callers:
-``run_estimation`` (a 0-d batch; its ``RoundRecord`` per round holds plain
-numbers, the time, the outcome and the theta moments, and computes its Pi belief
-by ``_cos_moments`` when read) and ``sim.run_experiment`` (1-D Monte Carlo chunks).
-A 0-d batch runs on numpy scalars, which skip a 1-element array's per-call
-cost and round as the arrays do; Python floats would not (``math.exp`` and
-``math.asin`` differ from numpy's in the last bit).  Conversions between
-theta- and Pi-beliefs are analytic one way (moments of cos of a Gaussian)
-and numeric the other (moments of arccos of a clipped Gaussian).
+The belief over theta = arccos(Pi) stays Gaussian throughout.  Each round (``_lockstep``) takes
+circuit angles for the current belief from a lookup table (``tuner.chebyshev_table`` holds the
+Chebyshev angles), reads the bias from their cached theta-series (``LookupTable.series``), fits it
+with a sinusoid arcsin-linear in theta (a closed-form line over ``FIT_POINTS`` abscissae spanning
++-1 sd of the belief), samples an outcome from the noisy likelihood at the true theta, and applies
+the closed-form posterior-moment update of the fit (``_posterior_moments``).  The engine advances
+a batch of runs, shaped like the belief arrays, in lockstep, and keeps their states at the rounds
+its caller marks.  ``_rounds`` starts runs of an ``EstimationConfig``, each drawing on its one
+stream (``_run_uniforms``), for two callers: ``run_estimation`` marks every round of a 0-d batch
+(its ``RoundRecord`` per round holds plain numbers, the time, the outcome and the theta moments,
+and computes its Pi belief by ``_cos_moments`` when read), and ``sim.run_experiment`` marks the
+checkpoints of 1-D Monte Carlo chunks.  A 0-d batch runs on numpy scalars, which skip a 1-element
+array's per-call cost and round as the arrays do; Python floats would not (``math.exp`` and
+``math.asin`` differ from numpy's in the last bit).  Conversions between theta- and Pi-beliefs are
+analytic one way (moments of cos of a Gaussian) and numeric the other (moments of arccos of a
+clipped Gaussian).
 """
 
 from __future__ import annotations
@@ -198,27 +197,29 @@ def _angle_policy(scheme: Scheme, f: float, theta_star: float, table):
     return policy
 
 
-def _lockstep(f, mu, var, angles, uniforms, abort=False):
-    """Advance runs with theta beliefs N(mu, var) one round per row of ``uniforms``.
+def _lockstep(f, mu, var, angles, uniforms, marks, abort=False):
+    """Advance runs with theta beliefs N(mu, var) one round per row of ``uniforms``; keep the states at ``marks``.
 
     Each round reads the bias at every run's ``FIT_POINTS`` fit abscissae mu + sd * o from the
     run's theta-series column (``angles``) by Horner's rule in e^{i theta}, fits the line of
     ``_window_fit`` to arcsin of the bias, and updates by ``_posterior_moments``.  The work is
     element-wise and each run is fitted over a contiguous row, so its numbers do not depend on
-    the batch shape, that of ``mu``: 1-D for ``sim``'s chunks, and 0-d for ``run_estimation``'s
-    one run, on numpy scalars, not Python floats (see the module docstring).  The uniforms u
-    become 2u - 1 once per batch: outcome 1 is drawn where 2u - 1 >= the column's threshold
-    f bias(theta_star), i.e. u >= P(0).  From its first update with a non-finite mean or a
-    variance outside (0, inf) a run is excluded (``alive`` false) and its belief frozen.  With
-    ``abort`` an abscissa within ``DEGENERATE_TOL`` of a multiple of pi raises
-    ``FloatingPointError``.  Yields ``(r, b, d, mu, var, alive)`` after each round.
+    the batch shape, that of ``mu``: 1-D for ``sim``'s chunks, 0-d (numpy scalars, see the module
+    docstring) for ``run_estimation``.  The uniforms u become 2u - 1 once per batch: outcome 1 is
+    drawn where 2u - 1 >= the column's threshold f bias(theta_star), i.e. u >= P(0).  From its first
+    update with a non-finite mean or a variance outside (0, inf) a run is excluded (``alive`` false)
+    and its belief frozen; once every run is, the rounds stop and later marks keep the frozen state.
+    With ``abort`` an abscissa within ``DEGENERATE_TOL`` of a multiple of pi raises ``FloatingPointError``.
+    ``marks`` are increasing round numbers from 1, the last the last round.  Returns ``(d, mu, var,
+    alive)`` after each marked round: the outcomes, theta moments and ``alive``, one row per mark.
     """
     n, shape = FIT_POINTS, np.shape(mu)
     offsets = _FIT_OFFSETS.reshape((n,) + (1,) * len(shape))
-    alive, excluded = np.ones(shape, dtype=bool), False
+    alive, excluded, j = np.ones(shape, dtype=bool), False, 0
     block = np.empty((n,) + shape)
     e = np.empty(block.shape, dtype=complex)
-    for t in 2.0 * uniforms - 1.0:
+    kept_d, kept_mu, kept_var, kept_alive = (np.empty((len(marks),) + shape, dt) for dt in (bool, float, float, bool))
+    for k, t in enumerate(2.0 * uniforms - 1.0, start=1):
         sd = np.sqrt(var)
         np.add(mu, offsets * sd, out=block)
         np.cos(block, out=e.real)
@@ -237,34 +238,44 @@ def _lockstep(f, mu, var, angles, uniforms, abort=False):
             mu, var = np.where(alive, mu_next, mu), np.where(alive, var_next, var)
         else:
             mu, var = mu_next, var_next
-        yield r, b, d, mu, var, alive
+        if k == marks[j]:
+            kept_d[j], kept_mu[j], kept_var[j], kept_alive[j] = d, mu, var, alive
+            j += 1
+        if excluded and not alive.any():
+            break
+    kept_d[j:], kept_mu[j:], kept_var[j:], kept_alive[j:] = d, mu, var, alive
+    return kept_d, kept_mu, kept_var, kept_alive
 
 
-def _rounds(config: EstimationConfig, uniforms, abort=False):
-    """``_lockstep``'s rounds, one per row of ``uniforms``, for runs of ``config`` from its theta prior.
+def _rounds(config: EstimationConfig, uniforms, marks, abort=False):
+    """``_lockstep``'s states at ``marks`` for runs of ``config`` from its theta prior, a round per row of ``uniforms``.
 
     A run per column of a 2-D ``uniforms``; a 1-D one gives a 0-d batch of numpy scalars (``[()]``).
     """
     prior, shape = pi_to_theta(config.prior_pi), np.shape(uniforms)[1:]
     f = config.noise.process_fidelity(config.layers)
     angles = _angle_policy(config.scheme, f, math.acos(config.true_pi), config.table or chebyshev_table(config.layers))
-    return _lockstep(f, np.full(shape, prior.mean)[()], np.full(shape, prior.variance)[()], angles, uniforms, abort)
+    mu, var = np.full(shape, prior.mean)[()], np.full(shape, prior.variance)[()]
+    return _lockstep(f, mu, var, angles, uniforms, marks, abort)
+
+
+def _run_uniforms(seed: int, n_rounds: int, *key: int) -> np.ndarray:
+    """A run's one random stream, a uniform per round, from ``SeedSequence(seed, spawn_key=key)``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key)).random(n_rounds)
 
 
 def run_estimation(config: EstimationConfig) -> list[RoundRecord]:
-    """Run the adaptive loop, as a 0-d lockstep batch, and return one record per round.
+    """Run the adaptive loop as a 0-d lockstep batch that marks every round; return one record per round.
 
-    The belief is maintained over theta, and a record holds its round's theta
-    moments; its Pi belief, their analytic cosine transform, is computed when
-    read (``RoundRecord.pi_belief``).  Outcomes are synthesized from the noisy
-    likelihood at the true theta using the run's private random stream.
-    Raises a ``ValueError`` naming the round whose update gives a non-finite
-    mean or a variance outside (0, inf).
+    A record holds its round's theta moments; its Pi belief, their analytic cosine
+    transform, is computed when read (``RoundRecord.pi_belief``).  Outcomes are drawn
+    from the noisy likelihood at the true theta on the run's one stream, ``_run_uniforms``
+    of the seed with no key, i.e. ``SeedSequence(seed)``.  Raises a ``ValueError`` naming
+    the round whose update gives a non-finite mean or a variance outside (0, inf); the
+    engine stops at that round.
     """
     times = round_times(config.layers, config.horizon)
-    uniforms = np.random.default_rng(np.random.SeedSequence(config.seed)).random(times.size)
-    d, mu, var = np.empty((3, times.size))
-    for k, (_, _, d[k], mu[k], var[k], alive) in enumerate(_rounds(config, uniforms)):
-        if not alive:
-            raise ValueError(f"round {k + 1}: the update gave a non-finite mean or a variance outside (0, inf)")
+    d, mu, var, ok = _rounds(config, _run_uniforms(config.seed, times.size), range(1, times.size + 1))
+    if not ok[-1]:
+        raise ValueError(f"round {ok.argmin() + 1}: the update gave a non-finite mean or a variance outside (0, inf)")
     return list(map(RoundRecord._make, zip(times.tolist(), d.astype(int).tolist(), mu.tolist(), var.tolist())))

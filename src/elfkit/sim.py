@@ -2,13 +2,13 @@
 
 Outcomes are drawn classically from the noisy likelihood at the true
 estimand, so no state-vector simulation is involved.  ``run_experiment``
-repeats the adaptive estimation loop over many independent runs with
-per-run random substreams derived from one master seed, advances each chunk
-of runs in lockstep with the estimation round of ``inference`` (the round
-``run_estimation`` drives as a 0-d batch), and aggregates the
-root-mean-squared error of the estimator on a geometric time grid together
-with an inverse-MSE growth-rate fit over the late-time window.  A run of a
-non-standard scheme runs, and is checked, as ``ExperimentConfig._run_config``.
+repeats the adaptive estimation loop over many independent runs, each on its
+stream of the master seed keyed by its index (``inference._run_uniforms``),
+in lockstep chunks of ``inference``'s engine, which keeps their states at the
+checkpoint rounds, and aggregates the root-mean-squared error of the
+estimator on a geometric time grid together with an inverse-MSE growth-rate
+fit over the late-time window.  A run of a non-standard scheme runs, and is
+checked, as ``ExperimentConfig._run_config``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import check, check_type
 from .bias import Scheme
-from .inference import EstimationConfig, _cos_moments, _rounds
+from .inference import EstimationConfig, _cos_moments, _rounds, _run_uniforms
 from .metrics import GaussianBelief, NoiseModel, round_times
 from .tuner import LookupTable
 
@@ -100,23 +100,12 @@ def _checkpoint_rounds(n_rounds: int) -> np.ndarray:
     return rounds[np.diff(rounds, prepend=0) > 0]  # each distinct round once; not np.unique, which loads numpy.ma
 
 
-def _run_uniforms(master_seed: int, run: int, n_rounds: int) -> np.ndarray:
-    """Run ``run``'s uniforms, one per round: its substream of the master seed, keyed by the run index."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(int(run),))).random(n_rounds)
-
-
 def _run_chunk(config: ExperimentConfig, checkpoints: np.ndarray, n_rounds: int, run_indices: np.ndarray):
     """Advance one chunk of runs in lockstep; returns (estimates, perceived variances, alive), run by checkpoint."""
-    run = config._run_config()
-    uniforms = np.stack([_run_uniforms(config.master_seed, i, n_rounds) for i in run_indices], axis=1)
-    mus, variances = np.empty((2, checkpoints.size, run_indices.size))
-    cp_pos, marks = 0, checkpoints.tolist()
-    for k, (_, _, _, mu, var, alive) in enumerate(_rounds(run, uniforms, abort=True), start=1):
-        if cp_pos < len(marks) and k == marks[cp_pos]:
-            mus[cp_pos], variances[cp_pos] = mu, var
-            cp_pos += 1
+    uniforms = np.stack([_run_uniforms(config.master_seed, n_rounds, i) for i in run_indices.tolist()], axis=1)
+    _, mus, variances, alive = _rounds(config._run_config(), uniforms, checkpoints.tolist(), abort=True)
     est, pi_var = _cos_moments(mus, variances)
-    return est.T, pi_var.T, alive
+    return est.T, pi_var.T, alive[-1]
 
 
 def _growth_rate(times: np.ndarray, inv_mse: np.ndarray, horizon: int) -> float:
@@ -136,8 +125,8 @@ def _standard_chunk(config: ExperimentConfig, checkpoints: np.ndarray, n_rounds:
     Returns ``_run_chunk``'s shape, with NaN perceived variances and every run alive.
     """
     f0, est = config.noise.spam_fidelity, np.empty((run_indices.size, checkpoints.size))
-    for row, i in enumerate(run_indices):
-        signs = np.where(2.0 * _run_uniforms(config.master_seed, i, n_rounds) - 1.0 >= f0 * config.true_pi, -1.0, 1.0)
+    for row, i in enumerate(run_indices.tolist()):
+        signs = np.where(2.0 * _run_uniforms(config.master_seed, n_rounds, i) - 1.0 >= f0 * config.true_pi, -1.0, 1.0)
         est[row] = np.cumsum(signs)[checkpoints - 1] / checkpoints
     return est / f0, np.full(est.shape, np.nan), np.ones(run_indices.size, dtype=bool)
 

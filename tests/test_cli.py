@@ -582,7 +582,6 @@ _LIBRARY_MESSAGES = {
     ("runtime", "gate-time"): "and depth * gate_time 2e+302 give a runtime bound of inf s",
     ("simulate", "horizon"): "horizon must be >= ",
     ("simulate-af-elf", "horizon"): "horizon must be >= ",
-    ("simulate-af-elf", "table-grid"): "lookup table has no valid entries",
     ("tune", "mu"): "mu=",
     ("table", "grid-min"): "grid must be strictly increasing",
     ("table", "grid-max"): "grid must be strictly increasing",

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 from functools import lru_cache
 
 import mpmath
@@ -22,6 +23,7 @@ from elfkit.inference import (
 )
 from elfkit.metrics import GaussianBelief, NoiseModel, round_times
 from elfkit.tuner import build_lookup_table, chebyshev_table
+from paper_model import likelihood
 from table_oracle import nearest_valid_entry
 
 
@@ -168,11 +170,28 @@ class TestLegGauss:
             assert abs(np.sum(w * x**k) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 1e-15, k
 
 
+@contextmanager
+def window_fits():
+    """Every ``(r, b)`` that ``_lockstep`` fits inside the block, in order, read by a spy on ``_window_fit``."""
+    fits, fit = [], inference._window_fit
+
+    def spy(*args):
+        fits.append(fit(*args))
+        return fits[-1]
+
+    inference._window_fit = spy
+    try:
+        yield fits
+    finally:
+        inference._window_fit = fit
+
+
 def first_round_fit(layers, mu, var, f):
     """(r, b) of the fit of the first ``_lockstep`` round of one AF run at the Chebyshev angles."""
     angles = _angle_policy(Scheme.AF, f, mu, chebyshev_table(layers))
-    rounds = _lockstep(f, np.array([mu]), np.array([var]), angles, np.zeros((1, 1)))
-    r, b = next(rounds)[:2]
+    with window_fits() as fits:
+        _lockstep(f, np.array([mu]), np.array([var]), angles, np.zeros((1, 1)), [1])
+    (r, b), = fits
     return r[0], b[0]
 
 
@@ -465,7 +484,9 @@ class TestEngineEquivalence:
         )
         rounds = round_times(cfg.layers, cfg.horizon).size
         draws = np.random.default_rng(np.random.SeedSequence(cfg.seed)).random(rounds)
-        single = list(inference._rounds(cfg, draws))
+        marks = range(1, rounds + 1)
+        with window_fits() as single_fits:
+            single = inference._rounds(cfg, draws, marks)
 
         # The same run as column 23 among other runs with their own priors and draws.
         rng = np.random.default_rng(layers)
@@ -478,15 +499,17 @@ class TestEngineEquivalence:
         mu[col], var[col] = prior.mean, prior.variance
         f = noise.process_fidelity(layers)
         angles = _angle_policy(scheme, f, math.acos(cfg.true_pi), cfg.table or chebyshev_table(layers))
-        batch = list(_lockstep(f, mu, var, angles, uniforms))
-        assert len(single) == len(batch) == n
-        for one, state in zip(single, batch):
-            # (r, b, d, mu, var, alive) stay numpy scalars, not 1-element arrays.
-            assert all(np.ndim(v) == 0 for v in one)
-            got, want = (np.array([float(v) for v in values[:5]]) for values in (one, [v[col] for v in state]))
-            assert got.tobytes() == want.tobytes()
-            assert bool(one[5]) and bool(state[5][col])
-        assert 0 < sum(int(state[2]) for state in single) < n  # both outcomes occur
+        with window_fits() as batch_fits:
+            batch = _lockstep(f, mu, var, angles, uniforms, marks)
+        assert len(single_fits) == len(batch_fits) == n
+        # The fit's (r, b) stay numpy scalars, not 1-element arrays, and the kept (d, mu, var, alive) one per round.
+        assert all(np.ndim(v) == 0 for fit in single_fits for v in fit)
+        assert [state.shape for state in single] == [(n,)] * 4 and [state.shape for state in batch] == [(n, width)] * 4
+        got = np.column_stack([np.array(single_fits, dtype=float), *single[:3]])
+        want = np.column_stack([np.array([(r[col], b[col]) for r, b in batch_fits]), *(s[:, col] for s in batch[:3])])
+        assert got.tobytes() == want.tobytes()
+        assert single[3].all() and batch[3][:, col].all()
+        assert 0 < single[0].sum() < n  # both outcomes occur
 
 
 @pytest.mark.parametrize("true_pi", [-0.8, 0.3, 0.95])
@@ -548,7 +571,8 @@ class TestLeanRun:
         records = run_estimation(cfg)
         rounds = round_times(cfg.layers, cfg.horizon).size
         uniforms = np.random.default_rng(np.random.SeedSequence(cfg.seed)).random(rounds)
-        d, mu, var = np.array([state[2:5] for state in inference._rounds(cfg, uniforms)], dtype=float).T
+        d, mu, var, alive = inference._rounds(cfg, uniforms, range(1, rounds + 1))
+        assert alive.all() and d.dtype == bool
         assert len(records) == d.size == 60
         assert [rec.cumulative_time for rec in records] == [k * 5 for k in range(1, 61)]
         assert [rec.outcome for rec in records] == d.astype(int).tolist()
@@ -564,3 +588,64 @@ class TestLeanRun:
             theta, pi = rec.theta_belief, rec.pi_belief
             assert isinstance(theta, GaussianBelief) and isinstance(pi, GaussianBelief)
             assert (theta.mean, theta.variance) == rec[2:] and type(pi.mean) is type(pi.variance) is float
+
+
+class TestGridPosterior:
+    """The Gaussian belief against the exact posterior, a likelihood product on a dense theta grid.
+
+    At the Chebyshev angles every round has one likelihood, so the exact posterior of a run is the
+    engine's own theta prior (``pi_to_theta``) times P(0 | theta)^n0 P(1 | theta)^n1 of its outcome
+    counts, on 40,001 points over +-12 prior sd.  Each case runs seeds 0-39 at horizon 600 on the
+    benchmark's device, true Pi 0.3 and prior mean 0.32, and scores the last record's theta mean in
+    grid-posterior sds (z) and its sd over the grid posterior's (ratio).  A band is the measured
+    extreme moved away from the ideal (z 0, ratio 1) by a quarter of its distance to it or by 0.01,
+    whichever is more, and rounded outward to two decimals.  The widest are known defects:
+    - prior sd 0.1, AF L=1: z reaches 0.638 at seed 10, whose posterior has modes at theta 0.89 and 1.23;
+    - AF L=2: the ratio reaches 1.391 (prior sd 0.03) and 3.833 (0.1).  5 theta* sits 0.05 rad from
+      2 pi, a dead spot of the Chebyshev bias: the fit learns almost nothing, and the belief keeps
+      about the prior's sd, while the exact posterior narrows (to 0.03-0.07 at prior sd 0.1).
+    No run, engine or grid, ended beyond 2.70 sd of the true theta.
+    """
+
+    DEVICE, TRUE_PI, PRIOR_MEAN, HORIZON, SEEDS = NoiseModel(0.95, 0.99), 0.3, 0.32, 600, range(40)
+    # (prior sd, scheme, L): max |z|, ratio low and high.  Measured, in the same order:
+    # 0.03: AF1 0.00602, 0.98986-1.00934; AF2 0.06794, 0.84436-1.39135; AB1 0.00008, 0.99979-1.00013;
+    #       AB2 0.00188, 0.99679-1.00153.
+    # 0.1:  AF1 0.63803, 0.69370-1.05298; AF2 0.07896, 0.75709-3.83314; AB1 0.00402, 0.99635-1.00315;
+    #       AB2 0.07870, 0.90532-1.06260.
+    BANDS = {
+        (0.03, Scheme.AF, 1): (0.02, 0.97, 1.02),
+        (0.03, Scheme.AF, 2): (0.09, 0.80, 1.49),
+        (0.03, Scheme.AB, 1): (0.02, 0.98, 1.02),
+        (0.03, Scheme.AB, 2): (0.02, 0.98, 1.02),
+        (0.1, Scheme.AF, 1): (0.80, 0.61, 1.07),
+        (0.1, Scheme.AF, 2): (0.10, 0.69, 4.55),
+        (0.1, Scheme.AB, 1): (0.02, 0.98, 1.02),
+        (0.1, Scheme.AB, 2): (0.10, 0.88, 1.08),
+    }
+
+    @pytest.mark.parametrize("prior_sd", [0.03, 0.1])
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_the_belief_tracks_the_grid_posterior(self, layers, scheme, prior_sd):
+        prior = GaussianBelief(self.PRIOR_MEAN, prior_sd**2)
+        theta_prior, theta_star = pi_to_theta(prior), math.acos(self.TRUE_PI)
+        grid = theta_prior.mean + theta_prior.std * np.linspace(-12.0, 12.0, 40_001)
+        f, angles = self.DEVICE.process_fidelity(layers), bias.clf_angles(layers)
+        log_prior = -0.5 * ((grid - theta_prior.mean) / theta_prior.std) ** 2
+        log_p0, log_p1 = (np.log(likelihood(scheme, d, grid, f, angles)) for d in (0, 1))
+        max_z, ratio_lo, ratio_hi = self.BANDS[prior_sd, scheme, layers]
+        for seed in self.SEEDS:
+            cfg = EstimationConfig(scheme, layers, self.DEVICE, prior, self.TRUE_PI, self.HORIZON, seed, "clf")
+            records = run_estimation(cfg)
+            n1 = sum(rec.outcome for rec in records)
+            log_post = log_prior + (len(records) - n1) * log_p0 + n1 * log_p1
+            w = np.exp(log_post - log_post.max())
+            w /= w.sum()
+            assert w[0] < 1e-30 and w[-1] < 1e-30, seed  # the grid holds the whole posterior
+            mean = float(np.sum(w * grid))
+            sd = math.sqrt(np.sum(w * (grid - mean) ** 2))
+            last = records[-1].theta_belief
+            z, ratio = (last.mean - mean) / sd, last.std / sd
+            assert abs(z) <= max_z and ratio_lo <= ratio <= ratio_hi, (seed, z, ratio)
+            assert abs(last.mean - theta_star) <= 3.0 * last.std and abs(mean - theta_star) <= 3.0 * sd, seed

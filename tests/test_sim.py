@@ -44,8 +44,8 @@ def round_outcomes(scheme, theta_star, f, layers, rng, n=100_000):
     The draw reads only the uniform and the bias at theta_star, not the belief.
     """
     angles = _angle_policy(scheme, f, theta_star, chebyshev_table(layers))
-    rounds = _lockstep(f, np.full(n, 1.0), np.full(n, 0.01), angles, rng.random((1, n)))
-    return next(rounds)[2].astype(int)
+    d = _lockstep(f, np.full(n, 1.0), np.full(n, 0.01), angles, rng.random((1, n)), [1])[0]
+    return d[0].astype(int)
 
 
 class TestSampleOutcome:
@@ -319,6 +319,27 @@ class TestRunExperiment:
         assert np.array_equal(traces.perceived_var[others], clean.perceived_var[others])
         assert np.isfinite(traces.rmse).all()
 
+        # Every run spoiled at round k: the rounds stop there, after k updates, and each later
+        # checkpoint (every round is one here) keeps the beliefs of round k - 1.  No run is left
+        # to aggregate, so the aggregates are NaN, and numpy warns of its empty means and their 0 / 0.
+        def spoiled_all(mu, var, r, b, f, d):
+            moments = posterior_moments(mu, var, r, b, f, d)
+            calls.append(1)
+            if len(calls) == k:
+                moments[moment][:] = bad
+            return moments
+
+        k, calls[:] = 4, []
+        monkeypatch.setattr(inference, "_posterior_moments", spoiled_all)
+        with pytest.warns(RuntimeWarning, match="^(Mean of empty slice|invalid value encountered in divide)$"):
+            frozen = run_experiment(cfg)
+        assert len(calls) == k and frozen.excluded_runs == list(range(cfg.runs))
+        assert frozen.times.tolist() == clean.times.tolist() == list(range(3, 31, 3))
+        for got, want in ((frozen.estimates, clean.estimates), (frozen.perceived_var, clean.perceived_var)):
+            assert np.array_equal(got[:, : k - 1], want[:, : k - 1])
+            assert (got[:, k - 1 :] == want[:, [k - 2]]).all()
+        assert np.isnan(frozen.rmse).all() and math.isnan(frozen.growth_rate)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_degenerate_fit_abscissa_aborts(self, seed):
         # True Pi near -1: posterior means reach theta = pi, so a sinusoid-fit
@@ -479,7 +500,7 @@ class TestCheckpointReadout:
     def test_estimates_are_cos_moments_of_checkpoint_beliefs(self, scheme, source, tiny_table):
         # A full chunk and a partial one.  The readout of each chunk, done once
         # on all its checkpoints, equals, bit for bit, _cos_moments of the
-        # beliefs _lockstep yields at each checkpoint round.
+        # beliefs _lockstep keeps at the checkpoint rounds when it marks every round.
         cfg = ExperimentConfig(
             scheme=scheme,
             true_pi=0.05,
@@ -497,18 +518,14 @@ class TestCheckpointReadout:
         uniforms = np.stack([np.random.default_rng(s).random(n_rounds) for s in streams], axis=1)
         prior = pi_to_theta(cfg.prior_pi)
         f = cfg.noise.process_fidelity(1)
-        rounds = _lockstep(
+        _, mu, var, alive = _lockstep(
             f, np.full(cfg.runs, prior.mean), np.full(cfg.runs, prior.variance),
             _angle_policy(Scheme.AF, f, math.acos(cfg.true_pi), cfg.table or chebyshev_table(1)), uniforms,
+            range(1, n_rounds + 1),
         )
-        checkpoints = set(_checkpoint_rounds(n_rounds).tolist())
-        est, per_var = [], []
-        for k, (*_, mu, var, _) in enumerate(rounds, start=1):
-            if k in checkpoints:
-                mean, pi_var = _cos_moments(mu, var)
-                est.append(mean)
-                per_var.append(pi_var)
-        assert len(est) == traces.times.size > 50
+        rows = _checkpoint_rounds(n_rounds) - 1
+        est, per_var = _cos_moments(mu[rows], var[rows])
+        assert len(est) == traces.times.size > 50 and alive.all()
         assert np.array_equal(traces.estimates, np.transpose(est))
         assert np.array_equal(traces.perceived_var, np.transpose(per_var))
 
