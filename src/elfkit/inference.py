@@ -4,18 +4,18 @@ The belief over theta = arccos(Pi) stays Gaussian throughout.  Each round (``_lo
 circuit angles for the current belief from a lookup table (``tuner.chebyshev_table`` holds the
 Chebyshev angles), reads the bias from their cached theta-series (``LookupTable.series``), fits it
 with a sinusoid arcsin-linear in theta (a closed-form line over ``FIT_POINTS`` abscissae spanning
-+-1 sd of the belief), samples an outcome from the noisy likelihood at the true theta, and applies
-the closed-form posterior-moment update of the fit (``_posterior_moments``).  The engine advances
-a batch of runs, shaped like the belief arrays, in lockstep, and keeps their states at the rounds
-its caller marks.  ``_rounds`` starts runs of an ``EstimationConfig``, each drawing on its one
-stream (``_run_uniforms``), for two callers: ``run_estimation`` marks every round of a 0-d batch
-(its ``RoundRecord`` per round holds plain numbers, the time, the outcome and the theta moments,
-and computes its Pi belief by ``_cos_moments`` when read), and ``sim.run_experiment`` marks the
-checkpoints of 1-D Monte Carlo chunks.  A 0-d batch runs on numpy scalars, which skip a 1-element
-array's per-call cost and round as the arrays do; Python floats would not (``math.exp`` and
-``math.asin`` differ from numpy's in the last bit).  Conversions between theta- and Pi-beliefs are
-analytic one way (moments of cos of a Gaussian) and numeric the other (moments of arccos of a
-clipped Gaussian).
++-1 sd of the belief; its slope and phase at the mean), samples an outcome from the noisy
+likelihood at the true theta, and applies the fit's closed-form posterior-moment update
+(``_posterior_moments``).  The engine advances a batch of runs, shaped like the belief arrays, in
+lockstep, and keeps their states at the rounds its caller marks.  ``_rounds`` starts runs of an
+``EstimationConfig``, each drawing on its one stream (``_run_uniforms``), for two callers:
+``run_estimation`` marks every round of a 0-d batch (its ``RoundRecord`` per round holds plain
+numbers, the time, the outcome and the theta moments, and computes its Pi belief by
+``_cos_moments`` when read), and ``sim.run_experiment`` marks the checkpoints of 1-D Monte Carlo
+chunks.  A 0-d batch runs on numpy scalars, which skip a 1-element array's per-call cost and round
+as the arrays do; Python floats would not (``math.exp`` and ``math.asin`` differ from numpy's in
+the last bit).  Conversions between theta- and Pi-beliefs are analytic one way (moments of cos of a
+Gaussian) and numeric the other (moments of arccos of a clipped Gaussian, integrated over theta).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .metrics import GaussianBelief, NoiseModel, round_cost, round_times
 from .tuner import LookupTable, chebyshev_table
 
 ARCSIN_CLAMP = 1e-12
-PI_TO_THETA_NODES = 101
+PI_TO_THETA_ORDER = 100  # of pi_to_theta's Clenshaw-Curtis rule: 101 nodes
 PI_TO_THETA_TAIL_Z = 12.0
 TINY = np.finfo(float).tiny  # floor of a reported variance
 FIT_POINTS = 11  # abscissae of the sinusoid fit
@@ -66,34 +66,25 @@ def _cos_moments(mu, var):
     return np.exp(-var / 2.0) * np.cos(mu), np.maximum(pi_var, TINY)
 
 
-@lru_cache(maxsize=4)
-def _leggauss(n: int):
-    """Gauss-Legendre nodes (ascending) and weights of order n: Newton's method on the Legendre recurrence from
-    Tricomi's guesses, until its largest step is below 1e-15, and weights 2 / ((1 - x^2) P_n'(x)^2), symmetrized
-    and scaled to sum 2.  numpy's ``leggauss`` would load ``numpy.polynomial`` and run LAPACK's ``eigvalsh``."""
-
-    def legendre(x):  # P_n(x) and P_n'(x) by the three-term recurrence
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        return p1, n * (p0 - x * p1) / (1.0 - x * x)
-
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * np.arange(n, 0, -1) - 1) / (4 * n + 2))
-    step = np.ones(n)
-    while np.max(np.abs(step)) >= 1e-15:
-        step = np.divide(*legendre(x))
-        x = x - step
-    w = 1.0 / ((1.0 - x * x) * legendre(x)[1] ** 2)  # the weights up to their scale
-    return (x - x[::-1]) / 2.0, (w + w[::-1]) / w.sum()
+@lru_cache(maxsize=1)
+def _clenshaw_curtis(n: int):
+    """Clenshaw-Curtis nodes cos(k pi / n), k = 0..n, and weights on [-1, 1], exact to degree n, in closed form:
+    w_k = (c_k / n)(1 - sum_{j=1}^{n/2} b_j cos(2 j k pi / n) / (4 j^2 - 1)), c_k = 1 at the ends, b_{n/2} = 1, else 2;
+    an element-wise sum (no BLAS, so no build-dependent bits) of cosines of 2 pi (j k mod n) / n, then symmetrized."""
+    k, j = np.arange(n + 1), np.arange(1, n // 2 + 1)[:, None]
+    b = np.where(2 * j == n, 1.0, 2.0) / (4.0 * j * j - 1.0)
+    w = np.where(k % n, 2.0, 1.0) / n * (1.0 - np.sum(b * np.cos(2.0 * np.pi / n * (j * k % n)), axis=0))
+    x = np.cos(np.pi / n * k)
+    return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
 
 
 def pi_to_theta(belief: GaussianBelief) -> GaussianBelief:
     """Moment-matched Gaussian belief over theta = arccos(clip(Pi, -1, 1)).
 
-    Gauss-Legendre quadrature (``_leggauss``, numpy only, without LAPACK) over
-    the in-range part of the Gaussian plus point masses at the clipped tails
-    (theta = pi below -1, theta = 0 above +1).  Moments are accumulated around
-    arccos of the clipped mean so that tiny variances survive the subtraction.
+    Point masses at the clipped tails (theta = pi below -1, theta = 0 above +1) plus the in-range part,
+    integrated over theta offsets g from c = arccos(clip(mean)) by the Clenshaw-Curtis rule over the 12-sd
+    window, with the Jacobian sin(theta): smooth up to Pi = +-1.  cos(theta) - mean is formed as
+    (cos c - mean) - 2 sin(c + g/2) sin(g/2), without cancellation, so tiny variances keep their precision.
     """
     mu, sd = belief.mean, belief.std
     w_lo = 0.5 * math.erfc((1.0 + mu) / (sd * math.sqrt(2.0)))  # mass clipped to Pi = -1
@@ -104,13 +95,14 @@ def pi_to_theta(belief: GaussianBelief) -> GaussianBelief:
     lo = max(-1.0, mu - PI_TO_THETA_TAIL_Z * sd)
     hi = min(1.0, mu + PI_TO_THETA_TAIL_Z * sd)
     if hi > lo:
-        t, w = _leggauss(PI_TO_THETA_NODES)
-        half = 0.5 * (hi - lo)
-        pts = 0.5 * (hi + lo) + half * t
-        pdf = np.exp(-((pts - mu) ** 2) / (2.0 * sd * sd)) / (sd * math.sqrt(2.0 * math.pi))
-        g = np.arccos(pts) - center
-        m1 += half * float(np.sum(w * pdf * g))
-        m2 += half * float(np.sum(w * pdf * g * g))
+        t, w = _clenshaw_curtis(PI_TO_THETA_ORDER)
+        g_lo, g_hi = math.acos(hi) - center, math.acos(lo) - center
+        half = 0.5 * (g_hi - g_lo)
+        g = 0.5 * (g_hi + g_lo) + half * t
+        x = (math.cos(center) - mu) - 2.0 * np.sin(center + 0.5 * g) * np.sin(0.5 * g)  # cos(center + g) - mu
+        density = np.exp(-x * x / (2.0 * sd * sd)) * np.sin(center + g) * (half / (sd * math.sqrt(2.0 * math.pi)))
+        m1 += float(np.sum(w * density * g))
+        m2 += float(np.sum(w * density * g * g))
     var = m2 - m1 * m1
     return GaussianBelief(center + m1, max(var, TINY))
 
@@ -119,29 +111,27 @@ def pi_to_theta(belief: GaussianBelief) -> GaussianBelief:
 
 
 def _window_fit(mu, sd, z):
-    """Least-squares line z ~ r*theta + b over the abscissae mu + sd * o, along z's last axis.
+    """Least-squares line z ~ r (theta - mu) + p over the abscissae mu + sd * o, along z's last axis: (r, p).
 
-    With sum(o) = 0 the normal equations are diagonal: r = (z . o / |o|^2) / sd and
-    b = mean(z) - r mu.  The width sd is positive and finite: ``pi_to_theta`` floors the
-    variance at ``TINY`` and ``_lockstep`` keeps only finite, positive updates.
+    With sum(o) = 0 the normal equations are diagonal: r = (z . o / |o|^2) / sd and p = mean(z),
+    the line's value, its phase, at the belief mean.  The width sd is positive and finite:
+    ``pi_to_theta`` floors the variance at ``TINY`` and ``_lockstep`` keeps only finite, positive updates.
     """
-    r = np.add.reduce(z * _FIT_WEIGHTS, axis=-1) / sd
-    return r, np.add.reduce(z, axis=-1) / FIT_POINTS - r * mu
+    return np.add.reduce(z * _FIT_WEIGHTS, axis=-1) / sd, np.add.reduce(z, axis=-1) / FIT_POINTS
 
 
-def _posterior_moments(mu, var, r, b, f, d):
-    """Closed-form posterior mean/variance for the sinusoidal likelihood.
+def _posterior_moments(mu, var, r, p, f, d):
+    """Closed-form posterior mean/variance for the sinusoidal likelihood (1 + (-1)^d f sin(r (theta - mu) + p)) / 2.
 
-    With the signed decay g = (1 - 2d) f exp(-r^2 var / 2), p = r mu + b and den = 1 + g sin p,
-    the mean moves by g r var cos(p) / den and the variance by -(r var)^2 g (g + sin p) / den^2.
+    With the signed decay g = (1 - 2d) f exp(-r^2 var / 2) and den = 1 + g sin p, the mean
+    moves by g r var cos(p) / den and the variance by -(r var)^2 g (g + sin p) / den^2.
     """
     rv = r * var
     signed = (f - 2.0 * f * d) * np.exp(-0.5 * r * rv)
-    phase = r * mu + b
-    s_ = np.sin(phase)
+    s_ = np.sin(p)
     den = 1.0 + signed * s_
     step = signed * rv / den
-    return mu + step * np.cos(phase), var - step * rv * (signed + s_) / den
+    return mu + step * np.cos(p), var - step * rv * (signed + s_) / den
 
 
 # -- the estimation loop -------------------------------------------------------
@@ -229,9 +219,9 @@ def _lockstep(f, mu, var, angles, uniforms, marks, abort=False):
         columns, threshold = angles(mu, var)
         z = np.ascontiguousarray(_horner(columns, e).T)
         np.arcsin(z.clip(-1.0 + ARCSIN_CLAMP, 1.0 - ARCSIN_CLAMP, out=z), out=z)  # not np.clip: 2-3 us more a call
-        r, b = _window_fit(mu, sd, z)
+        r, p = _window_fit(mu, sd, z)
         d = t >= threshold
-        mu_next, var_next = _posterior_moments(mu, var, r, b, f, d)
+        mu_next, var_next = _posterior_moments(mu, var, r, p, f, d)
         ok = (abs(mu_next) < np.inf) & (0.0 < var_next) & (var_next < np.inf)
         if excluded := excluded or np.count_nonzero(ok) < ok.size:
             alive &= ok

@@ -170,15 +170,14 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
         raise
 
     estimates, perceived, alive = map(np.concatenate, zip(*results))
-    est_ok = estimates[alive]
-
-    err_sq = (est_ok - config.true_pi) ** 2
-    mse = err_sq.mean(axis=0)
-    with np.errstate(divide="ignore"):
+    est_ok, n_ok = estimates[alive], np.count_nonzero(alive)
+    # Means as sums over the kept runs by their count, mean()'s bits; with no run kept, NaN without a warning.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mse = np.sum((est_ok - config.true_pi) ** 2, axis=0) / n_ok
         inv_mse = 1.0 / mse
-    mean_est = est_ok.mean(axis=0)
+        mean_est, mean_perceived_var = est_ok.sum(axis=0) / n_ok, perceived[alive].sum(axis=0) / n_ok
     bias_sq = (mean_est - config.true_pi) ** 2
-    var_est = est_ok.var(axis=0, ddof=1) if est_ok.shape[0] > 1 else np.zeros_like(mean_est)
+    var_est = est_ok.var(axis=0, ddof=1) if n_ok > 1 else np.zeros_like(mean_est)
 
     return TraceSeries(
         times=times,
@@ -186,7 +185,7 @@ def run_experiment(config: ExperimentConfig) -> TraceSeries:
         inv_mse=inv_mse,
         bias_sq=bias_sq,
         var_est=var_est,
-        mean_perceived_var=perceived[alive].mean(axis=0),
+        mean_perceived_var=mean_perceived_var,
         estimates=estimates,
         perceived_var=perceived,
         growth_rate=_growth_rate(times, inv_mse, config.horizon),

@@ -13,8 +13,8 @@ from elfkit.inference import (
     FIT_POINTS,
     EstimationConfig,
     _angle_policy,
+    _clenshaw_curtis,
     _cos_moments,
-    _leggauss,
     _lockstep,
     _posterior_moments,
     _window_fit,
@@ -93,24 +93,27 @@ class TestPiToTheta:
         out = pi_to_theta(GaussianBelief(1.5, 1e-4))
         assert out.mean == pytest.approx(0.0, abs=1e-12)
 
-    # (Pi mean, Pi variance, mean tolerance, relative variance tolerance).  The rule's 12-sd window
-    # holds 1e-13 while it stays clear of Pi = +-1; a window reaching +-1 meets arccos's square-root
-    # end, which 101 nodes integrate to about 1e-6, and a variance of 1e-24 puts the nodes 1e-4 sd
-    # apart in the last bit of Pi.  The loose tolerances are about 3x the errors measured there.
+    # (Pi mean, Pi variance): interior, narrow and wide beliefs, windows reaching Pi = +-1, fully
+    # clipped ones and variances down to 1e-24, each within 1e-13 in the theta mean and 1e-13
+    # relative in the theta variance.
     @pytest.mark.parametrize(
-        ("mean", "variance", "mean_tol", "var_rtol"),
+        ("mean", "variance"),
         [
-            pytest.param(0.3, 1e-6, 1e-13, 1e-13, id="narrow-interior"),
-            pytest.param(0.999, 1e-8, 1e-13, 1e-13, id="narrow-10-sd-from-+1"),
-            pytest.param(-0.2, 0.09, 5e-8, 1e-6, id="wide"),
-            pytest.param(0.98, 0.01, 2e-6, 2e-5, id="clipped-above"),
-            pytest.param(-0.97, 4e-4, 5e-7, 2e-5, id="clipped-below"),
-            pytest.param(1.5, 1e-4, 1e-13, 1e-13, id="fully-clipped-above"),
-            pytest.param(-1.5, 1e-4, 1e-13, 1e-13, id="fully-clipped-below"),
-            pytest.param(0.5, 1e-24, 1e-13, 1e-4, id="variance-1e-24"),
+            pytest.param(0.3, 1e-6, id="narrow-interior"),
+            pytest.param(0.999, 1e-8, id="narrow-10-sd-from-+1"),
+            pytest.param(-0.2, 0.09, id="wide"),
+            pytest.param(0.98, 0.01, id="clipped-above"),
+            pytest.param(-0.97, 4e-4, id="clipped-below"),
+            pytest.param(1.5, 1e-4, id="fully-clipped-above"),
+            pytest.param(-1.5, 1e-4, id="fully-clipped-below"),
+            pytest.param(0.5, 1e-24, id="variance-1e-24"),
+            pytest.param(0.9, 0.04, id="wide-clipped-above"),
+            pytest.param(-0.999, 1e-3, id="centre-near--1"),
+            pytest.param(0.0, 1e-12, id="variance-1e-12"),
+            pytest.param(-0.6, 1e-14, id="variance-1e-14"),
         ],
     )
-    def test_matches_an_mpmath_quadrature(self, mean, variance, mean_tol, var_rtol):
+    def test_matches_an_mpmath_quadrature(self, mean, variance):
         # The theta moments of arccos(clip(X)), X ~ N(mean, variance), to 30 digits: the point masses
         # at Pi = +-1 plus mpmath's quad over [-1, 1], split at the mean and at +-1, 4 and 12 sd.
         with mpmath.workdps(30):
@@ -122,57 +125,26 @@ class TestPiToTheta:
             tails = w_lo * (mpmath.pi - m) ** 2 + w_hi * m**2
             v = tails + mpmath.quad(lambda x: (mpmath.acos(x) - m) ** 2 * mpmath.npdf(x, mu, sd), cuts)
         out, ref_var = pi_to_theta(GaussianBelief(mean, variance)), max(float(v), inference.TINY)
-        assert abs(out.mean - float(m)) <= mean_tol
-        assert abs(out.variance - ref_var) <= var_rtol * ref_var
+        assert abs(out.mean - float(m)) <= 1e-13
+        assert abs(out.variance - ref_var) <= 1e-13 * ref_var
 
 
-def _legendre_reference(n):
-    """Gauss-Legendre nodes and weights of order n to 30 digits: Newton on the recurrence, mirrored from x > 0."""
-    with mpmath.workdps(30):
+class TestClenshawCurtis:
+    """``_clenshaw_curtis``, the rule of ``pi_to_theta``: its n + 1 nodes and exactness to degree n fix it."""
 
-        def legendre(x):
-            p0, p1 = mpmath.mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            return p1, n * (p0 - x * p1) / (1 - x * x)
-
-        half = []
-        for k in range(n // 2, 0, -1):
-            x = mpmath.cos(mpmath.pi * (4 * k - 1) / (4 * n + 2))
-            for _ in range(100):
-                p, dp = legendre(x)
-                x -= p / dp
-                if abs(p / dp) < mpmath.mpf(10) ** -28:
-                    break
-            half.append((x, 2 / ((1 - x * x) * legendre(x)[1] ** 2)))
-        middle = [(mpmath.mpf(0), 2 / legendre(mpmath.mpf(0))[1] ** 2)] if n % 2 else []
-        rule = [(-x, w) for x, w in reversed(half)] + middle + half
-        return np.array([[float(x), float(w)] for x, w in rule]).T
-
-
-class TestLegGauss:
-    """``_leggauss``, the numpy-only rule of ``pi_to_theta``, against a 30-digit reference."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 50, inference.PI_TO_THETA_NODES])
-    def test_matches_a_30_digit_newton_reference(self, n):
-        x, w = _leggauss(n)
-        x_ref, w_ref = _legendre_reference(n)
-        assert np.all(np.abs(x - x_ref) <= 2 * np.spacing(np.abs(x_ref)))
-        # 1e-15 of the weights' total, 2: the edge weights' own last bits are out of reach, as a node's
-        # rounding alone moves its weight by 2x / (1 - x^2) ulp, about 4e-13 relative at n = 101.
-        assert np.max(np.abs(w - w_ref)) <= 1e-15
-        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 10, inference.PI_TO_THETA_NODES])
-    def test_integrates_monomials_below_degree_2n(self, n):
-        x, w = _leggauss(n)
-        for k in range(2 * n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 51, inference.PI_TO_THETA_ORDER])
+    def test_integrates_monomials_to_degree_n(self, n):
+        x, w = _clenshaw_curtis(n)
+        assert np.all(np.abs(x - np.cos(np.pi * np.arange(n + 1) / n)) <= 2 * np.spacing(1.0))
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]) and np.all(w > 0.0)
+        assert abs(w.sum() - 2.0) <= 1e-15
+        for k in range(n + 1):
             assert abs(np.sum(w * x**k) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 1e-15, k
 
 
 @contextmanager
 def window_fits():
-    """Every ``(r, b)`` that ``_lockstep`` fits inside the block, in order, read by a spy on ``_window_fit``."""
+    """Every ``(r, p)`` that ``_lockstep`` fits inside the block, in order, read by a spy on ``_window_fit``."""
     fits, fit = [], inference._window_fit
 
     def spy(*args):
@@ -187,12 +159,12 @@ def window_fits():
 
 
 def first_round_fit(layers, mu, var, f):
-    """(r, b) of the fit of the first ``_lockstep`` round of one AF run at the Chebyshev angles."""
+    """(r, p) of the fit of the first ``_lockstep`` round of one AF run at the Chebyshev angles."""
     angles = _angle_policy(Scheme.AF, f, mu, chebyshev_table(layers))
     with window_fits() as fits:
         _lockstep(f, np.array([mu]), np.array([var]), angles, np.zeros((1, 1)), [1])
-    (r, b), = fits
-    return r[0], b[0]
+    (r, p), = fits
+    return r[0], p[0]
 
 
 class TestFitSinusoid:
@@ -205,8 +177,8 @@ class TestFitSinusoid:
         assert abs(r) == pytest.approx(m, rel=1e-3)
 
     def test_tiny_sigma_is_stable(self):
-        r, b = first_round_fit(1, 1.0, 1e-24, 1.0)
-        assert math.isfinite(r) and math.isfinite(b)
+        r, p = first_round_fit(1, 1.0, 1e-24, 1.0)
+        assert math.isfinite(r) and math.isfinite(p)
 
 
 class TestWindowFit:
@@ -216,11 +188,12 @@ class TestWindowFit:
         for _ in range(50):
             mu, sd = rng.uniform(0.1, 3.0), 10.0 ** rng.uniform(-6.0, 0.0)
             z = rng.uniform(-1.5, 1.5, FIT_POINTS)
-            r, b = _window_fit(mu, sd, z)
-            ref_r, ref_b = np.polyfit(mu + sd * grid, z, 1)
-            # polyfit's own conditioning, about mu/sd, sets the tolerance.
+            r, p = _window_fit(mu, sd, z)
+            ref_r = np.polyfit(mu + sd * grid, z, 1)[0]
+            # polyfit's own conditioning, about mu/sd, sets the tolerance of r.  The phase p is the
+            # line's value at mu: polyfit over the offsets theta - mu, well conditioned, at offset 0.
             assert r == pytest.approx(ref_r, rel=1e-14 * mu / sd, abs=1e-12)
-            assert b == pytest.approx(ref_b, rel=1e-14 * mu / sd, abs=1e-12)
+            assert p == pytest.approx(np.polyfit(sd * grid, z, 1)[1], rel=1e-15, abs=1e-15)
 
     def test_exact_line_in_a_window_of_few_ulps(self):
         # At sd = 1e-12 the window spans a few thousand ulps of mu; a line
@@ -228,11 +201,11 @@ class TestWindowFit:
         # recovered to rounding, and so is a batch of them, row by row.
         mu, sd, rate = 1.3, 1e-12, -7.0
         z = rate * sd * np.linspace(-1.0, 1.0, 11)
-        r, b = _window_fit(mu, sd, z)
+        r, p = _window_fit(mu, sd, z)
         assert r == pytest.approx(rate, rel=1e-12)
-        assert b == pytest.approx(-rate * mu, rel=1e-12)
+        assert abs(p) <= 1e-12 * abs(rate) * sd
         rows = _window_fit(np.full(3, mu), np.full(3, sd), np.tile(z, (3, 1)))
-        assert np.array_equal(rows[0], np.full(3, r)) and np.array_equal(rows[1], np.full(3, b))
+        assert np.array_equal(rows[0], np.full(3, r)) and np.array_equal(rows[1], np.full(3, p))
 
 
 class TestBayesUpdate:
@@ -240,23 +213,23 @@ class TestBayesUpdate:
 
     def test_expected_posterior_variance_decreases(self):
         mu, var, r, b, f = 1.0, 0.01, 5.0, -1.2, 0.8
+        p = r * mu + b
         # Weight the two branches by the model evidence of each outcome.
         decay = math.exp(-(r**2) * var / 2)
         expected = 0.0
         for d in (0, 1):
             sign = 1 if d == 0 else -1
-            evidence = (1 + sign * f * decay * math.sin(r * mu + b)) / 2
-            expected += evidence * _posterior_moments(mu, var, r, b, f, d)[1]
+            evidence = (1 + sign * f * decay * math.sin(p)) / 2
+            expected += evidence * _posterior_moments(mu, var, r, p, f, d)[1]
         assert expected < var
 
 
-def termwise_posterior_moments(mu, var, r, b, f, d):
+def termwise_posterior_moments(mu, var, r, p, f, d):
     """The update written term by term, with np.where for the sign: the reference of ``_posterior_moments``."""
     sign = np.where(d, -1.0, 1.0)
     r2 = r * r
     decay = np.exp(-r2 * var / 2.0)
-    phase = r * mu + b
-    s_, c_ = np.sin(phase), np.cos(phase)
+    s_, c_ = np.sin(p), np.cos(p)
     signed = sign * f * decay
     den = 1.0 + signed * s_
     mu_next = mu + signed * r * var * c_ / den
@@ -280,8 +253,9 @@ class TestPosteriorMoments:
         r[block == 1] = 0.0
         r[block == 2] = np.sqrt(rng.uniform(1600.0, 1e6, n // 8) / var[block == 2]) * np.sign(r[block == 2])
         assert np.all(np.exp(-r[block == 2] ** 2 * var[block == 2] / 2.0) == 0.0)
-        mean, variance = _posterior_moments(mu, var, r, b, f, d)
-        ref_mean, ref_variance = termwise_posterior_moments(mu, var, r, b, f, d)
+        p = r * mu + b  # the fit's phase at the belief mean
+        mean, variance = _posterior_moments(mu, var, r, p, f, d)
+        ref_mean, ref_variance = termwise_posterior_moments(mu, var, r, p, f, d)
         np.testing.assert_allclose(mean, ref_mean, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(variance, ref_variance, rtol=1e-13, atol=0.0)
         prior = block <= 2
@@ -294,12 +268,12 @@ class TestPosteriorMoments:
     def test_matches_exact_quadrature(self, d, f, sigma):
         # Exact moments of prior x likelihood, (1 + (-1)^d f sin(r theta + b))/2,
         # integrated in the prior's standard units t = (theta - mu)/sigma so
-        # that narrow priors keep full relative precision.
+        # that narrow priors keep full relative precision; the update reads the phase r mu + b.
         rng = np.random.default_rng(int(1e4 * sigma) + 10 * d + int(10 * f))
         sign = 1.0 - 2.0 * d
         for _ in range(6):
             mu, r, b = rng.uniform(0.3, 2.8), rng.uniform(-20.0, 20.0), rng.uniform(-np.pi, np.pi)
-            mean, var = _posterior_moments(mu, sigma**2, r, b, f, d)
+            mean, var = _posterior_moments(mu, sigma**2, r, r * mu + b, f, d)
 
             def moment(k):
                 def weighted(t):
@@ -430,9 +404,9 @@ class TestRunEstimation:
         # a ValueError naming the round, after one update per round and no replay.
         calls = []
 
-        def spoiled(mu, var, r, b, f, d):
+        def spoiled(mu, var, r, p, f, d):
             calls.append(1)
-            mu_next, var_next = _posterior_moments(mu, var, r, b, f, d)
+            mu_next, var_next = _posterior_moments(mu, var, r, p, f, d)
             if len(calls) < 3:
                 return mu_next, var_next
             return (mu_next + bad, var_next) if moment == "mean" else (mu_next, np.full_like(var, bad))
@@ -502,11 +476,11 @@ class TestEngineEquivalence:
         with window_fits() as batch_fits:
             batch = _lockstep(f, mu, var, angles, uniforms, marks)
         assert len(single_fits) == len(batch_fits) == n
-        # The fit's (r, b) stay numpy scalars, not 1-element arrays, and the kept (d, mu, var, alive) one per round.
+        # The fit's (r, p) stay numpy scalars, not 1-element arrays, and the kept (d, mu, var, alive) one per round.
         assert all(np.ndim(v) == 0 for fit in single_fits for v in fit)
         assert [state.shape for state in single] == [(n,)] * 4 and [state.shape for state in batch] == [(n, width)] * 4
         got = np.column_stack([np.array(single_fits, dtype=float), *single[:3]])
-        want = np.column_stack([np.array([(r[col], b[col]) for r, b in batch_fits]), *(s[:, col] for s in batch[:3])])
+        want = np.column_stack([np.array([(r[col], p[col]) for r, p in batch_fits]), *(s[:, col] for s in batch[:3])])
         assert got.tobytes() == want.tobytes()
         assert single[3].all() and batch[3][:, col].all()
         assert 0 < single[0].sum() < n  # both outcomes occur
