@@ -129,8 +129,27 @@ class TestPiToTheta:
         assert abs(out.variance - ref_var) <= 1e-13 * ref_var
 
 
+def _clenshaw_curtis_reference(n):
+    """Clenshaw-Curtis nodes and weights of order n to 30 digits, not from the closed form: the symmetric
+    weights solve the even Chebyshev moment equations sum_k w_k T_2i(x_k) = 2 / (1 - 4 i^2), i = 0..n/2."""
+    with mpmath.workdps(30):
+        half = range(n // 2 + 1)
+        a = mpmath.matrix([[(1 if 2 * k == n else 2) * mpmath.cos(2 * i * k * mpmath.pi / n) for k in half] for i in half])
+        w = [float(v) for v in mpmath.lu_solve(a, mpmath.matrix([mpmath.mpf(2) / (1 - 4 * i * i) for i in half]))]
+        x = [float(mpmath.cos(k * mpmath.pi / n)) for k in range(n + 1)]
+    return np.array(x), np.array(w + w[: (n + 1) // 2][::-1])
+
+
 class TestClenshawCurtis:
     """``_clenshaw_curtis``, the rule of ``pi_to_theta``: its n + 1 nodes and exactness to degree n fix it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 51, inference.PI_TO_THETA_ORDER])
+    def test_matches_a_30_digit_moment_reference(self, n):
+        x, w = _clenshaw_curtis(n)
+        x_ref, w_ref = _clenshaw_curtis_reference(n)
+        # Within 2 ulp of 1 absolutely: about 1.1e-16 is measured for both, up to n = 100.
+        assert np.max(np.abs(x - x_ref)) <= 2 * np.spacing(1.0)
+        assert np.max(np.abs(w - w_ref)) <= 2 * np.spacing(1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 51, inference.PI_TO_THETA_ORDER])
     def test_integrates_monomials_to_degree_n(self, n):
