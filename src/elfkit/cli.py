@@ -256,6 +256,9 @@ def cmd_tune(cfg: dict) -> int:
 def cmd_table(cfg: dict) -> int:
     noise = NoiseModel(cfg["layer-fidelity"], cfg["spam-fidelity"])
     grid = np.linspace(cfg["grid-min"], cfg["grid-max"], cfg["grid"])
+    if (np.diff(grid) <= 0.0).any() or not (np.abs(grid) < 1.0).any():
+        flags = f"--grid {cfg['grid']}, --grid-min {cfg['grid-min']} and --grid-max {cfg['grid-max']}"
+        raise ValueError(f"{flags} must give a strictly increasing grid with a point in (-1, 1)")
 
     def progress(done: int, total: int) -> None:
         if done % 50 == 0 or done == total:

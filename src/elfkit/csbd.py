@@ -168,7 +168,6 @@ def sweep(scheme: Scheme, theta: float, x: np.ndarray, choose):
 
     For j = 1..2L, ``choose(j, coefficients)`` gets x_j's coefficients at the
     current x, whose x_1..x_j-1 are already updated, and returns the new x_j.
-    Returns the final prefix, the pair (Q, dQ/dtheta) of the updated x.
     ``x`` must hold valid angles (``algebra.canonical_angles``); it is not
     checked again.
     """
@@ -179,7 +178,6 @@ def sweep(scheme: Scheme, theta: float, x: np.ndarray, choose):
         z = choose(j + 1, _coefficients(scheme, ct, st, r, pre, u))
         x[j] = z
         pre = _factor_mul(ct, st, math.cos(z), math.sin(z), u, pre)
-    return pre
 
 
 def slopes(scheme: Scheme, theta: float, x: np.ndarray):

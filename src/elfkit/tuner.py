@@ -14,9 +14,9 @@ the BFGS finish below polishes the point within it.
 
 One sweep places each angle in its basin.  Further sweeps would only
 zig-zag along coupled ridges that the finish climbs anyway, so the swept
-point goes straight to a BFGS finish with Armijo backtracking.  Its value
-and gradient (``_value_and_gradient``) take O(L): a forward prefix pass and
-one backward pass of co-vectors by the conjugate factors (``csbd.slopes``).
+point goes straight to a BFGS finish, and only the finished point is scored.
+The finish's value and gradient (``_value_and_gradient``) take O(L): a
+forward prefix pass and one backward pass by the conjugate factors.
 
 A multi-start driver wraps the ascent.  The first start is always the
 Chebyshev point (pi/2, ..., pi/2), so a tuned objective is never worse than
@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import DEGENERATE_TOL, DOMAINS, angle_vectors, canonical_angles, check, check_fields, check_type
-from .bias import Scheme, _bias_pair, _readout, bias_series, clf_angles
+from .bias import Scheme, _bias_pair, bias_series, clf_angles
 from .csbd import CsbdCoefficients, slopes, sweep
 from .metrics import SINGULAR_TOL, NoiseModel, climbed
 
@@ -54,9 +54,9 @@ class Objective(Enum):
 class TuneSpec:
     """Inputs of one tuning problem.
 
-    Each start takes one coordinate sweep.  ``max_rounds`` governs only the
+    Each start takes one coordinate sweep.  ``max_rounds`` caps only the
     quasi-Newton finish after it, which stops when a step gains less than
-    ``_MIN_GAIN`` or after ``max_rounds`` steps.
+    ``_MIN_GAIN`` or would gain only rounding, or after ``max_rounds`` steps.
     """
 
     scheme: Scheme
@@ -153,11 +153,12 @@ def _coordinate_step_fisher(co: CsbdCoefficients, k: float, g: float, f: float, 
     return a / k
 
 
-# Armijo sufficient-increase constant, the cap on step halvings and the
-# least gain of a step that does not stop the quasi-Newton finish.
+# Armijo sufficient-increase constant, the cap on step halvings, the least gain of a step that does not stop
+# the quasi-Newton finish, and float64's machine epsilon: a predicted gain below EPS times the value is rounding.
 _ARMIJO = 1e-4
 _BACKTRACKS = 40
 _MIN_GAIN = 1e-8
+EPS = float(np.finfo(float).eps)
 
 
 def _quasi_newton(spec: TuneSpec, x: np.ndarray, first_step: float) -> tuple[np.ndarray, int]:
@@ -166,9 +167,11 @@ def _quasi_newton(spec: TuneSpec, x: np.ndarray, first_step: float) -> tuple[np.
     Each step backtracks from the quasi-Newton step until it passes the
     Armijo test.  Until the first curvature update the step is the gradient,
     shortened where needed so that no angle moves by more than
-    ``first_step``.  Stops when a step gains less than ``_MIN_GAIN``, when no
-    step length passes, or after ``max_rounds`` steps.  Returns the last
-    point and the number of steps taken.
+    ``first_step``.  Stops before a step whose predicted gain grad . p is at
+    most ``EPS`` times the value (so a start at its maximum takes none), after
+    one that gains less than ``_MIN_GAIN``, when no step length passes, or
+    after ``max_rounds`` steps.  Returns the last point (``canonical_angles``)
+    and the number of steps taken.
     """
     val, grad = _value_and_gradient(spec, x)
     h_inv = None  # inverse Hessian estimate of -value, set at the first update
@@ -179,7 +182,7 @@ def _quasi_newton(spec: TuneSpec, x: np.ndarray, first_step: float) -> tuple[np.
         else:
             p = h_inv @ grad
         slope = float(grad @ p)
-        if not slope > 0.0:
+        if not slope > EPS * val:
             break
         alpha = 1.0
         for _ in range(_BACKTRACKS):
@@ -205,18 +208,16 @@ def _quasi_newton(spec: TuneSpec, x: np.ndarray, first_step: float) -> tuple[np.
         rho = 1.0 / sy
         w = np.multiply.outer(hy, s)  # its transpose is outer(s, hy) bit for bit
         h_inv += (rho * rho * float(y @ hy) + rho) * np.multiply.outer(s, s) - rho * (w + w.T)
-    return x, steps
+    return canonical_angles(x), steps
 
 
 def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, float, int]:
     """One coordinate sweep to find the basin, then a quasi-Newton finish.
 
-    Returns the better of the swept point, scored off the sweep's final
-    prefix pair, and the finished point; its ``objective_value``; and 1 + the
-    finish's steps.
+    Returns the finished point, its ``objective_value`` and 1 + the finish's steps.
     """
     x = canonical_angles(x0)
-    g, f, report = _weights(spec)
+    g, f, _ = _weights(spec)
     k = spec.scheme.angle_scale
 
     def choose(j: int, co: CsbdCoefficients) -> float:
@@ -224,14 +225,9 @@ def _coordinate_ascent(spec: TuneSpec, x0: np.ndarray) -> tuple[np.ndarray, floa
         # Into (-pi, pi], bit for bit as ``canonical_angles``.
         return math.pi - math.fmod((math.pi - z) % (2.0 * math.pi), 2.0 * math.pi)
 
-    q, dq = sweep(spec.scheme, spec.mu, x, choose)
-    val = report(climbed(g, f, *_readout(spec.scheme, math.cos(spec.mu), math.sin(spec.mu), q, dq)))
+    sweep(spec.scheme, spec.mu, x, choose)
     # The finish's first step moves no angle by more than one scan-grid step, 2 pi / (k SCAN_POINTS).
-    x_fin, steps = _quasi_newton(spec, x, 2.0 * math.pi / (k * SCAN_POINTS))
-    x_fin = canonical_angles(x_fin)
-    # Ties keep the swept point, so a next warm start repeating the Chebyshev start is skipped (128 ascents, not 160).
-    if (val_fin := objective_value(spec, x_fin)) > val:
-        return x_fin, val_fin, 1 + steps
+    x, steps = _quasi_newton(spec, x, 2.0 * math.pi / (k * SCAN_POINTS))
     return x, objective_value(spec, x), 1 + steps
 
 

@@ -23,10 +23,18 @@ All configs use the benchmark's device (layer fidelity 0.95, SPAM fidelity
   that a run which stays at its prior mean shows its error, as it need not
   where the prior is centred on Pi; ``deep/af-clf-L6``, true Pi 0.1 under a
   prior 0.12 +- 0.03; and ``edge/ab-clf-L3``, AB at the edge rows' Pi and
-  prior.
+  prior;
+- ``bayes/...``: the truth drawn from the prior (ROADMAP direction 19), at the
+  Chebyshev angles, one ``run_estimation`` call per run: ``wide/`` rows AF
+  L = 1 and 3 and AB L = 3 under the prior 0 +- 0.3 at horizon 3000, and
+  ``narrow/af-clf-L3`` under 0.3 +- 0.03 at horizon 1400.  Each run draws its
+  true theta from the engine's own theta prior, ``pi_to_theta(prior)``,
+  redrawn until it lies in (0, pi), on a stream keyed by the run index
+  (``SeedSequence(master, spawn_key=(run,))``), apart from the run's outcome
+  stream (seed master * 10^6 + run, as the ``near/`` rows).
 
-For each config and master seed a census records the final RMSE in Pi over
-the runs that were not excluded, with a bootstrap 95% interval (1000
+For each other config and master seed a census records the final RMSE in
+Pi over the runs that were not excluded, with a bootstrap 95% interval (1000
 resamples), the runs whose final estimate lies more than 5 perceived sd from
 Pi, the share within 3 perceived sd, the excluded runs, and whether the
 experiment aborted.  A ``run_experiment`` config also runs its ``standard``
@@ -40,12 +48,18 @@ an aborting one too, also records ``rhat0_ratio``: ``metrics.rhat0`` of the
 angles its runs use at the true Pi (the Chebyshev angles, or the valid table
 entry nearest the true Pi, ``tests/table_oracle.py``) over standard
 sampling's rate f0^2 / (1 - f0^2 Pi^2), the predicted form of the rate ratio.
-``--quick`` writes two Chebyshev configs at 64 runs.
+A ``bayes/`` row records instead, over the runs not excluded, the
+final theta-RMSE against each run's truth and the calibration ratio
+E[(theta* - m)^2] / E[v] of the final theta moments (m, v), which is 1 for the
+exact posterior, each with a bootstrap 95% interval over the same resamples,
+the runs beyond 5 sd and the excluded runs.  ``--quick`` writes two Chebyshev
+configs at 64 runs, and no ``bayes/`` row.
 
 ``compare`` lists each config that the new file does worse on, and exits 1 if
 there is any: a seed newly aborted, more excluded runs or more runs beyond
 5 sd over the seeds, a final RMSE above the old file's upper bound at some
-seed, a rate ratio below the old file's lower bound at some seed, an
+seed, a theta-RMSE or calibration ratio above the old file's upper bound at
+some seed, a rate ratio below the old file's lower bound at some seed, an
 ``rhat0`` ratio below the old file's at some seed (a file without ratios
 counts as having none), or a config that only the old file holds.  A config
 that only the new file holds is listed as added, which is no regression.
@@ -61,7 +75,7 @@ import numpy as np
 
 import census_cli
 from elfkit.bias import Scheme
-from elfkit.inference import EstimationConfig, run_estimation
+from elfkit.inference import EstimationConfig, pi_to_theta, run_estimation
 from elfkit.metrics import GaussianBelief, NoiseModel, rhat0
 from elfkit.sim import FIT_WINDOW_FRACTION, ExperimentConfig, _growth_rate, run_experiment
 from elfkit.tuner import build_lookup_table, chebyshev_table
@@ -76,7 +90,7 @@ BOOTSTRAP = 1000
 class Config(NamedTuple):
     scheme: str
     layers: int
-    true_pi: float
+    true_pi: float | None  # None for a ``bayes/`` row, whose runs draw theirs
     prior_mean: float
     prior_sd: float
     horizon: int
@@ -118,6 +132,11 @@ CONFIGS = {
     },
     "deep/af-clf-L6": Config("af-clf", 6, 0.1, 0.12, 0.03, 3000, None),
     "edge/ab-clf-L3": Config("ab-clf", 3, -0.995, -0.9, 0.1, 3000, None),
+    **{
+        f"bayes/wide/{scheme}-L{layers}": Config(scheme, layers, None, 0.0, 0.3, 3000, None)
+        for scheme, layers in (("af-clf", 1), ("af-clf", 3), ("ab-clf", 3))
+    },
+    "bayes/narrow/af-clf-L3": Config("af-clf", 3, None, 0.3, 0.03, 1400, None),
 }
 QUICK = ("bench/af-clf-L3/pi+0.1", "near/ab-clf-L1/pi+0.995")
 
@@ -128,6 +147,10 @@ def _table(key):
     if key == L3_TABLE:
         return build_lookup_table(scheme, layers, DEVICE, 41, restarts=10, seed=1, max_rounds=100)
     return build_lookup_table(scheme, layers, DEVICE, 17, restarts=2, seed=2020, max_rounds=50)
+
+
+def _bias_scheme(config: Config) -> Scheme:
+    return Scheme.AB if config.scheme.startswith("ab") else Scheme.AF
 
 
 def _final_beliefs(name: str, table, runs: int, master: int):
@@ -148,7 +171,7 @@ def _final_beliefs(name: str, table, runs: int, master: int):
         alive = np.ones(runs, dtype=bool)
         alive[traces.excluded_runs] = False
         return traces.estimates[:, -1], traces.perceived_var[:, -1], alive, (traces, twin)
-    bias_scheme = Scheme.AB if scheme.startswith("ab") else Scheme.AF
+    bias_scheme = _bias_scheme(CONFIGS[name])
     est, var, alive = np.zeros(runs), np.ones(runs), np.ones(runs, dtype=bool)
     for i in range(runs):
         run = EstimationConfig(bias_scheme, layers, DEVICE, prior, true_pi, horizon, master * 10**6 + i, "clf")
@@ -163,7 +186,7 @@ def _final_beliefs(name: str, table, runs: int, master: int):
 
 def _rhat0_ratio(config: Config, table) -> float:
     """``rhat0`` of the angles a config's runs use at its true Pi over standard sampling's f0^2 / (1 - f0^2 Pi^2)."""
-    scheme, f0 = Scheme.AB if config.scheme.startswith("ab") else Scheme.AF, DEVICE.spam_fidelity
+    scheme, f0 = _bias_scheme(config), DEVICE.spam_fidelity
     angles = nearest_valid_entry(table or chebyshev_table(config.layers), config.true_pi).angles
     rate = rhat0(scheme, config.true_pi, DEVICE.process_fidelity(config.layers), angles)
     return rate * (1.0 - (f0 * config.true_pi) ** 2) / f0**2
@@ -177,8 +200,47 @@ def _growth_rates(traces, resamples, true_pi: float, horizon: int) -> np.ndarray
         return np.array([_growth_rate(times, 1.0 / err_sq[rows].mean(axis=0), horizon) for rows in resamples])
 
 
+def bayes_census(config: Config, runs: int, master: int) -> dict:
+    """The theta figures of a ``bayes/`` row at one master seed, each run's truth drawn from the theta prior."""
+    prior = GaussianBelief(config.prior_mean, config.prior_sd**2)
+    theta_prior = pi_to_theta(prior)
+    truth, mean, var = np.zeros(runs), np.zeros(runs), np.ones(runs)
+    alive = np.ones(runs, dtype=bool)
+    for i in range(runs):
+        draws = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(i,)))
+        while not 0.0 < (theta := draws.normal(theta_prior.mean, theta_prior.std)) < math.pi:
+            pass
+        truth[i] = theta
+        run = EstimationConfig(
+            _bias_scheme(config), config.layers, DEVICE, prior, math.cos(theta), config.horizon, master * 10**6 + i, "clf"
+        )
+        try:
+            last = run_estimation(run)[-1]
+        except ValueError:  # the run's update left the Gaussians: it is excluded
+            alive[i] = False
+            continue
+        mean[i], var[i] = last.theta_mean, last.theta_variance
+    sq, v = (truth - mean)[alive] ** 2, var[alive]
+    picks = np.random.default_rng(0).integers(0, sq.size, (BOOTSTRAP, sq.size))
+    rmse_lo, rmse_hi = np.percentile(np.sqrt(sq[picks].mean(axis=1)), [2.5, 97.5])
+    ratio_lo, ratio_hi = np.percentile(sq[picks].mean(axis=1) / v[picks].mean(axis=1), [2.5, 97.5])
+    return {
+        "aborted": False,
+        "theta_rmse": float(np.sqrt(sq.mean())),
+        "theta_rmse_lo": float(rmse_lo),
+        "theta_rmse_hi": float(rmse_hi),
+        "calibration": float(sq.mean() / v.mean()),
+        "calibration_lo": float(ratio_lo),
+        "calibration_hi": float(ratio_hi),
+        "beyond_5sd": int(np.count_nonzero(sq > 25.0 * v)),
+        "excluded": int(np.count_nonzero(~alive)),
+    }
+
+
 def census(name: str, table, runs: int, master: int) -> dict:
     """The figures of one config at one master seed."""
+    if name.startswith("bayes/"):
+        return bayes_census(CONFIGS[name], runs, master)
     true_pi, horizon = CONFIGS[name].true_pi, CONFIGS[name].horizon
     predicted = {} if name.startswith("near/") else {"rhat0_ratio": _rhat0_ratio(CONFIGS[name], table)}
     beliefs = _final_beliefs(name, table, runs, master)
@@ -239,8 +301,13 @@ def regressions(old: dict, new: dict) -> tuple[list[str], bool]:
         for key in ("excluded", "beyond_5sd"):
             if (m := sum(b[s][key] for s in done)) > (n := sum(a[s][key] for s in done)):
                 why.append(f"{key} {m} > {n}")
-        why += [f"{s} rmse {b[s]['final_rmse']:.4g} > {a[s]['rmse_hi']:.4g}" for s in done
-                if b[s]["final_rmse"] > a[s]["rmse_hi"]]
+        for label, key, hi in (
+            ("rmse", "final_rmse", "rmse_hi"),
+            ("theta rmse", "theta_rmse", "theta_rmse_hi"),
+            ("calibration", "calibration", "calibration_hi"),
+        ):
+            why += [f"{s} {label} {b[s][key]:.4g} > {a[s][hi]:.4g}" for s in done
+                    if b[s].get(key, -math.inf) > a[s].get(hi, math.inf)]
         why += [f"{s} rate ratio {b[s]['rate_ratio']:.4g} < {a[s]['ratio_lo']:.4g}" for s in done
                 if b[s].get("rate_ratio", math.inf) < a[s].get("ratio_lo", -math.inf)]
         why += [f"{s} rhat0 ratio {b[s]['rhat0_ratio']:.6g} < {a[s]['rhat0_ratio']:.6g}" for s in sorted(a.keys() & b.keys())
@@ -252,13 +319,19 @@ def regressions(old: dict, new: dict) -> tuple[list[str], bool]:
 
 def summary(items: dict) -> list[str]:
     """One line per config: the range over seeds of the final RMSE, of the runs beyond 5 sd and of the ratios to
-    standard sampling, and the aborts."""
+    standard sampling, and the aborts; for a ``bayes/`` row, each seed's theta-RMSE and calibration ratio with their
+    intervals, and the runs beyond 5 sd."""
     lines = []
     for name, seeds in items.items():
         done = [v for v in seeds.values() if not v["aborted"]]
         aborts = len(seeds) - len(done)
         text = f"{name}: aborts {aborts}/{len(seeds)}"
-        if done:
+        if name.startswith("bayes/"):
+            for s, v in seeds.items():
+                text += f"; {s} theta rmse {v['theta_rmse']:.3g} [{v['theta_rmse_lo']:.3g}, {v['theta_rmse_hi']:.3g}]"
+                text += f", calibration {v['calibration']:.3g} [{v['calibration_lo']:.3g}, {v['calibration_hi']:.3g}]"
+                text += f", beyond 5 sd {v['beyond_5sd']}, excluded {v['excluded']}"
+        elif done:
             rmse = [v["final_rmse"] for v in done]
             beyond = [v["beyond_5sd"] for v in done]
             excluded = sum(v["excluded"] for v in done)

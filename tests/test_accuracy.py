@@ -1,10 +1,35 @@
 """The accuracy census runs, its figures hang together, and its compare mode flags a planted regression
-(rate-ratio and rhat0-ratio drops among them) but not an added config or a file without ratios."""
+(rate-ratio and rhat0-ratio drops and a calibration rise among them) but not an added config or a file without
+ratios; the narrow ``bayes/`` row at one seed is calibrated."""
 
 import json
 
+import pytest
 
-def test_write_and_compare_flag_a_planted_regression(tmp_path, run_script):
+import accuracy
+
+# The narrow ``bayes/`` row's calibration ratio E[(theta* - m)^2] / E[v] over 256 runs read 0.892-1.279 at master
+# seeds 0-19 (mean 1.070, sd 0.111); the band widens that range by a margin of 0.1, about one sd.
+NARROW = "bayes/narrow/af-clf-L3"
+CALIBRATION_BAND = (0.79, 1.38)
+
+
+@pytest.fixture(scope="module")
+def narrow_row():
+    return accuracy.bayes_census(accuracy.CONFIGS[NARROW], 256, 0)
+
+
+def test_the_narrow_bayes_row_is_calibrated(narrow_row):
+    # Truth drawn from the engine's own prior: the exact posterior's ratio is 1, and a Gaussian belief that
+    # tracks it stays in the band, with every run kept and none beyond 5 sd.
+    lo, hi = CALIBRATION_BAND
+    assert lo <= narrow_row["calibration"] <= hi
+    assert narrow_row["calibration_lo"] <= narrow_row["calibration"] <= narrow_row["calibration_hi"]
+    assert narrow_row["theta_rmse_lo"] <= narrow_row["theta_rmse"] <= narrow_row["theta_rmse_hi"]
+    assert (narrow_row["excluded"], narrow_row["beyond_5sd"]) == (0, 0)
+
+
+def test_write_and_compare_flag_a_planted_regression(tmp_path, run_script, narrow_row):
     old = tmp_path / "old.json"
     run = run_script("accuracy.py", "write", str(old), "--quick")
     assert run.returncode == 0, run.stderr
@@ -24,15 +49,20 @@ def test_write_and_compare_flag_a_planted_regression(tmp_path, run_script):
         assert v["ratio_lo"] <= v["rate_ratio"] <= v["ratio_hi"] and v["rate_ratio"] > 1.0
     assert len({v["rhat0_ratio"] for v in items[first].values()}) == 1 and items[first]["seed0"]["rhat0_ratio"] > 1.0
     assert not any("rate_ratio" in v or "rhat0_ratio" in v for v in items[second].values())
+    # The quick census holds no bayes/ row; the old file takes the narrow one at every seed.
+    items[NARROW] = {s: narrow_row for s in ("seed0", "seed1", "seed2")}
+    old.write_text(json.dumps(items))
 
     # Plant a regression in each config: an RMSE above the old upper bound, a rate ratio below the
-    # old lower bound and a smaller rhat0 ratio, and an aborted seed with one more run beyond 5 sd on another.
+    # old lower bound and a smaller rhat0 ratio, an aborted seed with one more run beyond 5 sd on another,
+    # and a calibration ratio above the old upper bound.
     planted = json.loads(old.read_text())
     planted[first]["seed1"]["final_rmse"] = 2.0 * items[first]["seed1"]["rmse_hi"]
     planted[first]["seed2"]["rate_ratio"] = 0.5 * items[first]["seed2"]["ratio_lo"]
     planted[first]["seed0"]["rhat0_ratio"] *= 0.999
     planted[second]["seed0"] = {"aborted": True}
     planted[second]["seed2"]["beyond_5sd"] += 1
+    planted[NARROW]["seed1"]["calibration"] = 1.01 * narrow_row["calibration_hi"]
     new = tmp_path / "new.json"
     new.write_text(json.dumps(planted))
     same = run_script("accuracy.py", "compare", str(old), str(old))
@@ -40,7 +70,9 @@ def test_write_and_compare_flag_a_planted_regression(tmp_path, run_script):
     diff = run_script("accuracy.py", "compare", str(old), str(new))
     assert diff.returncode == 1
     lines = diff.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == [first, second]
+    assert [line.split(":")[0] for line in lines] == [NARROW, first, second]
+    raised, hi = planted[NARROW]["seed1"]["calibration"], narrow_row["calibration_hi"]
+    assert lines.pop(0) == f"{NARROW}: seed1 calibration {raised:.4g} > {hi:.4g}"
     beyond = sum(items[second][s]["beyond_5sd"] for s in ("seed1", "seed2"))
     assert "seed1 rmse" in lines[0] and "seed2 rate ratio" in lines[0] and "seed0 rhat0 ratio" in lines[0]
     assert "seed1 rhat0" not in lines[0] and "seed2 rhat0" not in lines[0]

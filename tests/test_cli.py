@@ -346,12 +346,19 @@ def test_runtime_rejects_infidelities_outside_unit_interval(args, flag, tmp_path
     assert not (tmp_path / "rt.csv").exists()
 
 
-def test_table_rejects_grid_ends_out_of_order_before_tuning(tmp_path, capsys, monkeypatch):
-    # The checks of LookupTable run before the first point is tuned: a usage error (2), no output.
+@pytest.mark.parametrize(
+    ("grid", "lo", "hi"),
+    [("9", "0.5", "-0.5"), ("2", "-1.0", "1.0")],
+    ids=["ends-out-of-order", "no-inner-point"],
+)
+def test_table_rejects_a_bad_grid_before_tuning(grid, lo, hi, tmp_path, capsys, monkeypatch):
+    # A grid out of order, or one whose every point sits at Pi = +-1 (so every entry would be flagged), is a
+    # usage error (2) naming the three grid flags, raised before the first point is tuned: no output.
     monkeypatch.setattr("elfkit.tuner.tune", lambda *a, **k: pytest.fail("tuned a point"))
-    argv = ["table", "--grid", "9", "--grid-min", "0.5", "--grid-max", "-0.5", "--seed", "1"]
+    argv = ["table", "--grid", grid, "--grid-min", lo, "--grid-max", hi, "--seed", "1"]
     assert main(argv + ["--out", str(tmp_path / "t")]) == 2
-    assert "grid must be strictly increasing" in capsys.readouterr().err
+    flags = f"--grid {grid}, --grid-min {lo} and --grid-max {hi}"
+    assert capsys.readouterr().err == f"error: {flags} must give a strictly increasing grid with a point in (-1, 1)\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -572,8 +579,7 @@ _SWEEP_BASE = {
     "runtime": ["--points", "2"],
 }
 # The library's own checks that a domain leaves in place name a field, not the flag:
-# horizon >= 2L + 1, a mu within 1e-12 of a multiple of pi, table grid ends out of
-# order, a table grid whose every point sits at Pi = +-1, and the runtime bounds' SPAM
+# horizon >= 2L + 1, a mu within 1e-12 of a multiple of pi, and the runtime bounds' SPAM
 # fidelity, whose square must stay a positive float.  These may refuse an in-domain
 # value; each of _RULES below must.
 _LIBRARY_MESSAGES = {
@@ -583,21 +589,35 @@ _LIBRARY_MESSAGES = {
     ("simulate", "horizon"): "horizon must be >= ",
     ("simulate-af-elf", "horizon"): "horizon must be >= ",
     ("tune", "mu"): "mu=",
-    ("table", "grid-min"): "grid must be strictly increasing",
-    ("table", "grid-max"): "grid must be strictly increasing",
-    ("table", "grid"): "lookup table has no valid entries",
 }
 
 # The rules that must refuse an in-domain value, like ``_RULES`` in test_domains.py: the end of the
 # message, the values refused, and values the sweep adds.  A scan's grid must give distinct Pi
 # values with |Pi| < 1: fisher's theta ends whose cos rounds to +-1 give a Pi = +-1 entry, flagged.
+# A table's grid must be strictly increasing and hold a point with |Pi| < 1: on the sweep base's
+# 3 points over [-1, 1], an end too close to the other leaves no room for three distinct floats,
+# and 2 points are Pi = -1 and 1 alone.
+_TABLE_GRID = "must give a strictly increasing grid with a point in (-1, 1)"
 _RULES = {
-    ("scan", end): (
-        "must give distinct Pi values in (-1, 1)",
-        lambda v: 0.0 < v < math.pi and abs(math.cos(v)) == 1.0,
-        ["1e-09"],
-    )
-    for end in ("min", "max")
+    **{
+        ("scan", end): (
+            "must give distinct Pi values in (-1, 1)",
+            lambda v: 0.0 < v < math.pi and abs(math.cos(v)) == 1.0,
+            ["1e-09"],
+        )
+        for end in ("min", "max")
+    },
+    ("table", "grid-min"): (
+        _TABLE_GRID,
+        lambda v: -1.0 <= v <= 1.0 and not (np.diff(np.linspace(v, 1.0, 3)) > 0.0).all(),
+        [],
+    ),
+    ("table", "grid-max"): (
+        _TABLE_GRID,
+        lambda v: -1.0 <= v <= 1.0 and not (np.diff(np.linspace(-1.0, v, 3)) > 0.0).all(),
+        [],
+    ),
+    ("table", "grid"): (_TABLE_GRID, lambda v: v == 2.0, []),
 }
 _NO_RULE = ("", lambda v: False, [])
 

@@ -569,7 +569,7 @@ class TestDiagnostics:
 
 # The fit leaves 58-70 of 256 runs beyond 5 perceived sd at a prior sd of 0.3 (73-77% within 3).
 _WRONG_MODE = pytest.mark.xfail(
-    strict=True, reason="known defect: the Gaussian belief locks onto the wrong mode when its window spans branches"
+    reason="known defect: the Gaussian belief locks onto the wrong mode when its window spans branches"
 )
 
 
