@@ -10,7 +10,7 @@ from elfkit import tuner
 from elfkit.bias import Scheme, bias_derivative, bias_series, clf_angles
 from elfkit.algebra import canonical_angles
 from elfkit.csbd import CoefficientTable, sweep
-from elfkit.metrics import NoiseModel, fisher_information
+from elfkit.metrics import NoiseModel, climbed, fisher_information
 from slope_oracle import analytic_l1_slope_optimum, l1_slope_breakpoints
 from table_oracle import nearest_valid_entry
 from elfkit.tuner import (
@@ -24,6 +24,7 @@ from elfkit.tuner import (
     tune,
     _coordinate_step_fisher,
     _value_and_gradient,
+    _weights,
     _SCAN_BASIS,
 )
 
@@ -325,6 +326,33 @@ class TestFisherStepOracle:
                         assert climbed(k * step) >= grid_max - 1e-12 * abs(grid_max)
                         assert climbed(k * step) >= climbed(k * current)
         assert kept >= 2 * 2000
+
+
+class TestSweepObjective:
+    @pytest.mark.parametrize("scheme", [Scheme.AF, Scheme.AB])
+    @pytest.mark.parametrize("objective", [Objective.FISHER, Objective.SLOPE])
+    def test_matches_objective_value(self, scheme, objective):
+        # The ascent chooses each angle off the sinusoids that the sweep hands
+        # it: at x_j = z they give the objective of the current x with x_j
+        # replaced, whose earlier angles the sweep has already updated.
+        rng = np.random.default_rng(17)
+        for layers in (1, 2, 3, 8):
+            spec = TuneSpec(scheme, layers, rng.uniform(0.1, 3.0), rng.uniform(0.5, 1.0), objective)
+            k = scheme.angle_scale
+            x = rng.uniform(-np.pi, np.pi, 2 * layers)
+            g, f, report = _weights(spec)
+
+            def choose(j, co):
+                z = rng.uniform(-np.pi, np.pi)
+                cz, sz = math.cos(k * z), math.sin(k * z)
+                pair = (co.c * cz + co.s * sz + co.b, co.c_prime * cz + co.s_prime * sz + co.b_prime)
+                y = x.copy()
+                y[j - 1] = z
+                assert report(climbed(g, f, *pair)) == pytest.approx(objective_value(spec, y), rel=1e-12)
+                return z
+
+            for _ in range(3):
+                sweep(spec.scheme, spec.mu, x, choose)
 
 
 class TestGradientCorrectness:
