@@ -20,6 +20,9 @@ each quantity, from ``_SCAN_ENDS``, against which ``cmd_scan`` checks them.
 ``scan`` tunes its angles with ``tuner.build_lookup_table`` on its grid
 mapped to Pi (cos theta for ``fisher`` and ``slope``), so a scan point is a
 table entry, and it writes its rows in the order of its own grid.
+``tune``, ``table`` and ``scan`` declare a tuning problem's options once
+(``_TUNER``, and ``_OBJECTIVE`` for the first two), with ``TuneSpec``'s
+defaults, which ``simulate --restarts`` also takes.
 
 Two scales share the name "slope": ``tune --objective slope`` reports the
 bias slope |d(bias)/dtheta|, and ``scan --quantity slope`` the likelihood
@@ -77,26 +80,28 @@ _NOISE = (
     Opt("layer-fidelity", float, 1.0, help="per-layer process fidelity p"),
     Opt("spam-fidelity", float, 1.0, help="SPAM fidelity"),
 )
+# A tuning problem's options, with TuneSpec's defaults; tune and table also share the objective.
+_TUNER = (
+    Opt("scheme", str, "af", choices=tuple(s.value for s in Scheme)),
+    Opt("layers", int, 1),
+    Opt("restarts", int, TuneSpec.restarts),
+    Opt("max-rounds", int, TuneSpec.max_rounds),
+)
+_OBJECTIVE = Opt(
+    "objective",
+    str,
+    TuneSpec.objective.value,
+    choices=tuple(o.value for o in Objective),
+    help="slope reports |d(bias)/dtheta|",
+)
 
 OPTIONS: dict[str, tuple[Opt, ...]] = {
-    "tune": _COMMON
-    + _NOISE
-    + (
-        Opt("scheme", str, "af", choices=("af", "ab")),
-        Opt("objective", str, "fisher", choices=("fisher", "slope"), help="slope reports |d(bias)/dtheta|"),
-        Opt("mu", float, required=True, help="tuning point theta"),
-        Opt("layers", int, 1),
-        Opt("restarts", int, 10),
-        Opt("max-rounds", int, 500),
-    ),
+    "tune": _COMMON + _NOISE + _TUNER + (_OBJECTIVE, Opt("mu", float, required=True, help="tuning point theta")),
     "table": _COMMON
     + _NOISE
+    + _TUNER
     + (
-        Opt("scheme", str, "af", choices=("af", "ab")),
-        Opt("objective", str, "fisher", choices=("fisher", "slope")),
-        Opt("layers", int, 1),
-        Opt("restarts", int, 10),
-        Opt("max-rounds", int, 500),
+        _OBJECTIVE,
         Opt("grid", int, 4001, help="uniform grid size over [grid-min, grid-max]", domain="[2, inf)"),
         Opt("grid-min", float, -1.0, domain=DOMAINS["grid_point"]),
         Opt("grid-max", float, 1.0, domain=DOMAINS["grid_point"]),
@@ -104,15 +109,12 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
     ),
     "scan": _COMMON
     + _NOISE
+    + _TUNER
     + (
         Opt("quantity", str, "fisher", choices=("fisher", "slope", "rhat0"), help="slope is f |d(bias)/dtheta| / 2"),
-        Opt("scheme", str, "af", choices=("af", "ab")),
-        Opt("layers", int, 1),
         Opt("points", int, 41, domain="[2, inf)"),
         Opt("min", float, help=f"grid start (theta, or Pi for rhat0); domain {_ENDS}", domain="(-inf, inf)"),
         Opt("max", float, help=f"grid end; domain {_ENDS}", domain="(-inf, inf)"),
-        Opt("restarts", int, 10),
-        Opt("max-rounds", int, 500),
         Opt("out", str, "scan", help="output prefix (.csv and .json; a trailing .csv or .json is dropped)"),
     ),
     "simulate": _COMMON
@@ -128,7 +130,7 @@ OPTIONS: dict[str, tuple[Opt, ...]] = {
         Opt("horizon", int, 20000, help="total time budget in ansatz durations"),
         Opt("table", str, help="lookup-table JSON for the engineered schemes"),
         Opt("table-grid", int, 41, help="on-the-fly table size; its ends, Pi = +-1, are flagged", domain="[3, inf)"),
-        Opt("restarts", int, 10, help="restarts for on-the-fly table tuning"),
+        Opt("restarts", int, TuneSpec.restarts, help="restarts for on-the-fly table tuning"),
         Opt("threads", int, 1, help="at most this many worker processes (outputs are independent of it)"),
         Opt("out", str, "experiment", help="output prefix (.csv and .json; a trailing .csv or .json is dropped)"),
     ),

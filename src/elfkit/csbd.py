@@ -154,7 +154,7 @@ class CoefficientTable:
         if x.ndim != 1:
             raise ValueError("angle vector must be one-dimensional")
         self._record: list[CsbdCoefficients] = []
-        sweep(scheme, theta, x.copy(), lambda j, co: self._record.append(co) or x[j - 1])
+        sweep(scheme, theta, x, lambda j, co: self._record.append(co) or x[j - 1])
 
     def coefficients(self, j: int) -> CsbdCoefficients:
         """CSBD coefficients of the bias with respect to x_j (1-based)."""
@@ -174,10 +174,9 @@ def sweep(scheme: Scheme, theta: float, x: np.ndarray, choose):
     ct, st, cx, sx = trig(theta, x)
     pre = _IDENTITY_PAIR
     for j, r in enumerate(_backward(ct, st, cx, sx, _IDENTITY_PAIR)):
-        u = j % 2 == 0
-        z = choose(j + 1, _coefficients(scheme, ct, st, r, pre, u))
-        x[j] = z
-        pre = _factor_mul(ct, st, math.cos(z), math.sin(z), u, pre)
+        if j:  # x_j's prefix: the previous coordinate's factor, at its new angle, times that one's prefix
+            pre = _factor_mul(ct, st, math.cos(z), math.sin(z), j % 2 == 1, pre)
+        z = x[j] = choose(j + 1, _coefficients(scheme, ct, st, r, pre, j % 2 == 0))
 
 
 def slopes(scheme: Scheme, theta: float, x: np.ndarray):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -52,7 +52,7 @@ class Objective(Enum):
 
 @dataclass(frozen=True)
 class TuneSpec:
-    """Inputs of one tuning problem.
+    """Inputs of one tuning problem; its defaults are also ``build_lookup_table``'s and the CLI's.
 
     Each start takes one coordinate sweep.  ``max_rounds`` caps only the
     quasi-Newton finish after it, which stops when a step gains less than
@@ -388,11 +388,11 @@ def build_lookup_table(
     layers: int,
     noise: NoiseModel,
     grid_spec,
-    restarts: int = 10,
-    seed: int = 0,
-    objective: Objective = Objective.FISHER,
+    restarts: int = TuneSpec.restarts,
+    seed: int = TuneSpec.seed,
+    objective: Objective = TuneSpec.objective,
     progress=None,
-    max_rounds: int = 500,
+    max_rounds: int = TuneSpec.max_rounds,
 ) -> LookupTable:
     """Tune one angle vector per grid point, warm-starting from the neighbor.
 
@@ -400,15 +400,13 @@ def build_lookup_table(
     an explicit increasing sequence of estimand values.  Grid points at +-1
     are emitted flagged (the estimand angle would be degenerate), as are points
     where every start is singular (noiseless, within about 1e-8 of +-1); a
-    flagged point warm-starts no other.  The arguments and the grid are
-    checked before any point is tuned.  Each point's ``TuneSpec`` takes
-    ``objective``, ``restarts`` and ``max_rounds`` from here.
+    flagged point warm-starts no other.  One ``TuneSpec`` of the arguments,
+    built before the grid is read, checks them (``noise`` is checked here);
+    each point's spec is that one at the point's theta and seed.
     """
-    for name, value in (("layers", layers), ("restarts", restarts), ("seed", seed), ("max_rounds", max_rounds)):
-        check(name, value)
-    check_type("scheme", scheme, Scheme)
     check_type("noise", noise, NoiseModel)
-    check_type("objective", objective, Objective)
+    f = noise.process_fidelity(layers)
+    base = TuneSpec(scheme, layers, math.pi / 2.0, f, objective, restarts, seed, max_rounds)
     if isinstance(grid_spec, (int, np.integer)):
         grid = np.linspace(-1.0, 1.0, max(int(grid_spec), 0))
     else:
@@ -417,15 +415,12 @@ def build_lookup_table(
         raise ValueError("grid must have at least 2 points")
     _check_grid(grid)
     point_seeds = np.random.SeedSequence(seed).generate_state(grid.size, dtype=np.uint64)
-    f = noise.process_fidelity(layers)
     entries: list[TableEntry] = []
     prev_x: np.ndarray | None = None
     for i, pi in enumerate(grid):
         result = None
         if abs(pi) < 1.0:
-            spec = TuneSpec(
-                scheme, layers, math.acos(pi), f, objective, restarts, int(point_seeds[i]), max_rounds=max_rounds
-            )
+            spec = replace(base, mu=math.acos(pi), seed=int(point_seeds[i]))
             result = tune(spec, warm_starts=() if prev_x is None else (prev_x,))
         if result is None or result.objective_value == -math.inf:
             entries.append(TableEntry(float(pi), None, None, DEGENERATE_FLAG))
@@ -444,7 +439,7 @@ def build_lookup_table(
         if j == grid.size or grid[j] > -entry.pi + 1e-12 or entry.angles is None or tuned[j].angles is None:
             continue
         x = canonical_angles(tuned[j].angles * np.tile([1.0, -1.0], layers))
-        value = objective_value(TuneSpec(scheme, layers, math.acos(entry.pi), f, objective), x)
+        value = objective_value(replace(base, mu=math.acos(entry.pi)), x)
         if value > entry.objective:
             entries[i] = TableEntry(entry.pi, x, value)
     metadata = {

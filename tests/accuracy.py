@@ -26,8 +26,9 @@ All configs use the benchmark's device (layer fidelity 0.95, SPAM fidelity
   prior;
 - ``bayes/...``: the truth drawn from the prior (ROADMAP direction 19), at the
   Chebyshev angles, one ``run_estimation`` call per run: ``wide/`` rows AF
-  L = 1 and 3 and AB L = 3 under the prior 0 +- 0.3 at horizon 3000, and
-  ``narrow/af-clf-L3`` under 0.3 +- 0.03 at horizon 1400.  Each run draws its
+  L = 1, 2, 3 and 6 and AB L = 3 and 5 under the prior 0 +- 0.3 at horizon
+  3000, ``narrow/af-clf-L3`` under 0.3 +- 0.03 at horizon 1400, and
+  ``edge/af-clf-L3`` under -0.9 +- 0.1 at horizon 3000.  Each run draws its
   true theta from the engine's own theta prior, ``pi_to_theta(prior)``,
   redrawn until it lies in (0, pi), on a stream keyed by the run index
   (``SeedSequence(master, spawn_key=(run,))``), apart from the run's outcome
@@ -52,8 +53,13 @@ A ``bayes/`` row records instead, over the runs not excluded, the
 final theta-RMSE against each run's truth and the calibration ratio
 E[(theta* - m)^2] / E[v] of the final theta moments (m, v), which is 1 for the
 exact posterior, each with a bootstrap 95% interval over the same resamples,
-the runs beyond 5 sd and the excluded runs.  ``--quick`` writes two Chebyshev
-configs at 64 runs, and no ``bayes/`` row.
+the runs beyond 5 sd and the excluded runs, and beside them the row's floor,
+the exact posterior's Bayes-risk theta-RMSE (``bayes_floor``): with one angle
+vector the outcomes are i.i.d., so the posterior depends only on the count of
+1s, and the risk is a sum over counts with binomial weights, on a theta grid
+under the truncated theta prior the runs draw from.  ``--quick`` writes three
+Chebyshev configs at 64 runs, ``bayes/narrow/af-clf-L3`` among them, so that
+its theta draws and outcome streams repeat across processes too.
 
 ``compare`` lists each config that the new file does worse on, and exits 1 if
 there is any: a seed newly aborted, more excluded runs or more runs beyond
@@ -74,9 +80,9 @@ from typing import NamedTuple
 import numpy as np
 
 import census_cli
-from elfkit.bias import Scheme
+from elfkit.bias import Scheme, bias, clf_angles
 from elfkit.inference import EstimationConfig, pi_to_theta, run_estimation
-from elfkit.metrics import GaussianBelief, NoiseModel, rhat0
+from elfkit.metrics import GaussianBelief, NoiseModel, rhat0, round_times
 from elfkit.sim import FIT_WINDOW_FRACTION, ExperimentConfig, _growth_rate, run_experiment
 from elfkit.tuner import build_lookup_table, chebyshev_table
 from table_oracle import nearest_valid_entry
@@ -85,6 +91,8 @@ DEVICE = NoiseModel(0.95, 0.99)
 RUNS, QUICK_RUNS = 256, 64
 MASTER_SEEDS = (0, 1, 2)
 BOOTSTRAP = 1000
+# The theta grid of the exact Bayes-risk floor: its figures agree with 80000 points to about 1e-10.
+FLOOR_POINTS = 20000
 
 
 class Config(NamedTuple):
@@ -134,11 +142,12 @@ CONFIGS = {
     "edge/ab-clf-L3": Config("ab-clf", 3, -0.995, -0.9, 0.1, 3000, None),
     **{
         f"bayes/wide/{scheme}-L{layers}": Config(scheme, layers, None, 0.0, 0.3, 3000, None)
-        for scheme, layers in (("af-clf", 1), ("af-clf", 3), ("ab-clf", 3))
+        for scheme, layers in (("af-clf", 1), ("af-clf", 3), ("ab-clf", 3), ("af-clf", 2), ("af-clf", 6), ("ab-clf", 5))
     },
     "bayes/narrow/af-clf-L3": Config("af-clf", 3, None, 0.3, 0.03, 1400, None),
+    "bayes/edge/af-clf-L3": Config("af-clf", 3, None, -0.9, 0.1, 3000, None),
 }
-QUICK = ("bench/af-clf-L3/pi+0.1", "near/ab-clf-L1/pi+0.995")
+QUICK = ("bench/af-clf-L3/pi+0.1", "near/ab-clf-L1/pi+0.995", "bayes/narrow/af-clf-L3")
 
 
 def _table(key):
@@ -200,6 +209,39 @@ def _growth_rates(traces, resamples, true_pi: float, horizon: int) -> np.ndarray
         return np.array([_growth_rate(times, 1.0 / err_sq[rows].mean(axis=0), horizon) for rows in resamples])
 
 
+def outcome_grid(config: Config, points: int = FLOOR_POINTS):
+    """(theta, weight, p1) of a ``bayes/`` row on the midpoint grid of (0, pi) with ``points`` cells.
+
+    The weights are the row's truncated theta prior, normalized on the grid; p1 is the chance of
+    outcome 1 at the Chebyshev angles, (1 - f bias) / 2, as the engine draws it.
+    """
+    theta_prior = pi_to_theta(GaussianBelief(config.prior_mean, config.prior_sd**2))
+    theta = (np.arange(points) + 0.5) * (math.pi / points)
+    weight = np.exp(-0.5 * ((theta - theta_prior.mean) / theta_prior.std) ** 2)
+    f = DEVICE.process_fidelity(config.layers)
+    return theta, weight / weight.sum(), (1.0 - f * bias(_bias_scheme(config), theta, clf_angles(config.layers))) / 2.0
+
+
+def bayes_floor(config: Config, points: int = FLOOR_POINTS) -> float:
+    """The exact posterior's Bayes-risk theta-RMSE of a ``*-clf`` ``bayes/`` row over its rounds.
+
+    One angle vector makes the outcomes i.i.d., so the posterior depends only on the count k of 1s
+    in n rounds: the risk is the sum over k and the ``outcome_grid`` of prior weight times the
+    binomial chance of k, times the squared distance of theta from the posterior mean given k.
+    """
+    theta, weight, p1 = outcome_grid(config, points)
+    n = round_times(config.layers, config.horizon).size
+    counts = np.arange(n + 1)
+    log_choose = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in counts])
+    log_p1, log_p0 = np.log(p1)[:, None], np.log1p(-p1)[:, None]
+    risk = 0.0
+    for k in np.array_split(counts, (n + 64) // 64):  # 64 counts at a time bound the (points, counts) block
+        joint = weight[:, None] * np.exp(log_choose[k] + k * log_p1 + (n - k) * log_p0)
+        mean = (theta @ joint) / joint.sum(axis=0)
+        risk += float((joint * (theta[:, None] - mean) ** 2).sum())
+    return math.sqrt(risk)
+
+
 def bayes_census(config: Config, runs: int, master: int) -> dict:
     """The theta figures of a ``bayes/`` row at one master seed, each run's truth drawn from the theta prior."""
     prior = GaussianBelief(config.prior_mean, config.prior_sd**2)
@@ -234,6 +276,7 @@ def bayes_census(config: Config, runs: int, master: int) -> dict:
         "calibration_hi": float(ratio_hi),
         "beyond_5sd": int(np.count_nonzero(sq > 25.0 * v)),
         "excluded": int(np.count_nonzero(~alive)),
+        "theta_floor": bayes_floor(config),
     }
 
 
@@ -320,7 +363,7 @@ def regressions(old: dict, new: dict) -> tuple[list[str], bool]:
 def summary(items: dict) -> list[str]:
     """One line per config: the range over seeds of the final RMSE, of the runs beyond 5 sd and of the ratios to
     standard sampling, and the aborts; for a ``bayes/`` row, each seed's theta-RMSE and calibration ratio with their
-    intervals, and the runs beyond 5 sd."""
+    intervals, the row's floor beside the theta-RMSE, and the runs beyond 5 sd."""
     lines = []
     for name, seeds in items.items():
         done = [v for v in seeds.values() if not v["aborted"]]
@@ -329,6 +372,7 @@ def summary(items: dict) -> list[str]:
         if name.startswith("bayes/"):
             for s, v in seeds.items():
                 text += f"; {s} theta rmse {v['theta_rmse']:.3g} [{v['theta_rmse_lo']:.3g}, {v['theta_rmse_hi']:.3g}]"
+                text += f" (floor {v['theta_floor']:.3g})"
                 text += f", calibration {v['calibration']:.3g} [{v['calibration_lo']:.3g}, {v['calibration_hi']:.3g}]"
                 text += f", beyond 5 sd {v['beyond_5sd']}, excluded {v['excluded']}"
         elif done:
@@ -348,7 +392,7 @@ def summary(items: dict) -> list[str]:
 def main(argv=None) -> int:
     helps = (
         "run the census with the elfkit on the path",
-        "two Chebyshev configs at 64 runs",
+        "three Chebyshev configs at 64 runs",
         "list the configs that the new census does worse on",
     )
     return census_cli.main(argv, __doc__, helps, accuracy, regressions, "configs", summary)

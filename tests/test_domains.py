@@ -31,6 +31,22 @@ def _prior_mean(kw: dict) -> dict:
     return kw
 
 
+def _build(**kw):
+    """A small ``build_lookup_table`` call, on the grid [-0.5, 0.5] unless ``kw`` names another."""
+    return build_lookup_table(
+        **{
+            "scheme": Scheme.AF,
+            "noise": NoiseModel(0.9),
+            "grid_spec": [-0.5, 0.5],
+            "layers": 1,
+            "restarts": 1,
+            "max_rounds": 5,
+            **kw,
+        }
+    )
+
+
+_BUILD_INPUTS = ("layers", "restarts", "seed", "max_rounds")
 # Each target: the names of its checked inputs, and a call that takes one of them by keyword.
 TARGETS = {
     "NoiseModel": (("layer_fidelity", "spam_fidelity"), lambda **kw: NoiseModel(**kw)),
@@ -99,20 +115,9 @@ TARGETS = {
         ("objective_value",),
         lambda objective_value: LookupTable([TableEntry(0.5, clf_angles(1), objective_value)], {}),
     ),
-    "build_lookup_table": (
-        ("layers", "restarts", "seed", "max_rounds"),
-        lambda **kw: build_lookup_table(
-            **{
-                "scheme": Scheme.AF,
-                "noise": NoiseModel(0.9),
-                "grid_spec": [-0.5, 0.5],
-                "layers": 1,
-                "restarts": 1,
-                "max_rounds": 5,
-                **kw,
-            }
-        ),
-    ),
+    "build_lookup_table": (_BUILD_INPUTS, _build),
+    # Every point flagged, so no point's TuneSpec would check an input.
+    "build_lookup_table-ends": (_BUILD_INPUTS, lambda **kw: _build(grid_spec=[-1.0, 1.0], **kw)),
 }
 
 
@@ -140,6 +145,14 @@ _RULES = {
         lambda v: not 0 < v <= 1,
     ),
     **dict.fromkeys(_PRIOR_MEAN, ("mean must lie in (-inf, inf), got ", lambda v: not math.isfinite(v))),
+    # A build on the all-flagged grid that takes its inputs finds no valid entry.
+    **{
+        ("build_lookup_table-ends", name): (
+            "lookup table has no valid entries",
+            lambda v, name=name: _refusal(name, v, DOMAINS[name]) is None,
+        )
+        for name in _BUILD_INPUTS
+    },
 }
 
 
@@ -283,11 +296,7 @@ TYPED = {
             [kw.get("table entry 0", TableEntry(0.0, clf_angles(1), None))], kw.get("metadata", {})
         ),
     ),
-    # Every point flagged, so no point's TuneSpec would check scheme or objective.
-    "build_lookup_table-ends": (
-        ("scheme", "noise", "objective"),
-        lambda **kw: TARGETS["build_lookup_table"][1](**{"grid_spec": [-1.0, 1.0], **kw}),
-    ),
+    "build_lookup_table-ends": (("scheme", "noise", "objective"), TARGETS["build_lookup_table-ends"][1]),
 }
 
 
