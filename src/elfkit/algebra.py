@@ -31,6 +31,10 @@ U factors depend on theta, dU/dtheta = (0, sin x cos theta, 0, -sin x sin theta)
 The AF readout is a quadratic form B_theta(Q, Q), so its derivative is
 cos(theta) <X> - sin(theta) <Z> + e . dQ, with e = 2 B(Q, .) (``af_covector``).
 
+The pair is the kernel's one chain, each factor's product written once
+(``_factor_mul``): ``circuit_pair`` keeps only the running pair, and
+``circuit_prefixes`` every prefix, which the CSBD passes read.
+
 Components are Python floats or numpy arrays.  The arithmetic is the same for
 both and broadcasts, so one code path serves a single theta (pure-Python
 floats, selected by input shape in ``trig``), a vector of thetas, and a
@@ -38,7 +42,8 @@ matrix of angle vectors against a grid of thetas (``bias.bias_series`` of a
 lookup table's entries).  The estimation round does not call the kernel: it
 reads the bias from those series.
 
-The module also holds the input checks: ``angle_vectors``, ``check``
+The module also holds the input checks: ``angle_vectors`` (and
+``one_vector`` where only one vector is meaningful), ``check``
 against ``DOMAINS`` for every numeric input, and ``check_type`` for every
 typed one.
 """
@@ -130,6 +135,15 @@ def angle_vectors(values) -> np.ndarray:
     return x
 
 
+def one_vector(x, layers: int | None = None) -> np.ndarray:
+    """``x`` as ``angle_vectors`` gives it if it is one vector, of 2 ``layers`` angles if given; else a ValueError."""
+    x = angle_vectors(x)
+    if x.ndim != 1 or layers is not None and x.size != 2 * layers:
+        count = "2L" if layers is None else 2 * layers
+        raise ValueError(f"x must be one vector of {count} angles, got shape {x.shape}")
+    return x
+
+
 def canonical_angles(values) -> np.ndarray:
     """Validate angle vectors (see ``angle_vectors``) and map each angle into (-pi, pi]."""
     # ``remainder`` rounds a tiny negative argument up to 2 pi; ``fmod`` takes that to 0, so it gives pi, not -pi.
@@ -162,29 +176,6 @@ def trig(theta, x):
     return np.cos(t), np.sin(t), list(np.cos(xt, order="C")), list(np.sin(xt, order="C"))
 
 
-def circuit(ct, st, cx, sx):
-    """Q(theta; x) from the output of ``trig``.
-
-    Each step is the product U q or V q with the factors' zero components
-    folded out; the chain starts from the first V U product rather than
-    from ``ONE``.
-    """
-    cu, pb, pd = cx[0], sx[0] * st, sx[0] * ct
-    cv, sv = cx[1], sx[1]
-    a, b, c, d = cv * cu - sv * pd, cv * pb, sv * pb, cv * pd + sv * cu
-    for j in range(2, len(cx), 2):
-        cu, pb, pd = cx[j], sx[j] * st, sx[j] * ct
-        a, b, c, d = (
-            cu * a - pb * b - pd * d,
-            cu * b + pb * a - pd * c,
-            cu * c + pd * b - pb * d,
-            cu * d + pd * a + pb * c,
-        )
-        cv, sv = cx[j + 1], sx[j + 1]
-        a, b, c, d = cv * a - sv * d, cv * b - sv * c, cv * c + sv * b, cv * d + sv * a
-    return a, b, c, d
-
-
 def _factor_mul(ct, st, cx, sx, u, pair):
     """(F q, F dq + dF q) of the pair (q, dq), for F = U (if ``u``) or V at cos x = cx, sin x = sx.
 
@@ -211,14 +202,24 @@ def _factor_mul(ct, st, cx, sx, u, pair):
     )
 
 
-def circuit_prefixes(ct, st, cx, sx):
-    """The pairs of the prefixes F_j ... F_1, j = 1..2L, by the product rule; the last is (Q, dQ/dtheta).
-
-    The first, (U_1, dU_1/dtheta), is U_1 (ONE, ZERO) with the ones and zeros folded out, in its broadcast shape.
-    """
+def _first_pair(ct, st, cx, sx):
+    """(U_1, dU_1/dtheta): U_1 (ONE, ZERO) with the ones and zeros folded out, in its broadcast shape."""
     pb, pd = sx[0] * st, sx[0] * ct
     zero = 0.0 * pb
-    pre = [((cx[0] + zero, pb, zero, pd), (zero, pd, zero, -pb))]
+    return (cx[0] + zero, pb, zero, pd), (zero, pd, zero, -pb)
+
+
+def circuit_pair(ct, st, cx, sx):
+    """(Q, dQ/dtheta) from the output of ``trig``: the last of ``circuit_prefixes``, keeping only the running pair."""
+    pair = _first_pair(ct, st, cx, sx)
+    for j in range(1, len(cx)):
+        pair = _factor_mul(ct, st, cx[j], sx[j], j % 2 == 0, pair)
+    return pair
+
+
+def circuit_prefixes(ct, st, cx, sx):
+    """The pairs of the prefixes F_j ... F_1, j = 1..2L, by the product rule; the last is ``circuit_pair``'s."""
+    pre = [_first_pair(ct, st, cx, sx)]
     for j in range(1, len(cx)):
         pre.append(_factor_mul(ct, st, cx[j], sx[j], j % 2 == 0, pre[-1]))
     return pre

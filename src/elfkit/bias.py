@@ -4,8 +4,10 @@ The two-outcome likelihood is (1 + (-1)^d f * bias)/2 where the bias is
   * ancilla-free (AF):  <0| Q^dag(theta; x) P(theta) Q(theta; x) |0>,
   * ancilla-based (AB): Re <0| Q(theta; x) |0>.
 Both are exact real functions of theta and the 2L reflection angles x and
-reduce to Chebyshev-type cosines at x = (pi/2, ..., pi/2).  Both are readouts
-of the quaternion kernel in ``algebra``.
+reduce to Chebyshev-type cosines at x = (pi/2, ..., pi/2).  Both are read,
+with their theta-derivatives, from the pair (Q, dQ/dtheta) of the quaternion
+kernel's one chain, ``algebra.circuit_pair`` (``_readout``); ``bias`` is the
+value half of ``_bias_pair`` and ``bias_derivative`` its other half.
 
 For a fixed x the bias is a trigonometric polynomial in theta of degree
 D = 2L + 1 (AF) or L (AB); the estimation round reads it from the
@@ -19,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import af_covector, af_parts, angle_vectors, check, check_type, circuit, circuit_prefixes, kernel_inputs, trig
+from .algebra import af_covector, af_parts, angle_vectors, check, check_type, circuit_pair, kernel_inputs, trig
 
 
 class Scheme(Enum):
@@ -49,13 +51,7 @@ def bias(scheme: Scheme, theta, x):
     leading axes broadcast against ``theta`` (one vector per run).  A scalar
     theta with one vector gives a float.
     """
-    check_type("scheme", scheme, Scheme)
-    ct, st, cx, sx = trig(*kernel_inputs(theta, x))
-    q = circuit(ct, st, cx, sx)
-    if scheme is Scheme.AB:
-        return q[0]
-    px, pz = af_parts(q)
-    return st * px + ct * pz
+    return _bias_pair(scheme, theta, x)[0]
 
 
 @lru_cache(maxsize=None)
@@ -112,10 +108,10 @@ def _readout(scheme: Scheme, ct, st, q, dq):
 
 
 def _bias_pair(scheme: Scheme, theta, x):
-    """(bias, d(bias)/dtheta) at (theta, x) from the last of ``circuit_prefixes``; validates and broadcasts like ``bias``."""
+    """(bias, d(bias)/dtheta) at (theta, x) from ``circuit_pair``; validates and broadcasts like ``bias``."""
     check_type("scheme", scheme, Scheme)
     ct, st, cx, sx = trig(*kernel_inputs(theta, x))
-    return _readout(scheme, ct, st, *circuit_prefixes(ct, st, cx, sx)[-1])
+    return _readout(scheme, ct, st, *circuit_pair(ct, st, cx, sx))
 
 
 def bias_derivative(scheme: Scheme, theta, x):

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import ONE, ZERO, _factor_mul, af_covector, canonical_angles, check, circuit_prefixes, trig
+from .algebra import ONE, ZERO, _factor_mul, af_covector, canonical_angles, check, circuit_prefixes, one_vector, trig
 from .bias import Scheme, _readout
 
 _IDENTITY_PAIR = (ONE, ZERO)
@@ -150,9 +150,7 @@ class CoefficientTable:
     """Every coordinate's coefficients at one (scheme, theta, x), recorded by one ``sweep`` that keeps x."""
 
     def __init__(self, scheme: Scheme, theta: float, x) -> None:
-        theta, x = float(check("theta", theta)), canonical_angles(x)
-        if x.ndim != 1:
-            raise ValueError("angle vector must be one-dimensional")
+        theta, x = float(check("theta", theta)), canonical_angles(one_vector(x))
         self._record: list[CsbdCoefficients] = []
         sweep(scheme, theta, x, lambda j, co: self._record.append(co) or x[j - 1])
 

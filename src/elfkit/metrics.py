@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import check, check_fields
+from .algebra import check, check_fields, one_vector
 from .bias import Scheme, _bias_pair, bias_derivative
 
 # Treat 1 - f^2 b^2 below this as a singular likelihood rather than clamping.
@@ -74,14 +74,14 @@ def climbed(g: float, f: float, delta: float, ddelta: float) -> float:
 def fisher_information(scheme: Scheme, theta: float, f: float, x) -> float:
     """Fisher information of the two-outcome likelihood with respect to theta, at one theta and one angle vector."""
     f = float(check("fidelity", f))
-    if (info := climbed(f, f, *_bias_pair(scheme, check("theta", theta), x))) == -math.inf:
+    if (info := climbed(f, f, *_bias_pair(scheme, check("theta", theta), one_vector(x)))) == -math.inf:
         raise FloatingPointError("fisher information diverges: f|bias| -> 1")
     return info
 
 
 def slope(scheme: Scheme, theta: float, f: float, x) -> float:
     """Magnitude of the likelihood slope, f |d(bias)/dtheta| / 2, at one theta and one angle vector."""
-    return float(check("fidelity", f)) * abs(bias_derivative(scheme, check("theta", theta), x)) / 2.0
+    return float(check("fidelity", f)) * abs(bias_derivative(scheme, check("theta", theta), one_vector(x))) / 2.0
 
 
 def rhat0(scheme: Scheme, pi_star: float, f: float, x) -> float:

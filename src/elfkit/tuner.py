@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import DEGENERATE_TOL, DOMAINS, angle_vectors, canonical_angles, check, check_fields, check_type
+from .algebra import DEGENERATE_TOL, DOMAINS, angle_vectors, canonical_angles, check, check_fields, check_type, one_vector
 from .bias import Scheme, _bias_pair, bias_series, clf_angles
 from .csbd import CsbdCoefficients, slopes, sweep
 from .metrics import SINGULAR_TOL, NoiseModel, climbed
@@ -102,9 +102,9 @@ def _weights(spec: TuneSpec):
 
 
 def objective_value(spec: TuneSpec, x) -> float:
-    """The objective at angles x: the Fisher information, or |d(bias)/dtheta| for the slope."""
+    """The objective at the 2 ``spec.layers`` angles x: the Fisher information, or |d(bias)/dtheta| for the slope."""
     g, f, report = _weights(spec)
-    return report(climbed(g, f, *_bias_pair(spec.scheme, spec.mu, x)))
+    return report(climbed(g, f, *_bias_pair(spec.scheme, spec.mu, one_vector(x, spec.layers))))
 
 
 def _value_and_gradient(spec: TuneSpec, x: np.ndarray) -> tuple[float, np.ndarray | None]:

@@ -24,11 +24,13 @@ All configs use the benchmark's device (layer fidelity 0.95, SPAM fidelity
   where the prior is centred on Pi; ``deep/af-clf-L6``, true Pi 0.1 under a
   prior 0.12 +- 0.03; and ``edge/ab-clf-L3``, AB at the edge rows' Pi and
   prior;
-- ``bayes/...``: the truth drawn from the prior (ROADMAP direction 19), at the
-  Chebyshev angles, one ``run_estimation`` call per run: ``wide/`` rows AF
+- ``bayes/...``: the truth drawn from the prior (ROADMAP direction 19), one
+  ``run_estimation`` call per run: at the Chebyshev angles, ``wide/`` rows AF
   L = 1, 2, 3 and 6 and AB L = 3 and 5 under the prior 0 +- 0.3 at horizon
   3000, ``narrow/af-clf-L3`` under 0.3 +- 0.03 at horizon 1400, and
-  ``edge/af-clf-L3`` under -0.9 +- 0.1 at horizon 3000.  Each run draws its
+  ``edge/af-clf-L3`` under -0.9 +- 0.1 at horizon 3000; and
+  ``wide/af-elf-L3``, whose runs read the AF L=3 table under the wide prior at
+  horizon 3000.  Each run draws its
   true theta from the engine's own theta prior, ``pi_to_theta(prior)``,
   redrawn until it lies in (0, pi), on a stream keyed by the run index
   (``SeedSequence(master, spawn_key=(run,))``), apart from the run's outcome
@@ -57,7 +59,9 @@ the runs beyond 5 sd and the excluded runs, and beside them the row's floor,
 the exact posterior's Bayes-risk theta-RMSE (``bayes_floor``): with one angle
 vector the outcomes are i.i.d., so the posterior depends only on the count of
 1s, and the risk is a sum over counts with binomial weights, on a theta grid
-under the truncated theta prior the runs draw from.  ``--quick`` writes three
+under the truncated theta prior the runs draw from.  A table row's angles
+change with the belief, so its outcomes are not i.i.d., and its floor is
+``null``.  ``--quick`` writes three
 Chebyshev configs at 64 runs, ``bayes/narrow/af-clf-L3`` among them, so that
 its theta draws and outcome streams repeat across processes too.
 
@@ -146,6 +150,7 @@ CONFIGS = {
     },
     "bayes/narrow/af-clf-L3": Config("af-clf", 3, None, 0.3, 0.03, 1400, None),
     "bayes/edge/af-clf-L3": Config("af-clf", 3, None, -0.9, 0.1, 3000, None),
+    "bayes/wide/af-elf-L3": Config("af-elf", 3, None, 0.0, 0.3, 3000, L3_TABLE),
 }
 QUICK = ("bench/af-clf-L3/pi+0.1", "near/ab-clf-L1/pi+0.995", "bayes/narrow/af-clf-L3")
 
@@ -242,8 +247,11 @@ def bayes_floor(config: Config, points: int = FLOOR_POINTS) -> float:
     return math.sqrt(risk)
 
 
-def bayes_census(config: Config, runs: int, master: int) -> dict:
-    """The theta figures of a ``bayes/`` row at one master seed, each run's truth drawn from the theta prior."""
+def bayes_census(config: Config, runs: int, master: int, table=None) -> dict:
+    """The theta figures of a ``bayes/`` row at one master seed, each run's truth drawn from the theta prior.
+
+    The runs read ``table`` if one is given, else the Chebyshev angles, whose row alone has a floor.
+    """
     prior = GaussianBelief(config.prior_mean, config.prior_sd**2)
     theta_prior = pi_to_theta(prior)
     truth, mean, var = np.zeros(runs), np.zeros(runs), np.ones(runs)
@@ -254,7 +262,8 @@ def bayes_census(config: Config, runs: int, master: int) -> dict:
             pass
         truth[i] = theta
         run = EstimationConfig(
-            _bias_scheme(config), config.layers, DEVICE, prior, math.cos(theta), config.horizon, master * 10**6 + i, "clf"
+            _bias_scheme(config), config.layers, DEVICE, prior, math.cos(theta), config.horizon, master * 10**6 + i,
+            "clf" if table is None else "table", table,
         )
         try:
             last = run_estimation(run)[-1]
@@ -276,14 +285,14 @@ def bayes_census(config: Config, runs: int, master: int) -> dict:
         "calibration_hi": float(ratio_hi),
         "beyond_5sd": int(np.count_nonzero(sq > 25.0 * v)),
         "excluded": int(np.count_nonzero(~alive)),
-        "theta_floor": bayes_floor(config),
+        "theta_floor": bayes_floor(config) if table is None else None,
     }
 
 
 def census(name: str, table, runs: int, master: int) -> dict:
     """The figures of one config at one master seed."""
     if name.startswith("bayes/"):
-        return bayes_census(CONFIGS[name], runs, master)
+        return bayes_census(CONFIGS[name], runs, master, table)
     true_pi, horizon = CONFIGS[name].true_pi, CONFIGS[name].horizon
     predicted = {} if name.startswith("near/") else {"rhat0_ratio": _rhat0_ratio(CONFIGS[name], table)}
     beliefs = _final_beliefs(name, table, runs, master)
@@ -372,7 +381,7 @@ def summary(items: dict) -> list[str]:
         if name.startswith("bayes/"):
             for s, v in seeds.items():
                 text += f"; {s} theta rmse {v['theta_rmse']:.3g} [{v['theta_rmse_lo']:.3g}, {v['theta_rmse_hi']:.3g}]"
-                text += f" (floor {v['theta_floor']:.3g})"
+                text += " (no floor)" if v["theta_floor"] is None else f" (floor {v['theta_floor']:.3g})"
                 text += f", calibration {v['calibration']:.3g} [{v['calibration_lo']:.3g}, {v['calibration_hi']:.3g}]"
                 text += f", beyond 5 sd {v['beyond_5sd']}, excluded {v['excluded']}"
         elif done:

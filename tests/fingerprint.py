@@ -19,9 +19,14 @@ tree's ``src``.  The items are
   records hold other fields hash alike);
 - ``cli/...``: the outputs of the commands of ``CLI_COMMANDS``, each JSON
   sidecar without its ``out`` path (``tests/test_cli.py`` runs each of them
-  too, for exit 0 and strict JSON).
+  too, for exit 0 and strict JSON);
+- ``series/...``: the kernel read directly, AF and AB at L = 1, 3 and 5:
+  ``bias_series`` of a seeded (33, 2L) angle matrix (``matrix``) and of the
+  Chebyshev vector (``clf``), and ``bias`` and ``bias_derivative`` on a
+  17-point theta grid against each row of that matrix (``pair``).
 
-``--quick`` writes a small subset of each kind.  ``compare`` lists the items
+``--quick`` writes a small subset of each kind (of ``series/`` only
+``series/af/L3/matrix``).  ``compare`` lists the items
 whose hashes differ or that one file lacks, and exits 1 if there is any.  The
 hashes are of exact bits, and numpy's SIMD paths may change last bits between
 machines, so compare files written on one machine.
@@ -42,7 +47,7 @@ import numpy as np
 
 import census_cli
 from elfkit import cli
-from elfkit.bias import Scheme
+from elfkit.bias import Scheme, bias, bias_derivative, bias_series, clf_angles
 from elfkit.inference import EstimationConfig, run_estimation
 from elfkit.metrics import GaussianBelief, NoiseModel
 from elfkit.sim import EXPERIMENT_SCHEMES, ExperimentConfig, run_experiment
@@ -150,6 +155,20 @@ def record_items(tables: dict, quick: bool) -> dict:
     return items
 
 
+def series_items(quick: bool) -> dict:
+    items = {}
+    theta = np.linspace(0.0, np.pi, 17)
+    for scheme in (Scheme.AF, Scheme.AB):
+        for layers in (1, 3, 5):
+            x = np.random.default_rng(layers).uniform(-np.pi, np.pi, (33, 2 * layers))
+            rows = x[:, None, :]  # one run per row, against the whole grid
+            name = f"series/{scheme.value}/L{layers}"
+            items[f"{name}/matrix"] = _digest(bias_series(scheme, x))
+            items[f"{name}/clf"] = _digest(bias_series(scheme, clf_angles(layers)))
+            items[f"{name}/pair"] = _digest(bias(scheme, theta, rows), bias_derivative(scheme, theta, rows))
+    return {"series/af/L3/matrix": items["series/af/L3/matrix"]} if quick else items
+
+
 def _normalized(path: str) -> bytes:
     """A file's bytes; a JSON sidecar without the ``out`` path of its config."""
     with open(path, "rb") as fh:
@@ -184,6 +203,7 @@ def fingerprints(quick: bool = False) -> dict:
         **trace_items(tables, quick),
         **record_items(tables, quick),
         **cli_items(quick),
+        **series_items(quick),
     }
     return dict(sorted(items.items()))
 

@@ -13,7 +13,7 @@ from elfkit.algebra import (
     af_covector,
     af_parts,
     canonical_angles,
-    circuit,
+    circuit_pair,
     circuit_prefixes,
     kernel_inputs,
     trig,
@@ -45,7 +45,7 @@ def u_factor(ct, st, cx, sx):
 
 
 def q_of(theta, x):
-    return circuit(*trig(*kernel_inputs(theta, x)))
+    return circuit_pair(*trig(*kernel_inputs(theta, x)))[0]
 
 
 class TestScalarDispatch:
@@ -137,7 +137,7 @@ def unpeeled_pair(ct, st, cx, sx):
 
 
 class TestPeeledKernel:
-    """The kernel starts from the first V U product; 1 x = x and x - 0 = x keep every bit."""
+    """The kernel starts from the peeled first U pair; 1 x = x and x - 0 = x keep every bit but a zero's sign."""
 
     @staticmethod
     def inputs(layers):
@@ -152,11 +152,15 @@ class TestPeeledKernel:
 
     @pytest.mark.parametrize("layers", [1, 2, 3, 8])
     def test_circuit_equals_qmul_chain(self, layers):
+        # The running chain is the last prefix, and its value half the plain quaternion chain.
         for ct, st, cx, sx in self.inputs(layers):
             q = ONE
             for j in range(0, 2 * layers, 2):
                 q = qmul((cx[j + 1], 0.0, 0.0, sx[j + 1]), qmul(u_factor(ct, st, cx[j], sx[j]), q))
-            assert self.same(circuit(ct, st, cx, sx), q)
+            pair = circuit_pair(ct, st, cx, sx)
+            last = circuit_prefixes(ct, st, cx, sx)[-1]
+            assert self.same(pair[0] + pair[1], last[0] + last[1])
+            assert self.same(pair[0], q)
 
     @pytest.mark.parametrize("layers", [1, 2, 3, 8])
     def test_circuit_pair_equals_chains(self, layers):

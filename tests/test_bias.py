@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
+from elfkit.bias import Scheme, bias, bias_derivative, bias_series, clf_angles
 from elfkit.tuner import Objective, TuneSpec, objective_value
 
 THETAS = st.floats(min_value=0.05, max_value=np.pi - 0.05)
@@ -125,6 +127,20 @@ class TestBiasDerivative:
 
     def test_zero_angles_af(self):
         assert bias_derivative(Scheme.AF, 0.9, np.zeros(4)) == pytest.approx(-np.sin(0.9))
+
+
+def test_bias_series_keeps_no_list_of_prefixes():
+    # Its kernel chain keeps only the running pair: at AF L=5 over 4,001 vectors the peak traced allocation
+    # measured 19.9 times the (2D + 1, n) float sample array, where a chain keeping every prefix took 79.
+    x = np.random.default_rng(5).uniform(-np.pi, np.pi, (4001, 10))
+    tracemalloc.start()
+    try:
+        bias_series(Scheme.AF, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    samples = (2 * 11 + 1) * 4001 * 8  # D = 2L + 1 = 11
+    assert peak <= 32 * samples
 
 
 class TestInputValidation:

@@ -14,7 +14,7 @@ def test_write_and_compare_report_a_planted_change(tmp_path, run_script):
     assert run.returncode == 0, run.stderr
     items = json.loads(old.read_text())
     # One hash per item, of every kind.
-    assert {name.split("/")[0] for name in items} == {"tune", "table", "traces", "records", "cli"}
+    assert {name.split("/")[0] for name in items} == {"tune", "table", "traces", "records", "cli", "series"}
     assert all(len(h) == 64 and int(h, 16) >= 0 for h in items.values())
 
     # Plant a change: one item's hash differs, one item is gone, one is new.

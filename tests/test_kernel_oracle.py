@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import complex_oracle as oracle
-from elfkit.algebra import circuit, trig
+from elfkit.algebra import circuit_pair, trig
 from elfkit.bias import Scheme, _horner, bias, bias_derivative, bias_series, clf_angles
 from elfkit.csbd import CoefficientTable
 from elfkit.tuner import Objective, TuneSpec, _value_and_gradient
@@ -44,7 +44,7 @@ class TestAgainstComplexOracle:
         for t, r, dr in zip(th, ref, dref):
             assert abs(bias(scheme, float(t), x) - r) <= VALUE_TOL
             assert abs(bias_derivative(scheme, float(t), x) - dr) <= dtol
-        a, b, c, d = circuit(*trig(th, x))
+        a, b, c, d = circuit_pair(*trig(th, x))[0]
         assert np.max(np.abs(a * a + b * b + c * c + d * d - 1.0)) <= TOL
 
     def test_bias_series(self, scheme, layers):
@@ -71,13 +71,13 @@ class TestAgainstComplexOracle:
         grid = np.stack([thetas(rng, 8) for _ in range(runs)])
         values = bias(scheme, grid, xmat[:, None, :])
         assert values.shape == grid.shape
-        q = np.stack(circuit(*trig(grid, xmat[:, None, :])))
+        q = np.stack(circuit_pair(*trig(grid, xmat[:, None, :]))[0])
         assert q.shape == (4, *grid.shape)
         for r in range(runs):
             ref, _ = oracle.bias(scheme is Scheme.AF, grid[r], xmat[r])
             assert np.max(np.abs(values[r] - ref)) <= TOL
             for t, column in zip(grid[r], q[:, r].T):
-                assert np.max(np.abs(column - circuit(*trig(float(t), xmat[r])))) <= TOL
+                assert np.max(np.abs(column - circuit_pair(*trig(float(t), xmat[r]))[0])) <= TOL
 
     def test_csbd_coefficients(self, scheme, layers):
         rng = np.random.default_rng(200 + layers)

@@ -6,8 +6,26 @@ from scipy.integrate import quad
 
 from elfkit.bias import Scheme, bias, bias_derivative, clf_angles
 from elfkit.metrics import GaussianBelief, NoiseModel, fisher_information, rhat0, round_cost, slope
-from elfkit.tuner import TuneSpec, tune
+from elfkit.tuner import TuneSpec, objective_value, tune
 from paper_model import expected_bias, inverse_variance_rate, likelihood, variance_reduction_factor
+
+
+# The figures of one angle vector, and what each refuses: an odd or 2-D x, and objective_value a vector of 2L angles
+# for another L.
+ONE_VECTOR_FIGURES = {
+    "rhat0": lambda x: rhat0(Scheme.AF, 0.3, 0.9, x),
+    "fisher_information": lambda x: fisher_information(Scheme.AF, 1.1, 0.9, x),
+    "slope": lambda x: slope(Scheme.AF, 1.1, 0.9, x),
+    "objective_value": lambda x: objective_value(TuneSpec(Scheme.AF, 1, 1.1), x),
+}
+ODD, TWO_D = "even length", r"^x must be one vector of 2L? angles, got shape \(2, 2\)$"
+ONE_VECTOR_CASES = [
+    pytest.param("rhat0", [0.3], ODD, id="one"),
+    pytest.param("rhat0", [0.3, 0.2, 0.1], ODD, id="odd"),
+    *(pytest.param(name, [0.3, 0.2, 0.1], ODD, id=f"{name}-odd") for name in list(ONE_VECTOR_FIGURES)[1:]),
+    *(pytest.param(name, np.zeros((2, 2)), TWO_D, id=f"{name}-2d") for name in ONE_VECTOR_FIGURES),
+    pytest.param("objective_value", np.zeros(4), r"^x must be one vector of 2 angles, got shape \(4,\)$", id="length"),
+]
 
 
 class TestNoiseModel:
@@ -242,7 +260,8 @@ class TestRates:
         assert all(rate(Scheme.AF, layers) > standard for layers in (1, 2, 3))
         assert [rate(Scheme.AB, layers) > standard for layers in range(1, 6)] == [False] * 4 + [True]
 
-    @pytest.mark.parametrize("x", [[0.3], [0.3, 0.2, 0.1]], ids=["one", "odd"])
-    def test_rhat0_rejects_odd_angle_vectors(self, x):
-        with pytest.raises(ValueError, match="even length"):
-            rhat0(Scheme.AF, 0.3, 0.9, x)
+    @pytest.mark.parametrize(("figure", "x", "match"), ONE_VECTOR_CASES)
+    def test_rhat0_rejects_odd_angle_vectors(self, figure, x, match):
+        # Each one-vector figure refuses anything but one vector of 2L angles (objective_value: of 2 spec.layers).
+        with pytest.raises(ValueError, match=match):
+            ONE_VECTOR_FIGURES[figure](x)
